@@ -20,7 +20,7 @@ from .equilibrium import (
     solve_equilibrium,
 )
 from .fbsde import conditional_kernel_integral, fbsde_residual, solve_forward
-from .kernel import DeltaParam, Horizon, compute_delta, eval_F, eval_k, kernel_integral
+from .kernel import DeltaParam, Horizon, compute_delta, eval_F, eval_k
 from .market import (
     AgentSpec,
     Aggregates,

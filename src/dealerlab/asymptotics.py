@@ -24,18 +24,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fbsde import solve_forward
-from .kernel import DeltaParam, Horizon, eval_F, stable_sech
+from .fbsde import heun_step, solve_forward
+from .kernel import DeltaParam, Horizon, KernelWeight, eval_F
 from .paths import integrate_against, standard_normal_block
-from .processes import (
-    BrownianMartingale,
-    Constant,
-    DemandProcess,
-    Deterministic,
-    OrnsteinUhlenbeck,
-    SmoothRate,
-    is_deterministic,
-)
+from .processes import DemandProcess, is_deterministic, validate_process
 
 logger = logging.getLogger(__name__)
 
@@ -69,18 +61,6 @@ def liquidity_cost_from_paths(
     return -setting.cost_multiplier(impact_cost) * integrate_against(demand_path, rate_path)
 
 
-def liquidity_cost_direct(
-    demand_path: np.ndarray, rate_path: np.ndarray, setting: DealerSetting, impact_cost: float
-) -> np.ndarray:
-    """lam (M+1)/M * sum_i u_{i+1} (K^N_{i+1} - K^N_i): the integral-against-demand route.
-
-    The exact discrete summation-by-parts twin of the cost (K^N_0 = 0 and
-    u_T = 0 kill the boundary terms), so the two routes agree to rounding.
-    """
-    du = np.diff(demand_path, axis=-1)
-    return setting.cost_multiplier(impact_cost) * np.sum(rate_path[..., 1:] * du, axis=-1)
-
-
 def liquidity_cost_deterministic(
     setting: DealerSetting,
     demand: DemandProcess,
@@ -88,6 +68,7 @@ def liquidity_cost_deterministic(
     steps: int | None = None,
 ) -> float:
     """Exact (no Monte Carlo) liquidity cost of a deterministic demand path."""
+    _check_demand(demand)
     if not is_deterministic(demand):
         raise ValueError("deterministic route needs a deterministic demand process")
     d = setting.delta(impact_cost)
@@ -96,43 +77,15 @@ def liquidity_cost_deterministic(
     return float(liquidity_cost_from_paths(fb.X, fb.u, setting, impact_cost))
 
 
+def _check_demand(demand: DemandProcess) -> None:
+    problems = validate_process(demand)
+    if problems:
+        raise ValueError("invalid demand process: " + "; ".join(problems))
+
+
 # ----------------------------------------------------------------------
 # fused Monte Carlo sweep (cost and tracking error per path)
 # ----------------------------------------------------------------------
-
-def _state_recursion(demand: DemandProcess, horizon: Horizon):
-    """Per-step state advance and conditional-integral evaluation for one demand kind."""
-    dt = horizon.dt
-
-    if isinstance(demand, BrownianMartingale):
-        sd = demand.sigma * np.sqrt(dt)
-
-        def init(n):
-            return np.full(n, demand.x0)
-
-        def advance(x, i, z):
-            return x + sd[i] * z
-
-        return init, advance, None
-
-    if isinstance(demand, OrnsteinUhlenbeck):
-        if demand.kappa == 0.0:
-            return _state_recursion(
-                BrownianMartingale(demand.x0, demand.sigma), horizon
-            )
-        decay = np.exp(-demand.kappa * dt)
-        sd = demand.sigma * np.sqrt(-np.expm1(-2.0 * demand.kappa * dt) / (2.0 * demand.kappa))
-
-        def init(n):
-            return np.full(n, demand.x0)
-
-        def advance(x, i, z):
-            return demand.theta + (x - demand.theta) * decay[i] + sd[i] * z
-
-        return init, advance, None
-
-    raise ValueError(f"unsupported stochastic demand kind {type(demand).__name__}")
-
 
 def _chunk_sweep(
     demand: DemandProcess,
@@ -147,78 +100,27 @@ def _chunk_sweep(
     """Cost and tracking integral for one contiguous block of paths.
 
     One fused Heun sweep holding only O(n_paths) state: the z block is the
-    single O(n_paths * steps) array.
+    single O(n_paths * steps) array.  The state advance and G come from the
+    demand's kind, exactly as in ``realize`` and ``solve_forward``.
     """
-    grid = horizon.grid
     dt = horizon.dt
-    n = horizon.n_steps
-    tau = horizon.T - grid
-    F = eval_F(d, grid, horizon.T)
+    F = eval_F(d, horizon.grid, horizon.T)
+    coef = demand.g_coefficients(KernelWeight(d, horizon.grid, horizon.T))
+    advance = demand.stepper(dt)
     z = standard_normal_block(horizon, seed, first_path, n_paths)
-
-    smooth = isinstance(demand, SmoothRate)
-    if smooth:
-        init, advance, _ = _state_recursion(demand.rate, horizon)
-        c0 = 1.0 - stable_sech(d.sqrt_delta * tau)
-        rate_proc = demand.rate
-        if isinstance(rate_proc, OrnsteinUhlenbeck) and rate_proc.kappa > 0:
-            from .fbsde import ou_sinh_weight
-
-            w = ou_sinh_weight(d, rate_proc.kappa, tau)
-            theta = rate_proc.theta
-
-            def g_at(i, x, r):
-                return x * F[i] + theta * c0[i] + (r - theta) * w[i]
-
-        else:
-
-            def g_at(i, x, r):
-                return x * F[i] + r * c0[i]
-
-        r = init(n_paths)
-        x = np.zeros(n_paths)
-    else:
-        init, advance, _ = _state_recursion(demand, horizon)
-        if isinstance(demand, OrnsteinUhlenbeck) and demand.kappa > 0:
-            from .fbsde import ou_kernel_weight
-
-            w = ou_kernel_weight(d, demand.kappa, tau)
-            theta = demand.theta
-
-            def g_at(i, x, r):
-                return theta * F[i] + (x - theta) * w[i]
-
-        else:
-
-            def g_at(i, x, r):
-                return x * F[i]
-
-        r = None
-        x = init(n_paths)
-
+    state = demand.start(n_paths)
+    x = state[0]
     U = np.zeros(n_paths)
+    u = demand.g(coef, state, 0)
     cost = np.zeros(n_paths)
     track = np.zeros(n_paths)
-    g_prev = g_at(0, x, r)
-    u_prev = g_prev.copy()
-    for i in range(n):
-        x_old = x
-        track += (x_old - U) ** 2 * (dt[i] * 0.5)
-        if smooth:
-            r_new = advance(r, i, z[:, i])
-            x = x + 0.5 * dt[i] * (r + r_new)
-            r = r_new
-        else:
-            x = advance(x, i, z[:, i])
-        g_next = g_at(i + 1, x, r)
-        k1 = g_prev - F[i] * U
-        k2 = g_next - F[i + 1] * (U + dt[i] * k1)
-        U = U + 0.5 * dt[i] * (k1 + k2)
-        u_next = g_next - F[i + 1] * U
-        cost += x_old * (u_next - u_prev)
+    for i in range(horizon.n_steps):
         track += (x - U) ** 2 * (dt[i] * 0.5)
-        u_prev = u_next
-        g_prev = g_next
+        state = advance(state, i, z[:, i])
+        U, u_next = heun_step(U, u, demand.g(coef, state, i + 1), F[i + 1], dt[i])
+        cost += x * (u_next - u)
+        x, u = state[0], u_next
+        track += (x - U) ** 2 * (dt[i] * 0.5)
     cost *= -setting.cost_multiplier(impact_cost)
     return cost, track
 
@@ -238,6 +140,7 @@ def simulate_costs(
     Each path is a pure function of (seed, path index); chunking and the
     worker count affect scheduling only, never values.
     """
+    _check_demand(demand)
     d = setting.delta(impact_cost)
     horizon = Horizon.uniform(setting.T, steps or steps_for(d, setting.T))
     costs = np.empty(n_paths)
@@ -265,32 +168,6 @@ def simulate_costs(
 # theory prefactors
 # ----------------------------------------------------------------------
 
-def expected_square_rate_integral(rate: DemandProcess, T: float) -> float:
-    """E integral_0^T (rate_t)^2 dt in closed form for the supported rate kinds.
-
-    Grid-sampled deterministic rates are integrated by the trapezoid rule
-    on their own (uniform) sample grid.
-    """
-    if isinstance(rate, Constant):
-        return rate.level**2 * T
-    if isinstance(rate, Deterministic):
-        v = np.asarray(rate.values)
-        dt = T / (v.size - 1)
-        return float(np.sum(0.5 * (v[:-1] ** 2 + v[1:] ** 2) * dt))
-    if isinstance(rate, BrownianMartingale):
-        return rate.x0**2 * T + rate.sigma**2 * T**2 / 2.0
-    if isinstance(rate, OrnsteinUhlenbeck):
-        k, th, x0, sg = rate.kappa, rate.theta, rate.x0, rate.sigma
-        if k == 0.0:
-            return expected_square_rate_integral(BrownianMartingale(x0, sg), T)
-        e1 = -math.expm1(-k * T)
-        e2 = -math.expm1(-2.0 * k * T)
-        mean_sq = th**2 * T + 2.0 * th * (x0 - th) * e1 / k + (x0 - th) ** 2 * e2 / (2.0 * k)
-        var = sg**2 / (2.0 * k) * (T - e2 / (2.0 * k))
-        return mean_sq + var
-    raise ValueError(f"no closed-form squared integral for {type(rate).__name__}")
-
-
 def theoretical_prefactor(setting: DealerSetting, demand: DemandProcess) -> float:
     """Leading-order cost prefactor of the demand family.
 
@@ -298,15 +175,10 @@ def theoretical_prefactor(setting: DealerSetting, demand: DemandProcess) -> floa
     Diffusive demand: sqrt((M+1)/(M rho_d)) * E int (sigma^N)^2 dt multiplying sqrt(lam).
     """
     m = setting.n_dealers
-    if isinstance(demand, SmoothRate):
-        return (m + 1) / m * expected_square_rate_integral(demand.rate, setting.T)
-    if isinstance(demand, (BrownianMartingale, OrnsteinUhlenbeck)):
-        return math.sqrt((m + 1) / (m * setting.rho_d)) * demand.sigma**2 * setting.T
-    raise ValueError(f"no scaling law for demand kind {type(demand).__name__}")
-
-
-def scaling_order(demand: DemandProcess) -> float:
-    return 1.0 if isinstance(demand, SmoothRate) else 0.5
+    order, intensity = demand.scaling_law(setting.T)
+    if order == 1.0:
+        return (m + 1) / m * intensity
+    return math.sqrt((m + 1) / (m * setting.rho_d)) * intensity
 
 
 # ----------------------------------------------------------------------
@@ -361,6 +233,8 @@ def scaling_study(
     The prefactor is read off at the smallest impact cost as
     mean / lam^order and compared against the closed-form theory value.
     """
+    _check_demand(demand)
+    order, _ = demand.scaling_law(setting.T)
     lambdas = sorted(float(x) for x in lambdas)
     means, stderrs, counts, steps_used = [], [], [], []
     deterministic = is_deterministic(demand)
@@ -379,7 +253,6 @@ def scaling_study(
             means.append(float(np.mean(costs)))
             stderrs.append(float(np.std(costs, ddof=1) / math.sqrt(n_paths)))
             counts.append(n_paths)
-    order = scaling_order(demand)
     slope, ci = _slope_fit(lambdas, means)
     lam_min = lambdas[0]
     prefactor = means[0] / lam_min**order
@@ -433,6 +306,7 @@ def convergence_check(
     Must fall monotonically (within two standard errors) as the open
     market becomes more liquid.
     """
+    _check_demand(demand)
     lambdas = sorted((float(x) for x in lambdas), reverse=True)
     means, stderrs = [], []
     for lam in lambdas:

@@ -26,25 +26,15 @@ import numpy as np
 from .fbsde import (
     RealizedDriver,
     driver_is_deterministic,
+    heun_step,
     kernel_expectation_path,
-    ou_kernel_weight,
     realize_driver,
     solve_forward,
 )
-from .kernel import Horizon, eval_F
+from .kernel import Horizon, cumulative_trapezoid, eval_F
 from .market import Aggregates, MarketParams, aggregate
-from .paths import cumulative_trapezoid, realize
-from .processes import (
-    BrownianMartingale,
-    Constant,
-    DemandProcess,
-    Deterministic,
-    OrnsteinUhlenbeck,
-    SmoothRate,
-    Zero,
-    combine,
-    is_deterministic,
-)
+from .paths import RealizedPath, realize
+from .processes import DemandProcess, combine, is_deterministic
 
 
 class ConsistencyError(RuntimeError):
@@ -105,22 +95,16 @@ def solve_equilibrium(
     realized = realize_driver(driver, horizon, seed=seed, path_index=path_index)
     # realize any target/noise process the canonical driver dropped
     # (zero weights or cancelling masses), on follow-on substreams
-    needed = list(dict.fromkeys([params.noise_demand, *(a.target for a in params.agents)]))
     stream = sum(1 for p in realized.paths if not is_deterministic(p))
-    for p in needed:
-        if p in realized.paths or isinstance(p, Zero):
-            continue
-        if is_deterministic(p):
-            realized.paths[p] = realize(p, horizon)
-        else:
+    for p in (params.noise_demand, *(a.target for a in params.agents)):
+        if p not in realized.paths:
             realized.paths[p] = realize(p, horizon, seed=seed, path_index=path_index, stream=stream)
-            stream += 1
+            if not is_deterministic(p):
+                stream += 1
 
     fb = solve_forward(driver, ag.delta, horizon, realized=realized)
 
     def path_of(p: DemandProcess) -> np.ndarray:
-        if isinstance(p, Zero):
-            return np.zeros(horizon.grid.size)
         return realized.paths[p].values
 
     noise = path_of(params.noise_demand)
@@ -191,42 +175,15 @@ def consistency_report(sol: EquilibriumSolution, params: MarketParams) -> Dict[s
 # the conditional-integral price route, demoted to a verification check
 # ----------------------------------------------------------------------
 
-def _conditional_mean(p: DemandProcess, state, s: np.ndarray, t: float) -> np.ndarray:
-    """E_t[X_s] for s >= t given the realized state at t."""
-    if isinstance(p, Zero):
-        return np.zeros_like(s)
-    if isinstance(p, (Constant, BrownianMartingale)):
-        return np.full_like(s, state)
-    if isinstance(p, OrnsteinUhlenbeck):
-        return p.theta + (state - p.theta) * np.exp(-p.kappa * (s - t))
-    if isinstance(p, SmoothRate):
-        level, rate_state = state
-        r = p.rate
-        if isinstance(r, Zero):
-            return np.full_like(s, level)
-        if isinstance(r, (Constant, BrownianMartingale)):
-            return level + rate_state * (s - t)
-        if isinstance(r, OrnsteinUhlenbeck):
-            tail = np.where(
-                r.kappa > 0,
-                -np.expm1(-r.kappa * (s - t)) / max(r.kappa, 1e-300),
-                s - t,
-            )
-            return level + r.theta * (s - t) + (rate_state - r.theta) * tail
-    raise ValueError(f"no closed-form conditional mean for {type(p).__name__}")
+def _conditional_path(p: DemandProcess, path: RealizedPath, grid: np.ndarray, i: int):
+    """The realized path up to node i and E_{t_i}[X_s] from there on.
 
-
-def _conditional_G(
-    p: DemandProcess, mean_s: np.ndarray, d, tau: np.ndarray, F: np.ndarray, g_det: np.ndarray
-) -> np.ndarray:
-    """E_t[G_term(s)] given the term's conditional mean path E_t[X_s]."""
-    if isinstance(p, (Zero, Constant, Deterministic)):
-        return g_det
-    if isinstance(p, BrownianMartingale):
-        return mean_s * F
-    if isinstance(p, OrnsteinUhlenbeck):
-        return p.theta * F + (mean_s - p.theta) * ou_kernel_weight(d, p.kappa, tau)
-    raise ValueError(f"no closed-form conditional G for {type(p).__name__}")
+    A deterministic path is its own conditional mean.
+    """
+    if is_deterministic(p):
+        return path
+    mean = p.conditional_mean(path.state(i), grid[i:], grid[i])
+    return RealizedPath(*(np.concatenate([v[:i], m]) for v, m in zip(path.state(), mean)))
 
 
 def check_price_representations(
@@ -237,55 +194,31 @@ def check_price_representations(
     Deterministic drivers integrate the computed mu path directly (an
     independent numerical route, checked at every node).  Stochastic
     drivers propagate closed-form conditional means from a set of anchor
-    nodes; smooth-rate drivers with stochastic rates are outside the
-    closed-form family of this check.
+    nodes; G is affine in each term's state, so E_t[G(s)] is G on the
+    conditional-mean paths.  Smooth-rate drivers with stochastic rates
+    have no conditional mean here and are outside this check.
     """
     grid = sol.horizon.grid
     ag = sol.aggregates
-    d = ag.delta
     if driver_is_deterministic(sol.realized.terms):
-        dt = np.diff(grid)
-        panel = 0.5 * (sol.mu[..., :-1] + sol.mu[..., 1:]) * dt
-        suffix = np.concatenate(
-            [np.cumsum(panel[..., ::-1], axis=-1)[..., ::-1], np.zeros(sol.mu.shape[:-1] + (1,))],
-            axis=-1,
-        )
-        return float(np.max(np.abs(-suffix - sol.price_dev)))
+        running = cumulative_trapezoid(sol.mu, grid)
+        return float(np.max(np.abs(running - running[..., -1:] - sol.price_dev)))
 
-    T = sol.horizon.T
-    F = eval_F(d, grid, T)
+    F = eval_F(ag.delta, grid, sol.horizon.T)
+    terms = sol.realized.terms
     worst = 0.0
-    idx = np.unique(np.linspace(0, grid.size - 2, anchors).astype(int))
-    for i in idx:
-        s = grid[i:]
-        tau = T - s
-        Fs = F[i:]
-        mean_x = np.zeros_like(s)
-        eg = np.zeros_like(s)
-        for w, p in sol.realized.terms:
-            path = sol.realized.paths[p]
-            if isinstance(p, SmoothRate):
-                state = (path.values[..., i], path.rate_values[..., i])
-            else:
-                state = path.values[..., i]
-            m = _conditional_mean(p, state, s, grid[i])
-            if isinstance(p, (Zero, Constant, Deterministic)):
-                g_det = kernel_expectation_path(
-                    RealizedDriver(((1.0, p),), {p: path}), d, sol.horizon
-                )[i:]
-            else:
-                g_det = None
-            eg = eg + w * _conditional_G(p, m, d, tau, Fs, g_det)
-            mean_x = mean_x + w * m
-        # propagate m_U' = E_t[G(s)] - F(s) m_U from the anchor (Heun)
-        m_u = np.empty_like(s)
+    for i in np.unique(np.linspace(0, grid.size - 2, anchors).astype(int)):
+        means = {p: _conditional_path(p, sol.realized.paths[p], grid, i) for _, p in terms}
+        mean_driver = RealizedDriver(terms, means)
+        eg = kernel_expectation_path(mean_driver, ag.delta, sol.horizon)[i:]
+        mean_x = mean_driver.values()[i:]
+        # propagate m_U' = E_t[G(s)] - F(s) m_U from the anchor
+        m_u = np.empty_like(eg)
         m_u[0] = sol.U_bar[i]
-        ds = np.diff(s)
+        rate = eg[0] - F[i] * m_u[0]
+        ds = np.diff(grid[i:])
         for j in range(ds.size):
-            k1 = eg[j] - Fs[j] * m_u[j]
-            pred = m_u[j] + ds[j] * k1
-            k2 = eg[j + 1] - Fs[j + 1] * pred
-            m_u[j + 1] = m_u[j] + 0.5 * ds[j] * (k1 + k2)
+            m_u[j + 1], rate = heun_step(m_u[j], rate, eg[j + 1], F[i + j + 1], ds[j])
         integrand = (m_u - mean_x) / ag.rho_bar
         integral = np.sum(0.5 * (integrand[:-1] + integrand[1:]) * ds)
         worst = max(worst, abs(-integral - sol.price_dev[i]))

@@ -10,42 +10,20 @@ for a demand driver X.  The unique solution is
     u_t = G(t) - F(t) * U_t,      G(t) = E_t[ integral_t^T k(t, s) X_s ds ],
 
 so U follows the pathwise linear ODE dU = (G - F U) dt, integrated here
-with Heun's method.  G is closed form for every supported driver kind;
-stochastic drivers only need their realized state at t (all supported
-kinds are Markov).
-
-The equivalent double-integral representation
-
-    U_t = (1/delta) * integral_0^t k(s, t) * G(s) ds
-
-is quadratic-cost and kept as a test oracle only.
+with Heun's method.  G is closed form for every supported driver kind
+(see ``dealerlab.processes``): affine in each process's state at t, as all
+supported kinds are Markov.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import DeltaParam, Horizon, eval_F, stable_sech
-from .paths import RealizedPath, realize
-from .processes import (
-    BrownianMartingale,
-    Constant,
-    DemandProcess,
-    Deterministic,
-    OrnsteinUhlenbeck,
-    SmoothRate,
-    TermList,
-    Zero,
-    is_deterministic,
-)
-
-logger = logging.getLogger(__name__)
-
-#: relative width of the kappa^2 ~ delta resonance band that gets logged
-RESONANCE_REL_WIDTH = 1e-6
+from .kernel import DeltaParam, Horizon, KernelWeight, eval_F
+from .paths import realize
+from .processes import DemandProcess, TermList, is_deterministic
 
 
 def as_terms(driver) -> TermList:
@@ -90,13 +68,10 @@ def realize_driver(
     paths: dict = {}
     stream = stream_offset
     for _, p in terms:
-        if p in paths:
-            continue
-        if is_deterministic(p):
-            paths[p] = realize(p, horizon)
-        else:
+        if p not in paths:
             paths[p] = realize(p, horizon, seed=seed, path_index=path_index, stream=stream)
-            stream += 1
+            if not is_deterministic(p):
+                stream += 1
     return RealizedDriver(terms, paths)
 
 
@@ -104,140 +79,15 @@ def realize_driver(
 # closed-form conditional kernel integrals
 # ----------------------------------------------------------------------
 
-def _phi(x: np.ndarray) -> np.ndarray:
-    """expm1(x)/x with the removable singularity at 0."""
-    x = np.asarray(x, dtype=float)
-    out = np.ones_like(x)
-    nz = x != 0
-    out[nz] = np.expm1(x[nz]) / x[nz]
-    return out
-
-
-def _exp_difference(beta: float, kappa: float, tau: np.ndarray) -> np.ndarray:
-    """e^{-beta*tau} * (e^{-kappa*tau} - e^{-beta*tau}) / (beta - kappa), stably.
-
-    Near resonance kappa ~ beta the difference quotient degenerates to
-    tau * e^{-2*beta*tau}; both regimes are covered by the expm1 form
-    e^{-2 beta tau} * tau * phi((beta-kappa) tau), which however overflows
-    for large positive (beta-kappa)*tau, where the literal form is safe.
-    """
-    x = (beta - kappa) * tau
-    small = np.abs(x) < 1.0
-    out = np.empty_like(tau)
-    out[small] = np.exp(-2.0 * beta * tau[small]) * tau[small] * _phi(x[small])
-    big = ~small
-    out[big] = (
-        np.exp(-beta * tau[big])
-        * (np.exp(-kappa * tau[big]) - np.exp(-beta * tau[big]))
-        / (beta - kappa)
-    )
-    return out
-
-
-def ou_kernel_weight(d: DeltaParam, kappa: float, tau: np.ndarray) -> np.ndarray:
-    """I_kappa(tau) = integral_t^T k(t, s) e^{-kappa (s-t)} ds with tau = T - t.
-
-    Degenerates to F(t) at kappa = 0.
-    """
-    tau = np.asarray(tau, dtype=float)
-    b = d.sqrt_delta
-    if abs(kappa**2 - d.delta) < RESONANCE_REL_WIDTH * d.delta:
-        logger.debug("ou kernel weight evaluated inside the kappa^2 ~ delta resonance band")
-    head = -np.expm1(-(b + kappa) * tau) / (b + kappa)
-    return d.delta * (head + _exp_difference(b, kappa, tau)) / (1.0 + np.exp(-2.0 * b * tau))
-
-
-def ou_sinh_weight(d: DeltaParam, kappa: float, tau: np.ndarray) -> np.ndarray:
-    """sqrt(delta) * integral_t^T [sinh(b(T-v))/cosh(b(T-t))] e^{-kappa (v-t)} dv.
-
-    Degenerates to 1 - sech(b*tau) at kappa = 0.
-    """
-    tau = np.asarray(tau, dtype=float)
-    b = d.sqrt_delta
-    if abs(kappa**2 - d.delta) < RESONANCE_REL_WIDTH * d.delta:
-        logger.debug("ou sinh weight evaluated inside the kappa^2 ~ delta resonance band")
-    head = -np.expm1(-(b + kappa) * tau) / (b + kappa)
-    return b * (head - _exp_difference(b, kappa, tau)) / (1.0 + np.exp(-2.0 * b * tau))
-
-
-def _suffix_product_integral(
-    weighted_tail: np.ndarray, beta: float, grid: np.ndarray, sign: float
-) -> np.ndarray:
-    """R_i = integral_{t_i}^T e^{beta (t_i - s)} (1 + sign * e^{-2 beta (T - s)}) X_s ds.
-
-    Backward recursion R_i = panel_i + e^{-beta dt_i} R_{i+1} with exact
-    exponential weights on a linear interpolant; every factor stays in
-    [0, 1], so arbitrarily stiff kernels cannot overflow.
-    """
-    T = grid[-1]
-    g = weighted_tail * (1.0 + sign * np.exp(-2.0 * beta * (T - grid)))
-    dt = np.diff(grid)
-    x = beta * dt
-    decay = np.exp(-x)
-    c1 = -np.expm1(-x) / beta
-    small = x < 1e-3
-    c2 = np.empty_like(dt)
-    c2[small] = dt[small] ** 2 * (0.5 - x[small] / 3.0 + x[small] ** 2 / 8.0)
-    c2[~small] = (1.0 - decay[~small] * (1.0 + x[~small])) / beta**2
-    w_left = c1 - c2 / dt
-    w_right = c2 / dt
-    out = np.zeros_like(g)
-    acc = np.zeros(g.shape[:-1], dtype=float)
-    for i in range(dt.size - 1, -1, -1):
-        acc = acc * decay[i] + w_left[i] * g[..., i] + w_right[i] * g[..., i + 1]
-        out[..., i] = acc
-    return out
-
-
-def _term_expectation(
-    process: DemandProcess,
-    path: RealizedPath,
-    d: DeltaParam,
-    horizon: Horizon,
-    F: np.ndarray,
-) -> np.ndarray:
-    grid = horizon.grid
-    tau = horizon.T - grid
-    b = d.sqrt_delta
-    if isinstance(process, Zero):
-        return np.zeros_like(path.values)
-    if isinstance(process, (Constant, BrownianMartingale)):
-        # conditional mean is frozen at the current state
-        return path.values * F
-    if isinstance(process, OrnsteinUhlenbeck):
-        weight = ou_kernel_weight(d, process.kappa, tau)
-        return process.theta * F + (path.values - process.theta) * weight
-    if isinstance(process, Deterministic):
-        R = _suffix_product_integral(path.values, b, grid, sign=+1.0)
-        return d.delta * R / (1.0 + np.exp(-2.0 * b * tau))
-    if isinstance(process, SmoothRate):
-        level = path.values * F
-        rate = process.rate
-        rate_vals = path.rate_values
-        if isinstance(rate, Zero):
-            return level
-        if isinstance(rate, (Constant, BrownianMartingale)):
-            return level + rate_vals * (1.0 - stable_sech(b * tau))
-        if isinstance(rate, OrnsteinUhlenbeck):
-            w = ou_sinh_weight(d, rate.kappa, tau)
-            return level + rate.theta * (1.0 - stable_sech(b * tau)) + (rate_vals - rate.theta) * w
-        if isinstance(rate, Deterministic):
-            S = _suffix_product_integral(rate_vals, b, grid, sign=-1.0)
-            return level + b * S / (1.0 + np.exp(-2.0 * b * tau))
-    raise ValueError(f"unsupported driver kind {type(process).__name__}")
-
-
 def kernel_expectation_path(
     realized: RealizedDriver, d: DeltaParam, horizon: Horizon
 ) -> np.ndarray:
     """G(t) = E_t[ integral_t^T k(t, s) X_s ds ] along the grid, per path."""
-    F = eval_F(d, horizon.grid, horizon.T)
-    out = None
+    weight = KernelWeight(d, horizon.grid, horizon.T)
+    out = np.zeros(horizon.grid.size)
     for w, p in realized.terms:
-        g = w * _term_expectation(p, realized.paths[p], d, horizon, F)
-        out = g if out is None else out + g
-    if out is None:
-        out = np.zeros(horizon.grid.size)
+        state = realized.paths[p].state()
+        out = out + w * p.g(p.g_coefficients(weight), state, slice(None))
     return out
 
 
@@ -250,53 +100,23 @@ def conditional_kernel_integral(
 ) -> float:
     """Pointwise G(t, state) for a single process.
 
-    ``state`` is the realized value of the process at t (and, for
+    ``state`` is the realized value of a stochastic process at t (and, for
     smooth-rate processes, the pair (level, rate)).  Grid-sampled kinds
     require t to be a grid node.
     """
     T = horizon.T
     if not 0.0 <= t <= T:
         raise ValueError(f"t={t} outside [0, {T}]")
-    F = float(eval_F(d, t, T))
-    tau = np.array([T - t])
-    b = d.sqrt_delta
-    if isinstance(process, Zero):
-        return 0.0
-    if isinstance(process, Constant):
-        return process.level * F
-    if isinstance(process, BrownianMartingale):
-        if state is None:
-            raise ValueError("martingale driver needs its realized state")
-        return float(state) * F
-    if isinstance(process, OrnsteinUhlenbeck):
-        if state is None:
-            raise ValueError("ou driver needs its realized state")
-        w = float(ou_kernel_weight(d, process.kappa, tau)[0])
-        return process.theta * F + (float(state) - process.theta) * w
-    if isinstance(process, (Deterministic, SmoothRate)):
-        grid = horizon.grid
-        idx = int(np.argmin(np.abs(grid - t)))
-        if abs(grid[idx] - t) > 1e-12 * max(1.0, T):
-            raise ValueError("grid-sampled drivers support grid nodes only")
-        if isinstance(process, Deterministic):
-            path = realize(process, horizon)
-        else:
-            if is_deterministic(process):
-                path = realize(process, horizon)
-            else:
-                if state is None:
-                    raise ValueError("stochastic smooth-rate driver needs (level, rate) state")
-                level, rate_state = state
-                # conditional mean only depends on the time-t state
-                vals = np.zeros(grid.size)
-                vals[idx] = level
-                rate_vals = np.zeros(grid.size)
-                rate_vals[idx] = rate_state
-                path = RealizedPath(vals, rate_vals)
-        Fgrid = eval_F(d, grid, T)
-        g = _term_expectation(process, path, d, horizon, Fgrid)
-        return float(g[..., idx])
-    raise ValueError(f"unsupported driver kind {type(process).__name__}")
+    grid = np.union1d(horizon.grid, [t])  # t joins the grid unless it is a node
+    i = int(np.searchsorted(grid, t))
+    if is_deterministic(process):
+        state = realize(process, Horizon(T, grid)).state(i)
+    elif state is None:
+        raise ValueError(f"{type(process).__name__} driver needs its realized state")
+    elif not isinstance(state, tuple):
+        state = (state,)
+    coef = process.g_coefficients(KernelWeight(d, grid, T))
+    return float(process.g(coef, state, i))
 
 
 # ----------------------------------------------------------------------
@@ -336,13 +156,23 @@ def solve_forward(
     F = eval_F(d, horizon.grid, horizon.T)
     dt = horizon.dt
     U = np.zeros_like(G)
+    u = G.copy()  # u_0 = G_0 as U_0 = 0
     for i in range(dt.size):
-        k1 = G[..., i] - F[i] * U[..., i]
-        u_pred = U[..., i] + dt[i] * k1
-        k2 = G[..., i + 1] - F[i + 1] * u_pred
-        U[..., i + 1] = U[..., i] + 0.5 * dt[i] * (k1 + k2)
-    u = G - F * U
+        U[..., i + 1], u[..., i + 1] = heun_step(
+            U[..., i], u[..., i], G[..., i + 1], F[i + 1], dt[i]
+        )
     return FbsdePath(horizon=horizon, u=u, U=U, X=realized.values(), driver=terms)
+
+
+def heun_step(U, u, g_next, F_next: float, dt: float):
+    """One Heun step of dU = (G - F U) dt from a node where the rate is u = G - F U.
+
+    Returns the position at the next node and the rate there,
+    ``g_next - F_next * U_next``, which is the next step's first slope.
+    """
+    k2 = g_next - F_next * (U + dt * u)
+    U_next = U + 0.5 * dt * (u + k2)
+    return U_next, g_next - F_next * U_next
 
 
 @dataclass
@@ -367,29 +197,3 @@ def fbsde_residual(path: FbsdePath, d: DeltaParam) -> ResidualReport:
         max_drift_residual=float(np.max(np.abs(resid))),
         terminal_rate=float(np.max(np.abs(path.u[..., -1]))),
     )
-
-
-def double_integral_position(
-    realized: RealizedDriver, d: DeltaParam, horizon: Horizon
-) -> np.ndarray:
-    """U via the double-integral representation, trapezoid in the outer integral.
-
-    (1/delta) * integral_0^t k(s, t) G(s) ds with the cosh ratio in
-    rescaled form; O(n^2)-free because the e^{-beta(t-s)} factor folds
-    into a forward recursion.  Kept as an independent cross-check of the
-    Heun route (same G, different integrator).
-    """
-    grid = horizon.grid
-    b = d.sqrt_delta
-    tau = horizon.T - grid
-    G = kernel_expectation_path(realized, d, horizon)
-    # k(s,t)/delta = e^{-beta(t-s)} (1 + e^{-2 beta tau_t}) / (1 + e^{-2 beta tau_s})
-    h = G / (1.0 + np.exp(-2.0 * b * tau))
-    dt = horizon.dt
-    decay = np.exp(-b * dt)
-    out = np.zeros_like(G)
-    acc = np.zeros(G.shape[:-1], dtype=float)
-    for i in range(dt.size):
-        acc = acc * decay[i] + 0.5 * dt[i] * (h[..., i] * decay[i] + h[..., i + 1])
-        out[..., i + 1] = acc
-    return out * (1.0 + np.exp(-2.0 * b * tau))

@@ -7,7 +7,9 @@ two basic objects are
 * the kernel ``k(t, s) = delta * cosh(sqrt(delta)*(T-s)) / cosh(sqrt(delta)*(T-t))``
 * the feedback rate ``F(t) = sqrt(delta) * tanh(sqrt(delta)*(T-t))``
 
-with the identity ``integral_t^T k(t, s) ds = F(t)``.
+with the identity ``integral_t^T k(t, s) ds = F(t)``.  ``KernelWeight``
+integrates the kernel against the conditional means of the demand family
+in closed form; each demand kind builds its G coefficients from it.
 
 All cosh/sinh ratios are evaluated in exponentially rescaled form:
 ``sqrt(delta)*T`` easily exceeds 710 in small-impact-cost sweeps, where a
@@ -16,10 +18,16 @@ naive ``cosh`` overflows double precision.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+logger = logging.getLogger(__name__)
+
+#: relative width of the kappa^2 ~ delta resonance band that gets logged
+RESONANCE_REL_WIDTH = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,24 +161,6 @@ def eval_k(d: DeltaParam, t, s, T: float):
     return d.delta * stable_cosh_ratio(b * (T - s), b * (T - t))
 
 
-def eval_k_cosh(d: DeltaParam, t, s, T: float):
-    """Kernel via the literal cosh ratio; overflows near sqrt(delta)*T ~ 710.
-
-    Kept for cross-validation of the rescaled form at moderate delta.
-    """
-    t = _check_time(t, T)
-    s = _check_time(s, T, name="s")
-    if np.any(s < t):
-        raise ValueError("kernel requires t <= s")
-    b = d.sqrt_delta
-    return d.delta * np.cosh(b * (T - s)) / np.cosh(b * (T - t))
-
-
-def kernel_integral(d: DeltaParam, t, T: float):
-    """Closed form of integral_t^T k(t, s) ds, which equals F(t)."""
-    return eval_F(d, t, T)
-
-
 def simpson(f, a: float, b: float, panels: int = 4096) -> float:
     """Composite Simpson rule for a vectorized integrand on [a, b]."""
     if panels < 1:
@@ -180,3 +170,138 @@ def simpson(f, a: float, b: float, panels: int = 4096) -> float:
     y = np.asarray(f(x), dtype=float)
     h = (b - a) / panels
     return float(h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-2:2].sum()))
+
+
+def cumulative_trapezoid(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Running trapezoidal integral along the last axis, starting at 0."""
+    dt = np.diff(grid)
+    panel = 0.5 * (values[..., :-1] + values[..., 1:]) * dt
+    out = np.zeros(values.shape, dtype=float)
+    np.cumsum(panel, axis=-1, out=out[..., 1:])
+    return out
+
+
+# ----------------------------------------------------------------------
+# closed-form weight integrals behind the conditional kernel integral G
+# ----------------------------------------------------------------------
+
+def _phi(x: np.ndarray) -> np.ndarray:
+    """expm1(x)/x with the removable singularity at 0."""
+    x = np.asarray(x, dtype=float)
+    out = np.ones_like(x)
+    nz = x != 0
+    out[nz] = np.expm1(x[nz]) / x[nz]
+    return out
+
+
+def _exp_difference(beta: float, kappa: float, tau: np.ndarray) -> np.ndarray:
+    """e^{-beta*tau} * (e^{-kappa*tau} - e^{-beta*tau}) / (beta - kappa), stably.
+
+    Near resonance kappa ~ beta the difference quotient degenerates to
+    tau * e^{-2*beta*tau}; both regimes are covered by the expm1 form
+    e^{-2 beta tau} * tau * phi((beta-kappa) tau), which however overflows
+    for large positive (beta-kappa)*tau, where the literal form is safe.
+    """
+    x = (beta - kappa) * tau
+    small = np.abs(x) < 1.0
+    out = np.empty_like(tau)
+    out[small] = np.exp(-2.0 * beta * tau[small]) * tau[small] * _phi(x[small])
+    big = ~small
+    out[big] = (
+        np.exp(-beta * tau[big])
+        * (np.exp(-kappa * tau[big]) - np.exp(-beta * tau[big]))
+        / (beta - kappa)
+    )
+    return out
+
+
+def _ou_weight(d: DeltaParam, kappa: float, tau: np.ndarray, sign: float) -> np.ndarray:
+    tau = np.asarray(tau, dtype=float)
+    b = d.sqrt_delta
+    if abs(kappa**2 - d.delta) < RESONANCE_REL_WIDTH * d.delta:
+        logger.debug("ou weight evaluated inside the kappa^2 ~ delta resonance band")
+    head = -np.expm1(-(b + kappa) * tau) / (b + kappa)
+    scale = d.delta if sign > 0 else b
+    return scale * (head + sign * _exp_difference(b, kappa, tau)) / (1.0 + np.exp(-2.0 * b * tau))
+
+
+def ou_kernel_weight(d: DeltaParam, kappa: float, tau: np.ndarray) -> np.ndarray:
+    """I_kappa(tau) = integral_t^T k(t, s) e^{-kappa (s-t)} ds with tau = T - t.
+
+    Degenerates to F(t) at kappa = 0.
+    """
+    return _ou_weight(d, kappa, tau, 1.0)
+
+
+def ou_sinh_weight(d: DeltaParam, kappa: float, tau: np.ndarray) -> np.ndarray:
+    """sqrt(delta) * integral_t^T [sinh(b(T-v))/cosh(b(T-t))] e^{-kappa (v-t)} dv.
+
+    Degenerates to 1 - sech(b*tau) at kappa = 0.
+    """
+    return _ou_weight(d, kappa, tau, -1.0)
+
+
+def _suffix_product_integral(
+    weighted_tail: np.ndarray, beta: float, grid: np.ndarray, sign: float
+) -> np.ndarray:
+    """R_i = integral_{t_i}^T e^{beta (t_i - s)} (1 + sign * e^{-2 beta (T - s)}) X_s ds.
+
+    Backward recursion R_i = panel_i + e^{-beta dt_i} R_{i+1} with exact
+    exponential weights on a linear interpolant; every factor stays in
+    [0, 1], so arbitrarily stiff kernels cannot overflow.
+    """
+    T = grid[-1]
+    g = weighted_tail * (1.0 + sign * np.exp(-2.0 * beta * (T - grid)))
+    dt = np.diff(grid)
+    x = beta * dt
+    decay = np.exp(-x)
+    c1 = -np.expm1(-x) / beta
+    small = x < 1e-3
+    c2 = np.empty_like(dt)
+    c2[small] = dt[small] ** 2 * (0.5 - x[small] / 3.0 + x[small] ** 2 / 8.0)
+    c2[~small] = (1.0 - decay[~small] * (1.0 + x[~small])) / beta**2
+    w_left = c1 - c2 / dt
+    w_right = c2 / dt
+    out = np.zeros_like(g)
+    acc = np.zeros(g.shape[:-1], dtype=float)
+    for i in range(dt.size - 1, -1, -1):
+        acc = acc * decay[i] + w_left[i] * g[..., i] + w_right[i] * g[..., i + 1]
+        out[..., i] = acc
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class KernelWeight:
+    """Integrals t -> integral_t^T w(t, s) m(s) ds on ``grid`` for the means m of the demand family.
+
+    ``sign=+1`` takes w = k, the kernel, so that m(s) = E_t[X_s] gives G(t).
+    ``sign=-1`` takes w(t, v) = sqrt(delta) sinh(sqrt(delta)(T-v)) / cosh(sqrt(delta)(T-t)),
+    the weight a rate r picks up when X is its running integral:
+    integral_t^T k(t, s) (X_s - X_t) ds = integral_t^T w(t, v) r_v dv.
+    """
+
+    d: DeltaParam
+    grid: np.ndarray
+    T: float
+    sign: float = 1.0
+
+    @property
+    def tau(self) -> np.ndarray:
+        return self.T - self.grid
+
+    def constant(self) -> np.ndarray:
+        """integral_t^T w(t, s) ds: F(t), or 1 - sech(sqrt(delta)(T-t)) for the rate weight."""
+        if self.sign > 0:
+            return eval_F(self.d, self.grid, self.T)
+        return 1.0 - stable_sech(self.d.sqrt_delta * self.tau)
+
+    def exponential(self, kappa: float) -> np.ndarray:
+        """integral_t^T w(t, s) e^{-kappa (s-t)} ds."""
+        return _ou_weight(self.d, kappa, self.tau, self.sign)
+
+    def sampled(self, values: np.ndarray) -> np.ndarray:
+        """integral_t^T w(t, s) x_s ds for a path x sampled on the grid."""
+        b = self.d.sqrt_delta
+        scale = self.d.delta if self.sign > 0 else b
+        R = _suffix_product_integral(values, b, self.grid, self.sign)
+        return scale * R / (1.0 + np.exp(-2.0 * b * self.tau))

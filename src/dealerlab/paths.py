@@ -14,15 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import Horizon
-from .processes import (
-    BrownianMartingale,
-    Constant,
-    DemandProcess,
-    Deterministic,
-    OrnsteinUhlenbeck,
-    SmoothRate,
-    Zero,
-)
+from .processes import DemandProcess, is_deterministic
 
 
 def substream(seed: int, path_index: int, stream: int = 0) -> np.random.Generator:
@@ -30,14 +22,6 @@ def substream(seed: int, path_index: int, stream: int = 0) -> np.random.Generato
     key = np.array([np.uint64(seed), np.uint64(path_index)], dtype=np.uint64)
     counter = np.array([0, 0, np.uint64(stream), 0], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
-
-
-def normal_increments(
-    horizon: Horizon, seed: int, path_index: int, stream: int = 0
-) -> np.ndarray:
-    """Brownian increments on the grid: N(0, dt) per step, shape (n_steps,)."""
-    z = substream(seed, path_index, stream).standard_normal(horizon.n_steps)
-    return z * np.sqrt(horizon.dt)
 
 
 def standard_normal_block(
@@ -62,42 +46,11 @@ class RealizedPath:
     values: np.ndarray
     rate_values: np.ndarray | None = None
 
-
-def _brownian(grid: np.ndarray, x0: float, sigma: float, z: np.ndarray) -> np.ndarray:
-    dt = np.diff(grid)
-    steps = sigma * np.sqrt(dt) * z
-    out = np.empty(z.shape[:-1] + (grid.size,), dtype=float)
-    out[..., 0] = x0
-    np.cumsum(steps, axis=-1, out=out[..., 1:])
-    out[..., 1:] += x0
-    return out
-
-
-def _ou_exact(
-    grid: np.ndarray, x0: float, kappa: float, theta: float, sigma: float, z: np.ndarray
-) -> np.ndarray:
-    """Exact-discretization recursion; kappa = 0 degenerates to Brownian motion."""
-    dt = np.diff(grid)
-    if kappa == 0.0:
-        return _brownian(grid, x0, sigma, z)
-    decay = np.exp(-kappa * dt)
-    step_sd = sigma * np.sqrt(-np.expm1(-2.0 * kappa * dt) / (2.0 * kappa))
-    out = np.empty(z.shape[:-1] + (grid.size,), dtype=float)
-    out[..., 0] = x0
-    x = np.broadcast_to(np.asarray(x0, dtype=float), z.shape[:-1]).copy()
-    for i in range(dt.size):
-        x = theta + (x - theta) * decay[i] + step_sd[i] * z[..., i]
-        out[..., i + 1] = x
-    return out
-
-
-def cumulative_trapezoid(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Running trapezoidal integral along the last axis, starting at 0."""
-    dt = np.diff(grid)
-    panel = 0.5 * (values[..., :-1] + values[..., 1:]) * dt
-    out = np.zeros(values.shape, dtype=float)
-    np.cumsum(panel, axis=-1, out=out[..., 1:])
-    return out
+    def state(self, i=slice(None)) -> tuple:
+        """The process state at node(s) ``i``: ``(value,)`` or ``(value, rate)``."""
+        if self.rate_values is None:
+            return (self.values[..., i],)
+        return self.values[..., i], self.rate_values[..., i]
 
 
 def realize(
@@ -110,36 +63,22 @@ def realize(
 ) -> RealizedPath:
     """Realize a demand process on the grid.
 
-    Deterministic kinds need no randomness.  Stochastic kinds consume unit
-    normals ``z`` (shape (..., n_steps)); when ``z`` is omitted they are
-    drawn from the (seed, path_index, stream) substream.
+    Deterministic kinds need no randomness.  Stochastic kinds run their
+    per-step advance on unit normals ``z`` (shape (..., n_steps)); when
+    ``z`` is omitted they are drawn from the (seed, path_index, stream)
+    substream.
     """
-    grid = horizon.grid
-    if isinstance(process, Zero):
-        return RealizedPath(np.zeros(grid.size))
-    if isinstance(process, Constant):
-        return RealizedPath(np.full(grid.size, process.level))
-    if isinstance(process, Deterministic):
-        values = np.asarray(process.values, dtype=float)
-        if values.size != grid.size:
-            raise ValueError(
-                f"deterministic path has {values.size} samples, grid has {grid.size} nodes"
-            )
-        return RealizedPath(values)
-    if isinstance(process, SmoothRate):
-        rate = realize(process.rate, horizon, seed, path_index, stream, z=z)
-        return RealizedPath(cumulative_trapezoid(rate.values, grid), rate.values)
+    if is_deterministic(process):
+        return RealizedPath(*process.path(horizon.grid))
     if z is None:
         if seed is None:
             raise ValueError(f"{type(process).__name__} needs a seed or explicit normals")
         z = substream(seed, path_index, stream).standard_normal(horizon.n_steps)
-    if isinstance(process, BrownianMartingale):
-        return RealizedPath(_brownian(grid, process.x0, process.sigma, z))
-    if isinstance(process, OrnsteinUhlenbeck):
-        return RealizedPath(
-            _ou_exact(grid, process.x0, process.kappa, process.theta, process.sigma, z)
-        )
-    raise ValueError(f"unsupported process kind {type(process).__name__}")
+    advance = process.stepper(horizon.dt)
+    states = [process.start(z.shape[:-1])]
+    for i in range(horizon.n_steps):
+        states.append(advance(states[-1], i, z[..., i]))
+    return RealizedPath(*(np.stack(part, axis=-1) for part in zip(*states)))
 
 
 def integrate_against(integrand: np.ndarray, integrator: np.ndarray) -> np.ndarray:
@@ -147,21 +86,3 @@ def integrate_against(integrand: np.ndarray, integrator: np.ndarray) -> np.ndarr
     if integrand.shape[-1] != integrator.shape[-1]:
         raise ValueError("integrand and integrator must share one grid")
     return np.sum(integrand[..., :-1] * np.diff(integrator, axis=-1), axis=-1)
-
-
-def quadratic_covariation(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Realized covariation: sum_i (X_{i+1}-X_i)(Y_{i+1}-Y_i) along the last axis."""
-    if x.shape[-1] != y.shape[-1]:
-        raise ValueError("paths must share one grid")
-    return np.sum(np.diff(x, axis=-1) * np.diff(y, axis=-1), axis=-1)
-
-
-def discrete_integral(
-    integrand: np.ndarray, integrator: np.ndarray, mode: str = "against-increments"
-) -> np.ndarray:
-    """Dispatch between the two discrete integrals used by the cost identities."""
-    if mode == "against-increments":
-        return integrate_against(integrand, integrator)
-    if mode == "quadratic-covariation":
-        return quadratic_covariation(integrand, integrator)
-    raise ValueError(f"unknown mode {mode!r}")

@@ -1,4 +1,4 @@
-"""Demand processes: trading targets and noise demand with closed-form conditional means.
+"""Demand processes: trading targets and noise demand, one definition per kind.
 
 The supported family is deliberately small so that every conditional
 expectation the equilibrium needs stays closed form:
@@ -9,6 +9,16 @@ expectation the equilibrium needs stays closed form:
 * ``OrnsteinUhlenbeck`` -- mean reversion kappa towards theta,
 * ``SmoothRate`` -- the running integral of one of the above (depth 1).
 
+Each kind states once what the rest of the package asks of it: its
+invariants (``problems``) and ``deterministic`` flag; its ``path`` on a grid,
+or for stochastic kinds its ``start`` state and per-step ``stepper`` on unit
+normals (a state is ``(x,)``, or ``(x, rate)`` for a smooth rate); the
+coefficients of G_t = E_t[integral_t^T k(t, s) X_s ds] = A_t + B_t * x_t,
+affine in the state (``g_coefficients`` and ``g``; B = 0 for deterministic
+kinds, and a smooth rate adds F_t * x_t to its rate's coefficients under the
+sinh weight); its ``conditional_mean``; and the moments behind the cost
+scaling laws (``square_integral``, ``scaling_law``).
+
 Weighted sums of targets are kept as term lists instead of being folded
 into a single process: each distinct process keeps its own realized path,
 and everything downstream of it is linear.
@@ -16,24 +26,73 @@ and everything downstream of it is linear.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Tuple
+
+import numpy as np
+
+from .kernel import KernelWeight, cumulative_trapezoid
 
 
 class DemandProcess:
-    """Marker base class for the supported process family."""
+    """Base class of the supported process family."""
 
     __slots__ = ()
+    deterministic = True
+
+    def problems(self, n_nodes: int | None = None) -> list[str]:
+        """Invariant violations (empty when the process is valid)."""
+        return []
+
+    def g(self, coef, state: tuple, i):
+        """G at node(s) ``i`` from the state there and ``g_coefficients``."""
+        A, B = coef
+        return A[i] + B[i] * state[0]
+
+    def conditional_mean(self, state: tuple, s: np.ndarray, t: float) -> tuple:
+        raise ValueError(f"no closed-form conditional mean for {type(self).__name__}")
+
+    def square_integral(self, T: float) -> float:
+        raise ValueError(f"no closed-form squared integral for {type(self).__name__}")
+
+    def scaling_law(self, T: float) -> tuple[float, float]:
+        """(order, intensity): the cost is ~ lam^order times a multiple of the intensity."""
+        raise ValueError(f"no scaling law for demand kind {type(self).__name__}")
 
 
-@dataclass(frozen=True)
-class Zero(DemandProcess):
-    pass
+class _Diffusion(DemandProcess):
+    """Stochastic leaf kinds: state x started at x0, diffusion coefficient sigma."""
+
+    __slots__ = ()
+    deterministic = False
+
+    def start(self, shape) -> tuple:
+        return (np.full(shape, self.x0),)
+
+    def scaling_law(self, T: float) -> tuple[float, float]:
+        return 0.5, self.sigma**2 * T
 
 
 @dataclass(frozen=True)
 class Constant(DemandProcess):
     level: float
+
+    def path(self, grid: np.ndarray) -> tuple:
+        return (np.full(grid.size, self.level),)
+
+    def g_coefficients(self, weight: KernelWeight) -> tuple:
+        return self.level * weight.constant(), np.zeros(weight.grid.size)
+
+    def square_integral(self, T: float) -> float:
+        return self.level**2 * T
+
+
+@dataclass(frozen=True)
+class Zero(Constant):
+    """The zero level; sums of processes drop it."""
+
+    level: float = field(default=0.0, init=False)
 
 
 @dataclass(frozen=True)
@@ -45,34 +104,138 @@ class Deterministic(DemandProcess):
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
 
+    def problems(self, n_nodes: int | None = None) -> list[str]:
+        if n_nodes is not None and len(self.values) != n_nodes:
+            return [f"deterministic path has {len(self.values)} samples, grid has {n_nodes} nodes"]
+        return []
+
+    def path(self, grid: np.ndarray) -> tuple:
+        problems = self.problems(grid.size)
+        if problems:
+            raise ValueError(problems[0])
+        return (np.asarray(self.values, dtype=float),)
+
+    def g_coefficients(self, weight: KernelWeight) -> tuple:
+        return weight.sampled(self.path(weight.grid)[0]), np.zeros(weight.grid.size)
+
+    def square_integral(self, T: float) -> float:
+        """Trapezoid rule on the samples' own (uniform) grid."""
+        v = np.asarray(self.values)
+        dt = T / (v.size - 1)
+        return float(np.sum(0.5 * (v[:-1] ** 2 + v[1:] ** 2) * dt))
+
 
 @dataclass(frozen=True)
-class BrownianMartingale(DemandProcess):
+class BrownianMartingale(_Diffusion):
     x0: float
     sigma: float
 
+    def problems(self, n_nodes: int | None = None) -> list[str]:
+        return [f"brownian sigma must be >= 0, got {self.sigma}"] if self.sigma < 0 else []
+
+    def stepper(self, dt: np.ndarray):
+        sd = self.sigma * np.sqrt(dt)
+        return lambda state, i, z: (state[0] + sd[i] * z,)
+
+    def g_coefficients(self, weight: KernelWeight) -> tuple:
+        return np.zeros(weight.grid.size), weight.constant()
+
+    def conditional_mean(self, state: tuple, s: np.ndarray, t: float) -> tuple:
+        return (np.full_like(s, state[0]),)
+
+    def square_integral(self, T: float) -> float:
+        return self.x0**2 * T + self.sigma**2 * T**2 / 2.0
+
 
 @dataclass(frozen=True)
-class OrnsteinUhlenbeck(DemandProcess):
+class OrnsteinUhlenbeck(_Diffusion):
     x0: float
     kappa: float
     theta: float
     sigma: float
 
+    def problems(self, n_nodes: int | None = None) -> list[str]:
+        problems = []
+        if self.sigma < 0:
+            problems.append(f"ou sigma must be >= 0, got {self.sigma}")
+        if self.kappa < 0:
+            problems.append(f"ou kappa must be >= 0, got {self.kappa}")
+        return problems
+
+    def stepper(self, dt: np.ndarray):
+        """Exact-discretization recursion; kappa = 0 degenerates to Brownian motion."""
+        if self.kappa == 0.0:
+            return BrownianMartingale(self.x0, self.sigma).stepper(dt)
+        theta = self.theta
+        decay = np.exp(-self.kappa * dt)
+        sd = self.sigma * np.sqrt(-np.expm1(-2.0 * self.kappa * dt) / (2.0 * self.kappa))
+        return lambda state, i, z: (theta + (state[0] - theta) * decay[i] + sd[i] * z,)
+
+    def g_coefficients(self, weight: KernelWeight) -> tuple:
+        w = weight.exponential(self.kappa)
+        return self.theta * (weight.constant() - w), w
+
+    def conditional_mean(self, state: tuple, s: np.ndarray, t: float) -> tuple:
+        return (self.theta + (state[0] - self.theta) * np.exp(-self.kappa * (s - t)),)
+
+    def square_integral(self, T: float) -> float:
+        k, th, x0, sg = self.kappa, self.theta, self.x0, self.sigma
+        if k == 0.0:
+            return BrownianMartingale(x0, sg).square_integral(T)
+        e1 = -math.expm1(-k * T)
+        e2 = -math.expm1(-2.0 * k * T)
+        mean_sq = th**2 * T + 2.0 * th * (x0 - th) * e1 / k + (x0 - th) ** 2 * e2 / (2.0 * k)
+        var = sg**2 / (2.0 * k) * (T - e2 / (2.0 * k))
+        return mean_sq + var
+
 
 @dataclass(frozen=True)
 class SmoothRate(DemandProcess):
-    """Running integral of ``rate``; the process itself starts at 0."""
+    """Running integral of ``rate`` (trapezoid rule on the grid); the process itself starts at 0."""
 
     rate: DemandProcess
+
+    @property
+    def deterministic(self) -> bool:
+        return self.rate.deterministic
+
+    def problems(self, n_nodes: int | None = None) -> list[str]:
+        if isinstance(self.rate, SmoothRate):
+            return ["smooth-rate nesting is limited to depth 1"]
+        return self.rate.problems(n_nodes)
+
+    def path(self, grid: np.ndarray) -> tuple:
+        (rate,) = self.rate.path(grid)
+        return cumulative_trapezoid(rate, grid), rate
+
+    def start(self, shape) -> tuple:
+        return (np.zeros(shape),) + self.rate.start(shape)
+
+    def stepper(self, dt: np.ndarray):
+        advance_rate = self.rate.stepper(dt)
+
+        def advance(state, i, z):
+            x, r = state
+            (r_new,) = advance_rate((r,), i, z)
+            return x + 0.5 * dt[i] * (r + r_new), r_new
+
+        return advance
+
+    def g_coefficients(self, weight: KernelWeight) -> tuple:
+        return (weight.constant(),) + self.rate.g_coefficients(replace(weight, sign=-1.0))
+
+    def g(self, coef, state: tuple, i):
+        level, A, B = coef
+        return level[i] * state[0] + self.rate.g((A, B), state[1:], i)
+
+    def scaling_law(self, T: float) -> tuple[float, float]:
+        return 1.0, self.rate.square_integral(T)
 
 
 ZERO = Zero()
 
 #: (weight, process) pairs; the canonical form of a mass-weighted sum
 TermList = Tuple[Tuple[float, DemandProcess], ...]
-
-_STOCHASTIC = (BrownianMartingale, OrnsteinUhlenbeck)
 
 
 class CombinationError(ValueError):
@@ -81,45 +244,18 @@ class CombinationError(ValueError):
 
 def validate_process(process: DemandProcess, n_nodes: int | None = None) -> list[str]:
     """Return a list of invariant violations (empty when the process is valid)."""
-    problems: list[str] = []
-    if isinstance(process, Deterministic):
-        if n_nodes is not None and len(process.values) != n_nodes:
-            problems.append(
-                f"deterministic path has {len(process.values)} samples, grid has {n_nodes} nodes"
-            )
-    elif isinstance(process, BrownianMartingale):
-        if process.sigma < 0:
-            problems.append(f"brownian sigma must be >= 0, got {process.sigma}")
-    elif isinstance(process, OrnsteinUhlenbeck):
-        if process.sigma < 0:
-            problems.append(f"ou sigma must be >= 0, got {process.sigma}")
-        if process.kappa < 0:
-            problems.append(f"ou kappa must be >= 0, got {process.kappa}")
-    elif isinstance(process, SmoothRate):
-        if isinstance(process.rate, SmoothRate):
-            problems.append("smooth-rate nesting is limited to depth 1")
-        else:
-            problems.extend(validate_process(process.rate, n_nodes))
-    elif not isinstance(process, (Zero, Constant)):
-        problems.append(f"unsupported process kind {type(process).__name__}")
-    return problems
+    return process.problems(n_nodes)
 
 
 def is_deterministic(process: DemandProcess) -> bool:
-    if isinstance(process, (Zero, Constant, Deterministic)):
-        return True
-    if isinstance(process, SmoothRate):
-        return is_deterministic(process.rate)
-    return False
+    return process.deterministic
 
 
 def _stochastic_kind(process: DemandProcess):
     """The stochastic leaf kind driving the process, or None."""
     if isinstance(process, SmoothRate):
         return _stochastic_kind(process.rate)
-    if isinstance(process, _STOCHASTIC):
-        return type(process)
-    return None
+    return None if process.deterministic else type(process)
 
 
 def combine(terms: Iterable[tuple[float, DemandProcess]]) -> TermList:

@@ -8,6 +8,7 @@ execution details and never enter a report).
 
 from __future__ import annotations
 
+import functools
 import json
 import subprocess
 from importlib import metadata
@@ -56,7 +57,9 @@ def write_json(path: Path, payload: dict) -> None:
     )
 
 
+@functools.lru_cache(maxsize=None)
 def version_string() -> str:
+    """Package version plus ``git describe --always --dirty``, computed once per process."""
     try:
         version = metadata.version("dealerlab")
     except metadata.PackageNotFoundError:

@@ -6,17 +6,16 @@ import pytest
 from dealerlab.asymptotics import (
     DealerSetting,
     convergence_check,
-    expected_square_rate_integral,
     liquidity_cost_deterministic,
-    liquidity_cost_direct,
     liquidity_cost_from_paths,
     scaling_study,
     simulate_costs,
     steps_for,
     theoretical_prefactor,
 )
-from dealerlab.fbsde import solve_forward
+from dealerlab.fbsde import RealizedDriver, solve_forward
 from dealerlab.kernel import Horizon
+from dealerlab.paths import realize, standard_normal_block
 from dealerlab.processes import (
     BrownianMartingale,
     Constant,
@@ -27,6 +26,18 @@ from dealerlab.processes import (
 )
 
 UNIT_RATE = SmoothRate(Constant(1.0))  # K^N_t = t
+
+
+def liquidity_cost_direct(
+    demand_path: np.ndarray, rate_path: np.ndarray, setting: DealerSetting, impact_cost: float
+) -> np.ndarray:
+    """lam (M+1)/M * sum_i u_{i+1} (K^N_{i+1} - K^N_i): the integral-against-demand route.
+
+    The exact discrete summation-by-parts twin of the cost (K^N_0 = 0 and
+    u_T = 0 kill the boundary terms), so the two routes agree to rounding.
+    """
+    du = np.diff(demand_path, axis=-1)
+    return setting.cost_multiplier(impact_cost) * np.sum(rate_path[..., 1:] * du, axis=-1)
 
 
 def test_zero_demand_costs_nothing():
@@ -87,16 +98,12 @@ def test_deterministic_varying_rate_demand():
 
 
 def test_expected_square_rate_integrals():
-    assert expected_square_rate_integral(Constant(2.0), 1.0) == pytest.approx(4.0)
-    assert expected_square_rate_integral(BrownianMartingale(1.0, 1.0), 2.0) == pytest.approx(
-        2.0 + 2.0
-    )
+    assert Constant(2.0).square_integral(1.0) == pytest.approx(4.0)
+    assert BrownianMartingale(1.0, 1.0).square_integral(2.0) == pytest.approx(2.0 + 2.0)
     # OU vs Monte Carlo
     ou = OrnsteinUhlenbeck(x0=1.0, kappa=1.3, theta=0.4, sigma=0.5)
-    closed = expected_square_rate_integral(ou, 1.0)
+    closed = ou.square_integral(1.0)
     h = Horizon.uniform(1.0, 256)
-    from dealerlab.paths import realize, standard_normal_block
-
     z = standard_normal_block(h, 3, 0, 20_000)
     paths = realize(ou, h, z=z).values
     mc = np.mean(
@@ -155,6 +162,47 @@ def test_monte_carlo_reproducibility_and_worker_invariance():
     c, tc = simulate_costs(setting, dem, 1e-2, 600, seed=21, chunk=97, workers=3)
     np.testing.assert_array_equal(a, c)
     np.testing.assert_array_equal(ta, tc)
+
+
+@pytest.mark.parametrize(
+    "demand",
+    [
+        BrownianMartingale(0.3, 1.0),
+        OrnsteinUhlenbeck(x0=0.2, kappa=2.0, theta=-0.4, sigma=0.8),
+        SmoothRate(OrnsteinUhlenbeck(x0=1.0, kappa=1.0, theta=1.0, sigma=0.3)),
+        SmoothRate(BrownianMartingale(0.5, 1.0)),
+    ],
+    ids=["brownian", "ou", "smooth-ou", "smooth-brownian"],
+)
+def test_sweep_matches_forward_solve_path_by_path(demand):
+    # the fused sweep and realize + solve_forward on the same normals
+    setting, lam, n_paths, seed = DealerSetting(n_dealers=2), 1e-3, 64, 7
+    costs, tracks = simulate_costs(setting, demand, lam, n_paths, seed)
+    d = setting.delta(lam)
+    h = Horizon.uniform(setting.T, steps_for(d, setting.T))
+    path = realize(demand, h, z=standard_normal_block(h, seed, 0, n_paths))
+    fb = solve_forward(demand, d, h, realized=RealizedDriver(((1.0, demand),), {demand: path}))
+    cost = liquidity_cost_from_paths(fb.X, fb.u, setting, lam)
+    gap_sq = (fb.X - fb.U) ** 2
+    track = np.sum(0.5 * (gap_sq[:, :-1] + gap_sq[:, 1:]) * h.dt, axis=-1)
+    np.testing.assert_allclose(costs, cost, rtol=0, atol=1e-10 * np.max(np.abs(cost)))
+    np.testing.assert_allclose(tracks, track, rtol=0, atol=1e-10 * np.max(track))
+
+
+BAD_OU = [OrnsteinUhlenbeck(0.3, -1.0, 0.5, 0.8), OrnsteinUhlenbeck(0.3, 1.0, 0.5, -0.8)]
+
+
+@pytest.mark.parametrize("demand", BAD_OU + [SmoothRate(p) for p in BAD_OU])
+def test_study_entry_points_reject_invalid_demand(demand):
+    setting = DealerSetting(2, 0.1)
+    for study in (
+        lambda: scaling_study(setting, demand, [1e-2], n_paths=64, seed=1),
+        lambda: simulate_costs(setting, demand, 1e-2, 64, seed=1),
+        lambda: convergence_check(setting, demand, [1e-2], n_paths=64, seed=1),
+        lambda: liquidity_cost_deterministic(setting, demand, 1e-2),
+    ):
+        with pytest.raises(ValueError, match="(kappa|sigma) must be >= 0"):
+            study()
 
 
 def test_smooth_stochastic_matches_theory():

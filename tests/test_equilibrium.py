@@ -148,6 +148,21 @@ def test_price_representation_rejects_stochastic_smooth_rate():
         check_price_representations(sol, params)
 
 
+@pytest.mark.parametrize(
+    "target",
+    [Deterministic(tuple(-np.cos(np.linspace(0.0, 1.0, 2001)))), SmoothRate(Constant(1.0))],
+    ids=["deterministic", "smooth-constant"],
+)
+def test_price_representation_deterministic_term_in_stochastic_driver(target):
+    # a deterministic term's conditional mean is its own path, its E_t[G(s)] its own G
+    params = segmented_market(
+        Horizon.uniform(1.0, 2000), 0.1, 0.1, 0.1, 1, target,
+        noise_demand=BrownianMartingale(0.0, 0.5),
+    )
+    sol = solve_equilibrium(params, seed=1)
+    assert check_price_representations(sol, params, anchors=24) < 1e-5
+
+
 def test_mixed_noise_and_target_driver():
     # Brownian noise demand alongside a constant client target
     params = segmented_market(

@@ -6,16 +6,23 @@ import numpy as np
 import pytest
 
 from dealerlab.fbsde import (
+    RealizedDriver,
     conditional_kernel_integral,
-    double_integral_position,
     fbsde_residual,
     kernel_expectation_path,
-    ou_kernel_weight,
-    ou_sinh_weight,
     realize_driver,
     solve_forward,
 )
-from dealerlab.kernel import DeltaParam, Horizon, eval_F, eval_k, simpson, stable_sech
+from dealerlab.kernel import (
+    DeltaParam,
+    Horizon,
+    eval_F,
+    eval_k,
+    ou_kernel_weight,
+    ou_sinh_weight,
+    simpson,
+    stable_sech,
+)
 from dealerlab.paths import realize
 from dealerlab.processes import (
     BrownianMartingale,
@@ -25,6 +32,32 @@ from dealerlab.processes import (
     SmoothRate,
     ZERO,
 )
+
+
+def double_integral_position(
+    realized: RealizedDriver, d: DeltaParam, horizon: Horizon
+) -> np.ndarray:
+    """U via the double-integral representation, trapezoid in the outer integral.
+
+    (1/delta) * integral_0^t k(s, t) G(s) ds with the cosh ratio in
+    rescaled form; O(n^2)-free because the e^{-beta(t-s)} factor folds
+    into a forward recursion.  Kept as an independent cross-check of the
+    Heun route (same G, different integrator).
+    """
+    grid = horizon.grid
+    b = d.sqrt_delta
+    tau = horizon.T - grid
+    G = kernel_expectation_path(realized, d, horizon)
+    # k(s,t)/delta = e^{-beta(t-s)} (1 + e^{-2 beta tau_t}) / (1 + e^{-2 beta tau_s})
+    h = G / (1.0 + np.exp(-2.0 * b * tau))
+    dt = horizon.dt
+    decay = np.exp(-b * dt)
+    out = np.zeros_like(G)
+    acc = np.zeros(G.shape[:-1], dtype=float)
+    for i in range(dt.size):
+        acc = acc * decay[i] + 0.5 * dt[i] * (h[..., i] * decay[i] + h[..., i + 1])
+        out[..., i + 1] = acc
+    return out * (1.0 + np.exp(-2.0 * b * tau))
 
 
 def closed_form_position_constant(c, delta, grid):
@@ -134,11 +167,11 @@ def test_resonance_band_is_logged(caplog):
     import logging
 
     d = DeltaParam.from_value(50.0)
-    with caplog.at_level(logging.DEBUG, logger="dealerlab.fbsde"):
+    with caplog.at_level(logging.DEBUG, logger="dealerlab.kernel"):
         ou_kernel_weight(d, d.sqrt_delta, np.array([0.5]))
     assert any("resonance" in rec.message for rec in caplog.records)
     caplog.clear()
-    with caplog.at_level(logging.DEBUG, logger="dealerlab.fbsde"):
+    with caplog.at_level(logging.DEBUG, logger="dealerlab.kernel"):
         ou_kernel_weight(d, 2.0 * d.sqrt_delta, np.array([0.5]))
     assert not caplog.records
 
@@ -321,7 +354,6 @@ def test_solve_forward_multi_path_vectorized():
     z = np.stack(
         [realize(proc, h, seed=9, path_index=i).values for i in range(4)], axis=0
     )
-    from dealerlab.fbsde import RealizedDriver
     from dealerlab.paths import RealizedPath
 
     realized = RealizedDriver(((1.0, proc),), {proc: RealizedPath(z)})

@@ -9,16 +9,44 @@ from dealerlab.market import (
     AgentSpec,
     MarketParams,
     NO_ACCESS,
+    aggregate,
     dealers_only_market,
     segmented_market,
 )
-from dealerlab.oracle import (
-    assemble_and_solve,
-    aux_objective,
-    delta_identity_residual,
-    oracle_gap,
-)
+from dealerlab.oracle import DiscreteEquilibrium, assemble_and_solve, oracle_gap
+from dealerlab.paths import realize
 from dealerlab.processes import BrownianMartingale, Constant, Deterministic
+
+
+def delta_identity_residual(params: MarketParams, disc: DiscreteEquilibrium) -> float:
+    """Residual of u_bar_i = -delta * sum_{j>=i} (U_bar_j - K^N_j - xi_bar_j) dt.
+
+    The identity ties the oracle's aggregate rate to the mesh rate the
+    oracle itself never uses; it must hold to O(dt).
+    """
+    ag = aggregate(params)
+    n = disc.times.size
+    dt = params.horizon.T / n
+    h = Horizon.uniform(params.horizon.T, n)
+    xi_bar = sum(a.mass * realize(a.target, h).values[:-1] for a in params.agents)
+    noise = realize(params.noise_demand, h).values[:-1]
+    exposure = disc.aggregate_position(params) - noise - xi_bar
+    suffix = np.cumsum(exposure[::-1])[::-1] * dt
+    return float(np.max(np.abs(disc.aggregate_rate(params) + ag.delta.delta * suffix)))
+
+
+def aux_objective(
+    impact_cost: float, n_dealers: int, rho_d: float, demand: np.ndarray, u: np.ndarray, dt: float
+) -> float:
+    """Discretized auxiliary control objective whose optimizer is the aggregate rate.
+
+    integral [ lam u^2 + (M/(rho_d (M+1))) (K^N - U)^2 ] dt, U the
+    left-endpoint integral of u.  The quadratic weight is the one whose
+    first-order condition reproduces the equilibrium rate.
+    """
+    U = dt * np.concatenate([[0.0], np.cumsum(u[:-1])])
+    gamma = n_dealers / (rho_d * (n_dealers + 1))
+    return float(dt * np.sum(impact_cost * u**2 + gamma * (demand - U) ** 2))
 
 
 def liquidation_params(n_steps, M=1):

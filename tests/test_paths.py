@@ -4,13 +4,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from dealerlab.kernel import Horizon
+from dealerlab.kernel import Horizon, cumulative_trapezoid
 from dealerlab.paths import (
-    cumulative_trapezoid,
-    discrete_integral,
     integrate_against,
-    normal_increments,
-    quadratic_covariation,
     realize,
     standard_normal_block,
     substream,
@@ -23,6 +19,21 @@ from dealerlab.processes import (
     SmoothRate,
     ZERO,
 )
+
+
+def normal_increments(
+    horizon: Horizon, seed: int, path_index: int, stream: int = 0
+) -> np.ndarray:
+    """Brownian increments on the grid: N(0, dt) per step, shape (n_steps,)."""
+    z = substream(seed, path_index, stream).standard_normal(horizon.n_steps)
+    return z * np.sqrt(horizon.dt)
+
+
+def quadratic_covariation(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Realized covariation: sum_i (X_{i+1}-X_i)(Y_{i+1}-Y_i) along the last axis."""
+    if x.shape[-1] != y.shape[-1]:
+        raise ValueError("paths must share one grid")
+    return np.sum(np.diff(x, axis=-1) * np.diff(y, axis=-1), axis=-1)
 
 
 def test_increment_variance_within_three_se():
@@ -139,12 +150,10 @@ def test_riemann_sum_exact_for_step_function_integrator():
     hpath = np.arange(11.0)
     linear = 3.0 * h.grid
     # left-endpoint sum against a linear integrator is the exact Riemann sum
-    got = discrete_integral(hpath, linear, mode="against-increments")
+    got = integrate_against(hpath, linear)
     assert got == pytest.approx(np.sum(hpath[:-1] * 0.3), rel=1e-14)
     with pytest.raises(ValueError):
-        discrete_integral(hpath, linear[:-1])
-    with pytest.raises(ValueError):
-        discrete_integral(hpath, linear, mode="stratonovich")
+        integrate_against(hpath, linear[:-1])
 
 
 def test_refinement_consistency_ks():
