@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fbsde import heun_step, solve_forward
-from .kernel import DeltaParam, Horizon, KernelWeight, eval_F
+from .kernel import DeltaParam, Horizon, KernelWeight, eval_F, trapezoid
 from .paths import integrate_against, standard_normal_block
 from .processes import DemandProcess, is_deterministic, validate_process
 
@@ -236,11 +236,16 @@ def scaling_study(
     _check_demand(demand)
     order, _ = demand.scaling_law(setting.T)
     lambdas = sorted(float(x) for x in lambdas)
-    means, stderrs, counts, steps_used = [], [], [], []
+    means, stderrs, counts, steps_used, warnings = [], [], [], [], []
     deterministic = is_deterministic(demand)
     for lam in lambdas:
         d = setting.delta(lam)
-        steps = steps_for(d, setting.T, cap=steps_cap)
+        wanted = steps_for(d, setting.T, cap=math.inf)
+        steps = min(wanted, steps_cap)
+        if steps < wanted:
+            msg = f"step cap at lambda={lam:g}: {wanted} steps wanted, {steps} used"
+            warnings.append(msg)
+            logger.warning(msg)
         steps_used.append(steps)
         if deterministic:
             means.append(liquidity_cost_deterministic(setting, demand, lam, steps))
@@ -273,6 +278,7 @@ def scaling_study(
         prefactor_theory=theoretical_prefactor(setting, demand),
         order_theory=order,
         seed=seed,
+        warnings=warnings,
     )
     if not deterministic and stderrs[0] > 0.1 * abs(means[0]):
         msg = (
@@ -314,9 +320,7 @@ def convergence_check(
             d = setting.delta(lam)
             horizon = Horizon.uniform(setting.T, steps_for(d, setting.T))
             fb = solve_forward(demand, d, horizon)
-            gap_sq = (fb.X - fb.U) ** 2
-            dtg = horizon.dt
-            means.append(float(np.sum(0.5 * (gap_sq[:-1] + gap_sq[1:]) * dtg)))
+            means.append(float(trapezoid((fb.X - fb.U) ** 2, horizon.grid)))
             stderrs.append(0.0)
         else:
             _, tracks = simulate_costs(setting, demand, lam, n_paths, seed, workers=workers)

@@ -31,7 +31,7 @@ from .fbsde import (
     realize_driver,
     solve_forward,
 )
-from .kernel import Horizon, cumulative_trapezoid, eval_F
+from .kernel import Horizon, cumulative_trapezoid, eval_F, trapezoid
 from .market import Aggregates, MarketParams, aggregate
 from .paths import RealizedPath, realize
 from .processes import DemandProcess, combine, is_deterministic
@@ -70,11 +70,6 @@ class EquilibriumSolution:
         ag = self.aggregates
         lam = 0.0 if np.isinf(ag.eta) else 1.0 / ag.eta
         return lam + 1.0 / ag.eta_bar
-
-
-def _trapz(y: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    dt = np.diff(grid)
-    return np.sum(0.5 * (y[..., :-1] + y[..., 1:]) * dt, axis=-1)
 
 
 def solve_equilibrium(
@@ -219,8 +214,7 @@ def check_price_representations(
         ds = np.diff(grid[i:])
         for j in range(ds.size):
             m_u[j + 1], rate = heun_step(m_u[j], rate, eg[j + 1], F[i + j + 1], ds[j])
-        integrand = (m_u - mean_x) / ag.rho_bar
-        integral = np.sum(0.5 * (integrand[:-1] + integrand[1:]) * ds)
+        integral = trapezoid((m_u - mean_x) / ag.rho_bar, grid[i:])
         worst = max(worst, abs(-integral - sol.price_dev[i]))
     return worst
 
@@ -254,14 +248,14 @@ def goal_functional(
         u_a, U_a = paths.u, paths.U
     else:
         u_a, U_a = u, cumulative_trapezoid(u, grid)
-    gains = _trapz(K * sol.mu, grid)
+    gains = trapezoid(K * sol.mu, grid)
     if spec.has_open_access:
         u_other = sol.u_bar - spec.mass * paths.u
         lam = params.impact_cost
         cost_rate = lam * u_other * u_a + (lam * spec.mass + 0.5 * spec.open_cost) * u_a**2
-        open_cost = _trapz(cost_rate, grid)
+        open_cost = trapezoid(cost_rate, grid)
     else:
         open_cost = 0.0  # no access: u^a = 0 and the inf coefficient never meets a trade
-    tracking = _trapz((paths.target - K - U_a) ** 2, grid) / (2.0 * spec.risk_tolerance)
+    tracking = trapezoid((paths.target - K - U_a) ** 2, grid) / (2.0 * spec.risk_tolerance)
     J = gains - open_cost - tracking
     return float(J) if np.ndim(J) == 0 else J

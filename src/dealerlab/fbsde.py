@@ -23,7 +23,7 @@ import numpy as np
 
 from .kernel import DeltaParam, Horizon, KernelWeight, eval_F
 from .paths import realize
-from .processes import DemandProcess, TermList, is_deterministic
+from .processes import ZERO, DemandProcess, TermList, is_deterministic
 
 
 def as_terms(driver) -> TermList:
@@ -53,20 +53,17 @@ class RealizedDriver:
 
 
 def realize_driver(
-    driver,
-    horizon: Horizon,
-    seed: int | None = None,
-    path_index: int = 0,
-    stream_offset: int = 0,
+    driver, horizon: Horizon, seed: int | None = None, path_index: int = 0
 ) -> RealizedDriver:
     """Realize each distinct process of a driver on its own substream.
 
     Streams are assigned by first appearance in the term list, so a
     process shared between terms (a common client target) is realized once.
+    A driver whose terms cancelled to none is the zero process on the grid.
     """
-    terms = as_terms(driver)
+    terms = as_terms(driver) or ((1.0, ZERO),)
     paths: dict = {}
-    stream = stream_offset
+    stream = 0
     for _, p in terms:
         if p not in paths:
             paths[p] = realize(p, horizon, seed=seed, path_index=path_index, stream=stream)

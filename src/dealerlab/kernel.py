@@ -172,6 +172,11 @@ def simpson(f, a: float, b: float, panels: int = 4096) -> float:
     return float(h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-2:2].sum()))
 
 
+def trapezoid(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Trapezoidal integral along the last axis."""
+    return np.sum(0.5 * (values[..., :-1] + values[..., 1:]) * np.diff(grid), axis=-1)
+
+
 def cumulative_trapezoid(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """Running trapezoidal integral along the last axis, starting at 0."""
     dt = np.diff(grid)

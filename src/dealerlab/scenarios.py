@@ -225,18 +225,18 @@ class WelfareReport:
     asymptotic_ratio: float
 
 
-def _layered_simpson(f, T: float, beta: float, panels: int) -> float:
-    """Composite Simpson split at the width-40/beta boundary layer of the integrand."""
+def _layered_simpson(f, T: float, beta: float) -> float:
+    """Composite Simpson (4096 panels) on each side of the width-40/beta boundary layer."""
     from .kernel import simpson
 
     split = min(T, 40.0 / beta)
-    total = simpson(f, 0.0, split, panels)
+    total = simpson(f, 0.0, split)
     if split < T:
-        total += simpson(f, split, T, panels)
+        total += simpson(f, split, T)
     return total
 
 
-def welfare_segmented_quadrature(s: LiquidationScenario, panels: int = 4096) -> float:
+def welfare_segmented_quadrature(s: LiquidationScenario) -> float:
     """J_c by Simpson quadrature of the segmented-market integrand."""
     b = scenario_delta(s).sqrt_delta
     rho_sum = s.rho_c + s.rho_d
@@ -247,10 +247,10 @@ def welfare_segmented_quadrature(s: LiquidationScenario, panels: int = 4096) -> 
         C = stable_cosh_ratio(b * (s.T - t), b * s.T)
         return (2.0 / rho_bar) * C * (1.0 - share_c * C) + (2.0 * s.rho_c / rho_sum**2) * C**2
 
-    return -(s.xi_c**2) / 4.0 * _layered_simpson(integrand, s.T, b, panels)
+    return -(s.xi_c**2) / 4.0 * _layered_simpson(integrand, s.T, b)
 
 
-def welfare_integrated_quadrature(s: LiquidationScenario, panels: int = 4096) -> float:
+def welfare_integrated_quadrature(s: LiquidationScenario) -> float:
     """J_c_int by Simpson quadrature of the integrated-market integrand (mesh delta_{2M})."""
     d2 = scenario_delta(s, doubled=True)
     b = d2.sqrt_delta
@@ -267,7 +267,7 @@ def welfare_integrated_quadrature(s: LiquidationScenario, panels: int = 4096) ->
             + s.impact_cost * d2.delta * SR**2
         )
 
-    return -(s.xi_c**2) / 4.0 * _layered_simpson(integrand, s.T, b, panels)
+    return -(s.xi_c**2) / 4.0 * _layered_simpson(integrand, s.T, b)
 
 
 def asymptotic_welfare_segmented(s: LiquidationScenario) -> float:
@@ -301,7 +301,7 @@ def asymptotic_welfare_ratio(s: LiquidationScenario) -> float:
     )
 
 
-def segmentation_welfare(s: LiquidationScenario, panels: int = 4096) -> WelfareReport:
+def segmentation_welfare(s: LiquidationScenario) -> WelfareReport:
     """Welfare with and without client access to the open market.
 
     Quadrature values of the exact integrals plus the small-impact-cost
@@ -310,8 +310,8 @@ def segmentation_welfare(s: LiquidationScenario, panels: int = 4096) -> WelfareR
     """
     if s.n_dealers == INF_DEALERS:
         raise ValueError("segmentation welfare needs a finite dealer count")
-    j_seg = welfare_segmented_quadrature(s, panels)
-    j_int = welfare_integrated_quadrature(s, panels)
+    j_seg = welfare_segmented_quadrature(s)
+    j_int = welfare_integrated_quadrature(s)
     return WelfareReport(
         J_c_segmented=j_seg,
         J_c_integrated=j_int,

@@ -1,5 +1,8 @@
 """Liquidity-cost identities, scaling laws, and the price-convergence proxy."""
 
+import logging
+import math
+
 import numpy as np
 import pytest
 
@@ -238,6 +241,19 @@ def test_tracking_improves_with_harsher_inventory_penalty():
         _, t = simulate_costs(DealerSetting(1, rho), dem, 1e-2, 1500, seed=5)
         tracks[rho] = t.mean()
     assert tracks[0.05] < tracks[0.4]
+
+
+def test_step_cap_is_reported(caplog):
+    setting = DealerSetting(n_dealers=2)
+    wanted = steps_for(setting.delta(1e-3), setting.T, cap=math.inf)
+    with caplog.at_level(logging.WARNING, logger="dealerlab.asymptotics"):
+        rep = scaling_study(setting, UNIT_RATE, [1e-3], n_paths=0, steps_cap=1000)
+    assert rep.steps == [1000]
+    assert len(rep.warnings) == 1
+    for part in ("lambda=0.001", f"{wanted} steps wanted", "1000 used"):
+        assert part in rep.warnings[0]
+    assert rep.warnings[0] in caplog.text
+    assert scaling_study(setting, UNIT_RATE, [1e-3], n_paths=0).warnings == []
 
 
 def test_stderr_warning_on_thin_sampling():

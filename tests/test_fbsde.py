@@ -31,6 +31,7 @@ from dealerlab.processes import (
     OrnsteinUhlenbeck,
     SmoothRate,
     ZERO,
+    combine,
 )
 
 
@@ -251,6 +252,17 @@ def test_residual_zero_driver_exact():
     h = Horizon.uniform(1.0, 64)
     d = DeltaParam.from_value(5.0)
     res = fbsde_residual(solve_forward(ZERO, d, h), d)
+    assert res.max_drift_residual == 0.0
+    assert res.terminal_rate == 0.0
+
+
+def test_cancelled_driver_is_zero_on_the_grid():
+    # terms that cancel leave an empty term list: X must still be a zero path
+    h = Horizon.uniform(1.0, 10)
+    d = DeltaParam.from_value(5.0)
+    path = solve_forward(combine([(1.0, Constant(1.0)), (-1.0, Constant(1.0))]), d, h)
+    np.testing.assert_array_equal(path.X, np.zeros(h.grid.size))
+    res = fbsde_residual(path, d)
     assert res.max_drift_residual == 0.0
     assert res.terminal_rate == 0.0
 

@@ -1,8 +1,12 @@
 """Discrete Nash oracle: independence, symmetry, and convergence to the closed form."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from dealerlab import oracle
 from dealerlab.equilibrium import solve_equilibrium
 from dealerlab.kernel import Horizon
 from dealerlab.market import (
@@ -49,10 +53,45 @@ def aux_objective(
     return float(dt * np.sum(impact_cost * u**2 + gamma * (demand - U) ** 2))
 
 
+def dealerlab_imports(source: str) -> list:
+    """(module, imported name, enclosing function) for each dealerlab import in ``source``.
+
+    ``module`` is relative to the package ("" for the package itself); a
+    whole-module import has name "*"; the function is None at module level.
+    """
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ImportFrom) and (
+                child.level or (child.module or "").split(".")[0] == "dealerlab"
+            ):
+                module = (child.module or "").removeprefix("dealerlab").strip(".")
+                for alias in child.names:
+                    found.append((module, alias.name, func) if module else (alias.name, "*", func))
+            elif isinstance(child, ast.Import):
+                for alias in child.names:
+                    if alias.name.split(".")[0] == "dealerlab":
+                        found.append((alias.name.removeprefix("dealerlab").strip("."), "*", func))
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_def else func)
+
+    visit(ast.parse(source), None)
+    return found
+
+
 def liquidation_params(n_steps, M=1):
     return segmented_market(
         Horizon.uniform(1.0, n_steps), 0.1, 0.1, 0.1, M, Constant(-1.0)
     )
+
+
+def test_oracle_imports_stay_independent_of_the_engine():
+    # the oracle is a second route only while it shares no kernel, solver or closed form
+    imports = dealerlab_imports(Path(oracle.__file__).read_text())
+    assert not [i for i in imports if i[0] in ("", "fbsde", "asymptotics", "scenarios")]
+    assert {name for module, name, _ in imports if module == "kernel"} == {"Horizon"}
+    assert {func for module, _, func in imports if module == "equilibrium"} == {"oracle_gap"}
 
 
 def test_zero_demands_give_zero_solution():
@@ -101,9 +140,18 @@ def test_oracle_rejects_stochastic_demands():
 
 
 def test_oracle_rejects_oversized_system():
-    params = liquidation_params(8000)
-    with pytest.raises(ValueError, match="dense"):
-        assemble_and_solve(params, 8000)
+    # 7 blocks of 300k unknowns exceed MAX_UNKNOWNS; rejected before anything is built
+    params = liquidation_params(300_000)
+    with pytest.raises(ValueError, match="too large"):
+        assemble_and_solve(params, 300_000)
+
+
+def test_singular_system_raises_runtime_error():
+    # zero impact and open-market cost leave the last open-market rate undetermined
+    h = Horizon.uniform(1.0, 20)
+    params = MarketParams(h, 0.0, (AgentSpec("d", 1.0, 0.1, 0.0, target=Constant(-1.0)),))
+    with pytest.raises(RuntimeError, match="singular"):
+        assemble_and_solve(params, 20)
 
 
 def test_clearing_holds_at_solver_tolerance():
@@ -129,6 +177,16 @@ def test_convergence_to_engine_solution():
     assert worst[0] / worst[1] == pytest.approx(2.0, rel=0.2)
     assert worst[1] / worst[2] == pytest.approx(2.0, rel=0.2)
     assert report.fitted_order == pytest.approx(1.0, abs=0.3)
+
+
+def test_first_order_convergence_at_large_step_counts():
+    params = liquidation_params(16_000)
+    report = oracle_gap(params, [4000, 8000, 16_000])
+    for gaps in report.max_gaps.values():
+        assert gaps[0] / gaps[1] == pytest.approx(2.0, abs=0.1)
+        assert gaps[1] / gaps[2] == pytest.approx(2.0, abs=0.1)
+    assert report.fitted_order == pytest.approx(1.0, abs=0.05)
+    assert assemble_and_solve(params, 8000).residual_rel < 1e-9
 
 
 def test_oracle_with_time_varying_deterministic_target():
