@@ -9,7 +9,6 @@ from .asymptotics import (
     DealerSetting,
     LiquidityCostReport,
     convergence_check,
-    liquidity_cost_deterministic,
     scaling_study,
     simulate_costs,
 )

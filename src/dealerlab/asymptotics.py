@@ -48,10 +48,23 @@ class DealerSetting:
         return impact_cost * (self.n_dealers + 1) / self.n_dealers
 
 
-def steps_for(d: DeltaParam, T: float, resolution: int = 50, floor: int = 400,
-              cap: int = 1_000_000) -> int:
+STEP_CAP = 1_000_000  # most grid steps a study picks by itself; read at each call
+
+
+def steps_for(d: DeltaParam, T: float) -> int:
     """Grid size resolving the width-1/sqrt(delta) boundary layer near maturity."""
-    return int(min(cap, max(floor, math.ceil(resolution * d.sqrt_delta * T))))
+    return max(400, math.ceil(50 * d.sqrt_delta * T))
+
+
+def _capped_steps(setting: DealerSetting, impact_cost: float, cap: int | None = None):
+    """``steps_for`` clipped at ``cap`` (default ``STEP_CAP``), and the logged note of a clip."""
+    wanted = steps_for(setting.delta(impact_cost), setting.T)
+    steps = min(wanted, STEP_CAP if cap is None else cap)
+    if steps == wanted:
+        return steps, None
+    msg = f"step cap at lambda={impact_cost:g}: {wanted} steps wanted, {steps} used"
+    logger.warning(msg)
+    return steps, msg
 
 
 def liquidity_cost_from_paths(
@@ -59,22 +72,6 @@ def liquidity_cost_from_paths(
 ) -> np.ndarray:
     """-lam (M+1)/M * sum_i K^N_i (u_{i+1} - u_i): the integration-by-parts route."""
     return -setting.cost_multiplier(impact_cost) * integrate_against(demand_path, rate_path)
-
-
-def liquidity_cost_deterministic(
-    setting: DealerSetting,
-    demand: DemandProcess,
-    impact_cost: float,
-    steps: int | None = None,
-) -> float:
-    """Exact (no Monte Carlo) liquidity cost of a deterministic demand path."""
-    _check_demand(demand)
-    if not is_deterministic(demand):
-        raise ValueError("deterministic route needs a deterministic demand process")
-    d = setting.delta(impact_cost)
-    horizon = Horizon.uniform(setting.T, steps or steps_for(d, setting.T))
-    fb = solve_forward(demand, d, horizon)
-    return float(liquidity_cost_from_paths(fb.X, fb.u, setting, impact_cost))
 
 
 def _check_demand(demand: DemandProcess) -> None:
@@ -137,12 +134,21 @@ def simulate_costs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-path (cost, tracking integral) arrays, path index order.
 
-    Each path is a pure function of (seed, path index); chunking and the
-    worker count affect scheduling only, never values.
+    A deterministic demand gives one exact row.  A stochastic one needs two
+    or more paths, each a pure function of (seed, path index): chunking and
+    the worker count affect scheduling only, never values.
     """
     _check_demand(demand)
     d = setting.delta(impact_cost)
-    horizon = Horizon.uniform(setting.T, steps or steps_for(d, setting.T))
+    if steps is None:
+        steps, _ = _capped_steps(setting, impact_cost)
+    horizon = Horizon.uniform(setting.T, steps)
+    if is_deterministic(demand):
+        fb = solve_forward(demand, d, horizon)
+        cost = liquidity_cost_from_paths(fb.X, fb.u, setting, impact_cost)
+        return np.array([cost]), np.array([trapezoid((fb.X - fb.U) ** 2, horizon.grid)])
+    if n_paths < 2:
+        raise ValueError(f"Monte Carlo needs at least 2 paths, got {n_paths}")
     costs = np.empty(n_paths)
     tracks = np.empty(n_paths)
     starts = list(range(0, n_paths, chunk))
@@ -162,6 +168,14 @@ def simulate_costs(
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run, starts))
     return costs, tracks
+
+
+def _means_stderrs(samples: list) -> tuple[list, list]:
+    """Mean and standard error of each sample; a single exact row has no error."""
+    means = [float(np.mean(v)) for v in samples]
+    stderrs = [float(np.std(v, ddof=1) / math.sqrt(v.size)) if v.size > 1 else 0.0
+               for v in samples]
+    return means, stderrs
 
 
 # ----------------------------------------------------------------------
@@ -224,40 +238,26 @@ def scaling_study(
     n_paths: int,
     seed: int = 0,
     workers: int = 1,
-    steps_cap: int = 1_000_000,
+    steps_cap: int | None = None,
 ) -> LiquidityCostReport:
     """Mean cost per impact cost, log-log slope, and the leading-order prefactor.
 
-    Deterministic demands are evaluated exactly (zero standard error, one
-    'path'); stochastic ones by Monte Carlo over per-path substreams.
-    The prefactor is read off at the smallest impact cost as
-    mean / lam^order and compared against the closed-form theory value.
+    One ``simulate_costs`` call per impact cost (a deterministic demand is one
+    exact row with standard error 0); grids clipped at ``steps_cap`` (default
+    ``STEP_CAP``) are listed in the warnings.  The prefactor is read off at
+    the smallest impact cost as mean / lam^order, next to the theory value.
     """
     _check_demand(demand)
     order, _ = demand.scaling_law(setting.T)
     lambdas = sorted(float(x) for x in lambdas)
-    means, stderrs, counts, steps_used, warnings = [], [], [], [], []
-    deterministic = is_deterministic(demand)
+    costs, steps_used, warnings = [], [], []
     for lam in lambdas:
-        d = setting.delta(lam)
-        wanted = steps_for(d, setting.T, cap=math.inf)
-        steps = min(wanted, steps_cap)
-        if steps < wanted:
-            msg = f"step cap at lambda={lam:g}: {wanted} steps wanted, {steps} used"
-            warnings.append(msg)
-            logger.warning(msg)
+        steps, clipped = _capped_steps(setting, lam, steps_cap)
+        if clipped:
+            warnings.append(clipped)
         steps_used.append(steps)
-        if deterministic:
-            means.append(liquidity_cost_deterministic(setting, demand, lam, steps))
-            stderrs.append(0.0)
-            counts.append(1)
-        else:
-            costs, _ = simulate_costs(
-                setting, demand, lam, n_paths, seed, steps=steps, workers=workers
-            )
-            means.append(float(np.mean(costs)))
-            stderrs.append(float(np.std(costs, ddof=1) / math.sqrt(n_paths)))
-            counts.append(n_paths)
+        costs.append(simulate_costs(setting, demand, lam, n_paths, seed, steps, workers)[0])
+    means, stderrs = _means_stderrs(costs)
     slope, ci = _slope_fit(lambdas, means)
     lam_min = lambdas[0]
     prefactor = means[0] / lam_min**order
@@ -269,7 +269,7 @@ def scaling_study(
         lambdas=list(lambdas),
         means=means,
         stderrs=stderrs,
-        path_counts=counts,
+        path_counts=[c.size for c in costs],
         steps=steps_used,
         slope=slope,
         slope_ci=ci,
@@ -280,7 +280,7 @@ def scaling_study(
         seed=seed,
         warnings=warnings,
     )
-    if not deterministic and stderrs[0] > 0.1 * abs(means[0]):
+    if stderrs[0] > 0.1 * abs(means[0]):
         msg = (
             f"standard error at the smallest impact cost is {stderrs[0]:.3g} "
             f"({stderrs[0] / abs(means[0]):.1%} of the mean); increase the path count"
@@ -312,20 +312,10 @@ def convergence_check(
     Must fall monotonically (within two standard errors) as the open
     market becomes more liquid.
     """
-    _check_demand(demand)
     lambdas = sorted((float(x) for x in lambdas), reverse=True)
-    means, stderrs = [], []
-    for lam in lambdas:
-        if is_deterministic(demand):
-            d = setting.delta(lam)
-            horizon = Horizon.uniform(setting.T, steps_for(d, setting.T))
-            fb = solve_forward(demand, d, horizon)
-            means.append(float(trapezoid((fb.X - fb.U) ** 2, horizon.grid)))
-            stderrs.append(0.0)
-        else:
-            _, tracks = simulate_costs(setting, demand, lam, n_paths, seed, workers=workers)
-            means.append(float(np.mean(tracks)))
-            stderrs.append(float(np.std(tracks, ddof=1) / math.sqrt(n_paths)))
+    tracks = [simulate_costs(setting, demand, lam, n_paths, seed, workers=workers)[1]
+              for lam in lambdas]
+    means, stderrs = _means_stderrs(tracks)
     monotone = all(
         means[i + 1] <= means[i] + 2.0 * math.hypot(stderrs[i], stderrs[i + 1])
         for i in range(len(means) - 1)

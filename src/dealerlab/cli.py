@@ -186,15 +186,15 @@ def cmd_diffusive(args) -> None:
         seed=args.seed,
         steps=args.steps,
     )
+    reg = price_reversion_regression(
+        DiffusiveScenario(n_dealers=1, **base), n_paths=args.paths, t_max=args.T / 2
+    )
     one = diffusive_simulate(DiffusiveScenario(n_dealers=1, **base))
     many = diffusive_simulate(DiffusiveScenario(n_dealers=INF_DEALERS, **base))
     write_csv(
         out / "fig2_paths.csv",
         ["t", "xi_c", "K_c_M1", "K_c_Minf"],
         zip(one.grid, one.xi_c, one.K_c, many.K_c),
-    )
-    reg = price_reversion_regression(
-        DiffusiveScenario(n_dealers=1, **base), n_paths=args.paths, t_max=args.T / 2
     )
     write_json(
         out / "ou_regression.json",

@@ -26,7 +26,7 @@ import numpy as np
 from .fbsde import (
     RealizedDriver,
     driver_is_deterministic,
-    heun_step,
+    heun_path,
     kernel_expectation_path,
     realize_driver,
     solve_forward,
@@ -208,12 +208,7 @@ def check_price_representations(
         eg = kernel_expectation_path(mean_driver, ag.delta, sol.horizon)[i:]
         mean_x = mean_driver.values()[i:]
         # propagate m_U' = E_t[G(s)] - F(s) m_U from the anchor
-        m_u = np.empty_like(eg)
-        m_u[0] = sol.U_bar[i]
-        rate = eg[0] - F[i] * m_u[0]
-        ds = np.diff(grid[i:])
-        for j in range(ds.size):
-            m_u[j + 1], rate = heun_step(m_u[j], rate, eg[j + 1], F[i + j + 1], ds[j])
+        m_u, _ = heun_path(eg, F[i:], np.diff(grid[i:]), U0=sol.U_bar[i])
         integral = trapezoid((m_u - mean_x) / ag.rho_bar, grid[i:])
         worst = max(worst, abs(-integral - sol.price_dev[i]))
     return worst

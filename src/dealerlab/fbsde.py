@@ -136,28 +136,20 @@ def solve_forward(
     d: DeltaParam,
     horizon: Horizon,
     seed: int | None = None,
-    path_index: int = 0,
     realized: RealizedDriver | None = None,
 ) -> FbsdePath:
     """Integrate dU = (G(t) - F(t) U) dt with U_0 = 0 by Heun's method.
 
     Deterministic drivers need no randomness; stochastic drivers are
-    realized from (seed, path_index) unless ``realized`` is supplied.
+    realized from path 0 of ``seed`` unless ``realized`` is supplied.
     The returned rate satisfies u = G - F*U exactly at the grid nodes,
     hence u_T = 0 exactly.
     """
     terms = as_terms(driver)
     if realized is None:
-        realized = realize_driver(terms, horizon, seed=seed, path_index=path_index)
+        realized = realize_driver(terms, horizon, seed=seed)
     G = kernel_expectation_path(realized, d, horizon)
-    F = eval_F(d, horizon.grid, horizon.T)
-    dt = horizon.dt
-    U = np.zeros_like(G)
-    u = G.copy()  # u_0 = G_0 as U_0 = 0
-    for i in range(dt.size):
-        U[..., i + 1], u[..., i + 1] = heun_step(
-            U[..., i], u[..., i], G[..., i + 1], F[i + 1], dt[i]
-        )
+    U, u = heun_path(G, eval_F(d, horizon.grid, horizon.T), horizon.dt)
     return FbsdePath(horizon=horizon, u=u, U=U, X=realized.values(), driver=terms)
 
 
@@ -170,6 +162,21 @@ def heun_step(U, u, g_next, F_next: float, dt: float):
     k2 = g_next - F_next * (U + dt * u)
     U_next = U + 0.5 * dt * (u + k2)
     return U_next, g_next - F_next * U_next
+
+
+def heun_path(G: np.ndarray, F: np.ndarray, dt: np.ndarray, U0=0.0):
+    """Heun's method for dU = (G - F U) dt along the last axis of G from U_0 = U0.
+
+    Returns the positions U and the node rates u = G - F U (u_0 = G_0 - F_0 U0).
+    """
+    U, u = np.empty_like(G), np.empty_like(G)
+    U[..., 0] = U0
+    u[..., 0] = G[..., 0] - F[0] * U0
+    for i in range(dt.size):
+        U[..., i + 1], u[..., i + 1] = heun_step(
+            U[..., i], u[..., i], G[..., i + 1], F[i + 1], dt[i]
+        )
+    return U, u
 
 
 @dataclass

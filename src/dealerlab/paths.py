@@ -25,17 +25,17 @@ def substream(seed: int, path_index: int, stream: int = 0) -> np.random.Generato
 
 
 def standard_normal_block(
-    horizon: Horizon, seed: int, first_path: int, n_paths: int, stream: int = 0
+    horizon: Horizon, seed: int, first_path: int, n_paths: int
 ) -> np.ndarray:
     """Unit normals for a contiguous block of paths, shape (n_paths, n_steps).
 
-    Row ``i`` is drawn from the substream of path ``first_path + i``, so the
+    Row ``i`` is drawn from stream 0 of path ``first_path + i``, so the
     block decomposition has no effect on any individual path.
     """
     n = horizon.n_steps
     out = np.empty((n_paths, n), dtype=float)
     for i in range(n_paths):
-        out[i] = substream(seed, first_path + i, stream).standard_normal(n)
+        out[i] = substream(seed, first_path + i).standard_normal(n)
     return out
 
 

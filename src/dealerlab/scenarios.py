@@ -145,16 +145,14 @@ class DiffusivePaths:
     d_xi: np.ndarray  # per-step target shocks; share_d * d_xi is K_c's martingale part
 
 
-def diffusive_simulate(
-    s: DiffusiveScenario, n_paths: int = 1, first_path: int = 0
-) -> DiffusivePaths:
+def diffusive_simulate(s: DiffusiveScenario, n_paths: int = 1) -> DiffusivePaths:
     """Euler-Maruyama simulation of the diffusive-target equilibrium.
 
     dK_c       = F(t)(xi_c - K_c) dt + rho_d/(rho_c+rho_d) dxi_c
     d(xi - U)  = -F(t)(xi - U) dt + (1/2) dxi_c      (xi := xi_bar = xi_c/2)
     S - D      = F(t) (xi - U) / (delta rho_bar)
 
-    Paths are vectorized over (seed, first_path + i) substreams; the
+    Paths are vectorized over the (seed, i) substreams; the
     martingale part of each K_c step is exactly the dealers' share of the
     target shock.
     """
@@ -163,7 +161,7 @@ def diffusive_simulate(
     d = scenario_delta(s.liquidation_view)
     F = eval_F(d, grid, s.T)
     dt = horizon.dt
-    z = standard_normal_block(horizon, s.seed, first_path, n_paths)
+    z = standard_normal_block(horizon, s.seed, 0, n_paths)
     dxi = s.sigma_xi * np.sqrt(dt) * z
     shape = (n_paths, grid.size)
     xi = np.zeros(shape)
@@ -192,12 +190,16 @@ def price_reversion_regression(
     deviation is approximately an OU process with mean-reversion rate
     sqrt(delta) and shock loading 1/(2 sqrt(delta) rho_bar).
     """
+    if n_paths < 1:
+        raise ValueError(f"the price-reversion regression needs at least one path, got {n_paths}")
     sim = diffusive_simulate(s, n_paths=n_paths)
     grid, dt = sim.grid, np.diff(sim.grid)
+    price_dev = sim.price_dev.reshape(n_paths, grid.size)  # one path comes back 1-D
+    xi_c = sim.xi_c.reshape(n_paths, grid.size)
     cut = grid.size - 1 if t_max is None else int(np.searchsorted(grid, t_max))
-    y = np.diff(sim.price_dev, axis=-1)[:, :cut].ravel()
-    x1 = (sim.price_dev[:, :cut] * dt[:cut]).ravel()
-    x2 = np.diff(sim.xi_c, axis=-1)[:, :cut].ravel()
+    y = np.diff(price_dev, axis=-1)[:, :cut].ravel()
+    x1 = (price_dev[:, :cut] * dt[:cut]).ravel()
+    x2 = np.diff(xi_c, axis=-1)[:, :cut].ravel()
     A = np.column_stack([x1, x2])
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)
     d = scenario_delta(s.liquidation_view)

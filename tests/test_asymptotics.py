@@ -1,15 +1,14 @@
 """Liquidity-cost identities, scaling laws, and the price-convergence proxy."""
 
 import logging
-import math
 
 import numpy as np
 import pytest
 
+from dealerlab import asymptotics
 from dealerlab.asymptotics import (
     DealerSetting,
     convergence_check,
-    liquidity_cost_deterministic,
     liquidity_cost_from_paths,
     scaling_study,
     simulate_costs,
@@ -45,7 +44,7 @@ def liquidity_cost_direct(
 
 def test_zero_demand_costs_nothing():
     setting = DealerSetting()
-    assert liquidity_cost_deterministic(setting, ZERO, 0.01) == 0.0
+    assert simulate_costs(setting, ZERO, 0.01, 0, 0)[0][0] == 0.0
 
 
 def test_cost_routes_are_summation_by_parts_twins():
@@ -64,7 +63,7 @@ def test_unit_smooth_demand_limit():
     # K^N_t = t: cost/lam -> (M+1)/M * T as lam -> 0
     for m in (1, 3):
         setting = DealerSetting(n_dealers=m)
-        c = liquidity_cost_deterministic(setting, UNIT_RATE, 1e-5)
+        c = simulate_costs(setting, UNIT_RATE, 1e-5, 0, 0)[0][0]
         assert c / 1e-5 == pytest.approx((m + 1) / m, rel=2e-2)
         # finite-lam value sits below the limit by ~1/(sqrt(delta) T)
         assert c / 1e-5 < (m + 1) / m
@@ -85,7 +84,7 @@ def test_smooth_prefactor_independent_of_dealer_inventory_cost():
     prefs = []
     for rho in (0.05, 0.1, 0.2):
         setting = DealerSetting(n_dealers=2, rho_d=rho)
-        c = liquidity_cost_deterministic(setting, UNIT_RATE, 1e-5)
+        c = simulate_costs(setting, UNIT_RATE, 1e-5, 0, 0)[0][0]
         prefs.append(c / 1e-5)
     assert max(prefs) / min(prefs) < 1.005
 
@@ -96,7 +95,7 @@ def test_deterministic_varying_rate_demand():
     h = Horizon.uniform(1.0, n)
     rate = Deterministic(tuple(1.0 + np.sin(2 * np.pi * h.grid)))
     setting = DealerSetting(n_dealers=2)
-    c = liquidity_cost_deterministic(setting, SmoothRate(rate), 1e-5, steps=n)
+    c = simulate_costs(setting, SmoothRate(rate), 1e-5, 0, 0, steps=n)[0][0]
     assert c / 1e-5 == pytest.approx(1.5 * 1.5, rel=0.02)
 
 
@@ -202,7 +201,6 @@ def test_study_entry_points_reject_invalid_demand(demand):
         lambda: scaling_study(setting, demand, [1e-2], n_paths=64, seed=1),
         lambda: simulate_costs(setting, demand, 1e-2, 64, seed=1),
         lambda: convergence_check(setting, demand, [1e-2], n_paths=64, seed=1),
-        lambda: liquidity_cost_deterministic(setting, demand, 1e-2),
     ):
         with pytest.raises(ValueError, match="(kappa|sigma) must be >= 0"):
             study()
@@ -245,7 +243,7 @@ def test_tracking_improves_with_harsher_inventory_penalty():
 
 def test_step_cap_is_reported(caplog):
     setting = DealerSetting(n_dealers=2)
-    wanted = steps_for(setting.delta(1e-3), setting.T, cap=math.inf)
+    wanted = steps_for(setting.delta(1e-3), setting.T)
     with caplog.at_level(logging.WARNING, logger="dealerlab.asymptotics"):
         rep = scaling_study(setting, UNIT_RATE, [1e-3], n_paths=0, steps_cap=1000)
     assert rep.steps == [1000]
@@ -263,3 +261,46 @@ def test_stderr_warning_on_thin_sampling():
         setting, BrownianMartingale(0.0, 1.0), [1e-1, 1e-2], n_paths=2, seed=1
     )
     assert rep.warnings
+
+
+def test_deterministic_demand_is_one_exact_row_on_every_route():
+    setting, lam = DealerSetting(n_dealers=2), 1e-3
+    costs, tracks = simulate_costs(setting, UNIT_RATE, lam, 0, 0)
+    assert costs.shape == tracks.shape == (1,)
+    assert simulate_costs(setting, UNIT_RATE, lam, 500, 3)[0][0] == costs[0]
+    rep = scaling_study(setting, UNIT_RATE, [lam], n_paths=0)
+    assert (rep.means, rep.stderrs, rep.path_counts) == ([costs[0]], [0.0], [1])
+    conv = convergence_check(setting, UNIT_RATE, [lam], n_paths=0)
+    assert (conv.means, conv.stderrs) == ([tracks[0]], [0.0])
+
+
+@pytest.mark.parametrize("n_paths", [0, 1])
+def test_monte_carlo_needs_two_paths(n_paths):
+    setting, demand = DealerSetting(n_dealers=2), BrownianMartingale(0.0, 1.0)
+    for study in (
+        lambda: simulate_costs(setting, demand, 1e-2, n_paths, seed=1),
+        lambda: scaling_study(setting, demand, [1e-1, 1e-2], n_paths=n_paths, seed=1),
+        lambda: convergence_check(setting, demand, [1e-1, 1e-2], n_paths=n_paths, seed=1),
+    ):
+        with pytest.raises(ValueError, match="at least 2 paths"):
+            study()
+
+
+def test_step_cap_is_logged_by_every_entry_point(monkeypatch, caplog):
+    setting = DealerSetting(n_dealers=2)
+    note = f"{steps_for(setting.delta(1e-3), setting.T)} steps wanted, 1000 used"
+    monkeypatch.setattr(asymptotics, "STEP_CAP", 1000)
+    for study in (
+        lambda: simulate_costs(setting, UNIT_RATE, 1e-3, 0, 0),
+        lambda: simulate_costs(setting, BrownianMartingale(0.0, 1.0), 1e-3, 8, 1),
+        lambda: convergence_check(setting, BrownianMartingale(0.0, 1.0), [1e-3], 8, 1),
+        lambda: scaling_study(setting, UNIT_RATE, [1e-3], n_paths=0),
+    ):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="dealerlab.asymptotics"):
+            study()
+        assert caplog.text.count(note) == 1
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="dealerlab.asymptotics"):
+        simulate_costs(setting, UNIT_RATE, 1e-1, 0, 0)
+    assert "step cap" not in caplog.text

@@ -20,6 +20,15 @@ def read_rows(path):
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} in a report")
+
+
+def read_json(path):
+    """A report as strict JSON: NaN and Infinity fail the read."""
+    return json.loads(path.read_text(), parse_constant=_reject_constant)
+
+
 def test_parse_process_grammar():
     assert parse_process("zero") == ZERO
     assert parse_process("constant:-1") == Constant(-1.0)
@@ -43,7 +52,7 @@ def test_liquidation_outputs(tmp_path):
     assert header == ["t", "price_dev_M1", "price_dev_Minf"]
     assert float(rows[0][1]) == pytest.approx(-0.7071057610384575, rel=1e-10)
     assert float(rows[0][2]) == pytest.approx(-0.5, rel=1e-6)
-    meta = json.loads((tmp_path / "run_meta.json").read_text())
+    meta = read_json(tmp_path / "run_meta.json")
     assert "version" in meta and meta["grid_steps"] == 100
 
 
@@ -63,14 +72,27 @@ def test_diffusive_outputs(tmp_path):
     header, rows = read_rows(tmp_path / "fig2_paths.csv")
     assert header == ["t", "xi_c", "K_c_M1", "K_c_Minf"]
     assert float(rows[0][1]) == 0.0  # target starts at zero
-    reg = json.loads((tmp_path / "ou_regression.json").read_text())["regression"]
+    reg = read_json(tmp_path / "ou_regression.json")["regression"]
     assert reg["mean_reversion_theory"] == pytest.approx(math.sqrt(50.0), rel=1e-12)
+
+
+def test_diffusive_single_path(tmp_path):
+    rc = main(["diffusive", "--out", str(tmp_path), "--steps", "50", "--paths", "1"])
+    assert rc == 0
+    reg = read_json(tmp_path / "ou_regression.json")["regression"]
+    assert reg["n_paths"] == 1
+    assert all(math.isfinite(reg[k]) for k in ("mean_reversion", "loading"))
+
+
+def test_diffusive_without_paths_exits_one(tmp_path):
+    assert main(["diffusive", "--out", str(tmp_path), "--steps", "50", "--paths", "0"]) == 1
+    assert not any(tmp_path.iterdir())
 
 
 def test_welfare_small_lambda_ratio(tmp_path):
     rc = main(["welfare", "--out", str(tmp_path), "--lambda", "1e-6", "--m-max", "3"])
     assert rc == 0
-    report = json.loads((tmp_path / "welfare_report.json").read_text())["report"]
+    report = read_json(tmp_path / "welfare_report.json")["report"]
     assert report["ratio"] == pytest.approx(1.2762479634718042, rel=0.01)
     header, rows = read_rows(tmp_path / "fig3_welfare.csv")
     assert header == ["M", "J_c", "J_c_int"]
@@ -84,7 +106,7 @@ def test_scaling_smooth_deterministic(tmp_path):
         ["scaling-smooth", "--out", str(tmp_path), "--lambda", "1e-2,1e-3,1e-4", "--m", "2"]
     )
     assert rc == 0
-    rep = json.loads((tmp_path / "scaling_report.json").read_text())["report"]
+    rep = read_json(tmp_path / "scaling_report.json")["report"]
     assert rep["family"] == "smooth"
     assert 0.95 <= rep["slope"] <= 1.05
     assert rep["stderrs"] == [0.0, 0.0, 0.0]
@@ -103,10 +125,17 @@ def test_scaling_diffusive_bytes_and_workers(tmp_path):
         assert bytes_a == (c / name).read_bytes()
 
 
+@pytest.mark.parametrize("paths", ["0", "1"])
+def test_scaling_diffusive_needs_two_paths(tmp_path, paths):
+    argv = ["scaling-diffusive", "--out", str(tmp_path), "--lambda", "1e-1,1e-2"]
+    assert main(argv + ["--paths", paths]) == 1
+    assert not (tmp_path / "scaling_report.json").exists()
+
+
 def test_oracle_check(tmp_path):
     rc = main(["oracle-check", "--out", str(tmp_path), "--steps-list", "100,200,400"])
     assert rc == 0
-    rep = json.loads((tmp_path / "oracle_gap.json").read_text())
+    rep = read_json(tmp_path / "oracle_gap.json")
     assert rep["report"]["fitted_order"] == pytest.approx(1.0, abs=0.3)
     assert rep["worst_gap"] < 0.1
 
