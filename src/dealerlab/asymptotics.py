@@ -26,7 +26,7 @@ import numpy as np
 
 from .fbsde import heun_step, solve_forward
 from .kernel import DeltaParam, Horizon, KernelWeight, eval_F, trapezoid
-from .paths import integrate_against, standard_normal_block
+from .paths import integrate_against, path_streams, standard_normal_block
 from .processes import DemandProcess, is_deterministic, validate_process
 
 logger = logging.getLogger(__name__)
@@ -49,6 +49,7 @@ class DealerSetting:
 
 
 STEP_CAP = 1_000_000  # most grid steps a study picks by itself; read at each call
+SLICE_STEPS = 1024  # time steps of normals the sweep draws at once; read at each call
 
 
 def steps_for(d: DeltaParam, T: float) -> int:
@@ -84,6 +85,20 @@ def _check_demand(demand: DemandProcess) -> None:
 # fused Monte Carlo sweep (cost and tracking error per path)
 # ----------------------------------------------------------------------
 
+def _normal_rows(streams, n_steps: int):
+    """Each step's normals across ``streams`` in turn, drawn ``SLICE_STEPS`` steps at a time.
+
+    A row is a view into one reused step-major buffer, valid until the next
+    row is taken.
+    """
+    width = SLICE_STEPS
+    rows = np.empty((min(width, n_steps), len(streams)))
+    for lo in range(0, n_steps, width):
+        w = min(width, n_steps - lo)
+        rows[:w] = standard_normal_block(streams, w).T
+        yield from rows[:w]
+
+
 def _chunk_sweep(
     demand: DemandProcess,
     d: DeltaParam,
@@ -96,24 +111,25 @@ def _chunk_sweep(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cost and tracking integral for one contiguous block of paths.
 
-    One fused Heun sweep holding only O(n_paths) state: the z block is the
-    single O(n_paths * steps) array.  The state advance and G come from the
-    demand's kind, exactly as in ``realize`` and ``solve_forward``.
+    One fused Heun sweep holding O(n_paths) state plus one time slice of
+    normals, O(n_paths * SLICE_STEPS), whatever the step count.  The state
+    advance and G come from the demand's kind, exactly as in ``realize``
+    and ``solve_forward``.
     """
     dt = horizon.dt
     F = eval_F(d, horizon.grid, horizon.T)
     coef = demand.g_coefficients(KernelWeight(d, horizon.grid, horizon.T))
     advance = demand.stepper(dt)
-    z = standard_normal_block(horizon, seed, first_path, n_paths)
     state = demand.start(n_paths)
     x = state[0]
     U = np.zeros(n_paths)
     u = demand.g(coef, state, 0)
     cost = np.zeros(n_paths)
     track = np.zeros(n_paths)
-    for i in range(horizon.n_steps):
+    z = _normal_rows(path_streams(seed, first_path, n_paths), horizon.n_steps)
+    for i, z_i in enumerate(z):
         track += (x - U) ** 2 * (dt[i] * 0.5)
-        state = advance(state, i, z[:, i])
+        state = advance(state, i, z_i)
         U, u_next = heun_step(U, u, demand.g(coef, state, i + 1), F[i + 1], dt[i])
         cost += x * (u_next - u)
         x, u = state[0], u_next
@@ -209,8 +225,8 @@ class LiquidityCostReport:
     stderrs: list
     path_counts: list
     steps: list
-    slope: float
-    slope_ci: tuple
+    slope: float | None  # None (null in reports) for a single impact cost
+    slope_ci: tuple | None
     prefactor: float
     prefactor_stderr: float
     prefactor_theory: float
@@ -219,9 +235,10 @@ class LiquidityCostReport:
     warnings: list = field(default_factory=list)
 
 
-def _slope_fit(lambdas, means) -> tuple[float, tuple[float, float]]:
+def _slope_fit(lambdas, means) -> tuple[float | None, tuple[float, float] | None]:
+    """Log-log slope and its 95% interval; a single impact cost fits nothing."""
     if len(lambdas) < 2:
-        return math.nan, (math.nan, math.nan)
+        return None, None
     x = np.log(np.asarray(lambdas))
     y = np.log(np.asarray(means))
     slope, intercept = np.polyfit(x, y, 1)
@@ -246,10 +263,13 @@ def scaling_study(
     exact row with standard error 0); grids clipped at ``steps_cap`` (default
     ``STEP_CAP``) are listed in the warnings.  The prefactor is read off at
     the smallest impact cost as mean / lam^order, next to the theory value.
+    The impact costs must be distinct; with only one there is no slope.
     """
     _check_demand(demand)
     order, _ = demand.scaling_law(setting.T)
     lambdas = sorted(float(x) for x in lambdas)
+    if len(set(lambdas)) < len(lambdas):
+        raise ValueError(f"impact costs must be distinct, got {lambdas}")
     costs, steps_used, warnings = [], [], []
     for lam in lambdas:
         steps, clipped = _capped_steps(setting, lam, steps_cap)

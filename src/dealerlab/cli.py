@@ -63,6 +63,8 @@ def _parse_lambdas(text: str) -> list[float]:
         raise ConfigError(f"bad impact-cost list {text!r}")
     if not values or any(v <= 0 for v in values):
         raise ConfigError("impact costs must be positive")
+    if len(set(values)) < len(values):
+        raise ConfigError(f"impact costs must be distinct, got {text!r}")
     return values
 
 

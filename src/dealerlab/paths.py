@@ -4,7 +4,10 @@ Randomness is counter-based: every (seed, path index, stream) triple maps
 to its own Philox substream, so a path's draws never depend on how many
 other paths are generated, in what order, or on how work is split across
 workers.  Streams separate independent processes within one scenario
-(noise demand vs. client targets).
+(noise demand vs. client targets).  A substream is a sequence: drawing its
+normals in consecutive pieces gives the same numbers as one draw, so a
+caller holding the generators of its paths (``path_streams``) may take
+their normals a time slice at a time (``standard_normal_block``).
 """
 
 from __future__ import annotations
@@ -24,18 +27,21 @@ def substream(seed: int, path_index: int, stream: int = 0) -> np.random.Generato
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
-def standard_normal_block(
-    horizon: Horizon, seed: int, first_path: int, n_paths: int
-) -> np.ndarray:
-    """Unit normals for a contiguous block of paths, shape (n_paths, n_steps).
+def path_streams(seed: int, first_path: int, n_paths: int) -> list[np.random.Generator]:
+    """Stream-0 generators of paths ``first_path`` .. ``first_path + n_paths - 1``."""
+    return [substream(seed, first_path + i) for i in range(n_paths)]
 
-    Row ``i`` is drawn from stream 0 of path ``first_path + i``, so the
-    block decomposition has no effect on any individual path.
+
+def standard_normal_block(streams, n_steps: int) -> np.ndarray:
+    """The next ``n_steps`` unit normals of each stream, shape (len(streams), n_steps).
+
+    Row ``i`` is drawn from ``streams[i]`` alone and advances it, so neither
+    the block decomposition over paths nor a split into consecutive time
+    slices has any effect on an individual path's numbers.
     """
-    n = horizon.n_steps
-    out = np.empty((n_paths, n), dtype=float)
-    for i in range(n_paths):
-        out[i] = substream(seed, first_path + i).standard_normal(n)
+    out = np.empty((len(streams), n_steps))
+    for row, stream in zip(out, streams):
+        stream.standard_normal(out=row)
     return out
 
 

@@ -24,7 +24,7 @@ from .kernel import (
     stable_cosh_ratio,
     stable_sinh_over_cosh,
 )
-from .paths import standard_normal_block
+from .paths import path_streams, standard_normal_block
 from .processes import BrownianMartingale
 
 INF_DEALERS = math.inf
@@ -161,7 +161,7 @@ def diffusive_simulate(s: DiffusiveScenario, n_paths: int = 1) -> DiffusivePaths
     d = scenario_delta(s.liquidation_view)
     F = eval_F(d, grid, s.T)
     dt = horizon.dt
-    z = standard_normal_block(horizon, s.seed, 0, n_paths)
+    z = standard_normal_block(path_streams(s.seed, 0, n_paths), s.steps)
     dxi = s.sigma_xi * np.sqrt(dt) * z
     shape = (n_paths, grid.size)
     xi = np.zeros(shape)

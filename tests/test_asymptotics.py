@@ -1,6 +1,7 @@
 """Liquidity-cost identities, scaling laws, and the price-convergence proxy."""
 
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from dealerlab.asymptotics import (
 )
 from dealerlab.fbsde import RealizedDriver, solve_forward
 from dealerlab.kernel import Horizon
-from dealerlab.paths import realize, standard_normal_block
+from dealerlab.paths import path_streams, realize, standard_normal_block
 from dealerlab.processes import (
     BrownianMartingale,
     Constant,
@@ -106,7 +107,7 @@ def test_expected_square_rate_integrals():
     ou = OrnsteinUhlenbeck(x0=1.0, kappa=1.3, theta=0.4, sigma=0.5)
     closed = ou.square_integral(1.0)
     h = Horizon.uniform(1.0, 256)
-    z = standard_normal_block(h, 3, 0, 20_000)
+    z = standard_normal_block(path_streams(3, 0, 20_000), h.n_steps)
     paths = realize(ou, h, z=z).values
     mc = np.mean(
         np.sum(0.5 * (paths[:, :-1] ** 2 + paths[:, 1:] ** 2) * np.diff(h.grid), axis=1)
@@ -182,13 +183,54 @@ def test_sweep_matches_forward_solve_path_by_path(demand):
     costs, tracks = simulate_costs(setting, demand, lam, n_paths, seed)
     d = setting.delta(lam)
     h = Horizon.uniform(setting.T, steps_for(d, setting.T))
-    path = realize(demand, h, z=standard_normal_block(h, seed, 0, n_paths))
+    z = standard_normal_block(path_streams(seed, 0, n_paths), h.n_steps)
+    path = realize(demand, h, z=z)
     fb = solve_forward(demand, d, h, realized=RealizedDriver(((1.0, demand),), {demand: path}))
     cost = liquidity_cost_from_paths(fb.X, fb.u, setting, lam)
     gap_sq = (fb.X - fb.U) ** 2
     track = np.sum(0.5 * (gap_sq[:, :-1] + gap_sq[:, 1:]) * h.dt, axis=-1)
     np.testing.assert_allclose(costs, cost, rtol=0, atol=1e-10 * np.max(np.abs(cost)))
     np.testing.assert_allclose(tracks, track, rtol=0, atol=1e-10 * np.max(track))
+
+
+@pytest.mark.parametrize(
+    "demand",
+    [
+        BrownianMartingale(0.3, 1.0),
+        OrnsteinUhlenbeck(x0=0.2, kappa=2.0, theta=-0.4, sigma=0.8),
+        SmoothRate(OrnsteinUhlenbeck(x0=1.0, kappa=1.0, theta=1.0, sigma=0.3)),
+    ],
+    ids=["brownian", "ou", "smooth-ou"],
+)
+def test_time_slices_change_no_path(demand, monkeypatch):
+    # slice widths that do not divide the steps, or cover them all, across chunk/worker splits
+    setting, lam, n_paths, steps = DealerSetting(n_dealers=2), 1e-2, 20, 50
+    runs = []
+    for width, chunk, workers in ((steps, n_paths, 1), (7, 6, 2), (7, n_paths, 1), (500, 3, 3)):
+        monkeypatch.setattr(asymptotics, "SLICE_STEPS", width)
+        runs.append(simulate_costs(setting, demand, lam, n_paths, 5, steps, workers, chunk))
+    for costs, tracks in runs[1:]:
+        np.testing.assert_array_equal(costs, runs[0][0])
+        np.testing.assert_array_equal(tracks, runs[0][1])
+
+
+def test_sweep_memory_is_bounded_by_the_slice():
+    # the (paths x steps) normal block is never built: peak well under a quarter of it
+    n_paths, steps = 256, 20_000
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        simulate_costs(DealerSetting(n_dealers=2), BrownianMartingale(0.0, 1.0), 1e-5, n_paths,
+                       3, steps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n_paths * steps * 8 / 4
+
+
+def test_scaling_study_rejects_repeated_impact_costs():
+    with pytest.raises(ValueError, match="distinct"):
+        scaling_study(DealerSetting(2, 0.1), BrownianMartingale(0.0, 1.0), [1e-2, 1e-2], 8)
 
 
 BAD_OU = [OrnsteinUhlenbeck(0.3, -1.0, 0.5, 0.8), OrnsteinUhlenbeck(0.3, 1.0, 0.5, -0.8)]

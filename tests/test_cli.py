@@ -132,6 +132,20 @@ def test_scaling_diffusive_needs_two_paths(tmp_path, paths):
     assert not (tmp_path / "scaling_report.json").exists()
 
 
+def test_single_impact_cost_has_null_slope(tmp_path):
+    assert main(["scaling-smooth", "--out", str(tmp_path), "--lambda", "1e-3"]) == 0
+    rep = read_json(tmp_path / "scaling_report.json")["report"]
+    assert rep["slope"] is None and rep["slope_ci"] is None
+    assert rep["prefactor"] == pytest.approx(rep["prefactor_theory"], rel=0.02)
+
+
+def test_repeated_impact_cost_exits_one(tmp_path, capsys):
+    argv = ["scaling-diffusive", "--out", str(tmp_path), "--lambda", "1e-2,1e-2", "--paths", "8"]
+    assert main(argv) == 1
+    assert "distinct" in capsys.readouterr().err
+    assert not (tmp_path / "scaling_report.json").exists()
+
+
 def test_oracle_check(tmp_path):
     rc = main(["oracle-check", "--out", str(tmp_path), "--steps-list", "100,200,400"])
     assert rc == 0

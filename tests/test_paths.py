@@ -7,6 +7,7 @@ from scipy import stats
 from dealerlab.kernel import Horizon, cumulative_trapezoid
 from dealerlab.paths import (
     integrate_against,
+    path_streams,
     realize,
     standard_normal_block,
     substream,
@@ -58,10 +59,18 @@ def test_reproducible_regardless_of_order():
 
 def test_block_rows_match_single_paths():
     h = Horizon.uniform(1.0, 32)
-    block = standard_normal_block(h, seed=4, first_path=10, n_paths=5)
+    block = standard_normal_block(path_streams(seed=4, first_path=10, n_paths=5), h.n_steps)
     for i in range(5):
         single = substream(4, 10 + i).standard_normal(32)
         np.testing.assert_array_equal(block[i], single)
+
+
+def test_consecutive_draws_continue_each_stream():
+    # two draws from the same streams give the numbers of one draw of the summed length
+    whole = standard_normal_block(path_streams(8, 3, 4), 50)
+    streams = path_streams(8, 3, 4)
+    split = [standard_normal_block(streams, 13), standard_normal_block(streams, 37)]
+    np.testing.assert_array_equal(np.hstack(split), whole)
 
 
 def test_streams_are_distinct():
@@ -89,7 +98,7 @@ def test_ou_exact_discretization_moments():
     # X_T moments of the exact recursion match the OU transition law
     h = Horizon.uniform(1.0, 8)
     n = 20_000
-    z = standard_normal_block(h, seed=21, first_path=0, n_paths=n)
+    z = standard_normal_block(path_streams(seed=21, first_path=0, n_paths=n), h.n_steps)
     x = realize(OrnsteinUhlenbeck(x0=1.0, kappa=2.0, theta=0.5, sigma=0.8), h, z=z).values
     xT = x[:, -1]
     mean_exact = 0.5 + (1.0 - 0.5) * np.exp(-2.0)
@@ -102,7 +111,7 @@ def test_brownian_terminal_mean():
     # sample mean of X_T over 1e5 paths is 0 within 3/sqrt(1e5)
     h = Horizon.uniform(1.0, 4)
     n = 100_000
-    z = standard_normal_block(h, seed=77, first_path=0, n_paths=n)
+    z = standard_normal_block(path_streams(seed=77, first_path=0, n_paths=n), h.n_steps)
     x = realize(BrownianMartingale(x0=0.0, sigma=1.0), h, z=z).values
     assert abs(x[:, -1].mean()) < 3.0 / np.sqrt(n)
 
@@ -161,8 +170,8 @@ def test_refinement_consistency_ks():
     n_paths = 4000
     h1 = Horizon.uniform(1.0, 32)
     h2 = Horizon.uniform(1.0, 64)
-    z1 = standard_normal_block(h1, seed=55, first_path=0, n_paths=n_paths)
-    z2 = standard_normal_block(h2, seed=56, first_path=0, n_paths=n_paths)
+    z1 = standard_normal_block(path_streams(seed=55, first_path=0, n_paths=n_paths), h1.n_steps)
+    z2 = standard_normal_block(path_streams(seed=56, first_path=0, n_paths=n_paths), h2.n_steps)
     x1 = realize(BrownianMartingale(0.0, 1.0), h1, z=z1).values[:, -1]
     x2 = realize(BrownianMartingale(0.0, 1.0), h2, z=z2).values[:, -1]
     assert stats.ks_2samp(x1, x2).pvalue > 0.01
