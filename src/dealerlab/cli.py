@@ -223,6 +223,8 @@ def cmd_welfare(args) -> None:
 
 
 def _scaling_common(args, demand, out_json: str, out_csv: str) -> None:
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     out = _outdir(args)
     setting = DealerSetting(n_dealers=args.m, rho_d=args.rho_d, T=args.T)
     report = scaling_study(
@@ -286,7 +288,7 @@ def cmd_oracle_check(args) -> None:
             "worst_gap": worst,
         },
     )
-    if not (0.5 <= report.fitted_order <= 1.5):
+    if report.fitted_order is not None and not 0.5 <= report.fitted_order <= 1.5:
         raise NumericalError(
             f"discrete oracle convergence order {report.fitted_order:.2f} out of range"
         )

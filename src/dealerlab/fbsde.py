@@ -168,15 +168,18 @@ def heun_path(G: np.ndarray, F: np.ndarray, dt: np.ndarray, U0=0.0):
     """Heun's method for dU = (G - F U) dt along the last axis of G from U_0 = U0.
 
     Returns the positions U and the node rates u = G - F U (u_0 = G_0 - F_0 U0).
+    Rows of G step on Python floats: bit for bit the Monte Carlo sweep's array steps.
     """
-    U, u = np.empty_like(G), np.empty_like(G)
-    U[..., 0] = U0
-    u[..., 0] = G[..., 0] - F[0] * U0
-    for i in range(dt.size):
-        U[..., i + 1], u[..., i + 1] = heun_step(
-            U[..., i], u[..., i], G[..., i + 1], F[i + 1], dt[i]
-        )
-    return U, u
+    F0, F_next, steps = float(F[0]), F[1:].tolist(), dt.tolist()
+    starts = np.broadcast_to(U0, G.shape[:-1]).ravel().tolist()
+    U = np.empty(G.shape)
+    for row, g, U_i in zip(U.reshape(-1, G.shape[-1]), G.reshape(-1, G.shape[-1]).tolist(), starts):
+        u_i, positions = g[0] - F0 * U_i, [U_i]
+        for g_next, F_i, dt_i in zip(g[1:], F_next, steps):
+            U_i, u_i = heun_step(U_i, u_i, g_next, F_i, dt_i)
+            positions.append(U_i)
+        row[:] = positions
+    return U, G - F * U  # heun_step's rates: the same product and difference
 
 
 @dataclass

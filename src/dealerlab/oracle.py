@@ -149,7 +149,7 @@ class GapReport:
     steps: list
     max_gaps: Dict[str, list]
     l2_gaps: Dict[str, list]
-    fitted_order: float
+    fitted_order: float | None
 
 
 def oracle_gap(params: MarketParams, steps_list) -> GapReport:
@@ -157,11 +157,13 @@ def oracle_gap(params: MarketParams, steps_list) -> GapReport:
 
     Quantities: dealer-market positions (worst agent), the aggregate
     open-market rate, and the risk premium.  The order is the slope of
-    log(max gap) against log(dt).
+    log(max gap) against log(dt), or None on a single grid.
     """
     from .equilibrium import solve_equilibrium
 
     steps_list = list(steps_list)
+    if len(set(steps_list)) < len(steps_list):
+        raise ValueError(f"grid step counts must be distinct, got {steps_list}")
     max_gaps = {"K": [], "u_bar": [], "mu": []}
     l2_gaps = {"K": [], "u_bar": [], "mu": []}
     for n in steps_list:
@@ -181,5 +183,5 @@ def oracle_gap(params: MarketParams, steps_list) -> GapReport:
             l2_gaps[key].append(max(math.sqrt(dt * np.sum(g**2)) for g in arrays))
     log_dt = np.log([params.horizon.T / n for n in steps_list])
     worst = np.log([max(max_gaps[k][i] for k in max_gaps) for i in range(len(steps_list))])
-    order = float(np.polyfit(log_dt, worst, 1)[0]) if len(steps_list) > 1 else float("nan")
+    order = float(np.polyfit(log_dt, worst, 1)[0]) if len(steps_list) > 1 else None
     return GapReport(steps=steps_list, max_gaps=max_gaps, l2_gaps=l2_gaps, fitted_order=order)

@@ -154,6 +154,28 @@ def test_oracle_check(tmp_path):
     assert rep["worst_gap"] < 0.1
 
 
+def test_oracle_check_single_grid_has_null_order(tmp_path):
+    assert main(["oracle-check", "--out", str(tmp_path), "--steps-list", "100"]) == 0
+    rep = read_json(tmp_path / "oracle_gap.json")
+    assert rep["report"]["fitted_order"] is None
+    assert rep["report"]["steps"] == [100] and rep["worst_gap"] < 0.1
+
+
+def test_oracle_check_repeated_grids_exit_one(tmp_path, capsys):
+    assert main(["oracle-check", "--out", str(tmp_path), "--steps-list", "100,100"]) == 1
+    assert "distinct" in capsys.readouterr().err
+    assert not (tmp_path / "oracle_gap.json").exists()
+
+
+@pytest.mark.parametrize("command", ["scaling-smooth", "scaling-diffusive"])
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_scaling_rejects_nonpositive_workers(tmp_path, capsys, command, workers):
+    argv = [command, "--out", str(tmp_path), "--lambda", "1e-2,1e-3", "--paths", "8"]
+    assert main(argv + ["--workers", workers]) == 1
+    assert "--workers" in capsys.readouterr().err
+    assert not (tmp_path / "scaling_report.json").exists()
+
+
 CONFIG = """
 [market]
 T = 1.0

@@ -9,6 +9,8 @@ from dealerlab.fbsde import (
     RealizedDriver,
     conditional_kernel_integral,
     fbsde_residual,
+    heun_path,
+    heun_step,
     kernel_expectation_path,
     realize_driver,
     solve_forward,
@@ -375,6 +377,30 @@ def test_solve_forward_multi_path_vectorized():
             proc, d, h, realized=RealizedDriver(((1.0, proc),), {proc: RealizedPath(z[i])})
         )
         np.testing.assert_array_equal(block.U[i], single.U)
+
+
+def test_heun_path_equals_the_array_recursion_bit_for_bit():
+    # the per-path float loop and the Monte Carlo sweep's array heun_step are one arithmetic
+    from dealerlab.paths import RealizedPath
+
+    h = Horizon.uniform(1.0, 300)
+    d = DeltaParam.from_value(40.0)
+    proc = BrownianMartingale(0.2, 1.0)
+    z = np.stack([realize(proc, h, seed=3, path_index=i).values for i in range(5)])
+    G = kernel_expectation_path(RealizedDriver(((1.0, proc),), {proc: RealizedPath(z)}), d, h)
+    F = eval_F(d, h.grid, h.T)
+    U0 = np.linspace(-0.5, 0.5, 5)
+    U, u = heun_path(G, F, h.dt, U0=U0)
+    rec_U, rec_u = [U0], [G[:, 0] - F[0] * U0]
+    for i in range(h.n_steps):
+        U_next, u_next = heun_step(rec_U[-1], rec_u[-1], G[:, i + 1], F[i + 1], h.dt[i])
+        rec_U.append(U_next)
+        rec_u.append(u_next)
+    np.testing.assert_array_equal(U, np.stack(rec_U, axis=-1))
+    np.testing.assert_array_equal(u, np.stack(rec_u, axis=-1))
+    U_one, u_one = heun_path(G[2], F, h.dt, U0=U0[2])
+    np.testing.assert_array_equal(U_one, U[2])
+    np.testing.assert_array_equal(u_one, u[2])
 
 
 def test_stiff_delta_stable_with_resolved_grid():

@@ -179,6 +179,14 @@ def test_convergence_to_engine_solution():
     assert report.fitted_order == pytest.approx(1.0, abs=0.3)
 
 
+def test_single_grid_has_no_order_and_repeated_grids_fail():
+    params = liquidation_params(100)
+    report = oracle_gap(params, [100])
+    assert report.fitted_order is None and len(report.max_gaps["K"]) == 1
+    with pytest.raises(ValueError, match="distinct"):
+        oracle_gap(params, [100, 100])
+
+
 def test_first_order_convergence_at_large_step_counts():
     params = liquidation_params(16_000)
     report = oracle_gap(params, [4000, 8000, 16_000])
