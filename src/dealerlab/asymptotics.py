@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -39,6 +40,14 @@ class DealerSetting:
     n_dealers: int = 1
     rho_d: float = 0.1
     T: float = 1.0
+
+    def __post_init__(self):
+        m = self.n_dealers
+        if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
+            raise ValueError(f"n_dealers must be an integer of at least 1, got {m!r}")
+        for name in ("rho_d", "T"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
 
     def delta(self, impact_cost: float) -> DeltaParam:
         m = self.n_dealers

@@ -161,12 +161,12 @@ def cmd_liquidation(args) -> None:
     write_csv(
         out / "fig1_strategies.csv",
         ["t", "K_c_M1", "K_c_Minf"],
-        zip(grid, one.K_c, many.K_c),
+        [grid, one.K_c, many.K_c],
     )
     write_csv(
         out / "fig1_price.csv",
         ["t", "price_dev_M1", "price_dev_Minf"],
-        zip(grid, one.price_dev, many.price_dev),
+        [grid, one.price_dev, many.price_dev],
     )
     write_json(
         out / "run_meta.json",
@@ -196,7 +196,7 @@ def cmd_diffusive(args) -> None:
     write_csv(
         out / "fig2_paths.csv",
         ["t", "xi_c", "K_c_M1", "K_c_Minf"],
-        zip(one.grid, one.xi_c, one.K_c, many.K_c),
+        [one.grid, one.xi_c, one.K_c, many.K_c],
     )
     write_json(
         out / "ou_regression.json",
@@ -205,16 +205,23 @@ def cmd_diffusive(args) -> None:
 
 
 def cmd_welfare(args) -> None:
-    out = _outdir(args)
-    rows = []
-    for m in range(1, args.m_max + 1):
-        rep = segmentation_welfare(
+    for flag, value in (("--m-max", args.m_max), ("--m", args.m)):
+        if value < 1:
+            raise ConfigError(f"{flag} must be at least 1, got {value}")
+
+    def welfare(m):
+        return segmentation_welfare(
             LiquidationScenario(args.impact_cost, args.rho_c, args.rho_d, args.T, args.xi_c, m)
         )
-        rows.append((m, rep.J_c_segmented, rep.J_c_integrated))
-    write_csv(out / "fig3_welfare.csv", ["M", "J_c", "J_c_int"], rows)
-    report = segmentation_welfare(
-        LiquidationScenario(args.impact_cost, args.rho_c, args.rho_d, args.T, args.xi_c, args.m)
+
+    counts = list(range(1, args.m_max + 1))
+    curve = [welfare(m) for m in counts]
+    report = welfare(args.m)
+    out = _outdir(args)
+    write_csv(
+        out / "fig3_welfare.csv",
+        ["M", "J_c", "J_c_int"],
+        [counts, [r.J_c_segmented for r in curve], [r.J_c_integrated for r in curve]],
     )
     write_json(
         out / "welfare_report.json",
@@ -225,8 +232,8 @@ def cmd_welfare(args) -> None:
 def _scaling_common(args, demand, out_json: str, out_csv: str) -> None:
     if args.workers < 1:
         raise ConfigError(f"--workers must be at least 1, got {args.workers}")
-    out = _outdir(args)
     setting = DealerSetting(n_dealers=args.m, rho_d=args.rho_d, T=args.T)
+    out = _outdir(args)
     report = scaling_study(
         setting,
         demand,
@@ -245,7 +252,7 @@ def _scaling_common(args, demand, out_json: str, out_csv: str) -> None:
     write_csv(
         out / out_csv,
         ["lambda", "mean_cost", "stderr", "paths", "steps"],
-        zip(report.lambdas, report.means, report.stderrs, report.path_counts, report.steps),
+        [report.lambdas, report.means, report.stderrs, report.path_counts, report.steps],
     )
 
 
@@ -321,7 +328,7 @@ def cmd_equilibrium(args) -> None:
     for a in params.agents:
         header += [f"K_{a.name}", f"U_{a.name}", f"u_{a.name}"]
         cols += [sol.agents[a.name].K, sol.agents[a.name].U, sol.agents[a.name].u]
-    write_csv(out / "equilibrium.csv", header, zip(*cols))
+    write_csv(out / "equilibrium.csv", header, cols)
     write_json(
         out / "run_meta.json",
         {

@@ -4,8 +4,10 @@ Numbers are fixed at 12 significant digits and row/key order is fully
 determined by the inputs, so a rerun with the same configuration and seed
 reproduces every output byte for byte (worker counts and chunk sizes are
 execution details and never enter a report).  CSV and JSON share one set of
-cell rules (numpy scalars write as their Python counterparts), and a CSV row of
-plain floats and ints is one ``%`` call on a template cached per row type signature.
+cell rules (numpy scalars write as their Python counterparts).  The CSV writer
+takes columns: a float array column formats each of its distinct values once
+and looks the rest up, so a long path that revisits few values costs few
+formatting calls.
 """
 
 from __future__ import annotations
@@ -34,22 +36,31 @@ def fmt(value) -> str:
     return str(value)
 
 
-@functools.lru_cache(maxsize=128)
-def _row_template(kinds: tuple) -> str | None:
-    """The ``%`` template that writes a row of these cell types as ``fmt`` does, or None."""
+def _column_cells(column) -> list[str]:
+    """The cells of one CSV column, each as ``fmt`` writes it.
+
+    A float array is keyed on its bit patterns, so ``-0.0`` and ``0.0`` (and
+    NaNs with different payloads) stay apart, and each distinct value is
+    formatted once; every other column goes through ``fmt`` cell by cell.
+    """
     import numpy as np
 
-    floats = (float, np.float16, np.float32, np.float64)
-    cells = ["%.12g" if k in floats else "%d" if k is int or issubclass(k, np.integer) else ""
-             for k in kinds]
-    return ",".join(cells) if all(cells) else None
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f" and column.itemsize <= 8:
+        values, inverse = np.unique(column.view(f"i{column.itemsize}"), return_inverse=True)
+        cells = list(map("%.12g".__mod__, values.view(column.dtype).tolist()))
+        return np.array(cells, dtype=object)[inverse].tolist()
+    return list(map(fmt, column))
 
 
-def write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        template = _row_template(tuple(map(type, row)))
-        lines.append(template % tuple(row) if template else ",".join(map(fmt, row)))
+def write_csv(path: Path, header: list[str], columns) -> None:
+    """Write one column per header name; every column must have the same length."""
+    cells = [_column_cells(column) for column in columns]
+    if len(cells) != len(header) or len({len(c) for c in cells}) > 1:
+        raise ValueError(
+            f"CSV {Path(path).name}: {len(header)} header names, columns of lengths "
+            f"{[len(c) for c in cells]}"
+        )
+    lines = [",".join(header), *map(",".join, zip(*cells))]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

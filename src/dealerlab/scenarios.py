@@ -154,7 +154,8 @@ def diffusive_simulate(s: DiffusiveScenario, n_paths: int = 1) -> DiffusivePaths
 
     Paths are vectorized over the (seed, i) substreams; the
     martingale part of each K_c step is exactly the dealers' share of the
-    target shock.
+    target shock.  The arrays are held time-major, (steps+1, paths), so each
+    step reads and writes contiguous rows, and come back path-major.
     """
     horizon = Horizon.uniform(s.T, s.steps)
     grid = horizon.grid
@@ -162,18 +163,21 @@ def diffusive_simulate(s: DiffusiveScenario, n_paths: int = 1) -> DiffusivePaths
     F = eval_F(d, grid, s.T)
     dt = horizon.dt
     z = standard_normal_block(path_streams(s.seed, 0, n_paths), s.steps)
-    dxi = s.sigma_xi * np.sqrt(dt) * z
-    shape = (n_paths, grid.size)
+    dxi = np.multiply((s.sigma_xi * np.sqrt(dt))[:, None], z.T, order="C")
+    del z
+    shape = (grid.size, n_paths)
     xi = np.zeros(shape)
+    xi[1:] = dxi
+    np.cumsum(xi, axis=0, out=xi)  # xi_{i+1} = xi_i + dxi_i from the 0.0 row, as stepped
     K = np.zeros(shape)
     Z = np.zeros(shape)
     share_d = s.rho_d / (s.rho_c + s.rho_d)
-    for i in range(s.steps):
-        xi[:, i + 1] = xi[:, i] + dxi[:, i]
-        K[:, i + 1] = K[:, i] + F[i] * (xi[:, i] - K[:, i]) * dt[i] + share_d * dxi[:, i]
-        Z[:, i + 1] = Z[:, i] - F[i] * Z[:, i] * dt[i] + 0.5 * dxi[:, i]
+    for i, (F_i, dt_i) in enumerate(zip(F[:-1].tolist(), dt.tolist())):
+        K[i + 1] = K[i] + F_i * (xi[i] - K[i]) * dt_i + share_d * dxi[i]
+        Z[i + 1] = Z[i] - F_i * Z[i] * dt_i + 0.5 * dxi[i]
     rho_bar = (s.rho_c + s.rho_d) / 2.0
-    price_dev = F * Z / (d.delta * rho_bar)
+    price_dev = F[:, None] * Z / (d.delta * rho_bar)
+    xi, K, Z, price_dev, dxi = xi.T, K.T, Z.T, price_dev.T, dxi.T
     if n_paths == 1:
         xi, K, Z, price_dev, dxi = xi[0], K[0], Z[0], price_dev[0], dxi[0]
     return DiffusivePaths(

@@ -1,6 +1,7 @@
 """Liquidity-cost identities, scaling laws, and the price-convergence proxy."""
 
 import logging
+import math
 import tracemalloc
 
 import numpy as np
@@ -41,6 +42,17 @@ def liquidity_cost_direct(
     """
     du = np.diff(demand_path, axis=-1)
     return setting.cost_multiplier(impact_cost) * np.sum(rate_path[..., 1:] * du, axis=-1)
+
+
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [({"n_dealers": 0}, "n_dealers"), ({"n_dealers": 2.0}, "n_dealers"),
+     ({"n_dealers": True}, "n_dealers"), ({"rho_d": 0.0}, "rho_d"),
+     ({"rho_d": math.nan}, "rho_d"), ({"T": -1.0}, "T")],
+)
+def test_dealer_setting_validates_itself(kwargs, field):
+    with pytest.raises(ValueError, match=f"^{field} "):
+        DealerSetting(**kwargs)
 
 
 def test_zero_demand_costs_nothing():

@@ -101,6 +101,14 @@ def test_welfare_small_lambda_ratio(tmp_path):
         assert float(row[2]) >= float(row[1])  # integration helps the clients
 
 
+@pytest.mark.parametrize("flag", ["--m-max", "--m"])
+def test_welfare_rejects_dealer_counts_below_one(tmp_path, capsys, flag):
+    out = tmp_path / "out"
+    assert main(["welfare", "--out", str(out), "--m-max", "3", flag, "0"]) == 1
+    assert flag in capsys.readouterr().err
+    assert not out.exists()  # rejected before any file or directory is written
+
+
 def test_scaling_smooth_deterministic(tmp_path):
     rc = main(
         ["scaling-smooth", "--out", str(tmp_path), "--lambda", "1e-2,1e-3,1e-4", "--m", "2"]
@@ -144,6 +152,19 @@ def test_repeated_impact_cost_exits_one(tmp_path, capsys):
     assert main(argv) == 1
     assert "distinct" in capsys.readouterr().err
     assert not (tmp_path / "scaling_report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [("--rho-d", "0", "rho_d"), ("--rho-d", "-1", "rho_d"), ("--m", "0", "n_dealers"),
+     ("--T", "0", "T")],
+)
+def test_scaling_rejects_a_bad_dealer_setting(tmp_path, capsys, flag, value, field):
+    out = tmp_path / "out"
+    argv = ["scaling-diffusive", "--out", str(out), "--lambda", "1e-2,1e-3", "--paths", "8"]
+    assert main(argv + [flag, value]) == 1
+    assert f"configuration error: {field} " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_oracle_check(tmp_path):

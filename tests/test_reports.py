@@ -1,4 +1,4 @@
-"""Report writers: the CSV row templates and the shared cell rules of CSV and JSON."""
+"""Report writers: the CSV column rules and the shared cell rules of CSV and JSON."""
 
 import math
 
@@ -7,33 +7,71 @@ import pytest
 
 from dealerlab.reports import fmt, write_csv, write_json
 
-MIXED_ROWS = [
-    (0.1, np.float64(1.0 / 3.0), 7, np.int64(-12), True, np.bool_(False), "a"),
-    (math.nan, math.inf, -math.inf, -0.0, np.float64(-0.0), np.int64(0), 10**20),
-    (1e-300, 1e300, -1.2345678901234e-150, 6.02214076e23, 2.5e-7, 1.0, 123456789012.5),
-    tuple(np.array([0.1, 1e-300, 1e300, np.nan])) + (np.int32(3), np.uint8(255), -7),
-    (np.float32(0.1), np.float16(0.1), 1e15, 1e16, 12345678901234.0, -1.0, "x,y"),
-]
+# NaNs with three different bit patterns: the quiet NaN, its negative, and one with a payload
+PAYLOAD_NAN = np.array([0x7FF8000000000123], dtype=np.int64).view(np.float64)[0]
+FLOATS = np.array([
+    0.1, -0.0, 0.0, math.nan, -math.nan, PAYLOAD_NAN, math.inf, -math.inf, 0.1, -0.0,
+    1.0 / 3.0, 1e-300, 1e300, -1.2345678901234e-150, 6.02214076e23, 2.5e-7, 1e15, 1e16,
+    12345678901234.0, math.nan, 0.0, -1.0, 0.1, 123456789012.5,
+])
+N = FLOATS.size
+
+with np.errstate(over="ignore"):
+    COLUMNS = {
+        "float64": FLOATS,
+        "float32": FLOATS.astype(np.float32),
+        "float16": FLOATS.astype(np.float16),
+        "float64-strided": np.repeat(FLOATS, 2)[::2],
+        "int64": np.array([7, -12, 0, 10**15, 7, -1] * 4, dtype=np.int64),
+        "uint8": np.arange(N, dtype=np.uint8) * 11,
+        "bool-array": np.arange(N) % 3 == 0,
+        "float-list": FLOATS.tolist(),
+        "int-list": [i * (-1) ** i for i in range(N)],
+        "bool-list": [i % 2 == 0 for i in range(N)],
+        "str-list": [f"s{i % 5}" for i in range(N)],
+    }
 
 
-def expected_csv(header, rows):
-    return "\n".join([",".join(header)] + [",".join(map(fmt, row)) for row in rows]) + "\n"
+def expected_csv(header, columns):
+    """The reference: every cell through ``fmt``, rows joined by hand."""
+    rows = zip(*[[fmt(cell) for cell in column] for column in columns])
+    return "\n".join([",".join(header)] + [",".join(row) for row in rows]) + "\n"
 
 
-@pytest.mark.parametrize("as_generator", [False, True], ids=["list", "generator"])
-def test_csv_rows_match_the_per_cell_format(tmp_path, as_generator):
-    header = [f"c{i}" for i in range(7)]
-    rows = MIXED_ROWS + [list(MIXED_ROWS[0]), MIXED_ROWS[2]]  # signatures repeat and mix
-    path = tmp_path / "rows.csv"
-    write_csv(path, header, (r for r in rows) if as_generator else rows)
-    assert path.read_text() == expected_csv(header, rows)
+@pytest.mark.parametrize("kind", list(COLUMNS))
+def test_csv_column_matches_the_per_cell_format(tmp_path, kind):
+    column = COLUMNS[kind]
+    assert len(column) == N
+    write_csv(tmp_path / "col.csv", [kind], [column])
+    assert (tmp_path / "col.csv").read_text() == expected_csv([kind], [column])
+
+
+def test_csv_mixed_columns_from_a_one_shot_iterable(tmp_path):
+    header = list(COLUMNS)
+    write_csv(tmp_path / "all.csv", header, iter(COLUMNS.values()))
+    assert (tmp_path / "all.csv").read_text() == expected_csv(header, COLUMNS.values())
+
+
+def test_float_column_keeps_signed_zeros_and_nan_payloads_apart(tmp_path):
+    write_csv(tmp_path / "z.csv", ["x"], [np.array([-0.0, 0.0, -0.0, PAYLOAD_NAN, 0.0])])
+    assert (tmp_path / "z.csv").read_text() == "x\n-0\n0\n-0\nnan\n0\n"
 
 
 def test_csv_numeric_cells_render_exactly(tmp_path):
-    write_csv(tmp_path / "x.csv", ["a", "b", "c", "d", "e"], [(1e-300, -0.0, math.nan, 7, 0.1)])
+    write_csv(tmp_path / "x.csv", ["a", "b", "c", "d", "e"],
+              [[1e-300], [-0.0], [math.nan], [7], [0.1]])
     assert (tmp_path / "x.csv").read_text() == "a,b,c,d,e\n1e-300,-0,nan,7,0.1\n"
-    write_csv(tmp_path / "empty.csv", ["a"], iter(()))
-    assert (tmp_path / "empty.csv").read_text() == "a\n"
+
+
+def test_header_with_no_rows(tmp_path):
+    write_csv(tmp_path / "empty.csv", ["a", "b"], [np.array([]), []])
+    assert (tmp_path / "empty.csv").read_text() == "a,b\n"
+
+
+@pytest.mark.parametrize("columns", [[[1.0, 2.0], [3.0]], [[1.0]]], ids=["ragged", "missing"])
+def test_csv_columns_must_fit_the_header(tmp_path, columns):
+    with pytest.raises(ValueError, match="header names"):
+        write_csv(tmp_path / "bad.csv", ["a", "b"], columns)
 
 
 @pytest.mark.parametrize(
@@ -51,7 +89,8 @@ def test_numpy_scalars_format_like_python_in_both_writers(tmp_path, numpy_value,
     assert fmt(numpy_value) == fmt(python_value)
     for name, value in (("numpy", numpy_value), ("python", python_value)):
         write_json(tmp_path / f"{name}.json", {"x": value, "xs": [value, value]})
-        write_csv(tmp_path / f"{name}.csv", ["x", "y"], [(value, value)])
+    write_csv(tmp_path / "numpy.csv", ["x", "y"], [[numpy_value], np.array([numpy_value])])
+    write_csv(tmp_path / "python.csv", ["x", "y"], [[python_value], [python_value]])
     for suffix in ("json", "csv"):
         numpy_text = (tmp_path / f"numpy.{suffix}").read_text()
         assert numpy_text == (tmp_path / f"python.{suffix}").read_text()

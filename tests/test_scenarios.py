@@ -9,7 +9,7 @@ from dealerlab.equilibrium import goal_functional, solve_equilibrium
 from dealerlab.fbsde import solve_forward
 from dealerlab.kernel import Horizon, eval_F
 from dealerlab.market import integrated_market, segmented_market
-from dealerlab.paths import RealizedPath
+from dealerlab.paths import RealizedPath, path_streams, standard_normal_block
 from dealerlab.processes import BrownianMartingale, Constant
 from dealerlab.scenarios import (
     INF_DEALERS,
@@ -149,6 +149,45 @@ def test_diffusive_tracking_matches_forward_solver():
     fb = solve_forward(proc, d, h, realized=realized)
     gap = np.max(np.abs((0.5 * sim.xi_c - fb.U) - sim.xi_minus_U))
     assert gap < 20.0 / s.steps
+
+
+def _diffusive_reference(s: DiffusiveScenario, n_paths: int) -> dict:
+    """Path-major Euler steps, one strided column per step: the scheme as first written."""
+    horizon = Horizon.uniform(s.T, s.steps)
+    d = scenario_delta(s.liquidation_view)
+    F = eval_F(d, horizon.grid, s.T)
+    dt = horizon.dt
+    z = standard_normal_block(path_streams(s.seed, 0, n_paths), s.steps)
+    dxi = s.sigma_xi * np.sqrt(dt) * z
+    xi, K, Z = (np.zeros((n_paths, horizon.grid.size)) for _ in range(3))
+    share_d = s.rho_d / (s.rho_c + s.rho_d)
+    for i in range(s.steps):
+        xi[:, i + 1] = xi[:, i] + dxi[:, i]
+        K[:, i + 1] = K[:, i] + F[i] * (xi[:, i] - K[:, i]) * dt[i] + share_d * dxi[:, i]
+        Z[:, i + 1] = Z[:, i] - F[i] * Z[:, i] * dt[i] + 0.5 * dxi[:, i]
+    rho_bar = (s.rho_c + s.rho_d) / 2.0
+    price_dev = F * Z / (d.delta * rho_bar)
+    return {"xi_c": xi, "K_c": K, "xi_minus_U": Z, "price_dev": price_dev, "d_xi": dxi}
+
+
+@pytest.mark.parametrize(
+    "n_paths, sigma_xi, seed, n_dealers",
+    [(1, 1.0, 0, 1), (3, 1.0, 5, 1), (3, 1.0, 4, INF_DEALERS), (1, 0.0, 2, 1), (3, 0.0, 2, 1)],
+)
+def test_diffusive_simulate_matches_path_major_reference_bit_for_bit(
+    n_paths, sigma_xi, seed, n_dealers
+):
+    # bit patterns, not values: a -0.0 where the steps give 0.0 must fail
+    s = DiffusiveScenario(rho_d=0.16, sigma_xi=sigma_xi, seed=seed, steps=300,
+                          n_dealers=n_dealers)
+    sim = diffusive_simulate(s, n_paths=n_paths)
+    np.testing.assert_array_equal(sim.grid, Horizon.uniform(s.T, s.steps).grid)
+    for name, want in _diffusive_reference(s, n_paths).items():
+        got = getattr(sim, name)
+        if n_paths == 1:
+            want = want[0]
+        assert got.shape == want.shape, name
+        assert np.ascontiguousarray(got).tobytes() == want.tobytes(), name
 
 
 def test_price_reversion_regression_far_from_maturity():

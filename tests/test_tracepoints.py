@@ -2,6 +2,10 @@
 
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 
@@ -17,3 +21,22 @@ def test_benchmark_trace_points_resolve():
         if not callable(getattr(importlib.import_module(f"dealerlab.{module}"), attr, None))
     ]
     assert not missing
+
+
+def test_traced_smoke_figures_op_set_runs(tmp_path):
+    # the benchmark's worker, with its tracer installed, on the smoke `figures` op set
+    root = Path(__file__).resolve().parents[1]
+    spans_file = tmp_path / "spans.json"
+    proc = subprocess.run(
+        [sys.executable, str(root / "benchmark" / "worker.py"), "--workload", "figures",
+         "--seed", "1", "--smoke", "--workdir", str(tmp_path / "work"),
+         "--spawned-at", str(time.monotonic()), "--spans-file", str(spans_file)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    ops = json.loads(proc.stdout.splitlines()[-1])["ops"]
+    assert [op["name"] for op in ops] == [
+        "liquidation", "diffusive", "welfare", "scaling-smooth", "equilibrium"]
+    assert all(op["exit"] == 0 and op["problems"] == [] for op in ops), ops
+    names = [span["name"] for span in json.loads(spans_file.read_text())["spans"]]
+    assert names.count("reports.write_csv") == 6  # fig1 x2, fig2, fig3, scaling, equilibrium
