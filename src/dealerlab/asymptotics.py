@@ -59,6 +59,7 @@ class DealerSetting:
 
 STEP_CAP = 1_000_000  # most grid steps a study picks by itself; read at each call
 SLICE_STEPS = 1024  # time steps of normals the sweep draws at once; read at each call
+_TILE_PATHS = 64  # paths per normal draw: a tile's transpose into the slice stays in cache
 
 
 def steps_for(d: DeltaParam, T: float) -> int:
@@ -97,14 +98,21 @@ def _check_demand(demand: DemandProcess) -> None:
 def _normal_rows(streams, n_steps: int):
     """Each step's normals across ``streams`` in turn, drawn ``SLICE_STEPS`` steps at a time.
 
-    A row is a view into one reused step-major buffer, valid until the next
-    row is taken.
+    A row is a view into one reused step-major buffer of ``SLICE_STEPS`` x
+    len(streams) floats, valid until the next row is taken.  Each slice is
+    drawn in tiles of ``_TILE_PATHS`` streams, and each tile's transpose is
+    copied into the buffer's columns: the rows are exactly those of
+    ``standard_normal_block(streams, n_steps).T``, and no path-major block
+    larger than one tile is ever built.
     """
-    width = SLICE_STEPS
-    rows = np.empty((min(width, n_steps), len(streams)))
+    width, n = SLICE_STEPS, len(streams)
+    rows = np.empty((min(width, n_steps), n))
     for lo in range(0, n_steps, width):
         w = min(width, n_steps - lo)
-        rows[:w] = standard_normal_block(streams, w).T
+        for p in range(0, n, _TILE_PATHS):
+            rows[:w, p : p + _TILE_PATHS] = standard_normal_block(
+                streams[p : p + _TILE_PATHS], w
+            ).T
         yield from rows[:w]
 
 
@@ -123,9 +131,12 @@ def _chunk_sweep(
     One fused Heun sweep holding O(n_paths) state plus one time slice of
     normals, O(n_paths * SLICE_STEPS), whatever the step count.  The state
     advance and G come from the demand's kind, exactly as in ``realize``
-    and ``solve_forward``.
+    and ``solve_forward``.  Each node's squared gap (x - U)^2 is computed
+    once and serves both trapezoid halves next to it; the cost and tracking
+    sums accumulate in place through one work vector.
     """
     dt = horizon.dt
+    half_dt = dt * 0.5
     F = eval_F(d, horizon.grid, horizon.T)
     coef = demand.g_coefficients(KernelWeight(d, horizon.grid, horizon.T))
     advance = demand.stepper(dt)
@@ -135,14 +146,18 @@ def _chunk_sweep(
     u = demand.g(coef, state, 0)
     cost = np.zeros(n_paths)
     track = np.zeros(n_paths)
+    gap_sq = (x - U) ** 2
+    work = np.empty(n_paths)
     z = _normal_rows(path_streams(seed, first_path, n_paths), horizon.n_steps)
     for i, z_i in enumerate(z):
-        track += (x - U) ** 2 * (dt[i] * 0.5)
+        h = half_dt[i]
+        track += np.multiply(gap_sq, h, out=work)
         state = advance(state, i, z_i)
         U, u_next = heun_step(U, u, demand.g(coef, state, i + 1), F[i + 1], dt[i])
-        cost += x * (u_next - u)
+        cost += np.multiply(x, np.subtract(u_next, u, out=work), out=work)
         x, u = state[0], u_next
-        track += (x - U) ** 2 * (dt[i] * 0.5)
+        np.square(np.subtract(x, U, out=gap_sq), out=gap_sq)
+        track += np.multiply(gap_sq, h, out=work)
     cost *= -setting.cost_multiplier(impact_cost)
     return cost, track
 
@@ -155,15 +170,18 @@ def simulate_costs(
     seed: int,
     steps: int | None = None,
     workers: int = 1,
-    chunk: int = 1024,
+    chunk: int = 2048,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-path (cost, tracking integral) arrays, path index order.
 
     A deterministic demand gives one exact row.  A stochastic one needs two
     or more paths, each a pure function of (seed, path index): chunking and
-    the worker count affect scheduling only, never values.
+    the worker count affect scheduling only, never values.  Each worker's
+    sweep holds about ``chunk`` x ``SLICE_STEPS`` x 8 bytes of normals.
     """
     _check_demand(demand)
+    if chunk < 1:
+        raise ValueError(f"chunk must be at least 1 path, got {chunk}")
     d = setting.delta(impact_cost)
     if steps is None:
         steps, _ = _capped_steps(setting, impact_cost)

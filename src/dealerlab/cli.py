@@ -68,6 +68,16 @@ def _parse_lambdas(text: str) -> list[float]:
     return values
 
 
+def _parse_steps_list(text: str) -> list[int]:
+    try:
+        values = [int(x) for x in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"--steps-list must be a comma list of integers, got {text!r}") from None
+    if any(v < 1 for v in values):
+        raise ConfigError(f"--steps-list step counts must be at least 1, got {text!r}")
+    return values
+
+
 def parse_process(text: str) -> DemandProcess:
     """Process grammar: zero | constant:c | brownian:x0,sigma | ou:x0,kappa,theta,sigma
     | deterministic:v0,v1,... | smooth:<one of the above>."""
@@ -141,13 +151,17 @@ def load_market_config(path: str) -> tuple[MarketParams, dict]:
 # ----------------------------------------------------------------------
 
 def _outdir(args) -> Path:
+    """The output directory, made only once a subcommand has its results.
+
+    Every check and computation runs first, so a run that exits 1 leaves no
+    (empty) directory behind.
+    """
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
 def cmd_liquidation(args) -> None:
-    out = _outdir(args)
     grid = Horizon.uniform(args.T, args.steps).grid
     one = liquidation_closed_form(
         LiquidationScenario(args.impact_cost, args.rho_c, args.rho_d, args.T, args.xi_c, 1), grid
@@ -158,6 +172,7 @@ def cmd_liquidation(args) -> None:
         ),
         grid,
     )
+    out = _outdir(args)
     write_csv(
         out / "fig1_strategies.csv",
         ["t", "K_c_M1", "K_c_Minf"],
@@ -178,7 +193,6 @@ def cmd_liquidation(args) -> None:
 
 
 def cmd_diffusive(args) -> None:
-    out = _outdir(args)
     base = dict(
         impact_cost=args.impact_cost,
         rho_c=args.rho_c,
@@ -193,6 +207,7 @@ def cmd_diffusive(args) -> None:
     )
     one = diffusive_simulate(DiffusiveScenario(n_dealers=1, **base))
     many = diffusive_simulate(DiffusiveScenario(n_dealers=INF_DEALERS, **base))
+    out = _outdir(args)
     write_csv(
         out / "fig2_paths.csv",
         ["t", "xi_c", "K_c_M1", "K_c_Minf"],
@@ -233,7 +248,6 @@ def _scaling_common(args, demand, out_json: str, out_csv: str) -> None:
     if args.workers < 1:
         raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     setting = DealerSetting(n_dealers=args.m, rho_d=args.rho_d, T=args.T)
-    out = _outdir(args)
     report = scaling_study(
         setting,
         demand,
@@ -245,6 +259,7 @@ def _scaling_common(args, demand, out_json: str, out_csv: str) -> None:
     payload = asdict(report)
     payload.pop("seed")
     payload["M"] = payload.pop("n_dealers")
+    out = _outdir(args)
     write_json(
         out / out_json,
         {**run_metadata(_scaling_echo(args), args.seed, None), "report": payload},
@@ -273,10 +288,9 @@ def cmd_scaling_diffusive(args) -> None:
 
 
 def cmd_oracle_check(args) -> None:
-    out = _outdir(args)
     from .market import segmented_market
 
-    steps_list = [int(x) for x in args.steps_list.split(",")]
+    steps_list = _parse_steps_list(args.steps_list)
     params = segmented_market(
         Horizon.uniform(args.T, max(steps_list)),
         args.impact_cost,
@@ -287,6 +301,7 @@ def cmd_oracle_check(args) -> None:
     )
     report = oracle_gap(params, steps_list)
     worst = max(max(v) for v in report.max_gaps.values())
+    out = _outdir(args)
     write_json(
         out / "oracle_gap.json",
         {
@@ -302,7 +317,6 @@ def cmd_oracle_check(args) -> None:
 
 
 def cmd_equilibrium(args) -> None:
-    out = _outdir(args)
     params, echo = load_market_config(args.config)
     if args.steps:
         params = MarketParams(
@@ -328,6 +342,7 @@ def cmd_equilibrium(args) -> None:
     for a in params.agents:
         header += [f"K_{a.name}", f"U_{a.name}", f"u_{a.name}"]
         cols += [sol.agents[a.name].K, sol.agents[a.name].U, sol.agents[a.name].u]
+    out = _outdir(args)
     write_csv(out / "equilibrium.csv", header, cols)
     write_json(
         out / "run_meta.json",

@@ -240,6 +240,47 @@ def test_sweep_memory_is_bounded_by_the_slice():
     assert peak < n_paths * steps * 8 / 4
 
 
+@pytest.mark.parametrize("width", [7, 500])
+def test_one_chunk_across_partial_tiles_matches_small_chunks(width, monkeypatch):
+    # 130 paths fill two 64-path tiles and a 2-path one; 20-path chunks fill none
+    monkeypatch.setattr(asymptotics, "SLICE_STEPS", width)
+    setting, demand, steps = DealerSetting(n_dealers=2), BrownianMartingale(0.3, 1.0), 50
+    whole = simulate_costs(setting, demand, 1e-2, 130, 9, steps, 1, 130)
+    split = simulate_costs(setting, demand, 1e-2, 130, 9, steps, 2, 20)
+    for a, b in zip(whole, split):
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("n_paths, n_steps, width", [(130, 50, 7), (130, 50, 500), (3, 9, 4)])
+def test_normal_rows_are_the_transposed_block(n_paths, n_steps, width, monkeypatch):
+    monkeypatch.setattr(asymptotics, "SLICE_STEPS", width)
+    rows = [row.copy() for row in
+            asymptotics._normal_rows(path_streams(4, 10, n_paths), n_steps)]
+    block = standard_normal_block(path_streams(4, 10, n_paths), n_steps)
+    np.testing.assert_array_equal(np.array(rows), block.T)
+
+
+def test_sweep_memory_at_the_default_chunk_is_one_slice_buffer():
+    # the step-major buffer, chunk x SLICE_STEPS floats, plus one tile and O(chunk) state
+    n_paths, steps = 2048, 3000
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        simulate_costs(DealerSetting(n_dealers=2), BrownianMartingale(0.0, 1.0), 1e-3, n_paths,
+                       3, steps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * n_paths * asymptotics.SLICE_STEPS * 8
+
+
+@pytest.mark.parametrize("chunk", [0, -4])
+def test_chunk_below_one_path_is_rejected(chunk):
+    with pytest.raises(ValueError, match="chunk"):
+        simulate_costs(DealerSetting(n_dealers=2), BrownianMartingale(0.0, 1.0), 1e-2, 8, 1,
+                       chunk=chunk)
+
+
 def test_scaling_study_rejects_repeated_impact_costs():
     with pytest.raises(ValueError, match="distinct"):
         scaling_study(DealerSetting(2, 0.1), BrownianMartingale(0.0, 1.0), [1e-2, 1e-2], 8)

@@ -249,6 +249,29 @@ def test_bad_lambda_list_exits_one(tmp_path):
     assert main(["scaling-smooth", "--out", str(tmp_path), "--lambda", "abc"]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["scaling-smooth", "--lambda", "abc"],
+     ["oracle-check", "--steps-list", "100,abc"],
+     ["oracle-check", "--steps-list", "0,100"],
+     ["diffusive", "--steps", "50", "--paths", "0"],
+     ["equilibrium", "--config", "nope.ini"],
+     ["liquidation", "--steps", "0"]],
+    ids=["bad-lambda", "bad-steps-list", "zero-steps-list", "no-paths", "no-config",
+         "no-steps"],
+)
+def test_exit_one_leaves_no_output_directory(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)  # a relative config path resolves inside the test directory
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_bad_steps_list_names_the_flag(tmp_path, capsys):
+    assert main(["oracle-check", "--out", str(tmp_path), "--steps-list", "100,abc"]) == 1
+    assert "--steps-list" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_exits_one():
     assert main(["frobnicate"]) == 1
 
