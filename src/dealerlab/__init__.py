@@ -18,7 +18,7 @@ from .equilibrium import (
     goal_functional,
     solve_equilibrium,
 )
-from .fbsde import conditional_kernel_integral, fbsde_residual, solve_forward
+from .fbsde import fbsde_residual, solve_forward
 from .kernel import DeltaParam, Horizon, compute_delta, eval_F, eval_k
 from .market import (
     AgentSpec,

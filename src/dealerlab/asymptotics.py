@@ -28,7 +28,7 @@ import numpy as np
 from .fbsde import heun_step, solve_forward
 from .kernel import DeltaParam, Horizon, KernelWeight, eval_F, trapezoid
 from .paths import integrate_against, path_streams, standard_normal_block
-from .processes import DemandProcess, is_deterministic, validate_process
+from .processes import DemandProcess
 
 logger = logging.getLogger(__name__)
 
@@ -86,7 +86,7 @@ def liquidity_cost_from_paths(
 
 
 def _check_demand(demand: DemandProcess) -> None:
-    problems = validate_process(demand)
+    problems = demand.problems()
     if problems:
         raise ValueError("invalid demand process: " + "; ".join(problems))
 
@@ -186,7 +186,7 @@ def simulate_costs(
     if steps is None:
         steps, _ = _capped_steps(setting, impact_cost)
     horizon = Horizon.uniform(setting.T, steps)
-    if is_deterministic(demand):
+    if demand.deterministic:
         fb = solve_forward(demand, d, horizon)
         cost = liquidity_cost_from_paths(fb.X, fb.u, setting, impact_cost)
         return np.array([cost]), np.array([trapezoid((fb.X - fb.U) ** 2, horizon.grid)])
@@ -352,7 +352,6 @@ def convergence_check(
     lambdas,
     n_paths: int,
     seed: int = 0,
-    workers: int = 1,
 ) -> ConvergenceReport:
     """E integral (K^N - U_bar)^2 dt per impact cost: the price-convergence proxy.
 
@@ -360,8 +359,7 @@ def convergence_check(
     market becomes more liquid.
     """
     lambdas = sorted((float(x) for x in lambdas), reverse=True)
-    tracks = [simulate_costs(setting, demand, lam, n_paths, seed, workers=workers)[1]
-              for lam in lambdas]
+    tracks = [simulate_costs(setting, demand, lam, n_paths, seed)[1] for lam in lambdas]
     means, stderrs = _means_stderrs(tracks)
     monotone = all(
         means[i + 1] <= means[i] + 2.0 * math.hypot(stderrs[i], stderrs[i + 1])

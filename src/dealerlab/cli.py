@@ -56,13 +56,24 @@ class NumericalError(RuntimeError):
     pass
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of every float flag: a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if math.isfinite(value):
+        return value
+    raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+
+
 def _parse_lambdas(text: str) -> list[float]:
     try:
         values = [float(x) for x in text.split(",") if x.strip()]
     except ValueError:
-        raise ConfigError(f"bad impact-cost list {text!r}")
-    if not values or any(v <= 0 for v in values):
-        raise ConfigError("impact costs must be positive")
+        raise ConfigError(f"--lambda must be a comma list of numbers, got {text!r}") from None
+    if not values or not all(0 < v < math.inf for v in values):
+        raise ConfigError(f"--lambda impact costs must be positive and finite, got {text!r}")
     if len(set(values)) < len(values):
         raise ConfigError(f"impact costs must be distinct, got {text!r}")
     return values
@@ -386,13 +397,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0, help="base seed for substreams")
 
     def add_scenario(p, xi=True):
-        p.add_argument("--lambda", dest="impact_cost", type=float, default=0.1,
+        p.add_argument("--lambda", dest="impact_cost", type=_finite_float, default=0.1,
                        help="common open-market impact cost")
-        p.add_argument("--rho-c", type=float, default=0.1)
-        p.add_argument("--rho-d", type=float, default=0.1)
-        p.add_argument("--T", type=float, default=1.0)
+        p.add_argument("--rho-c", type=_finite_float, default=0.1)
+        p.add_argument("--rho-d", type=_finite_float, default=0.1)
+        p.add_argument("--T", type=_finite_float, default=1.0)
         if xi:
-            p.add_argument("--xi-c", type=float, default=-1.0, help="client target level")
+            p.add_argument("--xi-c", type=_finite_float, default=-1.0, help="client target level")
 
     p = sub.add_parser("liquidation", help="optimal-liquidation figure data")
     add_common(p)
@@ -403,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diffusive", help="diffusive-target figure data")
     add_common(p)
     add_scenario(p, xi=False)
-    p.add_argument("--sigma-xi", type=float, default=1.0, help="target volatility")
+    p.add_argument("--sigma-xi", type=_finite_float, default=1.0, help="target volatility")
     p.add_argument("--steps", type=int, default=1000)
     p.add_argument("--paths", type=int, default=4000, help="paths for the OU regression")
     p.set_defaults(func=cmd_diffusive)
@@ -423,8 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
                        default="1e-1,1e-2,1e-3,1e-4,1e-5",
                        help="comma list of impact costs")
         p.add_argument("--m", type=int, default=2, help="dealer count")
-        p.add_argument("--rho-d", type=float, default=0.1)
-        p.add_argument("--T", type=float, default=1.0)
+        p.add_argument("--rho-d", type=_finite_float, default=0.1)
+        p.add_argument("--T", type=_finite_float, default=1.0)
         p.add_argument("--paths", type=int,
                        default=0 if name == "scaling-smooth" else 10_000)
         p.add_argument("--workers", type=int, default=1)

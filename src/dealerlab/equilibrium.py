@@ -34,7 +34,7 @@ from .fbsde import (
 from .kernel import Horizon, cumulative_trapezoid, eval_F, trapezoid
 from .market import Aggregates, MarketParams, aggregate
 from .paths import RealizedPath, realize
-from .processes import DemandProcess, combine, is_deterministic
+from .processes import DemandProcess, combine
 
 
 class ConsistencyError(RuntimeError):
@@ -90,11 +90,11 @@ def solve_equilibrium(
     realized = realize_driver(driver, horizon, seed=seed, path_index=path_index)
     # realize any target/noise process the canonical driver dropped
     # (zero weights or cancelling masses), on follow-on substreams
-    stream = sum(1 for p in realized.paths if not is_deterministic(p))
+    stream = sum(1 for p in realized.paths if not p.deterministic)
     for p in (params.noise_demand, *(a.target for a in params.agents)):
         if p not in realized.paths:
             realized.paths[p] = realize(p, horizon, seed=seed, path_index=path_index, stream=stream)
-            if not is_deterministic(p):
+            if not p.deterministic:
                 stream += 1
 
     fb = solve_forward(driver, ag.delta, horizon, realized=realized)
@@ -175,7 +175,7 @@ def _conditional_path(p: DemandProcess, path: RealizedPath, grid: np.ndarray, i:
 
     A deterministic path is its own conditional mean.
     """
-    if is_deterministic(p):
+    if p.deterministic:
         return path
     mean = p.conditional_mean(path.state(i), grid[i:], grid[i])
     return RealizedPath(*(np.concatenate([v[:i], m]) for v, m in zip(path.state(), mean)))

@@ -23,7 +23,7 @@ import numpy as np
 
 from .kernel import DeltaParam, Horizon, KernelWeight, eval_F
 from .paths import realize
-from .processes import ZERO, DemandProcess, TermList, is_deterministic
+from .processes import ZERO, DemandProcess, TermList
 
 
 def as_terms(driver) -> TermList:
@@ -34,7 +34,7 @@ def as_terms(driver) -> TermList:
 
 
 def driver_is_deterministic(terms: TermList) -> bool:
-    return all(is_deterministic(p) for _, p in terms)
+    return all(p.deterministic for _, p in terms)
 
 
 @dataclass
@@ -67,7 +67,7 @@ def realize_driver(
     for _, p in terms:
         if p not in paths:
             paths[p] = realize(p, horizon, seed=seed, path_index=path_index, stream=stream)
-            if not is_deterministic(p):
+            if not p.deterministic:
                 stream += 1
     return RealizedDriver(terms, paths)
 
@@ -86,34 +86,6 @@ def kernel_expectation_path(
         state = realized.paths[p].state()
         out = out + w * p.g(p.g_coefficients(weight), state, slice(None))
     return out
-
-
-def conditional_kernel_integral(
-    process: DemandProcess,
-    d: DeltaParam,
-    t: float,
-    horizon: Horizon,
-    state: float | tuple | None = None,
-) -> float:
-    """Pointwise G(t, state) for a single process.
-
-    ``state`` is the realized value of a stochastic process at t (and, for
-    smooth-rate processes, the pair (level, rate)).  Grid-sampled kinds
-    require t to be a grid node.
-    """
-    T = horizon.T
-    if not 0.0 <= t <= T:
-        raise ValueError(f"t={t} outside [0, {T}]")
-    grid = np.union1d(horizon.grid, [t])  # t joins the grid unless it is a node
-    i = int(np.searchsorted(grid, t))
-    if is_deterministic(process):
-        state = realize(process, Horizon(T, grid)).state(i)
-    elif state is None:
-        raise ValueError(f"{type(process).__name__} driver needs its realized state")
-    elif not isinstance(state, tuple):
-        state = (state,)
-    coef = process.g_coefficients(KernelWeight(d, grid, T))
-    return float(process.g(coef, state, i))
 
 
 # ----------------------------------------------------------------------

@@ -221,6 +221,7 @@ def _exp_difference(beta: float, kappa: float, tau: np.ndarray) -> np.ndarray:
 
 
 def _ou_weight(d: DeltaParam, kappa: float, tau: np.ndarray, sign: float) -> np.ndarray:
+    """``KernelWeight.exponential`` at tau = T - t; its kappa -> 0 limit is ``constant()``."""
     tau = np.asarray(tau, dtype=float)
     b = d.sqrt_delta
     if abs(kappa**2 - d.delta) < RESONANCE_REL_WIDTH * d.delta:
@@ -228,22 +229,6 @@ def _ou_weight(d: DeltaParam, kappa: float, tau: np.ndarray, sign: float) -> np.
     head = -np.expm1(-(b + kappa) * tau) / (b + kappa)
     scale = d.delta if sign > 0 else b
     return scale * (head + sign * _exp_difference(b, kappa, tau)) / (1.0 + np.exp(-2.0 * b * tau))
-
-
-def ou_kernel_weight(d: DeltaParam, kappa: float, tau: np.ndarray) -> np.ndarray:
-    """I_kappa(tau) = integral_t^T k(t, s) e^{-kappa (s-t)} ds with tau = T - t.
-
-    Degenerates to F(t) at kappa = 0.
-    """
-    return _ou_weight(d, kappa, tau, 1.0)
-
-
-def ou_sinh_weight(d: DeltaParam, kappa: float, tau: np.ndarray) -> np.ndarray:
-    """sqrt(delta) * integral_t^T [sinh(b(T-v))/cosh(b(T-t))] e^{-kappa (v-t)} dv.
-
-    Degenerates to 1 - sech(b*tau) at kappa = 0.
-    """
-    return _ou_weight(d, kappa, tau, -1.0)
 
 
 def _suffix_product_integral(
@@ -301,8 +286,8 @@ class KernelWeight:
         return 1.0 - stable_sech(self.d.sqrt_delta * self.tau)
 
     def exponential(self, kappa: float) -> np.ndarray:
-        """integral_t^T w(t, s) e^{-kappa (s-t)} ds."""
-        return _ou_weight(self.d, kappa, self.tau, self.sign)
+        """integral_t^T w(t, s) e^{-kappa (s-t)} ds; at kappa = 0 exactly ``constant()``."""
+        return self.constant() if kappa == 0.0 else _ou_weight(self.d, kappa, self.tau, self.sign)
 
     def sampled(self, values: np.ndarray) -> np.ndarray:
         """integral_t^T w(t, s) x_s ds for a path x sampled on the grid."""

@@ -21,7 +21,6 @@ from .processes import (
     TermList,
     ZERO,
     combine,
-    validate_process,
 )
 
 #: idiosyncratic open-market cost of an agent with no open-market access
@@ -94,7 +93,7 @@ def validate(params: MarketParams) -> Diagnostics:
     d = Diagnostics()
     if not params.agents:
         d.problems.append("agent list is empty")
-    if params.impact_cost < 0:
+    if not params.impact_cost >= 0:
         d.problems.append(f"common impact cost must be >= 0, got {params.impact_cost}")
     names = [a.name for a in params.agents]
     if len(set(names)) != len(names):
@@ -107,16 +106,16 @@ def validate(params: MarketParams) -> Diagnostics:
             d.problems.append(
                 f"agent {a.name}: risk tolerance must be positive, got {a.risk_tolerance}"
             )
-        if a.open_cost < 0:
+        if not a.open_cost >= 0:
             d.problems.append(f"agent {a.name}: open-market cost must be >= 0 or inf")
         if params.impact_cost + a.open_cost <= 0:
             d.problems.append(
                 f"agent {a.name}: frictionless open-market trading "
                 "(impact_cost + open_cost must be positive)"
             )
-        for msg in validate_process(a.target, n_nodes):
+        for msg in a.target.problems(n_nodes):
             d.problems.append(f"agent {a.name} target: {msg}")
-    for msg in validate_process(params.noise_demand, n_nodes):
+    for msg in params.noise_demand.problems(n_nodes):
         d.problems.append(f"noise demand: {msg}")
     return d
 

@@ -30,9 +30,8 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .kernel import Horizon
-from .market import MarketParams
+from .market import MarketParams, validate
 from .paths import realize
-from .processes import is_deterministic
 
 #: largest stacked system, (3 * agents + 1) * n_steps unknowns; at this size the
 #: sparse LU peaked at 1.1 GB RSS with 2 agents and at 1.4 GB with 5
@@ -61,9 +60,9 @@ class DiscreteEquilibrium:
 def assemble_and_solve(params: MarketParams, n_steps: int) -> DiscreteEquilibrium:
     """Solve the stacked first-order-condition system for deterministic demands."""
     for a in params.agents:
-        if not is_deterministic(a.target):
+        if not a.target.deterministic:
             raise ValueError("the discrete oracle supports deterministic targets only")
-    if not is_deterministic(params.noise_demand):
+    if not params.noise_demand.deterministic:
         raise ValueError("the discrete oracle supports deterministic noise demand only")
     agents = params.agents
     n = n_steps
@@ -164,6 +163,9 @@ def oracle_gap(params: MarketParams, steps_list) -> GapReport:
     steps_list = list(steps_list)
     if len(set(steps_list)) < len(steps_list):
         raise ValueError(f"grid step counts must be distinct, got {steps_list}")
+    diag = validate(params)
+    if not diag.ok:
+        raise ValueError(f"invalid market parameters: {diag}")
     max_gaps = {"K": [], "u_bar": [], "mu": []}
     l2_gaps = {"K": [], "u_bar": [], "mu": []}
     for n in steps_list:

@@ -17,11 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import Horizon
-from .processes import DemandProcess, is_deterministic
+from .processes import DemandProcess
 
 
 def substream(seed: int, path_index: int, stream: int = 0) -> np.random.Generator:
     """Generator for one (seed, path, stream) cell of the Philox counter space."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     key = np.array([np.uint64(seed), np.uint64(path_index)], dtype=np.uint64)
     counter = np.array([0, 0, np.uint64(stream), 0], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
@@ -74,7 +76,7 @@ def realize(
     ``z`` is omitted they are drawn from the (seed, path_index, stream)
     substream.
     """
-    if is_deterministic(process):
+    if process.deterministic:
         return RealizedPath(*process.path(horizon.grid))
     if z is None:
         if seed is None:

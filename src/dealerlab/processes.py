@@ -5,8 +5,9 @@ expectation the equilibrium needs stays closed form:
 
 * ``Zero`` and ``Constant`` -- deterministic levels,
 * ``Deterministic`` -- an arbitrary path sampled on the scenario grid,
-* ``BrownianMartingale`` -- x0 + sigma * W,
-* ``OrnsteinUhlenbeck`` -- mean reversion kappa towards theta,
+* ``OrnsteinUhlenbeck`` -- the one diffusion: mean reversion kappa towards theta,
+* ``BrownianMartingale`` -- x0 + sigma * W, its kappa = 0, theta = 0 case; only
+  ``combine`` tells the two apart (a sum may not mix them),
 * ``SmoothRate`` -- the running integral of one of the above (depth 1).
 
 Each kind states once what the rest of the package asks of it: its
@@ -61,19 +62,6 @@ class DemandProcess:
         raise ValueError(f"no scaling law for demand kind {type(self).__name__}")
 
 
-class _Diffusion(DemandProcess):
-    """Stochastic leaf kinds: state x started at x0, diffusion coefficient sigma."""
-
-    __slots__ = ()
-    deterministic = False
-
-    def start(self, shape) -> tuple:
-        return (np.full(shape, self.x0),)
-
-    def scaling_law(self, T: float) -> tuple[float, float]:
-        return 0.5, self.sigma**2 * T
-
-
 @dataclass(frozen=True)
 class Constant(DemandProcess):
     level: float
@@ -126,46 +114,27 @@ class Deterministic(DemandProcess):
 
 
 @dataclass(frozen=True)
-class BrownianMartingale(_Diffusion):
-    x0: float
-    sigma: float
+class OrnsteinUhlenbeck(DemandProcess):
+    """dX = kappa (theta - X) dt + sigma dW from X_0 = x0; Brownian motion at kappa = 0."""
 
-    def problems(self, n_nodes: int | None = None) -> list[str]:
-        return [f"brownian sigma must be >= 0, got {self.sigma}"] if self.sigma < 0 else []
-
-    def stepper(self, dt: np.ndarray):
-        sd = self.sigma * np.sqrt(dt)
-        return lambda state, i, z: (state[0] + sd[i] * z,)
-
-    def g_coefficients(self, weight: KernelWeight) -> tuple:
-        return np.zeros(weight.grid.size), weight.constant()
-
-    def conditional_mean(self, state: tuple, s: np.ndarray, t: float) -> tuple:
-        return (np.full_like(s, state[0]),)
-
-    def square_integral(self, T: float) -> float:
-        return self.x0**2 * T + self.sigma**2 * T**2 / 2.0
-
-
-@dataclass(frozen=True)
-class OrnsteinUhlenbeck(_Diffusion):
     x0: float
     kappa: float
     theta: float
     sigma: float
+    deterministic = False
 
     def problems(self, n_nodes: int | None = None) -> list[str]:
-        problems = []
-        if self.sigma < 0:
-            problems.append(f"ou sigma must be >= 0, got {self.sigma}")
-        if self.kappa < 0:
-            problems.append(f"ou kappa must be >= 0, got {self.kappa}")
-        return problems
+        rates = (("sigma", self.sigma), ("kappa", self.kappa))
+        return [f"{name} must be >= 0, got {value}" for name, value in rates if not value >= 0]
+
+    def start(self, shape) -> tuple:
+        return (np.full(shape, self.x0),)
 
     def stepper(self, dt: np.ndarray):
-        """Exact-discretization recursion; kappa = 0 degenerates to Brownian motion."""
+        """Exact-discretization recursion; at kappa = 0 the martingale step x + sd * z."""
         if self.kappa == 0.0:
-            return BrownianMartingale(self.x0, self.sigma).stepper(dt)
+            sd = self.sigma * np.sqrt(dt)
+            return lambda state, i, z: (state[0] + sd[i] * z,)
         theta = self.theta
         decay = np.exp(-self.kappa * dt)
         sd = self.sigma * np.sqrt(-np.expm1(-2.0 * self.kappa * dt) / (2.0 * self.kappa))
@@ -181,12 +150,23 @@ class OrnsteinUhlenbeck(_Diffusion):
     def square_integral(self, T: float) -> float:
         k, th, x0, sg = self.kappa, self.theta, self.x0, self.sigma
         if k == 0.0:
-            return BrownianMartingale(x0, sg).square_integral(T)
+            return x0**2 * T + sg**2 * T**2 / 2.0
         e1 = -math.expm1(-k * T)
         e2 = -math.expm1(-2.0 * k * T)
         mean_sq = th**2 * T + 2.0 * th * (x0 - th) * e1 / k + (x0 - th) ** 2 * e2 / (2.0 * k)
         var = sg**2 / (2.0 * k) * (T - e2 / (2.0 * k))
         return mean_sq + var
+
+    def scaling_law(self, T: float) -> tuple[float, float]:
+        return 0.5, self.sigma**2 * T
+
+
+@dataclass(frozen=True)
+class BrownianMartingale(OrnsteinUhlenbeck):
+    """x0 + sigma * W: the kappa = 0, theta = 0 case, a kind of its own in sums."""
+
+    kappa: float = field(default=0.0, init=False, repr=False)
+    theta: float = field(default=0.0, init=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -240,15 +220,6 @@ TermList = Tuple[Tuple[float, DemandProcess], ...]
 
 class CombinationError(ValueError):
     """Raised when a weighted sum of processes has no closed-form representation."""
-
-
-def validate_process(process: DemandProcess, n_nodes: int | None = None) -> list[str]:
-    """Return a list of invariant violations (empty when the process is valid)."""
-    return process.problems(n_nodes)
-
-
-def is_deterministic(process: DemandProcess) -> bool:
-    return process.deterministic
 
 
 def _stochastic_kind(process: DemandProcess):

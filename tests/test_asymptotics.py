@@ -1,5 +1,6 @@
 """Liquidity-cost identities, scaling laws, and the price-convergence proxy."""
 
+import hashlib
 import logging
 import math
 import tracemalloc
@@ -177,6 +178,29 @@ def test_monte_carlo_reproducibility_and_worker_invariance():
     c, tc = simulate_costs(setting, dem, 1e-2, 600, seed=21, chunk=97, workers=3)
     np.testing.assert_array_equal(a, c)
     np.testing.assert_array_equal(ta, tc)
+
+
+@pytest.mark.parametrize(
+    "demand, cost_sha256, track_sha256",
+    [
+        (
+            BrownianMartingale(0.0, 1.0),
+            "482175ba24e2f1ba6381d847d1d5c6d563f2f2e0c5732f0737f2719b775591cf",
+            "ecf786ddacac4dbb2ca1aa28751d39d41e573a69e5e9379ecdbd176fe71a53c3",
+        ),
+        (
+            SmoothRate(BrownianMartingale(0.0, 1.0)),
+            "9b7fe8228b34090f08ac46627468dcbe7624d0e613dcbfd3d4aa1e53708976ba",
+            "fea2620b833517e4b0808b8846d6081a1efe169edd1d2c218d81c6cca5c7447f",
+        ),
+    ],
+    ids=["brownian", "smooth-brownian"],
+)
+def test_brownian_sweep_bytes_are_pinned(demand, cost_sha256, track_sha256):
+    # recorded while Brownian motion had a stepper and G coefficients of its own
+    costs, tracks = simulate_costs(DealerSetting(n_dealers=2), demand, 1e-2, 64, 7)
+    assert hashlib.sha256(costs.tobytes()).hexdigest() == cost_sha256
+    assert hashlib.sha256(tracks.tobytes()).hexdigest() == track_sha256
 
 
 @pytest.mark.parametrize(

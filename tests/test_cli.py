@@ -245,6 +245,48 @@ def test_equilibrium_config_errors(tmp_path):
     assert main(["equilibrium", "--config", str(frictionless), "--out", str(tmp_path)]) == 1
 
 
+SEED_RANGE = "seed must lie in [0, 2**64)"
+
+
+@pytest.mark.parametrize(
+    "argv, config, named",
+    [
+        (["scaling-diffusive", "--seed", "-1", "--paths", "4", "--lambda", "1e-2"], None,
+         SEED_RANGE),
+        (["diffusive", "--seed", "-1", "--steps", "50"], None, SEED_RANGE),
+        (["diffusive", "--seed", str(2**64), "--steps", "50"], None, SEED_RANGE),
+        (["equilibrium", "--seed", "-3"],
+         CONFIG.replace("process = zero", "process = brownian:0,1"), SEED_RANGE),
+        (["liquidation", "--xi-c", "nan"], None, "--xi-c"),
+        (["oracle-check", "--rho-d", "nan"], None, "--rho-d"),
+        (["oracle-check", "--lambda", "nan"], None, "--lambda"),
+        (["oracle-check", "--lambda", "inf"], None, "--lambda"),
+        (["diffusive", "--sigma-xi", "inf", "--steps", "50"], None, "--sigma-xi"),
+        (["scaling-smooth", "--lambda", "inf"], None, "--lambda"),
+        (["scaling-diffusive", "--lambda", "1e-2,nan"], None, "--lambda"),
+        (["equilibrium"], CONFIG.replace("impact_cost = 0.1", "impact_cost = nan"),
+         "impact cost"),
+        (["equilibrium"], CONFIG.replace("open_cost = 0\n", "open_cost = nan\n"),
+         "open-market cost"),
+        (["oracle-check", "--lambda", "0"], None, "frictionless"),
+        (["oracle-check", "--lambda", "-1"], None, "impact cost must be >= 0"),
+    ],
+    ids=["seed-scaling-diffusive", "seed-diffusive-negative", "seed-diffusive-2**64",
+         "seed-equilibrium", "xi-c-nan", "rho-d-nan", "lambda-nan", "lambda-inf", "sigma-xi-inf",
+         "scaling-smooth-inf", "scaling-diffusive-nan", "ini-impact-cost-nan", "ini-open-cost-nan",
+         "oracle-frictionless", "oracle-negative-lambda"],
+)
+def test_invalid_input_exits_one_naming_it(tmp_path, capsys, argv, config, named):
+    if config is not None:
+        cfg = tmp_path / "market.ini"
+        cfg.write_text(config)
+        argv = argv + ["--config", str(cfg)]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_lambda_list_exits_one(tmp_path):
     assert main(["scaling-smooth", "--out", str(tmp_path), "--lambda", "abc"]) == 1
 

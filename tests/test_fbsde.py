@@ -7,7 +7,6 @@ import pytest
 
 from dealerlab.fbsde import (
     RealizedDriver,
-    conditional_kernel_integral,
     fbsde_residual,
     heun_path,
     heun_step,
@@ -18,10 +17,10 @@ from dealerlab.fbsde import (
 from dealerlab.kernel import (
     DeltaParam,
     Horizon,
+    KernelWeight,
+    _ou_weight,
     eval_F,
     eval_k,
-    ou_kernel_weight,
-    ou_sinh_weight,
     simpson,
     stable_sech,
 )
@@ -70,6 +69,23 @@ def closed_form_position_constant(c, delta, grid):
     b = math.sqrt(delta)
     T = grid[-1]
     return (1.0 - stable_cosh_ratio(b * (T - grid), b * T)) * c
+
+
+def conditional_kernel_integral(process, d, t, horizon, state=None):
+    """Pointwise G(t, state) for a single process through its table entries.
+
+    ``state`` is the realized value of a stochastic process at t (and, for
+    smooth-rate processes, the pair (level, rate)).  t joins the grid unless
+    it is a node; grid-sampled kinds require t to be a node.
+    """
+    grid = np.union1d(horizon.grid, [t])
+    i = int(np.searchsorted(grid, t))
+    if process.deterministic:
+        state = realize(process, Horizon(horizon.T, grid)).state(i)
+    elif not isinstance(state, tuple):
+        state = (state,)
+    coef = process.g_coefficients(KernelWeight(d, grid, horizon.T))
+    return float(process.g(coef, state, i))
 
 
 # ----------------------------------------------------------------------
@@ -138,10 +154,10 @@ def test_ou_weights_degenerate_at_kappa_zero():
     d = DeltaParam.from_value(50.0)
     tau = np.linspace(0.0, 1.0, 11)
     np.testing.assert_allclose(
-        ou_kernel_weight(d, 0.0, tau), d.sqrt_delta * np.tanh(d.sqrt_delta * tau), rtol=1e-12
+        _ou_weight(d, 0.0, tau, 1.0), d.sqrt_delta * np.tanh(d.sqrt_delta * tau), rtol=1e-12
     )
     np.testing.assert_allclose(
-        ou_sinh_weight(d, 0.0, tau), 1.0 - stable_sech(d.sqrt_delta * tau), rtol=1e-12, atol=1e-15
+        _ou_weight(d, 0.0, tau, -1.0), 1.0 - stable_sech(d.sqrt_delta * tau), rtol=1e-12, atol=1e-15
     )
 
 
@@ -150,8 +166,8 @@ def test_ou_weight_continuous_through_resonance():
     d = DeltaParam.from_value(50.0)
     b = d.sqrt_delta
     tau = np.array([0.7])
-    at = float(ou_kernel_weight(d, b, tau)[0])
-    near = float(ou_kernel_weight(d, b * (1 + 1e-9), tau)[0])
+    at = float(_ou_weight(d, b, tau, 1.0)[0])
+    near = float(_ou_weight(d, b * (1 + 1e-9), tau, 1.0)[0])
     oracle = simpson(
         lambda s: eval_k(d, 0.3, s, 1.0) * np.exp(-b * (s - 0.3)), 0.3, 1.0, panels=100_000
     )
@@ -162,8 +178,8 @@ def test_ou_weight_continuous_through_resonance():
 def test_ou_weight_huge_delta_finite():
     d = DeltaParam.from_value(1e8)
     tau = np.linspace(0.0, 1.0, 5)
-    assert np.all(np.isfinite(ou_kernel_weight(d, 3.0, tau)))
-    assert np.all(np.isfinite(ou_sinh_weight(d, 3.0, tau)))
+    assert np.all(np.isfinite(_ou_weight(d, 3.0, tau, 1.0)))
+    assert np.all(np.isfinite(_ou_weight(d, 3.0, tau, -1.0)))
 
 
 def test_resonance_band_is_logged(caplog):
@@ -171,11 +187,11 @@ def test_resonance_band_is_logged(caplog):
 
     d = DeltaParam.from_value(50.0)
     with caplog.at_level(logging.DEBUG, logger="dealerlab.kernel"):
-        ou_kernel_weight(d, d.sqrt_delta, np.array([0.5]))
+        _ou_weight(d, d.sqrt_delta, np.array([0.5]), 1.0)
     assert any("resonance" in rec.message for rec in caplog.records)
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="dealerlab.kernel"):
-        ou_kernel_weight(d, 2.0 * d.sqrt_delta, np.array([0.5]))
+        _ou_weight(d, 2.0 * d.sqrt_delta, np.array([0.5]), 1.0)
     assert not caplog.records
 
 

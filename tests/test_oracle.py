@@ -154,6 +154,19 @@ def test_singular_system_raises_runtime_error():
         assemble_and_solve(params, 20)
 
 
+def test_oracle_gap_validates_the_market_before_solving(monkeypatch):
+    # the same frictionless market: a configuration error, and no solve is attempted
+    h = Horizon.uniform(1.0, 20)
+    params = MarketParams(h, 0.0, (AgentSpec("d", 1.0, 0.1, 0.0, target=Constant(-1.0)),))
+
+    def no_solve(*args):
+        raise AssertionError("solved an invalid market")
+
+    monkeypatch.setattr(oracle, "assemble_and_solve", no_solve)
+    with pytest.raises(ValueError, match="frictionless"):
+        oracle_gap(params, [20])
+
+
 def test_clearing_holds_at_solver_tolerance():
     params = liquidation_params(150)
     disc = assemble_and_solve(params, 150)

@@ -80,6 +80,16 @@ def test_streams_are_distinct():
     assert not np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_the_philox_key_range_is_a_value_error(seed):
+    with pytest.raises(ValueError, match=rf"seed must lie in \[0, 2\*\*64\), got {seed}"):
+        substream(seed, 0)
+    h = Horizon.uniform(1.0, 4)
+    with pytest.raises(ValueError, match="seed"):
+        realize(BrownianMartingale(0.0, 1.0), h, seed=seed)
+    assert substream(2**64 - 1, 0).standard_normal() == substream(2**64 - 1, 0).standard_normal()
+
+
 def test_zero_sigma_brownian_is_constant():
     h = Horizon.uniform(1.0, 50)
     path = realize(BrownianMartingale(x0=2.5, sigma=0.0), h, seed=3).values

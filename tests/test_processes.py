@@ -1,7 +1,9 @@
-"""Process-family validation and weighted-combination rules."""
+"""Process-family validation, the diffusion table and weighted-combination rules."""
 
+import numpy as np
 import pytest
 
+from dealerlab.kernel import DeltaParam, Horizon, KernelWeight
 from dealerlab.processes import (
     BrownianMartingale,
     CombinationError,
@@ -11,33 +13,70 @@ from dealerlab.processes import (
     SmoothRate,
     ZERO,
     combine,
-    is_deterministic,
-    validate_process,
 )
 
 
 def test_validation_flags_bad_parameters():
-    assert validate_process(BrownianMartingale(0.0, -1.0))
-    assert validate_process(OrnsteinUhlenbeck(0.0, -0.5, 0.0, 1.0))
-    assert validate_process(OrnsteinUhlenbeck(0.0, 0.5, 0.0, -1.0))
-    assert validate_process(Deterministic((1.0, 2.0)), n_nodes=3)
-    assert not validate_process(Deterministic((1.0, 2.0, 3.0)), n_nodes=3)
-    assert not validate_process(BrownianMartingale(0.0, 1.0))
+    assert BrownianMartingale(0.0, -1.0).problems()
+    assert OrnsteinUhlenbeck(0.0, -0.5, 0.0, 1.0).problems()
+    assert OrnsteinUhlenbeck(0.0, 0.5, 0.0, -1.0).problems()
+    assert Deterministic((1.0, 2.0)).problems(3)
+    assert not Deterministic((1.0, 2.0, 3.0)).problems(3)
+    assert not BrownianMartingale(0.0, 1.0).problems()
 
 
 def test_smooth_rate_nesting_depth_one():
     nested = SmoothRate(SmoothRate(Constant(1.0)))
-    assert validate_process(nested)
-    assert not validate_process(SmoothRate(Constant(1.0)))
+    assert nested.problems()
+    assert not SmoothRate(Constant(1.0)).problems()
 
 
 def test_is_deterministic():
-    assert is_deterministic(ZERO)
-    assert is_deterministic(Constant(2.0))
-    assert is_deterministic(Deterministic((0.0, 1.0)))
-    assert is_deterministic(SmoothRate(Constant(1.0)))
-    assert not is_deterministic(BrownianMartingale(0.0, 1.0))
-    assert not is_deterministic(SmoothRate(OrnsteinUhlenbeck(0.0, 1.0, 0.0, 1.0)))
+    assert ZERO.deterministic
+    assert Constant(2.0).deterministic
+    assert Deterministic((0.0, 1.0)).deterministic
+    assert SmoothRate(Constant(1.0)).deterministic
+    assert not BrownianMartingale(0.0, 1.0).deterministic
+    assert not SmoothRate(OrnsteinUhlenbeck(0.0, 1.0, 0.0, 1.0)).deterministic
+
+
+def test_brownian_is_the_kappa_zero_diffusion_in_name_only():
+    bm = BrownianMartingale(0.3, 1.5)
+    assert isinstance(bm, OrnsteinUhlenbeck)
+    assert (bm.kappa, bm.theta) == (0.0, 0.0)
+    assert repr(bm) == "BrownianMartingale(x0=0.3, sigma=1.5)"
+    assert bm == BrownianMartingale(0.3, 1.5)
+    assert hash(bm) == hash(BrownianMartingale(0.3, 1.5))
+    assert bm != OrnsteinUhlenbeck(0.3, 0.0, 0.0, 1.5)
+    with pytest.raises(TypeError):
+        BrownianMartingale(0.3, 0.0, 0.0, 1.5)
+
+
+def test_brownian_and_kappa_zero_ou_agree_bit_for_bit():
+    bm, ou = BrownianMartingale(0.4, 1.3), OrnsteinUhlenbeck(0.4, 0.0, 0.0, 1.3)
+    h = Horizon.uniform(1.5, 40)
+    z = np.random.default_rng(3).standard_normal((40, 5))
+    states = []
+    for p in (bm, ou):
+        advance, state = p.stepper(h.dt), p.start(5)
+        for i, z_i in enumerate(z):
+            state = advance(state, i, z_i)
+        states.append(state[0])
+    np.testing.assert_array_equal(states[0], states[1])
+    for sign in (1.0, -1.0):
+        weight = KernelWeight(DeltaParam.from_value(30.0), h.grid, h.T, sign)
+        for a, b in zip(bm.g_coefficients(weight), ou.g_coefficients(weight)):
+            np.testing.assert_array_equal(a, b)
+        A, B = bm.g_coefficients(weight)
+        assert not np.any(A)
+        np.testing.assert_array_equal(B, weight.constant())
+        np.testing.assert_array_equal(weight.exponential(0.0), weight.constant())
+    t, s = h.grid[10], h.grid[10:]
+    (bm_mean,), (ou_mean,) = (p.conditional_mean((-0.7,), s, t) for p in (bm, ou))
+    np.testing.assert_array_equal(bm_mean, ou_mean)
+    np.testing.assert_array_equal(bm_mean, -0.7)
+    assert bm.square_integral(1.5) == ou.square_integral(1.5)
+    assert bm.scaling_law(1.5) == ou.scaling_law(1.5)
 
 
 def test_combine_merges_shared_targets():
