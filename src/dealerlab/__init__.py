@@ -29,7 +29,6 @@ from .market import (
     dealers_only_market,
     integrated_market,
     segmented_market,
-    validate,
 )
 from .oracle import DiscreteEquilibrium, assemble_and_solve, oracle_gap
 from .processes import (

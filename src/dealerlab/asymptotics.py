@@ -85,12 +85,6 @@ def liquidity_cost_from_paths(
     return -setting.cost_multiplier(impact_cost) * integrate_against(demand_path, rate_path)
 
 
-def _check_demand(demand: DemandProcess) -> None:
-    problems = demand.problems()
-    if problems:
-        raise ValueError("invalid demand process: " + "; ".join(problems))
-
-
 # ----------------------------------------------------------------------
 # fused Monte Carlo sweep (cost and tracking error per path)
 # ----------------------------------------------------------------------
@@ -179,7 +173,6 @@ def simulate_costs(
     the worker count affect scheduling only, never values.  Each worker's
     sweep holds about ``chunk`` x ``SLICE_STEPS`` x 8 bytes of normals.
     """
-    _check_demand(demand)
     if chunk < 1:
         raise ValueError(f"chunk must be at least 1 path, got {chunk}")
     d = setting.delta(impact_cost)
@@ -292,7 +285,6 @@ def scaling_study(
     the smallest impact cost as mean / lam^order, next to the theory value.
     The impact costs must be distinct; with only one there is no slope.
     """
-    _check_demand(demand)
     order, _ = demand.scaling_law(setting.T)
     lambdas = sorted(float(x) for x in lambdas)
     if len(set(lambdas)) < len(lambdas):

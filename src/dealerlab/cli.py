@@ -25,7 +25,7 @@ from pathlib import Path
 from .asymptotics import DealerSetting, scaling_study
 from .equilibrium import ConsistencyError, solve_equilibrium
 from .kernel import Horizon
-from .market import AgentSpec, MarketParams, validate
+from .market import AgentSpec, MarketParams
 from .oracle import oracle_gap
 from .processes import (
     BrownianMartingale,
@@ -150,8 +150,6 @@ def load_market_config(path: str) -> tuple[MarketParams, dict]:
             )
         except (configparser.NoOptionError, ValueError) as exc:
             raise ConfigError(f"bad [{section}] section: {exc}") from None
-    if T <= 0 or steps < 1:
-        raise ConfigError("horizon and step count must be positive")
     params = MarketParams(Horizon.uniform(T, steps), lam, tuple(agents), noise)
     echo = {s: dict(cp.items(s)) for s in cp.sections()}
     return params, echo
@@ -336,9 +334,6 @@ def cmd_equilibrium(args) -> None:
             params.agents,
             params.noise_demand,
         )
-    diag = validate(params)
-    if not diag.ok:
-        raise ConfigError(str(diag))
     sol = solve_equilibrium(params, seed=args.seed)
     header = ["t", "U_bar", "u_bar", "mu", "price_dev", "K_N", "xi_bar"]
     cols = [

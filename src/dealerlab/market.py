@@ -11,17 +11,11 @@ elasticity is exactly zero, never the result of inf arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 from .kernel import DeltaParam, Horizon, compute_delta
-from .processes import (
-    CombinationError,
-    DemandProcess,
-    TermList,
-    ZERO,
-    combine,
-)
+from .processes import DemandProcess, TermList, ZERO, combine
 
 #: idiosyncratic open-market cost of an agent with no open-market access
 NO_ACCESS = math.inf
@@ -36,6 +30,16 @@ class AgentSpec:
     risk_tolerance: float
     open_cost: float = 0.0
     target: DemandProcess = ZERO
+
+    def __post_init__(self):
+        if not self.mass > 0:
+            raise ValueError(f"agent {self.name}: mass must be positive, got {self.mass}")
+        if not self.risk_tolerance > 0:
+            raise ValueError(
+                f"agent {self.name}: risk tolerance must be positive, got {self.risk_tolerance}"
+            )
+        if not self.open_cost >= 0:
+            raise ValueError(f"agent {self.name}: open-market cost must be >= 0 or inf")
 
     @property
     def has_open_access(self) -> bool:
@@ -53,6 +57,18 @@ class MarketParams:
 
     def __post_init__(self):
         object.__setattr__(self, "agents", tuple(self.agents))
+        if not self.agents:
+            raise ValueError("agent list is empty")
+        if len({a.name for a in self.agents}) != len(self.agents):
+            raise ValueError("agent names must be unique")
+        if not self.impact_cost >= 0:
+            raise ValueError(f"common impact cost must be >= 0, got {self.impact_cost}")
+        for a in self.agents:
+            if not self.impact_cost + a.open_cost > 0:
+                raise ValueError(
+                    f"agent {a.name}: frictionless open-market trading "
+                    "(impact_cost + open_cost must be positive)"
+                )
 
 
 @dataclass(frozen=True)
@@ -67,20 +83,6 @@ class Aggregates:
     delta: DeltaParam
 
 
-@dataclass
-class Diagnostics:
-    """Outcome of validate(): every violated invariant, or none."""
-
-    problems: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems
-
-    def __str__(self) -> str:
-        return "ok" if self.ok else "; ".join(self.problems)
-
-
 def elasticity(agent: AgentSpec, impact_cost: float) -> float:
     """Agent elasticity 1/(mass*impact_cost + open_cost); exactly 0 without access."""
     if not agent.has_open_access:
@@ -88,47 +90,12 @@ def elasticity(agent: AgentSpec, impact_cost: float) -> float:
     return 1.0 / (agent.mass * impact_cost + agent.open_cost)
 
 
-def validate(params: MarketParams) -> Diagnostics:
-    """Check every standing assumption; returns diagnostics instead of raising."""
-    d = Diagnostics()
-    if not params.agents:
-        d.problems.append("agent list is empty")
-    if not params.impact_cost >= 0:
-        d.problems.append(f"common impact cost must be >= 0, got {params.impact_cost}")
-    names = [a.name for a in params.agents]
-    if len(set(names)) != len(names):
-        d.problems.append("agent names must be unique")
-    n_nodes = params.horizon.grid.size
-    for a in params.agents:
-        if not a.mass > 0:
-            d.problems.append(f"agent {a.name}: mass must be positive, got {a.mass}")
-        if not a.risk_tolerance > 0:
-            d.problems.append(
-                f"agent {a.name}: risk tolerance must be positive, got {a.risk_tolerance}"
-            )
-        if not a.open_cost >= 0:
-            d.problems.append(f"agent {a.name}: open-market cost must be >= 0 or inf")
-        if params.impact_cost + a.open_cost <= 0:
-            d.problems.append(
-                f"agent {a.name}: frictionless open-market trading "
-                "(impact_cost + open_cost must be positive)"
-            )
-        for msg in a.target.problems(n_nodes):
-            d.problems.append(f"agent {a.name} target: {msg}")
-    for msg in params.noise_demand.problems(n_nodes):
-        d.problems.append(f"noise demand: {msg}")
-    return d
-
-
 def aggregate(params: MarketParams) -> Aggregates:
-    """Elasticities, aggregates, and the mesh rate for a validated market.
+    """Elasticities, aggregates, and the mesh rate of a market.
 
     Rejects markets where nobody can reach the open market (the mesh rate
     is undefined there) and target mixes outside the supported family.
     """
-    diag = validate(params)
-    if not diag.ok:
-        raise ValueError(f"invalid market parameters: {diag}")
     lam = params.impact_cost
     eta_a = tuple(elasticity(a, lam) for a in params.agents)
     eta_bar = sum(a.mass * e for a, e in zip(params.agents, eta_a))
@@ -136,10 +103,7 @@ def aggregate(params: MarketParams) -> Aggregates:
         raise ValueError("no agent can access the open market (aggregate elasticity is 0)")
     eta = math.inf if lam == 0 else 1.0 / lam
     rho_bar = sum(a.mass * a.risk_tolerance for a in params.agents)
-    try:
-        xi_bar = combine((a.mass, a.target) for a in params.agents)
-    except CombinationError as exc:
-        raise ValueError(str(exc)) from None
+    xi_bar = combine((a.mass, a.target) for a in params.agents)
     delta = compute_delta(rho_bar, eta, eta_bar)
     return Aggregates(
         eta_a=eta_a,

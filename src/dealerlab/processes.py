@@ -10,8 +10,9 @@ expectation the equilibrium needs stays closed form:
   ``combine`` tells the two apart (a sum may not mix them),
 * ``SmoothRate`` -- the running integral of one of the above (depth 1).
 
-Each kind states once what the rest of the package asks of it: its
-invariants (``problems``) and ``deterministic`` flag; its ``path`` on a grid,
+Each kind validates itself when it is built (a ``ValueError`` names the
+first bad field), and states once what the rest of the package asks of it:
+its ``deterministic`` flag; its ``path`` on a grid,
 or for stochastic kinds its ``start`` state and per-step ``stepper`` on unit
 normals (a state is ``(x,)``, or ``(x, rate)`` for a smooth rate); the
 coefficients of G_t = E_t[integral_t^T k(t, s) X_s ds] = A_t + B_t * x_t,
@@ -42,10 +43,6 @@ class DemandProcess:
     __slots__ = ()
     deterministic = True
 
-    def problems(self, n_nodes: int | None = None) -> list[str]:
-        """Invariant violations (empty when the process is valid)."""
-        return []
-
     def g(self, coef, state: tuple, i):
         """G at node(s) ``i`` from the state there and ``g_coefficients``."""
         A, B = coef
@@ -65,6 +62,10 @@ class DemandProcess:
 @dataclass(frozen=True)
 class Constant(DemandProcess):
     level: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.level):
+            raise ValueError(f"level must be finite, got {self.level}")
 
     def path(self, grid: np.ndarray) -> tuple:
         return (np.full(grid.size, self.level),)
@@ -90,17 +91,17 @@ class Deterministic(DemandProcess):
     values: Tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-
-    def problems(self, n_nodes: int | None = None) -> list[str]:
-        if n_nodes is not None and len(self.values) != n_nodes:
-            return [f"deterministic path has {len(self.values)} samples, grid has {n_nodes} nodes"]
-        return []
+        values = tuple(float(v) for v in self.values)
+        bad = [v for v in values if not math.isfinite(v)]
+        if bad:
+            raise ValueError(f"deterministic samples must be finite, got {bad[0]}")
+        object.__setattr__(self, "values", values)
 
     def path(self, grid: np.ndarray) -> tuple:
-        problems = self.problems(grid.size)
-        if problems:
-            raise ValueError(problems[0])
+        if len(self.values) != grid.size:
+            raise ValueError(
+                f"deterministic path has {len(self.values)} samples, grid has {grid.size} nodes"
+            )
         return (np.asarray(self.values, dtype=float),)
 
     def g_coefficients(self, weight: KernelWeight) -> tuple:
@@ -123,9 +124,13 @@ class OrnsteinUhlenbeck(DemandProcess):
     sigma: float
     deterministic = False
 
-    def problems(self, n_nodes: int | None = None) -> list[str]:
-        rates = (("sigma", self.sigma), ("kappa", self.kappa))
-        return [f"{name} must be >= 0, got {value}" for name, value in rates if not value >= 0]
+    def __post_init__(self):
+        for name in ("x0", "theta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("kappa", "sigma"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be >= 0 and finite, got {getattr(self, name)}")
 
     def start(self, shape) -> tuple:
         return (np.full(shape, self.x0),)
@@ -179,10 +184,9 @@ class SmoothRate(DemandProcess):
     def deterministic(self) -> bool:
         return self.rate.deterministic
 
-    def problems(self, n_nodes: int | None = None) -> list[str]:
+    def __post_init__(self):
         if isinstance(self.rate, SmoothRate):
-            return ["smooth-rate nesting is limited to depth 1"]
-        return self.rate.problems(n_nodes)
+            raise ValueError("smooth-rate nesting is limited to depth 1")
 
     def path(self, grid: np.ndarray) -> tuple:
         (rate,) = self.rate.path(grid)

@@ -270,11 +270,24 @@ SEED_RANGE = "seed must lie in [0, 2**64)"
          "open-market cost"),
         (["oracle-check", "--lambda", "0"], None, "frictionless"),
         (["oracle-check", "--lambda", "-1"], None, "impact cost must be >= 0"),
+        (["equilibrium"], CONFIG.replace("constant:-1", "constant:nan"),
+         "'constant:nan': level must be finite"),
+        (["equilibrium"], CONFIG.replace("process = zero", "process = brownian:nan,1"),
+         "'brownian:nan,1': x0 must be finite"),
+        (["equilibrium"], CONFIG.replace("constant:-1", "ou:0,1,inf,1"),
+         "'ou:0,1,inf,1': theta must be finite"),
+        (["equilibrium"], CONFIG.replace("constant:-1", "smooth:ou:0,1,0,nan"),
+         "'smooth:ou:0,1,0,nan'"),
+        (["equilibrium"], CONFIG.replace("constant:-1", "deterministic:0,nan,1"),
+         "'deterministic:0,nan,1': deterministic samples must be finite"),
+        (["equilibrium", "--steps", "50"], CONFIG.replace("constant:-1", "deterministic:0,1,2"),
+         "deterministic path has 3 samples, grid has 51 nodes"),
     ],
     ids=["seed-scaling-diffusive", "seed-diffusive-negative", "seed-diffusive-2**64",
          "seed-equilibrium", "xi-c-nan", "rho-d-nan", "lambda-nan", "lambda-inf", "sigma-xi-inf",
          "scaling-smooth-inf", "scaling-diffusive-nan", "ini-impact-cost-nan", "ini-open-cost-nan",
-         "oracle-frictionless", "oracle-negative-lambda"],
+         "oracle-frictionless", "oracle-negative-lambda", "ini-constant-nan", "ini-brownian-nan",
+         "ini-ou-inf", "ini-smooth-nan", "ini-deterministic-nan", "ini-deterministic-grid"],
 )
 def test_invalid_input_exits_one_naming_it(tmp_path, capsys, argv, config, named):
     if config is not None:
@@ -284,6 +297,17 @@ def test_invalid_input_exits_one_naming_it(tmp_path, capsys, argv, config, named
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 1
     assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_nan_equilibrium_exits_two(tmp_path, capsys):
+    # a vanishing dealer mass makes the dealer's share inf/inf; no NaN report is written
+    cfg = tmp_path / "market.ini"
+    cfg.write_text(CONFIG.replace("mass = 0.5\nrisk_tolerance = 0.1\nopen_cost = 0\n",
+                                  "mass = 1e-320\nrisk_tolerance = 0.1\nopen_cost = 0\n"))
+    out = tmp_path / "out"
+    assert main(["equilibrium", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "'foc': nan" in capsys.readouterr().err
     assert not out.exists()
 
 

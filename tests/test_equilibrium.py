@@ -84,6 +84,23 @@ def test_consistency_error_on_tampered_solution():
         solve_equilibrium(params, check_tol=-1.0)
 
 
+def test_nan_residuals_fail_the_identity_check():
+    # the first agent's NaN is not hidden by the later agents' finite residuals
+    params = liquidation_params()
+    sol = solve_equilibrium(params)
+    sol.agents["dealer0"].U[5] = math.nan
+    report = consistency_report(sol, params)
+    assert math.isnan(report["foc"]) and math.isnan(report["share"])
+    # a vanishing mass overflows the dealer's elasticity: its share eta_a/eta_bar is inf/inf
+    tiny = MarketParams(
+        Horizon.uniform(1.0, 50),
+        0.1,
+        (AgentSpec("dealer", 1e-320, 0.1), AgentSpec("client", 0.5, 0.1, NO_ACCESS, Constant(-1.0))),
+    )
+    with pytest.raises(ConsistencyError, match="'foc': nan, 'share': nan"):
+        solve_equilibrium(tiny)
+
+
 def test_delta_price_weight_identity():
     # delta * (1/eta + 1/eta_bar) = 1/rho_bar, pure arithmetic
     for M in (1, 2, 7):

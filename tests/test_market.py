@@ -15,7 +15,6 @@ from dealerlab.market import (
     elasticity,
     integrated_market,
     segmented_market,
-    validate,
 )
 from dealerlab.processes import BrownianMartingale, Constant, OrnsteinUhlenbeck
 
@@ -101,35 +100,39 @@ def test_aggregate_deterministic():
 
 
 def test_validate_flags_frictionless_access():
-    params = MarketParams(H, 0.0, (AgentSpec("d", 1.0, 0.1, open_cost=0.0),))
-    diag = validate(params)
-    assert not diag.ok
-    assert any("frictionless" in p for p in diag.problems)
+    with pytest.raises(ValueError, match="agent d: frictionless open-market trading"):
+        MarketParams(H, 0.0, (AgentSpec("d", 1.0, 0.1, open_cost=0.0),))
 
 
 def test_validate_ok_market():
     params = MarketParams(H, 0.1, (AgentSpec("d", 1.0, 0.1, open_cost=0.0),))
-    assert validate(params).ok
+    assert aggregate(params).eta_bar == pytest.approx(10.0)
 
 
 def test_validate_empty_agent_list():
-    diag = validate(MarketParams(H, 0.1, ()))
-    assert not diag.ok
-    assert any("empty" in p for p in diag.problems)
+    with pytest.raises(ValueError, match="empty"):
+        MarketParams(H, 0.1, ())
 
 
 def test_validate_reports_every_violation():
-    bad = MarketParams(
-        H,
-        0.0,
-        (
-            AgentSpec("a", -1.0, 0.1, open_cost=0.0),
-            AgentSpec("b", 1.0, -0.5, open_cost=1.0),
-            AgentSpec("b", 1.0, 0.1, open_cost=0.0, target=BrownianMartingale(0.0, -1.0)),
-        ),
-    )
-    diag = validate(bad)
-    assert len(diag.problems) >= 4
+    # each violation on its own, every check NaN-safe; the error names it
+    dealer = AgentSpec("d", 1.0, 0.1)
+    cases = [
+        (lambda: AgentSpec("a", -1.0, 0.1), "agent a: mass must be positive, got -1.0"),
+        (lambda: AgentSpec("a", math.nan, 0.1), "agent a: mass must be positive, got nan"),
+        (lambda: AgentSpec("b", 1.0, -0.5), "agent b: risk tolerance must be positive"),
+        (lambda: AgentSpec("b", 1.0, math.nan), "agent b: risk tolerance must be positive"),
+        (lambda: AgentSpec("c", 1.0, 0.1, open_cost=-1.0), "agent c: open-market cost"),
+        (lambda: AgentSpec("c", 1.0, 0.1, open_cost=math.nan), "agent c: open-market cost"),
+        (lambda: AgentSpec("t", 1.0, 0.1, target=BrownianMartingale(0.0, -1.0)), "sigma"),
+        (lambda: MarketParams(H, 0.1, (dealer, dealer)), "agent names must be unique"),
+        (lambda: MarketParams(H, -0.1, (dealer,)), "common impact cost must be >= 0"),
+        (lambda: MarketParams(H, math.nan, (dealer,)), "common impact cost must be >= 0"),
+        (lambda: MarketParams(H, 0.0, (dealer,)), "frictionless"),
+    ]
+    for build, message in cases:
+        with pytest.raises(ValueError, match=message):
+            build()
 
 
 def test_aggregate_rejects_no_open_access():

@@ -147,24 +147,13 @@ def test_oracle_rejects_oversized_system():
 
 
 def test_singular_system_raises_runtime_error():
-    # zero impact and open-market cost leave the last open-market rate undetermined
+    # zero impact and open-market cost leave the last open-market rate undetermined;
+    # MarketParams rejects that market, so its impact cost is zeroed after the checks
     h = Horizon.uniform(1.0, 20)
-    params = MarketParams(h, 0.0, (AgentSpec("d", 1.0, 0.1, 0.0, target=Constant(-1.0)),))
+    params = MarketParams(h, 0.1, (AgentSpec("d", 1.0, 0.1, 0.0, target=Constant(-1.0)),))
+    object.__setattr__(params, "impact_cost", 0.0)
     with pytest.raises(RuntimeError, match="singular"):
         assemble_and_solve(params, 20)
-
-
-def test_oracle_gap_validates_the_market_before_solving(monkeypatch):
-    # the same frictionless market: a configuration error, and no solve is attempted
-    h = Horizon.uniform(1.0, 20)
-    params = MarketParams(h, 0.0, (AgentSpec("d", 1.0, 0.1, 0.0, target=Constant(-1.0)),))
-
-    def no_solve(*args):
-        raise AssertionError("solved an invalid market")
-
-    monkeypatch.setattr(oracle, "assemble_and_solve", no_solve)
-    with pytest.raises(ValueError, match="frictionless"):
-        oracle_gap(params, [20])
 
 
 def test_clearing_holds_at_solver_tolerance():

@@ -1,5 +1,8 @@
 """Process-family validation, the diffusion table and weighted-combination rules."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from dealerlab.processes import (
     BrownianMartingale,
     CombinationError,
     Constant,
+    DemandProcess,
     Deterministic,
     OrnsteinUhlenbeck,
     SmoothRate,
@@ -17,18 +21,54 @@ from dealerlab.processes import (
 
 
 def test_validation_flags_bad_parameters():
-    assert BrownianMartingale(0.0, -1.0).problems()
-    assert OrnsteinUhlenbeck(0.0, -0.5, 0.0, 1.0).problems()
-    assert OrnsteinUhlenbeck(0.0, 0.5, 0.0, -1.0).problems()
-    assert Deterministic((1.0, 2.0)).problems(3)
-    assert not Deterministic((1.0, 2.0, 3.0)).problems(3)
-    assert not BrownianMartingale(0.0, 1.0).problems()
+    for build, field in [
+        (lambda: BrownianMartingale(0.0, -1.0), "sigma must be >= 0"),
+        (lambda: OrnsteinUhlenbeck(0.0, -0.5, 0.0, 1.0), "kappa must be >= 0"),
+        (lambda: OrnsteinUhlenbeck(0.0, 0.5, 0.0, -1.0), "sigma must be >= 0"),
+        (lambda: Constant(float("nan")), "level must be finite"),
+        (lambda: Deterministic((1.0, float("inf"))), "samples must be finite, got inf"),
+    ]:
+        with pytest.raises(ValueError, match=field):
+            build()
+    BrownianMartingale(0.0, 1.0)
+    OrnsteinUhlenbeck(0.0, 0.0, 0.0, 0.0)
+
+
+def test_deterministic_path_must_fit_the_grid():
+    grid = Horizon.uniform(1.0, 5).grid
+    assert Deterministic(tuple(range(6))).path(grid)[0].tolist() == list(range(6))
+    with pytest.raises(ValueError, match="has 3 samples, grid has 6 nodes"):
+        Deterministic((1.0, 2.0, 3.0)).path(grid)
 
 
 def test_smooth_rate_nesting_depth_one():
-    nested = SmoothRate(SmoothRate(Constant(1.0)))
-    assert nested.problems()
-    assert not SmoothRate(Constant(1.0)).problems()
+    with pytest.raises(ValueError, match="depth 1"):
+        SmoothRate(SmoothRate(Constant(1.0)))
+    SmoothRate(Constant(1.0))
+
+
+def _subclasses(kind):
+    for sub in kind.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_kind_rejects_non_finite_numbers():
+    # a new kind joins this check by subclassing DemandProcess; a field type missing
+    # from ``valid`` fails it with a KeyError
+    valid = {"float": 1.0, "Tuple[float, ...]": (1.0, 1.0), "DemandProcess": Constant(1.0)}
+    kinds = {k for k in _subclasses(DemandProcess) if dataclasses.is_dataclass(k)}
+    assert {Constant, Deterministic, OrnsteinUhlenbeck, BrownianMartingale, SmoothRate} <= kinds
+    for kind in kinds:
+        fields = [f for f in dataclasses.fields(kind) if f.init]
+        args = {f.name: valid[f.type] for f in fields}
+        kind(**args)
+        for f in fields:
+            for x in (math.nan, math.inf, -math.inf):
+                bad = {"float": x, "Tuple[float, ...]": (1.0, x)}.get(f.type)
+                if bad is not None:
+                    with pytest.raises(ValueError, match="finite"):
+                        kind(**{**args, f.name: bad})
 
 
 def test_is_deterministic():
