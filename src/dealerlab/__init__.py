@@ -8,7 +8,6 @@ liquidity-cost scaling studies, and the segmentation-welfare comparison.
 from .asymptotics import (
     DealerSetting,
     LiquidityCostReport,
-    convergence_check,
     scaling_study,
     simulate_costs,
 )

@@ -1,12 +1,14 @@
 """Liquidity costs of noise-trader demand and their small-impact-cost scaling laws.
 
 Setting: M identical dealers of mass 1/M and risk tolerance rho_d absorb
-an exogenous demand K^N; the mesh rate is delta = M/(lam rho_d (M+1)).
-The noise traders' cost of trading through the dealers rather than at the
-fundamental price is computed D-free through the integration-by-parts
-identity
+an exogenous demand K^N.  The mesh rate delta = M/(lam rho_d (M+1)) and the
+impact weight 1/eta + 1/eta_bar = lam (M+1)/M are read from the
+aggregates of that dealers-only market, exactly as the equilibrium reads
+them.  The noise traders' cost of trading through the dealers rather than
+at the fundamental price is computed D-free through the
+integration-by-parts identity
 
-    cost = -lam (M+1)/M * integral K^N du_bar,
+    cost = -(1/eta + 1/eta_bar) * integral K^N du_bar,
 
 discretized with left-endpoint sums.  Two laws are verified numerically:
 smooth demand costs lam (M+1)/M * integral (mu^N)^2 dt + o(lam), while
@@ -27,8 +29,9 @@ import numpy as np
 
 from .fbsde import heun_step, solve_forward
 from .kernel import DeltaParam, Horizon, KernelWeight, eval_F, trapezoid
+from .market import Aggregates, aggregate, dealers_only_market
 from .paths import integrate_against, path_streams, standard_normal_block
-from .processes import DemandProcess
+from .processes import DemandProcess, ZERO
 
 logger = logging.getLogger(__name__)
 
@@ -49,12 +52,12 @@ class DealerSetting:
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
 
-    def delta(self, impact_cost: float) -> DeltaParam:
-        m = self.n_dealers
-        return DeltaParam.from_value(m / (impact_cost * self.rho_d * (m + 1)))
-
-    def cost_multiplier(self, impact_cost: float) -> float:
-        return impact_cost * (self.n_dealers + 1) / self.n_dealers
+    def aggregates(self, impact_cost: float) -> Aggregates:
+        """The dealers-only market's aggregates: its mesh rate and impact weight."""
+        # aggregate never reads the grid, so a one-step horizon serves every study grid
+        return aggregate(dealers_only_market(
+            Horizon.uniform(self.T, 1), impact_cost, self.rho_d, self.n_dealers, ZERO
+        ))
 
 
 STEP_CAP = 1_000_000  # most grid steps a study picks by itself; read at each call
@@ -69,7 +72,7 @@ def steps_for(d: DeltaParam, T: float) -> int:
 
 def _capped_steps(setting: DealerSetting, impact_cost: float, cap: int | None = None):
     """``steps_for`` clipped at ``cap`` (default ``STEP_CAP``), and the logged note of a clip."""
-    wanted = steps_for(setting.delta(impact_cost), setting.T)
+    wanted = steps_for(setting.aggregates(impact_cost).delta, setting.T)
     steps = min(wanted, STEP_CAP if cap is None else cap)
     if steps == wanted:
         return steps, None
@@ -79,10 +82,10 @@ def _capped_steps(setting: DealerSetting, impact_cost: float, cap: int | None = 
 
 
 def liquidity_cost_from_paths(
-    demand_path: np.ndarray, rate_path: np.ndarray, setting: DealerSetting, impact_cost: float
+    demand_path: np.ndarray, rate_path: np.ndarray, impact_weight: float
 ) -> np.ndarray:
-    """-lam (M+1)/M * sum_i K^N_i (u_{i+1} - u_i): the integration-by-parts route."""
-    return -setting.cost_multiplier(impact_cost) * integrate_against(demand_path, rate_path)
+    """-(1/eta + 1/eta_bar) * sum_i K^N_i (u_{i+1} - u_i): the integration-by-parts route."""
+    return -impact_weight * integrate_against(demand_path, rate_path)
 
 
 # ----------------------------------------------------------------------
@@ -112,10 +115,8 @@ def _normal_rows(streams, n_steps: int):
 
 def _chunk_sweep(
     demand: DemandProcess,
-    d: DeltaParam,
+    ag: Aggregates,
     horizon: Horizon,
-    setting: DealerSetting,
-    impact_cost: float,
     seed: int,
     first_path: int,
     n_paths: int,
@@ -131,6 +132,7 @@ def _chunk_sweep(
     """
     dt = horizon.dt
     half_dt = dt * 0.5
+    d = ag.delta
     F = eval_F(d, horizon.grid, horizon.T)
     coef = demand.g_coefficients(KernelWeight(d, horizon.grid, horizon.T))
     advance = demand.stepper(dt)
@@ -152,7 +154,7 @@ def _chunk_sweep(
         x, u = state[0], u_next
         np.square(np.subtract(x, U, out=gap_sq), out=gap_sq)
         track += np.multiply(gap_sq, h, out=work)
-    cost *= -setting.cost_multiplier(impact_cost)
+    cost *= -ag.impact_weight
     return cost, track
 
 
@@ -175,13 +177,13 @@ def simulate_costs(
     """
     if chunk < 1:
         raise ValueError(f"chunk must be at least 1 path, got {chunk}")
-    d = setting.delta(impact_cost)
+    ag = setting.aggregates(impact_cost)
     if steps is None:
         steps, _ = _capped_steps(setting, impact_cost)
     horizon = Horizon.uniform(setting.T, steps)
     if demand.deterministic:
-        fb = solve_forward(demand, d, horizon)
-        cost = liquidity_cost_from_paths(fb.X, fb.u, setting, impact_cost)
+        fb = solve_forward(demand, ag.delta, horizon)
+        cost = liquidity_cost_from_paths(fb.X, fb.u, ag.impact_weight)
         return np.array([cost]), np.array([trapezoid((fb.X - fb.U) ** 2, horizon.grid)])
     if n_paths < 2:
         raise ValueError(f"Monte Carlo needs at least 2 paths, got {n_paths}")
@@ -191,9 +193,7 @@ def simulate_costs(
 
     def run(start: int):
         count = min(chunk, n_paths - start)
-        c, t = _chunk_sweep(
-            demand, d, horizon, setting, impact_cost, seed, start, count
-        )
+        c, t = _chunk_sweep(demand, ag, horizon, seed, start, count)
         costs[start : start + count] = c
         tracks[start : start + count] = t
 
@@ -245,19 +245,23 @@ class LiquidityCostReport:
     stderrs: list
     path_counts: list
     steps: list
-    slope: float | None  # None (null in reports) for a single impact cost
+    slope: float | None  # None (null in reports) for one impact cost or a mean <= 0
     slope_ci: tuple | None
     prefactor: float
     prefactor_stderr: float
     prefactor_theory: float
     order_theory: float
+    track_means: list  # E integral (K^N - U_bar)^2 dt: the price-convergence proxy
+    track_stderrs: list
+    track_monotone_within_2se: bool
+    track_reduction_factor: float | None  # largest-lambda over smallest-lambda mean; None at 0
     seed: int | None = None
     warnings: list = field(default_factory=list)
 
 
 def _slope_fit(lambdas, means) -> tuple[float | None, tuple[float, float] | None]:
-    """Log-log slope and its 95% interval; a single impact cost fits nothing."""
-    if len(lambdas) < 2:
+    """Log-log slope and its 95% interval; one impact cost, or a mean <= 0, fits nothing."""
+    if len(lambdas) < 2 or min(means) <= 0:
         return None, None
     x = np.log(np.asarray(lambdas))
     y = np.log(np.asarray(means))
@@ -277,26 +281,34 @@ def scaling_study(
     workers: int = 1,
     steps_cap: int | None = None,
 ) -> LiquidityCostReport:
-    """Mean cost per impact cost, log-log slope, and the leading-order prefactor.
+    """Mean cost per impact cost, log-log slope, the leading-order prefactor, and tracking.
 
     One ``simulate_costs`` call per impact cost (a deterministic demand is one
     exact row with standard error 0); grids clipped at ``steps_cap`` (default
     ``STEP_CAP``) are listed in the warnings.  The prefactor is read off at
     the smallest impact cost as mean / lam^order, next to the theory value.
     The impact costs must be distinct; with only one there is no slope.
+
+    The same sweeps give the price-convergence proxy E integral
+    (K^N - U_bar)^2 dt, which must fall (within two standard errors) as the
+    open market becomes more liquid; its reduction factor is the mean at the
+    largest impact cost over the mean at the smallest.
     """
     order, _ = demand.scaling_law(setting.T)
     lambdas = sorted(float(x) for x in lambdas)
     if len(set(lambdas)) < len(lambdas):
         raise ValueError(f"impact costs must be distinct, got {lambdas}")
-    costs, steps_used, warnings = [], [], []
+    costs, tracks, steps_used, warnings = [], [], [], []
     for lam in lambdas:
         steps, clipped = _capped_steps(setting, lam, steps_cap)
         if clipped:
             warnings.append(clipped)
         steps_used.append(steps)
-        costs.append(simulate_costs(setting, demand, lam, n_paths, seed, steps, workers)[0])
+        cost, track = simulate_costs(setting, demand, lam, n_paths, seed, steps, workers)
+        costs.append(cost)
+        tracks.append(track)
     means, stderrs = _means_stderrs(costs)
+    track_means, track_stderrs = _means_stderrs(tracks)
     slope, ci = _slope_fit(lambdas, means)
     lam_min = lambdas[0]
     prefactor = means[0] / lam_min**order
@@ -316,6 +328,15 @@ def scaling_study(
         prefactor_stderr=float(prefactor_se),
         prefactor_theory=theoretical_prefactor(setting, demand),
         order_theory=order,
+        track_means=track_means,
+        track_stderrs=track_stderrs,
+        track_monotone_within_2se=all(
+            lo <= hi + 2.0 * math.hypot(se_lo, se_hi)
+            for lo, hi, se_lo, se_hi in zip(
+                track_means, track_means[1:], track_stderrs, track_stderrs[1:]
+            )
+        ),
+        track_reduction_factor=track_means[-1] / track_means[0] if track_means[0] > 0 else None,
         seed=seed,
         warnings=warnings,
     )
@@ -327,40 +348,3 @@ def scaling_study(
         report.warnings.append(msg)
         logger.warning(msg)
     return report
-
-
-@dataclass
-class ConvergenceReport:
-    lambdas: list
-    means: list
-    stderrs: list
-    monotone_within_2se: bool
-    reduction_factor: float
-
-
-def convergence_check(
-    setting: DealerSetting,
-    demand: DemandProcess,
-    lambdas,
-    n_paths: int,
-    seed: int = 0,
-) -> ConvergenceReport:
-    """E integral (K^N - U_bar)^2 dt per impact cost: the price-convergence proxy.
-
-    Must fall monotonically (within two standard errors) as the open
-    market becomes more liquid.
-    """
-    lambdas = sorted((float(x) for x in lambdas), reverse=True)
-    tracks = [simulate_costs(setting, demand, lam, n_paths, seed)[1] for lam in lambdas]
-    means, stderrs = _means_stderrs(tracks)
-    monotone = all(
-        means[i + 1] <= means[i] + 2.0 * math.hypot(stderrs[i], stderrs[i + 1])
-        for i in range(len(means) - 1)
-    )
-    return ConvergenceReport(
-        lambdas=list(lambdas),
-        means=means,
-        stderrs=stderrs,
-        monotone_within_2se=monotone,
-        reduction_factor=means[0] / means[-1] if means[-1] > 0 else math.inf,
-    )

@@ -91,12 +91,13 @@ def _parse_steps_list(text: str) -> list[int]:
 
 def parse_process(text: str) -> DemandProcess:
     """Process grammar: zero | constant:c | brownian:x0,sigma | ou:x0,kappa,theta,sigma
-    | deterministic:v0,v1,... | smooth:<one of the above>."""
+    | deterministic:v0,v1,... | smooth:<one of the above>; an error names the whole spec once."""
     text = text.strip()
-    if text == "zero":
-        return ZERO
-    kind, _, rest = text.partition(":")
-    try:
+
+    def build(spec: str) -> DemandProcess:
+        if spec == "zero":
+            return ZERO
+        kind, _, rest = spec.partition(":")
         if kind == "constant":
             return Constant(float(rest))
         if kind == "brownian":
@@ -108,10 +109,15 @@ def parse_process(text: str) -> DemandProcess:
         if kind == "deterministic":
             return Deterministic(tuple(float(x) for x in rest.split(",")))
         if kind == "smooth":
-            return SmoothRate(parse_process(rest))
+            return SmoothRate(build(rest.strip()))
+        raise ConfigError(f"unknown process kind {text!r}")
+
+    try:
+        return build(text)
+    except ConfigError:
+        raise
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad process spec {text!r}: {exc}") from None
-    raise ConfigError(f"unknown process kind {text!r}")
 
 
 def load_market_config(path: str) -> tuple[MarketParams, dict]:

@@ -64,13 +64,6 @@ class EquilibriumSolution:
     xi_bar: np.ndarray
     realized: RealizedDriver
 
-    @property
-    def impact_weight(self) -> float:
-        """1/eta + 1/eta_bar, the rate-to-price-deviation weight."""
-        ag = self.aggregates
-        lam = 0.0 if np.isinf(ag.eta) else 1.0 / ag.eta
-        return lam + 1.0 / ag.eta_bar
-
 
 def solve_equilibrium(
     params: MarketParams,
@@ -105,7 +98,7 @@ def solve_equilibrium(
 
     exposure = fb.U - noise - xi_bar
     mu = exposure / ag.rho_bar
-    price_dev = (params.impact_cost + 1.0 / ag.eta_bar) * fb.u
+    price_dev = ag.impact_weight * fb.u
 
     agents: Dict[str, AgentPaths] = {}
     for spec, eta_a in zip(params.agents, ag.eta_a):
@@ -157,7 +150,7 @@ def consistency_report(sol: EquilibriumSolution, params: MarketParams) -> Dict[s
         "clearing": float(np.max(np.abs(total_K))),
         "foc": float(np.max(foc)),
         "share": float(np.max(share)),
-        "price": float(np.max(np.abs(sol.price_dev - sol.impact_weight * sol.u_bar))),
+        "price": float(np.max(np.abs(sol.price_dev - ag.impact_weight * sol.u_bar))),
     }
 
 

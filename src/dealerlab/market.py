@@ -32,11 +32,14 @@ class AgentSpec:
     target: DemandProcess = ZERO
 
     def __post_init__(self):
-        if not self.mass > 0:
-            raise ValueError(f"agent {self.name}: mass must be positive, got {self.mass}")
-        if not self.risk_tolerance > 0:
+        if not 0 < self.mass < math.inf:
             raise ValueError(
-                f"agent {self.name}: risk tolerance must be positive, got {self.risk_tolerance}"
+                f"agent {self.name}: mass must be positive and finite, got {self.mass}"
+            )
+        if not 0 < self.risk_tolerance < math.inf:
+            raise ValueError(
+                f"agent {self.name}: risk tolerance must be positive and finite, "
+                f"got {self.risk_tolerance}"
             )
         if not self.open_cost >= 0:
             raise ValueError(f"agent {self.name}: open-market cost must be >= 0 or inf")
@@ -73,7 +76,7 @@ class MarketParams:
 
 @dataclass(frozen=True)
 class Aggregates:
-    """Elasticities, aggregate risk tolerance and target, and the mesh rate."""
+    """Elasticities, aggregate risk tolerance and target, the mesh rate and the impact weight."""
 
     eta_a: Tuple[float, ...]
     eta_bar: float
@@ -81,6 +84,7 @@ class Aggregates:
     rho_bar: float
     xi_bar: TermList
     delta: DeltaParam
+    impact_weight: float  # 1/eta + 1/eta_bar: price deviation per unit aggregate rate
 
 
 def elasticity(agent: AgentSpec, impact_cost: float) -> float:
@@ -91,7 +95,7 @@ def elasticity(agent: AgentSpec, impact_cost: float) -> float:
 
 
 def aggregate(params: MarketParams) -> Aggregates:
-    """Elasticities, aggregates, and the mesh rate of a market.
+    """Elasticities, aggregates, the mesh rate and the impact weight of a market.
 
     Rejects markets where nobody can reach the open market (the mesh rate
     is undefined there) and target mixes outside the supported family.
@@ -112,6 +116,7 @@ def aggregate(params: MarketParams) -> Aggregates:
         rho_bar=rho_bar,
         xi_bar=xi_bar,
         delta=delta,
+        impact_weight=lam + 1.0 / eta_bar,
     )
 
 

@@ -20,6 +20,7 @@ import numpy as np
 from .kernel import (
     DeltaParam,
     Horizon,
+    compute_delta,
     eval_F,
     stable_cosh_ratio,
     stable_sinh_over_cosh,
@@ -42,20 +43,26 @@ class LiquidationScenario:
     n_dealers: float = 1
 
     def __post_init__(self):
-        if self.impact_cost <= 0 or self.rho_c <= 0 or self.rho_d <= 0 or self.T <= 0:
-            raise ValueError("impact cost, risk tolerances, and horizon must be positive")
+        for name in ("impact_cost", "rho_c", "rho_d", "T"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        if not math.isfinite(self.xi_c):
+            raise ValueError(f"xi_c must be finite, got {self.xi_c!r}")
         m = self.n_dealers
         if not (m == INF_DEALERS or (float(m).is_integer() and m >= 1)):
-            raise ValueError("dealer count must be a positive integer or inf")
+            raise ValueError(f"n_dealers must be a positive integer or inf, got {m!r}")
 
 
 def scenario_delta(s: LiquidationScenario, doubled: bool = False) -> DeltaParam:
-    """delta_M for the scenario; ``doubled`` gives the integrated market's delta_{2M}."""
-    rho_sum = s.rho_c + s.rho_d
-    if s.n_dealers == INF_DEALERS:
-        return DeltaParam.from_value(2.0 / (rho_sum * s.impact_cost))
+    """delta_M for the scenario; ``doubled`` gives the integrated market's delta_{2M}.
+
+    The m agents with open-market access (the M dealers, joined by the M
+    clients when doubled), each of mass 1/(2M), give eta_bar = m/lambda; at
+    M = inf that is inf, and ``compute_delta`` gives the competitive limit.
+    """
     m = 2 * s.n_dealers if doubled else s.n_dealers
-    return DeltaParam.from_value(2.0 * m / (rho_sum * s.impact_cost * (m + 1)))
+    return compute_delta((s.rho_c + s.rho_d) / 2.0, 1.0 / s.impact_cost, m / s.impact_cost)
 
 
 @dataclass
@@ -121,8 +128,9 @@ class DiffusiveScenario:
     steps: int = 1000
 
     def __post_init__(self):
-        if self.sigma_xi < 0:
-            raise ValueError("target volatility must be >= 0")
+        self.liquidation_view  # builds, and so checks, every field the two share
+        if not 0 <= self.sigma_xi < math.inf:
+            raise ValueError(f"sigma_xi must be >= 0 and finite, got {self.sigma_xi!r}")
 
     @property
     def liquidation_view(self) -> LiquidationScenario:

@@ -12,7 +12,6 @@ import pytest
 
 from dealerlab.asymptotics import (
     DealerSetting,
-    convergence_check,
     scaling_study,
     simulate_costs,
 )
@@ -174,18 +173,18 @@ def test_criterion_4_diffusive_demand_law():
 
 def test_criterion_5_price_convergence_proxy():
     setting = DealerSetting(n_dealers=1, rho_d=0.1)
-    rep = convergence_check(
+    rep = scaling_study(
         setting,
         BrownianMartingale(0.0, 1.0),
         [1e-1, 1e-2, 1e-3, 1e-4],
         n_paths=2000,
         seed=9,
     )
-    assert rep.monotone_within_2se
-    assert rep.reduction_factor >= 10.0
+    assert rep.track_monotone_within_2se
+    assert rep.track_reduction_factor >= 10.0
     print(
         f"\n[PASS] criterion 5: tracking proxy falls monotonically, "
-        f"{rep.reduction_factor:.1f}x >= 10x from lambda 1e-1 to 1e-4"
+        f"{rep.track_reduction_factor:.1f}x >= 10x from lambda 1e-1 to 1e-4"
     )
 
 

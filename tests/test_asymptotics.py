@@ -11,7 +11,6 @@ import pytest
 from dealerlab import asymptotics
 from dealerlab.asymptotics import (
     DealerSetting,
-    convergence_check,
     liquidity_cost_from_paths,
     scaling_study,
     simulate_costs,
@@ -34,15 +33,15 @@ UNIT_RATE = SmoothRate(Constant(1.0))  # K^N_t = t
 
 
 def liquidity_cost_direct(
-    demand_path: np.ndarray, rate_path: np.ndarray, setting: DealerSetting, impact_cost: float
+    demand_path: np.ndarray, rate_path: np.ndarray, impact_weight: float
 ) -> np.ndarray:
-    """lam (M+1)/M * sum_i u_{i+1} (K^N_{i+1} - K^N_i): the integral-against-demand route.
+    """(1/eta + 1/eta_bar) * sum_i u_{i+1} (K^N_{i+1} - K^N_i): the integral-against-demand route.
 
     The exact discrete summation-by-parts twin of the cost (K^N_0 = 0 and
     u_T = 0 kill the boundary terms), so the two routes agree to rounding.
     """
     du = np.diff(demand_path, axis=-1)
-    return setting.cost_multiplier(impact_cost) * np.sum(rate_path[..., 1:] * du, axis=-1)
+    return impact_weight * np.sum(rate_path[..., 1:] * du, axis=-1)
 
 
 @pytest.mark.parametrize(
@@ -56,6 +55,16 @@ def test_dealer_setting_validates_itself(kwargs, field):
         DealerSetting(**kwargs)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 10])
+@pytest.mark.parametrize("rho_d", [0.05, 0.4])
+@pytest.mark.parametrize("lam", [1e-1, 1e-5])
+def test_dealer_setting_reads_the_dealers_only_market(m, rho_d, lam):
+    # the mesh rate and the cost multiplier of the paper, from the market's own aggregates
+    ag = DealerSetting(m, rho_d).aggregates(lam)
+    assert ag.delta.delta == pytest.approx(m / (lam * rho_d * (m + 1)), rel=1e-13)
+    assert ag.impact_weight == pytest.approx(lam * (m + 1) / m, rel=1e-13)
+
+
 def test_zero_demand_costs_nothing():
     setting = DealerSetting()
     assert simulate_costs(setting, ZERO, 0.01, 0, 0)[0][0] == 0.0
@@ -63,13 +72,11 @@ def test_zero_demand_costs_nothing():
 
 def test_cost_routes_are_summation_by_parts_twins():
     # -sum K du vs +sum u dK agree to rounding (K_0 = 0, u_T = 0)
-    setting = DealerSetting(n_dealers=3)
-    lam = 1e-3
-    d = setting.delta(lam)
-    h = Horizon.uniform(1.0, steps_for(d, 1.0))
-    fb = solve_forward(UNIT_RATE, d, h)
-    a = liquidity_cost_from_paths(fb.X, fb.u, setting, lam)
-    b = liquidity_cost_direct(fb.X, fb.u, setting, lam)
+    ag = DealerSetting(n_dealers=3).aggregates(1e-3)
+    h = Horizon.uniform(1.0, steps_for(ag.delta, 1.0))
+    fb = solve_forward(UNIT_RATE, ag.delta, h)
+    a = liquidity_cost_from_paths(fb.X, fb.u, ag.impact_weight)
+    b = liquidity_cost_direct(fb.X, fb.u, ag.impact_weight)
     assert a == pytest.approx(b, rel=1e-10)
 
 
@@ -217,12 +224,13 @@ def test_sweep_matches_forward_solve_path_by_path(demand):
     # the fused sweep and realize + solve_forward on the same normals
     setting, lam, n_paths, seed = DealerSetting(n_dealers=2), 1e-3, 64, 7
     costs, tracks = simulate_costs(setting, demand, lam, n_paths, seed)
-    d = setting.delta(lam)
-    h = Horizon.uniform(setting.T, steps_for(d, setting.T))
+    ag = setting.aggregates(lam)
+    h = Horizon.uniform(setting.T, steps_for(ag.delta, setting.T))
     z = standard_normal_block(path_streams(seed, 0, n_paths), h.n_steps)
     path = realize(demand, h, z=z)
-    fb = solve_forward(demand, d, h, realized=RealizedDriver(((1.0, demand),), {demand: path}))
-    cost = liquidity_cost_from_paths(fb.X, fb.u, setting, lam)
+    realized = RealizedDriver(((1.0, demand),), {demand: path})
+    fb = solve_forward(demand, ag.delta, h, realized=realized)
+    cost = liquidity_cost_from_paths(fb.X, fb.u, ag.impact_weight)
     gap_sq = (fb.X - fb.U) ** 2
     track = np.sum(0.5 * (gap_sq[:, :-1] + gap_sq[:, 1:]) * h.dt, axis=-1)
     np.testing.assert_allclose(costs, cost, rtol=0, atol=1e-10 * np.max(np.abs(cost)))
@@ -334,17 +342,19 @@ def test_smooth_stochastic_matches_theory():
 
 def test_convergence_proxy_decreases():
     setting = DealerSetting(n_dealers=1, rho_d=0.1)
-    rep = convergence_check(
+    rep = scaling_study(
         setting, BrownianMartingale(0.0, 1.0), [1e-1, 1e-2, 1e-3, 1e-4], n_paths=2000, seed=2
     )
-    assert rep.monotone_within_2se
-    assert rep.reduction_factor >= 10.0
+    assert rep.track_monotone_within_2se
+    assert rep.track_reduction_factor >= 10.0
 
 
 def test_convergence_proxy_zero_demand():
-    setting = DealerSetting()
-    rep = convergence_check(setting, ZERO, [1e-1, 1e-3], n_paths=0)
-    assert rep.means == [0.0, 0.0]
+    # no demand, nothing to track: the reduction factor and the slope are null, never NaN
+    rep = scaling_study(DealerSetting(), SmoothRate(Constant(0.0)), [1e-1, 1e-3], n_paths=0)
+    assert rep.track_means == [0.0, 0.0]
+    assert rep.track_reduction_factor is None
+    assert rep.slope is None
 
 
 def test_tracking_improves_with_harsher_inventory_penalty():
@@ -359,7 +369,7 @@ def test_tracking_improves_with_harsher_inventory_penalty():
 
 def test_step_cap_is_reported(caplog):
     setting = DealerSetting(n_dealers=2)
-    wanted = steps_for(setting.delta(1e-3), setting.T)
+    wanted = steps_for(setting.aggregates(1e-3).delta, setting.T)
     with caplog.at_level(logging.WARNING, logger="dealerlab.asymptotics"):
         rep = scaling_study(setting, UNIT_RATE, [1e-3], n_paths=0, steps_cap=1000)
     assert rep.steps == [1000]
@@ -386,8 +396,7 @@ def test_deterministic_demand_is_one_exact_row_on_every_route():
     assert simulate_costs(setting, UNIT_RATE, lam, 500, 3)[0][0] == costs[0]
     rep = scaling_study(setting, UNIT_RATE, [lam], n_paths=0)
     assert (rep.means, rep.stderrs, rep.path_counts) == ([costs[0]], [0.0], [1])
-    conv = convergence_check(setting, UNIT_RATE, [lam], n_paths=0)
-    assert (conv.means, conv.stderrs) == ([tracks[0]], [0.0])
+    assert (rep.track_means, rep.track_stderrs) == ([tracks[0]], [0.0])
 
 
 @pytest.mark.parametrize("n_paths", [0, 1])
@@ -396,7 +405,6 @@ def test_monte_carlo_needs_two_paths(n_paths):
     for study in (
         lambda: simulate_costs(setting, demand, 1e-2, n_paths, seed=1),
         lambda: scaling_study(setting, demand, [1e-1, 1e-2], n_paths=n_paths, seed=1),
-        lambda: convergence_check(setting, demand, [1e-1, 1e-2], n_paths=n_paths, seed=1),
     ):
         with pytest.raises(ValueError, match="at least 2 paths"):
             study()
@@ -404,12 +412,12 @@ def test_monte_carlo_needs_two_paths(n_paths):
 
 def test_step_cap_is_logged_by_every_entry_point(monkeypatch, caplog):
     setting = DealerSetting(n_dealers=2)
-    note = f"{steps_for(setting.delta(1e-3), setting.T)} steps wanted, 1000 used"
+    note = f"{steps_for(setting.aggregates(1e-3).delta, setting.T)} steps wanted, 1000 used"
     monkeypatch.setattr(asymptotics, "STEP_CAP", 1000)
     for study in (
         lambda: simulate_costs(setting, UNIT_RATE, 1e-3, 0, 0),
         lambda: simulate_costs(setting, BrownianMartingale(0.0, 1.0), 1e-3, 8, 1),
-        lambda: convergence_check(setting, BrownianMartingale(0.0, 1.0), [1e-3], 8, 1),
+        lambda: scaling_study(setting, BrownianMartingale(0.0, 1.0), [1e-3], 8, 1),
         lambda: scaling_study(setting, UNIT_RATE, [1e-3], n_paths=0),
     ):
         caplog.clear()

@@ -41,6 +41,14 @@ def test_parse_process_grammar():
         parse_process("brownian:0")
 
 
+def test_nested_process_spec_error_is_wrapped_once():
+    with pytest.raises(ConfigError) as err:
+        parse_process("smooth:ou:0,1,0,nan")
+    message = str(err.value)
+    assert message.count("bad process spec") == 1
+    assert message.startswith("bad process spec 'smooth:ou:0,1,0,nan': sigma")
+
+
 def test_liquidation_outputs(tmp_path):
     assert main(["liquidation", "--out", str(tmp_path), "--steps", "100"]) == 0
     header, rows = read_rows(tmp_path / "fig1_strategies.csv")
@@ -270,6 +278,12 @@ SEED_RANGE = "seed must lie in [0, 2**64)"
          "open-market cost"),
         (["oracle-check", "--lambda", "0"], None, "frictionless"),
         (["oracle-check", "--lambda", "-1"], None, "impact cost must be >= 0"),
+        (["equilibrium"], CONFIG.replace("mass = 0.5\nrisk_tolerance = 0.1\nopen_cost = 0\n",
+                                         "mass = inf\nrisk_tolerance = 0.1\nopen_cost = 0\n"),
+         "agent dealer: mass must be positive and finite, got inf"),
+        (["equilibrium"], CONFIG.replace("mass = 0.5\nrisk_tolerance = 0.1\nopen_cost = 0\n",
+                                         "mass = 0.5\nrisk_tolerance = inf\nopen_cost = 0\n"),
+         "agent dealer: risk tolerance must be positive and finite, got inf"),
         (["equilibrium"], CONFIG.replace("constant:-1", "constant:nan"),
          "'constant:nan': level must be finite"),
         (["equilibrium"], CONFIG.replace("process = zero", "process = brownian:nan,1"),
@@ -286,7 +300,8 @@ SEED_RANGE = "seed must lie in [0, 2**64)"
     ids=["seed-scaling-diffusive", "seed-diffusive-negative", "seed-diffusive-2**64",
          "seed-equilibrium", "xi-c-nan", "rho-d-nan", "lambda-nan", "lambda-inf", "sigma-xi-inf",
          "scaling-smooth-inf", "scaling-diffusive-nan", "ini-impact-cost-nan", "ini-open-cost-nan",
-         "oracle-frictionless", "oracle-negative-lambda", "ini-constant-nan", "ini-brownian-nan",
+         "oracle-frictionless", "oracle-negative-lambda", "ini-mass-inf",
+         "ini-risk-tolerance-inf", "ini-constant-nan", "ini-brownian-nan",
          "ini-ou-inf", "ini-smooth-nan", "ini-deterministic-nan", "ini-deterministic-grid"],
 )
 def test_invalid_input_exits_one_naming_it(tmp_path, capsys, argv, config, named):

@@ -1,10 +1,13 @@
 """Kernel and feedback-function identities, checked against quadrature oracles."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dealerlab import kernel
 from dealerlab.kernel import (
     DeltaParam,
     Horizon,
@@ -186,3 +189,27 @@ def test_compute_delta_rejects_bad_inputs():
 
 def test_simpson_matches_known_integral():
     assert simpson(np.sin, 0.0, math.pi, panels=512) == pytest.approx(2.0, rel=1e-10)
+
+
+def _builds_delta_param(call: ast.Call) -> bool:
+    """``DeltaParam(...)`` or ``DeltaParam.from_value(...)``, bare or through a module."""
+    f = call.func
+    if isinstance(f, ast.Attribute) and f.attr == "from_value":
+        f = f.value
+    return (isinstance(f, ast.Name) and f.id == "DeltaParam") or (
+        isinstance(f, ast.Attribute) and f.attr == "DeltaParam"
+    )
+
+
+def test_only_the_kernel_builds_a_mesh_rate():
+    # every other module reads delta from compute_delta, through aggregate or a scenario
+    sources = sorted(Path(kernel.__file__).parent.glob("*.py"))
+    assert len(sources) > 5
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        if path.name != "kernel.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and _builds_delta_param(node)
+    ]
+    assert calls == []

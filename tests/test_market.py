@@ -117,11 +117,15 @@ def test_validate_empty_agent_list():
 def test_validate_reports_every_violation():
     # each violation on its own, every check NaN-safe; the error names it
     dealer = AgentSpec("d", 1.0, 0.1)
+    mass = "agent a: mass must be positive and finite"
+    tolerance = "agent b: risk tolerance must be positive and finite"
     cases = [
-        (lambda: AgentSpec("a", -1.0, 0.1), "agent a: mass must be positive, got -1.0"),
-        (lambda: AgentSpec("a", math.nan, 0.1), "agent a: mass must be positive, got nan"),
-        (lambda: AgentSpec("b", 1.0, -0.5), "agent b: risk tolerance must be positive"),
-        (lambda: AgentSpec("b", 1.0, math.nan), "agent b: risk tolerance must be positive"),
+        (lambda: AgentSpec("a", -1.0, 0.1), f"{mass}, got -1.0"),
+        (lambda: AgentSpec("a", math.nan, 0.1), f"{mass}, got nan"),
+        (lambda: AgentSpec("a", math.inf, 0.1), f"{mass}, got inf"),
+        (lambda: AgentSpec("b", 1.0, -0.5), f"{tolerance}, got -0.5"),
+        (lambda: AgentSpec("b", 1.0, math.nan), f"{tolerance}, got nan"),
+        (lambda: AgentSpec("b", 1.0, math.inf), f"{tolerance}, got inf"),
         (lambda: AgentSpec("c", 1.0, 0.1, open_cost=-1.0), "agent c: open-market cost"),
         (lambda: AgentSpec("c", 1.0, 0.1, open_cost=math.nan), "agent c: open-market cost"),
         (lambda: AgentSpec("t", 1.0, 0.1, target=BrownianMartingale(0.0, -1.0)), "sigma"),

@@ -8,7 +8,7 @@ import pytest
 from dealerlab.equilibrium import goal_functional, solve_equilibrium
 from dealerlab.fbsde import solve_forward
 from dealerlab.kernel import Horizon, eval_F
-from dealerlab.market import integrated_market, segmented_market
+from dealerlab.market import aggregate, integrated_market, segmented_market
 from dealerlab.paths import RealizedPath, path_streams, standard_normal_block
 from dealerlab.processes import BrownianMartingale, Constant
 from dealerlab.scenarios import (
@@ -35,6 +35,50 @@ def test_scenario_delta_values():
     assert scenario_delta(FIG1, doubled=True).delta == pytest.approx(
         2 / (0.2 * 0.1) * (2 / 3), rel=1e-14
     )
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, INF_DEALERS])
+@pytest.mark.parametrize("rho_d", [0.05, 0.3])
+@pytest.mark.parametrize("lam", [1e-1, 1e-5])
+def test_scenario_delta_is_the_market_delta(m, rho_d, lam):
+    # finite M: the segmented and integrated rosters' own aggregates; M = inf: the limit
+    s = LiquidationScenario(impact_cost=lam, rho_c=0.1, rho_d=rho_d, n_dealers=m)
+    if m == INF_DEALERS:
+        for doubled in (False, True):
+            assert scenario_delta(s, doubled).delta == pytest.approx(
+                2.0 / ((0.1 + rho_d) * lam), rel=1e-14
+            )
+        return
+    h = Horizon.uniform(1.0, 1)
+    for build, doubled in ((segmented_market, False), (integrated_market, True)):
+        market = aggregate(build(h, lam, 0.1, rho_d, m, Constant(-1.0))).delta.delta
+        assert scenario_delta(s, doubled).delta == pytest.approx(market, rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: LiquidationScenario(impact_cost=math.nan), "impact_cost"),
+        (lambda: LiquidationScenario(impact_cost=0.0), "impact_cost"),
+        (lambda: LiquidationScenario(rho_c=math.inf), "rho_c"),
+        (lambda: LiquidationScenario(rho_d=-0.1), "rho_d"),
+        (lambda: LiquidationScenario(T=math.nan), "T"),
+        (lambda: LiquidationScenario(xi_c=math.nan), "xi_c"),
+        (lambda: LiquidationScenario(xi_c=-math.inf), "xi_c"),
+        (lambda: LiquidationScenario(n_dealers=1.5), "n_dealers"),
+        (lambda: LiquidationScenario(n_dealers=math.nan), "n_dealers"),
+        (lambda: DiffusiveScenario(impact_cost=math.inf), "impact_cost"),
+        (lambda: DiffusiveScenario(rho_d=math.nan), "rho_d"),
+        (lambda: DiffusiveScenario(T=0.0), "T"),
+        (lambda: DiffusiveScenario(n_dealers=0), "n_dealers"),
+        (lambda: DiffusiveScenario(sigma_xi=math.nan), "sigma_xi"),
+        (lambda: DiffusiveScenario(sigma_xi=math.inf), "sigma_xi"),
+        (lambda: DiffusiveScenario(sigma_xi=-1.0), "sigma_xi"),
+    ],
+)
+def test_scenarios_validate_every_field(build, field):
+    with pytest.raises(ValueError, match=f"^{field} "):
+        build()
 
 
 def test_bulk_trade_independent_of_dealer_count():
