@@ -46,7 +46,6 @@ from .scenarios import (
     WelfareReport,
     diffusive_simulate,
     liquidation_closed_form,
-    representative_dealer_check,
     segmentation_welfare,
 )
 

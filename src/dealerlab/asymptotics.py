@@ -49,8 +49,9 @@ class DealerSetting:
         if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
             raise ValueError(f"n_dealers must be an integer of at least 1, got {m!r}")
         for name in ("rho_d", "T"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
     def aggregates(self, impact_cost: float) -> Aggregates:
         """The dealers-only market's aggregates: its mesh rate and impact weight."""

@@ -23,7 +23,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .asymptotics import DealerSetting, scaling_study
-from .equilibrium import ConsistencyError, solve_equilibrium
+from .equilibrium import solve_equilibrium
 from .kernel import Horizon
 from .market import AgentSpec, MarketParams
 from .oracle import oracle_gap
@@ -467,10 +467,10 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    except (NumericalError, ConsistencyError, RuntimeError) as exc:
+    except RuntimeError as exc:  # NumericalError and ConsistencyError included
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     return 0

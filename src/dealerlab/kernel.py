@@ -38,9 +38,8 @@ class Horizon:
     grid: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        self._check_length(self.T)
         grid = np.asarray(self.grid, dtype=float)
-        if self.T <= 0:
-            raise ValueError(f"horizon length must be positive, got T={self.T}")
         if grid.ndim != 1 or grid.size < 2:
             raise ValueError("grid must be a 1-d array with at least two points")
         if grid[0] != 0.0 or grid[-1] != self.T:
@@ -50,8 +49,14 @@ class Horizon:
         object.__setattr__(self, "grid", grid)
         grid.flags.writeable = False
 
+    @staticmethod
+    def _check_length(T: float) -> None:
+        if not 0 < T < math.inf:
+            raise ValueError(f"horizon length must be positive and finite, got T={T}")
+
     @classmethod
     def uniform(cls, T: float, steps: int) -> "Horizon":
+        cls._check_length(T)  # before linspace, which would warn on an infinite T
         if steps < 1:
             raise ValueError("need at least one step")
         grid = np.linspace(0.0, T, steps + 1)

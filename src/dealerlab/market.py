@@ -98,7 +98,9 @@ def aggregate(params: MarketParams) -> Aggregates:
     """Elasticities, aggregates, the mesh rate and the impact weight of a market.
 
     Rejects markets where nobody can reach the open market (the mesh rate
-    is undefined there) and target mixes outside the supported family.
+    is undefined there).  ``xi_bar`` is the mass-weighted term list of the
+    targets (``combine``): any mix of demand kinds, each distinct target
+    one term.
     """
     lam = params.impact_cost
     eta_a = tuple(elasticity(a, lam) for a in params.agents)

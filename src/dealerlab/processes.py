@@ -3,11 +3,10 @@
 The supported family is deliberately small so that every conditional
 expectation the equilibrium needs stays closed form:
 
-* ``Zero`` and ``Constant`` -- deterministic levels,
+* ``Constant`` -- a deterministic level; ``ZERO`` is ``Constant(0.0)``,
 * ``Deterministic`` -- an arbitrary path sampled on the scenario grid,
 * ``OrnsteinUhlenbeck`` -- the one diffusion: mean reversion kappa towards theta,
-* ``BrownianMartingale`` -- x0 + sigma * W, its kappa = 0, theta = 0 case; only
-  ``combine`` tells the two apart (a sum may not mix them),
+* ``BrownianMartingale`` -- x0 + sigma * W, its kappa = 0, theta = 0 case,
 * ``SmoothRate`` -- the running integral of one of the above (depth 1).
 
 Each kind validates itself when it is built (a ``ValueError`` names the
@@ -23,7 +22,10 @@ scaling laws (``square_integral``, ``scaling_law``).
 
 Weighted sums of targets are kept as term lists instead of being folded
 into a single process: each distinct process keeps its own realized path,
-and everything downstream of it is linear.
+and everything downstream of it is linear, so any mix of kinds has a
+closed form.  A ``BrownianMartingale`` and an ``OrnsteinUhlenbeck`` with
+kappa = theta = 0 are distinct processes (equality compares the class), so
+a sum holding both realizes each on its own substream.
 """
 
 from __future__ import annotations
@@ -75,13 +77,6 @@ class Constant(DemandProcess):
 
     def square_integral(self, T: float) -> float:
         return self.level**2 * T
-
-
-@dataclass(frozen=True)
-class Zero(Constant):
-    """The zero level; sums of processes drop it."""
-
-    level: float = field(default=0.0, init=False)
 
 
 @dataclass(frozen=True)
@@ -168,7 +163,7 @@ class OrnsteinUhlenbeck(DemandProcess):
 
 @dataclass(frozen=True)
 class BrownianMartingale(OrnsteinUhlenbeck):
-    """x0 + sigma * W: the kappa = 0, theta = 0 case, a kind of its own in sums."""
+    """x0 + sigma * W: the kappa = 0, theta = 0 case."""
 
     kappa: float = field(default=0.0, init=False, repr=False)
     theta: float = field(default=0.0, init=False, repr=False)
@@ -216,44 +211,23 @@ class SmoothRate(DemandProcess):
         return 1.0, self.rate.square_integral(T)
 
 
-ZERO = Zero()
+ZERO = Constant(0.0)
 
 #: (weight, process) pairs; the canonical form of a mass-weighted sum
 TermList = Tuple[Tuple[float, DemandProcess], ...]
 
 
-class CombinationError(ValueError):
-    """Raised when a weighted sum of processes has no closed-form representation."""
-
-
-def _stochastic_kind(process: DemandProcess):
-    """The stochastic leaf kind driving the process, or None."""
-    if isinstance(process, SmoothRate):
-        return _stochastic_kind(process.rate)
-    return None if process.deterministic else type(process)
-
-
 def combine(terms: Iterable[tuple[float, DemandProcess]]) -> TermList:
     """Canonicalize a weighted sum of processes.
 
-    Zero processes and zero weights are dropped, and identical processes
-    are merged (agents quoting the same target share one realized path).
-    Deterministic kinds mix freely; stochastic terms must all be driven by
-    the same process kind, otherwise the sum leaves the supported family.
+    Zero weights and zero processes (any process equal to ``ZERO``) are
+    dropped, and equal processes are merged (agents quoting the same target
+    share one realized path).  Every other term stays a term of its own, so
+    kinds mix freely.
     """
     merged: dict[DemandProcess, float] = {}
-    order: list[DemandProcess] = []
     for weight, process in terms:
-        if weight == 0.0 or isinstance(process, Zero):
+        if weight == 0.0 or process == ZERO:
             continue
-        if process not in merged:
-            merged[process] = 0.0
-            order.append(process)
-        merged[process] += float(weight)
-    kinds = {_stochastic_kind(p) for p in order} - {None}
-    if len(kinds) > 1:
-        names = sorted(k.__name__ for k in kinds)
-        raise CombinationError(
-            "cannot combine stochastic demand kinds in closed form: " + ", ".join(names)
-        )
-    return tuple((merged[p], p) for p in order if merged[p] != 0.0)
+        merged[process] = merged.get(process, 0.0) + float(weight)
+    return tuple((w, p) for p, w in merged.items() if w != 0.0)

@@ -13,7 +13,8 @@ integrated market (clients trade the open market too) runs at delta_{2M}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,7 +27,6 @@ from .kernel import (
     stable_sinh_over_cosh,
 )
 from .paths import path_streams, standard_normal_block
-from .processes import BrownianMartingale
 
 INF_DEALERS = math.inf
 
@@ -115,32 +115,29 @@ def integrated_liquidation_closed_form(
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class DiffusiveScenario:
-    """Brownian client target ('high-frequency trading need'), started at 0."""
+class DiffusiveScenario(LiquidationScenario):
+    """Brownian client target ('high-frequency trading need'), started at 0.
 
-    impact_cost: float = 0.1
-    rho_c: float = 0.1
-    rho_d: float = 0.1
-    T: float = 1.0
-    sigma_xi: float = 1.0
-    n_dealers: float = 1
-    seed: int = 0
-    steps: int = 1000
+    The liquidation scenario with ``xi_c`` fixed at 0: it keeps the market
+    fields and their checks, and adds the target volatility and the run's
+    ``seed`` and ``steps`` (keyword-only).
+    """
+
+    xi_c: float = field(default=0.0, init=False, repr=False)
+    sigma_xi: float = field(default=1.0, kw_only=True)
+    seed: int = field(default=0, kw_only=True)
+    steps: int = field(default=1000, kw_only=True)
 
     def __post_init__(self):
-        self.liquidation_view  # builds, and so checks, every field the two share
+        super().__post_init__()
         if not 0 <= self.sigma_xi < math.inf:
             raise ValueError(f"sigma_xi must be >= 0 and finite, got {self.sigma_xi!r}")
-
-    @property
-    def liquidation_view(self) -> LiquidationScenario:
-        return LiquidationScenario(
-            self.impact_cost, self.rho_c, self.rho_d, self.T, 0.0, self.n_dealers
-        )
-
-    @property
-    def target(self) -> BrownianMartingale:
-        return BrownianMartingale(0.0, self.sigma_xi)
+        steps, seed = self.steps, self.seed
+        if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 1:
+            raise ValueError(f"steps must be an integer of at least 1, got {steps!r}")
+        if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
+                or not 0 <= seed < 2**64):
+            raise ValueError(f"seed must lie in [0, 2**64), got {seed!r}")
 
 
 @dataclass
@@ -167,7 +164,7 @@ def diffusive_simulate(s: DiffusiveScenario, n_paths: int = 1) -> DiffusivePaths
     """
     horizon = Horizon.uniform(s.T, s.steps)
     grid = horizon.grid
-    d = scenario_delta(s.liquidation_view)
+    d = scenario_delta(s)
     F = eval_F(d, grid, s.T)
     dt = horizon.dt
     z = standard_normal_block(path_streams(s.seed, 0, n_paths), s.steps)
@@ -214,7 +211,7 @@ def price_reversion_regression(
     x2 = np.diff(xi_c, axis=-1)[:, :cut].ravel()
     A = np.column_stack([x1, x2])
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    d = scenario_delta(s.liquidation_view)
+    d = scenario_delta(s)
     rho_bar = (s.rho_c + s.rho_d) / 2.0
     return {
         "mean_reversion": -float(coef[0]),
@@ -334,35 +331,3 @@ def segmentation_welfare(s: LiquidationScenario) -> WelfareReport:
         asymptotic_J_c_int=asymptotic_welfare_integrated(s),
         asymptotic_ratio=asymptotic_welfare_ratio(s),
     )
-
-
-def representative_dealer_check(s: LiquidationScenario, steps: int = 2000) -> dict:
-    """Competitive limit vs. a single dealer at half the impact cost.
-
-    delta_inf(lambda) = delta_1(lambda/2) exactly, so the liquidation
-    paths coincide; the welfare asymptotics do not, because the dealer
-    count enters their prefactors.
-    """
-    many = LiquidationScenario(
-        s.impact_cost, s.rho_c, s.rho_d, s.T, s.xi_c, INF_DEALERS
-    )
-    single_half = LiquidationScenario(
-        s.impact_cost / 2.0, s.rho_c, s.rho_d, s.T, s.xi_c, 1
-    )
-    grid = Horizon.uniform(s.T, steps).grid
-    p_many = liquidation_closed_form(many, grid)
-    p_single = liquidation_closed_form(single_half, grid)
-    gap = max(
-        float(np.max(np.abs(p_many.U_bar - p_single.U_bar))),
-        float(np.max(np.abs(p_many.K_c - p_single.K_c))),
-        float(np.max(np.abs(p_many.price_dev - p_single.price_dev))),
-    )
-    return {
-        "delta_many": scenario_delta(many).delta,
-        "delta_single_half_cost": scenario_delta(single_half).delta,
-        "max_path_gap": gap,
-        "asymptotic_J_c_int_single_half_cost": asymptotic_welfare_integrated(single_half),
-        "asymptotic_J_c_int_m1": asymptotic_welfare_integrated(
-            LiquidationScenario(s.impact_cost, s.rho_c, s.rho_d, s.T, s.xi_c, 1)
-        ),
-    }

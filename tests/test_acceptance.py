@@ -229,7 +229,7 @@ def test_criterion_7_figure_reproduction(tmp_path):
     # figure 2: per-step martingale loading is exactly the dealers' share
     s = DiffusiveScenario(seed=0, steps=1000)
     sim = diffusive_simulate(s)
-    F = eval_F(scenario_delta(s.liquidation_view), sim.grid, s.T)
+    F = eval_F(scenario_delta(s), sim.grid, s.T)
     dt = np.diff(sim.grid)
     fig2 = tmp_path / "fig2"
     assert main(["diffusive", "--out", str(fig2), "--paths", "500", "--seed", "0"]) == 0

@@ -48,7 +48,8 @@ def liquidity_cost_direct(
     "kwargs, field",
     [({"n_dealers": 0}, "n_dealers"), ({"n_dealers": 2.0}, "n_dealers"),
      ({"n_dealers": True}, "n_dealers"), ({"rho_d": 0.0}, "rho_d"),
-     ({"rho_d": math.nan}, "rho_d"), ({"T": -1.0}, "T")],
+     ({"rho_d": math.nan}, "rho_d"), ({"T": -1.0}, "T"), ({"rho_d": math.inf}, "rho_d"),
+     ({"T": math.inf}, "T"), ({"T": math.nan}, "T")],
 )
 def test_dealer_setting_validates_itself(kwargs, field):
     with pytest.raises(ValueError, match=f"^{field} "):

@@ -30,7 +30,7 @@ def read_json(path):
 
 
 def test_parse_process_grammar():
-    assert parse_process("zero") == ZERO
+    assert parse_process("zero") == ZERO == parse_process("constant:0")
     assert parse_process("constant:-1") == Constant(-1.0)
     assert parse_process("brownian:0,1") == BrownianMartingale(0.0, 1.0)
     assert parse_process("ou:0,1,0.5,0.3") == OrnsteinUhlenbeck(0.0, 1.0, 0.5, 0.3)
@@ -239,6 +239,19 @@ def test_equilibrium_from_config(tmp_path):
     assert float(rows[0][k_client]) == pytest.approx(-0.5, abs=1e-10)
 
 
+def test_equilibrium_mixes_brownian_noise_and_ou_target(tmp_path):
+    cfg = tmp_path / "market.ini"
+    cfg.write_text(CONFIG.replace("process = zero", "process = brownian:0,1")
+                   .replace("constant:-1", "ou:-1,2,-0.5,0.4"))
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out in (a, b):
+        assert main(["equilibrium", "--config", str(cfg), "--seed", "3", "--out", str(out)]) == 0
+    for name in ("equilibrium.csv", "run_meta.json"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+    header, rows = read_rows(a / "equilibrium.csv")
+    assert float(rows[0][header.index("xi_bar")]) == pytest.approx(-0.5, rel=1e-14)
+
+
 def test_equilibrium_config_errors(tmp_path):
     missing = tmp_path / "nope.ini"
     assert main(["equilibrium", "--config", str(missing), "--out", str(tmp_path)]) == 1
@@ -296,13 +309,16 @@ SEED_RANGE = "seed must lie in [0, 2**64)"
          "'deterministic:0,nan,1': deterministic samples must be finite"),
         (["equilibrium", "--steps", "50"], CONFIG.replace("constant:-1", "deterministic:0,1,2"),
          "deterministic path has 3 samples, grid has 51 nodes"),
+        (["equilibrium"], CONFIG.replace("T = 1.0", "T = nan"), "got T=nan"),
+        (["equilibrium"], CONFIG.replace("T = 1.0", "T = inf"), "got T=inf"),
     ],
     ids=["seed-scaling-diffusive", "seed-diffusive-negative", "seed-diffusive-2**64",
          "seed-equilibrium", "xi-c-nan", "rho-d-nan", "lambda-nan", "lambda-inf", "sigma-xi-inf",
          "scaling-smooth-inf", "scaling-diffusive-nan", "ini-impact-cost-nan", "ini-open-cost-nan",
          "oracle-frictionless", "oracle-negative-lambda", "ini-mass-inf",
          "ini-risk-tolerance-inf", "ini-constant-nan", "ini-brownian-nan",
-         "ini-ou-inf", "ini-smooth-nan", "ini-deterministic-nan", "ini-deterministic-grid"],
+         "ini-ou-inf", "ini-smooth-nan", "ini-deterministic-nan", "ini-deterministic-grid",
+         "ini-T-nan", "ini-T-inf"],
 )
 def test_invalid_input_exits_one_naming_it(tmp_path, capsys, argv, config, named):
     if config is not None:

@@ -24,6 +24,7 @@ from dealerlab.processes import (
     BrownianMartingale,
     Constant,
     Deterministic,
+    OrnsteinUhlenbeck,
     SmoothRate,
 )
 
@@ -189,6 +190,24 @@ def test_mixed_noise_and_target_driver():
     assert max(consistency_report(sol, params).values()) < 1e-12
     assert np.max(np.abs(sol.noise)) > 0.01
     assert sol.xi_bar[0] == pytest.approx(-0.5, rel=1e-14)
+
+
+def test_mixed_stochastic_kinds_solve():
+    # OU noise, a Brownian dealer target and an OU client target: three terms, three streams
+    params = MarketParams(
+        Horizon.uniform(1.0, 2000),
+        0.1,
+        (
+            AgentSpec("dealer", 0.5, 0.1, 0.0, target=BrownianMartingale(0.0, 0.5)),
+            AgentSpec(
+                "client", 0.5, 0.1, NO_ACCESS, target=OrnsteinUhlenbeck(-1.0, 2.0, -0.5, 0.4)
+            ),
+        ),
+        OrnsteinUhlenbeck(0.0, 1.0, 0.0, 0.5),
+    )
+    sol = solve_equilibrium(params, seed=3, check_tol=1e-8)
+    assert len(sol.aggregates.xi_bar) == 2
+    assert check_price_representations(sol, params, anchors=24) < 1e-5
 
 
 def test_goal_functional_zero_solution():

@@ -36,6 +36,11 @@ def test_horizon_validation():
         Horizon(T=1.0, grid=np.array([0.0, 0.5, 0.5, 1.0]))
     with pytest.raises(ValueError):
         Horizon(T=1.0, grid=np.array([0.1, 1.0]))
+    for T in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"got T={T}"):
+            Horizon.uniform(T, 10)
+        with pytest.raises(ValueError, match=f"got T={T}"):
+            Horizon(T=T, grid=np.array([0.0, T]))
 
 
 def test_delta_param():

@@ -145,17 +145,17 @@ def test_aggregate_rejects_no_open_access():
         aggregate(params)
 
 
-def test_aggregate_rejects_mixed_stochastic_targets():
+def test_aggregate_keeps_mixed_stochastic_targets_as_two_terms():
+    bm, ou = BrownianMartingale(0.0, 1.0), OrnsteinUhlenbeck(0.0, 1.0, 0.0, 1.0)
     params = MarketParams(
         H,
         0.1,
         (
-            AgentSpec("a", 0.5, 0.1, 0.0, target=BrownianMartingale(0.0, 1.0)),
-            AgentSpec("b", 0.5, 0.1, 0.0, target=OrnsteinUhlenbeck(0.0, 1.0, 0.0, 1.0)),
+            AgentSpec("a", 0.5, 0.1, 0.0, target=bm),
+            AgentSpec("b", 0.5, 0.1, 0.0, target=ou),
         ),
     )
-    with pytest.raises(ValueError, match="combine"):
-        aggregate(params)
+    assert aggregate(params).xi_bar == ((0.5, bm), (0.5, ou))
 
 
 def test_lambda_zero_uses_continuum_limit():

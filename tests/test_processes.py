@@ -9,7 +9,6 @@ import pytest
 from dealerlab.kernel import DeltaParam, Horizon, KernelWeight
 from dealerlab.processes import (
     BrownianMartingale,
-    CombinationError,
     Constant,
     DemandProcess,
     Deterministic,
@@ -127,6 +126,10 @@ def test_combine_merges_shared_targets():
 
 def test_combine_drops_zero_terms():
     assert combine([(0.5, ZERO), (0.0, Constant(1.0))]) == ()
+    # ZERO is Constant(0.0), so a zero level is dropped by value
+    assert ZERO == Constant(0.0) and type(ZERO) is Constant
+    xi = Constant(-1.0)
+    assert combine([(0.25, Constant(0.0)), (0.5, Constant(-0.0)), (0.75, xi)]) == ((0.75, xi),)
 
 
 def test_combine_merges_equal_stochastic_processes():
@@ -140,15 +143,12 @@ def test_combine_allows_deterministic_mix():
     assert len(terms) == 2
 
 
-def test_combine_rejects_mixed_stochastic_kinds():
-    with pytest.raises(CombinationError):
-        combine(
-            [
-                (0.5, BrownianMartingale(0.0, 1.0)),
-                (0.5, OrnsteinUhlenbeck(0.0, 1.0, 0.0, 1.0)),
-            ]
-        )
-    # same stochastic kind with different parameters stays in the family
+def test_combine_keeps_brownian_and_ou_as_two_terms():
+    bm, ou = BrownianMartingale(0.0, 1.0), OrnsteinUhlenbeck(0.0, 1.0, 0.0, 1.0)
+    assert combine([(0.5, bm), (0.25, ou), (0.25, bm)]) == ((0.75, bm), (0.25, ou))
+    # the kappa = theta = 0 OU process equals Brownian motion in law, not as a process
+    ou0 = OrnsteinUhlenbeck(0.0, 0.0, 0.0, 1.0)
+    assert combine([(0.5, bm), (0.5, ou0)]) == ((0.5, bm), (0.5, ou0))
     terms = combine([(0.5, BrownianMartingale(0.0, 1.0)), (0.5, BrownianMartingale(0.0, 2.0))])
     assert len(terms) == 2
 

@@ -1,5 +1,6 @@
 """Worked-scenario closed forms cross-checked against the generic engine."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,12 +16,12 @@ from dealerlab.scenarios import (
     INF_DEALERS,
     DiffusiveScenario,
     LiquidationScenario,
+    asymptotic_welfare_integrated,
     asymptotic_welfare_ratio,
     diffusive_simulate,
     integrated_liquidation_closed_form,
     liquidation_closed_form,
     price_reversion_regression,
-    representative_dealer_check,
     scenario_delta,
     segmentation_welfare,
 )
@@ -74,11 +75,26 @@ def test_scenario_delta_is_the_market_delta(m, rho_d, lam):
         (lambda: DiffusiveScenario(sigma_xi=math.nan), "sigma_xi"),
         (lambda: DiffusiveScenario(sigma_xi=math.inf), "sigma_xi"),
         (lambda: DiffusiveScenario(sigma_xi=-1.0), "sigma_xi"),
+        (lambda: DiffusiveScenario(steps=2.5), "steps"),
+        (lambda: DiffusiveScenario(steps=0), "steps"),
+        (lambda: DiffusiveScenario(seed=-1), "seed"),
+        (lambda: DiffusiveScenario(seed=2**64), "seed"),
+        (lambda: DiffusiveScenario(seed=1.5), "seed"),
     ],
 )
 def test_scenarios_validate_every_field(build, field):
     with pytest.raises(ValueError, match=f"^{field} "):
         build()
+
+
+def test_diffusive_scenario_is_the_liquidation_scenario_without_target():
+    s = DiffusiveScenario(impact_cost=0.2, n_dealers=3, sigma_xi=0.5)
+    assert isinstance(s, LiquidationScenario) and s.xi_c == 0.0
+    assert scenario_delta(s) == scenario_delta(LiquidationScenario(impact_cost=0.2, n_dealers=3))
+    with pytest.raises(TypeError):
+        DiffusiveScenario(0.1, 0.1, 0.1, 1.0, 1, 1.0)  # sigma_xi is keyword-only
+    with pytest.raises(TypeError):
+        DiffusiveScenario(xi_c=-1.0)
 
 
 def test_bulk_trade_independent_of_dealer_count():
@@ -169,7 +185,7 @@ def test_diffusive_martingale_decomposition_exact():
     # the shock loading of each K_c step is exactly rho_d/(rho_c+rho_d)
     s = DiffusiveScenario(seed=7, steps=400)
     sim = diffusive_simulate(s)
-    d = scenario_delta(s.liquidation_view)
+    d = scenario_delta(s)
     F = eval_F(d, sim.grid, s.T)
     dt = np.diff(sim.grid)
     for i in range(0, 400, 37):
@@ -185,7 +201,7 @@ def test_diffusive_tracking_matches_forward_solver():
     s = DiffusiveScenario(seed=12, steps=4000)
     sim = diffusive_simulate(s)
     h = Horizon.uniform(s.T, s.steps)
-    d = scenario_delta(s.liquidation_view)
+    d = scenario_delta(s)
     from dealerlab.fbsde import RealizedDriver
 
     proc = BrownianMartingale(0.0, 0.5)  # xi_bar = xi_c/2 has half the volatility
@@ -198,7 +214,7 @@ def test_diffusive_tracking_matches_forward_solver():
 def _diffusive_reference(s: DiffusiveScenario, n_paths: int) -> dict:
     """Path-major Euler steps, one strided column per step: the scheme as first written."""
     horizon = Horizon.uniform(s.T, s.steps)
-    d = scenario_delta(s.liquidation_view)
+    d = scenario_delta(s)
     F = eval_F(d, horizon.grid, s.T)
     dt = horizon.dt
     z = standard_normal_block(path_streams(s.seed, 0, n_paths), s.steps)
@@ -290,6 +306,34 @@ def test_welfare_quadrature_matches_goal_functional():
         sol_int = solve_equilibrium(params_int)
         j_int_sim = goal_functional(sol_int, params_int, "client0")
         assert j_int_sim == pytest.approx(rep.J_c_integrated, rel=1e-4)
+
+
+def representative_dealer_check(s: LiquidationScenario, steps: int = 2000) -> dict:
+    """Competitive limit vs. a single dealer at half the impact cost.
+
+    delta_inf(lambda) = delta_1(lambda/2) exactly, so the liquidation
+    paths coincide; the welfare asymptotics do not, because the dealer
+    count enters their prefactors.
+    """
+    many = dataclasses.replace(s, n_dealers=INF_DEALERS)
+    single_half = dataclasses.replace(s, impact_cost=s.impact_cost / 2.0, n_dealers=1)
+    grid = Horizon.uniform(s.T, steps).grid
+    p_many = liquidation_closed_form(many, grid)
+    p_single = liquidation_closed_form(single_half, grid)
+    gap = max(
+        float(np.max(np.abs(p_many.U_bar - p_single.U_bar))),
+        float(np.max(np.abs(p_many.K_c - p_single.K_c))),
+        float(np.max(np.abs(p_many.price_dev - p_single.price_dev))),
+    )
+    return {
+        "delta_many": scenario_delta(many).delta,
+        "delta_single_half_cost": scenario_delta(single_half).delta,
+        "max_path_gap": gap,
+        "asymptotic_J_c_int_single_half_cost": asymptotic_welfare_integrated(single_half),
+        "asymptotic_J_c_int_m1": asymptotic_welfare_integrated(
+            dataclasses.replace(s, n_dealers=1)
+        ),
+    }
 
 
 def test_representative_dealer_equivalence():
