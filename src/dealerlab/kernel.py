@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,8 +58,8 @@ class Horizon:
     @classmethod
     def uniform(cls, T: float, steps: int) -> "Horizon":
         cls._check_length(T)  # before linspace, which would warn on an infinite T
-        if steps < 1:
-            raise ValueError("need at least one step")
+        if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 1:
+            raise ValueError(f"steps must be an integer of at least 1, got {steps!r}")
         grid = np.linspace(0.0, T, steps + 1)
         grid[-1] = T
         return cls(T=float(T), grid=grid)

@@ -1,4 +1,4 @@
-"""Discrete-time Nash oracle: the first-order conditions as one banded sparse system.
+"""Discrete-time Nash oracle: the first-order conditions reduced to one scalar sweep.
 
 Completely independent verification route: the equilibrium of the
 N-step, deterministic-demand game is pinned down by
@@ -9,32 +9,36 @@ N-step, deterministic-demand game is pinned down by
   * clearing                   K^N_i + sum_a m(a) K^a_i = 0,
 
 with U^a accumulated by the left-endpoint rule U^a_i = dt sum_{j<i} u^a_j.
-Two exact rewrites make every row banded.  U^a is carried as an unknown
-with U^a_0 = 0 and U^a_{i+1} = U^a_i + dt u^a_i.  Each open-market row is
-differenced with the next one: D = I - shift_up inverts the suffix sum,
-so the sum leaves the single term (dt/rho^a)(K^a_i + U^a_i - xi^a_i).
-The stacked unknowns {K^a, u^a, U^a}_a + mu are solved by sparse LU, and
+They reduce exactly to one scalar recursion.  Dealer-market optimality
+turns each open agent's suffix term into dt S_i, S_i = sum_{j>=i} mu_j, so
+u^a = -dt v_a S with v = L^{-1} 1 (L_aa = 2 m(a) lam + open^a, L_ab = lam m(b)
+over the open agents; u^a = 0 for the others) and U^a = -dt^2 v_a P, with
+P_i = sum_{j<i} S_j.  Clearing then gives mu = d - alpha P, where
+d = -(K^N + sum_a m(a) xi^a) / R, alpha = dt^2 sum_open m(a) v_a / R >= 0 and
+R = sum_a m(a) rho^a.  A backward Riccati sweep S_i = a_i P_i + b_i,
+a_i = (a_{i+1} - alpha) / (1 - a_{i+1}), b_i = (b_{i+1} + d_i) / (1 - a_{i+1})
+from a_n = b_n = 0 (so S_n = 0, and every pivot is at least 1), then a
+forward pass P_{i+1} = P_i + S_i from P_0 = 0, give S and P; finally
+K^a = rho^a mu - U^a + xi^a.
 ``residual_rel`` is taken on the undifferenced conditions above, so every
-solve also checks the rewrite.  No kernel, feedback function, or mesh
+solve also checks the reduction.  No kernel, feedback function, or mesh
 rate enters anywhere; agreement with the closed form is the test.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu
 
 from .kernel import Horizon
 from .market import MarketParams
 from .paths import realize
 
-#: largest stacked system, (3 * agents + 1) * n_steps unknowns; at this size the
-#: sparse LU peaked at 1.1 GB RSS with 2 agents and at 1.4 GB with 5
+#: largest first-order-condition system, (3 * agents + 1) * n_steps unknowns; at
+#: this size the sweep peaked at 151 MB RSS with 2 agents and at 140 MB with 5
 MAX_UNKNOWNS = 2_000_000
 
 
@@ -58,7 +62,7 @@ class DiscreteEquilibrium:
 
 
 def assemble_and_solve(params: MarketParams, n_steps: int) -> DiscreteEquilibrium:
-    """Solve the stacked first-order-condition system for deterministic demands."""
+    """Solve the first-order conditions for deterministic demands by one scalar sweep."""
     for a in params.agents:
         if not a.target.deterministic:
             raise ValueError("the discrete oracle supports deterministic targets only")
@@ -66,8 +70,7 @@ def assemble_and_solve(params: MarketParams, n_steps: int) -> DiscreteEquilibriu
         raise ValueError("the discrete oracle supports deterministic noise demand only")
     agents = params.agents
     n = n_steps
-    n_blocks = 3 * len(agents) + 1  # K^a, u^a, U^a per agent, then mu
-    n_unknowns = n_blocks * n
+    n_unknowns = (3 * len(agents) + 1) * n  # K^a, u^a, U^a per agent, then mu
     if n_unknowns > MAX_UNKNOWNS:
         raise ValueError(
             f"first-order-condition system too large: {n_unknowns} unknowns > {MAX_UNKNOWNS}"
@@ -79,39 +82,36 @@ def assemble_and_solve(params: MarketParams, n_steps: int) -> DiscreteEquilibriu
     dt = params.horizon.T / n
     lam = params.impact_cost
 
-    eye = sparse.identity(n, format="csr")
-    diff = eye - sparse.eye(n, k=1)  # D = I - shift_up
-    lag = sparse.eye(n, k=-1)  # (lag v)_i = v_{i-1}, with v_{-1} = 0
-    mu_col, zero = n_blocks - 1, np.zeros(n)
-    system = []  # block rows: ({unknown block: coefficient matrix}, right-hand side)
-    for j, agent in enumerate(agents):
-        K, u, U = 3 * j, 3 * j + 1, 3 * j + 2
-        system.append(({K: -eye, U: -eye, mu_col: agent.risk_tolerance * eye}, -xi[agent.name]))
-        if agent.has_open_access:
-            weight = dt / agent.risk_tolerance
-            row = {3 * k + 1: lam * o.mass * diff for k, o in enumerate(agents) if k != j}
-            row[u] = (2 * agent.mass * lam + agent.open_cost) * diff
-            row[K] = row[U] = weight * eye
-            system.append((row, weight * xi[agent.name]))
-        else:
-            system.append(({u: eye}, zero))
-        system.append(({U: eye - lag, u: -dt * lag}, zero))
-    system.append(({3 * k: o.mass * eye for k, o in enumerate(agents)}, -noise))
-
-    A = sparse.bmat([[row.get(c) for c in range(n_blocks)] for row, _ in system], format="csc")
+    open_agents = [a for a in agents if a.has_open_access]
+    L = [[2 * a.mass * lam + a.open_cost if o is a else lam * o.mass for o in open_agents]
+         for a in open_agents]
     try:
-        x = splu(A).solve(np.concatenate([b for _, b in system]))
-    except RuntimeError:
+        v = np.linalg.solve(np.reshape(L, (len(L), len(L))), np.ones(len(L))).tolist()
+    except np.linalg.LinAlgError:
         raise RuntimeError(
             "singular first-order-condition system; "
             "degenerate parameters such as frictionless open-market trading can cause this"
         ) from None
+    v = dict(zip((a.name for a in open_agents), v))
+    R = sum(a.mass * a.risk_tolerance for a in agents)
+    alpha = dt * dt * sum(a.mass * v[a.name] for a in open_agents) / R
+    d = -(noise + sum(a.mass * xi[a.name] for a in agents)) / R
 
-    blocks = x.reshape(n_blocks, n)
-    K = {a.name: blocks[3 * j] for j, a in enumerate(agents)}
-    u = {a.name: blocks[3 * j + 1] for j, a in enumerate(agents)}
+    sweep, a_i, b_i = [], 0.0, 0.0  # S_i = a_i P_i + b_i, from i = n - 1 down to 0
+    for d_i in reversed(d.tolist()):
+        a_i, b_i = (a_i - alpha) / (1.0 - a_i), (b_i + d_i) / (1.0 - a_i)
+        sweep.append((a_i, b_i))
+    P, S, p = [], [], 0.0
+    for a_i, b_i in reversed(sweep):
+        P.append(p)
+        S.append(a_i * p + b_i)
+        p += S[-1]
+
+    mu = d - alpha * np.array(P)
+    S = np.array(S)
+    u = {a.name: -dt * v[a.name] * S if a.name in v else np.zeros(n) for a in agents}
     U = {name: dt * np.concatenate([[0.0], np.cumsum(rates[:-1])]) for name, rates in u.items()}
-    mu = blocks[mu_col]
+    K = {a.name: a.risk_tolerance * mu - U[a.name] + xi[a.name] for a in agents}
 
     # the undifferenced conditions as lists of terms that sum to zero
     conditions = [[a.mass * K[a.name] for a in agents] + [noise]]
@@ -168,9 +168,7 @@ def oracle_gap(params: MarketParams, steps_list) -> GapReport:
     for n in steps_list:
         disc = assemble_and_solve(params, n)
         h = Horizon.uniform(params.horizon.T, n)
-        engine = solve_equilibrium(
-            MarketParams(h, params.impact_cost, params.agents, params.noise_demand)
-        )
+        engine = solve_equilibrium(replace(params, horizon=h))
         dt = params.horizon.T / n
         gaps = {
             "K": [disc.K[a.name] - engine.agents[a.name].K[:-1] for a in params.agents],

@@ -50,7 +50,7 @@ class LiquidationScenario:
         if not math.isfinite(self.xi_c):
             raise ValueError(f"xi_c must be finite, got {self.xi_c!r}")
         m = self.n_dealers
-        if not (m == INF_DEALERS or (float(m).is_integer() and m >= 1)):
+        if isinstance(m, bool) or not (m == INF_DEALERS or (float(m).is_integer() and m >= 1)):
             raise ValueError(f"n_dealers must be a positive integer or inf, got {m!r}")
 
 

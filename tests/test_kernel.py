@@ -41,6 +41,9 @@ def test_horizon_validation():
             Horizon.uniform(T, 10)
         with pytest.raises(ValueError, match=f"got T={T}"):
             Horizon(T=T, grid=np.array([0.0, T]))
+    for steps in (2.5, True, 0):
+        with pytest.raises(ValueError, match=f"^steps .* got {steps!r}$"):
+            Horizon.uniform(1.0, steps)
 
 
 def test_delta_param():

@@ -1,6 +1,9 @@
 """Discrete Nash oracle: independence, symmetry, and convergence to the closed form."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +83,54 @@ def dealerlab_imports(source: str) -> list:
     return found
 
 
+def dense_reference(params: MarketParams, n: int) -> np.ndarray:
+    """``np.linalg.solve`` on the undifferenced stacked first-order conditions.
+
+    The unknowns are K^a, u^a, U^a per agent, then mu, each a block of n;
+    the solution comes back as one row per block, in that order.  The
+    block rows are the oracle module docstring's three condition families
+    plus U's recursion U^a_0 = 0, U^a_{i+1} = U^a_i + dt u^a_i, as one
+    dense matrix: a route that shares nothing with the sweep.
+    """
+    agents = params.agents
+    h = Horizon.uniform(params.horizon.T, n)
+    xi = [realize(a.target, h).values[:-1] for a in agents]
+    noise = realize(params.noise_demand, h).values[:-1]
+    dt, lam = params.horizon.T / n, params.impact_cost
+    eye, lag = np.eye(n), np.eye(n, k=-1)
+    suffix = np.triu(np.ones((n, n)))  # (suffix @ v)_i = sum_{j>=i} v_j
+    n_blocks = 3 * len(agents) + 1
+    mu = n_blocks - 1
+    A = np.zeros((n_blocks * n, n_blocks * n))
+    b = np.zeros(n_blocks * n)
+
+    def put(row, col, block):
+        A[row * n:(row + 1) * n, col * n:(col + 1) * n] += block
+
+    for j, a in enumerate(agents):
+        K, u, U = 3 * j, 3 * j + 1, 3 * j + 2
+        put(K, mu, a.risk_tolerance * eye)  # dealer-market optimality
+        put(K, K, -eye)
+        put(K, U, -eye)
+        b[K * n:(K + 1) * n] = -xi[j]
+        if a.has_open_access:  # open-market optimality
+            weight = dt / a.risk_tolerance
+            for k, o in enumerate(agents):
+                own = 2 * a.mass * lam + a.open_cost
+                put(u, 3 * k + 1, (own if k == j else lam * o.mass) * eye)
+            put(u, K, weight * suffix)
+            put(u, U, weight * suffix)
+            b[u * n:(u + 1) * n] = weight * suffix @ xi[j]
+        else:
+            put(u, u, eye)
+        put(U, U, eye - lag)
+        put(U, u, -dt * lag)
+    for k, o in enumerate(agents):  # clearing
+        put(mu, 3 * k, o.mass * eye)
+    b[mu * n:] = -noise
+    return np.linalg.solve(A, b).reshape(n_blocks, n)
+
+
 def liquidation_params(n_steps, M=1):
     return segmented_market(
         Horizon.uniform(1.0, n_steps), 0.1, 0.1, 0.1, M, Constant(-1.0)
@@ -88,10 +139,85 @@ def liquidation_params(n_steps, M=1):
 
 def test_oracle_imports_stay_independent_of_the_engine():
     # the oracle is a second route only while it shares no kernel, solver or closed form
-    imports = dealerlab_imports(Path(oracle.__file__).read_text())
+    source = Path(oracle.__file__).read_text()
+    imports = dealerlab_imports(source)
     assert not [i for i in imports if i[0] in ("", "fbsde", "asymptotics", "scenarios")]
     assert {name for module, name, _ in imports if module == "kernel"} == {"Horizon"}
     assert {func for module, _, func in imports if module == "equilibrium"} == {"oracle_gap"}
+    # and the sweep needs no scipy
+    nodes = list(ast.walk(ast.parse(source)))
+    modules = [a.name for node in nodes if isinstance(node, ast.Import) for a in node.names]
+    modules += [node.module or "" for node in nodes if isinstance(node, ast.ImportFrom)]
+    assert not [m for m in modules if m.split(".")[0] == "scipy"]
+
+
+def test_cli_import_loads_no_scipy():
+    # every subcommand imports the oracle through the CLI; scipy stays off that path
+    src = Path(oracle.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    code = ("import sys, dealerlab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def mixed_open_cost_params(n):
+    h = Horizon.uniform(1.0, n)
+    return MarketParams(
+        h,
+        0.05,
+        (
+            AgentSpec("a", 0.3, 0.1, 0.0, target=Constant(0.5)),
+            AgentSpec("b", 0.3, 0.2, 0.02, target=Deterministic(tuple(np.cos(3.0 * h.grid)))),
+            AgentSpec("c", 0.4, 0.15, 0.5, target=Constant(-1.0)),
+        ),
+        noise_demand=Deterministic(tuple(0.1 * h.grid)),
+    )
+
+
+def no_open_access_params(n):
+    h = Horizon.uniform(1.0, n)
+    return MarketParams(
+        h,
+        0.1,
+        (
+            AgentSpec("a", 0.5, 0.1, NO_ACCESS, target=Deterministic(tuple(np.sin(h.grid)))),
+            AgentSpec("b", 0.5, 0.3, NO_ACCESS, target=Constant(-1.0)),
+        ),
+        noise_demand=Deterministic(tuple(0.2 * h.grid)),
+    )
+
+
+@pytest.mark.parametrize(
+    "build, n",
+    [(liquidation_params, 60), (mixed_open_cost_params, 50), (no_open_access_params, 40)],
+)
+def test_sweep_agrees_with_dense_stacked_solve(build, n):
+    params = build(n)
+    disc = assemble_and_solve(params, n)
+    blocks = [path[a.name] for a in params.agents for path in (disc.K, disc.u, disc.U)]
+    reference = dense_reference(params, n)
+    gap = np.max(np.abs(np.array(blocks + [disc.mu]) - reference))
+    assert gap <= 1e-12 * np.max(np.abs(reference))
+    assert disc.residual_rel <= 1e-12
+
+
+def test_market_without_open_access_prices_the_demand_directly():
+    # nobody trades the open market, so clearing alone sets mu = d
+    n = 40
+    params = no_open_access_params(n)
+    disc = assemble_and_solve(params, n)
+    h = Horizon.uniform(1.0, n)
+    demand = realize(params.noise_demand, h).values[:-1] + sum(
+        a.mass * realize(a.target, h).values[:-1] for a in params.agents)
+    R = sum(a.mass * a.risk_tolerance for a in params.agents)
+    np.testing.assert_array_equal(disc.mu, -demand / R)
+    for a in params.agents:
+        np.testing.assert_array_equal(disc.u[a.name], 0.0)
+        np.testing.assert_array_equal(disc.U[a.name], 0.0)
 
 
 def test_zero_demands_give_zero_solution():
@@ -105,7 +231,7 @@ def test_zero_demands_give_zero_solution():
 
 def test_linear_system_residual_is_tiny():
     disc = assemble_and_solve(liquidation_params(200), 200)
-    assert disc.residual_rel < 1e-9
+    assert disc.residual_rel < 1e-12
 
 
 def test_symmetric_dealers_get_identical_paths():
@@ -196,7 +322,7 @@ def test_first_order_convergence_at_large_step_counts():
         assert gaps[0] / gaps[1] == pytest.approx(2.0, abs=0.1)
         assert gaps[1] / gaps[2] == pytest.approx(2.0, abs=0.1)
     assert report.fitted_order == pytest.approx(1.0, abs=0.05)
-    assert assemble_and_solve(params, 8000).residual_rel < 1e-9
+    assert assemble_and_solve(params, 8000).residual_rel < 1e-12
 
 
 def test_oracle_with_time_varying_deterministic_target():

@@ -68,6 +68,7 @@ def test_scenario_delta_is_the_market_delta(m, rho_d, lam):
         (lambda: LiquidationScenario(xi_c=-math.inf), "xi_c"),
         (lambda: LiquidationScenario(n_dealers=1.5), "n_dealers"),
         (lambda: LiquidationScenario(n_dealers=math.nan), "n_dealers"),
+        (lambda: LiquidationScenario(n_dealers=True), "n_dealers"),
         (lambda: DiffusiveScenario(impact_cost=math.inf), "impact_cost"),
         (lambda: DiffusiveScenario(rho_d=math.nan), "rho_d"),
         (lambda: DiffusiveScenario(T=0.0), "T"),
@@ -99,7 +100,7 @@ def test_diffusive_scenario_is_the_liquidation_scenario_without_target():
 
 def test_bulk_trade_independent_of_dealer_count():
     grid = np.linspace(0, 1, 101)
-    for M in (1, 2, 5, INF_DEALERS):
+    for M in (1, 2, 2.0, 5, INF_DEALERS):  # an integral float counts as well
         s = LiquidationScenario(n_dealers=M)
         paths = liquidation_closed_form(s, grid)
         assert paths.K_c[0] == pytest.approx(-0.5, rel=1e-14)  # rho_d/(rho_c+rho_d)*xi_c
