@@ -17,7 +17,7 @@ from .equilibrium import (
     goal_functional,
     solve_equilibrium,
 )
-from .fbsde import fbsde_residual, solve_forward
+from .fbsde import fbsde_residual, realize_driver, solve_forward
 from .kernel import DeltaParam, Horizon, compute_delta, eval_F, eval_k
 from .market import (
     AgentSpec,

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fbsde import heun_step, solve_forward
+from .fbsde import heun_step, realize_driver, solve_forward
 from .kernel import DeltaParam, Horizon, KernelWeight, eval_F, trapezoid
 from .market import Aggregates, aggregate, dealers_only_market
 from .paths import integrate_against, path_streams, standard_normal_block
@@ -167,29 +167,30 @@ def simulate_costs(
     seed: int,
     steps: int | None = None,
     workers: int = 1,
-    chunk: int = 2048,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-path (cost, tracking integral) arrays, path index order.
 
     A deterministic demand gives one exact row.  A stochastic one needs two
     or more paths, each a pure function of (seed, path index): chunking and
-    the worker count affect scheduling only, never values.  Each worker's
-    sweep holds about ``chunk`` x ``SLICE_STEPS`` x 8 bytes of normals.
+    the worker count affect scheduling only, never values.  The paths are
+    split into one chunk per worker, of at most 2048 paths; each worker's
+    sweep holds about chunk x ``SLICE_STEPS`` x 8 bytes of normals.
     """
-    if chunk < 1:
-        raise ValueError(f"chunk must be at least 1 path, got {chunk}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     ag = setting.aggregates(impact_cost)
     if steps is None:
         steps, _ = _capped_steps(setting, impact_cost)
     horizon = Horizon.uniform(setting.T, steps)
     if demand.deterministic:
-        fb = solve_forward(demand, ag.delta, horizon)
+        fb = solve_forward(realize_driver(((1.0, demand),), horizon), ag.delta, horizon)
         cost = liquidity_cost_from_paths(fb.X, fb.u, ag.impact_weight)
         return np.array([cost]), np.array([trapezoid((fb.X - fb.U) ** 2, horizon.grid)])
     if n_paths < 2:
         raise ValueError(f"Monte Carlo needs at least 2 paths, got {n_paths}")
     costs = np.empty(n_paths)
     tracks = np.empty(n_paths)
+    chunk = min(2048, math.ceil(n_paths / workers))
     starts = list(range(0, n_paths, chunk))
 
     def run(start: int):
@@ -256,7 +257,6 @@ class LiquidityCostReport:
     track_stderrs: list
     track_monotone_within_2se: bool
     track_reduction_factor: float | None  # largest-lambda over smallest-lambda mean; None at 0
-    seed: int | None = None
     warnings: list = field(default_factory=list)
 
 
@@ -338,7 +338,6 @@ def scaling_study(
             )
         ),
         track_reduction_factor=track_means[-1] / track_means[0] if track_means[0] > 0 else None,
-        seed=seed,
         warnings=warnings,
     )
     if stderrs[0] > 0.1 * abs(means[0]):

@@ -217,16 +217,15 @@ def cmd_diffusive(args) -> None:
         seed=args.seed,
         steps=args.steps,
     )
-    reg = price_reversion_regression(
-        DiffusiveScenario(n_dealers=1, **base), n_paths=args.paths, t_max=args.T / 2
-    )
-    one = diffusive_simulate(DiffusiveScenario(n_dealers=1, **base))
-    many = diffusive_simulate(DiffusiveScenario(n_dealers=INF_DEALERS, **base))
+    one_dealer = DiffusiveScenario(n_dealers=1, **base)
+    one = diffusive_simulate(one_dealer, args.paths)
+    reg = price_reversion_regression(one_dealer, one, t_max=args.T / 2)
+    many = diffusive_simulate(DiffusiveScenario(n_dealers=INF_DEALERS, **base), 1)
     out = _outdir(args)
     write_csv(
         out / "fig2_paths.csv",
         ["t", "xi_c", "K_c_M1", "K_c_Minf"],
-        [one.grid, one.xi_c, one.K_c, many.K_c],
+        [one.grid, one.xi_c[0], one.K_c[0], many.K_c[0]],
     )
     write_json(
         out / "ou_regression.json",
@@ -262,6 +261,8 @@ def cmd_welfare(args) -> None:
 def _scaling_common(args, demand, out_json: str, out_csv: str) -> None:
     if args.workers < 1:
         raise ConfigError(f"--workers must be at least 1, got {args.workers}")
+    if args.paths < 0:
+        raise ConfigError(f"--paths must not be negative, got {args.paths}")
     setting = DealerSetting(n_dealers=args.m, rho_d=args.rho_d, T=args.T)
     report = scaling_study(
         setting,
@@ -272,7 +273,6 @@ def _scaling_common(args, demand, out_json: str, out_csv: str) -> None:
         workers=args.workers,
     )
     payload = asdict(report)
-    payload.pop("seed")
     payload["M"] = payload.pop("n_dealers")
     out = _outdir(args)
     write_json(
@@ -306,15 +306,15 @@ def cmd_oracle_check(args) -> None:
     from .market import segmented_market
 
     steps_list = _parse_steps_list(args.steps_list)
+    # oracle_gap reads only T from this horizon and builds each grid it solves on
     params = segmented_market(
-        Horizon.uniform(args.T, max(steps_list)),
-        args.impact_cost,
-        args.rho_c,
-        args.rho_d,
-        1,
-        Constant(args.xi_c),
+        Horizon.uniform(args.T, 1), args.impact_cost, args.rho_c, args.rho_d, 1, Constant(args.xi_c)
     )
     report = oracle_gap(params, steps_list)
+    if report.fitted_order is not None and not 0.5 <= report.fitted_order <= 1.5:
+        raise NumericalError(
+            f"discrete oracle convergence order {report.fitted_order:.2f} out of range"
+        )
     worst = max(max(v) for v in report.max_gaps.values())
     out = _outdir(args)
     write_json(
@@ -325,10 +325,6 @@ def cmd_oracle_check(args) -> None:
             "worst_gap": worst,
         },
     )
-    if report.fitted_order is not None and not 0.5 <= report.fitted_order <= 1.5:
-        raise NumericalError(
-            f"discrete oracle convergence order {report.fitted_order:.2f} out of range"
-        )
 
 
 def cmd_equilibrium(args) -> None:

@@ -86,7 +86,7 @@ def solve_equilibrium(
         if p not in realized.paths:
             realized.paths[p] = realize(p, horizon)
 
-    fb = solve_forward(driver, ag.delta, horizon, realized=realized)
+    fb = solve_forward(realized, ag.delta, horizon)
 
     def path_of(p: DemandProcess) -> np.ndarray:
         return realized.paths[p].values

@@ -23,14 +23,7 @@ import numpy as np
 
 from .kernel import DeltaParam, Horizon, KernelWeight, eval_F
 from .paths import realize
-from .processes import ZERO, DemandProcess, TermList
-
-
-def as_terms(driver) -> TermList:
-    """Normalize a driver (single process or weighted terms) to a term list."""
-    if isinstance(driver, DemandProcess):
-        return ((1.0, driver),)
-    return tuple((float(w), p) for w, p in driver)
+from .processes import ZERO, TermList
 
 
 def driver_is_deterministic(terms: TermList) -> bool:
@@ -53,15 +46,15 @@ class RealizedDriver:
 
 
 def realize_driver(
-    driver, horizon: Horizon, seed: int | None = None, path_index: int = 0
+    terms: TermList, horizon: Horizon, seed: int | None = None, path_index: int = 0
 ) -> RealizedDriver:
-    """Realize each distinct process of a driver on its own substream.
+    """Realize each distinct process of a weighted term list on its own substream.
 
     Streams are assigned by first appearance in the term list, so a
     process shared between terms (a common client target) is realized once.
     A driver whose terms cancelled to none is the zero process on the grid.
     """
-    terms = as_terms(driver) or ((1.0, ZERO),)
+    terms = tuple(terms) or ((1.0, ZERO),)
     paths: dict = {}
     stream = 0
     for _, p in terms:
@@ -103,26 +96,16 @@ class FbsdePath:
     driver: TermList
 
 
-def solve_forward(
-    driver,
-    d: DeltaParam,
-    horizon: Horizon,
-    seed: int | None = None,
-    realized: RealizedDriver | None = None,
-) -> FbsdePath:
+def solve_forward(realized: RealizedDriver, d: DeltaParam, horizon: Horizon) -> FbsdePath:
     """Integrate dU = (G(t) - F(t) U) dt with U_0 = 0 by Heun's method.
 
-    Deterministic drivers need no randomness; stochastic drivers are
-    realized from path 0 of ``seed`` unless ``realized`` is supplied.
-    The returned rate satisfies u = G - F*U exactly at the grid nodes,
-    hence u_T = 0 exactly.
+    The driver is the realized one, one path or a batch of them; its terms
+    are recorded as the path's driver.  The returned rate satisfies
+    u = G - F*U exactly at the grid nodes, hence u_T = 0 exactly.
     """
-    terms = as_terms(driver)
-    if realized is None:
-        realized = realize_driver(terms, horizon, seed=seed)
     G = kernel_expectation_path(realized, d, horizon)
     U, u = heun_path(G, eval_F(d, horizon.grid, horizon.T), horizon.dt)
-    return FbsdePath(horizon=horizon, u=u, U=U, X=realized.values(), driver=terms)
+    return FbsdePath(horizon=horizon, u=u, U=U, X=realized.values(), driver=realized.terms)
 
 
 def heun_step(U, u, g_next, F_next: float, dt: float):

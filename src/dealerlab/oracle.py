@@ -52,7 +52,6 @@ class DiscreteEquilibrium:
     u: Dict[str, np.ndarray]
     U: Dict[str, np.ndarray]
     residual_rel: float
-    n_unknowns: int
 
     def aggregate_rate(self, params: MarketParams) -> np.ndarray:
         return sum(a.mass * self.u[a.name] for a in params.agents)
@@ -135,7 +134,6 @@ def assemble_and_solve(params: MarketParams, n_steps: int) -> DiscreteEquilibriu
         u=u,
         U=U,
         residual_rel=float(residual / max(scale, 1e-300)),
-        n_unknowns=n_unknowns,
     )
 
 
@@ -156,7 +154,8 @@ def oracle_gap(params: MarketParams, steps_list) -> GapReport:
 
     Quantities: dealer-market positions (worst agent), the aggregate
     open-market rate, and the risk premium.  The order is the slope of
-    log(max gap) against log(dt), or None on a single grid.
+    log(max gap) against log(dt), or None on a single grid or when a worst
+    gap is 0 (the routes agree exactly and there is no log to fit).
     """
     from .equilibrium import solve_equilibrium
 
@@ -178,7 +177,9 @@ def oracle_gap(params: MarketParams, steps_list) -> GapReport:
         for key, arrays in gaps.items():
             max_gaps[key].append(max(float(np.max(np.abs(g))) for g in arrays))
             l2_gaps[key].append(max(math.sqrt(dt * np.sum(g**2)) for g in arrays))
-    log_dt = np.log([params.horizon.T / n for n in steps_list])
-    worst = np.log([max(max_gaps[k][i] for k in max_gaps) for i in range(len(steps_list))])
-    order = float(np.polyfit(log_dt, worst, 1)[0]) if len(steps_list) > 1 else None
+    worst = [max(gaps) for gaps in zip(*max_gaps.values())]
+    order = None
+    if len(worst) > 1 and min(worst) > 0:
+        log_dt = np.log([params.horizon.T / n for n in steps_list])
+        order = float(np.polyfit(log_dt, np.log(worst), 1)[0])
     return GapReport(steps=steps_list, max_gaps=max_gaps, l2_gaps=l2_gaps, fitted_order=order)

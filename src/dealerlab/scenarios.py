@@ -150,7 +150,7 @@ class DiffusivePaths:
     d_xi: np.ndarray  # per-step target shocks; share_d * d_xi is K_c's martingale part
 
 
-def diffusive_simulate(s: DiffusiveScenario, n_paths: int = 1) -> DiffusivePaths:
+def diffusive_simulate(s: DiffusiveScenario, n_paths: int) -> DiffusivePaths:
     """Euler-Maruyama simulation of the diffusive-target equilibrium.
 
     dK_c       = F(t)(xi_c - K_c) dt + rho_d/(rho_c+rho_d) dxi_c
@@ -160,8 +160,11 @@ def diffusive_simulate(s: DiffusiveScenario, n_paths: int = 1) -> DiffusivePaths
     Paths are vectorized over the (seed, i) substreams; the
     martingale part of each K_c step is exactly the dealers' share of the
     target shock.  The arrays are held time-major, (steps+1, paths), so each
-    step reads and writes contiguous rows, and come back path-major.
+    step reads and writes contiguous rows, and come back path-major:
+    (paths, steps+1), and (paths, steps) for the shocks, one path included.
     """
+    if n_paths < 1:
+        raise ValueError(f"the diffusive simulation needs at least one path, got {n_paths}")
     horizon = Horizon.uniform(s.T, s.steps)
     grid = horizon.grid
     d = scenario_delta(s)
@@ -182,33 +185,25 @@ def diffusive_simulate(s: DiffusiveScenario, n_paths: int = 1) -> DiffusivePaths
         Z[i + 1] = Z[i] - F_i * Z[i] * dt_i + 0.5 * dxi[i]
     rho_bar = (s.rho_c + s.rho_d) / 2.0
     price_dev = F[:, None] * Z / (d.delta * rho_bar)
-    xi, K, Z, price_dev, dxi = xi.T, K.T, Z.T, price_dev.T, dxi.T
-    if n_paths == 1:
-        xi, K, Z, price_dev, dxi = xi[0], K[0], Z[0], price_dev[0], dxi[0]
     return DiffusivePaths(
-        grid=grid, xi_c=xi, K_c=K, xi_minus_U=Z, price_dev=price_dev, d_xi=dxi
+        grid=grid, xi_c=xi.T, K_c=K.T, xi_minus_U=Z.T, price_dev=price_dev.T, d_xi=dxi.T
     )
 
 
 def price_reversion_regression(
-    s: DiffusiveScenario, n_paths: int = 10_000, t_max: float | None = None
+    s: DiffusiveScenario, sim: DiffusivePaths, t_max: float | None = None
 ) -> dict:
-    """Regress d(S-D) on (S-D) dt and dxi_c far from maturity.
+    """Regress d(S-D) on (S-D) dt and dxi_c far from maturity, over the paths ``sim`` of ``s``.
 
     Away from the terminal boundary layer F ~ sqrt(delta), so the price
     deviation is approximately an OU process with mean-reversion rate
     sqrt(delta) and shock loading 1/(2 sqrt(delta) rho_bar).
     """
-    if n_paths < 1:
-        raise ValueError(f"the price-reversion regression needs at least one path, got {n_paths}")
-    sim = diffusive_simulate(s, n_paths=n_paths)
-    grid, dt = sim.grid, np.diff(sim.grid)
-    price_dev = sim.price_dev.reshape(n_paths, grid.size)  # one path comes back 1-D
-    xi_c = sim.xi_c.reshape(n_paths, grid.size)
+    grid, dt, price_dev = sim.grid, np.diff(sim.grid), sim.price_dev
     cut = grid.size - 1 if t_max is None else int(np.searchsorted(grid, t_max))
     y = np.diff(price_dev, axis=-1)[:, :cut].ravel()
     x1 = (price_dev[:, :cut] * dt[:cut]).ravel()
-    x2 = np.diff(xi_c, axis=-1)[:, :cut].ravel()
+    x2 = np.diff(sim.xi_c, axis=-1)[:, :cut].ravel()
     A = np.column_stack([x1, x2])
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)
     d = scenario_delta(s)
@@ -218,7 +213,7 @@ def price_reversion_regression(
         "loading": float(coef[1]),
         "mean_reversion_theory": d.sqrt_delta,
         "loading_theory": 1.0 / (2.0 * d.sqrt_delta * rho_bar),
-        "n_paths": n_paths,
+        "n_paths": price_dev.shape[0],
     }
 
 

@@ -228,19 +228,18 @@ def test_criterion_7_figure_reproduction(tmp_path):
     assert abs(float(prow[2]) - (-0.5)) < 1e-6
     # figure 2: per-step martingale loading is exactly the dealers' share
     s = DiffusiveScenario(seed=0, steps=1000)
-    sim = diffusive_simulate(s)
+    sim = diffusive_simulate(s, 1)
+    xi_c, K_c, d_xi = sim.xi_c[0], sim.K_c[0], sim.d_xi[0]
     F = eval_F(scenario_delta(s), sim.grid, s.T)
     dt = np.diff(sim.grid)
     fig2 = tmp_path / "fig2"
     assert main(["diffusive", "--out", str(fig2), "--paths", "500", "--seed", "0"]) == 0
     csv_k = np.loadtxt(fig2 / "fig2_paths.csv", delimiter=",", skiprows=1)
     # the emitted file carries 12 significant digits
-    np.testing.assert_allclose(csv_k[:, 2], sim.K_c, rtol=1e-11, atol=1e-12)
+    np.testing.assert_allclose(csv_k[:, 2], K_c, rtol=1e-11, atol=1e-12)
     for i in range(s.steps):
-        recomputed = (
-            sim.K_c[i] + F[i] * (sim.xi_c[i] - sim.K_c[i]) * dt[i]
-        ) + 0.5 * sim.d_xi[i]
-        assert sim.K_c[i + 1] == recomputed
+        recomputed = (K_c[i] + F[i] * (xi_c[i] - K_c[i]) * dt[i]) + 0.5 * d_xi[i]
+        assert K_c[i + 1] == recomputed
     # figure 3
     fig3 = tmp_path / "fig3"
     assert main(["welfare", "--out", str(fig3), "--m-max", "20"]) == 0

@@ -17,7 +17,7 @@ from dealerlab.asymptotics import (
     steps_for,
     theoretical_prefactor,
 )
-from dealerlab.fbsde import RealizedDriver, solve_forward
+from dealerlab.fbsde import RealizedDriver, realize_driver, solve_forward
 from dealerlab.kernel import Horizon
 from dealerlab.paths import path_streams, realize, standard_normal_block
 from dealerlab.processes import (
@@ -75,7 +75,7 @@ def test_cost_routes_are_summation_by_parts_twins():
     # -sum K du vs +sum u dK agree to rounding (K_0 = 0, u_T = 0)
     ag = DealerSetting(n_dealers=3).aggregates(1e-3)
     h = Horizon.uniform(1.0, steps_for(ag.delta, 1.0))
-    fb = solve_forward(UNIT_RATE, ag.delta, h)
+    fb = solve_forward(realize_driver(((1.0, UNIT_RATE),), h), ag.delta, h)
     a = liquidity_cost_from_paths(fb.X, fb.u, ag.impact_weight)
     b = liquidity_cost_direct(fb.X, fb.u, ag.impact_weight)
     assert a == pytest.approx(b, rel=1e-10)
@@ -179,13 +179,15 @@ def test_ou_demand_family_prefactor():
 def test_monte_carlo_reproducibility_and_worker_invariance():
     setting = DealerSetting(n_dealers=1)
     dem = BrownianMartingale(0.0, 1.0)
-    a, ta = simulate_costs(setting, dem, 1e-2, 600, seed=21, chunk=128)
-    b, tb = simulate_costs(setting, dem, 1e-2, 600, seed=21, chunk=128)
+    a, ta = simulate_costs(setting, dem, 1e-2, 600, seed=21)
+    b, tb = simulate_costs(setting, dem, 1e-2, 600, seed=21)
     np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(ta, tb)
-    c, tc = simulate_costs(setting, dem, 1e-2, 600, seed=21, chunk=97, workers=3)
-    np.testing.assert_array_equal(a, c)
-    np.testing.assert_array_equal(ta, tc)
+    # one chunk per worker: 600 paths as 120-path and 86-path chunks
+    for workers in (5, 7):
+        c, tc = simulate_costs(setting, dem, 1e-2, 600, seed=21, workers=workers)
+        np.testing.assert_array_equal(a, c)
+        np.testing.assert_array_equal(ta, tc)
 
 
 @pytest.mark.parametrize(
@@ -230,7 +232,7 @@ def test_sweep_matches_forward_solve_path_by_path(demand):
     z = standard_normal_block(path_streams(seed, 0, n_paths), h.n_steps)
     path = realize(demand, h, z=z)
     realized = RealizedDriver(((1.0, demand),), {demand: path})
-    fb = solve_forward(demand, ag.delta, h, realized=realized)
+    fb = solve_forward(realized, ag.delta, h)
     cost = liquidity_cost_from_paths(fb.X, fb.u, ag.impact_weight)
     gap_sq = (fb.X - fb.U) ** 2
     track = np.sum(0.5 * (gap_sq[:, :-1] + gap_sq[:, 1:]) * h.dt, axis=-1)
@@ -248,12 +250,12 @@ def test_sweep_matches_forward_solve_path_by_path(demand):
     ids=["brownian", "ou", "smooth-ou"],
 )
 def test_time_slices_change_no_path(demand, monkeypatch):
-    # slice widths that do not divide the steps, or cover them all, across chunk/worker splits
+    # slice widths that do not divide the steps, or cover them all, across worker splits
     setting, lam, n_paths, steps = DealerSetting(n_dealers=2), 1e-2, 20, 50
     runs = []
-    for width, chunk, workers in ((steps, n_paths, 1), (7, 6, 2), (7, n_paths, 1), (500, 3, 3)):
+    for width, workers in ((steps, 1), (7, 4), (7, 1), (500, 3)):
         monkeypatch.setattr(asymptotics, "SLICE_STEPS", width)
-        runs.append(simulate_costs(setting, demand, lam, n_paths, 5, steps, workers, chunk))
+        runs.append(simulate_costs(setting, demand, lam, n_paths, 5, steps, workers))
     for costs, tracks in runs[1:]:
         np.testing.assert_array_equal(costs, runs[0][0])
         np.testing.assert_array_equal(tracks, runs[0][1])
@@ -275,11 +277,11 @@ def test_sweep_memory_is_bounded_by_the_slice():
 
 @pytest.mark.parametrize("width", [7, 500])
 def test_one_chunk_across_partial_tiles_matches_small_chunks(width, monkeypatch):
-    # 130 paths fill two 64-path tiles and a 2-path one; 20-path chunks fill none
+    # 130 paths fill two 64-path tiles and a 2-path one; 7 workers' 19-path chunks fill none
     monkeypatch.setattr(asymptotics, "SLICE_STEPS", width)
     setting, demand, steps = DealerSetting(n_dealers=2), BrownianMartingale(0.3, 1.0), 50
-    whole = simulate_costs(setting, demand, 1e-2, 130, 9, steps, 1, 130)
-    split = simulate_costs(setting, demand, 1e-2, 130, 9, steps, 2, 20)
+    whole = simulate_costs(setting, demand, 1e-2, 130, 9, steps, 1)
+    split = simulate_costs(setting, demand, 1e-2, 130, 9, steps, 7)
     for a, b in zip(whole, split):
         np.testing.assert_array_equal(a, b)
 
@@ -307,11 +309,29 @@ def test_sweep_memory_at_the_default_chunk_is_one_slice_buffer():
     assert peak < 1.25 * n_paths * asymptotics.SLICE_STEPS * 8
 
 
-@pytest.mark.parametrize("chunk", [0, -4])
-def test_chunk_below_one_path_is_rejected(chunk):
-    with pytest.raises(ValueError, match="chunk"):
+def test_chunks_follow_the_worker_count(monkeypatch):
+    # one chunk per worker, capped at 2048 paths: no worker idles while another sweeps
+    counts = []
+    sweep = asymptotics._chunk_sweep
+
+    def recording_sweep(*args):
+        counts.append(args[-1])
+        return sweep(*args)
+
+    monkeypatch.setattr(asymptotics, "_chunk_sweep", recording_sweep)
+    demand = BrownianMartingale(0.0, 1.0)
+    for n_paths, workers, want in ((600, 3, [200] * 3), (601, 3, [201, 201, 199]),
+                                   (5000, 1, [2048, 2048, 904]), (5000, 2, [2048, 2048, 904])):
+        counts.clear()
+        simulate_costs(DealerSetting(n_dealers=2), demand, 1e-2, n_paths, 1, 4, workers)
+        assert sorted(counts, reverse=True) == want, (n_paths, workers)
+
+
+@pytest.mark.parametrize("workers", [0, -4])
+def test_workers_below_one_are_rejected(workers):
+    with pytest.raises(ValueError, match="workers"):
         simulate_costs(DealerSetting(n_dealers=2), BrownianMartingale(0.0, 1.0), 1e-2, 8, 1,
-                       chunk=chunk)
+                       workers=workers)
 
 
 def test_scaling_study_rejects_repeated_impact_costs():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -190,6 +191,42 @@ def test_oracle_check_single_grid_has_null_order(tmp_path):
     assert rep["report"]["steps"] == [100] and rep["worst_gap"] < 0.1
 
 
+def test_oracle_check_without_a_gap_has_null_order(tmp_path):
+    # a zero target: oracle and engine agree exactly, and log(0) fits no order
+    argv = ["oracle-check", "--out", str(tmp_path), "--xi-c", "0", "--steps-list", "100,200"]
+    assert main(argv) == 0
+    rep = read_json(tmp_path / "oracle_gap.json")
+    assert rep["report"]["fitted_order"] is None and rep["worst_gap"] == 0.0
+
+
+def test_oracle_check_order_out_of_range_exits_two_leaving_no_directory(tmp_path, monkeypatch):
+    from dealerlab import cli
+    from dealerlab.oracle import GapReport
+
+    def steep(params, steps_list):
+        return GapReport(steps_list, {"mu": [0.1, 0.0125]}, {"mu": [0.1, 0.0125]}, 3.0)
+
+    monkeypatch.setattr(cli, "oracle_gap", steep)
+    out = tmp_path / "out"
+    assert main(["oracle-check", "--out", str(out), "--steps-list", "100,200"]) == 2
+    assert not out.exists()
+
+
+def test_oracle_check_rejects_an_oversized_grid_before_building_it(tmp_path, capsys):
+    # the market is built on one step: a 2*10^7-step grid is never allocated
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        rc = main(["oracle-check", "--out", str(out), "--steps-list", "100,20000000"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 1 and "too large" in capsys.readouterr().err
+    assert peak < 8e6
+    assert not out.exists()
+
+
 def test_oracle_check_repeated_grids_exit_one(tmp_path, capsys):
     assert main(["oracle-check", "--out", str(tmp_path), "--steps-list", "100,100"]) == 1
     assert "distinct" in capsys.readouterr().err
@@ -284,6 +321,7 @@ SEED_RANGE = "seed must lie in [0, 2**64)"
         (["oracle-check", "--lambda", "inf"], None, "--lambda"),
         (["diffusive", "--sigma-xi", "inf", "--steps", "50"], None, "--sigma-xi"),
         (["scaling-smooth", "--lambda", "inf"], None, "--lambda"),
+        (["scaling-smooth", "--paths", "-5"], None, "--paths"),
         (["scaling-diffusive", "--lambda", "1e-2,nan"], None, "--lambda"),
         (["equilibrium"], CONFIG.replace("impact_cost = 0.1", "impact_cost = nan"),
          "impact cost"),
@@ -314,7 +352,8 @@ SEED_RANGE = "seed must lie in [0, 2**64)"
     ],
     ids=["seed-scaling-diffusive", "seed-diffusive-negative", "seed-diffusive-2**64",
          "seed-equilibrium", "xi-c-nan", "rho-d-nan", "lambda-nan", "lambda-inf", "sigma-xi-inf",
-         "scaling-smooth-inf", "scaling-diffusive-nan", "ini-impact-cost-nan", "ini-open-cost-nan",
+         "scaling-smooth-inf", "scaling-smooth-negative-paths", "scaling-diffusive-nan",
+         "ini-impact-cost-nan", "ini-open-cost-nan",
          "oracle-frictionless", "oracle-negative-lambda", "ini-mass-inf",
          "ini-risk-tolerance-inf", "ini-constant-nan", "ini-brownian-nan",
          "ini-ou-inf", "ini-smooth-nan", "ini-deterministic-nan", "ini-deterministic-grid",

@@ -62,6 +62,11 @@ def double_integral_position(
     return out * (1.0 + np.exp(-2.0 * b * tau))
 
 
+def forward(process, d, horizon, seed=None):
+    """The forward solve driven by one process, realized from path 0 of ``seed``."""
+    return solve_forward(realize_driver(((1.0, process),), horizon, seed=seed), d, horizon)
+
+
 def closed_form_position_constant(c, delta, grid):
     # (1 - cosh(sqrt(delta)(T-t))/cosh(sqrt(delta) T)) * c  for a constant driver
     from dealerlab.kernel import stable_cosh_ratio
@@ -224,7 +229,7 @@ def test_g_deterministic_matches_pointwise_quadrature():
     d = DeltaParam.from_value(30.0)
     x_fn = lambda s: np.sin(3.0 * s) + 0.5 * s  # noqa: E731
     proc = Deterministic(tuple(x_fn(h.grid)))
-    realized = realize_driver(proc, h)
+    realized = realize_driver(((1.0, proc),), h)
     G = kernel_expectation_path(realized, d, h)
     for idx in (0, 700, 1500):
         t = h.grid[idx]
@@ -239,7 +244,7 @@ def test_g_deterministic_matches_pointwise_quadrature():
 def test_zero_driver_gives_zero_paths():
     h = Horizon.uniform(1.0, 100)
     d = DeltaParam.from_value(50.0)
-    path = solve_forward(ZERO, d, h)
+    path = forward(ZERO, d, h)
     np.testing.assert_array_equal(path.u, 0.0)
     np.testing.assert_array_equal(path.U, 0.0)
 
@@ -248,7 +253,7 @@ def test_constant_driver_matches_closed_form():
     # engine position vs the hyperbolic closed form, 1e-6 at 1e4 steps
     h = Horizon.uniform(1.0, 10_000)
     d = DeltaParam.from_value(50.0)
-    path = solve_forward(Constant(-0.5), d, h)
+    path = forward(Constant(-0.5), d, h)
     exact = closed_form_position_constant(-0.5, 50.0, h.grid)
     assert np.max(np.abs(path.U - exact)) < 1e-6
     assert path.U[-1] == pytest.approx(-0.499150674907945, abs=2e-7)
@@ -259,7 +264,7 @@ def test_constant_driver_matches_closed_form():
 def test_position_increment_is_trapezoid_of_rate():
     h = Horizon.uniform(1.0, 500)
     d = DeltaParam.from_value(20.0)
-    path = solve_forward(Constant(1.0), d, h)
+    path = forward(Constant(1.0), d, h)
     dU = np.diff(path.U)
     trap = 0.5 * (path.u[:-1] + path.u[1:]) * h.dt
     # Heun differs from the trapezoid of the final rate by O(dt^3) per step
@@ -269,7 +274,7 @@ def test_position_increment_is_trapezoid_of_rate():
 def test_residual_zero_driver_exact():
     h = Horizon.uniform(1.0, 64)
     d = DeltaParam.from_value(5.0)
-    res = fbsde_residual(solve_forward(ZERO, d, h), d)
+    res = fbsde_residual(forward(ZERO, d, h), d)
     assert res.max_drift_residual == 0.0
     assert res.terminal_rate == 0.0
 
@@ -278,7 +283,8 @@ def test_cancelled_driver_is_zero_on_the_grid():
     # terms that cancel leave an empty term list: X must still be a zero path
     h = Horizon.uniform(1.0, 10)
     d = DeltaParam.from_value(5.0)
-    path = solve_forward(combine([(1.0, Constant(1.0)), (-1.0, Constant(1.0))]), d, h)
+    driver = combine([(1.0, Constant(1.0)), (-1.0, Constant(1.0))])
+    path = solve_forward(realize_driver(driver, h), d, h)
     np.testing.assert_array_equal(path.X, np.zeros(h.grid.size))
     res = fbsde_residual(path, d)
     assert res.max_drift_residual == 0.0
@@ -288,12 +294,12 @@ def test_cancelled_driver_is_zero_on_the_grid():
 def test_residual_constant_driver_order_one():
     d = DeltaParam.from_value(50.0)
     h1 = Horizon.uniform(1.0, 10_000)
-    res1 = fbsde_residual(solve_forward(Constant(-0.5), d, h1), d)
+    res1 = fbsde_residual(forward(Constant(-0.5), d, h1), d)
     assert res1.max_drift_residual <= 10.0 * (1.0 / 10_000)
     assert res1.terminal_rate == 0.0
     # halving dt halves the residual within 20%
     h2 = Horizon.uniform(1.0, 20_000)
-    res2 = fbsde_residual(solve_forward(Constant(-0.5), d, h2), d)
+    res2 = fbsde_residual(forward(Constant(-0.5), d, h2), d)
     ratio = res1.max_drift_residual / res2.max_drift_residual
     assert 2.0 * 0.8 < ratio < 2.0 * 1.2
 
@@ -301,7 +307,7 @@ def test_residual_constant_driver_order_one():
 def test_residual_rejects_stochastic_driver():
     h = Horizon.uniform(1.0, 64)
     d = DeltaParam.from_value(5.0)
-    path = solve_forward(BrownianMartingale(0.0, 1.0), d, h, seed=1)
+    path = forward(BrownianMartingale(0.0, 1.0), d, h, seed=1)
     with pytest.raises(ValueError):
         fbsde_residual(path, d)
     assert path.u[..., -1] == 0.0  # terminal condition still exact
@@ -313,9 +319,9 @@ def test_linearity_of_solve_forward():
     det = Deterministic(tuple(np.cos(2.0 * h.grid)))
     const = Constant(0.7)
     a, b = 2.0, -1.5
-    pa = solve_forward(const, d, h)
-    pb = solve_forward(det, d, h)
-    pab = solve_forward([(a, const), (b, det)], d, h)
+    pa = forward(const, d, h)
+    pb = forward(det, d, h)
+    pab = solve_forward(realize_driver([(a, const), (b, det)], h), d, h)
     np.testing.assert_allclose(pab.U, a * pa.U + b * pb.U, atol=1e-10)
     np.testing.assert_allclose(pab.u, a * pa.u + b * pb.u, atol=1e-10)
 
@@ -323,7 +329,7 @@ def test_linearity_of_solve_forward():
 def test_double_integral_representation_constant():
     h = Horizon.uniform(1.0, 4000)
     d = DeltaParam.from_value(50.0)
-    realized = realize_driver(Constant(-0.5), h)
+    realized = realize_driver(((1.0, Constant(-0.5)),), h)
     u33 = double_integral_position(realized, d, h)
     exact = closed_form_position_constant(-0.5, 50.0, h.grid)
     assert np.max(np.abs(u33 - exact)) < 5e-5
@@ -333,8 +339,9 @@ def test_double_integral_matches_forward_solve_on_brownian_path():
     # same realized path through two representations, O(dt) agreement
     h = Horizon.uniform(1.0, 4000)
     d = DeltaParam.from_value(50.0)
-    realized = realize_driver(BrownianMartingale(0.0, 1.0), h, seed=42, path_index=3)
-    path = solve_forward(BrownianMartingale(0.0, 1.0), d, h, realized=realized)
+    realized = realize_driver(((1.0, BrownianMartingale(0.0, 1.0)),), h, seed=42, path_index=3)
+    path = solve_forward(realized, d, h)
+    assert path.driver is realized.terms
     u33 = double_integral_position(realized, d, h)
     assert np.max(np.abs(path.U - u33)) < 30.0 / 4000
 
@@ -348,7 +355,7 @@ def test_eq33_nested_quadrature_oracle():
     d = DeltaParam.from_value(delta)
     x_fn = lambda s: 1.0 + 0.3 * np.sin(4.0 * s)  # noqa: E731
     proc = Deterministic(tuple(x_fn(h.grid)))
-    path = solve_forward(proc, d, h)
+    path = forward(proc, d, h)
 
     def g_quad(s):
         return simpson(lambda r: eval_k(d, s, r, 1.0) * x_fn(r), s, 1.0, panels=512)
@@ -372,7 +379,7 @@ def test_martingale_driver_state_feedback():
     h = Horizon.uniform(1.0, 256)
     d = DeltaParam.from_value(25.0)
     proc = BrownianMartingale(0.0, 1.0)
-    path = solve_forward(proc, d, h, seed=5)
+    path = forward(proc, d, h, seed=5)
     F = eval_F(d, h.grid, 1.0)
     np.testing.assert_allclose(path.u, F * (path.X - path.U), atol=1e-12)
 
@@ -387,11 +394,9 @@ def test_solve_forward_multi_path_vectorized():
     from dealerlab.paths import RealizedPath
 
     realized = RealizedDriver(((1.0, proc),), {proc: RealizedPath(z)})
-    block = solve_forward(proc, d, h, realized=realized)
+    block = solve_forward(realized, d, h)
     for i in range(4):
-        single = solve_forward(
-            proc, d, h, realized=RealizedDriver(((1.0, proc),), {proc: RealizedPath(z[i])})
-        )
+        single = solve_forward(RealizedDriver(((1.0, proc),), {proc: RealizedPath(z[i])}), d, h)
         np.testing.assert_array_equal(block.U[i], single.U)
 
 
@@ -425,7 +430,7 @@ def test_stiff_delta_stable_with_resolved_grid():
     d = DeltaParam.from_value(delta)
     n = int(50 * math.sqrt(delta) * 1.0)
     h = Horizon.uniform(1.0, n)
-    path = solve_forward(Constant(1.0), d, h)
+    path = forward(Constant(1.0), d, h)
     exact = closed_form_position_constant(1.0, delta, h.grid)
     assert np.all(np.isfinite(path.U))
     # Heun truncation at 50 steps per 1/sqrt(delta) boundary layer

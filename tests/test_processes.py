@@ -1,11 +1,14 @@
 """Process-family validation, the diffusion table and weighted-combination rules."""
 
+import ast
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dealerlab import processes
 from dealerlab.kernel import DeltaParam, Horizon, KernelWeight
 from dealerlab.processes import (
     BrownianMartingale,
@@ -156,3 +159,23 @@ def test_combine_keeps_brownian_and_ou_as_two_terms():
 def test_combine_cancelling_weights():
     xi = Constant(1.0)
     assert combine([(1.0, xi), (-1.0, xi)]) == ()
+
+
+def _names(node: ast.AST) -> set:
+    """Every bare name and attribute name inside ``node``."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_no_module_tells_a_process_from_its_general_type():
+    # a driver is always a term list, and each kind acts through its own table entries
+    sources = sorted(Path(processes.__file__).parent.glob("*.py"))
+    assert len(sources) > 5
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and _names(node.func) == {"isinstance"}
+        and "DemandProcess" in _names(node.args[1])
+    ]
+    assert calls == []

@@ -169,45 +169,54 @@ def test_integrated_closed_form_agrees_with_engine():
 # ----------------------------------------------------------------------
 
 def test_diffusive_zero_volatility():
-    sim = diffusive_simulate(DiffusiveScenario(sigma_xi=0.0, steps=100))
+    sim = diffusive_simulate(DiffusiveScenario(sigma_xi=0.0, steps=100), 1)
     np.testing.assert_array_equal(sim.xi_c, 0.0)
     np.testing.assert_array_equal(sim.K_c, 0.0)
     np.testing.assert_array_equal(sim.price_dev, 0.0)
 
 
 def test_diffusive_initial_and_terminal_values():
-    sim = diffusive_simulate(DiffusiveScenario(seed=2, steps=500))
-    assert sim.K_c[0] == 0.0
-    assert sim.price_dev[0] == 0.0
-    assert sim.price_dev[-1] == 0.0  # F(T) = 0 exactly on the grid
+    sim = diffusive_simulate(DiffusiveScenario(seed=2, steps=500), 1)
+    assert sim.K_c[0, 0] == 0.0
+    assert sim.price_dev[0, 0] == 0.0
+    assert sim.price_dev[0, -1] == 0.0  # F(T) = 0 exactly on the grid
+
+
+def test_one_diffusive_path_is_a_batch_of_one():
+    s = DiffusiveScenario(seed=2, steps=50)
+    sim = diffusive_simulate(s, 1)
+    for name in ("xi_c", "K_c", "xi_minus_U", "price_dev"):
+        assert getattr(sim, name).shape == (1, s.steps + 1), name
+    assert sim.d_xi.shape == (1, s.steps)
+    with pytest.raises(ValueError, match="at least one path"):
+        diffusive_simulate(s, 0)
 
 
 def test_diffusive_martingale_decomposition_exact():
     # the shock loading of each K_c step is exactly rho_d/(rho_c+rho_d)
     s = DiffusiveScenario(seed=7, steps=400)
-    sim = diffusive_simulate(s)
+    sim = diffusive_simulate(s, 1)
+    xi_c, K_c, d_xi = sim.xi_c[0], sim.K_c[0], sim.d_xi[0]
     d = scenario_delta(s)
     F = eval_F(d, sim.grid, s.T)
     dt = np.diff(sim.grid)
     for i in range(0, 400, 37):
-        recomputed = (
-            sim.K_c[i] + F[i] * (sim.xi_c[i] - sim.K_c[i]) * dt[i]
-        ) + 0.5 * sim.d_xi[i]
-        assert sim.K_c[i + 1] == recomputed
-    np.testing.assert_allclose(np.diff(sim.xi_c), sim.d_xi, rtol=0, atol=1e-15)
+        recomputed = (K_c[i] + F[i] * (xi_c[i] - K_c[i]) * dt[i]) + 0.5 * d_xi[i]
+        assert K_c[i + 1] == recomputed
+    np.testing.assert_allclose(np.diff(xi_c), d_xi, rtol=0, atol=1e-15)
 
 
 def test_diffusive_tracking_matches_forward_solver():
     # xi_bar - U_bar from the Euler scheme vs the Heun engine on the same shocks
     s = DiffusiveScenario(seed=12, steps=4000)
-    sim = diffusive_simulate(s)
+    sim = diffusive_simulate(s, 1)
     h = Horizon.uniform(s.T, s.steps)
     d = scenario_delta(s)
     from dealerlab.fbsde import RealizedDriver
 
     proc = BrownianMartingale(0.0, 0.5)  # xi_bar = xi_c/2 has half the volatility
     realized = RealizedDriver(((1.0, proc),), {proc: RealizedPath(0.5 * sim.xi_c)})
-    fb = solve_forward(proc, d, h, realized=realized)
+    fb = solve_forward(realized, d, h)
     gap = np.max(np.abs((0.5 * sim.xi_c - fb.U) - sim.xi_minus_U))
     assert gap < 20.0 / s.steps
 
@@ -241,19 +250,17 @@ def test_diffusive_simulate_matches_path_major_reference_bit_for_bit(
     # bit patterns, not values: a -0.0 where the steps give 0.0 must fail
     s = DiffusiveScenario(rho_d=0.16, sigma_xi=sigma_xi, seed=seed, steps=300,
                           n_dealers=n_dealers)
-    sim = diffusive_simulate(s, n_paths=n_paths)
+    sim = diffusive_simulate(s, n_paths)
     np.testing.assert_array_equal(sim.grid, Horizon.uniform(s.T, s.steps).grid)
     for name, want in _diffusive_reference(s, n_paths).items():
         got = getattr(sim, name)
-        if n_paths == 1:
-            want = want[0]
         assert got.shape == want.shape, name
         assert np.ascontiguousarray(got).tobytes() == want.tobytes(), name
 
 
 def test_price_reversion_regression_far_from_maturity():
     s = DiffusiveScenario(T=10.0, steps=2000, seed=3)
-    reg = price_reversion_regression(s, n_paths=10_000, t_max=5.0)
+    reg = price_reversion_regression(s, diffusive_simulate(s, 10_000), t_max=5.0)
     assert reg["mean_reversion"] == pytest.approx(reg["mean_reversion_theory"], rel=0.05)
     assert reg["loading"] == pytest.approx(reg["loading_theory"], rel=0.05)
 
