@@ -217,9 +217,15 @@ def cmd_diffusive(args) -> None:
         seed=args.seed,
         steps=args.steps,
     )
+    if args.paths < 1:
+        raise ConfigError(f"--paths must be at least 1, got {args.paths}")
     one_dealer = DiffusiveScenario(n_dealers=1, **base)
-    one = diffusive_simulate(one_dealer, args.paths)
-    reg = price_reversion_regression(one_dealer, one, t_max=args.T / 2)
+    try:
+        reg = price_reversion_regression(one_dealer, args.paths, t_max=args.T / 2)
+    except ValueError as exc:  # the only input left to fault is a window too short
+        raise ConfigError(f"--steps {args.steps} is too coarse: {exc}") from None
+    # path 0 depends on (seed, 0) alone: the same path as in the regression's batch
+    one = diffusive_simulate(one_dealer, 1)
     many = diffusive_simulate(DiffusiveScenario(n_dealers=INF_DEALERS, **base), 1)
     out = _outdir(args)
     write_csv(

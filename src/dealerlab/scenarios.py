@@ -150,62 +150,96 @@ class DiffusivePaths:
     d_xi: np.ndarray  # per-step target shocks; share_d * d_xi is K_c's martingale part
 
 
-def diffusive_simulate(s: DiffusiveScenario, n_paths: int) -> DiffusivePaths:
-    """Euler-Maruyama simulation of the diffusive-target equilibrium.
+def _diffusive_rows(s: DiffusiveScenario, n_paths: int, horizon: Horizon):
+    """Euler-Maruyama steps of the diffusive-target equilibrium, one node at a time.
 
     dK_c       = F(t)(xi_c - K_c) dt + rho_d/(rho_c+rho_d) dxi_c
     d(xi - U)  = -F(t)(xi - U) dt + (1/2) dxi_c      (xi := xi_bar = xi_c/2)
     S - D      = F(t) (xi - U) / (delta rho_bar)
 
-    Paths are vectorized over the (seed, i) substreams; the
-    martingale part of each K_c step is exactly the dealers' share of the
-    target shock.  The arrays are held time-major, (steps+1, paths), so each
-    step reads and writes contiguous rows, and come back path-major:
-    (paths, steps+1), and (paths, steps) for the shocks, one path included.
+    Yields ``(xi_c, K_c, xi - U, S - D, dxi_c)`` at each node of ``horizon``:
+    rows over the (seed, i) substreams, with ``dxi_c`` the shock to the next
+    node (None at T).  Only the shocks are held for the whole run; a
+    consumer that keeps no rows works in O(paths) memory beside them.  The
+    scheme is elementwise, so path i's rows depend on (seed, i) alone.
     """
     if n_paths < 1:
         raise ValueError(f"the diffusive simulation needs at least one path, got {n_paths}")
-    horizon = Horizon.uniform(s.T, s.steps)
-    grid = horizon.grid
     d = scenario_delta(s)
-    F = eval_F(d, grid, s.T)
+    F = eval_F(d, horizon.grid, s.T).tolist()
     dt = horizon.dt
     z = standard_normal_block(path_streams(s.seed, 0, n_paths), s.steps)
     dxi = np.multiply((s.sigma_xi * np.sqrt(dt))[:, None], z.T, order="C")
     del z
-    shape = (grid.size, n_paths)
-    xi = np.zeros(shape)
-    xi[1:] = dxi
-    np.cumsum(xi, axis=0, out=xi)  # xi_{i+1} = xi_i + dxi_i from the 0.0 row, as stepped
-    K = np.zeros(shape)
-    Z = np.zeros(shape)
     share_d = s.rho_d / (s.rho_c + s.rho_d)
-    for i, (F_i, dt_i) in enumerate(zip(F[:-1].tolist(), dt.tolist())):
-        K[i + 1] = K[i] + F_i * (xi[i] - K[i]) * dt_i + share_d * dxi[i]
-        Z[i + 1] = Z[i] - F_i * Z[i] * dt_i + 0.5 * dxi[i]
     rho_bar = (s.rho_c + s.rho_d) / 2.0
-    price_dev = F[:, None] * Z / (d.delta * rho_bar)
+    scale = d.delta * rho_bar
+    xi = K = Z = np.zeros(n_paths)
+    for F_i, dt_i, dxi_i in zip(F, dt.tolist(), dxi):
+        yield xi, K, Z, F_i * Z / scale, dxi_i
+        xi, K, Z = (xi + dxi_i,
+                    K + F_i * (xi - K) * dt_i + share_d * dxi_i,
+                    Z - F_i * Z * dt_i + 0.5 * dxi_i)
+    yield xi, K, Z, F[-1] * Z / scale, None
+
+
+def diffusive_simulate(s: DiffusiveScenario, n_paths: int) -> DiffusivePaths:
+    """Euler-Maruyama simulation of the diffusive-target equilibrium, every node kept.
+
+    The scheme of ``_diffusive_rows``: the martingale part of each K_c step
+    is exactly the dealers' share of the target shock.  The time-major rows
+    come back path-major: (paths, steps+1), and (paths, steps) for the
+    shocks, one path included.
+    """
+    horizon = Horizon.uniform(s.T, s.steps)
+    xi, K, Z, price_dev = (np.empty((horizon.grid.size, n_paths)) for _ in range(4))
+    d_xi = np.empty((s.steps, n_paths))
+    for i, (*node, shock) in enumerate(_diffusive_rows(s, n_paths, horizon)):
+        xi[i], K[i], Z[i], price_dev[i] = node
+        if shock is not None:
+            d_xi[i] = shock
     return DiffusivePaths(
-        grid=grid, xi_c=xi.T, K_c=K.T, xi_minus_U=Z.T, price_dev=price_dev.T, d_xi=dxi.T
+        grid=horizon.grid, xi_c=xi.T, K_c=K.T, xi_minus_U=Z.T, price_dev=price_dev.T,
+        d_xi=d_xi.T,
     )
 
 
 def price_reversion_regression(
-    s: DiffusiveScenario, sim: DiffusivePaths, t_max: float | None = None
+    s: DiffusiveScenario, n_paths: int, t_max: float | None = None
 ) -> dict:
-    """Regress d(S-D) on (S-D) dt and dxi_c far from maturity, over the paths ``sim`` of ``s``.
+    """Regress d(S-D) on (S-D) dt and dxi_c over the steps of ``n_paths`` paths below ``t_max``.
 
     Away from the terminal boundary layer F ~ sqrt(delta), so the price
     deviation is approximately an OU process with mean-reversion rate
-    sqrt(delta) and shock loading 1/(2 sqrt(delta) rho_bar).
+    sqrt(delta) and shock loading 1/(2 sqrt(delta) rho_bar).  The paths are
+    stepped, not stored: each step in the window (the whole grid when
+    ``t_max`` is None or at least T) adds its dot products to the 2x2 normal
+    equations, summed over the steps by ``fsum``, which ``lstsq`` solves (to
+    the min-norm (0, 0) when sigma_xi = 0).  The first step's regressor is 0,
+    since S - D starts at 0, so the window needs at least two steps.
     """
-    grid, dt, price_dev = sim.grid, np.diff(sim.grid), sim.price_dev
-    cut = grid.size - 1 if t_max is None else int(np.searchsorted(grid, t_max))
-    y = np.diff(price_dev, axis=-1)[:, :cut].ravel()
-    x1 = (price_dev[:, :cut] * dt[:cut]).ravel()
-    x2 = np.diff(sim.xi_c, axis=-1)[:, :cut].ravel()
-    A = np.column_stack([x1, x2])
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
+    if t_max is not None and math.isnan(t_max):
+        raise ValueError(f"t_max must be a number, got {t_max!r}")
+    horizon = Horizon.uniform(s.T, s.steps)
+    cut = s.steps if t_max is None else min(int(np.searchsorted(horizon.grid, t_max)), s.steps)
+    if cut < 2:
+        raise ValueError(
+            f"the regression needs at least two steps before t_max={t_max!r}, "
+            f"got {cut} of the {s.steps}-step grid"
+        )
+    rows = _diffusive_rows(s, n_paths, horizon)
+    xi, _, _, price_dev, _ = next(rows)
+    terms = []
+    for dt_i in horizon.dt[:cut].tolist():
+        xi_next, _, _, price_dev_next, _ = next(rows)
+        x1 = price_dev * dt_i
+        x2 = xi_next - xi
+        y = price_dev_next - price_dev
+        terms.append((x1 @ x1, x1 @ x2, x2 @ x2, x1 @ y, x2 @ y))
+        xi, price_dev = xi_next, price_dev_next
+    s11, s12, s22, s1y, s2y = (math.fsum(column) for column in zip(*terms))
+    coef, *_ = np.linalg.lstsq(np.array([[s11, s12], [s12, s22]]), np.array([s1y, s2y]),
+                               rcond=None)
     d = scenario_delta(s)
     rho_bar = (s.rho_c + s.rho_d) / 2.0
     return {
@@ -213,7 +247,7 @@ def price_reversion_regression(
         "loading": float(coef[1]),
         "mean_reversion_theory": d.sqrt_delta,
         "loading_theory": 1.0 / (2.0 * d.sqrt_delta * rho_bar),
-        "n_paths": price_dev.shape[0],
+        "n_paths": n_paths,
     }
 
 

@@ -98,6 +98,24 @@ def test_diffusive_without_paths_exits_one(tmp_path):
     assert not any(tmp_path.iterdir())
 
 
+def test_diffusive_figure_path_does_not_depend_on_the_regression_paths(tmp_path):
+    # fig2's path 0 is a function of (seed, 0) alone, however many paths the fit steps
+    for paths in ("1", "300"):
+        argv = ["diffusive", "--out", str(tmp_path / paths), "--steps", "200", "--seed", "9"]
+        assert main(argv + ["--paths", paths]) == 0
+    name = "fig2_paths.csv"
+    assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "300" / name).read_bytes()
+
+
+@pytest.mark.parametrize("steps", ["1", "2"])
+def test_diffusive_regression_window_under_two_steps_exits_one(tmp_path, capsys, steps):
+    # the window [0, T/2) holds one step, whose regressor is 0: nothing is identified
+    out = tmp_path / "out"
+    assert main(["diffusive", "--out", str(out), "--steps", steps, "--paths", "5"]) == 1
+    assert f"--steps {steps}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_welfare_small_lambda_ratio(tmp_path):
     rc = main(["welfare", "--out", str(tmp_path), "--lambda", "1e-6", "--m-max", "3"])
     assert rc == 0

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -260,9 +261,75 @@ def test_diffusive_simulate_matches_path_major_reference_bit_for_bit(
 
 def test_price_reversion_regression_far_from_maturity():
     s = DiffusiveScenario(T=10.0, steps=2000, seed=3)
-    reg = price_reversion_regression(s, diffusive_simulate(s, 10_000), t_max=5.0)
+    reg = price_reversion_regression(s, 10_000, t_max=5.0)
     assert reg["mean_reversion"] == pytest.approx(reg["mean_reversion_theory"], rel=0.05)
     assert reg["loading"] == pytest.approx(reg["loading_theory"], rel=0.05)
+    assert reg["n_paths"] == 10_000
+
+
+def _batch_regression(s: DiffusiveScenario, n_paths: int, t_max: float) -> tuple:
+    """Least squares on the stacked batch of paths: the fit as first written."""
+    sim = diffusive_simulate(s, n_paths)
+    cut = min(int(np.searchsorted(sim.grid, t_max)), s.steps)
+    y = np.diff(sim.price_dev, axis=-1)[:, :cut].ravel()
+    x1 = (sim.price_dev[:, :cut] * np.diff(sim.grid)[:cut]).ravel()
+    x2 = np.diff(sim.xi_c, axis=-1)[:, :cut].ravel()
+    coef, *_ = np.linalg.lstsq(np.column_stack([x1, x2]), y, rcond=None)
+    return -float(coef[0]), float(coef[1])
+
+
+@pytest.mark.parametrize(
+    "s, n_paths, t_max",
+    [(DiffusiveScenario(T=10.0, steps=2000, seed=3), 40, 5.0),
+     (DiffusiveScenario(n_dealers=INF_DEALERS, seed=4, steps=500), 3, 0.5),
+     (DiffusiveScenario(seed=2, steps=50), 1, 0.5),
+     (DiffusiveScenario(impact_cost=1e-4, seed=6, steps=1000), 20, 0.5),
+     (DiffusiveScenario(rho_d=0.16, seed=1, steps=300), 7, 1.0)],
+    ids=["T10", "M-inf-3-paths", "1-path-50-steps", "lambda-1e-4", "whole-grid"],
+)
+def test_streamed_regression_matches_least_squares_on_the_batch(s, n_paths, t_max):
+    reg = price_reversion_regression(s, n_paths, t_max)
+    mean_reversion, loading = _batch_regression(s, n_paths, t_max)
+    assert reg["mean_reversion"] == pytest.approx(mean_reversion, rel=1e-11, abs=0)
+    assert reg["loading"] == pytest.approx(loading, rel=1e-11, abs=0)
+
+
+def test_streamed_regression_without_volatility_is_the_min_norm_zero():
+    reg = price_reversion_regression(DiffusiveScenario(sigma_xi=0.0, steps=100), 3, 0.5)
+    got = np.array([reg["mean_reversion"], reg["loading"]])
+    assert got.tobytes() == np.array([-0.0, 0.0]).tobytes()
+
+
+def test_regression_window_past_maturity_is_the_whole_grid():
+    s = DiffusiveScenario(seed=5, steps=60)
+    whole = price_reversion_regression(s, 4)
+    assert price_reversion_regression(s, 4, t_max=s.T) == whole
+    assert price_reversion_regression(s, 4, t_max=3.5 * s.T) == whole
+    assert price_reversion_regression(s, 4, t_max=math.inf) == whole
+
+
+def test_regression_rejects_nan_window_and_windows_of_under_two_steps():
+    s = DiffusiveScenario(seed=5, steps=60)
+    with pytest.raises(ValueError, match="t_max must be a number, got nan"):
+        price_reversion_regression(s, 4, t_max=math.nan)
+    # the first step's regressor is 0 (S - D starts at 0): one step identifies nothing
+    for steps, t_max in ((1, None), (1, 0.5), (2, 0.5), (60, 1 / 60), (60, 0.0), (60, -1.0)):
+        with pytest.raises(ValueError, match="at least two steps"):
+            price_reversion_regression(dataclasses.replace(s, steps=steps), 4, t_max=t_max)
+    reg = price_reversion_regression(dataclasses.replace(s, steps=3), 4, t_max=0.5)
+    assert reg["n_paths"] == 4
+
+
+def test_streamed_regression_never_holds_the_trajectories():
+    # the batch fit held about 7.5 paths x steps float arrays; the shocks alone are 1
+    n_paths, steps = 4000, 1000
+    tracemalloc.start()
+    try:
+        price_reversion_regression(DiffusiveScenario(steps=steps), n_paths, 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * n_paths * steps * 8
 
 
 # ----------------------------------------------------------------------
