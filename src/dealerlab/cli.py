@@ -334,8 +334,10 @@ def cmd_oracle_check(args) -> None:
 
 
 def cmd_equilibrium(args) -> None:
+    if args.steps is not None and args.steps < 1:
+        raise ConfigError(f"--steps must be at least 1, got {args.steps}")
     params, echo = load_market_config(args.config)
-    if args.steps:
+    if args.steps is not None:
         params = MarketParams(
             Horizon.uniform(params.horizon.T, args.steps),
             params.impact_cost,
@@ -455,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("equilibrium", help="solve a market from a config file")
     add_common(p)
     p.add_argument("--config", required=True, help="INI market description")
-    p.add_argument("--steps", type=int, default=0, help="override the config grid")
+    p.add_argument("--steps", type=int, default=None, help="override the config grid")
     p.set_defaults(func=cmd_equilibrium)
 
     return parser

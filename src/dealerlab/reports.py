@@ -5,9 +5,10 @@ determined by the inputs, so a rerun with the same configuration and seed
 reproduces every output byte for byte (worker counts and chunk sizes are
 execution details and never enter a report).  CSV and JSON share one set of
 cell rules (numpy scalars write as their Python counterparts).  The CSV writer
-takes columns: a float array column formats each of its distinct values once
-and looks the rest up, so a long path that revisits few values costs few
-formatting calls.
+takes columns and writes their rows in blocks of ``ROW_BLOCK``, so its memory
+does not grow with the table: in each block a float array column formats each
+of its distinct values once and looks the rest up, so a long path that
+revisits few values costs few formatting calls.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import json
 import subprocess
 from importlib import metadata
 from pathlib import Path
+
+ROW_BLOCK = 4096  # CSV rows formatted and written at once; read at each call
 
 
 def _plain(value):
@@ -53,15 +56,24 @@ def _column_cells(column) -> list[str]:
 
 
 def write_csv(path: Path, header: list[str], columns) -> None:
-    """Write one column per header name; every column must have the same length."""
-    cells = [_column_cells(column) for column in columns]
-    if len(cells) != len(header) or len({len(c) for c in cells}) > 1:
+    """Write one column per header name; every column must have the same length.
+
+    ``columns`` is iterated once; each column is a sequence that slices (an
+    array, list or tuple).  The lengths are checked before the file is
+    opened, and the rows go out ``ROW_BLOCK`` at a time.
+    """
+    columns = list(columns)
+    lengths = [len(column) for column in columns]
+    if len(columns) != len(header) or len(set(lengths)) > 1:
         raise ValueError(
-            f"CSV {Path(path).name}: {len(header)} header names, columns of lengths "
-            f"{[len(c) for c in cells]}"
+            f"CSV {Path(path).name}: {len(header)} header names, columns of lengths {lengths}"
         )
-    lines = [",".join(header), *map(",".join, zip(*cells))]
-    Path(path).write_text("\n".join(lines) + "\n")
+    block = ROW_BLOCK
+    with Path(path).open("w") as f:
+        f.write(",".join(header) + "\n")
+        for lo in range(0, lengths[0] if lengths else 0, block):
+            cells = [_column_cells(column[lo : lo + block]) for column in columns]
+            f.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _round_floats(obj):

@@ -29,6 +29,7 @@ from .kernel import (
 from .paths import path_streams, standard_normal_block
 
 INF_DEALERS = math.inf
+SLICE_STEPS = 256  # time steps of diffusive shocks drawn at once; read at each call
 
 
 @dataclass(frozen=True)
@@ -159,23 +160,33 @@ def _diffusive_rows(s: DiffusiveScenario, n_paths: int, horizon: Horizon):
 
     Yields ``(xi_c, K_c, xi - U, S - D, dxi_c)`` at each node of ``horizon``:
     rows over the (seed, i) substreams, with ``dxi_c`` the shock to the next
-    node (None at T).  Only the shocks are held for the whole run; a
-    consumer that keeps no rows works in O(paths) memory beside them.  The
-    scheme is elementwise, so path i's rows depend on (seed, i) alone.
+    node (None at T).  The normals are drawn ``SLICE_STEPS`` steps at a time,
+    when the rows first reach a slice, and each step's column of the slice is
+    scaled into its time-major shock row; a consumer that keeps no rows works
+    in O(paths x SLICE_STEPS) memory and draws no slice past its last row.  A
+    substream drawn in pieces gives the numbers of one draw, and the scheme
+    is elementwise, so path i's rows depend on (seed, i) alone.
     """
     if n_paths < 1:
         raise ValueError(f"the diffusive simulation needs at least one path, got {n_paths}")
     d = scenario_delta(s)
     F = eval_F(d, horizon.grid, s.T).tolist()
     dt = horizon.dt
-    z = standard_normal_block(path_streams(s.seed, 0, n_paths), s.steps)
-    dxi = np.multiply((s.sigma_xi * np.sqrt(dt))[:, None], z.T, order="C")
-    del z
+    streams = path_streams(s.seed, 0, n_paths)
+    shock_sd = (s.sigma_xi * np.sqrt(dt)).tolist()
+
+    def shocks():
+        width = SLICE_STEPS
+        for lo in range(0, s.steps, width):
+            z = standard_normal_block(streams, min(width, s.steps - lo))
+            yield from map(np.multiply, shock_sd[lo : lo + width], z.T)
+            del z  # freed before the next slice is drawn
+
     share_d = s.rho_d / (s.rho_c + s.rho_d)
     rho_bar = (s.rho_c + s.rho_d) / 2.0
     scale = d.delta * rho_bar
     xi = K = Z = np.zeros(n_paths)
-    for F_i, dt_i, dxi_i in zip(F, dt.tolist(), dxi):
+    for F_i, dt_i, dxi_i in zip(F, dt.tolist(), shocks()):
         yield xi, K, Z, F_i * Z / scale, dxi_i
         xi, K, Z = (xi + dxi_i,
                     K + F_i * (xi - K) * dt_i + share_d * dxi_i,

@@ -367,6 +367,8 @@ SEED_RANGE = "seed must lie in [0, 2**64)"
          "deterministic path has 3 samples, grid has 51 nodes"),
         (["equilibrium"], CONFIG.replace("T = 1.0", "T = nan"), "got T=nan"),
         (["equilibrium"], CONFIG.replace("T = 1.0", "T = inf"), "got T=inf"),
+        (["equilibrium", "--steps", "0"], CONFIG, "--steps must be at least 1, got 0"),
+        (["equilibrium", "--steps", "-3"], CONFIG, "--steps must be at least 1, got -3"),
     ],
     ids=["seed-scaling-diffusive", "seed-diffusive-negative", "seed-diffusive-2**64",
          "seed-equilibrium", "xi-c-nan", "rho-d-nan", "lambda-nan", "lambda-inf", "sigma-xi-inf",
@@ -375,7 +377,7 @@ SEED_RANGE = "seed must lie in [0, 2**64)"
          "oracle-frictionless", "oracle-negative-lambda", "ini-mass-inf",
          "ini-risk-tolerance-inf", "ini-constant-nan", "ini-brownian-nan",
          "ini-ou-inf", "ini-smooth-nan", "ini-deterministic-nan", "ini-deterministic-grid",
-         "ini-T-nan", "ini-T-inf"],
+         "ini-T-nan", "ini-T-inf", "equilibrium-zero-steps", "equilibrium-negative-steps"],
 )
 def test_invalid_input_exits_one_naming_it(tmp_path, capsys, argv, config, named):
     if config is not None:
@@ -410,12 +412,14 @@ def test_bad_lambda_list_exits_one(tmp_path):
      ["oracle-check", "--steps-list", "0,100"],
      ["diffusive", "--steps", "50", "--paths", "0"],
      ["equilibrium", "--config", "nope.ini"],
-     ["liquidation", "--steps", "0"]],
+     ["liquidation", "--steps", "0"],
+     ["equilibrium", "--config", "market.ini", "--steps", "0"]],
     ids=["bad-lambda", "bad-steps-list", "zero-steps-list", "no-paths", "no-config",
-         "no-steps"],
+         "no-steps", "equilibrium-no-steps"],
 )
 def test_exit_one_leaves_no_output_directory(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)  # a relative config path resolves inside the test directory
+    (tmp_path / "market.ini").write_text(CONFIG)
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 1
     assert not out.exists()

@@ -1,10 +1,12 @@
 """Report writers: the CSV column rules and the shared cell rules of CSV and JSON."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from dealerlab import reports
 from dealerlab.reports import fmt, write_csv, write_json
 
 # NaNs with three different bit patterns: the quiet NaN, its negative, and one with a payload
@@ -68,10 +70,51 @@ def test_header_with_no_rows(tmp_path):
     assert (tmp_path / "empty.csv").read_text() == "a,b\n"
 
 
-@pytest.mark.parametrize("columns", [[[1.0, 2.0], [3.0]], [[1.0]]], ids=["ragged", "missing"])
-def test_csv_columns_must_fit_the_header(tmp_path, columns):
+@pytest.mark.parametrize("columns", [[[1.0, 2.0], [3.0]], [[1.0]], [[1.0]] * 3],
+                         ids=["ragged", "missing", "extra"])
+def test_csv_columns_must_fit_the_header(tmp_path, monkeypatch, columns):
+    # checked before the file is opened: the first one-row block of "ragged" fits
+    monkeypatch.setattr(reports, "ROW_BLOCK", 1)
     with pytest.raises(ValueError, match="header names"):
-        write_csv(tmp_path / "bad.csv", ["a", "b"], columns)
+        write_csv(tmp_path / "bad.csv", ["a", "b"], iter(columns))
+    assert not (tmp_path / "bad.csv").exists()
+
+
+@pytest.mark.parametrize("kind", list(COLUMNS))
+def test_csv_column_in_blocks_of_seven(tmp_path, monkeypatch, kind):
+    # 24 rows: three full blocks and one of 3, each with its own distinct-value lookup
+    monkeypatch.setattr(reports, "ROW_BLOCK", 7)
+    test_csv_column_matches_the_per_cell_format(tmp_path, kind)
+
+
+def test_csv_mixed_columns_in_blocks_of_seven(tmp_path, monkeypatch):
+    monkeypatch.setattr(reports, "ROW_BLOCK", 7)
+    test_csv_mixed_columns_from_a_one_shot_iterable(tmp_path)
+
+
+@pytest.mark.parametrize("rows, block", [(21, 7), (24, 8), (24, 24), (1, 7), (0, 7)])
+def test_csv_row_count_on_and_off_the_block_edges(tmp_path, monkeypatch, rows, block):
+    monkeypatch.setattr(reports, "ROW_BLOCK", block)
+    header = list(COLUMNS)
+    columns = [column[:rows] for column in COLUMNS.values()]
+    write_csv(tmp_path / "all.csv", header, columns)
+    assert (tmp_path / "all.csv").read_text() == expected_csv(header, columns)
+
+
+def test_csv_memory_does_not_grow_with_the_table(tmp_path):
+    # the 200k-step equilibrium table's shape, each value held for 100 rows as a
+    # path's few distinct values are; the table itself is 20.8 MB
+    table = np.repeat(np.random.default_rng(3).standard_normal((13, 2001)), 100, axis=1)
+    table = table[:, :200_001]
+    tracemalloc.start()
+    try:
+        write_csv(tmp_path / "big.csv", [f"c{i}" for i in range(13)], table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    with open(tmp_path / "big.csv") as f:
+        assert sum(1 for _ in f) == 1 + 200_001
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dealerlab import scenarios
 from dealerlab.equilibrium import goal_functional, solve_equilibrium
 from dealerlab.fbsde import solve_forward
 from dealerlab.kernel import Horizon, eval_F
@@ -330,6 +331,40 @@ def test_streamed_regression_never_holds_the_trajectories():
     finally:
         tracemalloc.stop()
     assert peak < 3 * n_paths * steps * 8
+
+
+def test_sliced_regression_holds_less_than_one_normal_block():
+    n_paths, steps = 4000, 1000
+    tracemalloc.start()
+    try:
+        price_reversion_regression(DiffusiveScenario(steps=steps), n_paths, 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n_paths * steps * 8
+
+
+@pytest.mark.parametrize("slice_steps", [7, 64, 256, 1000, 4096])
+def test_regression_draws_only_the_slices_its_window_reaches(monkeypatch, slice_steps):
+    counts = []
+
+    def counted(streams, n_steps):
+        counts.append(len(streams) * n_steps)
+        return standard_normal_block(streams, n_steps)
+
+    monkeypatch.setattr(scenarios, "standard_normal_block", counted)
+    monkeypatch.setattr(scenarios, "SLICE_STEPS", slice_steps)
+    n_paths, s = 5, DiffusiveScenario(seed=9, steps=1000)
+    window = 500  # the steps below t_max = T/2
+    price_reversion_regression(s, n_paths, 0.5)
+    assert sum(counts) <= n_paths * (window + slice_steps)
+    assert sum(counts) >= n_paths * window
+    counts.clear()
+    sim = diffusive_simulate(s, n_paths)
+    assert sum(counts) == n_paths * s.steps
+    want = _diffusive_reference(s, n_paths)
+    assert np.ascontiguousarray(sim.d_xi).tobytes() == want["d_xi"].tobytes()
+    assert np.ascontiguousarray(sim.K_c).tobytes() == want["K_c"].tobytes()
 
 
 # ----------------------------------------------------------------------
