@@ -13,12 +13,11 @@ from .asymptotics import (
 )
 from .equilibrium import (
     EquilibriumSolution,
-    check_price_representations,
     goal_functional,
     solve_equilibrium,
 )
-from .fbsde import fbsde_residual, realize_driver, solve_forward
-from .kernel import DeltaParam, Horizon, compute_delta, eval_F, eval_k
+from .fbsde import realize_driver, solve_forward
+from .kernel import DeltaParam, Horizon, compute_delta, eval_F
 from .market import (
     AgentSpec,
     Aggregates,

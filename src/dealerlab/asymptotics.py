@@ -248,7 +248,7 @@ class LiquidityCostReport:
     path_counts: list
     steps: list
     slope: float | None  # None (null in reports) for one impact cost or a mean <= 0
-    slope_ci: tuple | None
+    slope_ci: tuple | None  # None as well for two impact costs: no residual to size it
     prefactor: float
     prefactor_stderr: float
     prefactor_theory: float
@@ -261,15 +261,20 @@ class LiquidityCostReport:
 
 
 def _slope_fit(lambdas, means) -> tuple[float | None, tuple[float, float] | None]:
-    """Log-log slope and its 95% interval; one impact cost, or a mean <= 0, fits nothing."""
+    """Log-log slope and its 95% interval; one impact cost, or a mean <= 0, fits nothing.
+
+    A line through two points leaves no residual to size the interval, so
+    two impact costs give a slope and no interval.
+    """
     if len(lambdas) < 2 or min(means) <= 0:
         return None, None
     x = np.log(np.asarray(lambdas))
     y = np.log(np.asarray(means))
     slope, intercept = np.polyfit(x, y, 1)
+    if x.size < 3:
+        return float(slope), None
     resid = y - (slope * x + intercept)
-    dof = max(x.size - 2, 1)
-    se = math.sqrt(float(resid @ resid) / dof / float(np.sum((x - x.mean()) ** 2)))
+    se = math.sqrt(float(resid @ resid) / (x.size - 2) / float(np.sum((x - x.mean()) ** 2)))
     return float(slope), (float(slope - 1.96 * se), float(slope + 1.96 * se))
 
 

@@ -123,7 +123,13 @@ def parse_process(text: str) -> DemandProcess:
 def load_market_config(path: str) -> tuple[MarketParams, dict]:
     """Flat INI: one [market] section, optional [noise], one section per agent."""
     cp = configparser.ConfigParser()
-    read = cp.read(path)
+    try:
+        read = cp.read(path)
+        echo = {s: dict(cp.items(s)) for s in cp.sections()}  # interpolates every value
+    except configparser.Error as exc:  # no section header, a duplicate, a bare '%', ...
+        raise ConfigError(
+            f"config file {path!r} is malformed: {str(exc).splitlines()[0]}"
+        ) from None
     if not read:
         raise ConfigError(f"config file {path!r} not found or empty")
     if "market" not in cp:
@@ -157,7 +163,6 @@ def load_market_config(path: str) -> tuple[MarketParams, dict]:
         except (configparser.NoOptionError, ValueError) as exc:
             raise ConfigError(f"bad [{section}] section: {exc}") from None
     params = MarketParams(Horizon.uniform(T, steps), lam, tuple(agents), noise)
-    echo = {s: dict(cp.items(s)) for s in cp.sections()}
     return params, echo
 
 

@@ -82,7 +82,7 @@ def kernel_expectation_path(
 
 
 # ----------------------------------------------------------------------
-# forward solve and residual
+# forward solve
 # ----------------------------------------------------------------------
 
 @dataclass
@@ -119,43 +119,18 @@ def heun_step(U, u, g_next, F_next: float, dt: float):
     return U_next, g_next - F_next * U_next
 
 
-def heun_path(G: np.ndarray, F: np.ndarray, dt: np.ndarray, U0=0.0):
-    """Heun's method for dU = (G - F U) dt along the last axis of G from U_0 = U0.
+def heun_path(G: np.ndarray, F: np.ndarray, dt: np.ndarray):
+    """Heun's method for dU = (G - F U) dt along the last axis of G from U_0 = 0.
 
-    Returns the positions U and the node rates u = G - F U (u_0 = G_0 - F_0 U0).
+    Returns the positions U and the node rates u = G - F U (u_0 = G_0).
     Rows of G step on Python floats: bit for bit the Monte Carlo sweep's array steps.
     """
-    F0, F_next, steps = float(F[0]), F[1:].tolist(), dt.tolist()
-    starts = np.broadcast_to(U0, G.shape[:-1]).ravel().tolist()
+    F_next, steps = F[1:].tolist(), dt.tolist()
     U = np.empty(G.shape)
-    for row, g, U_i in zip(U.reshape(-1, G.shape[-1]), G.reshape(-1, G.shape[-1]).tolist(), starts):
-        u_i, positions = g[0] - F0 * U_i, [U_i]
+    for row, g in zip(U.reshape(-1, G.shape[-1]), G.reshape(-1, G.shape[-1]).tolist()):
+        U_i, u_i, positions = 0.0, g[0], [0.0]
         for g_next, F_i, dt_i in zip(g[1:], F_next, steps):
             U_i, u_i = heun_step(U_i, u_i, g_next, F_i, dt_i)
             positions.append(U_i)
         row[:] = positions
     return U, G - F * U  # heun_step's rates: the same product and difference
-
-
-@dataclass
-class ResidualReport:
-    max_drift_residual: float
-    terminal_rate: float
-
-
-def fbsde_residual(path: FbsdePath, d: DeltaParam) -> ResidualReport:
-    """Drift residual max_i |(u_{i+1}-u_i)/(dt_i delta) - (U_i - X_i)| and |u_T|.
-
-    Only meaningful for deterministic drivers, where the martingale part
-    of du vanishes; both statistics are O(dt) for the Heun scheme.
-    """
-    if not driver_is_deterministic(path.driver):
-        raise ValueError("drift residual is defined for deterministic drivers only")
-    dt = path.horizon.dt
-    du = np.diff(path.u, axis=-1)
-    drift = du / (dt * d.delta)
-    resid = drift - (path.U[..., :-1] - path.X[..., :-1])
-    return ResidualReport(
-        max_drift_residual=float(np.max(np.abs(resid))),
-        terminal_rate=float(np.max(np.abs(path.u[..., -1]))),
-    )

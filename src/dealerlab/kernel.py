@@ -152,21 +152,6 @@ def eval_F(d: DeltaParam, t, T: float):
     return d.sqrt_delta * np.tanh(d.sqrt_delta * (T - t))
 
 
-def eval_k(d: DeltaParam, t, s, T: float):
-    """Kernel k(t, s) = delta * cosh(sqrt(delta)*(T-s)) / cosh(sqrt(delta)*(T-t)).
-
-    Defined for 0 <= t <= s <= T and evaluated in rescaled form
-    ``delta * e^{sqrt(delta)(t-s)} * (1+e^{-2 sqrt(delta)(T-s)}) / (1+e^{-2 sqrt(delta)(T-t)})``
-    so that arbitrarily large delta stays finite.
-    """
-    t = _check_time(t, T)
-    s = _check_time(s, T, name="s")
-    if np.any(s < t):
-        raise ValueError("kernel requires t <= s")
-    b = d.sqrt_delta
-    return d.delta * stable_cosh_ratio(b * (T - s), b * (T - t))
-
-
 def simpson(f, a: float, b: float, panels: int = 4096) -> float:
     """Composite Simpson rule for a vectorized integrand on [a, b]."""
     if panels < 1:

@@ -56,9 +56,6 @@ class DiscreteEquilibrium:
     def aggregate_rate(self, params: MarketParams) -> np.ndarray:
         return sum(a.mass * self.u[a.name] for a in params.agents)
 
-    def aggregate_position(self, params: MarketParams) -> np.ndarray:
-        return sum(a.mass * self.U[a.name] for a in params.agents)
-
 
 def assemble_and_solve(params: MarketParams, n_steps: int) -> DiscreteEquilibrium:
     """Solve the first-order conditions for deterministic demands by one scalar sweep."""

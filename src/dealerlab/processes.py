@@ -17,8 +17,8 @@ normals (a state is ``(x,)``, or ``(x, rate)`` for a smooth rate); the
 coefficients of G_t = E_t[integral_t^T k(t, s) X_s ds] = A_t + B_t * x_t,
 affine in the state (``g_coefficients`` and ``g``; B = 0 for deterministic
 kinds, and a smooth rate adds F_t * x_t to its rate's coefficients under the
-sinh weight); its ``conditional_mean``; and the moments behind the cost
-scaling laws (``square_integral``, ``scaling_law``).
+sinh weight); and the moments behind the cost scaling laws
+(``square_integral``, ``scaling_law``).
 
 Weighted sums of targets are kept as term lists instead of being folded
 into a single process: each distinct process keeps its own realized path,
@@ -49,9 +49,6 @@ class DemandProcess:
         """G at node(s) ``i`` from the state there and ``g_coefficients``."""
         A, B = coef
         return A[i] + B[i] * state[0]
-
-    def conditional_mean(self, state: tuple, s: np.ndarray, t: float) -> tuple:
-        raise ValueError(f"no closed-form conditional mean for {type(self).__name__}")
 
     def square_integral(self, T: float) -> float:
         raise ValueError(f"no closed-form squared integral for {type(self).__name__}")
@@ -143,9 +140,6 @@ class OrnsteinUhlenbeck(DemandProcess):
     def g_coefficients(self, weight: KernelWeight) -> tuple:
         w = weight.exponential(self.kappa)
         return self.theta * (weight.constant() - w), w
-
-    def conditional_mean(self, state: tuple, s: np.ndarray, t: float) -> tuple:
-        return (self.theta + (state[0] - self.theta) * np.exp(-self.kappa * (s - t)),)
 
     def square_integral(self, T: float) -> float:
         k, th, x0, sg = self.kappa, self.theta, self.x0, self.sigma

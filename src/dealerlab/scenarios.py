@@ -92,25 +92,6 @@ def liquidation_closed_form(s: LiquidationScenario, grid: np.ndarray) -> Liquida
     return LiquidationPaths(grid=grid, U_bar=U_bar, K_c=K_c, price_dev=price_dev)
 
 
-def integrated_liquidation_closed_form(
-    s: LiquidationScenario, grid: np.ndarray
-) -> LiquidationPaths:
-    """Same scenario when the clients also reach the open market (mesh delta_{2M}).
-
-    The clients' combined dealer+open position jumps by the same initial
-    bulk trade but unwinds at the faster rate delta_{2M}.
-    """
-    grid = np.asarray(grid, dtype=float)
-    b = scenario_delta(s, doubled=True).sqrt_delta
-    T = s.T
-    C = stable_cosh_ratio(b * (T - grid), b * T)
-    rho_sum = s.rho_c + s.rho_d
-    U_bar = (1.0 - C) * s.xi_c / 2.0
-    K_total = s.xi_c / 2.0 + (s.rho_d - s.rho_c) / (2.0 * rho_sum) * C * s.xi_c
-    price_dev = s.xi_c / rho_sum * stable_sinh_over_cosh(b * (T - grid), b * T) / b
-    return LiquidationPaths(grid=grid, U_bar=U_bar, K_c=K_total, price_dev=price_dev)
-
-
 # ----------------------------------------------------------------------
 # diffusive trading targets
 # ----------------------------------------------------------------------

@@ -174,6 +174,16 @@ def test_single_impact_cost_has_null_slope(tmp_path):
     assert rep["prefactor"] == pytest.approx(rep["prefactor_theory"], rel=0.02)
 
 
+def test_two_impact_costs_have_a_slope_and_no_interval(tmp_path):
+    # a line through two points leaves no residual, so the fit has no interval to give
+    assert main(["scaling-smooth", "--out", str(tmp_path), "--lambda", "1e-2,1e-3"]) == 0
+    rep = read_json(tmp_path / "scaling_report.json")["report"]
+    assert rep["slope"] == pytest.approx(1.0, abs=0.05) and rep["slope_ci"] is None
+    assert main(["scaling-smooth", "--out", str(tmp_path), "--lambda", "1e-2,1e-3,1e-4"]) == 0
+    lo, hi = read_json(tmp_path / "scaling_report.json")["report"]["slope_ci"]
+    assert lo < hi
+
+
 def test_repeated_impact_cost_exits_one(tmp_path, capsys):
     argv = ["scaling-diffusive", "--out", str(tmp_path), "--lambda", "1e-2,1e-2", "--paths", "8"]
     assert main(argv) == 1
@@ -319,6 +329,24 @@ def test_equilibrium_config_errors(tmp_path):
         "[agent d]\nmass = 1\nrisk_tolerance = 0.1\nopen_cost = 0\n"
     )
     assert main(["equilibrium", "--config", str(frictionless), "--out", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize(
+    "config",
+    ["T = 1.0\n" + CONFIG,
+     CONFIG + "[market]\nT = 2.0\n",
+     CONFIG.replace("T = 1.0\n", "T = 1.0\nT = 2.0\n"),
+     CONFIG.replace("impact_cost = 0.1", "impact_cost = 10%")],
+    ids=["no-section-header", "duplicate-section", "duplicate-option", "bare-percent"],
+)
+def test_malformed_config_exits_one_naming_the_file(tmp_path, capsys, config):
+    cfg = tmp_path / "market.ini"
+    cfg.write_text(config)
+    out = tmp_path / "out"
+    assert main(["equilibrium", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and repr(str(cfg)) in err
+    assert not out.exists()
 
 
 SEED_RANGE = "seed must lie in [0, 2**64)"

@@ -7,7 +7,6 @@ import pytest
 
 from dealerlab.fbsde import (
     RealizedDriver,
-    fbsde_residual,
     heun_path,
     heun_step,
     kernel_expectation_path,
@@ -20,7 +19,6 @@ from dealerlab.kernel import (
     KernelWeight,
     _ou_weight,
     eval_F,
-    eval_k,
     simpson,
     stable_sech,
 )
@@ -34,6 +32,8 @@ from dealerlab.processes import (
     ZERO,
     combine,
 )
+
+from crosschecks import eval_k, fbsde_residual
 
 
 def double_integral_position(
@@ -410,16 +410,15 @@ def test_heun_path_equals_the_array_recursion_bit_for_bit():
     z = np.stack([realize(proc, h, seed=3, path_index=i).values for i in range(5)])
     G = kernel_expectation_path(RealizedDriver(((1.0, proc),), {proc: RealizedPath(z)}), d, h)
     F = eval_F(d, h.grid, h.T)
-    U0 = np.linspace(-0.5, 0.5, 5)
-    U, u = heun_path(G, F, h.dt, U0=U0)
-    rec_U, rec_u = [U0], [G[:, 0] - F[0] * U0]
+    U, u = heun_path(G, F, h.dt)
+    rec_U, rec_u = [np.zeros(5)], [G[:, 0]]
     for i in range(h.n_steps):
         U_next, u_next = heun_step(rec_U[-1], rec_u[-1], G[:, i + 1], F[i + 1], h.dt[i])
         rec_U.append(U_next)
         rec_u.append(u_next)
     np.testing.assert_array_equal(U, np.stack(rec_U, axis=-1))
     np.testing.assert_array_equal(u, np.stack(rec_u, axis=-1))
-    U_one, u_one = heun_path(G[2], F, h.dt, U0=U0[2])
+    U_one, u_one = heun_path(G[2], F, h.dt)
     np.testing.assert_array_equal(U_one, U[2])
     np.testing.assert_array_equal(u_one, u[2])
 

@@ -13,9 +13,10 @@ from dealerlab.kernel import (
     Horizon,
     compute_delta,
     eval_F,
-    eval_k,
     simpson,
 )
+
+from crosschecks import eval_k
 
 SQRT50 = 7.0710678118654755
 

@@ -37,7 +37,8 @@ def delta_identity_residual(params: MarketParams, disc: DiscreteEquilibrium) -> 
     h = Horizon.uniform(params.horizon.T, n)
     xi_bar = sum(a.mass * realize(a.target, h).values[:-1] for a in params.agents)
     noise = realize(params.noise_demand, h).values[:-1]
-    exposure = disc.aggregate_position(params) - noise - xi_bar
+    U_bar = sum(a.mass * disc.U[a.name] for a in params.agents)
+    exposure = U_bar - noise - xi_bar
     suffix = np.cumsum(exposure[::-1])[::-1] * dt
     return float(np.max(np.abs(disc.aggregate_rate(params) + ag.delta.delta * suffix)))
 

@@ -113,10 +113,6 @@ def test_brownian_and_kappa_zero_ou_agree_bit_for_bit():
         assert not np.any(A)
         np.testing.assert_array_equal(B, weight.constant())
         np.testing.assert_array_equal(weight.exponential(0.0), weight.constant())
-    t, s = h.grid[10], h.grid[10:]
-    (bm_mean,), (ou_mean,) = (p.conditional_mean((-0.7,), s, t) for p in (bm, ou))
-    np.testing.assert_array_equal(bm_mean, ou_mean)
-    np.testing.assert_array_equal(bm_mean, -0.7)
     assert bm.square_integral(1.5) == ou.square_integral(1.5)
     assert bm.scaling_law(1.5) == ou.scaling_law(1.5)
 

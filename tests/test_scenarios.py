@@ -21,12 +21,13 @@ from dealerlab.scenarios import (
     asymptotic_welfare_integrated,
     asymptotic_welfare_ratio,
     diffusive_simulate,
-    integrated_liquidation_closed_form,
     liquidation_closed_form,
     price_reversion_regression,
     scenario_delta,
     segmentation_welfare,
 )
+
+from crosschecks import integrated_liquidation_closed_form
 
 FIG1 = LiquidationScenario()  # lambda=0.1, rho_c=rho_d=0.1, T=1, xi_c=-1, M=1
 
