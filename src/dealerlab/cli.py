@@ -402,9 +402,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, seed=False):
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=0, help="base seed for substreams")
+        if seed:  # only the subcommands that may draw normals read a seed
+            p.add_argument("--seed", type=int, default=0, help="base seed for substreams")
 
     def add_scenario(p, xi=True):
         p.add_argument("--lambda", dest="impact_cost", type=_finite_float, default=0.1,
@@ -422,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_liquidation)
 
     p = sub.add_parser("diffusive", help="diffusive-target figure data")
-    add_common(p)
+    add_common(p, seed=True)
     add_scenario(p, xi=False)
     p.add_argument("--sigma-xi", type=_finite_float, default=1.0, help="target volatility")
     p.add_argument("--steps", type=int, default=1000)
@@ -439,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn in (("scaling-smooth", cmd_scaling_smooth),
                      ("scaling-diffusive", cmd_scaling_diffusive)):
         p = sub.add_parser(name, help=f"{name.split('-')[1]}-demand cost scaling study")
-        add_common(p)
+        add_common(p, seed=True)
         p.add_argument("--lambda", dest="impact_cost",
                        default="1e-1,1e-2,1e-3,1e-4,1e-5",
                        help="comma list of impact costs")
@@ -460,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_oracle_check)
 
     p = sub.add_parser("equilibrium", help="solve a market from a config file")
-    add_common(p)
+    add_common(p, seed=True)
     p.add_argument("--config", required=True, help="INI market description")
     p.add_argument("--steps", type=int, default=None, help="override the config grid")
     p.set_defaults(func=cmd_equilibrium)

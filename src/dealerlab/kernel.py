@@ -76,14 +76,14 @@ class Horizon:
 
 @dataclass(frozen=True)
 class DeltaParam:
-    """Mesh-rate parameter delta > 0 with its cached square root."""
+    """Mesh-rate parameter 0 < delta < inf with its cached square root."""
 
     delta: float
     sqrt_delta: float
 
     def __post_init__(self):
-        if not self.delta > 0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
+        if not 0 < self.delta < math.inf:  # eta*eta_bar overflows below lambda ~ 1e-154
+            raise ValueError(f"delta must be positive and finite, got {self.delta}")
         if not math.isclose(self.sqrt_delta**2, self.delta, rel_tol=1e-12):
             raise ValueError("sqrt_delta is not the square root of delta")
 
@@ -150,17 +150,6 @@ def eval_F(d: DeltaParam, t, T: float):
     """Feedback rate F(t) = sqrt(delta) * tanh(sqrt(delta)*(T - t))."""
     t = _check_time(t, T)
     return d.sqrt_delta * np.tanh(d.sqrt_delta * (T - t))
-
-
-def simpson(f, a: float, b: float, panels: int = 4096) -> float:
-    """Composite Simpson rule for a vectorized integrand on [a, b]."""
-    if panels < 1:
-        raise ValueError("need at least one panel")
-    panels += panels % 2
-    x = np.linspace(a, b, panels + 1)
-    y = np.asarray(f(x), dtype=float)
-    h = (b - a) / panels
-    return float(h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-2:2].sum()))
 
 
 def trapezoid(values: np.ndarray, grid: np.ndarray) -> np.ndarray:

@@ -24,6 +24,7 @@ from .kernel import (
     compute_delta,
     eval_F,
     stable_cosh_ratio,
+    stable_sech,
     stable_sinh_over_cosh,
 )
 from .paths import path_streams, standard_normal_block
@@ -53,6 +54,7 @@ class LiquidationScenario:
         m = self.n_dealers
         if isinstance(m, bool) or not (m == INF_DEALERS or (float(m).is_integer() and m >= 1)):
             raise ValueError(f"n_dealers must be a positive integer or inf, got {m!r}")
+        scenario_delta(self)  # its DeltaParam refuses a mesh rate that overflows
 
 
 def scenario_delta(s: LiquidationScenario, doubled: bool = False) -> DeltaParam:
@@ -257,55 +259,38 @@ class WelfareReport:
     asymptotic_ratio: float
 
 
-def _layered_simpson(f, T: float, beta: float) -> float:
-    """Composite Simpson (4096 panels) on each side of the width-40/beta boundary layer."""
-    from .kernel import simpson
+def _hyperbolic_integrals(b: float, T: float) -> tuple[float, float, float]:
+    """The integrals over [0, T] of C, C^2 and S^2, exactly.
 
-    split = min(T, 40.0 / beta)
-    total = simpson(f, 0.0, split)
-    if split < T:
-        total += simpson(f, split, T)
-    return total
-
-
-def welfare_segmented_quadrature(s: LiquidationScenario) -> float:
-    """J_c by Simpson quadrature of the segmented-market integrand."""
-    b = scenario_delta(s).sqrt_delta
-    rho_sum = s.rho_c + s.rho_d
-    rho_bar = rho_sum / 2.0
-    share_c = s.rho_c / rho_sum
-
-    def integrand(t):
-        C = stable_cosh_ratio(b * (s.T - t), b * s.T)
-        return (2.0 / rho_bar) * C * (1.0 - share_c * C) + (2.0 * s.rho_c / rho_sum**2) * C**2
-
-    return -(s.xi_c**2) / 4.0 * _layered_simpson(integrand, s.T, b)
+    C = cosh(b(T-t))/cosh(bT) and S = sinh(b(T-t))/cosh(bT) integrate to
+    tanh(bT)/b and (tanh(bT)/b +- T sech^2(bT))/2; ``stable_sech`` keeps a
+    large bT from overflowing.
+    """
+    tanh_term = math.tanh(b * T) / b
+    sech_term = T * float(stable_sech(b * T)) ** 2
+    return tanh_term, (tanh_term + sech_term) / 2.0, (tanh_term - sech_term) / 2.0
 
 
-def welfare_integrated_quadrature(s: LiquidationScenario) -> float:
-    """J_c_int by Simpson quadrature of the integrated-market integrand (mesh delta_{2M})."""
+def welfare_brackets(s: LiquidationScenario) -> tuple[float, float]:
+    """The xi_c-free brackets of J_c = -xi_c^2/4 * bracket, segmented and integrated.
+
+    With rho = rho_c + rho_d, the client's welfare integrands reduce to
+    (4/rho) C - (2 rho_c/rho^2) C^2 at mesh delta_M, and to
+    (2/rho) C + (2 rho_d/rho^2) C^2 + lambda delta_{2M} S^2 at delta_{2M}.
+    """
+    rho = s.rho_c + s.rho_d
+    c, c2, _ = _hyperbolic_integrals(scenario_delta(s).sqrt_delta, s.T)
+    segmented = 4.0 / rho * c - 2.0 * s.rho_c / rho**2 * c2
     d2 = scenario_delta(s, doubled=True)
-    b = d2.sqrt_delta
-    rho_sum = s.rho_c + s.rho_d
-    rho_bar = rho_sum / 2.0
-    skew = (s.rho_d - s.rho_c) / rho_sum
-
-    def integrand(t):
-        C = stable_cosh_ratio(b * (s.T - t), b * s.T)
-        SR = stable_sinh_over_cosh(b * (s.T - t), b * s.T)
-        return (
-            (1.0 / rho_bar) * C * (1.0 + skew * C)
-            + (2.0 * s.rho_c / rho_sum**2) * C**2
-            + s.impact_cost * d2.delta * SR**2
-        )
-
-    return -(s.xi_c**2) / 4.0 * _layered_simpson(integrand, s.T, b)
+    c, c2, s2 = _hyperbolic_integrals(d2.sqrt_delta, s.T)
+    integrated = 2.0 / rho * c + 2.0 * s.rho_d / rho**2 * c2 + s.impact_cost * d2.delta * s2
+    return segmented, integrated
 
 
 def asymptotic_welfare_segmented(s: LiquidationScenario) -> float:
     m = s.n_dealers
-    return (
-        -(s.xi_c**2)
+    return 0.0 - (  # 0 - x, not -x: a zero target writes 0, not -0
+        s.xi_c**2
         * math.sqrt(2.0 * s.impact_cost)
         * math.sqrt((m + 1.0) / m)
         * (3.0 * s.rho_c + 4.0 * s.rho_d)
@@ -315,8 +300,8 @@ def asymptotic_welfare_segmented(s: LiquidationScenario) -> float:
 
 def asymptotic_welfare_integrated(s: LiquidationScenario) -> float:
     m = s.n_dealers
-    return (
-        -(s.xi_c**2)
+    return 0.0 - (
+        s.xi_c**2
         * math.sqrt(s.impact_cost / (m * (1.0 + 2.0 * m)))
         * ((2.0 + 6.0 * m) * s.rho_c + (3.0 + 8.0 * m) * s.rho_d)
         / (8.0 * (s.rho_c + s.rho_d) ** 1.5)
@@ -336,18 +321,19 @@ def asymptotic_welfare_ratio(s: LiquidationScenario) -> float:
 def segmentation_welfare(s: LiquidationScenario) -> WelfareReport:
     """Welfare with and without client access to the open market.
 
-    Quadrature values of the exact integrals plus the small-impact-cost
-    asymptotics; the ratio J_c / J_c_int measures how much worse (both are
-    negative) the segmented market leaves the clients.
+    The exact integrals plus the small-impact-cost asymptotics; the ratio
+    J_c / J_c_int, taken from the xi_c-free brackets so that it is defined
+    at xi_c = 0, measures how much worse (both are negative) the segmented
+    market leaves the clients.
     """
     if s.n_dealers == INF_DEALERS:
         raise ValueError("segmentation welfare needs a finite dealer count")
-    j_seg = welfare_segmented_quadrature(s)
-    j_int = welfare_integrated_quadrature(s)
+    segmented, integrated = welfare_brackets(s)
+    loss = s.xi_c**2 / 4.0
     return WelfareReport(
-        J_c_segmented=j_seg,
-        J_c_integrated=j_int,
-        ratio=j_seg / j_int,
+        J_c_segmented=0.0 - loss * segmented,
+        J_c_integrated=0.0 - loss * integrated,
+        ratio=segmented / integrated,
         asymptotic_J_c=asymptotic_welfare_segmented(s),
         asymptotic_J_c_int=asymptotic_welfare_integrated(s),
         asymptotic_ratio=asymptotic_welfare_ratio(s),

@@ -36,6 +36,21 @@ from dealerlab.scenarios import LiquidationPaths, LiquidationScenario, scenario_
 
 
 # ----------------------------------------------------------------------
+# composite Simpson quadrature
+# ----------------------------------------------------------------------
+
+def simpson(f, a: float, b: float, panels: int = 4096) -> float:
+    """Composite Simpson rule for a vectorized integrand on [a, b]."""
+    if panels < 1:
+        raise ValueError("need at least one panel")
+    panels += panels % 2
+    x = np.linspace(a, b, panels + 1)
+    y = np.asarray(f(x), dtype=float)
+    h = (b - a) / panels
+    return float(h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-2:2].sum()))
+
+
+# ----------------------------------------------------------------------
 # the kernel, pointwise
 # ----------------------------------------------------------------------
 
@@ -160,3 +175,50 @@ def check_price_representations(
         integral = trapezoid((np.array(m_u) - mean_x) / ag.rho_bar, grid[i:])
         worst = max(worst, abs(-integral - sol.price_dev[i]))
     return worst
+
+
+# ----------------------------------------------------------------------
+# segmentation welfare by quadrature of the welfare integrands
+# ----------------------------------------------------------------------
+
+def _layered_simpson(f, T: float, beta: float) -> float:
+    """Composite Simpson (4096 panels) on each side of the width-40/beta boundary layer."""
+    split = min(T, 40.0 / beta)
+    total = simpson(f, 0.0, split)
+    if split < T:
+        total += simpson(f, split, T)
+    return total
+
+
+def welfare_segmented_quadrature(s: LiquidationScenario) -> float:
+    """J_c by Simpson quadrature of the segmented-market integrand."""
+    b = scenario_delta(s).sqrt_delta
+    rho_sum = s.rho_c + s.rho_d
+    rho_bar = rho_sum / 2.0
+    share_c = s.rho_c / rho_sum
+
+    def integrand(t):
+        C = stable_cosh_ratio(b * (s.T - t), b * s.T)
+        return (2.0 / rho_bar) * C * (1.0 - share_c * C) + (2.0 * s.rho_c / rho_sum**2) * C**2
+
+    return -(s.xi_c**2) / 4.0 * _layered_simpson(integrand, s.T, b)
+
+
+def welfare_integrated_quadrature(s: LiquidationScenario) -> float:
+    """J_c_int by Simpson quadrature of the integrated-market integrand (mesh delta_{2M})."""
+    d2 = scenario_delta(s, doubled=True)
+    b = d2.sqrt_delta
+    rho_sum = s.rho_c + s.rho_d
+    rho_bar = rho_sum / 2.0
+    skew = (s.rho_d - s.rho_c) / rho_sum
+
+    def integrand(t):
+        C = stable_cosh_ratio(b * (s.T - t), b * s.T)
+        SR = stable_sinh_over_cosh(b * (s.T - t), b * s.T)
+        return (
+            (1.0 / rho_bar) * C * (1.0 + skew * C)
+            + (2.0 * s.rho_c / rho_sum**2) * C**2
+            + s.impact_cost * d2.delta * SR**2
+        )
+
+    return -(s.xi_c**2) / 4.0 * _layered_simpson(integrand, s.T, b)

@@ -1,12 +1,13 @@
 """CLI subcommands: file contracts, defaults, exit codes, and byte determinism."""
 
+import argparse
 import json
 import math
 import tracemalloc
 
 import pytest
 
-from dealerlab.cli import ConfigError, main, parse_process
+from dealerlab.cli import ConfigError, build_parser, main, parse_process
 from dealerlab.processes import (
     BrownianMartingale,
     Constant,
@@ -473,3 +474,72 @@ def test_numerical_failure_maps_to_exit_two(tmp_path, monkeypatch, capsys):
     rc = cli.main(["liquidation", "--out", str(tmp_path)])
     assert rc == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["liquidation"], ["diffusive", "--steps", "50", "--paths", "4"], ["welfare"],
+     ["scaling-smooth"], ["scaling-diffusive", "--paths", "4"], ["oracle-check"],
+     ["equilibrium", "--config", "market.ini"]],
+    ids=lambda argv: argv[0],
+)
+def test_a_mesh_rate_that_overflows_exits_one(tmp_path, monkeypatch, capsys, argv):
+    # eta * eta_bar overflows at lambda = 1e-300: refused, not written as NaN
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "market.ini").write_text(CONFIG.replace("impact_cost = 0.1",
+                                                        "impact_cost = 1e-300"))
+    out = tmp_path / "out"
+    lam = [] if argv[0] == "equilibrium" else ["--lambda", "1e-300"]
+    assert main(argv + lam + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "delta must be positive and finite, got inf" in err
+    assert "--steps" not in err
+    assert not out.exists()
+
+
+def test_welfare_without_a_client_target(tmp_path):
+    assert main(["welfare", "--out", str(tmp_path / "zero"), "--xi-c", "0", "--m-max", "3"]) == 0
+    assert main(["welfare", "--out", str(tmp_path / "one"), "--xi-c", "-1", "--m-max", "3"]) == 0
+    zero = read_json(tmp_path / "zero" / "welfare_report.json")["report"]
+    one = read_json(tmp_path / "one" / "welfare_report.json")["report"]
+    for key in ("J_c_segmented", "J_c_integrated", "asymptotic_J_c", "asymptotic_J_c_int"):
+        assert zero[key] == 0 and math.copysign(1.0, zero[key]) == 1.0, key
+    assert zero["ratio"] == one["ratio"]
+    _, rows = read_rows(tmp_path / "zero" / "fig3_welfare.csv")
+    assert [row[1:] for row in rows] == [["0", "0"]] * 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["liquidation", "--steps", "10"],
+     ["diffusive", "--steps", "20", "--paths", "4"],
+     ["welfare", "--m-max", "2"],
+     ["scaling-smooth", "--lambda", "1e-2,1e-3"],
+     ["scaling-diffusive", "--lambda", "1e-1,1e-2", "--paths", "4", "--demand", "ou"],
+     ["oracle-check", "--steps-list", "50,100"],
+     ["equilibrium", "--config", "market.ini", "--steps", "20"]],
+    ids=lambda argv: argv[0],
+)
+def test_every_parsed_flag_is_read(tmp_path, monkeypatch, argv):
+    # a flag that its subcommand never reads accepts any value and does nothing
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "market.ini").write_text(CONFIG)
+    read = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            read.add(name)
+            return super().__getattribute__(name)
+
+    args = build_parser().parse_args(argv + ["--out", "out"], namespace=Recording())
+    read.clear()  # argparse reads attributes while it fills them
+    args.func(args)
+    parsed = set(vars(args)) - {"out", "func", "command"}
+    assert parsed - read == set()
+
+
+@pytest.mark.parametrize("command", ["liquidation", "welfare", "oracle-check"])
+def test_subcommands_that_draw_no_normals_take_no_seed(tmp_path, command):
+    out = tmp_path / "out"
+    assert main([command, "--seed", "-5", "--out", str(out)]) == 1
+    assert not out.exists()

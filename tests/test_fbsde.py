@@ -19,7 +19,6 @@ from dealerlab.kernel import (
     KernelWeight,
     _ou_weight,
     eval_F,
-    simpson,
     stable_sech,
 )
 from dealerlab.paths import realize
@@ -33,7 +32,7 @@ from dealerlab.processes import (
     combine,
 )
 
-from crosschecks import eval_k, fbsde_residual
+from crosschecks import eval_k, fbsde_residual, simpson
 
 
 def double_integral_position(

@@ -13,10 +13,9 @@ from dealerlab.kernel import (
     Horizon,
     compute_delta,
     eval_F,
-    simpson,
 )
 
-from crosschecks import eval_k
+from crosschecks import eval_k, simpson
 
 SQRT50 = 7.0710678118654755
 
@@ -54,6 +53,15 @@ def test_delta_param():
         DeltaParam.from_value(-1.0)
     with pytest.raises(ValueError):
         DeltaParam(delta=50.0, sqrt_delta=7.0)
+
+
+def test_a_mesh_rate_that_overflows_is_refused():
+    # eta * eta_bar overflows once lambda falls below about 1e-154
+    with pytest.raises(ValueError, match="^delta must be positive and finite, got inf$"):
+        compute_delta(0.1, 1e300, 1e300)
+    with pytest.raises(ValueError, match="^delta must be positive and finite"):
+        DeltaParam.from_value(math.inf)
+    assert compute_delta(0.1, 1e150, 1e150).delta == pytest.approx(5e150, rel=1e-15)
 
 
 def test_F_at_maturity_is_zero():

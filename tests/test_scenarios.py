@@ -20,14 +20,20 @@ from dealerlab.scenarios import (
     LiquidationScenario,
     asymptotic_welfare_integrated,
     asymptotic_welfare_ratio,
+    asymptotic_welfare_segmented,
     diffusive_simulate,
     liquidation_closed_form,
     price_reversion_regression,
     scenario_delta,
     segmentation_welfare,
+    welfare_brackets,
 )
 
-from crosschecks import integrated_liquidation_closed_form
+from crosschecks import (
+    integrated_liquidation_closed_form,
+    welfare_integrated_quadrature,
+    welfare_segmented_quadrature,
+)
 
 FIG1 = LiquidationScenario()  # lambda=0.1, rho_c=rho_d=0.1, T=1, xi_c=-1, M=1
 
@@ -89,6 +95,12 @@ def test_scenario_delta_is_the_market_delta(m, rho_d, lam):
 def test_scenarios_validate_every_field(build, field):
     with pytest.raises(ValueError, match=f"^{field} "):
         build()
+
+
+@pytest.mark.parametrize("cls", [LiquidationScenario, DiffusiveScenario])
+def test_scenarios_refuse_a_mesh_rate_that_overflows(cls):
+    with pytest.raises(ValueError, match="^delta must be positive and finite, got inf$"):
+        cls(impact_cost=1e-300)
 
 
 def test_diffusive_scenario_is_the_liquidation_scenario_without_target():
@@ -386,6 +398,48 @@ def test_welfare_quadrature_matches_asymptotics_small_lambda():
         rep = segmentation_welfare(s)
         assert rep.J_c_segmented == pytest.approx(rep.asymptotic_J_c, rel=0.01)
         assert rep.J_c_integrated == pytest.approx(rep.asymptotic_J_c_int, rel=0.01)
+
+
+# criterion 6's grid of dealer counts and risk-tolerance ratios
+WELFARE_GRID = [(m, ratio) for m in range(1, 21) for ratio in (0.5, 1.0, 2.0)]
+
+
+@pytest.mark.parametrize("T", [0.1, 1.0, 5.0])
+def test_exact_welfare_matches_simpson_quadrature(T):
+    # the Simpson route errs by up to 4e-10 at the smallest lambda
+    for lam in (10.0**k for k in range(-8, 5)):
+        for m, ratio in WELFARE_GRID:
+            s = LiquidationScenario(impact_cost=lam, rho_c=0.1 * ratio, rho_d=0.1, T=T,
+                                    n_dealers=m)
+            rep = segmentation_welfare(s)
+            assert rep.J_c_segmented == pytest.approx(welfare_segmented_quadrature(s), rel=1e-9)
+            assert rep.J_c_integrated == pytest.approx(
+                welfare_integrated_quadrature(s), rel=1e-9
+            )
+
+
+@pytest.mark.parametrize("lam", [1e-6, 1e-8, 1e-10])
+def test_exact_welfare_is_the_asymptotic_welfare_at_small_lambda(lam):
+    # what the asymptotics drop is exponentially small in sqrt(delta) T ~ 1/sqrt(lambda)
+    for m, ratio in WELFARE_GRID:
+        s = LiquidationScenario(impact_cost=lam, rho_c=0.1 * ratio, rho_d=0.1, n_dealers=m)
+        rep = segmentation_welfare(s)
+        assert rep.J_c_segmented == pytest.approx(asymptotic_welfare_segmented(s), rel=1e-13)
+        assert rep.J_c_integrated == pytest.approx(asymptotic_welfare_integrated(s), rel=1e-13)
+        assert rep.ratio == pytest.approx(asymptotic_welfare_ratio(s), rel=1e-13)
+    symmetric = segmentation_welfare(LiquidationScenario(impact_cost=lam))
+    assert symmetric.ratio == pytest.approx(7 * math.sqrt(12) / 19, rel=1e-15)
+
+
+def test_welfare_without_a_target_is_zero_and_keeps_its_ratio():
+    s = LiquidationScenario(xi_c=0.0, n_dealers=3)
+    rep = segmentation_welfare(s)
+    for value in (rep.J_c_segmented, rep.J_c_integrated, rep.asymptotic_J_c,
+                  rep.asymptotic_J_c_int):
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0  # +0, not -0
+    assert rep.ratio == segmentation_welfare(dataclasses.replace(s, xi_c=-1.0)).ratio
+    segmented, integrated = welfare_brackets(s)
+    assert rep.ratio == segmented / integrated
 
 
 def test_segmentation_always_hurts_clients():
