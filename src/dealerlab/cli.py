@@ -25,7 +25,7 @@ from pathlib import Path
 from .asymptotics import DealerSetting, scaling_study
 from .equilibrium import solve_equilibrium
 from .kernel import Horizon
-from .market import AgentSpec, MarketParams
+from .market import AgentSpec, MarketParams, aggregate
 from .oracle import oracle_gap
 from .processes import (
     BrownianMartingale,
@@ -321,6 +321,7 @@ def cmd_oracle_check(args) -> None:
     params = segmented_market(
         Horizon.uniform(args.T, 1), args.impact_cost, args.rho_c, args.rho_d, 1, Constant(args.xi_c)
     )
+    aggregate(params)  # refuses a mesh rate that overflows before the oracle solves on it
     report = oracle_gap(params, steps_list)
     if report.fitted_order is not None and not 0.5 <= report.fitted_order <= 1.5:
         raise NumericalError(
@@ -370,6 +371,7 @@ def cmd_equilibrium(args) -> None:
         {
             **run_metadata(echo, args.seed, params.horizon.n_steps),
             "outputs": ["equilibrium.csv"],
+            "residuals": sol.residuals,
         },
     )
 

@@ -18,7 +18,7 @@ deviation from it, and the welfare integrals are written D-free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict
 
 import numpy as np
@@ -29,6 +29,9 @@ from .kernel import Horizon, cumulative_trapezoid, trapezoid
 from .market import Aggregates, MarketParams, aggregate
 from .paths import realize
 from .processes import DemandProcess, combine
+
+
+_CHECK_NODES = 4096  # grid nodes whose identities are checked at once
 
 
 class ConsistencyError(RuntimeError):
@@ -57,6 +60,7 @@ class EquilibriumSolution:
     noise: np.ndarray
     xi_bar: np.ndarray
     realized: RealizedDriver
+    residuals: Dict[str, float] = field(default_factory=dict)  # set by solve_equilibrium
 
 
 def solve_equilibrium(
@@ -69,7 +73,8 @@ def solve_equilibrium(
     The computed solution is self-checked: clearing, the per-agent
     first-order condition, the elasticity shares, and the price identity
     must hold at every node to 1e-10 (1e-8 for a stochastic driver), else
-    a ConsistencyError carries the residuals.
+    a ConsistencyError carries the residuals.  The solution keeps them as
+    ``residuals``, the ``consistency_report`` of its identities.
     """
     ag = aggregate(params)
     horizon = params.horizon
@@ -100,6 +105,7 @@ def solve_equilibrium(
         target = path_of(spec.target)
         K = target - share * fb.U + (spec.risk_tolerance / ag.rho_bar) * exposure
         agents[spec.name] = AgentPaths(K=K, U=share * fb.U, u=share * fb.u, target=target)
+    del exposure  # the solution keeps mu, not the exposure; the check below needs neither
 
     sol = EquilibriumSolution(
         horizon=horizon,
@@ -114,9 +120,9 @@ def solve_equilibrium(
         realized=realized,
     )
     tol = 1e-10 if driver_is_deterministic(driver) else 1e-8
-    report = consistency_report(sol, params)
-    if not all(r <= tol for r in report.values()):  # a NaN residual fails too
-        raise ConsistencyError(f"equilibrium identities violated: {report}")
+    sol.residuals = consistency_report(sol, params)
+    if not all(r <= tol for r in sol.residuals.values()):  # a NaN residual fails too
+        raise ConsistencyError(f"equilibrium identities violated: {sol.residuals}")
     return sol
 
 
@@ -127,24 +133,31 @@ def consistency_report(sol: EquilibriumSolution, params: MarketParams) -> Dict[s
     foc:       mu = (U^a + K^a - xi^a)/rho^a for every agent
     share:     U^a = (eta^a/eta_bar) U_bar;  sum_a m(a) u^a = u_bar
     price:     price_dev = (1/eta + 1/eta_bar) u_bar
+
+    The nodes are checked ``_CHECK_NODES`` at a time, so the temporaries stay
+    O(block) at any step count.
     """
     ag = sol.aggregates
-    total_K = sol.noise.copy()
-    total_u = np.zeros_like(sol.u_bar)
-    foc, share = [], []
-    for spec, eta_a in zip(params.agents, ag.eta_a):
-        a = sol.agents[spec.name]
-        total_K = total_K + spec.mass * a.K
-        total_u = total_u + spec.mass * a.u
-        foc.append(np.max(np.abs((a.U + a.K - a.target) / spec.risk_tolerance - sol.mu)))
-        share.append(np.max(np.abs(a.U - (eta_a / ag.eta_bar) * sol.U_bar)))
-    share.append(np.max(np.abs(total_u - sol.u_bar)))
-    return {  # np.max, unlike max, carries a NaN through
-        "clearing": float(np.max(np.abs(total_K))),
-        "foc": float(np.max(foc)),
-        "share": float(np.max(share)),
-        "price": float(np.max(np.abs(sol.price_dev - ag.impact_weight * sol.u_bar))),
-    }
+    agents = [(spec, eta_a / ag.eta_bar, sol.agents[spec.name])
+              for spec, eta_a in zip(params.agents, ag.eta_a)]
+    worst: Dict[str, list] = {"clearing": [], "foc": [], "share": [], "price": []}
+    for lo in range(0, sol.u_bar.shape[-1], _CHECK_NODES):
+        nodes = np.s_[..., lo : lo + _CHECK_NODES]
+        mu, U_bar, u_bar = sol.mu[nodes], sol.U_bar[nodes], sol.u_bar[nodes]
+        total_K, total_u = sol.noise[nodes], 0.0
+        for spec, share, a in agents:
+            U_a, K_a = a.U[nodes], a.K[nodes]
+            total_K = total_K + spec.mass * K_a
+            total_u = total_u + spec.mass * a.u[nodes]
+            foc = (U_a + K_a - a.target[nodes]) / spec.risk_tolerance - mu
+            worst["foc"].append(np.max(np.abs(foc)))
+            worst["share"].append(np.max(np.abs(U_a - share * U_bar)))
+        worst["clearing"].append(np.max(np.abs(total_K)))
+        worst["share"].append(np.max(np.abs(total_u - u_bar)))
+        price = sol.price_dev[nodes] - ag.impact_weight * u_bar
+        worst["price"].append(np.max(np.abs(price)))
+    # np.max, unlike max, carries a NaN through
+    return {name: float(np.max(maxima)) for name, maxima in worst.items()}
 
 
 # ----------------------------------------------------------------------

@@ -25,6 +25,8 @@ from .kernel import DeltaParam, Horizon, KernelWeight, eval_F
 from .paths import realize
 from .processes import ZERO, TermList
 
+_BLOCK_STEPS = 4096  # Heun steps whose inputs are held as Python floats at once
+
 
 def driver_is_deterministic(terms: TermList) -> bool:
     return all(p.deterministic for _, p in terms)
@@ -123,14 +125,19 @@ def heun_path(G: np.ndarray, F: np.ndarray, dt: np.ndarray):
     """Heun's method for dU = (G - F U) dt along the last axis of G from U_0 = 0.
 
     Returns the positions U and the node rates u = G - F U (u_0 = G_0).
-    Rows of G step on Python floats: bit for bit the Monte Carlo sweep's array steps.
+    Rows of G step on Python floats, bit for bit the Monte Carlo sweep's array
+    steps, converted ``_BLOCK_STEPS`` steps at a time: the floats held stay
+    O(block) at any step count, and each block carries (U_i, u_i) into the next.
     """
-    F_next, steps = F[1:].tolist(), dt.tolist()
-    U = np.empty(G.shape)
-    for row, g in zip(U.reshape(-1, G.shape[-1]), G.reshape(-1, G.shape[-1]).tolist()):
-        U_i, u_i, positions = 0.0, g[0], [0.0]
-        for g_next, F_i, dt_i in zip(g[1:], F_next, steps):
-            U_i, u_i = heun_step(U_i, u_i, g_next, F_i, dt_i)
-            positions.append(U_i)
-        row[:] = positions
-    return U, G - F * U  # heun_step's rates: the same product and difference
+    U = np.zeros(G.shape)
+    for row, g in zip(U.reshape(-1, G.shape[-1]), G.reshape(-1, G.shape[-1])):
+        U_i, u_i = 0.0, float(g[0])
+        for lo in range(0, dt.size, _BLOCK_STEPS):
+            hi, positions = lo + _BLOCK_STEPS, []
+            nodes = slice(lo + 1, hi + 1)
+            for g_next, F_i, dt_i in zip(g[nodes].tolist(), F[nodes].tolist(), dt[lo:hi].tolist()):
+                U_i, u_i = heun_step(U_i, u_i, g_next, F_i, dt_i)
+                positions.append(U_i)
+            row[nodes] = positions
+    u = F * U
+    return U, np.subtract(G, u, out=u)  # heun_step's rates: the same product and difference

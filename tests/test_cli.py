@@ -7,7 +7,8 @@ import tracemalloc
 
 import pytest
 
-from dealerlab.cli import ConfigError, build_parser, main, parse_process
+from dealerlab.cli import ConfigError, build_parser, load_market_config, main, parse_process
+from dealerlab.equilibrium import solve_equilibrium
 from dealerlab.processes import (
     BrownianMartingale,
     Constant,
@@ -305,6 +306,17 @@ def test_equilibrium_from_config(tmp_path):
     assert float(rows[0][k_client]) == pytest.approx(-0.5, abs=1e-10)
 
 
+def test_equilibrium_run_meta_carries_the_identity_residuals(tmp_path):
+    cfg = tmp_path / "market.ini"
+    cfg.write_text(CONFIG)
+    assert main(["equilibrium", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    residuals = read_json(tmp_path / "run_meta.json")["residuals"]
+    solved = solve_equilibrium(load_market_config(str(cfg))[0]).residuals
+    assert residuals == {name: float(f"{r:.12g}") for name, r in solved.items()}
+    assert list(residuals) == ["clearing", "foc", "price", "share"]  # sorted keys
+    assert all(0 <= r <= 1e-10 for r in residuals.values())
+
+
 def test_equilibrium_mixes_brownian_noise_and_ou_target(tmp_path):
     cfg = tmp_path / "market.ini"
     cfg.write_text(CONFIG.replace("process = zero", "process = brownian:0,1")
@@ -483,6 +495,7 @@ def test_numerical_failure_maps_to_exit_two(tmp_path, monkeypatch, capsys):
      ["equilibrium", "--config", "market.ini"]],
     ids=lambda argv: argv[0],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # refused before any arithmetic overflows
 def test_a_mesh_rate_that_overflows_exits_one(tmp_path, monkeypatch, capsys, argv):
     # eta * eta_bar overflows at lambda = 1e-300: refused, not written as NaN
     monkeypatch.chdir(tmp_path)

@@ -1,6 +1,7 @@
 """Equilibrium identities, price representations, and welfare optimality."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,6 +100,43 @@ def test_nan_residuals_fail_the_identity_check():
     )
     with pytest.raises(ConsistencyError, match="'foc': nan, 'share': nan"):
         solve_equilibrium(tiny)
+
+
+@pytest.mark.parametrize("node", [0, 52, 100])
+def test_identity_check_in_node_blocks(monkeypatch, node):
+    # a residual or a NaN at any node reaches the report, whatever the block it falls in
+    from dealerlab import equilibrium
+
+    params = liquidation_params(M=2, steps=100)
+    sol = solve_equilibrium(params)
+    assert sol.residuals == consistency_report(sol, params)
+    sol.agents["client0"].K[node] += 0.1
+    whole = consistency_report(sol, params)  # 101 nodes: one block
+    assert whole["clearing"] > 1e-3
+    monkeypatch.setattr(equilibrium, "_CHECK_NODES", 7)  # 14 blocks of 7 nodes and one of 3
+    assert consistency_report(sol, params) == whole
+    sol.agents["dealer0"].U[node] = math.nan
+    report = consistency_report(sol, params)
+    assert math.isnan(report["foc"]) and math.isnan(report["share"])
+
+
+def test_solve_holds_little_beyond_its_solution():
+    # the segmented market of the benchmark's 200k-step equilibrium op, at 50,000 steps;
+    # the returned solution alone holds 13 columns of nodes x 8 bytes
+    n = 50_000
+    params = MarketParams(
+        Horizon.uniform(1.0, n),
+        1e-6,
+        (AgentSpec("dealer", 0.5, 0.1, 0.0),
+         AgentSpec("client", 0.5, 0.1, NO_ACCESS, target=Constant(-1.0))),
+    )
+    tracemalloc.start()
+    try:
+        solve_equilibrium(params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * (n + 1) * 8
 
 
 def test_delta_price_weight_identity():

@@ -422,6 +422,25 @@ def test_heun_path_equals_the_array_recursion_bit_for_bit():
     np.testing.assert_array_equal(u_one, u[2])
 
 
+@pytest.mark.parametrize("block", [1, 7, 300, 4096])
+def test_heun_path_in_blocks_is_the_array_recursion(monkeypatch, block):
+    # each block carries (U_i, u_i) into the next, so no block edge moves a bit
+    from dealerlab import fbsde
+
+    monkeypatch.setattr(fbsde, "_BLOCK_STEPS", block)
+    h = Horizon.uniform(1.0, 300)
+    F = eval_F(DeltaParam.from_value(40.0), h.grid, h.T)
+    G = np.random.default_rng(5).standard_normal((3, h.grid.size)).cumsum(axis=-1)
+    U, u = heun_path(G, F, h.dt)
+    rec_U, rec_u = [np.zeros(3)], [G[:, 0]]
+    for i in range(h.n_steps):
+        U_next, u_next = heun_step(rec_U[-1], rec_u[-1], G[:, i + 1], F[i + 1], h.dt[i])
+        rec_U.append(U_next)
+        rec_u.append(u_next)
+    np.testing.assert_array_equal(U, np.stack(rec_U, axis=-1))
+    np.testing.assert_array_equal(u, np.stack(rec_u, axis=-1))
+
+
 def test_stiff_delta_stable_with_resolved_grid():
     # sqrt(delta)*T = 1000; the 50-steps-per-unit rule keeps Heun stable
     delta = 1e6
