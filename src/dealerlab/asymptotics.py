@@ -22,6 +22,7 @@ from __future__ import annotations
 import logging
 import math
 import numbers
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -173,8 +174,9 @@ def simulate_costs(
     A deterministic demand gives one exact row.  A stochastic one needs two
     or more paths, each a pure function of (seed, path index): chunking and
     the worker count affect scheduling only, never values.  The paths are
-    split into one chunk per worker, of at most 2048 paths; each worker's
-    sweep holds about chunk x ``SLICE_STEPS`` x 8 bytes of normals.
+    split into one chunk per worker, of at most 2048 paths, and run on at
+    most one thread per CPU; each running chunk's sweep holds about
+    chunk x ``SLICE_STEPS`` x 8 bytes of normals.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -203,7 +205,7 @@ def simulate_costs(
         for s in starts:
             run(s)
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
             list(pool.map(run, starts))
     return costs, tracks
 

@@ -6,9 +6,11 @@ reproduces every output byte for byte (worker counts and chunk sizes are
 execution details and never enter a report).  CSV and JSON share one set of
 cell rules (numpy scalars write as their Python counterparts).  The CSV writer
 takes columns and writes their rows in blocks of ``ROW_BLOCK``, so its memory
-does not grow with the table: in each block a float array column formats each
-of its distinct values once and looks the rest up, so a long path that
-revisits few values costs few formatting calls.
+does not grow with the table.  In each block a float array column with one
+bit pattern is formatted once, into the block's row format (a solution on its
+plateau holds most columns constant); one with several formats each distinct
+value once and looks the rest up, so a long path that revisits few values
+costs few formatting calls.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from __future__ import annotations
 import functools
 import json
 import subprocess
-from importlib import metadata
 from pathlib import Path
 
 ROW_BLOCK = 4096  # CSV rows formatted and written at once; read at each call
@@ -39,20 +40,34 @@ def fmt(value) -> str:
     return str(value)
 
 
-def _column_cells(column) -> list[str]:
-    """The cells of one CSV column, each as ``fmt`` writes it.
+def _block_text(columns) -> str:
+    """One block of CSV rows, each cell as ``fmt`` writes it.
 
     A float array is keyed on its bit patterns, so ``-0.0`` and ``0.0`` (and
-    NaNs with different payloads) stay apart, and each distinct value is
-    formatted once; every other column goes through ``fmt`` cell by cell.
+    NaNs with different payloads) stay apart.  Each varying column enters
+    the row format as ``%s``, so cell text is never read as a directive, and
+    the block is one ``%`` of the repeated row format over the varying cells
+    in row order.
     """
     import numpy as np
 
-    if isinstance(column, np.ndarray) and column.dtype.kind == "f" and column.itemsize <= 8:
-        values, inverse = np.unique(column.view(f"i{column.itemsize}"), return_inverse=True)
-        cells = list(map("%.12g".__mod__, values.view(column.dtype).tolist()))
-        return np.array(cells, dtype=object)[inverse].tolist()
-    return list(map(fmt, column))
+    row, varying = [], []
+    for column in columns:
+        if isinstance(column, np.ndarray) and column.dtype.kind == "f" and column.itemsize <= 8:
+            bits = column.view(f"i{column.itemsize}")
+            if (bits == bits[0]).all():
+                row.append("%.12g" % column[0].item())  # float text holds no '%'
+                continue
+            values, inverse = np.unique(bits, return_inverse=True)
+            text = "%.12g\n" * values.size % tuple(values.view(column.dtype).tolist())
+            varying.append(np.array(text.split("\n"), dtype=object)[inverse])
+        else:
+            varying.append(list(map(fmt, column)))
+        row.append("%s")
+    cells = np.empty((len(columns[0]), len(varying)), dtype=object)
+    for j, texts in enumerate(varying):
+        cells[:, j] = texts
+    return (",".join(row) + "\n") * len(cells) % tuple(cells.ravel().tolist())
 
 
 def write_csv(path: Path, header: list[str], columns) -> None:
@@ -72,8 +87,7 @@ def write_csv(path: Path, header: list[str], columns) -> None:
     with Path(path).open("w") as f:
         f.write(",".join(header) + "\n")
         for lo in range(0, lengths[0] if lengths else 0, block):
-            cells = [_column_cells(column[lo : lo + block]) for column in columns]
-            f.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            f.write(_block_text([column[lo : lo + block] for column in columns]))
 
 
 def _round_floats(obj):
@@ -96,10 +110,8 @@ def write_json(path: Path, payload: dict) -> None:
 @functools.lru_cache(maxsize=None)
 def version_string() -> str:
     """Package version plus ``git describe --always --dirty``, computed once per process."""
-    try:
-        version = metadata.version("dealerlab")
-    except metadata.PackageNotFoundError:
-        version = "0+unknown"
+    from . import __version__
+
     describe = None
     try:
         out = subprocess.run(
@@ -113,7 +125,7 @@ def version_string() -> str:
             describe = out.stdout.strip()
     except (OSError, subprocess.TimeoutExpired):
         pass
-    return f"dealerlab {version}" + (f" ({describe})" if describe else "")
+    return f"dealerlab {__version__}" + (f" ({describe})" if describe else "")
 
 
 def run_metadata(config: dict, seed: int | None, grid_steps: int | None) -> dict:

@@ -3,7 +3,9 @@
 import hashlib
 import logging
 import math
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -188,6 +190,33 @@ def test_monte_carlo_reproducibility_and_worker_invariance():
         c, tc = simulate_costs(setting, dem, 1e-2, 600, seed=21, workers=workers)
         np.testing.assert_array_equal(a, c)
         np.testing.assert_array_equal(ta, tc)
+
+
+def test_worker_threads_are_capped_at_the_cpu_count(monkeypatch):
+    # 8 workers chunk 16 paths by 2, but at most 2 threads (the patched CPU count) run them
+    pools, threads = [], set()
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    sweep = asymptotics._chunk_sweep
+
+    def recording_sweep(*args):
+        threads.add(threading.get_ident())
+        return sweep(*args)
+
+    monkeypatch.setattr(asymptotics.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(asymptotics, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(asymptotics, "_chunk_sweep", recording_sweep)
+    setting, demand = DealerSetting(n_dealers=2), BrownianMartingale(0.0, 1.0)
+    serial = simulate_costs(setting, demand, 1e-2, 16, seed=3, steps=40)
+    threads.clear()
+    pooled = simulate_costs(setting, demand, 1e-2, 16, seed=3, steps=40, workers=8)
+    assert pools == [2] and 1 <= len(threads) <= 2
+    for a, b in zip(serial, pooled):
+        np.testing.assert_array_equal(a, b)
 
 
 @pytest.mark.parametrize(

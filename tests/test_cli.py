@@ -64,7 +64,7 @@ def test_liquidation_outputs(tmp_path):
     assert float(rows[0][1]) == pytest.approx(-0.7071057610384575, rel=1e-10)
     assert float(rows[0][2]) == pytest.approx(-0.5, rel=1e-6)
     meta = read_json(tmp_path / "run_meta.json")
-    assert "version" in meta and meta["grid_steps"] == 100
+    assert meta["version"].startswith("dealerlab 0.1.0") and meta["grid_steps"] == 100
 
 
 def test_liquidation_deterministic_bytes(tmp_path):

@@ -153,16 +153,23 @@ def test_oracle_imports_stay_independent_of_the_engine():
 
 
 def test_cli_import_loads_no_scipy():
-    # every subcommand imports the oracle through the CLI; scipy stays off that path
+    # every subcommand imports the oracle through the CLI; scipy stays off that path, and
+    # so does importlib.metadata (the report version is the package's own __version__)
     src = Path(oracle.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-    code = ("import sys, dealerlab.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+
+    def watched_modules(imports):
+        code = (f"import sys{imports}; print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy' or m.startswith('importlib.metadata')))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return ast.literal_eval(proc.stdout.strip())
+
+    bare = watched_modules("")
+    assert not any(m.startswith("scipy") for m in bare)
+    assert [m for m in watched_modules(", dealerlab.cli") if m not in bare] == []
 
 
 def mixed_open_cost_params(n):

@@ -31,6 +31,17 @@ with np.errstate(over="ignore"):
         "int-list": [i * (-1) ** i for i in range(N)],
         "bool-list": [i % 2 == 0 for i in range(N)],
         "str-list": [f"s{i % 5}" for i in range(N)],
+        # in blocks of 7 rows (7, 7, 7 and 3), each constant in some blocks and varying in others
+        "float64-blocks": np.array([0.5] * 7 + [0.5, 0.25] * 3 + [0.5] + [-1.0] * 7 + [1.0, 2.0, 3.0]),
+        "signed-zero-blocks": np.array([-0.0] * 7 + [0.0] * 7 + [-0.0] * 7 + [-0.0, 0.0, -0.0]),
+        "nan-payload-blocks": np.array([PAYLOAD_NAN] * 7 + [math.nan] * 7
+                                       + [PAYLOAD_NAN, math.nan] * 3 + [PAYLOAD_NAN] * 4),
+        "float32-blocks": np.array([0.1] * 7 + [1e-40] * 7 + [0.1, 0.2] * 3 + [0.1] + [3.0] * 3,
+                                   dtype=np.float32),
+        "float16-blocks": np.array([0.1] * 7 + [-0.0] * 7 + [70000.0] * 7 + [0.1, 0.2, 0.3],
+                                   dtype=np.float16),
+        "str-directives": ["%s"] * 7 + ["%", "%%s", "a%sb", "%(x)s", "%d", "100%", "%.12g"] * 2
+                          + ["%d%%"] * 3,
     }
 
 
@@ -83,6 +94,7 @@ def test_csv_columns_must_fit_the_header(tmp_path, monkeypatch, columns):
 @pytest.mark.parametrize("kind", list(COLUMNS))
 def test_csv_column_in_blocks_of_seven(tmp_path, monkeypatch, kind):
     # 24 rows: three full blocks and one of 3, each with its own distinct-value lookup
+    # or, for a float column with one bit pattern in the block, one formatted cell
     monkeypatch.setattr(reports, "ROW_BLOCK", 7)
     test_csv_column_matches_the_per_cell_format(tmp_path, kind)
 
