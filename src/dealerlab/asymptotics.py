@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fbsde import heun_step, realize_driver, solve_forward
+from .fbsde import heun_step, realize_driver, require_stable_step, solve_forward
 from .kernel import DeltaParam, Horizon, KernelWeight, eval_F, trapezoid
 from .market import Aggregates, aggregate, dealers_only_market
 from .paths import integrate_against, path_streams, standard_normal_block
@@ -81,6 +81,11 @@ def _capped_steps(setting: DealerSetting, impact_cost: float, cap: int | None = 
     msg = f"step cap at lambda={impact_cost:g}: {wanted} steps wanted, {steps} used"
     logger.warning(msg)
     return steps, msg
+
+
+def _step_context(impact_cost: float, clipped: str | None) -> str:
+    """The impact cost, and the step cap's note when it clipped the grid, for a step error."""
+    return f"lambda={impact_cost:g}" + (f" ({clipped})" if clipped else "")
 
 
 def liquidity_cost_from_paths(
@@ -171,8 +176,10 @@ def simulate_costs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-path (cost, tracking integral) arrays, path index order.
 
-    A deterministic demand gives one exact row.  A stochastic one needs two
-    or more paths, each a pure function of (seed, path index): chunking and
+    A grid too coarse for a stable step is refused before any sweep
+    (``require_stable_step``).  A deterministic demand gives one exact row.
+    A stochastic one needs two or more paths, each a pure function of
+    (seed, path index): chunking and
     the worker count affect scheduling only, never values.  The paths are
     split into one chunk per worker, of at most 2048 paths, and run on at
     most one thread per CPU; each running chunk's sweep holds about
@@ -181,9 +188,11 @@ def simulate_costs(
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     ag = setting.aggregates(impact_cost)
+    clipped = None
     if steps is None:
-        steps, _ = _capped_steps(setting, impact_cost)
+        steps, clipped = _capped_steps(setting, impact_cost)
     horizon = Horizon.uniform(setting.T, steps)
+    require_stable_step(ag.delta, horizon, _step_context(impact_cost, clipped))
     if demand.deterministic:
         fb = solve_forward(realize_driver(((1.0, demand),), horizon), ag.delta, horizon)
         cost = liquidity_cost_from_paths(fb.X, fb.u, ag.impact_weight)
@@ -293,7 +302,8 @@ def scaling_study(
 
     One ``simulate_costs`` call per impact cost (a deterministic demand is one
     exact row with standard error 0); grids clipped at ``steps_cap`` (default
-    ``STEP_CAP``) are listed in the warnings.  The prefactor is read off at
+    ``STEP_CAP``) are listed in the warnings, and every grid is checked for a
+    stable step before the first sweep runs.  The prefactor is read off at
     the smallest impact cost as mean / lam^order, next to the theory value.
     The impact costs must be distinct; with only one there is no slope.
 
@@ -306,12 +316,16 @@ def scaling_study(
     lambdas = sorted(float(x) for x in lambdas)
     if len(set(lambdas)) < len(lambdas):
         raise ValueError(f"impact costs must be distinct, got {lambdas}")
-    costs, tracks, steps_used, warnings = [], [], [], []
-    for lam in lambdas:
+    steps_used, warnings = [], []
+    for lam in lambdas:  # every grid is checked before the first sweep runs
         steps, clipped = _capped_steps(setting, lam, steps_cap)
+        require_stable_step(setting.aggregates(lam).delta, Horizon.uniform(setting.T, steps),
+                            _step_context(lam, clipped))
         if clipped:
             warnings.append(clipped)
         steps_used.append(steps)
+    costs, tracks = [], []
+    for lam, steps in zip(lambdas, steps_used):
         cost, track = simulate_costs(setting, demand, lam, n_paths, seed, steps, workers)
         costs.append(cost)
         tracks.append(track)

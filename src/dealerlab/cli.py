@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import math
 import sys
 from dataclasses import asdict
@@ -339,6 +340,22 @@ def cmd_oracle_check(args) -> None:
     )
 
 
+class _Evaluated:
+    """A derived solution column for ``write_csv``: its slice is ``pick(block(lo, hi, step))``.
+
+    ``block`` evaluates the solution at a node slice (``EquilibriumSolution.at``).
+    """
+
+    def __init__(self, block, size: int, pick):
+        self.block, self.size, self.pick = block, size, pick
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, nodes: slice):
+        return self.pick(self.block(*nodes.indices(self.size)))
+
+
 def cmd_equilibrium(args) -> None:
     if args.steps is not None and args.steps < 1:
         raise ConfigError(f"--steps must be at least 1, got {args.steps}")
@@ -351,19 +368,26 @@ def cmd_equilibrium(args) -> None:
             params.noise_demand,
         )
     sol = solve_equilibrium(params, seed=args.seed)
+    # the derived columns are evaluated one row block at a time, once for all of them
+    block = functools.lru_cache(maxsize=1)(lambda lo, hi, step: sol.at(slice(lo, hi, step)))
+
+    def derived(pick):
+        return _Evaluated(block, sol.horizon.grid.size, pick)
+
     header = ["t", "U_bar", "u_bar", "mu", "price_dev", "K_N", "xi_bar"]
     cols = [
         sol.horizon.grid,
         sol.U_bar,
         sol.u_bar,
-        sol.mu,
-        sol.price_dev,
+        derived(lambda v: v.mu),
+        derived(lambda v: v.price_dev),
         sol.noise,
         sol.xi_bar,
     ]
     for a in params.agents:
         header += [f"K_{a.name}", f"U_{a.name}", f"u_{a.name}"]
-        cols += [sol.agents[a.name].K, sol.agents[a.name].U, sol.agents[a.name].u]
+        cols += [derived(lambda v, name=a.name, q=q: getattr(v.agents[name], q))
+                 for q in ("K", "U", "u")]
     out = _outdir(args)
     write_csv(out / "equilibrium.csv", header, cols)
     write_json(

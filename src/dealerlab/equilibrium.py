@@ -12,6 +12,10 @@ and everything else is algebra on top of it:
     K^a       = xi^a - (eta^a/eta_bar) U_bar + (rho^a/rho_bar)(U_bar - K^N - xi_bar)
     U^a, u^a  = (eta^a/eta_bar) * (U_bar, u_bar)
 
+So a solution keeps only what the solve produces, U_bar and u_bar, with
+xi_bar and the realized paths that drove it, and evaluates the algebra
+where it is read: the identity check and the CSV writer evaluate one node
+block at a time, so no full-length column of the algebra is ever held.
 The fundamental price D is never simulated: every reported quantity is a
 deviation from it, and the welfare integrals are written D-free.
 """
@@ -19,14 +23,15 @@ deviation from it, and the welfare integrals are written D-free.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Tuple
 
 import numpy as np
 
-from .fbsde import RealizedDriver, driver_is_deterministic, realize_driver, solve_forward
+from .fbsde import RealizedDriver, driver_is_deterministic, realize_driver
+from .fbsde import require_stable_step, solve_forward
 from .fbsde import kernel_expectation_path  # noqa: F401  kept: the benchmark tracer wraps it
 from .kernel import Horizon, cumulative_trapezoid, trapezoid
-from .market import Aggregates, MarketParams, aggregate
+from .market import Aggregates, AgentSpec, MarketParams, aggregate
 from .paths import realize
 from .processes import DemandProcess, combine
 
@@ -49,18 +54,65 @@ class AgentPaths:
 
 
 @dataclass
-class EquilibriumSolution:
-    horizon: Horizon
-    aggregates: Aggregates
-    U_bar: np.ndarray
-    u_bar: np.ndarray
+class NodeValues:
+    """The risk premium, the price deviation and each agent's paths at some grid nodes."""
+
     mu: np.ndarray
     price_dev: np.ndarray
     agents: Dict[str, AgentPaths]
+
+
+@dataclass
+class EquilibriumSolution:
+    """One solved equilibrium: the forward solve, the paths that drove it, the aggregates.
+
+    ``at`` evaluates everything else at a slice of grid nodes; ``mu``,
+    ``price_dev`` and ``agents`` are ``at`` on the whole grid.
+    """
+
+    horizon: Horizon
+    aggregates: Aggregates
+    specs: Tuple[AgentSpec, ...]
+    U_bar: np.ndarray
+    u_bar: np.ndarray
     noise: np.ndarray
     xi_bar: np.ndarray
+    targets: Dict[str, np.ndarray]  # each agent's realized target; agents may share one
     realized: RealizedDriver
     residuals: Dict[str, float] = field(default_factory=dict)  # set by solve_equilibrium
+
+    def at(self, nodes: slice = slice(None)) -> NodeValues:
+        """mu, price_dev and each agent's K, U and u at the grid nodes ``nodes``.
+
+        Each is computed afresh from the stored paths, so writing into what
+        this returns changes nothing in the solution; each ``target`` is a
+        view of the stored target.
+        """
+        ag = self.aggregates
+        nodes = np.s_[..., nodes]
+        U_bar, u_bar = self.U_bar[nodes], self.u_bar[nodes]
+        exposure = U_bar - self.noise[nodes] - self.xi_bar[nodes]
+        agents = {}
+        for spec, eta_a in zip(self.specs, ag.eta_a):
+            share = eta_a / ag.eta_bar
+            target = self.targets[spec.name][nodes]
+            K = target - share * U_bar + (spec.risk_tolerance / ag.rho_bar) * exposure
+            agents[spec.name] = AgentPaths(K=K, U=share * U_bar, u=share * u_bar, target=target)
+        return NodeValues(
+            mu=exposure / ag.rho_bar, price_dev=ag.impact_weight * u_bar, agents=agents
+        )
+
+    @property
+    def mu(self) -> np.ndarray:
+        return self.at().mu
+
+    @property
+    def price_dev(self) -> np.ndarray:
+        return self.at().price_dev
+
+    @property
+    def agents(self) -> Dict[str, AgentPaths]:
+        return self.at().agents
 
 
 def solve_equilibrium(
@@ -70,14 +122,17 @@ def solve_equilibrium(
 ) -> EquilibriumSolution:
     """Solve one equilibrium path (deterministic scenarios need no seed).
 
-    The computed solution is self-checked: clearing, the per-agent
-    first-order condition, the elasticity shares, and the price identity
-    must hold at every node to 1e-10 (1e-8 for a stochastic driver), else
-    a ConsistencyError carries the residuals.  The solution keeps them as
-    ``residuals``, the ``consistency_report`` of its identities.
+    A grid too coarse for a stable step is refused (``require_stable_step``)
+    before any path is drawn.  The computed solution is self-checked:
+    clearing, the per-agent first-order condition, the elasticity shares,
+    and the price identity must hold at every node to 1e-10 (1e-8 for a
+    stochastic driver), else a ConsistencyError carries the residuals.  The
+    solution keeps them as ``residuals``, the ``consistency_report`` of its
+    identities.
     """
     ag = aggregate(params)
     horizon = params.horizon
+    require_stable_step(ag.delta, horizon, f"lambda={params.impact_cost:g}")
     driver = combine([(1.0, params.noise_demand), *ag.xi_bar])
     realized = realize_driver(driver, horizon, seed=seed, path_index=path_index)
     # the driver drops only ZERO (masses are positive, the noise weight is 1): no stream
@@ -86,37 +141,25 @@ def solve_equilibrium(
             realized.paths[p] = realize(p, horizon)
 
     fb = solve_forward(realized, ag.delta, horizon)
+    U_bar, u_bar = fb.U, fb.u
+    del fb  # its driver column X is not kept
 
     def path_of(p: DemandProcess) -> np.ndarray:
         return realized.paths[p].values
 
-    noise = path_of(params.noise_demand)
     xi_bar = np.zeros(horizon.grid.size)
     for w, p in ag.xi_bar:
         xi_bar = xi_bar + w * path_of(p)
 
-    exposure = fb.U - noise - xi_bar
-    mu = exposure / ag.rho_bar
-    price_dev = ag.impact_weight * fb.u
-
-    agents: Dict[str, AgentPaths] = {}
-    for spec, eta_a in zip(params.agents, ag.eta_a):
-        share = eta_a / ag.eta_bar
-        target = path_of(spec.target)
-        K = target - share * fb.U + (spec.risk_tolerance / ag.rho_bar) * exposure
-        agents[spec.name] = AgentPaths(K=K, U=share * fb.U, u=share * fb.u, target=target)
-    del exposure  # the solution keeps mu, not the exposure; the check below needs neither
-
     sol = EquilibriumSolution(
         horizon=horizon,
         aggregates=ag,
-        U_bar=fb.U,
-        u_bar=fb.u,
-        mu=mu,
-        price_dev=price_dev,
-        agents=agents,
-        noise=noise,
+        specs=params.agents,
+        U_bar=U_bar,
+        u_bar=u_bar,
+        noise=path_of(params.noise_demand),
         xi_bar=xi_bar,
+        targets={spec.name: path_of(spec.target) for spec in params.agents},
         realized=realized,
     )
     tol = 1e-10 if driver_is_deterministic(driver) else 1e-8
@@ -134,27 +177,27 @@ def consistency_report(sol: EquilibriumSolution, params: MarketParams) -> Dict[s
     share:     U^a = (eta^a/eta_bar) U_bar;  sum_a m(a) u^a = u_bar
     price:     price_dev = (1/eta + 1/eta_bar) u_bar
 
-    The nodes are checked ``_CHECK_NODES`` at a time, so the temporaries stay
-    O(block) at any step count.
+    The solution is evaluated ``_CHECK_NODES`` nodes at a time, so the
+    temporaries stay O(block) at any step count.
     """
     ag = sol.aggregates
-    agents = [(spec, eta_a / ag.eta_bar, sol.agents[spec.name])
-              for spec, eta_a in zip(params.agents, ag.eta_a)]
+    agents = [(spec, eta_a / ag.eta_bar) for spec, eta_a in zip(params.agents, ag.eta_a)]
     worst: Dict[str, list] = {"clearing": [], "foc": [], "share": [], "price": []}
     for lo in range(0, sol.u_bar.shape[-1], _CHECK_NODES):
-        nodes = np.s_[..., lo : lo + _CHECK_NODES]
-        mu, U_bar, u_bar = sol.mu[nodes], sol.U_bar[nodes], sol.u_bar[nodes]
-        total_K, total_u = sol.noise[nodes], 0.0
-        for spec, share, a in agents:
-            U_a, K_a = a.U[nodes], a.K[nodes]
-            total_K = total_K + spec.mass * K_a
-            total_u = total_u + spec.mass * a.u[nodes]
-            foc = (U_a + K_a - a.target[nodes]) / spec.risk_tolerance - mu
+        nodes = slice(lo, lo + _CHECK_NODES)
+        values = sol.at(nodes)
+        U_bar, u_bar = sol.U_bar[..., nodes], sol.u_bar[..., nodes]
+        total_K, total_u = sol.noise[..., nodes], 0.0
+        for spec, share in agents:
+            a = values.agents[spec.name]
+            total_K = total_K + spec.mass * a.K
+            total_u = total_u + spec.mass * a.u
+            foc = (a.U + a.K - a.target) / spec.risk_tolerance - values.mu
             worst["foc"].append(np.max(np.abs(foc)))
-            worst["share"].append(np.max(np.abs(U_a - share * U_bar)))
+            worst["share"].append(np.max(np.abs(a.U - share * U_bar)))
         worst["clearing"].append(np.max(np.abs(total_K)))
         worst["share"].append(np.max(np.abs(total_u - u_bar)))
-        price = sol.price_dev[nodes] - ag.impact_weight * u_bar
+        price = values.price_dev - ag.impact_weight * u_bar
         worst["price"].append(np.max(np.abs(price)))
     # np.max, unlike max, carries a NaN through
     return {name: float(np.max(maxima)) for name, maxima in worst.items()}
@@ -182,14 +225,15 @@ def goal_functional(
     values are returned for multi-path solutions.
     """
     spec = next(a for a in params.agents if a.name == agent)
-    paths = sol.agents[agent]
+    values = sol.at()
+    paths = values.agents[agent]
     grid = sol.horizon.grid
     K = paths.K if K is None else K
     if u is None:
         u_a, U_a = paths.u, paths.U
     else:
         u_a, U_a = u, cumulative_trapezoid(u, grid)
-    gains = trapezoid(K * sol.mu, grid)
+    gains = trapezoid(K * values.mu, grid)
     if spec.has_open_access:
         u_other = sol.u_bar - spec.mass * paths.u
         lam = params.impact_cost

@@ -10,13 +10,16 @@ for a demand driver X.  The unique solution is
     u_t = G(t) - F(t) * U_t,      G(t) = E_t[ integral_t^T k(t, s) X_s ds ],
 
 so U follows the pathwise linear ODE dU = (G - F U) dt, integrated here
-with Heun's method.  G is closed form for every supported driver kind
-(see ``dealerlab.processes``): affine in each process's state at t, as all
-supported kinds are Markov.
+with Heun's method.  Its step multiplies an error in U by 1 - z + z^2/2,
+z = F dt, which passes 1 at z = 2: ``require_stable_step`` refuses a grid
+on which the largest F dt is above that bound.  G is closed form for every
+supported driver kind (see ``dealerlab.processes``): affine in each
+process's state at t, as all supported kinds are Markov.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +29,7 @@ from .paths import realize
 from .processes import ZERO, TermList
 
 _BLOCK_STEPS = 4096  # Heun steps whose inputs are held as Python floats at once
+HEUN_STABLE_STEP = 2.0  # largest F dt at which Heun's step does not amplify an error
 
 
 def driver_is_deterministic(terms: TermList) -> bool:
@@ -86,6 +90,24 @@ def kernel_expectation_path(
 # ----------------------------------------------------------------------
 # forward solve
 # ----------------------------------------------------------------------
+
+def require_stable_step(d: DeltaParam, horizon: Horizon, context: str) -> None:
+    """Refuse a grid whose largest F dt is above ``HEUN_STABLE_STEP``.
+
+    A step from t_i starts on the slope of F(t_i), F's largest value on the
+    step.  On a uniform grid F dt is at most sqrt(delta) T / steps, so
+    ceil(sqrt(delta) T / 2) steps always suffice; the error names them,
+    after ``context`` (the impact cost, a step cap).
+    """
+    F = eval_F(d, horizon.grid, horizon.T)
+    z = float(np.max(F[:-1] * horizon.dt))
+    if z > HEUN_STABLE_STEP:
+        needed = math.ceil(d.sqrt_delta * horizon.T / HEUN_STABLE_STEP)
+        raise ValueError(
+            f"{context}: the time step is unstable, max F*dt = {z:.3g} > "
+            f"{HEUN_STABLE_STEP:g} on {horizon.n_steps} steps; at least {needed} steps are needed"
+        )
+
 
 @dataclass
 class FbsdePath:

@@ -165,11 +165,12 @@ def oracle_gap(params: MarketParams, steps_list) -> GapReport:
         disc = assemble_and_solve(params, n)
         h = Horizon.uniform(params.horizon.T, n)
         engine = solve_equilibrium(replace(params, horizon=h))
+        values = engine.at(slice(None, -1))
         dt = params.horizon.T / n
         gaps = {
-            "K": [disc.K[a.name] - engine.agents[a.name].K[:-1] for a in params.agents],
+            "K": [disc.K[a.name] - values.agents[a.name].K for a in params.agents],
             "u_bar": [disc.aggregate_rate(params) - engine.u_bar[:-1]],
-            "mu": [disc.mu - engine.mu[:-1]],
+            "mu": [disc.mu - values.mu],
         }
         for key, arrays in gaps.items():
             max_gaps[key].append(max(float(np.max(np.abs(g))) for g in arrays))

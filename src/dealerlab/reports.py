@@ -101,10 +101,17 @@ def _round_floats(obj):
     return obj
 
 
+class NonFiniteError(RuntimeError):
+    """A report value that JSON cannot hold: a NaN or an infinity."""
+
+
 def write_json(path: Path, payload: dict) -> None:
-    Path(path).write_text(
-        json.dumps(_round_floats(payload), sort_keys=True, indent=2) + "\n"
-    )
+    """Write the payload as JSON; a NaN or infinite float is refused before the file is opened."""
+    try:
+        text = json.dumps(_round_floats(payload), sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:  # the only value json.dumps refuses here: a non-finite float
+        raise NonFiniteError(f"{Path(path).name}: {exc}") from None
+    Path(path).write_text(text + "\n")
 
 
 @functools.lru_cache(maxsize=None)

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fbsde import require_stable_step
 from .kernel import (
     DeltaParam,
     Horizon,
@@ -153,6 +154,8 @@ def _diffusive_rows(s: DiffusiveScenario, n_paths: int, horizon: Horizon):
     if n_paths < 1:
         raise ValueError(f"the diffusive simulation needs at least one path, got {n_paths}")
     d = scenario_delta(s)
+    # an Euler step multiplies an error by 1 - F dt, past -1 where Heun's passes 1: F dt = 2
+    require_stable_step(d, horizon, f"lambda={s.impact_cost:g}")
     F = eval_F(d, horizon.grid, s.T).tolist()
     dt = horizon.dt
     streams = path_streams(s.seed, 0, n_paths)

@@ -352,8 +352,18 @@ def test_chunks_follow_the_worker_count(monkeypatch):
     for n_paths, workers, want in ((600, 3, [200] * 3), (601, 3, [201, 201, 199]),
                                    (5000, 1, [2048, 2048, 904]), (5000, 2, [2048, 2048, 904])):
         counts.clear()
-        simulate_costs(DealerSetting(n_dealers=2), demand, 1e-2, n_paths, 1, 4, workers)
+        simulate_costs(DealerSetting(n_dealers=2), demand, 1e-2, n_paths, 1, 16, workers)
         assert sorted(counts, reverse=True) == want, (n_paths, workers)
+
+
+def test_an_unstable_step_is_refused_before_the_sweep(monkeypatch):
+    # 4 steps at lambda=1e-2 give F*dt = 6.45: Heun's step would amplify every error
+    def no_sweep(*args):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(asymptotics, "_chunk_sweep", no_sweep)
+    with pytest.raises(ValueError, match=r"lambda=0.01: .*max F\*dt = 6.45 > 2 on 4 steps"):
+        simulate_costs(DealerSetting(n_dealers=2), BrownianMartingale(0.0, 1.0), 1e-2, 8, 1, 4)
 
 
 @pytest.mark.parametrize("workers", [0, -4])

@@ -556,3 +556,114 @@ def test_subcommands_that_draw_no_normals_take_no_seed(tmp_path, command):
     out = tmp_path / "out"
     assert main([command, "--seed", "-5", "--out", str(out)]) == 1
     assert not out.exists()
+
+
+# the benchmark's `equilibrium` market: one dealer and one client without open-market
+# access liquidating a unit position at a tiny impact cost (sqrt(delta) = 2236)
+SEGMENTED_CONFIG = CONFIG.replace("impact_cost = 0.1", "impact_cost = 1e-6")
+
+
+@pytest.mark.parametrize(
+    "argv, config, named",
+    [(["scaling-smooth", "--lambda", "1e-12,1e-3"], None,
+      ["lambda=1e-12", "1000000 used", "max F*dt = 2.58", "at least 1290995 steps"]),
+     (["equilibrium", "--config", "market.ini", "--steps", "1000"], SEGMENTED_CONFIG,
+      ["lambda=1e-06", "on 1000 steps", "max F*dt = 2.24", "at least 1119 steps"]),
+     (["diffusive", "--lambda", "1e-6", "--steps", "1000", "--paths", "4"], None,
+      ["--steps 1000", "lambda=1e-06", "max F*dt = 2.24", "at least 1119 steps"])],
+    ids=["scaling-smooth-step-cap", "equilibrium-coarse-grid", "diffusive-coarse-grid"],
+)
+def test_an_unstable_time_step_exits_one_naming_the_grid(tmp_path, monkeypatch, capsys, argv,
+                                                         config, named):
+    # Heun's and Euler's steps amplify errors above F*dt = 2: refused before any sweep, not
+    # written as NaN
+    monkeypatch.chdir(tmp_path)
+    if config:
+        (tmp_path / "market.ini").write_text(config)
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error")
+    assert all(text in err for text in named), err
+    assert not out.exists()
+
+
+def test_a_non_finite_report_value_exits_two(tmp_path, monkeypatch, capsys):
+    from dealerlab import cli
+    from dealerlab.scenarios import WelfareReport
+
+    monkeypatch.setattr(cli, "segmentation_welfare", lambda s: WelfareReport(*[math.nan] * 6))
+    out = tmp_path / "out"
+    assert main(["welfare", "--m-max", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure") and "welfare_report.json" in err
+    assert not (out / "welfare_report.json").exists()
+
+
+def test_equilibrium_op_memory_is_a_few_node_columns(tmp_path):
+    # solve, identity check and CSV: the solution keeps U_bar, u_bar, xi_bar and the two
+    # realized targets, the solve peaks near 7 node columns, and the CSV's 4,096-row blocks
+    # add about 2 MB; every other column is evaluated one block at a time
+    n = 50_000
+    cfg = tmp_path / "market.ini"
+    cfg.write_text(SEGMENTED_CONFIG.replace("steps = 400", f"steps = {n}"))
+    tracemalloc.start()
+    try:
+        assert main(["equilibrium", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * (n + 1) * 8
+
+
+def _mixed_config(steps: int = 60) -> str:
+    # OU noise, a Brownian target on an agent with open-market access, a deterministic
+    # target on one without
+    samples = ",".join(f"{-1.0 + 0.03 * (7 * i % 11):.2f}" for i in range(steps + 1))
+    return f"""
+[market]
+T = 1.0
+impact_cost = 0.05
+steps = {steps}
+
+[noise]
+process = ou:0.2,1.5,-0.1,0.7
+
+[agent dealer]
+mass = 0.6
+risk_tolerance = 0.12
+open_cost = 0.02
+target = brownian:0.3,0.5
+
+[agent client]
+mass = 0.4
+risk_tolerance = 0.08
+open_cost = inf
+target = deterministic:{samples}
+"""
+
+
+def test_equilibrium_csv_is_the_same_in_any_blocks(tmp_path, monkeypatch):
+    from dealerlab import equilibrium, reports
+
+    cfg = tmp_path / "market.ini"
+    cfg.write_text(_mixed_config())
+    argv = ["equilibrium", "--config", str(cfg), "--seed", "3", "--out"]
+    assert main(argv + [str(tmp_path / "whole")]) == 0  # 61 nodes: one block
+    monkeypatch.setattr(reports, "ROW_BLOCK", 7)
+    monkeypatch.setattr(equilibrium, "_CHECK_NODES", 7)  # 8 blocks of 7 nodes and one of 5
+    assert main(argv + [str(tmp_path / "blocks")]) == 0
+    monkeypatch.undo()
+    for name in ("equilibrium.csv", "run_meta.json"):
+        assert (tmp_path / "whole" / name).read_bytes() == (tmp_path / "blocks" / name).read_bytes()
+    # the same bytes as the full-grid arrays written in one go
+    params = load_market_config(str(cfg))[0]
+    sol = solve_equilibrium(params, seed=3)
+    header, _ = read_rows(tmp_path / "whole" / "equilibrium.csv")
+    columns = [sol.horizon.grid, sol.U_bar, sol.u_bar, sol.mu, sol.price_dev, sol.noise,
+               sol.xi_bar]
+    for a in params.agents:
+        paths = sol.agents[a.name]
+        columns += [paths.K, paths.U, paths.u]
+    reports.write_csv(tmp_path / "full.csv", header, columns)
+    assert (tmp_path / "full.csv").read_bytes() == (tmp_path / "whole" / "equilibrium.csv").read_bytes()

@@ -78,9 +78,10 @@ def test_identities_hold_on_mixed_market():
 
 
 def test_consistency_error_on_tampered_solution():
+    # the check evaluates K from the stored paths: a target shifted at one node breaks clearing
     params = liquidation_params()
     sol = solve_equilibrium(params)
-    sol.agents["client0"].K[:] += 0.1
+    sol.targets["client0"][500] += 0.1
     report = consistency_report(sol, params)
     assert report["clearing"] > 1e-3
 
@@ -89,7 +90,7 @@ def test_nan_residuals_fail_the_identity_check():
     # the first agent's NaN is not hidden by the later agents' finite residuals
     params = liquidation_params()
     sol = solve_equilibrium(params)
-    sol.agents["dealer0"].U[5] = math.nan
+    sol.U_bar[5] = math.nan
     report = consistency_report(sol, params)
     assert math.isnan(report["foc"]) and math.isnan(report["share"])
     # a vanishing mass overflows the dealer's elasticity: its share eta_a/eta_bar is inf/inf
@@ -110,19 +111,41 @@ def test_identity_check_in_node_blocks(monkeypatch, node):
     params = liquidation_params(M=2, steps=100)
     sol = solve_equilibrium(params)
     assert sol.residuals == consistency_report(sol, params)
-    sol.agents["client0"].K[node] += 0.1
+    sol.targets["client0"][node] += 0.1
     whole = consistency_report(sol, params)  # 101 nodes: one block
     assert whole["clearing"] > 1e-3
     monkeypatch.setattr(equilibrium, "_CHECK_NODES", 7)  # 14 blocks of 7 nodes and one of 3
     assert consistency_report(sol, params) == whole
-    sol.agents["dealer0"].U[node] = math.nan
+    sol.U_bar[node] = math.nan
     report = consistency_report(sol, params)
     assert math.isnan(report["foc"]) and math.isnan(report["share"])
 
 
+def test_writing_into_evaluated_paths_changes_nothing():
+    params = liquidation_params(M=2, steps=100)
+    sol = solve_equilibrium(params)
+    mu, K = sol.mu.copy(), sol.agents["client0"].K.copy()
+    sol.mu[:] = 0.0
+    sol.agents["client0"].K[:] = 0.0
+    np.testing.assert_array_equal(sol.mu, mu)
+    np.testing.assert_array_equal(sol.agents["client0"].K, K)
+    assert consistency_report(sol, params) == sol.residuals
+
+
+def test_solution_at_a_node_slice_is_the_whole_grid_sliced():
+    params = liquidation_params(M=2, steps=100)
+    sol = solve_equilibrium(params)
+    whole, part = sol.at(), sol.at(slice(30, 61))
+    np.testing.assert_array_equal(part.mu, whole.mu[30:61])
+    np.testing.assert_array_equal(part.price_dev, whole.price_dev[30:61])
+    for name, paths in whole.agents.items():
+        for q in ("K", "U", "u", "target"):
+            np.testing.assert_array_equal(getattr(part.agents[name], q), getattr(paths, q)[30:61])
+
+
 def test_solve_holds_little_beyond_its_solution():
     # the segmented market of the benchmark's 200k-step equilibrium op, at 50,000 steps;
-    # the returned solution alone holds 13 columns of nodes x 8 bytes
+    # the returned solution holds 5 columns of nodes x 8 bytes, and the solve peaks near 7
     n = 50_000
     params = MarketParams(
         Horizon.uniform(1.0, n),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dealerlab import reports
-from dealerlab.reports import fmt, write_csv, write_json
+from dealerlab.reports import NonFiniteError, fmt, write_csv, write_json
 
 # NaNs with three different bit patterns: the quiet NaN, its negative, and one with a payload
 PAYLOAD_NAN = np.array([0x7FF8000000000123], dtype=np.int64).view(np.float64)[0]
@@ -154,3 +154,11 @@ def test_numpy_scalars_format_like_python_in_both_writers(tmp_path, numpy_value,
 def test_bool_and_float32_cells():
     assert fmt(np.bool_(True)) == fmt(True) == "true"
     assert fmt(np.float32(0.1)) == "0.10000000149"
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64(math.nan)])
+def test_json_refuses_a_non_finite_float_before_opening_the_file(tmp_path, value):
+    path = tmp_path / "report.json"
+    with pytest.raises(NonFiniteError, match="report.json"):
+        write_json(path, {"ok": 1.0, "nested": {"xs": [0.5, value]}})
+    assert not path.exists()

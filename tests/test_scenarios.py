@@ -330,8 +330,11 @@ def test_regression_rejects_nan_window_and_windows_of_under_two_steps():
     for steps, t_max in ((1, None), (1, 0.5), (2, 0.5), (60, 1 / 60), (60, 0.0), (60, -1.0)):
         with pytest.raises(ValueError, match="at least two steps"):
             price_reversion_regression(dataclasses.replace(s, steps=steps), 4, t_max=t_max)
-    reg = price_reversion_regression(dataclasses.replace(s, steps=3), 4, t_max=0.5)
+    # two steps below t_max = 0.5; 3 steps would give F*dt = 2.36, an unstable Euler step
+    reg = price_reversion_regression(dataclasses.replace(s, steps=4), 4, t_max=0.5)
     assert reg["n_paths"] == 4
+    with pytest.raises(ValueError, match=r"lambda=0.1: .*max F\*dt = 2.36 > 2 on 3 steps"):
+        price_reversion_regression(dataclasses.replace(s, steps=3), 4, t_max=0.5)
 
 
 def test_streamed_regression_never_holds_the_trajectories():
