@@ -22,8 +22,6 @@ from __future__ import annotations
 import logging
 import math
 import numbers
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,10 +70,10 @@ def steps_for(d: DeltaParam, T: float) -> int:
     return max(400, math.ceil(50 * d.sqrt_delta * T))
 
 
-def _capped_steps(setting: DealerSetting, impact_cost: float, cap: int | None = None):
-    """``steps_for`` clipped at ``cap`` (default ``STEP_CAP``), and the logged note of a clip."""
+def _capped_steps(setting: DealerSetting, impact_cost: float):
+    """``steps_for`` clipped at ``STEP_CAP``, and the logged note of a clip."""
     wanted = steps_for(setting.aggregates(impact_cost).delta, setting.T)
-    steps = min(wanted, STEP_CAP if cap is None else cap)
+    steps = min(wanted, STEP_CAP)
     if steps == wanted:
         return steps, None
     msg = f"step cap at lambda={impact_cost:g}: {wanted} steps wanted, {steps} used"
@@ -179,10 +177,9 @@ def simulate_costs(
     A grid too coarse for a stable step is refused before any sweep
     (``require_stable_step``).  A deterministic demand gives one exact row.
     A stochastic one needs two or more paths, each a pure function of
-    (seed, path index): chunking and
-    the worker count affect scheduling only, never values.  The paths are
-    split into one chunk per worker, of at most 2048 paths, and run on at
-    most one thread per CPU; each running chunk's sweep holds about
+    (seed, path index): the worker count sets the chunking only, never
+    values.  The paths are split into one chunk per worker, of at most 2048
+    paths, swept in order on the calling thread; a chunk's sweep holds about
     chunk x ``SLICE_STEPS`` x 8 bytes of normals.
     """
     if workers < 1:
@@ -199,24 +196,10 @@ def simulate_costs(
         return np.array([cost]), np.array([trapezoid((fb.X - fb.U) ** 2, horizon.grid)])
     if n_paths < 2:
         raise ValueError(f"Monte Carlo needs at least 2 paths, got {n_paths}")
-    costs = np.empty(n_paths)
-    tracks = np.empty(n_paths)
     chunk = min(2048, math.ceil(n_paths / workers))
-    starts = list(range(0, n_paths, chunk))
-
-    def run(start: int):
-        count = min(chunk, n_paths - start)
-        c, t = _chunk_sweep(demand, ag, horizon, seed, start, count)
-        costs[start : start + count] = c
-        tracks[start : start + count] = t
-
-    if workers <= 1:
-        for s in starts:
-            run(s)
-    else:
-        with ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
-            list(pool.map(run, starts))
-    return costs, tracks
+    parts = [_chunk_sweep(demand, ag, horizon, seed, start, min(chunk, n_paths - start))
+             for start in range(0, n_paths, chunk)]
+    return tuple(np.concatenate(p) for p in zip(*parts))
 
 
 def _means_stderrs(samples: list) -> tuple[list, list]:
@@ -296,14 +279,13 @@ def scaling_study(
     n_paths: int,
     seed: int = 0,
     workers: int = 1,
-    steps_cap: int | None = None,
 ) -> LiquidityCostReport:
     """Mean cost per impact cost, log-log slope, the leading-order prefactor, and tracking.
 
     One ``simulate_costs`` call per impact cost (a deterministic demand is one
-    exact row with standard error 0); grids clipped at ``steps_cap`` (default
-    ``STEP_CAP``) are listed in the warnings, and every grid is checked for a
-    stable step before the first sweep runs.  The prefactor is read off at
+    exact row with standard error 0); grids clipped at ``STEP_CAP`` are
+    listed in the warnings, and every grid is checked for a stable step
+    before the first sweep runs.  The prefactor is read off at
     the smallest impact cost as mean / lam^order, next to the theory value.
     The impact costs must be distinct; with only one there is no slope.
 
@@ -318,7 +300,7 @@ def scaling_study(
         raise ValueError(f"impact costs must be distinct, got {lambdas}")
     steps_used, warnings = [], []
     for lam in lambdas:  # every grid is checked before the first sweep runs
-        steps, clipped = _capped_steps(setting, lam, steps_cap)
+        steps, clipped = _capped_steps(setting, lam)
         require_stable_step(setting.aggregates(lam).delta, Horizon.uniform(setting.T, steps),
                             _step_context(lam, clipped))
         if clipped:

@@ -75,8 +75,6 @@ def _parse_lambdas(text: str) -> list[float]:
         raise ConfigError(f"--lambda must be a comma list of numbers, got {text!r}") from None
     if not values or not all(0 < v < math.inf for v in values):
         raise ConfigError(f"--lambda impact costs must be positive and finite, got {text!r}")
-    if len(set(values)) < len(values):
-        raise ConfigError(f"impact costs must be distinct, got {text!r}")
     return values
 
 
@@ -121,6 +119,11 @@ def parse_process(text: str) -> DemandProcess:
         raise ConfigError(f"bad process spec {text!r}: {exc}") from None
 
 
+# the keys each section may hold; configparser lowercases them, so [market]'s T reads as t
+_CONFIG_KEYS = {"market": {"t", "impact_cost", "steps"}, "noise": {"process"},
+                "agent": {"mass", "risk_tolerance", "open_cost", "target"}}
+
+
 def load_market_config(path: str) -> tuple[MarketParams, dict]:
     """Flat INI: one [market] section, optional [noise], one section per agent."""
     cp = configparser.ConfigParser()
@@ -133,6 +136,15 @@ def load_market_config(path: str) -> tuple[MarketParams, dict]:
         ) from None
     if not read:
         raise ConfigError(f"config file {path!r} not found or empty")
+    if cp.defaults():  # its keys would otherwise be named as unknown in every section
+        raise ConfigError(f"unknown config section [{cp.default_section}]")
+    for section, keys in echo.items():  # a typo is refused, never read as a default
+        allowed = _CONFIG_KEYS.get("agent" if section.startswith("agent ") else section)
+        if allowed is None:
+            raise ConfigError(f"unknown config section [{section}]")
+        for key in keys:
+            if key not in allowed:
+                raise ConfigError(f"unknown key {key!r} in config section [{section}]")
     if "market" not in cp:
         raise ConfigError("config needs a [market] section")
     try:
@@ -270,7 +282,7 @@ def cmd_welfare(args) -> None:
     )
 
 
-def _scaling_common(args, demand, out_json: str, out_csv: str) -> None:
+def _scaling_common(args, demand) -> None:
     if args.workers < 1:
         raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     if args.paths < 0:
@@ -288,11 +300,11 @@ def _scaling_common(args, demand, out_json: str, out_csv: str) -> None:
     payload["M"] = payload.pop("n_dealers")
     out = _outdir(args)
     write_json(
-        out / out_json,
+        out / "scaling_report.json",
         {**run_metadata(_scaling_echo(args), args.seed, None), "report": payload},
     )
     write_csv(
-        out / out_csv,
+        out / "scaling_report.csv",
         ["lambda", "mean_cost", "stderr", "paths", "steps"],
         [report.lambdas, report.means, report.stderrs, report.path_counts, report.steps],
     )
@@ -303,7 +315,7 @@ def cmd_scaling_smooth(args) -> None:
         demand = SmoothRate(OrnsteinUhlenbeck(x0=1.0, kappa=1.0, theta=1.0, sigma=0.3))
     else:
         demand = SmoothRate(Constant(1.0))
-    _scaling_common(args, demand, "scaling_report.json", "scaling_report.csv")
+    _scaling_common(args, demand)
 
 
 def cmd_scaling_diffusive(args) -> None:
@@ -311,7 +323,7 @@ def cmd_scaling_diffusive(args) -> None:
         demand = OrnsteinUhlenbeck(x0=0.0, kappa=2.0, theta=0.0, sigma=1.0)
     else:
         demand = BrownianMartingale(0.0, 1.0)
-    _scaling_common(args, demand, "scaling_report.json", "scaling_report.csv")
+    _scaling_common(args, demand)
 
 
 def cmd_oracle_check(args) -> None:
@@ -367,6 +379,12 @@ def cmd_equilibrium(args) -> None:
             params.agents,
             params.noise_demand,
         )
+    header = ["t", "U_bar", "u_bar", "mu", "price_dev", "K_N", "xi_bar"]
+    for a in params.agents:
+        header += [f"K_{a.name}", f"U_{a.name}", f"u_{a.name}"]
+    for i, name in enumerate(header):  # the agent names must give a well-formed CSV header
+        if name in header[:i] or "," in name or '"' in name:
+            raise ConfigError(f"equilibrium.csv column {name!r} would repeat or hold ',' or '\"'")
     sol = solve_equilibrium(params, seed=args.seed)
     # the derived columns are evaluated one row block at a time, once for all of them
     block = functools.lru_cache(maxsize=1)(lambda lo, hi, step: sol.at(slice(lo, hi, step)))
@@ -374,7 +392,6 @@ def cmd_equilibrium(args) -> None:
     def derived(pick):
         return _Evaluated(block, sol.horizon.grid.size, pick)
 
-    header = ["t", "U_bar", "u_bar", "mu", "price_dev", "K_N", "xi_bar"]
     cols = [
         sol.horizon.grid,
         sol.U_bar,
@@ -385,7 +402,6 @@ def cmd_equilibrium(args) -> None:
         sol.xi_bar,
     ]
     for a in params.agents:
-        header += [f"K_{a.name}", f"U_{a.name}", f"u_{a.name}"]
         cols += [derived(lambda v, name=a.name, q=q: getattr(v.agents[name], q))
                  for q in ("K", "U", "u")]
     out = _outdir(args)

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from dealerlab import asymptotics
 from dealerlab.asymptotics import (
     DealerSetting,
     scaling_study,
@@ -110,7 +111,7 @@ def test_criterion_2_oracle_equivalence():
     )
 
 
-def test_criterion_3_smooth_demand_law():
+def test_criterion_3_smooth_demand_law(monkeypatch):
     start = time.time()
     lambdas = [1e-1, 1e-2, 1e-3, 1e-4, 1e-5]
     # deterministic smooth family, exact evaluation, all three dealer counts
@@ -125,7 +126,10 @@ def test_criterion_3_smooth_demand_law():
     grid = Horizon.uniform(1.0, n).grid
     varying = SmoothRate(Deterministic(tuple(1.0 + np.sin(2 * np.pi * grid))))
     set2 = DealerSetting(n_dealers=2, rho_d=0.1)
-    rep_var = scaling_study(set2, varying, [1e-5], n_paths=0, steps_cap=n)
+    with monkeypatch.context() as patch:  # the grid wants 40,825 steps: the cap bites
+        patch.setattr(asymptotics, "STEP_CAP", n)
+        rep_var = scaling_study(set2, varying, [1e-5], n_paths=0)
+    assert rep_var.steps == [n]
     assert abs(rep_var.prefactor - rep_var.prefactor_theory) <= 0.02 * rep_var.prefactor_theory
     # stochastic smooth demand (OU rate), 1e4 paths per impact cost
     from dealerlab.processes import OrnsteinUhlenbeck

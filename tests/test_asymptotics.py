@@ -5,7 +5,6 @@ import logging
 import math
 import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -192,33 +191,6 @@ def test_monte_carlo_reproducibility_and_worker_invariance():
         np.testing.assert_array_equal(ta, tc)
 
 
-def test_worker_threads_are_capped_at_the_cpu_count(monkeypatch):
-    # 8 workers chunk 16 paths by 2, but at most 2 threads (the patched CPU count) run them
-    pools, threads = [], set()
-
-    class RecordingPool(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers)
-
-    sweep = asymptotics._chunk_sweep
-
-    def recording_sweep(*args):
-        threads.add(threading.get_ident())
-        return sweep(*args)
-
-    monkeypatch.setattr(asymptotics.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(asymptotics, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(asymptotics, "_chunk_sweep", recording_sweep)
-    setting, demand = DealerSetting(n_dealers=2), BrownianMartingale(0.0, 1.0)
-    serial = simulate_costs(setting, demand, 1e-2, 16, seed=3, steps=40)
-    threads.clear()
-    pooled = simulate_costs(setting, demand, 1e-2, 16, seed=3, steps=40, workers=8)
-    assert pools == [2] and 1 <= len(threads) <= 2
-    for a, b in zip(serial, pooled):
-        np.testing.assert_array_equal(a, b)
-
-
 @pytest.mark.parametrize(
     "demand, cost_sha256, track_sha256",
     [
@@ -350,10 +322,33 @@ def test_chunks_follow_the_worker_count(monkeypatch):
     monkeypatch.setattr(asymptotics, "_chunk_sweep", recording_sweep)
     demand = BrownianMartingale(0.0, 1.0)
     for n_paths, workers, want in ((600, 3, [200] * 3), (601, 3, [201, 201, 199]),
-                                   (5000, 1, [2048, 2048, 904]), (5000, 2, [2048, 2048, 904])):
+                                   (5000, 1, [2048, 2048, 904]), (5000, 2, [2048, 2048, 904]),
+                                   (8, 1000, [1] * 8)):
         counts.clear()
         simulate_costs(DealerSetting(n_dealers=2), demand, 1e-2, n_paths, 1, 16, workers)
         assert sorted(counts, reverse=True) == want, (n_paths, workers)
+
+
+def test_chunks_run_on_the_calling_thread(monkeypatch):
+    # 8 workers chunk 16 paths by 2, and every chunk is swept on this thread, in order
+    threads, starts = [], []
+    sweep = asymptotics._chunk_sweep
+
+    def recording_sweep(*args):
+        threads.append(threading.get_ident())
+        starts.append(args[-2])
+        return sweep(*args)
+
+    monkeypatch.setattr(asymptotics, "_chunk_sweep", recording_sweep)
+    setting, demand = DealerSetting(n_dealers=2), BrownianMartingale(0.0, 1.0)
+    serial = simulate_costs(setting, demand, 1e-2, 16, seed=3, steps=40)
+    threads.clear()
+    starts.clear()
+    chunked = simulate_costs(setting, demand, 1e-2, 16, seed=3, steps=40, workers=8)
+    assert threads == [threading.get_ident()] * 8
+    assert starts == list(range(0, 16, 2))
+    for a, b in zip(serial, chunked):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_an_unstable_step_is_refused_before_the_sweep(monkeypatch):
@@ -427,11 +422,14 @@ def test_tracking_improves_with_harsher_inventory_penalty():
     assert tracks[0.05] < tracks[0.4]
 
 
-def test_step_cap_is_reported(caplog):
+def test_step_cap_is_reported(monkeypatch, caplog):
     setting = DealerSetting(n_dealers=2)
     wanted = steps_for(setting.aggregates(1e-3).delta, setting.T)
-    with caplog.at_level(logging.WARNING, logger="dealerlab.asymptotics"):
-        rep = scaling_study(setting, UNIT_RATE, [1e-3], n_paths=0, steps_cap=1000)
+    with monkeypatch.context() as patch, caplog.at_level(
+        logging.WARNING, logger="dealerlab.asymptotics"
+    ):
+        patch.setattr(asymptotics, "STEP_CAP", 1000)
+        rep = scaling_study(setting, UNIT_RATE, [1e-3], n_paths=0)
     assert rep.steps == [1000]
     assert len(rep.warnings) == 1
     for part in ("lambda=0.001", f"{wanted} steps wanted", "1000 used"):

@@ -3,7 +3,9 @@
 import argparse
 import json
 import math
+import re
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -362,6 +364,17 @@ def test_malformed_config_exits_one_naming_the_file(tmp_path, capsys, config):
     assert not out.exists()
 
 
+def test_readme_config_example_runs(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    (example,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    cfg = tmp_path / "market.ini"
+    cfg.write_text(example)
+    assert main(["equilibrium", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    header, rows = read_rows(tmp_path / "out" / "equilibrium.csv")
+    assert len(rows) == 1001
+    assert float(rows[0][header.index("K_client")]) == pytest.approx(-0.5, abs=1e-10)
+
+
 SEED_RANGE = "seed must lie in [0, 2**64)"
 
 
@@ -410,6 +423,24 @@ SEED_RANGE = "seed must lie in [0, 2**64)"
         (["equilibrium"], CONFIG.replace("T = 1.0", "T = inf"), "got T=inf"),
         (["equilibrium", "--steps", "0"], CONFIG, "--steps must be at least 1, got 0"),
         (["equilibrium", "--steps", "-3"], CONFIG, "--steps must be at least 1, got -3"),
+        (["equilibrium"], CONFIG.replace("open_cost = inf", "open_cots = inf"),
+         "unknown key 'open_cots' in config section [agent client]"),
+        (["equilibrium"], CONFIG.replace("target = constant:-1", "targt = constant:-1"),
+         "unknown key 'targt' in config section [agent client]"),
+        (["equilibrium"], CONFIG.replace("steps = 400", "steps = 400\nimpact = 0.1"),
+         "unknown key 'impact' in config section [market]"),
+        (["equilibrium"], CONFIG.replace("[agent dealer]", "[agnet other]"),
+         "unknown config section [agnet other]"),
+        (["equilibrium"], "[DEFAULT]\nrisk_tolerance = 0.1\n" + CONFIG,
+         "unknown config section [DEFAULT]"),
+        (["equilibrium"], CONFIG.replace("[agent client]", "[agent cli,ent]"),
+         "equilibrium.csv column 'K_cli,ent' would repeat"),
+        (["equilibrium"], CONFIG.replace("[agent client]", '[agent "client"]'),
+         "equilibrium.csv column 'K_\"client\"' would repeat"),
+        (["equilibrium"], CONFIG.replace("[agent client]", "[agent bar]"),
+         "equilibrium.csv column 'U_bar' would repeat"),
+        (["equilibrium"], CONFIG.replace("[agent client]", "[agent N]"),
+         "equilibrium.csv column 'K_N' would repeat"),
     ],
     ids=["seed-scaling-diffusive", "seed-diffusive-negative", "seed-diffusive-2**64",
          "seed-equilibrium", "xi-c-nan", "rho-d-nan", "lambda-nan", "lambda-inf", "sigma-xi-inf",
@@ -418,7 +449,10 @@ SEED_RANGE = "seed must lie in [0, 2**64)"
          "oracle-frictionless", "oracle-negative-lambda", "ini-mass-inf",
          "ini-risk-tolerance-inf", "ini-constant-nan", "ini-brownian-nan",
          "ini-ou-inf", "ini-smooth-nan", "ini-deterministic-nan", "ini-deterministic-grid",
-         "ini-T-nan", "ini-T-inf", "equilibrium-zero-steps", "equilibrium-negative-steps"],
+         "ini-T-nan", "ini-T-inf", "equilibrium-zero-steps", "equilibrium-negative-steps",
+         "ini-key-open-cots", "ini-key-targt", "ini-key-market", "ini-section-agnet",
+         "ini-section-default", "ini-header-comma", "ini-header-quote", "ini-header-U_bar",
+         "ini-header-K_N"],
 )
 def test_invalid_input_exits_one_naming_it(tmp_path, capsys, argv, config, named):
     if config is not None:
