@@ -54,10 +54,7 @@ class DealerSetting:
 
     def aggregates(self, impact_cost: float) -> Aggregates:
         """The dealers-only market's aggregates: its mesh rate and impact weight."""
-        # aggregate never reads the grid, so a one-step horizon serves every study grid
-        return aggregate(dealers_only_market(
-            Horizon.uniform(self.T, 1), impact_cost, self.rho_d, self.n_dealers, ZERO
-        ))
+        return aggregate(dealers_only_market(impact_cost, self.rho_d, self.n_dealers, ZERO))
 
 
 STEP_CAP = 1_000_000  # most grid steps a study picks by itself; read at each call

@@ -124,8 +124,8 @@ _CONFIG_KEYS = {"market": {"t", "impact_cost", "steps"}, "noise": {"process"},
                 "agent": {"mass", "risk_tolerance", "open_cost", "target"}}
 
 
-def load_market_config(path: str) -> tuple[MarketParams, dict]:
-    """Flat INI: one [market] section, optional [noise], one section per agent."""
+def load_market_config(path: str) -> tuple[MarketParams, Horizon, dict]:
+    """Flat INI ([market], optional [noise], one section per agent) as (market, grid, echo)."""
     cp = configparser.ConfigParser()
     try:
         read = cp.read(path)
@@ -175,8 +175,7 @@ def load_market_config(path: str) -> tuple[MarketParams, dict]:
             )
         except (configparser.NoOptionError, ValueError) as exc:
             raise ConfigError(f"bad [{section}] section: {exc}") from None
-    params = MarketParams(Horizon.uniform(T, steps), lam, tuple(agents), noise)
-    return params, echo
+    return MarketParams(lam, tuple(agents), noise), Horizon.uniform(T, steps), echo
 
 
 # ----------------------------------------------------------------------
@@ -330,12 +329,9 @@ def cmd_oracle_check(args) -> None:
     from .market import segmented_market
 
     steps_list = _parse_steps_list(args.steps_list)
-    # oracle_gap reads only T from this horizon and builds each grid it solves on
-    params = segmented_market(
-        Horizon.uniform(args.T, 1), args.impact_cost, args.rho_c, args.rho_d, 1, Constant(args.xi_c)
-    )
+    params = segmented_market(args.impact_cost, args.rho_c, args.rho_d, 1, Constant(args.xi_c))
     aggregate(params)  # refuses a mesh rate that overflows before the oracle solves on it
-    report = oracle_gap(params, steps_list)
+    report = oracle_gap(params, args.T, steps_list)
     if report.fitted_order is not None and not 0.5 <= report.fitted_order <= 1.5:
         raise NumericalError(
             f"discrete oracle convergence order {report.fitted_order:.2f} out of range"
@@ -371,29 +367,24 @@ class _Evaluated:
 def cmd_equilibrium(args) -> None:
     if args.steps is not None and args.steps < 1:
         raise ConfigError(f"--steps must be at least 1, got {args.steps}")
-    params, echo = load_market_config(args.config)
+    params, horizon, echo = load_market_config(args.config)
     if args.steps is not None:
-        params = MarketParams(
-            Horizon.uniform(params.horizon.T, args.steps),
-            params.impact_cost,
-            params.agents,
-            params.noise_demand,
-        )
+        horizon = Horizon.uniform(horizon.T, args.steps)
     header = ["t", "U_bar", "u_bar", "mu", "price_dev", "K_N", "xi_bar"]
     for a in params.agents:
         header += [f"K_{a.name}", f"U_{a.name}", f"u_{a.name}"]
     for i, name in enumerate(header):  # the agent names must give a well-formed CSV header
         if name in header[:i] or "," in name or '"' in name:
             raise ConfigError(f"equilibrium.csv column {name!r} would repeat or hold ',' or '\"'")
-    sol = solve_equilibrium(params, seed=args.seed)
+    sol = solve_equilibrium(params, horizon, seed=args.seed)
     # the derived columns are evaluated one row block at a time, once for all of them
     block = functools.lru_cache(maxsize=1)(lambda lo, hi, step: sol.at(slice(lo, hi, step)))
 
     def derived(pick):
-        return _Evaluated(block, sol.horizon.grid.size, pick)
+        return _Evaluated(block, horizon.grid.size, pick)
 
     cols = [
-        sol.horizon.grid,
+        horizon.grid,
         sol.U_bar,
         sol.u_bar,
         derived(lambda v: v.mu),
@@ -409,7 +400,7 @@ def cmd_equilibrium(args) -> None:
     write_json(
         out / "run_meta.json",
         {
-            **run_metadata(echo, args.seed, params.horizon.n_steps),
+            **run_metadata(echo, args.seed, horizon.n_steps),
             "outputs": ["equilibrium.csv"],
             "residuals": sol.residuals,
         },

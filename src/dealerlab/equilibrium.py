@@ -117,10 +117,11 @@ class EquilibriumSolution:
 
 def solve_equilibrium(
     params: MarketParams,
+    horizon: Horizon,
     seed: int | None = None,
     path_index: int = 0,
 ) -> EquilibriumSolution:
-    """Solve one equilibrium path (deterministic scenarios need no seed).
+    """Solve one equilibrium path on ``horizon`` (deterministic scenarios need no seed).
 
     A grid too coarse for a stable step is refused (``require_stable_step``)
     before any path is drawn.  The computed solution is self-checked:
@@ -131,7 +132,6 @@ def solve_equilibrium(
     identities.
     """
     ag = aggregate(params)
-    horizon = params.horizon
     require_stable_step(ag.delta, horizon, f"lambda={params.impact_cost:g}")
     driver = combine([(1.0, params.noise_demand), *ag.xi_bar])
     realized = realize_driver(driver, horizon, seed=seed, path_index=path_index)

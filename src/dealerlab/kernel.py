@@ -18,17 +18,11 @@ naive ``cosh`` overflows double precision.
 
 from __future__ import annotations
 
-import logging
 import math
 import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-
-logger = logging.getLogger(__name__)
-
-#: relative width of the kappa^2 ~ delta resonance band that gets logged
-RESONANCE_REL_WIDTH = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,30 +176,17 @@ def _phi(x: np.ndarray) -> np.ndarray:
 def _exp_difference(beta: float, kappa: float, tau: np.ndarray) -> np.ndarray:
     """e^{-beta*tau} * (e^{-kappa*tau} - e^{-beta*tau}) / (beta - kappa), stably.
 
-    Near resonance kappa ~ beta the difference quotient degenerates to
-    tau * e^{-2*beta*tau}; both regimes are covered by the expm1 form
-    e^{-2 beta tau} * tau * phi((beta-kappa) tau), which however overflows
-    for large positive (beta-kappa)*tau, where the literal form is safe.
+    Factored as e^{-(beta + min(beta, kappa)) tau} * tau * phi(-|beta - kappa| tau):
+    every exponent is <= 0, so nothing overflows, and the resonance kappa = beta
+    is the removable singularity phi(0) = 1.
     """
-    x = (beta - kappa) * tau
-    small = np.abs(x) < 1.0
-    out = np.empty_like(tau)
-    out[small] = np.exp(-2.0 * beta * tau[small]) * tau[small] * _phi(x[small])
-    big = ~small
-    out[big] = (
-        np.exp(-beta * tau[big])
-        * (np.exp(-kappa * tau[big]) - np.exp(-beta * tau[big]))
-        / (beta - kappa)
-    )
-    return out
+    return np.exp(-(beta + min(beta, kappa)) * tau) * tau * _phi(-abs(beta - kappa) * tau)
 
 
 def _ou_weight(d: DeltaParam, kappa: float, tau: np.ndarray, sign: float) -> np.ndarray:
     """``KernelWeight.exponential`` at tau = T - t; its kappa -> 0 limit is ``constant()``."""
     tau = np.asarray(tau, dtype=float)
     b = d.sqrt_delta
-    if abs(kappa**2 - d.delta) < RESONANCE_REL_WIDTH * d.delta:
-        logger.debug("ou weight evaluated inside the kappa^2 ~ delta resonance band")
     head = -np.expm1(-(b + kappa) * tau) / (b + kappa)
     scale = d.delta if sign > 0 else b
     return scale * (head + sign * _exp_difference(b, kappa, tau)) / (1.0 + np.exp(-2.0 * b * tau))

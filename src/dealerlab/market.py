@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
-from .kernel import DeltaParam, Horizon, compute_delta
+from .kernel import DeltaParam, compute_delta
 from .processes import DemandProcess, TermList, ZERO, combine
 
 #: idiosyncratic open-market cost of an agent with no open-market access
@@ -32,6 +32,8 @@ class AgentSpec:
     target: DemandProcess = ZERO
 
     def __post_init__(self):
+        if not self.name.strip():
+            raise ValueError(f"agent name must not be empty or blank, got {self.name!r}")
         if not 0 < self.mass < math.inf:
             raise ValueError(
                 f"agent {self.name}: mass must be positive and finite, got {self.mass}"
@@ -51,9 +53,8 @@ class AgentSpec:
 
 @dataclass(frozen=True)
 class MarketParams:
-    """Full model input: horizon, common impact cost, agents, noise demand."""
+    """A market: common impact cost, agents, noise demand; each solve takes its own grid."""
 
-    horizon: Horizon
     impact_cost: float
     agents: Tuple[AgentSpec, ...]
     noise_demand: DemandProcess = ZERO
@@ -127,7 +128,6 @@ def aggregate(params: MarketParams) -> Aggregates:
 # ----------------------------------------------------------------------
 
 def segmented_market(
-    horizon: Horizon,
     impact_cost: float,
     rho_c: float,
     rho_d: float,
@@ -143,11 +143,10 @@ def segmented_market(
     for i in range(n_dealers):
         agents.append(AgentSpec(f"dealer{i}", m, rho_d, open_cost=0.0))
         agents.append(AgentSpec(f"client{i}", m, rho_c, open_cost=NO_ACCESS, target=client_target))
-    return MarketParams(horizon, impact_cost, tuple(agents), noise_demand)
+    return MarketParams(impact_cost, tuple(agents), noise_demand)
 
 
 def integrated_market(
-    horizon: Horizon,
     impact_cost: float,
     rho_c: float,
     rho_d: float,
@@ -163,11 +162,10 @@ def integrated_market(
     for i in range(n_dealers):
         agents.append(AgentSpec(f"dealer{i}", m, rho_d, open_cost=0.0))
         agents.append(AgentSpec(f"client{i}", m, rho_c, open_cost=0.0, target=client_target))
-    return MarketParams(horizon, impact_cost, tuple(agents), noise_demand)
+    return MarketParams(impact_cost, tuple(agents), noise_demand)
 
 
 def dealers_only_market(
-    horizon: Horizon,
     impact_cost: float,
     rho_d: float,
     n_dealers: int,
@@ -180,4 +178,4 @@ def dealers_only_market(
     agents = tuple(
         AgentSpec(f"dealer{i}", m, rho_d, open_cost=0.0) for i in range(n_dealers)
     )
-    return MarketParams(horizon, impact_cost, agents, noise_demand)
+    return MarketParams(impact_cost, agents, noise_demand)

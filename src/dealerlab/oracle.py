@@ -28,7 +28,7 @@ rate enters anywhere; agreement with the closed form is the test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict
 
 import numpy as np
@@ -57,8 +57,8 @@ class DiscreteEquilibrium:
         return sum(a.mass * self.u[a.name] for a in params.agents)
 
 
-def assemble_and_solve(params: MarketParams, n_steps: int) -> DiscreteEquilibrium:
-    """Solve the first-order conditions for deterministic demands by one scalar sweep."""
+def assemble_and_solve(params: MarketParams, T: float, n_steps: int) -> DiscreteEquilibrium:
+    """Solve the deterministic-demand first-order conditions on n_steps steps of [0, T]."""
     for a in params.agents:
         if not a.target.deterministic:
             raise ValueError("the discrete oracle supports deterministic targets only")
@@ -72,10 +72,10 @@ def assemble_and_solve(params: MarketParams, n_steps: int) -> DiscreteEquilibriu
             f"first-order-condition system too large: {n_unknowns} unknowns > {MAX_UNKNOWNS}"
         )
 
-    h = Horizon.uniform(params.horizon.T, n)
+    h = Horizon.uniform(T, n)
     xi = {a.name: realize(a.target, h).values[:-1] for a in agents}
     noise = realize(params.noise_demand, h).values[:-1]
-    dt = params.horizon.T / n
+    dt = T / n
     lam = params.impact_cost
 
     open_agents = [a for a in agents if a.has_open_access]
@@ -146,8 +146,8 @@ class GapReport:
     fitted_order: float | None
 
 
-def oracle_gap(params: MarketParams, steps_list) -> GapReport:
-    """Per-quantity gaps oracle vs. engine on matching grids, with fitted order.
+def oracle_gap(params: MarketParams, T: float, steps_list) -> GapReport:
+    """Per-quantity gaps oracle vs. engine on matching uniform grids of [0, T], with fitted order.
 
     Quantities: dealer-market positions (worst agent), the aggregate
     open-market rate, and the risk premium.  The order is the slope of
@@ -162,11 +162,10 @@ def oracle_gap(params: MarketParams, steps_list) -> GapReport:
     max_gaps = {"K": [], "u_bar": [], "mu": []}
     l2_gaps = {"K": [], "u_bar": [], "mu": []}
     for n in steps_list:
-        disc = assemble_and_solve(params, n)
-        h = Horizon.uniform(params.horizon.T, n)
-        engine = solve_equilibrium(replace(params, horizon=h))
+        disc = assemble_and_solve(params, T, n)
+        engine = solve_equilibrium(params, Horizon.uniform(T, n))
         values = engine.at(slice(None, -1))
-        dt = params.horizon.T / n
+        dt = T / n
         gaps = {
             "K": [disc.K[a.name] - values.agents[a.name].K for a in params.agents],
             "u_bar": [disc.aggregate_rate(params) - engine.u_bar[:-1]],
@@ -178,6 +177,6 @@ def oracle_gap(params: MarketParams, steps_list) -> GapReport:
     worst = [max(gaps) for gaps in zip(*max_gaps.values())]
     order = None
     if len(worst) > 1 and min(worst) > 0:
-        log_dt = np.log([params.horizon.T / n for n in steps_list])
+        log_dt = np.log([T / n for n in steps_list])
         order = float(np.polyfit(log_dt, np.log(worst), 1)[0])
     return GapReport(steps=steps_list, max_gaps=max_gaps, l2_gaps=l2_gaps, fitted_order=order)

@@ -8,9 +8,8 @@ cell rules (numpy scalars write as their Python counterparts).  The CSV writer
 takes columns and writes their rows in blocks of ``ROW_BLOCK``, so its memory
 does not grow with the table.  In each block a float array column with one
 bit pattern is formatted once, into the block's row format (a solution on its
-plateau holds most columns constant); one with several formats each distinct
-value once and looks the rest up, so a long path that revisits few values
-costs few formatting calls.
+plateau holds most columns constant); every other cell is formatted by the
+block's one ``%`` call.
 """
 
 from __future__ import annotations
@@ -43,11 +42,12 @@ def fmt(value) -> str:
 def _block_text(columns) -> str:
     """One block of CSV rows, each cell as ``fmt`` writes it.
 
-    A float array is keyed on its bit patterns, so ``-0.0`` and ``0.0`` (and
-    NaNs with different payloads) stay apart.  Each varying column enters
-    the row format as ``%s``, so cell text is never read as a directive, and
-    the block is one ``%`` of the repeated row format over the varying cells
-    in row order.
+    A float array is constant when all its bit patterns agree, so ``-0.0``
+    and ``0.0`` (and NaNs with different payloads) stay apart.  A varying
+    float array enters the row format as ``%.12g`` with its ``tolist()``;
+    any other column as ``%s`` with its ``fmt`` texts, so cell text is never
+    read as a directive.  The block is one ``%`` of the repeated row format
+    over the varying cells in row order.
     """
     import numpy as np
 
@@ -57,16 +57,15 @@ def _block_text(columns) -> str:
             bits = column.view(f"i{column.itemsize}")
             if (bits == bits[0]).all():
                 row.append("%.12g" % column[0].item())  # float text holds no '%'
-                continue
-            values, inverse = np.unique(bits, return_inverse=True)
-            text = "%.12g\n" * values.size % tuple(values.view(column.dtype).tolist())
-            varying.append(np.array(text.split("\n"), dtype=object)[inverse])
-        else:
-            varying.append(list(map(fmt, column)))
+            else:
+                row.append("%.12g")
+                varying.append(column.tolist())
+            continue
         row.append("%s")
+        varying.append(list(map(fmt, column)))
     cells = np.empty((len(columns[0]), len(varying)), dtype=object)
-    for j, texts in enumerate(varying):
-        cells[:, j] = texts
+    for j, values in enumerate(varying):
+        cells[:, j] = values
     return (",".join(row) + "\n") * len(cells) % tuple(cells.ravel().tolist())
 
 

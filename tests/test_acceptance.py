@@ -74,7 +74,7 @@ def _random_market(rng: np.random.Generator, horizon: Horizon) -> MarketParams:
         )
     noise = ZERO if rng.random() < 0.5 else Deterministic(tuple(rng.uniform(-1, 1) * grid**2))
     lam = float(rng.uniform(0.01, 0.5))
-    return MarketParams(horizon, lam, tuple(agents), noise)
+    return MarketParams(lam, tuple(agents), noise)
 
 
 def test_criterion_1_internal_consistency():
@@ -84,7 +84,7 @@ def test_criterion_1_internal_consistency():
     worst = 0.0
     for _ in range(20):
         params = _random_market(rng, horizon)
-        sol = solve_equilibrium(params)
+        sol = solve_equilibrium(params, horizon)
         report = consistency_report(sol, params)
         worst = max(worst, max(report.values()))
         assert max(report.values()) <= 1e-8, report
@@ -98,8 +98,8 @@ def test_criterion_1_internal_consistency():
 
 def test_criterion_2_oracle_equivalence():
     start = time.time()
-    params = segmented_market(Horizon.uniform(1.0, 2000), 0.1, 0.1, 0.1, 1, Constant(-1.0))
-    report = oracle_gap(params, [250, 500, 1000, 2000])
+    params = segmented_market(0.1, 0.1, 0.1, 1, Constant(-1.0))
+    report = oracle_gap(params, 1.0, [250, 500, 1000, 2000])
     gap_2000 = max(report.max_gaps[k][-1] for k in report.max_gaps)
     assert gap_2000 <= 5e-3
     assert abs(report.fitted_order - 1.0) <= 0.3
@@ -207,11 +207,11 @@ def test_criterion_6_segmentation_welfare():
         s = LiquidationScenario(impact_cost=lam)
         rep = segmentation_welfare(s)
         h = Horizon.uniform(1.0, steps)
-        params = segmented_market(h, lam, 0.1, 0.1, 1, Constant(-1.0))
-        j_sim = goal_functional(solve_equilibrium(params), params, "client0")
+        params = segmented_market(lam, 0.1, 0.1, 1, Constant(-1.0))
+        j_sim = goal_functional(solve_equilibrium(params, h), params, "client0")
         assert j_sim == pytest.approx(rep.J_c_segmented, rel=1e-3)
-        params_int = integrated_market(h, lam, 0.1, 0.1, 1, Constant(-1.0))
-        j_sim_int = goal_functional(solve_equilibrium(params_int), params_int, "client0")
+        params_int = integrated_market(lam, 0.1, 0.1, 1, Constant(-1.0))
+        j_sim_int = goal_functional(solve_equilibrium(params_int, h), params_int, "client0")
         assert j_sim_int == pytest.approx(rep.J_c_integrated, rel=1e-3)
     print(
         f"\n[PASS] criterion 6: segmentation hurts clients on the full grid; ratio "

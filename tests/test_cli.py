@@ -235,7 +235,7 @@ def test_oracle_check_order_out_of_range_exits_two_leaving_no_directory(tmp_path
     from dealerlab import cli
     from dealerlab.oracle import GapReport
 
-    def steep(params, steps_list):
+    def steep(params, T, steps_list):
         return GapReport(steps_list, {"mu": [0.1, 0.0125]}, {"mu": [0.1, 0.0125]}, 3.0)
 
     monkeypatch.setattr(cli, "oracle_gap", steep)
@@ -313,7 +313,7 @@ def test_equilibrium_run_meta_carries_the_identity_residuals(tmp_path):
     cfg.write_text(CONFIG)
     assert main(["equilibrium", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     residuals = read_json(tmp_path / "run_meta.json")["residuals"]
-    solved = solve_equilibrium(load_market_config(str(cfg))[0]).residuals
+    solved = solve_equilibrium(*load_market_config(str(cfg))[:2]).residuals
     assert residuals == {name: float(f"{r:.12g}") for name, r in solved.items()}
     assert list(residuals) == ["clearing", "foc", "price", "share"]  # sorted keys
     assert all(0 <= r <= 1e-10 for r in residuals.values())
@@ -373,6 +373,29 @@ def test_readme_config_example_runs(tmp_path):
     header, rows = read_rows(tmp_path / "out" / "equilibrium.csv")
     assert len(rows) == 1001
     assert float(rows[0][header.index("K_client")]) == pytest.approx(-0.5, abs=1e-10)
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    (example,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    namespace = {}
+    exec(compile(example, "README.md", "exec"), namespace)
+    sol = namespace["sol"]
+    assert sol.agents["client0"].K[0] == pytest.approx(-0.5, abs=1e-12)
+    assert sol.price_dev[0] == pytest.approx(-0.7071, abs=1e-4)
+
+
+def test_steps_flag_writes_the_csv_of_the_config_grid(tmp_path):
+    # --steps replaces the config's grid and nothing else
+    cfg, cfg_5000 = tmp_path / "market.ini", tmp_path / "market_5000.ini"
+    cfg.write_text(CONFIG)
+    cfg_5000.write_text(CONFIG.replace("steps = 400", "steps = 5000"))
+    flag, ini = tmp_path / "flag", tmp_path / "ini"
+    assert main(["equilibrium", "--config", str(cfg), "--steps", "5000", "--out", str(flag)]) == 0
+    assert main(["equilibrium", "--config", str(cfg_5000), "--out", str(ini)]) == 0
+    csv = (flag / "equilibrium.csv").read_bytes()
+    assert csv == (ini / "equilibrium.csv").read_bytes()
+    assert csv.count(b"\n") == 5002  # the header and 5,001 nodes
 
 
 SEED_RANGE = "seed must lie in [0, 2**64)"
@@ -441,6 +464,8 @@ SEED_RANGE = "seed must lie in [0, 2**64)"
          "equilibrium.csv column 'U_bar' would repeat"),
         (["equilibrium"], CONFIG.replace("[agent client]", "[agent N]"),
          "equilibrium.csv column 'K_N' would repeat"),
+        (["equilibrium"], CONFIG.replace("[agent client]", "[agent ]"),
+         "bad [agent ] section: agent name must not be empty or blank"),
     ],
     ids=["seed-scaling-diffusive", "seed-diffusive-negative", "seed-diffusive-2**64",
          "seed-equilibrium", "xi-c-nan", "rho-d-nan", "lambda-nan", "lambda-inf", "sigma-xi-inf",
@@ -452,7 +477,7 @@ SEED_RANGE = "seed must lie in [0, 2**64)"
          "ini-T-nan", "ini-T-inf", "equilibrium-zero-steps", "equilibrium-negative-steps",
          "ini-key-open-cots", "ini-key-targt", "ini-key-market", "ini-section-agnet",
          "ini-section-default", "ini-header-comma", "ini-header-quote", "ini-header-U_bar",
-         "ini-header-K_N"],
+         "ini-header-K_N", "ini-agent-blank-name"],
 )
 def test_invalid_input_exits_one_naming_it(tmp_path, capsys, argv, config, named):
     if config is not None:
@@ -691,8 +716,8 @@ def test_equilibrium_csv_is_the_same_in_any_blocks(tmp_path, monkeypatch):
     for name in ("equilibrium.csv", "run_meta.json"):
         assert (tmp_path / "whole" / name).read_bytes() == (tmp_path / "blocks" / name).read_bytes()
     # the same bytes as the full-grid arrays written in one go
-    params = load_market_config(str(cfg))[0]
-    sol = solve_equilibrium(params, seed=3)
+    params, horizon, _ = load_market_config(str(cfg))
+    sol = solve_equilibrium(params, horizon, seed=3)
     header, _ = read_rows(tmp_path / "whole" / "equilibrium.csv")
     columns = [sol.horizon.grid, sol.U_bar, sol.u_bar, sol.mu, sol.price_dev, sol.noise,
                sol.xi_bar]

@@ -33,15 +33,13 @@ from crosschecks import check_price_representations
 H1000 = Horizon.uniform(1.0, 1000)
 
 
-def liquidation_params(M=1, steps=1000, lam=0.1, rho_c=0.1, rho_d=0.1, xi_c=-1.0):
-    return segmented_market(
-        Horizon.uniform(1.0, steps), lam, rho_c, rho_d, M, Constant(xi_c)
-    )
+def liquidation_params(M=1, lam=0.1, rho_c=0.1, rho_d=0.1, xi_c=-1.0):
+    return segmented_market(lam, rho_c, rho_d, M, Constant(xi_c))
 
 
 def test_no_trading_motive_gives_zero_everything():
-    params = MarketParams(H1000, 0.1, (AgentSpec("d", 1.0, 0.1, 0.0),))
-    sol = solve_equilibrium(params)
+    params = MarketParams(0.1, (AgentSpec("d", 1.0, 0.1, 0.0),))
+    sol = solve_equilibrium(params, H1000)
     np.testing.assert_array_equal(sol.U_bar, 0.0)
     np.testing.assert_array_equal(sol.mu, 0.0)
     np.testing.assert_array_equal(sol.price_dev, 0.0)
@@ -50,20 +48,19 @@ def test_no_trading_motive_gives_zero_everything():
 
 def test_liquidation_initial_bulk_trade():
     # symmetric risk tolerances: the client sells half at t=0
-    sol = solve_equilibrium(liquidation_params(M=1))
+    sol = solve_equilibrium(liquidation_params(M=1), H1000)
     assert sol.agents["client0"].K[0] == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_liquidation_initial_price_deviation():
     # xi_c * tanh(sqrt(delta) T)/((rho_c+rho_d) sqrt(delta)); M=1 -> delta=50
-    sol = solve_equilibrium(liquidation_params(M=1, steps=10_000))
+    sol = solve_equilibrium(liquidation_params(M=1), Horizon.uniform(1.0, 10_000))
     assert sol.price_dev[0] == pytest.approx(-0.7071057610384575, abs=1e-6)
 
 
 def test_identities_hold_on_mixed_market():
     grid = H1000.grid
     params = MarketParams(
-        H1000,
         0.07,
         (
             AgentSpec("dealer", 0.4, 0.15, 0.0),
@@ -72,7 +69,7 @@ def test_identities_hold_on_mixed_market():
         ),
         noise_demand=Deterministic(tuple(0.3 * grid**2)),
     )
-    sol = solve_equilibrium(params)
+    sol = solve_equilibrium(params, H1000)
     report = consistency_report(sol, params)
     assert max(report.values()) < 1e-12
 
@@ -80,7 +77,7 @@ def test_identities_hold_on_mixed_market():
 def test_consistency_error_on_tampered_solution():
     # the check evaluates K from the stored paths: a target shifted at one node breaks clearing
     params = liquidation_params()
-    sol = solve_equilibrium(params)
+    sol = solve_equilibrium(params, H1000)
     sol.targets["client0"][500] += 0.1
     report = consistency_report(sol, params)
     assert report["clearing"] > 1e-3
@@ -89,18 +86,17 @@ def test_consistency_error_on_tampered_solution():
 def test_nan_residuals_fail_the_identity_check():
     # the first agent's NaN is not hidden by the later agents' finite residuals
     params = liquidation_params()
-    sol = solve_equilibrium(params)
+    sol = solve_equilibrium(params, H1000)
     sol.U_bar[5] = math.nan
     report = consistency_report(sol, params)
     assert math.isnan(report["foc"]) and math.isnan(report["share"])
     # a vanishing mass overflows the dealer's elasticity: its share eta_a/eta_bar is inf/inf
     tiny = MarketParams(
-        Horizon.uniform(1.0, 50),
         0.1,
         (AgentSpec("dealer", 1e-320, 0.1), AgentSpec("client", 0.5, 0.1, NO_ACCESS, Constant(-1.0))),
     )
     with pytest.raises(ConsistencyError, match="'foc': nan, 'share': nan"):
-        solve_equilibrium(tiny)
+        solve_equilibrium(tiny, Horizon.uniform(1.0, 50))
 
 
 @pytest.mark.parametrize("node", [0, 52, 100])
@@ -108,8 +104,8 @@ def test_identity_check_in_node_blocks(monkeypatch, node):
     # a residual or a NaN at any node reaches the report, whatever the block it falls in
     from dealerlab import equilibrium
 
-    params = liquidation_params(M=2, steps=100)
-    sol = solve_equilibrium(params)
+    params = liquidation_params(M=2)
+    sol = solve_equilibrium(params, Horizon.uniform(1.0, 100))
     assert sol.residuals == consistency_report(sol, params)
     sol.targets["client0"][node] += 0.1
     whole = consistency_report(sol, params)  # 101 nodes: one block
@@ -122,8 +118,8 @@ def test_identity_check_in_node_blocks(monkeypatch, node):
 
 
 def test_writing_into_evaluated_paths_changes_nothing():
-    params = liquidation_params(M=2, steps=100)
-    sol = solve_equilibrium(params)
+    params = liquidation_params(M=2)
+    sol = solve_equilibrium(params, Horizon.uniform(1.0, 100))
     mu, K = sol.mu.copy(), sol.agents["client0"].K.copy()
     sol.mu[:] = 0.0
     sol.agents["client0"].K[:] = 0.0
@@ -133,8 +129,8 @@ def test_writing_into_evaluated_paths_changes_nothing():
 
 
 def test_solution_at_a_node_slice_is_the_whole_grid_sliced():
-    params = liquidation_params(M=2, steps=100)
-    sol = solve_equilibrium(params)
+    params = liquidation_params(M=2)
+    sol = solve_equilibrium(params, Horizon.uniform(1.0, 100))
     whole, part = sol.at(), sol.at(slice(30, 61))
     np.testing.assert_array_equal(part.mu, whole.mu[30:61])
     np.testing.assert_array_equal(part.price_dev, whole.price_dev[30:61])
@@ -148,14 +144,13 @@ def test_solve_holds_little_beyond_its_solution():
     # the returned solution holds 5 columns of nodes x 8 bytes, and the solve peaks near 7
     n = 50_000
     params = MarketParams(
-        Horizon.uniform(1.0, n),
         1e-6,
         (AgentSpec("dealer", 0.5, 0.1, 0.0),
          AgentSpec("client", 0.5, 0.1, NO_ACCESS, target=Constant(-1.0))),
     )
     tracemalloc.start()
     try:
-        solve_equilibrium(params)
+        solve_equilibrium(params, Horizon.uniform(1.0, n))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -173,33 +168,29 @@ def test_delta_price_weight_identity():
 
 
 def test_price_representation_deterministic():
-    sol = solve_equilibrium(liquidation_params(steps=10_000))
-    params = liquidation_params(steps=10_000)
+    sol = solve_equilibrium(liquidation_params(), Horizon.uniform(1.0, 10_000))
+    params = liquidation_params()
     gap = check_price_representations(sol, params)
     assert gap <= 1e-4
 
 
 def test_price_representation_zero_market():
-    params = MarketParams(H1000, 0.1, (AgentSpec("d", 1.0, 0.1, 0.0),))
-    sol = solve_equilibrium(params)
+    params = MarketParams(0.1, (AgentSpec("d", 1.0, 0.1, 0.0),))
+    sol = solve_equilibrium(params, H1000)
     assert check_price_representations(sol, params) == 0.0
 
 
 def test_price_representation_brownian_target():
-    params = segmented_market(
-        Horizon.uniform(1.0, 2000), 0.1, 0.1, 0.1, 1, BrownianMartingale(0.0, 1.0)
-    )
-    sol = solve_equilibrium(params, seed=3)
+    params = segmented_market(0.1, 0.1, 0.1, 1, BrownianMartingale(0.0, 1.0))
+    sol = solve_equilibrium(params, Horizon.uniform(1.0, 2000), seed=3)
     gap = check_price_representations(sol, params, anchors=32)
     assert gap < 1e-5
 
 
 def test_stochastic_identities_hold_pathwise():
-    params = segmented_market(
-        Horizon.uniform(1.0, 500), 0.1, 0.12, 0.08, 2, BrownianMartingale(0.0, 1.0)
-    )
+    params = segmented_market(0.1, 0.12, 0.08, 2, BrownianMartingale(0.0, 1.0))
     for k in range(3):
-        sol = solve_equilibrium(params, seed=11, path_index=k)
+        sol = solve_equilibrium(params, Horizon.uniform(1.0, 500), seed=11, path_index=k)
         assert max(consistency_report(sol, params).values()) < 1e-12
 
 
@@ -207,20 +198,16 @@ def test_price_representation_ou_target():
     from dealerlab.processes import OrnsteinUhlenbeck
 
     params = segmented_market(
-        Horizon.uniform(1.0, 2000), 0.1, 0.1, 0.1, 1,
-        OrnsteinUhlenbeck(x0=-1.0, kappa=2.0, theta=-0.5, sigma=0.4),
+        0.1, 0.1, 0.1, 1, OrnsteinUhlenbeck(x0=-1.0, kappa=2.0, theta=-0.5, sigma=0.4)
     )
-    sol = solve_equilibrium(params, seed=8)
+    sol = solve_equilibrium(params, Horizon.uniform(1.0, 2000), seed=8)
     gap = check_price_representations(sol, params, anchors=24)
     assert gap < 1e-4
 
 
 def test_price_representation_rejects_stochastic_smooth_rate():
-    params = segmented_market(
-        Horizon.uniform(1.0, 300), 0.1, 0.1, 0.1, 1,
-        SmoothRate(BrownianMartingale(0.0, 1.0)),
-    )
-    sol = solve_equilibrium(params, seed=2)
+    params = segmented_market(0.1, 0.1, 0.1, 1, SmoothRate(BrownianMartingale(0.0, 1.0)))
+    sol = solve_equilibrium(params, Horizon.uniform(1.0, 300), seed=2)
     with pytest.raises(ValueError):
         check_price_representations(sol, params)
 
@@ -233,20 +220,18 @@ def test_price_representation_rejects_stochastic_smooth_rate():
 def test_price_representation_deterministic_term_in_stochastic_driver(target):
     # a deterministic term's conditional mean is its own path, its E_t[G(s)] its own G
     params = segmented_market(
-        Horizon.uniform(1.0, 2000), 0.1, 0.1, 0.1, 1, target,
-        noise_demand=BrownianMartingale(0.0, 0.5),
+        0.1, 0.1, 0.1, 1, target, noise_demand=BrownianMartingale(0.0, 0.5)
     )
-    sol = solve_equilibrium(params, seed=1)
+    sol = solve_equilibrium(params, Horizon.uniform(1.0, 2000), seed=1)
     assert check_price_representations(sol, params, anchors=24) < 1e-5
 
 
 def test_mixed_noise_and_target_driver():
     # Brownian noise demand alongside a constant client target
     params = segmented_market(
-        Horizon.uniform(1.0, 800), 0.1, 0.1, 0.15, 2, Constant(-1.0),
-        noise_demand=BrownianMartingale(0.0, 0.5),
+        0.1, 0.1, 0.15, 2, Constant(-1.0), noise_demand=BrownianMartingale(0.0, 0.5)
     )
-    sol = solve_equilibrium(params, seed=4)
+    sol = solve_equilibrium(params, Horizon.uniform(1.0, 800), seed=4)
     assert max(consistency_report(sol, params).values()) < 1e-12
     assert np.max(np.abs(sol.noise)) > 0.01
     assert sol.xi_bar[0] == pytest.approx(-0.5, rel=1e-14)
@@ -255,7 +240,6 @@ def test_mixed_noise_and_target_driver():
 def test_mixed_stochastic_kinds_solve():
     # OU noise, a Brownian dealer target and an OU client target: three terms, three streams
     params = MarketParams(
-        Horizon.uniform(1.0, 2000),
         0.1,
         (
             AgentSpec("dealer", 0.5, 0.1, 0.0, target=BrownianMartingale(0.0, 0.5)),
@@ -265,23 +249,23 @@ def test_mixed_stochastic_kinds_solve():
         ),
         OrnsteinUhlenbeck(0.0, 1.0, 0.0, 0.5),
     )
-    sol = solve_equilibrium(params, seed=3)
+    sol = solve_equilibrium(params, Horizon.uniform(1.0, 2000), seed=3)
     assert len(sol.aggregates.xi_bar) == 2
     assert check_price_representations(sol, params, anchors=24) < 1e-5
 
 
 def test_goal_functional_zero_solution():
-    params = MarketParams(H1000, 0.1, (AgentSpec("d", 1.0, 0.1, 0.0),))
-    sol = solve_equilibrium(params)
+    params = MarketParams(0.1, (AgentSpec("d", 1.0, 0.1, 0.0),))
+    sol = solve_equilibrium(params, H1000)
     assert goal_functional(sol, params, "d") == 0.0
 
 
 def test_goal_functional_matches_direct_integral_for_client():
     # locked-out client: J = int [(U_bar - xi_bar) K / rho_bar - (xi - K)^2/(2 rho_c)] dt
-    params = liquidation_params(M=1, steps=4000)
-    sol = solve_equilibrium(params)
+    params = liquidation_params(M=1)
+    sol = solve_equilibrium(params, Horizon.uniform(1.0, 4000))
     c = sol.agents["client0"]
-    grid = params.horizon.grid
+    grid = sol.horizon.grid
     integrand = (sol.U_bar - sol.xi_bar) / aggregate(params).rho_bar * c.K - (
         c.target - c.K
     ) ** 2 / (2 * 0.1)
@@ -291,9 +275,9 @@ def test_goal_functional_matches_direct_integral_for_client():
 
 @pytest.mark.parametrize("agent", ["dealer0", "client0"])
 def test_perturbations_decrease_welfare(agent):
-    params = liquidation_params(M=1, steps=2000)
-    sol = solve_equilibrium(params)
-    grid = params.horizon.grid
+    params = liquidation_params(M=1)
+    sol = solve_equilibrium(params, Horizon.uniform(1.0, 2000))
+    grid = sol.horizon.grid
     base = goal_functional(sol, params, agent)
     bumps = [
         np.sin(math.pi * k * grid / grid[-1]) + (0.2 if k == 5 else 0.0) for k in (1, 2, 3, 4, 5)
@@ -309,9 +293,7 @@ def test_perturbations_decrease_welfare(agent):
 
 
 def test_multi_path_welfare_shapes():
-    params = segmented_market(
-        Horizon.uniform(1.0, 200), 0.1, 0.1, 0.1, 1, SmoothRate(Constant(1.0))
-    )
-    sol = solve_equilibrium(params)
+    params = segmented_market(0.1, 0.1, 0.1, 1, SmoothRate(Constant(1.0)))
+    sol = solve_equilibrium(params, Horizon.uniform(1.0, 200))
     val = goal_functional(sol, params, "client0")
     assert isinstance(val, float)

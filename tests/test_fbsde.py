@@ -17,6 +17,7 @@ from dealerlab.kernel import (
     DeltaParam,
     Horizon,
     KernelWeight,
+    _exp_difference,
     _ou_weight,
     eval_F,
     stable_sech,
@@ -186,17 +187,17 @@ def test_ou_weight_huge_delta_finite():
     assert np.all(np.isfinite(_ou_weight(d, 3.0, tau, -1.0)))
 
 
-def test_resonance_band_is_logged(caplog):
-    import logging
-
-    d = DeltaParam.from_value(50.0)
-    with caplog.at_level(logging.DEBUG, logger="dealerlab.kernel"):
-        _ou_weight(d, d.sqrt_delta, np.array([0.5]), 1.0)
-    assert any("resonance" in rec.message for rec in caplog.records)
-    caplog.clear()
-    with caplog.at_level(logging.DEBUG, logger="dealerlab.kernel"):
-        _ou_weight(d, 2.0 * d.sqrt_delta, np.array([0.5]), 1.0)
-    assert not caplog.records
+def test_exp_difference_matches_the_literal_form():
+    # e^{-beta tau} (e^{-kappa tau} - e^{-beta tau}) / (beta - kappa); at kappa = beta its limit
+    tau = np.linspace(0.0, 1.0, 11)
+    for beta in (0.1, 1.0, 7.0, 30.0):
+        for kappa in (0.0, 0.1, 1.0, 7.0, 30.0):
+            if kappa == beta:
+                literal = tau * np.exp(-2.0 * beta * tau)
+            else:
+                literal = np.exp(-beta * tau) * (np.exp(-kappa * tau) - np.exp(-beta * tau)) / (
+                    beta - kappa)
+            np.testing.assert_allclose(_exp_difference(beta, kappa, tau), literal, rtol=1e-12)
 
 
 def test_g_smooth_rate_against_nested_quadrature():

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from dealerlab.kernel import Horizon
 from dealerlab.market import (
     AgentSpec,
     MarketParams,
@@ -18,8 +17,6 @@ from dealerlab.market import (
 )
 from dealerlab.processes import BrownianMartingale, Constant, OrnsteinUhlenbeck
 
-H = Horizon.uniform(1.0, 10)
-
 
 def delta_segmented(m_dealers, lam, rho_c, rho_d):
     return 2 * m_dealers / ((rho_c + rho_d) * lam * (m_dealers + 1))
@@ -30,7 +27,7 @@ def test_segmented_market_aggregates():
     # rho_bar=(rho_c+rho_d)/2, eta_bar=M/lambda, xi_bar=xi_c/2
     lam, rho_c, rho_d, M = 0.1, 0.1, 0.1, 3
     xi = Constant(-1.0)
-    params = segmented_market(H, lam, rho_c, rho_d, M, xi)
+    params = segmented_market(lam, rho_c, rho_d, M, xi)
     ag = aggregate(params)
     assert ag.rho_bar == pytest.approx((rho_c + rho_d) / 2, rel=1e-14)
     assert ag.eta_bar == pytest.approx(M / lam, rel=1e-14)
@@ -40,7 +37,7 @@ def test_segmented_market_aggregates():
 
 
 def test_single_agent_aggregates():
-    params = MarketParams(H, 0.1, (AgentSpec("solo", 1.0, 0.2, open_cost=0.0),))
+    params = MarketParams(0.1, (AgentSpec("solo", 1.0, 0.2, open_cost=0.0),))
     ag = aggregate(params)
     assert ag.eta_bar == pytest.approx(10.0, rel=1e-14)
     assert ag.eta == pytest.approx(10.0, rel=1e-14)
@@ -50,7 +47,7 @@ def test_single_agent_aggregates():
 
 def test_integrated_market_delta_is_delta_2m():
     lam, rho_c, rho_d, M = 0.1, 0.1, 0.1, 4
-    params = integrated_market(H, lam, rho_c, rho_d, M, Constant(-1.0))
+    params = integrated_market(lam, rho_c, rho_d, M, Constant(-1.0))
     ag = aggregate(params)
     assert ag.eta_bar == pytest.approx(2 * M / lam, rel=1e-14)
     assert ag.delta.delta == pytest.approx(delta_segmented(2 * M, lam, rho_c, rho_d), rel=1e-13)
@@ -60,7 +57,7 @@ def test_delta_m_monotone_and_limits():
     lam, rho_c, rho_d = 0.1, 0.15, 0.05
     deltas = [delta_segmented(M, lam, rho_c, rho_d) for M in range(1, 40)]
     seg = [
-        aggregate(segmented_market(H, lam, rho_c, rho_d, M, Constant(1.0))).delta.delta
+        aggregate(segmented_market(lam, rho_c, rho_d, M, Constant(1.0))).delta.delta
         for M in range(1, 40)
     ]
     np.testing.assert_allclose(seg, deltas, rtol=1e-13)
@@ -70,7 +67,7 @@ def test_delta_m_monotone_and_limits():
     # integrated market beats segmented at every M
     for M in (1, 2, 5):
         d_int = aggregate(
-            integrated_market(H, lam, rho_c, rho_d, M, Constant(1.0))
+            integrated_market(lam, rho_c, rho_d, M, Constant(1.0))
         ).delta.delta
         assert d_int > seg[M - 1]
 
@@ -93,7 +90,7 @@ def test_per_agent_elasticity_bound():
 
 
 def test_aggregate_deterministic():
-    params = segmented_market(H, 0.1, 0.1, 0.2, 2, Constant(-1.0))
+    params = segmented_market(0.1, 0.1, 0.2, 2, Constant(-1.0))
     a1 = aggregate(params)
     a2 = aggregate(params)
     assert a1 == a2
@@ -101,17 +98,17 @@ def test_aggregate_deterministic():
 
 def test_validate_flags_frictionless_access():
     with pytest.raises(ValueError, match="agent d: frictionless open-market trading"):
-        MarketParams(H, 0.0, (AgentSpec("d", 1.0, 0.1, open_cost=0.0),))
+        MarketParams(0.0, (AgentSpec("d", 1.0, 0.1, open_cost=0.0),))
 
 
 def test_validate_ok_market():
-    params = MarketParams(H, 0.1, (AgentSpec("d", 1.0, 0.1, open_cost=0.0),))
+    params = MarketParams(0.1, (AgentSpec("d", 1.0, 0.1, open_cost=0.0),))
     assert aggregate(params).eta_bar == pytest.approx(10.0)
 
 
 def test_validate_empty_agent_list():
     with pytest.raises(ValueError, match="empty"):
-        MarketParams(H, 0.1, ())
+        MarketParams(0.1, ())
 
 
 def test_validate_reports_every_violation():
@@ -126,13 +123,15 @@ def test_validate_reports_every_violation():
         (lambda: AgentSpec("b", 1.0, -0.5), f"{tolerance}, got -0.5"),
         (lambda: AgentSpec("b", 1.0, math.nan), f"{tolerance}, got nan"),
         (lambda: AgentSpec("b", 1.0, math.inf), f"{tolerance}, got inf"),
+        (lambda: AgentSpec("", 1.0, 0.1), "agent name must not be empty or blank, got ''"),
+        (lambda: AgentSpec(" \t", 1.0, 0.1), "agent name must not be empty or blank"),
         (lambda: AgentSpec("c", 1.0, 0.1, open_cost=-1.0), "agent c: open-market cost"),
         (lambda: AgentSpec("c", 1.0, 0.1, open_cost=math.nan), "agent c: open-market cost"),
         (lambda: AgentSpec("t", 1.0, 0.1, target=BrownianMartingale(0.0, -1.0)), "sigma"),
-        (lambda: MarketParams(H, 0.1, (dealer, dealer)), "agent names must be unique"),
-        (lambda: MarketParams(H, -0.1, (dealer,)), "common impact cost must be >= 0"),
-        (lambda: MarketParams(H, math.nan, (dealer,)), "common impact cost must be >= 0"),
-        (lambda: MarketParams(H, 0.0, (dealer,)), "frictionless"),
+        (lambda: MarketParams(0.1, (dealer, dealer)), "agent names must be unique"),
+        (lambda: MarketParams(-0.1, (dealer,)), "common impact cost must be >= 0"),
+        (lambda: MarketParams(math.nan, (dealer,)), "common impact cost must be >= 0"),
+        (lambda: MarketParams(0.0, (dealer,)), "frictionless"),
     ]
     for build, message in cases:
         with pytest.raises(ValueError, match=message):
@@ -140,7 +139,7 @@ def test_validate_reports_every_violation():
 
 
 def test_aggregate_rejects_no_open_access():
-    params = MarketParams(H, 0.1, (AgentSpec("c", 1.0, 0.1, open_cost=NO_ACCESS),))
+    params = MarketParams(0.1, (AgentSpec("c", 1.0, 0.1, open_cost=NO_ACCESS),))
     with pytest.raises(ValueError, match="open market"):
         aggregate(params)
 
@@ -148,7 +147,6 @@ def test_aggregate_rejects_no_open_access():
 def test_aggregate_keeps_mixed_stochastic_targets_as_two_terms():
     bm, ou = BrownianMartingale(0.0, 1.0), OrnsteinUhlenbeck(0.0, 1.0, 0.0, 1.0)
     params = MarketParams(
-        H,
         0.1,
         (
             AgentSpec("a", 0.5, 0.1, 0.0, target=bm),
@@ -160,14 +158,14 @@ def test_aggregate_keeps_mixed_stochastic_targets_as_two_terms():
 
 def test_lambda_zero_uses_continuum_limit():
     # impact_cost 0 with positive idiosyncratic costs: delta = eta_bar/rho_bar
-    params = MarketParams(H, 0.0, (AgentSpec("d", 1.0, 0.1, open_cost=0.5),))
+    params = MarketParams(0.0, (AgentSpec("d", 1.0, 0.1, open_cost=0.5),))
     ag = aggregate(params)
     assert math.isinf(ag.eta)
     assert ag.delta.delta == pytest.approx(2.0 / 0.1, rel=1e-14)
 
 
 def test_dealers_only_market():
-    params = dealers_only_market(H, 0.1, 0.1, 4, BrownianMartingale(0.0, 1.0))
+    params = dealers_only_market(0.1, 0.1, 4, BrownianMartingale(0.0, 1.0))
     ag = aggregate(params)
     # mass 1/M each: rho_bar = rho_d, eta_bar = M/lambda, delta = M/(lam rho_d (M+1))
     assert ag.rho_bar == pytest.approx(0.1, rel=1e-14)

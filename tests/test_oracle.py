@@ -33,8 +33,8 @@ def delta_identity_residual(params: MarketParams, disc: DiscreteEquilibrium) -> 
     """
     ag = aggregate(params)
     n = disc.times.size
-    dt = params.horizon.T / n
-    h = Horizon.uniform(params.horizon.T, n)
+    dt = 1.0 / n
+    h = Horizon.uniform(1.0, n)
     xi_bar = sum(a.mass * realize(a.target, h).values[:-1] for a in params.agents)
     noise = realize(params.noise_demand, h).values[:-1]
     U_bar = sum(a.mass * disc.U[a.name] for a in params.agents)
@@ -94,10 +94,10 @@ def dense_reference(params: MarketParams, n: int) -> np.ndarray:
     dense matrix: a route that shares nothing with the sweep.
     """
     agents = params.agents
-    h = Horizon.uniform(params.horizon.T, n)
+    h = Horizon.uniform(1.0, n)
     xi = [realize(a.target, h).values[:-1] for a in agents]
     noise = realize(params.noise_demand, h).values[:-1]
-    dt, lam = params.horizon.T / n, params.impact_cost
+    dt, lam = 1.0 / n, params.impact_cost
     eye, lag = np.eye(n), np.eye(n, k=-1)
     suffix = np.triu(np.ones((n, n)))  # (suffix @ v)_i = sum_{j>=i} v_j
     n_blocks = 3 * len(agents) + 1
@@ -132,10 +132,8 @@ def dense_reference(params: MarketParams, n: int) -> np.ndarray:
     return np.linalg.solve(A, b).reshape(n_blocks, n)
 
 
-def liquidation_params(n_steps, M=1):
-    return segmented_market(
-        Horizon.uniform(1.0, n_steps), 0.1, 0.1, 0.1, M, Constant(-1.0)
-    )
+def liquidation_params(M=1):
+    return segmented_market(0.1, 0.1, 0.1, M, Constant(-1.0))
 
 
 def test_oracle_imports_stay_independent_of_the_engine():
@@ -175,7 +173,6 @@ def test_cli_import_loads_no_scipy():
 def mixed_open_cost_params(n):
     h = Horizon.uniform(1.0, n)
     return MarketParams(
-        h,
         0.05,
         (
             AgentSpec("a", 0.3, 0.1, 0.0, target=Constant(0.5)),
@@ -189,7 +186,6 @@ def mixed_open_cost_params(n):
 def no_open_access_params(n):
     h = Horizon.uniform(1.0, n)
     return MarketParams(
-        h,
         0.1,
         (
             AgentSpec("a", 0.5, 0.1, NO_ACCESS, target=Deterministic(tuple(np.sin(h.grid)))),
@@ -201,11 +197,12 @@ def no_open_access_params(n):
 
 @pytest.mark.parametrize(
     "build, n",
-    [(liquidation_params, 60), (mixed_open_cost_params, 50), (no_open_access_params, 40)],
+    [pytest.param(lambda n: liquidation_params(), 60, id="liquidation_params-60"),
+     (mixed_open_cost_params, 50), (no_open_access_params, 40)],
 )
 def test_sweep_agrees_with_dense_stacked_solve(build, n):
     params = build(n)
-    disc = assemble_and_solve(params, n)
+    disc = assemble_and_solve(params, 1.0, n)
     blocks = [path[a.name] for a in params.agents for path in (disc.K, disc.u, disc.U)]
     reference = dense_reference(params, n)
     gap = np.max(np.abs(np.array(blocks + [disc.mu]) - reference))
@@ -217,7 +214,7 @@ def test_market_without_open_access_prices_the_demand_directly():
     # nobody trades the open market, so clearing alone sets mu = d
     n = 40
     params = no_open_access_params(n)
-    disc = assemble_and_solve(params, n)
+    disc = assemble_and_solve(params, 1.0, n)
     h = Horizon.uniform(1.0, n)
     demand = realize(params.noise_demand, h).values[:-1] + sum(
         a.mass * realize(a.target, h).values[:-1] for a in params.agents)
@@ -229,23 +226,20 @@ def test_market_without_open_access_prices_the_demand_directly():
 
 
 def test_zero_demands_give_zero_solution():
-    h = Horizon.uniform(1.0, 50)
-    params = MarketParams(h, 0.1, (AgentSpec("d", 1.0, 0.1, 0.0),))
-    disc = assemble_and_solve(params, 50)
+    params = MarketParams(0.1, (AgentSpec("d", 1.0, 0.1, 0.0),))
+    disc = assemble_and_solve(params, 1.0, 50)
     np.testing.assert_allclose(disc.mu, 0.0, atol=1e-12)
     np.testing.assert_allclose(disc.K["d"], 0.0, atol=1e-12)
     np.testing.assert_allclose(disc.u["d"], 0.0, atol=1e-12)
 
 
 def test_linear_system_residual_is_tiny():
-    disc = assemble_and_solve(liquidation_params(200), 200)
+    disc = assemble_and_solve(liquidation_params(), 1.0, 200)
     assert disc.residual_rel < 1e-12
 
 
 def test_symmetric_dealers_get_identical_paths():
-    h = Horizon.uniform(1.0, 100)
     params = MarketParams(
-        h,
         0.1,
         (
             AgentSpec("d1", 0.25, 0.1, 0.0),
@@ -253,53 +247,51 @@ def test_symmetric_dealers_get_identical_paths():
             AgentSpec("c", 0.5, 0.1, NO_ACCESS, target=Constant(-1.0)),
         ),
     )
-    disc = assemble_and_solve(params, 100)
+    disc = assemble_and_solve(params, 1.0, 100)
     np.testing.assert_allclose(disc.K["d1"], disc.K["d2"], atol=1e-11)
     np.testing.assert_allclose(disc.u["d1"], disc.u["d2"], atol=1e-11)
 
 
 def test_locked_out_agents_never_trade_the_open_market():
-    disc = assemble_and_solve(liquidation_params(100), 100)
+    disc = assemble_and_solve(liquidation_params(), 1.0, 100)
     np.testing.assert_array_equal(disc.u["client0"], 0.0)
     assert np.max(np.abs(disc.u["dealer0"])) > 0.1
 
 
 def test_oracle_rejects_stochastic_demands():
-    h = Horizon.uniform(1.0, 10)
     params = MarketParams(
-        h, 0.1, (AgentSpec("d", 1.0, 0.1, 0.0, target=BrownianMartingale(0.0, 1.0)),)
+        0.1, (AgentSpec("d", 1.0, 0.1, 0.0, target=BrownianMartingale(0.0, 1.0)),)
     )
     with pytest.raises(ValueError, match="deterministic"):
-        assemble_and_solve(params, 10)
+        assemble_and_solve(params, 1.0, 10)
 
 
 def test_oracle_rejects_oversized_system():
     # 7 blocks of 300k unknowns exceed MAX_UNKNOWNS; rejected before anything is built
-    params = liquidation_params(300_000)
+    params = liquidation_params()
     with pytest.raises(ValueError, match="too large"):
-        assemble_and_solve(params, 300_000)
+        assemble_and_solve(params, 1.0, 300_000)
 
 
 def test_singular_system_raises_runtime_error():
     # zero impact and open-market cost leave the last open-market rate undetermined;
     # MarketParams rejects that market, so its impact cost is zeroed after the checks
-    h = Horizon.uniform(1.0, 20)
-    params = MarketParams(h, 0.1, (AgentSpec("d", 1.0, 0.1, 0.0, target=Constant(-1.0)),))
+    params = MarketParams(0.1, (AgentSpec("d", 1.0, 0.1, 0.0, target=Constant(-1.0)),))
     object.__setattr__(params, "impact_cost", 0.0)
     with pytest.raises(RuntimeError, match="singular"):
-        assemble_and_solve(params, 20)
+        assemble_and_solve(params, 1.0, 20)
 
 
 def test_clearing_holds_at_solver_tolerance():
-    params = liquidation_params(150)
-    disc = assemble_and_solve(params, 150)
+    params = liquidation_params()
+    disc = assemble_and_solve(params, 1.0, 150)
     total = sum(a.mass * disc.K[a.name] for a in params.agents)
     assert np.max(np.abs(total)) < 1e-11
 
 
 def test_dealer_market_foc_holds_per_agent():
-    params = liquidation_params(150)
-    disc = assemble_and_solve(params, 150)
+    params = liquidation_params()
+    disc = assemble_and_solve(params, 1.0, 150)
     for a in params.agents:
         xi = -1.0 if a.name.startswith("client") else 0.0
         foc = a.risk_tolerance * disc.mu - disc.K[a.name] - disc.U[a.name] + xi
@@ -307,8 +299,8 @@ def test_dealer_market_foc_holds_per_agent():
 
 
 def test_convergence_to_engine_solution():
-    params = liquidation_params(1000)
-    report = oracle_gap(params, [125, 250, 500])
+    params = liquidation_params()
+    report = oracle_gap(params, 1.0, [125, 250, 500])
     worst = [max(report.max_gaps[k][i] for k in report.max_gaps) for i in range(3)]
     assert worst[0] / worst[1] == pytest.approx(2.0, rel=0.2)
     assert worst[1] / worst[2] == pytest.approx(2.0, rel=0.2)
@@ -316,21 +308,33 @@ def test_convergence_to_engine_solution():
 
 
 def test_single_grid_has_no_order_and_repeated_grids_fail():
-    params = liquidation_params(100)
-    report = oracle_gap(params, [100])
+    params = liquidation_params()
+    report = oracle_gap(params, 1.0, [100])
     assert report.fitted_order is None and len(report.max_gaps["K"]) == 1
     with pytest.raises(ValueError, match="distinct"):
-        oracle_gap(params, [100, 100])
+        oracle_gap(params, 1.0, [100, 100])
+
+
+def test_one_market_solves_on_two_grids_and_feeds_the_oracle():
+    # a market holds no grid: the same params solve on 1,000 and on 4,000 steps, no rebuild
+    params = liquidation_params()
+    coarse = solve_equilibrium(params, Horizon.uniform(1.0, 1000))
+    fine = solve_equilibrium(params, Horizon.uniform(1.0, 4000))
+    assert (coarse.U_bar.size, fine.U_bar.size) == (1001, 4001)
+    np.testing.assert_allclose(fine.U_bar[::4], coarse.U_bar, rtol=0, atol=1e-5)
+    report = oracle_gap(params, 1.0, [1000, 4000])
+    assert report.steps == [1000, 4000]
+    assert report.fitted_order == pytest.approx(1.0, abs=0.05)
 
 
 def test_first_order_convergence_at_large_step_counts():
-    params = liquidation_params(16_000)
-    report = oracle_gap(params, [4000, 8000, 16_000])
+    params = liquidation_params()
+    report = oracle_gap(params, 1.0, [4000, 8000, 16_000])
     for gaps in report.max_gaps.values():
         assert gaps[0] / gaps[1] == pytest.approx(2.0, abs=0.1)
         assert gaps[1] / gaps[2] == pytest.approx(2.0, abs=0.1)
     assert report.fitted_order == pytest.approx(1.0, abs=0.05)
-    assert assemble_and_solve(params, 8000).residual_rel < 1e-12
+    assert assemble_and_solve(params, 1.0, 8000).residual_rel < 1e-12
 
 
 def test_oracle_with_time_varying_deterministic_target():
@@ -338,7 +342,6 @@ def test_oracle_with_time_varying_deterministic_target():
     h = Horizon.uniform(1.0, n)
     target = Deterministic(tuple(-np.sin(2.0 * h.grid)))
     params = MarketParams(
-        h,
         0.08,
         (
             AgentSpec("dealer", 0.5, 0.12, 0.0),
@@ -346,16 +349,16 @@ def test_oracle_with_time_varying_deterministic_target():
         ),
         noise_demand=Deterministic(tuple(0.2 * h.grid)),
     )
-    disc = assemble_and_solve(params, n)
-    engine = solve_equilibrium(params)
+    disc = assemble_and_solve(params, 1.0, n)
+    engine = solve_equilibrium(params, h)
     assert np.max(np.abs(disc.K["client"] - engine.agents["client"].K[:-1])) < 0.02
     assert np.max(np.abs(disc.mu - engine.mu[:-1])) < 0.05
 
 
 def test_delta_identity():
     # oracle rate satisfies the mesh-rate fixed-point relation to O(dt)
-    params = liquidation_params(500)
-    disc = assemble_and_solve(params, 500)
+    params = liquidation_params()
+    disc = assemble_and_solve(params, 1.0, 500)
     assert delta_identity_residual(params, disc) < 20.0 / 500
 
 
@@ -368,8 +371,8 @@ def test_aggregate_rate_minimizes_aux_objective():
     for n in (200, 400):
         h = Horizon.uniform(1.0, n)
         demand = Deterministic(tuple(h.grid**2))
-        params = dealers_only_market(h, lam, rho_d, M, demand)
-        disc = assemble_and_solve(params, n)
+        params = dealers_only_market(lam, rho_d, M, demand)
+        disc = assemble_and_solve(params, 1.0, n)
         u_star = disc.aggregate_rate(params)
         k_path = (h.grid**2)[:-1]
         dt = 1.0 / n

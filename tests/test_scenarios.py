@@ -59,9 +59,8 @@ def test_scenario_delta_is_the_market_delta(m, rho_d, lam):
                 2.0 / ((0.1 + rho_d) * lam), rel=1e-14
             )
         return
-    h = Horizon.uniform(1.0, 1)
     for build, doubled in ((segmented_market, False), (integrated_market, True)):
-        market = aggregate(build(h, lam, 0.1, rho_d, m, Constant(-1.0))).delta.delta
+        market = aggregate(build(lam, 0.1, rho_d, m, Constant(-1.0))).delta.delta
         assert scenario_delta(s, doubled).delta == pytest.approx(market, rel=1e-14)
 
 
@@ -156,10 +155,8 @@ def test_closed_form_agrees_with_equilibrium_engine():
     for M, rho_c, rho_d in ((1, 0.1, 0.1), (3, 0.05, 0.2)):
         s = LiquidationScenario(rho_c=rho_c, rho_d=rho_d, n_dealers=M)
         cf = liquidation_closed_form(s, grid)
-        params = segmented_market(
-            Horizon.uniform(1.0, steps), s.impact_cost, rho_c, rho_d, M, Constant(s.xi_c)
-        )
-        sol = solve_equilibrium(params)
+        params = segmented_market(s.impact_cost, rho_c, rho_d, M, Constant(s.xi_c))
+        sol = solve_equilibrium(params, Horizon.uniform(1.0, steps))
         assert np.max(np.abs(sol.U_bar - cf.U_bar)) < 1e-6
         assert np.max(np.abs(sol.agents["client0"].K - cf.K_c)) < 1e-6
         assert np.max(np.abs(sol.price_dev - cf.price_dev)) < 1e-6
@@ -170,8 +167,8 @@ def test_integrated_closed_form_agrees_with_engine():
     h = Horizon.uniform(1.0, steps)
     s = LiquidationScenario(rho_c=0.15, rho_d=0.05, n_dealers=2)
     cf = integrated_liquidation_closed_form(s, h.grid)
-    params = integrated_market(h, s.impact_cost, s.rho_c, s.rho_d, 2, Constant(s.xi_c))
-    sol = solve_equilibrium(params)
+    params = integrated_market(s.impact_cost, s.rho_c, s.rho_d, 2, Constant(s.xi_c))
+    sol = solve_equilibrium(params, h)
     assert np.max(np.abs(sol.U_bar - cf.U_bar)) < 1e-6
     assert np.max(np.abs(sol.agents["client0"].K - cf.K_c)) < 1e-6
     # initial block trade unchanged by integration
@@ -466,12 +463,12 @@ def test_welfare_quadrature_matches_goal_functional():
     for M in (1, 2):
         s = LiquidationScenario(n_dealers=M)
         rep = segmentation_welfare(s)
-        params_seg = segmented_market(h, s.impact_cost, s.rho_c, s.rho_d, M, Constant(s.xi_c))
-        sol_seg = solve_equilibrium(params_seg)
+        params_seg = segmented_market(s.impact_cost, s.rho_c, s.rho_d, M, Constant(s.xi_c))
+        sol_seg = solve_equilibrium(params_seg, h)
         j_seg_sim = goal_functional(sol_seg, params_seg, "client0")
         assert j_seg_sim == pytest.approx(rep.J_c_segmented, rel=1e-4)
-        params_int = integrated_market(h, s.impact_cost, s.rho_c, s.rho_d, M, Constant(s.xi_c))
-        sol_int = solve_equilibrium(params_int)
+        params_int = integrated_market(s.impact_cost, s.rho_c, s.rho_d, M, Constant(s.xi_c))
+        sol_int = solve_equilibrium(params_int, h)
         j_int_sim = goal_functional(sol_int, params_int, "client0")
         assert j_int_sim == pytest.approx(rep.J_c_integrated, rel=1e-4)
 
