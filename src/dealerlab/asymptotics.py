@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fbsde import heun_step, realize_driver, require_stable_step, solve_forward
+from .fbsde import heun_coefficients, realize_driver, require_stable_step, solve_forward
 from .kernel import DeltaParam, Horizon, KernelWeight, eval_F, trapezoid
 from .market import Aggregates, aggregate, dealers_only_market
 from .paths import integrate_against, path_streams, standard_normal_block
@@ -68,14 +68,12 @@ def steps_for(d: DeltaParam, T: float) -> int:
 
 
 def _capped_steps(setting: DealerSetting, impact_cost: float):
-    """``steps_for`` clipped at ``STEP_CAP``, and the logged note of a clip."""
+    """``steps_for`` clipped at ``STEP_CAP``, and the note of a clip (None without one)."""
     wanted = steps_for(setting.aggregates(impact_cost).delta, setting.T)
     steps = min(wanted, STEP_CAP)
     if steps == wanted:
         return steps, None
-    msg = f"step cap at lambda={impact_cost:g}: {wanted} steps wanted, {steps} used"
-    logger.warning(msg)
-    return steps, msg
+    return steps, f"step cap at lambda={impact_cost:g}: {wanted} steps wanted, {steps} used"
 
 
 def _step_context(impact_cost: float, clipped: str | None) -> str:
@@ -94,15 +92,16 @@ def liquidity_cost_from_paths(
 # fused Monte Carlo sweep (cost and tracking error per path)
 # ----------------------------------------------------------------------
 
-def _normal_rows(streams, n_steps: int):
-    """Each step's normals across ``streams`` in turn, drawn ``SLICE_STEPS`` steps at a time.
+def _normal_slices(streams, n_steps: int):
+    """The normals of ``streams`` for steps 0 .. n_steps - 1, ``SLICE_STEPS`` steps at a time.
 
-    A row is a view into one reused step-major buffer of ``SLICE_STEPS`` x
-    len(streams) floats, valid until the next row is taken.  Each slice is
-    drawn in tiles of ``_TILE_PATHS`` streams, and each tile's transpose is
-    copied into the buffer's columns: the rows are exactly those of
-    ``standard_normal_block(streams, n_steps).T``, and no path-major block
-    larger than one tile is ever built.
+    Yields (first step, rows), where rows[j] holds each stream's normal of
+    step first + j: a view into one reused step-major buffer of
+    ``SLICE_STEPS`` x len(streams) floats, valid until the next slice is
+    taken.  Each slice is drawn in tiles of ``_TILE_PATHS`` streams, and
+    each tile's transpose is copied into the buffer's columns: the rows are
+    exactly those of ``standard_normal_block(streams, n_steps).T``, and no
+    path-major block larger than one tile is ever built.
     """
     width, n = SLICE_STEPS, len(streams)
     rows = np.empty((min(width, n_steps), n))
@@ -112,91 +111,129 @@ def _normal_rows(streams, n_steps: int):
             rows[:w, p : p + _TILE_PATHS] = standard_normal_block(
                 streams[p : p + _TILE_PATHS], w
             ).T
-        yield from rows[:w]
+        yield lo, rows[:w]
 
 
-def _chunk_sweep(
-    demand: DemandProcess,
-    ag: Aggregates,
-    horizon: Horizon,
-    seed: int,
-    first_path: int,
-    n_paths: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cost and tracking integral for one contiguous block of paths.
+def _grid_sweep(demand: DemandProcess, ag: Aggregates, horizon: Horizon, n_paths: int):
+    """One grid's fused Heun sweep over a block of paths, as a generator fed its normals.
 
-    One fused Heun sweep holding O(n_paths) state plus one time slice of
-    normals, O(n_paths * SLICE_STEPS), whatever the step count.  The state
-    advance and G come from the demand's kind, exactly as in ``realize``
-    and ``solve_forward``.  Each node's squared gap (x - U)^2 is computed
-    once and serves both trapezoid halves next to it; the cost and tracking
-    sums accumulate in place through one work vector.
+    Send it each slice (first step, rows) of the block's normals in turn: it
+    takes its steps among them, step i on rows[i - first], up to its last,
+    and yields the per-path cost and tracking integral so far.  It holds
+    O(paths) state whatever the step count.  The state advance and G come
+    from the demand's kind, exactly as in ``realize`` and ``solve_forward``,
+    and the step is ``heun_step``'s U' = a U + b u + c g' on in-place
+    ufuncs, its scalars converted to Python floats one slice at a time by
+    ``heun_coefficients``.  Each node's squared gap (x - U)^2 enters the
+    tracking trapezoid once, weighted by (dt_{i-1} + dt_i) / 2.
     """
-    dt = horizon.dt
-    half_dt = dt * 0.5
-    d = ag.delta
+    d, dt = ag.delta, horizon.dt
     F = eval_F(d, horizon.grid, horizon.T)
+    half_dt = np.append(0.5 * dt, 0.0)  # h_i, and h_n = 0 past the last node
     coef = demand.g_coefficients(KernelWeight(d, horizon.grid, horizon.T))
     advance = demand.stepper(dt)
     state = demand.start(n_paths)
-    x = state[0]
-    U = np.zeros(n_paths)
+    x, U = state[0], np.zeros(n_paths)
     u = demand.g(coef, state, 0)
-    cost = np.zeros(n_paths)
-    track = np.zeros(n_paths)
-    gap_sq = (x - U) ** 2
-    work = np.empty(n_paths)
-    z = _normal_rows(path_streams(seed, first_path, n_paths), horizon.n_steps)
-    for i, z_i in enumerate(z):
-        h = half_dt[i]
-        track += np.multiply(gap_sq, h, out=work)
-        state = advance(state, i, z_i)
-        U, u_next = heun_step(U, u, demand.g(coef, state, i + 1), F[i + 1], dt[i])
-        cost += np.multiply(x, np.subtract(u_next, u, out=work), out=work)
-        x, u = state[0], u_next
-        np.square(np.subtract(x, U, out=gap_sq), out=gap_sq)
-        track += np.multiply(gap_sq, h, out=work)
-    cost *= -ag.impact_weight
-    return cost, track
+    cost, track = np.zeros(n_paths), np.square(x - U) * half_dt[0]
+    gap, work = np.empty(n_paths), np.empty(n_paths)
+    totals = None
+    while True:
+        lo, rows = yield totals
+        hi = min(lo + len(rows), horizon.n_steps)
+        steps = heun_coefficients(F[lo + 1 : hi + 1], dt[lo:hi])
+        weights = (half_dt[lo:hi] + half_dt[lo + 1 : hi + 1]).tolist()
+        for i, z_i, F_i, a, b, c, w in zip(range(lo, hi), rows, *steps, weights):
+            state = advance(state, i, z_i)
+            g = demand.g(coef, state, i + 1)
+            U *= a
+            U += np.multiply(u, b, out=work)
+            U += np.multiply(g, c, out=work)
+            np.subtract(g, np.multiply(U, F_i, out=work), out=work)  # the next node's rate
+            np.subtract(work, u, out=u)
+            u *= x
+            cost += u
+            u, work = work, u
+            x = state[0]
+            np.square(np.subtract(x, U, out=gap), out=gap)
+            gap *= w
+            track += gap
+        del steps, weights  # this slice's floats go before the next slice's are built
+        totals = -ag.impact_weight * cost, track
+
+
+def _chunk_sweep(
+    demand: DemandProcess, grids: list, seed: int, first_path: int, n_paths: int
+) -> list:
+    """(cost, tracking integral) on each (aggregates, horizon) grid for a block of paths.
+
+    The block's path streams are built once and its normals drawn once,
+    for the longest grid, in slices of O(n_paths * SLICE_STEPS) floats;
+    every grid's sweep takes its steps from each slice in turn.  Step i of
+    every grid reads normal i of each path, so a grid's arrays are the ones
+    a sweep of that grid alone gives.
+    """
+    sweeps = [_grid_sweep(demand, ag, horizon, n_paths) for ag, horizon in grids]
+    for sweep in sweeps:
+        next(sweep)  # each grid's set-up, up to its first slice
+    streams = path_streams(seed, first_path, n_paths)
+    for block in _normal_slices(streams, max(h.n_steps for _, h in grids)):
+        totals = [sweep.send(block) for sweep in sweeps]
+    return totals
 
 
 def simulate_costs(
     setting: DealerSetting,
     demand: DemandProcess,
-    impact_cost: float,
+    impact_costs,
     n_paths: int,
     seed: int,
-    steps: int | None = None,
+    steps=None,
     workers: int = 1,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-path (cost, tracking integral) arrays, path index order.
+) -> tuple[list, list]:
+    """Per-path cost and tracking-integral arrays, path index order, for each impact cost.
 
-    A grid too coarse for a stable step is refused before any sweep
-    (``require_stable_step``).  A deterministic demand gives one exact row.
-    A stochastic one needs two or more paths, each a pure function of
-    (seed, path index): the worker count sets the chunking only, never
-    values.  The paths are split into one chunk per worker, of at most 2048
-    paths, swept in order on the calling thread; a chunk's sweep holds about
-    chunk x ``SLICE_STEPS`` x 8 bytes of normals.
+    Returns (costs, tracks), one array per impact cost in each list.  Each
+    impact cost's grid has ``steps`` steps (a sequence as long as
+    ``impact_costs``), by default ``steps_for``'s clipped at ``STEP_CAP``,
+    each clip logged.  Every grid too coarse for a stable step is refused
+    before any sweep (``require_stable_step``).  A deterministic demand
+    gives one exact row per impact cost.  A stochastic one needs two or
+    more paths, each a pure function of (seed, path index): the worker
+    count sets the chunking only, never values.  The paths are split into
+    one chunk per worker, of at most 2048 paths, swept in order on the
+    calling thread.  A chunk draws its normals once, for its longest grid,
+    and every impact cost reads them; its sweep holds about chunk x
+    ``SLICE_STEPS`` x 8 bytes of normals.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    ag = setting.aggregates(impact_cost)
-    clipped = None
     if steps is None:
-        steps, clipped = _capped_steps(setting, impact_cost)
-    horizon = Horizon.uniform(setting.T, steps)
-    require_stable_step(ag.delta, horizon, _step_context(impact_cost, clipped))
+        capped = [_capped_steps(setting, lam) for lam in impact_costs]
+    else:
+        capped = [(n, None) for n in steps]
+    grids = []
+    for lam, (n, clipped) in zip(impact_costs, capped, strict=True):
+        if clipped:
+            logger.warning(clipped)
+        ag, horizon = setting.aggregates(lam), Horizon.uniform(setting.T, n)
+        require_stable_step(ag.delta, horizon, _step_context(lam, clipped))
+        grids.append((ag, horizon))
     if demand.deterministic:
-        fb = solve_forward(realize_driver(((1.0, demand),), horizon), ag.delta, horizon)
-        cost = liquidity_cost_from_paths(fb.X, fb.u, ag.impact_weight)
-        return np.array([cost]), np.array([trapezoid((fb.X - fb.U) ** 2, horizon.grid)])
-    if n_paths < 2:
-        raise ValueError(f"Monte Carlo needs at least 2 paths, got {n_paths}")
-    chunk = min(2048, math.ceil(n_paths / workers))
-    parts = [_chunk_sweep(demand, ag, horizon, seed, start, min(chunk, n_paths - start))
-             for start in range(0, n_paths, chunk)]
-    return tuple(np.concatenate(p) for p in zip(*parts))
+        pairs = []
+        for ag, horizon in grids:
+            fb = solve_forward(realize_driver(((1.0, demand),), horizon), ag.delta, horizon)
+            cost = liquidity_cost_from_paths(fb.X, fb.u, ag.impact_weight)
+            track = trapezoid((fb.X - fb.U) ** 2, horizon.grid)
+            pairs.append((np.array([cost]), np.array([track])))
+    else:
+        if n_paths < 2:
+            raise ValueError(f"Monte Carlo needs at least 2 paths, got {n_paths}")
+        chunk = min(2048, math.ceil(n_paths / workers))
+        parts = [_chunk_sweep(demand, grids, seed, start, min(chunk, n_paths - start))
+                 for start in range(0, n_paths, chunk)]
+        pairs = [tuple(np.concatenate(p) for p in zip(*chunks)) for chunks in zip(*parts)]
+    return [cost for cost, _ in pairs], [track for _, track in pairs]
 
 
 def _means_stderrs(samples: list) -> tuple[list, list]:
@@ -247,7 +284,7 @@ class LiquidityCostReport:
     track_means: list  # E integral (K^N - U_bar)^2 dt: the price-convergence proxy
     track_stderrs: list
     track_monotone_within_2se: bool
-    track_reduction_factor: float | None  # largest-lambda over smallest-lambda mean; None at 0
+    track_reduction_factor: float | None  # largest- over smallest-lambda mean; None for one or at 0
     warnings: list = field(default_factory=list)
 
 
@@ -279,12 +316,13 @@ def scaling_study(
 ) -> LiquidityCostReport:
     """Mean cost per impact cost, log-log slope, the leading-order prefactor, and tracking.
 
-    One ``simulate_costs`` call per impact cost (a deterministic demand is one
-    exact row with standard error 0); grids clipped at ``STEP_CAP`` are
-    listed in the warnings, and every grid is checked for a stable step
-    before the first sweep runs.  The prefactor is read off at
-    the smallest impact cost as mean / lam^order, next to the theory value.
-    The impact costs must be distinct; with only one there is no slope.
+    One ``simulate_costs`` call sweeps every impact cost over one draw of
+    normals (a deterministic demand is one exact row per impact cost, with
+    standard error 0); grids clipped at ``STEP_CAP`` are listed in the
+    warnings, and every grid is checked for a stable step before the first
+    sweep runs.  The prefactor is read off at the smallest impact cost as
+    mean / lam^order, next to the theory value.  The impact costs must be
+    distinct; with only one there is no slope and no reduction factor.
 
     The same sweeps give the price-convergence proxy E integral
     (K^N - U_bar)^2 dt, which must fall (within two standard errors) as the
@@ -295,19 +333,8 @@ def scaling_study(
     lambdas = sorted(float(x) for x in lambdas)
     if len(set(lambdas)) < len(lambdas):
         raise ValueError(f"impact costs must be distinct, got {lambdas}")
-    steps_used, warnings = [], []
-    for lam in lambdas:  # every grid is checked before the first sweep runs
-        steps, clipped = _capped_steps(setting, lam)
-        require_stable_step(setting.aggregates(lam).delta, Horizon.uniform(setting.T, steps),
-                            _step_context(lam, clipped))
-        if clipped:
-            warnings.append(clipped)
-        steps_used.append(steps)
-    costs, tracks = [], []
-    for lam, steps in zip(lambdas, steps_used):
-        cost, track = simulate_costs(setting, demand, lam, n_paths, seed, steps, workers)
-        costs.append(cost)
-        tracks.append(track)
+    capped = [_capped_steps(setting, lam) for lam in lambdas]  # the grids simulate_costs picks
+    costs, tracks = simulate_costs(setting, demand, lambdas, n_paths, seed, workers=workers)
     means, stderrs = _means_stderrs(costs)
     track_means, track_stderrs = _means_stderrs(tracks)
     slope, ci = _slope_fit(lambdas, means)
@@ -322,7 +349,7 @@ def scaling_study(
         means=means,
         stderrs=stderrs,
         path_counts=[c.size for c in costs],
-        steps=steps_used,
+        steps=[steps for steps, _ in capped],
         slope=slope,
         slope_ci=ci,
         prefactor=float(prefactor),
@@ -337,8 +364,9 @@ def scaling_study(
                 track_means, track_means[1:], track_stderrs, track_stderrs[1:]
             )
         ),
-        track_reduction_factor=track_means[-1] / track_means[0] if track_means[0] > 0 else None,
-        warnings=warnings,
+        track_reduction_factor=(track_means[-1] / track_means[0]
+                                if len(lambdas) > 1 and track_means[0] > 0 else None),
+        warnings=[note for _, note in capped if note],
     )
     if stderrs[0] > 0.1 * abs(means[0]):
         msg = (

@@ -10,7 +10,8 @@ for a demand driver X.  The unique solution is
     u_t = G(t) - F(t) * U_t,      G(t) = E_t[ integral_t^T k(t, s) X_s ds ],
 
 so U follows the pathwise linear ODE dU = (G - F U) dt, integrated here
-with Heun's method.  Its step multiplies an error in U by 1 - z + z^2/2,
+with Heun's method, its step folded into U' = a U + b u + c g' (see
+``heun_coefficients``).  Its step multiplies an error in U by 1 - z + z^2/2,
 z = F dt, which passes 1 at z = 2: ``require_stable_step`` refuses a grid
 on which the largest F dt is above that bound.  G is closed form for every
 supported driver kind (see ``dealerlab.processes``): affine in each
@@ -132,14 +133,29 @@ def solve_forward(realized: RealizedDriver, d: DeltaParam, horizon: Horizon) -> 
     return FbsdePath(horizon=horizon, u=u, U=U, X=realized.values(), driver=realized.terms)
 
 
-def heun_step(U, u, g_next, F_next: float, dt: float):
+def heun_coefficients(F_next: np.ndarray, dt: np.ndarray) -> tuple:
+    """Heun's step for dU = (G - F U) dt folded into U' = a U + b u + c g', as Python floats.
+
+    Heun's U' = U + c (u + g' - F' (U + dt u)), with c = dt / 2 and F' and
+    g' at the step's end node, regroups to a = 1 - c F' and
+    b = c (1 - dt F').  Returns the lists (F', a, b, c), one entry per step:
+    the forward solve builds them per block and the Monte Carlo sweep per
+    slice, so both step with one arithmetic.
+    """
+    c = 0.5 * dt
+    a = 1.0 - c * F_next
+    b = c * (1.0 - dt * F_next)
+    return F_next.tolist(), a.tolist(), b.tolist(), c.tolist()
+
+
+def heun_step(U, u, g_next, F_next: float, a: float, b: float, c: float):
     """One Heun step of dU = (G - F U) dt from a node where the rate is u = G - F U.
 
-    Returns the position at the next node and the rate there,
-    ``g_next - F_next * U_next``, which is the next step's first slope.
+    ``a``, ``b`` and ``c`` are the step's ``heun_coefficients``.  Returns the
+    position at the next node and the rate there, ``g_next - F_next * U_next``,
+    which is the next step's first slope.
     """
-    k2 = g_next - F_next * (U + dt * u)
-    U_next = U + 0.5 * dt * (u + k2)
+    U_next = a * U + b * u + c * g_next
     return U_next, g_next - F_next * U_next
 
 
@@ -148,18 +164,21 @@ def heun_path(G: np.ndarray, F: np.ndarray, dt: np.ndarray):
 
     Returns the positions U and the node rates u = G - F U (u_0 = G_0).
     Rows of G step on Python floats, bit for bit the Monte Carlo sweep's array
-    steps, converted ``_BLOCK_STEPS`` steps at a time: the floats held stay
-    O(block) at any step count, and each block carries (U_i, u_i) into the next.
+    steps.  The inputs and the step coefficients are converted ``_BLOCK_STEPS``
+    steps at a time: the floats held stay O(block) at any step count, and each
+    block carries (U_i, u_i) into the next.
     """
     U = np.zeros(G.shape)
     for row, g in zip(U.reshape(-1, G.shape[-1]), G.reshape(-1, G.shape[-1])):
         U_i, u_i = 0.0, float(g[0])
         for lo in range(0, dt.size, _BLOCK_STEPS):
-            hi, positions = lo + _BLOCK_STEPS, []
-            nodes = slice(lo + 1, hi + 1)
-            for g_next, F_i, dt_i in zip(g[nodes].tolist(), F[nodes].tolist(), dt[lo:hi].tolist()):
-                U_i, u_i = heun_step(U_i, u_i, g_next, F_i, dt_i)
-                positions.append(U_i)
-            row[nodes] = positions
+            nodes = slice(lo + 1, lo + _BLOCK_STEPS + 1)
+            coefficients = heun_coefficients(F[nodes], dt[lo : lo + _BLOCK_STEPS])
+            values = g[nodes].tolist()  # each G value is replaced by its node's position
+            for k, g_next, F_i, a, b, c in zip(range(len(values)), values, *coefficients):
+                U_i, u_i = heun_step(U_i, u_i, g_next, F_i, a, b, c)
+                values[k] = U_i
+            row[nodes] = values
+            del coefficients, values  # this block's floats go before the next block's are built
     u = F * U
     return U, np.subtract(G, u, out=u)  # heun_step's rates: the same product and difference

@@ -17,6 +17,7 @@ from dealerlab.fbsde import (
     FbsdePath,
     RealizedDriver,
     driver_is_deterministic,
+    heun_coefficients,
     heun_step,
     kernel_expectation_path,
 )
@@ -157,8 +158,8 @@ def check_price_representations(
         running = cumulative_trapezoid(sol.mu, grid)
         return float(np.max(np.abs(running - running[..., -1:] - sol.price_dev)))
 
-    F = eval_F(ag.delta, grid, sol.horizon.T).tolist()
-    dt = sol.horizon.dt.tolist()
+    F = eval_F(ag.delta, grid, sol.horizon.T)
+    steps = heun_coefficients(F[1:], sol.horizon.dt)
     terms = sol.realized.terms
     worst = 0.0
     for i in np.unique(np.linspace(0, grid.size - 2, anchors).astype(int)):
@@ -168,9 +169,9 @@ def check_price_representations(
         mean_x = mean_driver.values()[i:]
         # propagate m_U' = E_t[G(s)] - F(s) m_U from the anchor
         U_j = float(sol.U_bar[i])
-        m_u, u_j = [U_j], eg[0] - F[i] * U_j
-        for g_next, F_next, dt_j in zip(eg[1:], F[i + 1:], dt[i:]):
-            U_j, u_j = heun_step(U_j, u_j, g_next, F_next, dt_j)
+        m_u, u_j = [U_j], eg[0] - float(F[i]) * U_j
+        for g_next, *step in zip(eg[1:], *(s[i:] for s in steps)):
+            U_j, u_j = heun_step(U_j, u_j, g_next, *step)
             m_u.append(U_j)
         integral = trapezoid((np.array(m_u) - mean_x) / ag.rho_bar, grid[i:])
         worst = max(worst, abs(-integral - sol.price_dev[i]))

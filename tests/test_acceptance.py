@@ -159,8 +159,8 @@ def test_criterion_4_diffusive_demand_law():
     # rho_d sweep at the smallest impact cost: prefactor ~ rho_d^{-1/2}
     prefs = {0.1: rep.prefactor}
     for rho in (0.05, 0.2):
-        costs, _ = simulate_costs(
-            DealerSetting(n_dealers=2, rho_d=rho), demand, 1e-5, 10_000, seed=17
+        (costs,), _ = simulate_costs(
+            DealerSetting(n_dealers=2, rho_d=rho), demand, [1e-5], 10_000, seed=17
         )
         prefs[rho] = float(np.mean(costs)) / math.sqrt(1e-5)
     for rho in (0.05, 0.2):

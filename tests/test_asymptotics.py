@@ -69,7 +69,7 @@ def test_dealer_setting_reads_the_dealers_only_market(m, rho_d, lam):
 
 def test_zero_demand_costs_nothing():
     setting = DealerSetting()
-    assert simulate_costs(setting, ZERO, 0.01, 0, 0)[0][0] == 0.0
+    assert simulate_costs(setting, ZERO, [0.01], 0, 0)[0][0][0] == 0.0
 
 
 def test_cost_routes_are_summation_by_parts_twins():
@@ -86,7 +86,7 @@ def test_unit_smooth_demand_limit():
     # K^N_t = t: cost/lam -> (M+1)/M * T as lam -> 0
     for m in (1, 3):
         setting = DealerSetting(n_dealers=m)
-        c = simulate_costs(setting, UNIT_RATE, 1e-5, 0, 0)[0][0]
+        c = simulate_costs(setting, UNIT_RATE, [1e-5], 0, 0)[0][0][0]
         assert c / 1e-5 == pytest.approx((m + 1) / m, rel=2e-2)
         # finite-lam value sits below the limit by ~1/(sqrt(delta) T)
         assert c / 1e-5 < (m + 1) / m
@@ -107,7 +107,7 @@ def test_smooth_prefactor_independent_of_dealer_inventory_cost():
     prefs = []
     for rho in (0.05, 0.1, 0.2):
         setting = DealerSetting(n_dealers=2, rho_d=rho)
-        c = simulate_costs(setting, UNIT_RATE, 1e-5, 0, 0)[0][0]
+        c = simulate_costs(setting, UNIT_RATE, [1e-5], 0, 0)[0][0][0]
         prefs.append(c / 1e-5)
     assert max(prefs) / min(prefs) < 1.005
 
@@ -118,7 +118,7 @@ def test_deterministic_varying_rate_demand():
     h = Horizon.uniform(1.0, n)
     rate = Deterministic(tuple(1.0 + np.sin(2 * np.pi * h.grid)))
     setting = DealerSetting(n_dealers=2)
-    c = simulate_costs(setting, SmoothRate(rate), 1e-5, 0, 0, steps=n)[0][0]
+    c = simulate_costs(setting, SmoothRate(rate), [1e-5], 0, 0, steps=[n])[0][0][0]
     assert c / 1e-5 == pytest.approx(1.5 * 1.5, rel=0.02)
 
 
@@ -140,7 +140,7 @@ def test_expected_square_rate_integrals():
 def test_diffusive_prefactor_small_lambda():
     setting = DealerSetting(n_dealers=2, rho_d=0.1)
     dem = BrownianMartingale(0.0, 1.0)
-    costs, _ = simulate_costs(setting, dem, 1e-4, 3000, seed=11)
+    (costs,), _ = simulate_costs(setting, dem, [1e-4], 3000, seed=11)
     pref = costs.mean() / np.sqrt(1e-4)
     theory = theoretical_prefactor(setting, dem)
     se = costs.std(ddof=1) / np.sqrt(3000) / np.sqrt(1e-4)
@@ -162,7 +162,7 @@ def test_diffusive_prefactor_scales_with_inventory_cost():
     lam = 1e-4
     prefs = {}
     for rho in (0.05, 0.2):
-        costs, _ = simulate_costs(DealerSetting(2, rho), dem, lam, 2500, seed=9)
+        (costs,), _ = simulate_costs(DealerSetting(2, rho), dem, [lam], 2500, seed=9)
         prefs[rho] = costs.mean() / np.sqrt(lam)
     assert prefs[0.05] / prefs[0.2] == pytest.approx(np.sqrt(0.2 / 0.05), rel=0.05)
 
@@ -171,7 +171,7 @@ def test_ou_demand_family_prefactor():
     # second diffusive family: OU demand with constant diffusion coefficient
     setting = DealerSetting(n_dealers=1, rho_d=0.1)
     dem = OrnsteinUhlenbeck(x0=0.0, kappa=2.0, theta=0.0, sigma=0.8)
-    costs, _ = simulate_costs(setting, dem, 1e-4, 2500, seed=13)
+    (costs,), _ = simulate_costs(setting, dem, [1e-4], 2500, seed=13)
     theory = theoretical_prefactor(setting, dem)
     assert theory == pytest.approx(np.sqrt(2 / 0.1) * 0.64, rel=1e-12)
     assert costs.mean() / np.sqrt(1e-4) == pytest.approx(theory, rel=0.05)
@@ -180,13 +180,13 @@ def test_ou_demand_family_prefactor():
 def test_monte_carlo_reproducibility_and_worker_invariance():
     setting = DealerSetting(n_dealers=1)
     dem = BrownianMartingale(0.0, 1.0)
-    a, ta = simulate_costs(setting, dem, 1e-2, 600, seed=21)
-    b, tb = simulate_costs(setting, dem, 1e-2, 600, seed=21)
+    (a,), (ta,) = simulate_costs(setting, dem, [1e-2], 600, seed=21)
+    (b,), (tb,) = simulate_costs(setting, dem, [1e-2], 600, seed=21)
     np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(ta, tb)
     # one chunk per worker: 600 paths as 120-path and 86-path chunks
     for workers in (5, 7):
-        c, tc = simulate_costs(setting, dem, 1e-2, 600, seed=21, workers=workers)
+        (c,), (tc,) = simulate_costs(setting, dem, [1e-2], 600, seed=21, workers=workers)
         np.testing.assert_array_equal(a, c)
         np.testing.assert_array_equal(ta, tc)
 
@@ -196,20 +196,21 @@ def test_monte_carlo_reproducibility_and_worker_invariance():
     [
         (
             BrownianMartingale(0.0, 1.0),
-            "482175ba24e2f1ba6381d847d1d5c6d563f2f2e0c5732f0737f2719b775591cf",
-            "ecf786ddacac4dbb2ca1aa28751d39d41e573a69e5e9379ecdbd176fe71a53c3",
+            "33b807fa3efb54845f7099ac05cebfaeb187144771e8e22337720a85acf91cb0",
+            "64cd08d92a146cbaec3aea9613afab54523f3419aa4dec8ff58137f55a424cb2",
         ),
         (
             SmoothRate(BrownianMartingale(0.0, 1.0)),
-            "9b7fe8228b34090f08ac46627468dcbe7624d0e613dcbfd3d4aa1e53708976ba",
-            "fea2620b833517e4b0808b8846d6081a1efe169edd1d2c218d81c6cca5c7447f",
+            "f97de45d7a39a17dc032d2369729c41f80caa0694fc9c1b689b410bf4de6d412",
+            "adeb347cb22aeede509c823698aa882188db84e37148ef19aa92d17cb20472da",
         ),
     ],
     ids=["brownian", "smooth-brownian"],
 )
 def test_brownian_sweep_bytes_are_pinned(demand, cost_sha256, track_sha256):
-    # recorded while Brownian motion had a stepper and G coefficients of its own
-    costs, tracks = simulate_costs(DealerSetting(n_dealers=2), demand, 1e-2, 64, 7)
+    # recorded when the sweep took Heun's step as U' = a U + b u + c g' and weighted each
+    # node of the tracking trapezoid once
+    (costs,), (tracks,) = simulate_costs(DealerSetting(n_dealers=2), demand, [1e-2], 64, 7)
     assert hashlib.sha256(costs.tobytes()).hexdigest() == cost_sha256
     assert hashlib.sha256(tracks.tobytes()).hexdigest() == track_sha256
 
@@ -227,7 +228,7 @@ def test_brownian_sweep_bytes_are_pinned(demand, cost_sha256, track_sha256):
 def test_sweep_matches_forward_solve_path_by_path(demand):
     # the fused sweep and realize + solve_forward on the same normals
     setting, lam, n_paths, seed = DealerSetting(n_dealers=2), 1e-3, 64, 7
-    costs, tracks = simulate_costs(setting, demand, lam, n_paths, seed)
+    (costs,), (tracks,) = simulate_costs(setting, demand, [lam], n_paths, seed)
     ag = setting.aggregates(lam)
     h = Horizon.uniform(setting.T, steps_for(ag.delta, setting.T))
     z = standard_normal_block(path_streams(seed, 0, n_paths), h.n_steps)
@@ -256,10 +257,59 @@ def test_time_slices_change_no_path(demand, monkeypatch):
     runs = []
     for width, workers in ((steps, 1), (7, 4), (7, 1), (500, 3)):
         monkeypatch.setattr(asymptotics, "SLICE_STEPS", width)
-        runs.append(simulate_costs(setting, demand, lam, n_paths, 5, steps, workers))
+        runs.append(simulate_costs(setting, demand, [lam], n_paths, 5, [steps], workers))
     for costs, tracks in runs[1:]:
         np.testing.assert_array_equal(costs, runs[0][0])
         np.testing.assert_array_equal(tracks, runs[0][1])
+
+
+SHARED_DRAW_DEMANDS = [
+    BrownianMartingale(0.3, 1.0),
+    OrnsteinUhlenbeck(x0=0.2, kappa=2.0, theta=-0.4, sigma=0.8),
+    SmoothRate(OrnsteinUhlenbeck(x0=1.0, kappa=1.0, theta=1.0, sigma=0.3)),
+]
+
+
+@pytest.mark.parametrize("demand", SHARED_DRAW_DEMANDS, ids=["brownian", "ou", "smooth-ou"])
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("width", [7, 10, 20])
+def test_one_call_over_impact_costs_is_one_call_per_impact_cost(demand, workers, width,
+                                                                 monkeypatch):
+    # 30-, 40- and 60-step grids share the 60-step draw: at width 7 every grid ends inside
+    # a slice, at 10 every grid ends on a slice edge, at 20 the 30-step grid ends mid-slice
+    monkeypatch.setattr(asymptotics, "SLICE_STEPS", width)
+    setting, lambdas, steps = DealerSetting(n_dealers=2), [1e-1, 1e-2, 1e-3], [30, 40, 60]
+    costs, tracks = simulate_costs(setting, demand, lambdas, 20, 5, steps, workers)
+    for lam, n, cost, track in zip(lambdas, steps, costs, tracks):
+        (one_cost,), (one_track,) = simulate_costs(setting, demand, [lam], 20, 5, [n], workers)
+        np.testing.assert_array_equal(cost, one_cost)
+        np.testing.assert_array_equal(track, one_track)
+
+
+def test_a_chunk_draws_its_normals_once_for_its_longest_grid(monkeypatch):
+    # 200 paths on 3 workers: chunks of 67, 67 and 66 paths, each drawing 60 steps per path
+    # from one stream per path, whatever the shorter grids take
+    chunks = []
+    sweep, draw = asymptotics._chunk_sweep, asymptotics.standard_normal_block
+
+    def recording_sweep(*args):
+        chunks.append({"paths": args[-1], "normals": 0, "streams": set()})
+        return sweep(*args)
+
+    def counted_draw(streams, n_steps):
+        chunks[-1]["normals"] += len(streams) * n_steps
+        chunks[-1]["streams"].update(map(id, streams))
+        return draw(streams, n_steps)
+
+    monkeypatch.setattr(asymptotics, "_chunk_sweep", recording_sweep)
+    monkeypatch.setattr(asymptotics, "standard_normal_block", counted_draw)
+    monkeypatch.setattr(asymptotics, "SLICE_STEPS", 16)
+    simulate_costs(DealerSetting(n_dealers=2), BrownianMartingale(0.0, 1.0),
+                   [1e-1, 1e-2, 1e-3], 200, 5, [30, 40, 60], 3)
+    assert [c["paths"] for c in chunks] == [67, 67, 66]
+    for c in chunks:
+        assert c["normals"] == c["paths"] * 60
+        assert len(c["streams"]) == c["paths"]
 
 
 def test_sweep_memory_is_bounded_by_the_slice():
@@ -268,8 +318,8 @@ def test_sweep_memory_is_bounded_by_the_slice():
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        simulate_costs(DealerSetting(n_dealers=2), BrownianMartingale(0.0, 1.0), 1e-5, n_paths,
-                       3, steps)
+        simulate_costs(DealerSetting(n_dealers=2), BrownianMartingale(0.0, 1.0), [1e-5], n_paths,
+                       3, [steps])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -281,8 +331,8 @@ def test_one_chunk_across_partial_tiles_matches_small_chunks(width, monkeypatch)
     # 130 paths fill two 64-path tiles and a 2-path one; 7 workers' 19-path chunks fill none
     monkeypatch.setattr(asymptotics, "SLICE_STEPS", width)
     setting, demand, steps = DealerSetting(n_dealers=2), BrownianMartingale(0.3, 1.0), 50
-    whole = simulate_costs(setting, demand, 1e-2, 130, 9, steps, 1)
-    split = simulate_costs(setting, demand, 1e-2, 130, 9, steps, 7)
+    whole = simulate_costs(setting, demand, [1e-2], 130, 9, [steps], 1)
+    split = simulate_costs(setting, demand, [1e-2], 130, 9, [steps], 7)
     for a, b in zip(whole, split):
         np.testing.assert_array_equal(a, b)
 
@@ -290,10 +340,11 @@ def test_one_chunk_across_partial_tiles_matches_small_chunks(width, monkeypatch)
 @pytest.mark.parametrize("n_paths, n_steps, width", [(130, 50, 7), (130, 50, 500), (3, 9, 4)])
 def test_normal_rows_are_the_transposed_block(n_paths, n_steps, width, monkeypatch):
     monkeypatch.setattr(asymptotics, "SLICE_STEPS", width)
-    rows = [row.copy() for row in
-            asymptotics._normal_rows(path_streams(4, 10, n_paths), n_steps)]
+    slices = [(lo, rows.copy()) for lo, rows in
+              asymptotics._normal_slices(path_streams(4, 10, n_paths), n_steps)]
+    assert [lo for lo, _ in slices] == list(range(0, n_steps, width))
     block = standard_normal_block(path_streams(4, 10, n_paths), n_steps)
-    np.testing.assert_array_equal(np.array(rows), block.T)
+    np.testing.assert_array_equal(np.concatenate([rows for _, rows in slices]), block.T)
 
 
 def test_sweep_memory_at_the_default_chunk_is_one_slice_buffer():
@@ -302,8 +353,8 @@ def test_sweep_memory_at_the_default_chunk_is_one_slice_buffer():
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        simulate_costs(DealerSetting(n_dealers=2), BrownianMartingale(0.0, 1.0), 1e-3, n_paths,
-                       3, steps)
+        simulate_costs(DealerSetting(n_dealers=2), BrownianMartingale(0.0, 1.0), [1e-3], n_paths,
+                       3, [steps])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -325,7 +376,7 @@ def test_chunks_follow_the_worker_count(monkeypatch):
                                    (5000, 1, [2048, 2048, 904]), (5000, 2, [2048, 2048, 904]),
                                    (8, 1000, [1] * 8)):
         counts.clear()
-        simulate_costs(DealerSetting(n_dealers=2), demand, 1e-2, n_paths, 1, 16, workers)
+        simulate_costs(DealerSetting(n_dealers=2), demand, [1e-2], n_paths, 1, [16], workers)
         assert sorted(counts, reverse=True) == want, (n_paths, workers)
 
 
@@ -341,10 +392,10 @@ def test_chunks_run_on_the_calling_thread(monkeypatch):
 
     monkeypatch.setattr(asymptotics, "_chunk_sweep", recording_sweep)
     setting, demand = DealerSetting(n_dealers=2), BrownianMartingale(0.0, 1.0)
-    serial = simulate_costs(setting, demand, 1e-2, 16, seed=3, steps=40)
+    serial = simulate_costs(setting, demand, [1e-2], 16, seed=3, steps=[40])
     threads.clear()
     starts.clear()
-    chunked = simulate_costs(setting, demand, 1e-2, 16, seed=3, steps=40, workers=8)
+    chunked = simulate_costs(setting, demand, [1e-2], 16, seed=3, steps=[40], workers=8)
     assert threads == [threading.get_ident()] * 8
     assert starts == list(range(0, 16, 2))
     for a, b in zip(serial, chunked):
@@ -358,13 +409,13 @@ def test_an_unstable_step_is_refused_before_the_sweep(monkeypatch):
 
     monkeypatch.setattr(asymptotics, "_chunk_sweep", no_sweep)
     with pytest.raises(ValueError, match=r"lambda=0.01: .*max F\*dt = 6.45 > 2 on 4 steps"):
-        simulate_costs(DealerSetting(n_dealers=2), BrownianMartingale(0.0, 1.0), 1e-2, 8, 1, 4)
+        simulate_costs(DealerSetting(n_dealers=2), BrownianMartingale(0.0, 1.0), [1e-2], 8, 1, [4])
 
 
 @pytest.mark.parametrize("workers", [0, -4])
 def test_workers_below_one_are_rejected(workers):
     with pytest.raises(ValueError, match="workers"):
-        simulate_costs(DealerSetting(n_dealers=2), BrownianMartingale(0.0, 1.0), 1e-2, 8, 1,
+        simulate_costs(DealerSetting(n_dealers=2), BrownianMartingale(0.0, 1.0), [1e-2], 8, 1,
                        workers=workers)
 
 
@@ -389,7 +440,7 @@ def test_smooth_stochastic_matches_theory():
     # OU-rate smooth demand: E cost / lam -> (M+1)/M E int mu^2 dt
     setting = DealerSetting(n_dealers=2)
     dem = SmoothRate(OrnsteinUhlenbeck(x0=1.0, kappa=1.0, theta=1.0, sigma=0.3))
-    costs, _ = simulate_costs(setting, dem, 1e-4, 2000, seed=6)
+    (costs,), _ = simulate_costs(setting, dem, [1e-4], 2000, seed=6)
     theory = theoretical_prefactor(setting, dem)
     se = costs.std(ddof=1) / np.sqrt(2000) / 1e-4
     assert costs.mean() / 1e-4 == pytest.approx(theory, abs=0.03 * theory + 2 * se)
@@ -417,7 +468,7 @@ def test_tracking_improves_with_harsher_inventory_penalty():
     dem = BrownianMartingale(0.0, 1.0)
     tracks = {}
     for rho in (0.05, 0.4):
-        _, t = simulate_costs(DealerSetting(1, rho), dem, 1e-2, 1500, seed=5)
+        _, (t,) = simulate_costs(DealerSetting(1, rho), dem, [1e-2], 1500, seed=5)
         tracks[rho] = t.mean()
     assert tracks[0.05] < tracks[0.4]
 
@@ -449,9 +500,9 @@ def test_stderr_warning_on_thin_sampling():
 
 def test_deterministic_demand_is_one_exact_row_on_every_route():
     setting, lam = DealerSetting(n_dealers=2), 1e-3
-    costs, tracks = simulate_costs(setting, UNIT_RATE, lam, 0, 0)
+    (costs,), (tracks,) = simulate_costs(setting, UNIT_RATE, [lam], 0, 0)
     assert costs.shape == tracks.shape == (1,)
-    assert simulate_costs(setting, UNIT_RATE, lam, 500, 3)[0][0] == costs[0]
+    assert simulate_costs(setting, UNIT_RATE, [lam], 500, 3)[0][0][0] == costs[0]
     rep = scaling_study(setting, UNIT_RATE, [lam], n_paths=0)
     assert (rep.means, rep.stderrs, rep.path_counts) == ([costs[0]], [0.0], [1])
     assert (rep.track_means, rep.track_stderrs) == ([tracks[0]], [0.0])
@@ -461,7 +512,7 @@ def test_deterministic_demand_is_one_exact_row_on_every_route():
 def test_monte_carlo_needs_two_paths(n_paths):
     setting, demand = DealerSetting(n_dealers=2), BrownianMartingale(0.0, 1.0)
     for study in (
-        lambda: simulate_costs(setting, demand, 1e-2, n_paths, seed=1),
+        lambda: simulate_costs(setting, demand, [1e-2], n_paths, seed=1),
         lambda: scaling_study(setting, demand, [1e-1, 1e-2], n_paths=n_paths, seed=1),
     ):
         with pytest.raises(ValueError, match="at least 2 paths"):
@@ -473,8 +524,8 @@ def test_step_cap_is_logged_by_every_entry_point(monkeypatch, caplog):
     note = f"{steps_for(setting.aggregates(1e-3).delta, setting.T)} steps wanted, 1000 used"
     monkeypatch.setattr(asymptotics, "STEP_CAP", 1000)
     for study in (
-        lambda: simulate_costs(setting, UNIT_RATE, 1e-3, 0, 0),
-        lambda: simulate_costs(setting, BrownianMartingale(0.0, 1.0), 1e-3, 8, 1),
+        lambda: simulate_costs(setting, UNIT_RATE, [1e-3], 0, 0),
+        lambda: simulate_costs(setting, BrownianMartingale(0.0, 1.0), [1e-3], 8, 1),
         lambda: scaling_study(setting, BrownianMartingale(0.0, 1.0), [1e-3], 8, 1),
         lambda: scaling_study(setting, UNIT_RATE, [1e-3], n_paths=0),
     ):
@@ -484,5 +535,5 @@ def test_step_cap_is_logged_by_every_entry_point(monkeypatch, caplog):
         assert caplog.text.count(note) == 1
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="dealerlab.asymptotics"):
-        simulate_costs(setting, UNIT_RATE, 1e-1, 0, 0)
+        simulate_costs(setting, UNIT_RATE, [1e-1], 0, 0)
     assert "step cap" not in caplog.text

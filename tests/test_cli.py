@@ -178,6 +178,15 @@ def test_single_impact_cost_has_null_slope(tmp_path):
     assert rep["prefactor"] == pytest.approx(rep["prefactor_theory"], rel=0.02)
 
 
+def test_single_impact_cost_has_null_reduction_factor(tmp_path):
+    # one tracking mean over itself reduces nothing: null, like the slope
+    argv = ["scaling-diffusive", "--out", str(tmp_path), "--lambda", "1e-2", "--paths", "4"]
+    assert main(argv) == 0
+    rep = read_json(tmp_path / "scaling_report.json")["report"]
+    assert rep["track_reduction_factor"] is None
+    assert rep["slope"] is None and rep["slope_ci"] is None
+
+
 def test_two_impact_costs_have_a_slope_and_no_interval(tmp_path):
     # a line through two points leaves no residual, so the fit has no interval to give
     assert main(["scaling-smooth", "--out", str(tmp_path), "--lambda", "1e-2,1e-3"]) == 0

@@ -7,6 +7,7 @@ import pytest
 
 from dealerlab.fbsde import (
     RealizedDriver,
+    heun_coefficients,
     heun_path,
     heun_step,
     kernel_expectation_path,
@@ -412,8 +413,9 @@ def test_heun_path_equals_the_array_recursion_bit_for_bit():
     F = eval_F(d, h.grid, h.T)
     U, u = heun_path(G, F, h.dt)
     rec_U, rec_u = [np.zeros(5)], [G[:, 0]]
+    steps = list(zip(*heun_coefficients(F[1:], h.dt)))
     for i in range(h.n_steps):
-        U_next, u_next = heun_step(rec_U[-1], rec_u[-1], G[:, i + 1], F[i + 1], h.dt[i])
+        U_next, u_next = heun_step(rec_U[-1], rec_u[-1], G[:, i + 1], *steps[i])
         rec_U.append(U_next)
         rec_u.append(u_next)
     np.testing.assert_array_equal(U, np.stack(rec_U, axis=-1))
@@ -434,12 +436,28 @@ def test_heun_path_in_blocks_is_the_array_recursion(monkeypatch, block):
     G = np.random.default_rng(5).standard_normal((3, h.grid.size)).cumsum(axis=-1)
     U, u = heun_path(G, F, h.dt)
     rec_U, rec_u = [np.zeros(3)], [G[:, 0]]
+    steps = list(zip(*heun_coefficients(F[1:], h.dt)))
     for i in range(h.n_steps):
-        U_next, u_next = heun_step(rec_U[-1], rec_u[-1], G[:, i + 1], F[i + 1], h.dt[i])
+        U_next, u_next = heun_step(rec_U[-1], rec_u[-1], G[:, i + 1], *steps[i])
         rec_U.append(U_next)
         rec_u.append(u_next)
     np.testing.assert_array_equal(U, np.stack(rec_U, axis=-1))
     np.testing.assert_array_equal(u, np.stack(rec_u, axis=-1))
+
+
+def test_the_folded_step_is_heuns_scheme():
+    # U' = a U + b u + c g' is Heun's k1/k2 step rearranged, checked where F dt nears 2
+    h = Horizon.uniform(1.0, 300)
+    F = eval_F(DeltaParam.from_value(597.0**2), h.grid, h.T)
+    assert 1.9 < np.max(F[:-1] * h.dt) <= 2.0
+    G = np.random.default_rng(11).standard_normal(h.grid.size).cumsum()
+    U, _ = heun_path(G, F, h.dt)
+    textbook = [0.0]
+    for i, dt in enumerate(h.dt):
+        k1 = G[i] - F[i] * textbook[-1]
+        k2 = G[i + 1] - F[i + 1] * (textbook[-1] + dt * k1)
+        textbook.append(textbook[-1] + 0.5 * dt * (k1 + k2))
+    np.testing.assert_allclose(U, textbook, rtol=0, atol=1e-12 * np.max(np.abs(U)))
 
 
 def test_stiff_delta_stable_with_resolved_grid():

@@ -48,7 +48,8 @@ def test_traced_smoke_figures_op_set_runs(tmp_path):
 
 
 def test_traced_smoke_mc_diffusive_op_set_counts_every_normal(tmp_path):
-    # the tile-drawn sweep still reports one normal per path step to the tracer
+    # the tile-drawn sweep reports every normal it draws to the tracer: one per path and
+    # step of the longest grid, which every impact cost's sweep reads (256 x 4,083)
     root = Path(__file__).resolve().parents[1]
     spans_file = tmp_path / "spans.json"
     proc = subprocess.run(
@@ -65,7 +66,7 @@ def test_traced_smoke_mc_diffusive_op_set_counts_every_normal(tmp_path):
                         .read_text())["report"]
     spans = json.loads(spans_file.read_text())["spans"]
     normals = sum(s["normals"] for s in spans if s["name"] == "paths.standard_normal_block")
-    assert normals == sum(p * n for p, n in zip(report["path_counts"], report["steps"]))
+    assert normals == report["path_counts"][0] * max(report["steps"]) == 1_045_248
 
 
 def test_traced_smoke_figures_op_set_counts_every_diffusive_normal(tmp_path):
