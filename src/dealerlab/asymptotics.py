@@ -222,9 +222,11 @@ def simulate_costs(
     if demand.deterministic:
         pairs = []
         for ag, horizon in grids:
-            fb = solve_forward(realize_driver(((1.0, demand),), horizon), ag.delta, horizon)
-            cost = liquidity_cost_from_paths(fb.X, fb.u, ag.impact_weight)
-            track = trapezoid((fb.X - fb.U) ** 2, horizon.grid)
+            realized = realize_driver(((1.0, demand),), horizon)
+            U, u = solve_forward(realized, ag.delta, horizon)
+            X = realized.values()
+            cost = liquidity_cost_from_paths(X, u, ag.impact_weight)
+            track = trapezoid((X - U) ** 2, horizon.grid)
             pairs.append((np.array([cost]), np.array([track])))
     else:
         if n_paths < 2:

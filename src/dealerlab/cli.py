@@ -26,7 +26,7 @@ from pathlib import Path
 from .asymptotics import DealerSetting, scaling_study
 from .equilibrium import solve_equilibrium
 from .kernel import Horizon
-from .market import AgentSpec, MarketParams, aggregate
+from .market import AgentSpec, MarketParams, aggregate, segmented_market
 from .oracle import oracle_gap
 from .processes import (
     BrownianMartingale,
@@ -326,8 +326,6 @@ def cmd_scaling_diffusive(args) -> None:
 
 
 def cmd_oracle_check(args) -> None:
-    from .market import segmented_market
-
     steps_list = _parse_steps_list(args.steps_list)
     params = segmented_market(args.impact_cost, args.rho_c, args.rho_d, 1, Constant(args.xi_c))
     aggregate(params)  # refuses a mesh rate that overflows before the oracle solves on it

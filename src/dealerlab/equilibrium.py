@@ -12,10 +12,11 @@ and everything else is algebra on top of it:
     K^a       = xi^a - (eta^a/eta_bar) U_bar + (rho^a/rho_bar)(U_bar - K^N - xi_bar)
     U^a, u^a  = (eta^a/eta_bar) * (U_bar, u_bar)
 
-So a solution keeps only what the solve produces, U_bar and u_bar, with
-xi_bar and the realized paths that drove it, and evaluates the algebra
-where it is read: the identity check and the CSV writer evaluate one node
-block at a time, so no full-length column of the algebra is ever held.
+So a solution keeps its market and what the solve produces, U_bar and
+u_bar, with xi_bar and the realized paths that drove it, and evaluates the
+algebra where it is read: the identity check and the CSV writer evaluate
+one node block at a time, so no full-length column of the algebra is ever
+held.
 The fundamental price D is never simulated: every reported quantity is a
 deviation from it, and the welfare integrals are written D-free.
 """
@@ -23,7 +24,7 @@ deviation from it, and the welfare integrals are written D-free.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .fbsde import RealizedDriver, driver_is_deterministic, realize_driver
 from .fbsde import require_stable_step, solve_forward
 from .fbsde import kernel_expectation_path  # noqa: F401  kept: the benchmark tracer wraps it
 from .kernel import Horizon, cumulative_trapezoid, trapezoid
-from .market import Aggregates, AgentSpec, MarketParams, aggregate
+from .market import Aggregates, MarketParams, aggregate
 from .paths import realize
 from .processes import DemandProcess, combine
 
@@ -64,15 +65,15 @@ class NodeValues:
 
 @dataclass
 class EquilibriumSolution:
-    """One solved equilibrium: the forward solve, the paths that drove it, the aggregates.
+    """One solved equilibrium: its market, the forward solve, the paths that drove it.
 
     ``at`` evaluates everything else at a slice of grid nodes; ``mu``,
     ``price_dev`` and ``agents`` are ``at`` on the whole grid.
     """
 
     horizon: Horizon
+    params: MarketParams
     aggregates: Aggregates
-    specs: Tuple[AgentSpec, ...]
     U_bar: np.ndarray
     u_bar: np.ndarray
     noise: np.ndarray
@@ -93,7 +94,7 @@ class EquilibriumSolution:
         U_bar, u_bar = self.U_bar[nodes], self.u_bar[nodes]
         exposure = U_bar - self.noise[nodes] - self.xi_bar[nodes]
         agents = {}
-        for spec, eta_a in zip(self.specs, ag.eta_a):
+        for spec, eta_a in zip(self.params.agents, ag.eta_a):
             share = eta_a / ag.eta_bar
             target = self.targets[spec.name][nodes]
             K = target - share * U_bar + (spec.risk_tolerance / ag.rho_bar) * exposure
@@ -140,9 +141,7 @@ def solve_equilibrium(
         if p not in realized.paths:
             realized.paths[p] = realize(p, horizon)
 
-    fb = solve_forward(realized, ag.delta, horizon)
-    U_bar, u_bar = fb.U, fb.u
-    del fb  # its driver column X is not kept
+    U_bar, u_bar = solve_forward(realized, ag.delta, horizon)
 
     def path_of(p: DemandProcess) -> np.ndarray:
         return realized.paths[p].values
@@ -153,8 +152,8 @@ def solve_equilibrium(
 
     sol = EquilibriumSolution(
         horizon=horizon,
+        params=params,
         aggregates=ag,
-        specs=params.agents,
         U_bar=U_bar,
         u_bar=u_bar,
         noise=path_of(params.noise_demand),
@@ -163,13 +162,13 @@ def solve_equilibrium(
         realized=realized,
     )
     tol = 1e-10 if driver_is_deterministic(driver) else 1e-8
-    sol.residuals = consistency_report(sol, params)
+    sol.residuals = consistency_report(sol)
     if not all(r <= tol for r in sol.residuals.values()):  # a NaN residual fails too
         raise ConsistencyError(f"equilibrium identities violated: {sol.residuals}")
     return sol
 
 
-def consistency_report(sol: EquilibriumSolution, params: MarketParams) -> Dict[str, float]:
+def consistency_report(sol: EquilibriumSolution) -> Dict[str, float]:
     """Max-node residuals of the four internal identities.
 
     clearing:  K^N + sum_a m(a) K^a = 0
@@ -181,7 +180,7 @@ def consistency_report(sol: EquilibriumSolution, params: MarketParams) -> Dict[s
     temporaries stay O(block) at any step count.
     """
     ag = sol.aggregates
-    agents = [(spec, eta_a / ag.eta_bar) for spec, eta_a in zip(params.agents, ag.eta_a)]
+    agents = [(spec, eta_a / ag.eta_bar) for spec, eta_a in zip(sol.params.agents, ag.eta_a)]
     worst: Dict[str, list] = {"clearing": [], "foc": [], "share": [], "price": []}
     for lo in range(0, sol.u_bar.shape[-1], _CHECK_NODES):
         nodes = slice(lo, lo + _CHECK_NODES)
@@ -209,7 +208,6 @@ def consistency_report(sol: EquilibriumSolution, params: MarketParams) -> Dict[s
 
 def goal_functional(
     sol: EquilibriumSolution,
-    params: MarketParams,
     agent: str,
     K: np.ndarray | None = None,
     u: np.ndarray | None = None,
@@ -224,7 +222,7 @@ def goal_functional(
     perturbed (K, u) measures this agent's deviation payoff.  Per-path
     values are returned for multi-path solutions.
     """
-    spec = next(a for a in params.agents if a.name == agent)
+    spec = next(a for a in sol.params.agents if a.name == agent)
     values = sol.at()
     paths = values.agents[agent]
     grid = sol.horizon.grid
@@ -236,7 +234,7 @@ def goal_functional(
     gains = trapezoid(K * values.mu, grid)
     if spec.has_open_access:
         u_other = sol.u_bar - spec.mass * paths.u
-        lam = params.impact_cost
+        lam = sol.params.impact_cost
         cost_rate = lam * u_other * u_a + (lam * spec.mass + 0.5 * spec.open_cost) * u_a**2
         open_cost = trapezoid(cost_rate, grid)
     else:

@@ -110,27 +110,15 @@ def require_stable_step(d: DeltaParam, horizon: Horizon, context: str) -> None:
         )
 
 
-@dataclass
-class FbsdePath:
-    """Grid paths of the rate u, position U, and realized driver X."""
+def solve_forward(realized: RealizedDriver, d: DeltaParam, horizon: Horizon):
+    """Integrate dU = (G(t) - F(t) U) dt with U_0 = 0 by Heun's method: ``heun_path``'s (U, u).
 
-    horizon: Horizon
-    u: np.ndarray
-    U: np.ndarray
-    X: np.ndarray
-    driver: TermList
-
-
-def solve_forward(realized: RealizedDriver, d: DeltaParam, horizon: Horizon) -> FbsdePath:
-    """Integrate dU = (G(t) - F(t) U) dt with U_0 = 0 by Heun's method.
-
-    The driver is the realized one, one path or a batch of them; its terms
-    are recorded as the path's driver.  The returned rate satisfies
-    u = G - F*U exactly at the grid nodes, hence u_T = 0 exactly.
+    The driver is the realized one, one path or a batch of them.  The
+    returned rate satisfies u = G - F*U exactly at the grid nodes, hence
+    u_T = 0 exactly.
     """
     G = kernel_expectation_path(realized, d, horizon)
-    U, u = heun_path(G, eval_F(d, horizon.grid, horizon.T), horizon.dt)
-    return FbsdePath(horizon=horizon, u=u, U=U, X=realized.values(), driver=realized.terms)
+    return heun_path(G, eval_F(d, horizon.grid, horizon.T), horizon.dt)
 
 
 def heun_coefficients(F_next: np.ndarray, dt: np.ndarray) -> tuple:

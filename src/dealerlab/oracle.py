@@ -51,10 +51,8 @@ class DiscreteEquilibrium:
     K: Dict[str, np.ndarray]
     u: Dict[str, np.ndarray]
     U: Dict[str, np.ndarray]
+    u_bar: np.ndarray  # the aggregate open-market rate, sum_a m(a) u^a
     residual_rel: float
-
-    def aggregate_rate(self, params: MarketParams) -> np.ndarray:
-        return sum(a.mass * self.u[a.name] for a in params.agents)
 
 
 def assemble_and_solve(params: MarketParams, T: float, n_steps: int) -> DiscreteEquilibrium:
@@ -130,6 +128,7 @@ def assemble_and_solve(params: MarketParams, T: float, n_steps: int) -> Discrete
         K=K,
         u=u,
         U=U,
+        u_bar=sum(a.mass * u[a.name] for a in agents),
         residual_rel=float(residual / max(scale, 1e-300)),
     )
 
@@ -168,7 +167,7 @@ def oracle_gap(params: MarketParams, T: float, steps_list) -> GapReport:
         dt = T / n
         gaps = {
             "K": [disc.K[a.name] - values.agents[a.name].K for a in params.agents],
-            "u_bar": [disc.aggregate_rate(params) - engine.u_bar[:-1]],
+            "u_bar": [disc.u_bar - engine.u_bar[:-1]],
             "mu": [disc.mu - values.mu],
         }
         for key, arrays in gaps.items():

@@ -240,7 +240,7 @@ def price_reversion_regression(
     d = scenario_delta(s)
     rho_bar = (s.rho_c + s.rho_d) / 2.0
     return {
-        "mean_reversion": -float(coef[0]),
+        "mean_reversion": 0.0 - float(coef[0]),  # 0 - x, not -x: a zero writes 0, not -0
         "loading": float(coef[1]),
         "mean_reversion_theory": d.sqrt_delta,
         "loading_theory": 1.0 / (2.0 * d.sqrt_delta * rho_bar),

@@ -14,15 +14,16 @@ import numpy as np
 
 from dealerlab.equilibrium import EquilibriumSolution
 from dealerlab.fbsde import (
-    FbsdePath,
     RealizedDriver,
     driver_is_deterministic,
     heun_coefficients,
     heun_step,
     kernel_expectation_path,
+    solve_forward,
 )
 from dealerlab.kernel import (
     DeltaParam,
+    Horizon,
     _check_time,
     cumulative_trapezoid,
     eval_F,
@@ -30,7 +31,6 @@ from dealerlab.kernel import (
     stable_sinh_over_cosh,
     trapezoid,
 )
-from dealerlab.market import MarketParams
 from dealerlab.paths import RealizedPath
 from dealerlab.processes import DemandProcess, OrnsteinUhlenbeck
 from dealerlab.scenarios import LiquidationPaths, LiquidationScenario, scenario_delta
@@ -80,21 +80,21 @@ class ResidualReport:
     terminal_rate: float
 
 
-def fbsde_residual(path: FbsdePath, d: DeltaParam) -> ResidualReport:
-    """Drift residual max_i |(u_{i+1}-u_i)/(dt_i delta) - (U_i - X_i)| and |u_T|.
+def fbsde_residual(realized: RealizedDriver, d: DeltaParam, horizon: Horizon) -> ResidualReport:
+    """The forward solve of ``realized``: its drift residual and its |u_T|.
 
+    The drift residual is max_i |(u_{i+1}-u_i)/(dt_i delta) - (U_i - X_i)|.
     Only meaningful for deterministic drivers, where the martingale part
     of du vanishes; both statistics are O(dt) for the Heun scheme.
     """
-    if not driver_is_deterministic(path.driver):
+    if not driver_is_deterministic(realized.terms):
         raise ValueError("drift residual is defined for deterministic drivers only")
-    dt = path.horizon.dt
-    du = np.diff(path.u, axis=-1)
-    drift = du / (dt * d.delta)
-    resid = drift - (path.U[..., :-1] - path.X[..., :-1])
+    U, u = solve_forward(realized, d, horizon)
+    drift = np.diff(u, axis=-1) / (horizon.dt * d.delta)
+    resid = drift - (U[..., :-1] - realized.values()[..., :-1])
     return ResidualReport(
         max_drift_residual=float(np.max(np.abs(resid))),
-        terminal_rate=float(np.max(np.abs(path.u[..., -1]))),
+        terminal_rate=float(np.max(np.abs(u[..., -1]))),
     )
 
 
@@ -140,9 +140,7 @@ def _conditional_path(p: DemandProcess, path: RealizedPath, grid: np.ndarray, i:
     return RealizedPath(np.concatenate([path.values[:i], mean]))
 
 
-def check_price_representations(
-    sol: EquilibriumSolution, params: MarketParams, anchors: int = 64
-) -> float:
+def check_price_representations(sol: EquilibriumSolution, anchors: int = 64) -> float:
     """Max gap between -E_t[integral_t^T mu ds] and the concise price formula.
 
     Deterministic drivers integrate the computed mu path directly (an

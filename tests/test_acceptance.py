@@ -85,7 +85,7 @@ def test_criterion_1_internal_consistency():
     for _ in range(20):
         params = _random_market(rng, horizon)
         sol = solve_equilibrium(params, horizon)
-        report = consistency_report(sol, params)
+        report = consistency_report(sol)
         worst = max(worst, max(report.values()))
         assert max(report.values()) <= 1e-8, report
     elapsed = time.time() - start
@@ -208,10 +208,10 @@ def test_criterion_6_segmentation_welfare():
         rep = segmentation_welfare(s)
         h = Horizon.uniform(1.0, steps)
         params = segmented_market(lam, 0.1, 0.1, 1, Constant(-1.0))
-        j_sim = goal_functional(solve_equilibrium(params, h), params, "client0")
+        j_sim = goal_functional(solve_equilibrium(params, h), "client0")
         assert j_sim == pytest.approx(rep.J_c_segmented, rel=1e-3)
         params_int = integrated_market(lam, 0.1, 0.1, 1, Constant(-1.0))
-        j_sim_int = goal_functional(solve_equilibrium(params_int, h), params_int, "client0")
+        j_sim_int = goal_functional(solve_equilibrium(params_int, h), "client0")
         assert j_sim_int == pytest.approx(rep.J_c_integrated, rel=1e-3)
     print(
         f"\n[PASS] criterion 6: segmentation hurts clients on the full grid; ratio "

@@ -76,9 +76,10 @@ def test_cost_routes_are_summation_by_parts_twins():
     # -sum K du vs +sum u dK agree to rounding (K_0 = 0, u_T = 0)
     ag = DealerSetting(n_dealers=3).aggregates(1e-3)
     h = Horizon.uniform(1.0, steps_for(ag.delta, 1.0))
-    fb = solve_forward(realize_driver(((1.0, UNIT_RATE),), h), ag.delta, h)
-    a = liquidity_cost_from_paths(fb.X, fb.u, ag.impact_weight)
-    b = liquidity_cost_direct(fb.X, fb.u, ag.impact_weight)
+    realized = realize_driver(((1.0, UNIT_RATE),), h)
+    _, u = solve_forward(realized, ag.delta, h)
+    a = liquidity_cost_from_paths(realized.values(), u, ag.impact_weight)
+    b = liquidity_cost_direct(realized.values(), u, ag.impact_weight)
     assert a == pytest.approx(b, rel=1e-10)
 
 
@@ -234,9 +235,9 @@ def test_sweep_matches_forward_solve_path_by_path(demand):
     z = standard_normal_block(path_streams(seed, 0, n_paths), h.n_steps)
     path = realize(demand, h, z=z)
     realized = RealizedDriver(((1.0, demand),), {demand: path})
-    fb = solve_forward(realized, ag.delta, h)
-    cost = liquidity_cost_from_paths(fb.X, fb.u, ag.impact_weight)
-    gap_sq = (fb.X - fb.U) ** 2
+    U, u = solve_forward(realized, ag.delta, h)
+    cost = liquidity_cost_from_paths(realized.values(), u, ag.impact_weight)
+    gap_sq = (realized.values() - U) ** 2
     track = np.sum(0.5 * (gap_sq[:, :-1] + gap_sq[:, 1:]) * h.dt, axis=-1)
     np.testing.assert_allclose(costs, cost, rtol=0, atol=1e-10 * np.max(np.abs(cost)))
     np.testing.assert_allclose(tracks, track, rtol=0, atol=1e-10 * np.max(track))

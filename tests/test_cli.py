@@ -3,12 +3,16 @@
 import argparse
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
+import dealerlab
 from dealerlab.cli import ConfigError, build_parser, load_market_config, main, parse_process
 from dealerlab.equilibrium import solve_equilibrium
 from dealerlab.processes import (
@@ -97,6 +101,16 @@ def test_diffusive_single_path(tmp_path):
     assert all(math.isfinite(reg[k]) for k in ("mean_reversion", "loading"))
 
 
+def test_a_still_target_writes_a_positive_zero_mean_reversion(tmp_path):
+    # sigma_xi = 0 regresses to the min-norm (0, 0), whose negation must not write -0.0
+    argv = ["diffusive", "--out", str(tmp_path), "--sigma-xi", "0", "--paths", "50",
+            "--steps", "200"]
+    assert main(argv) == 0
+    assert '"mean_reversion": 0.0,' in (tmp_path / "ou_regression.json").read_text()
+    reg = read_json(tmp_path / "ou_regression.json")["regression"]
+    assert math.copysign(1.0, reg["mean_reversion"]) == 1.0
+
+
 def test_diffusive_without_paths_exits_one(tmp_path):
     assert main(["diffusive", "--out", str(tmp_path), "--steps", "50", "--paths", "0"]) == 1
     assert not any(tmp_path.iterdir())
@@ -150,6 +164,21 @@ def test_scaling_smooth_deterministic(tmp_path):
     assert 0.95 <= rep["slope"] <= 1.05
     assert rep["stderrs"] == [0.0, 0.0, 0.0]
     assert rep["prefactor_theory"] == pytest.approx(1.5)
+
+
+def test_a_clipped_grid_reaches_stderr(tmp_path):
+    # a separate interpreter: in-process, pytest's log capture stands in for logging's
+    # last-resort handler, which is what prints a warning to the user's stderr
+    src = Path(dealerlab.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    argv = ["scaling-smooth", "--out", str(tmp_path), "--lambda", "1e-9,1e-3"]
+    proc = subprocess.run([sys.executable, "-m", "dealerlab.cli", *argv], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    note = "step cap at lambda=1e-09: 4082483 steps wanted, 1000000 used"
+    assert note in proc.stderr
+    assert read_json(tmp_path / "scaling_report.json")["report"]["warnings"] == [note]
 
 
 def test_scaling_diffusive_bytes_and_workers(tmp_path):

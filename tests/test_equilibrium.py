@@ -70,7 +70,7 @@ def test_identities_hold_on_mixed_market():
         noise_demand=Deterministic(tuple(0.3 * grid**2)),
     )
     sol = solve_equilibrium(params, H1000)
-    report = consistency_report(sol, params)
+    report = consistency_report(sol)
     assert max(report.values()) < 1e-12
 
 
@@ -79,7 +79,7 @@ def test_consistency_error_on_tampered_solution():
     params = liquidation_params()
     sol = solve_equilibrium(params, H1000)
     sol.targets["client0"][500] += 0.1
-    report = consistency_report(sol, params)
+    report = consistency_report(sol)
     assert report["clearing"] > 1e-3
 
 
@@ -88,7 +88,7 @@ def test_nan_residuals_fail_the_identity_check():
     params = liquidation_params()
     sol = solve_equilibrium(params, H1000)
     sol.U_bar[5] = math.nan
-    report = consistency_report(sol, params)
+    report = consistency_report(sol)
     assert math.isnan(report["foc"]) and math.isnan(report["share"])
     # a vanishing mass overflows the dealer's elasticity: its share eta_a/eta_bar is inf/inf
     tiny = MarketParams(
@@ -106,14 +106,14 @@ def test_identity_check_in_node_blocks(monkeypatch, node):
 
     params = liquidation_params(M=2)
     sol = solve_equilibrium(params, Horizon.uniform(1.0, 100))
-    assert sol.residuals == consistency_report(sol, params)
+    assert sol.residuals == consistency_report(sol)
     sol.targets["client0"][node] += 0.1
-    whole = consistency_report(sol, params)  # 101 nodes: one block
+    whole = consistency_report(sol)  # 101 nodes: one block
     assert whole["clearing"] > 1e-3
     monkeypatch.setattr(equilibrium, "_CHECK_NODES", 7)  # 14 blocks of 7 nodes and one of 3
-    assert consistency_report(sol, params) == whole
+    assert consistency_report(sol) == whole
     sol.U_bar[node] = math.nan
-    report = consistency_report(sol, params)
+    report = consistency_report(sol)
     assert math.isnan(report["foc"]) and math.isnan(report["share"])
 
 
@@ -125,7 +125,7 @@ def test_writing_into_evaluated_paths_changes_nothing():
     sol.agents["client0"].K[:] = 0.0
     np.testing.assert_array_equal(sol.mu, mu)
     np.testing.assert_array_equal(sol.agents["client0"].K, K)
-    assert consistency_report(sol, params) == sol.residuals
+    assert consistency_report(sol) == sol.residuals
 
 
 def test_solution_at_a_node_slice_is_the_whole_grid_sliced():
@@ -169,21 +169,20 @@ def test_delta_price_weight_identity():
 
 def test_price_representation_deterministic():
     sol = solve_equilibrium(liquidation_params(), Horizon.uniform(1.0, 10_000))
-    params = liquidation_params()
-    gap = check_price_representations(sol, params)
+    gap = check_price_representations(sol)
     assert gap <= 1e-4
 
 
 def test_price_representation_zero_market():
     params = MarketParams(0.1, (AgentSpec("d", 1.0, 0.1, 0.0),))
     sol = solve_equilibrium(params, H1000)
-    assert check_price_representations(sol, params) == 0.0
+    assert check_price_representations(sol) == 0.0
 
 
 def test_price_representation_brownian_target():
     params = segmented_market(0.1, 0.1, 0.1, 1, BrownianMartingale(0.0, 1.0))
     sol = solve_equilibrium(params, Horizon.uniform(1.0, 2000), seed=3)
-    gap = check_price_representations(sol, params, anchors=32)
+    gap = check_price_representations(sol, anchors=32)
     assert gap < 1e-5
 
 
@@ -191,7 +190,7 @@ def test_stochastic_identities_hold_pathwise():
     params = segmented_market(0.1, 0.12, 0.08, 2, BrownianMartingale(0.0, 1.0))
     for k in range(3):
         sol = solve_equilibrium(params, Horizon.uniform(1.0, 500), seed=11, path_index=k)
-        assert max(consistency_report(sol, params).values()) < 1e-12
+        assert max(consistency_report(sol).values()) < 1e-12
 
 
 def test_price_representation_ou_target():
@@ -201,7 +200,7 @@ def test_price_representation_ou_target():
         0.1, 0.1, 0.1, 1, OrnsteinUhlenbeck(x0=-1.0, kappa=2.0, theta=-0.5, sigma=0.4)
     )
     sol = solve_equilibrium(params, Horizon.uniform(1.0, 2000), seed=8)
-    gap = check_price_representations(sol, params, anchors=24)
+    gap = check_price_representations(sol, anchors=24)
     assert gap < 1e-4
 
 
@@ -209,7 +208,7 @@ def test_price_representation_rejects_stochastic_smooth_rate():
     params = segmented_market(0.1, 0.1, 0.1, 1, SmoothRate(BrownianMartingale(0.0, 1.0)))
     sol = solve_equilibrium(params, Horizon.uniform(1.0, 300), seed=2)
     with pytest.raises(ValueError):
-        check_price_representations(sol, params)
+        check_price_representations(sol)
 
 
 @pytest.mark.parametrize(
@@ -223,7 +222,7 @@ def test_price_representation_deterministic_term_in_stochastic_driver(target):
         0.1, 0.1, 0.1, 1, target, noise_demand=BrownianMartingale(0.0, 0.5)
     )
     sol = solve_equilibrium(params, Horizon.uniform(1.0, 2000), seed=1)
-    assert check_price_representations(sol, params, anchors=24) < 1e-5
+    assert check_price_representations(sol, anchors=24) < 1e-5
 
 
 def test_mixed_noise_and_target_driver():
@@ -232,7 +231,7 @@ def test_mixed_noise_and_target_driver():
         0.1, 0.1, 0.15, 2, Constant(-1.0), noise_demand=BrownianMartingale(0.0, 0.5)
     )
     sol = solve_equilibrium(params, Horizon.uniform(1.0, 800), seed=4)
-    assert max(consistency_report(sol, params).values()) < 1e-12
+    assert max(consistency_report(sol).values()) < 1e-12
     assert np.max(np.abs(sol.noise)) > 0.01
     assert sol.xi_bar[0] == pytest.approx(-0.5, rel=1e-14)
 
@@ -251,13 +250,13 @@ def test_mixed_stochastic_kinds_solve():
     )
     sol = solve_equilibrium(params, Horizon.uniform(1.0, 2000), seed=3)
     assert len(sol.aggregates.xi_bar) == 2
-    assert check_price_representations(sol, params, anchors=24) < 1e-5
+    assert check_price_representations(sol, anchors=24) < 1e-5
 
 
 def test_goal_functional_zero_solution():
     params = MarketParams(0.1, (AgentSpec("d", 1.0, 0.1, 0.0),))
     sol = solve_equilibrium(params, H1000)
-    assert goal_functional(sol, params, "d") == 0.0
+    assert goal_functional(sol, "d") == 0.0
 
 
 def test_goal_functional_matches_direct_integral_for_client():
@@ -270,7 +269,7 @@ def test_goal_functional_matches_direct_integral_for_client():
         c.target - c.K
     ) ** 2 / (2 * 0.1)
     direct = np.sum(0.5 * (integrand[:-1] + integrand[1:]) * np.diff(grid))
-    assert goal_functional(sol, params, "client0") == pytest.approx(direct, rel=1e-12)
+    assert goal_functional(sol, "client0") == pytest.approx(direct, rel=1e-12)
 
 
 @pytest.mark.parametrize("agent", ["dealer0", "client0"])
@@ -278,7 +277,7 @@ def test_perturbations_decrease_welfare(agent):
     params = liquidation_params(M=1)
     sol = solve_equilibrium(params, Horizon.uniform(1.0, 2000))
     grid = sol.horizon.grid
-    base = goal_functional(sol, params, agent)
+    base = goal_functional(sol, agent)
     bumps = [
         np.sin(math.pi * k * grid / grid[-1]) + (0.2 if k == 5 else 0.0) for k in (1, 2, 3, 4, 5)
     ]
@@ -286,14 +285,14 @@ def test_perturbations_decrease_welfare(agent):
     for phi in bumps:
         for sgn in (+1.0, -1.0):
             K_pert = sol.agents[agent].K + sgn * eps * phi
-            assert goal_functional(sol, params, agent, K=K_pert) < base
+            assert goal_functional(sol, agent, K=K_pert) < base
             if agent == "dealer0":
                 u_pert = sol.agents[agent].u + sgn * eps * phi
-                assert goal_functional(sol, params, agent, u=u_pert) < base
+                assert goal_functional(sol, agent, u=u_pert) < base
 
 
 def test_multi_path_welfare_shapes():
     params = segmented_market(0.1, 0.1, 0.1, 1, SmoothRate(Constant(1.0)))
     sol = solve_equilibrium(params, Horizon.uniform(1.0, 200))
-    val = goal_functional(sol, params, "client0")
+    val = goal_functional(sol, "client0")
     assert isinstance(val, float)

@@ -64,7 +64,7 @@ def double_integral_position(
 
 
 def forward(process, d, horizon, seed=None):
-    """The forward solve driven by one process, realized from path 0 of ``seed``."""
+    """The forward solve's (U, u) driven by one process, realized from path 0 of ``seed``."""
     return solve_forward(realize_driver(((1.0, process),), horizon, seed=seed), d, horizon)
 
 
@@ -245,29 +245,29 @@ def test_g_deterministic_matches_pointwise_quadrature():
 def test_zero_driver_gives_zero_paths():
     h = Horizon.uniform(1.0, 100)
     d = DeltaParam.from_value(50.0)
-    path = forward(ZERO, d, h)
-    np.testing.assert_array_equal(path.u, 0.0)
-    np.testing.assert_array_equal(path.U, 0.0)
+    U, u = forward(ZERO, d, h)
+    np.testing.assert_array_equal(u, 0.0)
+    np.testing.assert_array_equal(U, 0.0)
 
 
 def test_constant_driver_matches_closed_form():
     # engine position vs the hyperbolic closed form, 1e-6 at 1e4 steps
     h = Horizon.uniform(1.0, 10_000)
     d = DeltaParam.from_value(50.0)
-    path = forward(Constant(-0.5), d, h)
+    U, u = forward(Constant(-0.5), d, h)
     exact = closed_form_position_constant(-0.5, 50.0, h.grid)
-    assert np.max(np.abs(path.U - exact)) < 1e-6
-    assert path.U[-1] == pytest.approx(-0.499150674907945, abs=2e-7)
-    assert path.u[-1] == 0.0
-    assert path.U[0] == 0.0
+    assert np.max(np.abs(U - exact)) < 1e-6
+    assert U[-1] == pytest.approx(-0.499150674907945, abs=2e-7)
+    assert u[-1] == 0.0
+    assert U[0] == 0.0
 
 
 def test_position_increment_is_trapezoid_of_rate():
     h = Horizon.uniform(1.0, 500)
     d = DeltaParam.from_value(20.0)
-    path = forward(Constant(1.0), d, h)
-    dU = np.diff(path.U)
-    trap = 0.5 * (path.u[:-1] + path.u[1:]) * h.dt
+    U, u = forward(Constant(1.0), d, h)
+    dU = np.diff(U)
+    trap = 0.5 * (u[:-1] + u[1:]) * h.dt
     # Heun differs from the trapezoid of the final rate by O(dt^3) per step
     assert np.max(np.abs(dU - trap)) < 5.0 * (1.0 / 500) ** 3 * d.delta
 
@@ -275,7 +275,7 @@ def test_position_increment_is_trapezoid_of_rate():
 def test_residual_zero_driver_exact():
     h = Horizon.uniform(1.0, 64)
     d = DeltaParam.from_value(5.0)
-    res = fbsde_residual(forward(ZERO, d, h), d)
+    res = fbsde_residual(realize_driver(((1.0, ZERO),), h), d, h)
     assert res.max_drift_residual == 0.0
     assert res.terminal_rate == 0.0
 
@@ -285,9 +285,9 @@ def test_cancelled_driver_is_zero_on_the_grid():
     h = Horizon.uniform(1.0, 10)
     d = DeltaParam.from_value(5.0)
     driver = combine([(1.0, Constant(1.0)), (-1.0, Constant(1.0))])
-    path = solve_forward(realize_driver(driver, h), d, h)
-    np.testing.assert_array_equal(path.X, np.zeros(h.grid.size))
-    res = fbsde_residual(path, d)
+    realized = realize_driver(driver, h)
+    np.testing.assert_array_equal(realized.values(), np.zeros(h.grid.size))
+    res = fbsde_residual(realized, d, h)
     assert res.max_drift_residual == 0.0
     assert res.terminal_rate == 0.0
 
@@ -295,12 +295,12 @@ def test_cancelled_driver_is_zero_on_the_grid():
 def test_residual_constant_driver_order_one():
     d = DeltaParam.from_value(50.0)
     h1 = Horizon.uniform(1.0, 10_000)
-    res1 = fbsde_residual(forward(Constant(-0.5), d, h1), d)
+    res1 = fbsde_residual(realize_driver(((1.0, Constant(-0.5)),), h1), d, h1)
     assert res1.max_drift_residual <= 10.0 * (1.0 / 10_000)
     assert res1.terminal_rate == 0.0
     # halving dt halves the residual within 20%
     h2 = Horizon.uniform(1.0, 20_000)
-    res2 = fbsde_residual(forward(Constant(-0.5), d, h2), d)
+    res2 = fbsde_residual(realize_driver(((1.0, Constant(-0.5)),), h2), d, h2)
     ratio = res1.max_drift_residual / res2.max_drift_residual
     assert 2.0 * 0.8 < ratio < 2.0 * 1.2
 
@@ -308,10 +308,11 @@ def test_residual_constant_driver_order_one():
 def test_residual_rejects_stochastic_driver():
     h = Horizon.uniform(1.0, 64)
     d = DeltaParam.from_value(5.0)
-    path = forward(BrownianMartingale(0.0, 1.0), d, h, seed=1)
+    realized = realize_driver(((1.0, BrownianMartingale(0.0, 1.0)),), h, seed=1)
     with pytest.raises(ValueError):
-        fbsde_residual(path, d)
-    assert path.u[..., -1] == 0.0  # terminal condition still exact
+        fbsde_residual(realized, d, h)
+    _, u = solve_forward(realized, d, h)
+    assert u[..., -1] == 0.0  # terminal condition still exact
 
 
 def test_linearity_of_solve_forward():
@@ -320,11 +321,11 @@ def test_linearity_of_solve_forward():
     det = Deterministic(tuple(np.cos(2.0 * h.grid)))
     const = Constant(0.7)
     a, b = 2.0, -1.5
-    pa = forward(const, d, h)
-    pb = forward(det, d, h)
-    pab = solve_forward(realize_driver([(a, const), (b, det)], h), d, h)
-    np.testing.assert_allclose(pab.U, a * pa.U + b * pb.U, atol=1e-10)
-    np.testing.assert_allclose(pab.u, a * pa.u + b * pb.u, atol=1e-10)
+    Ua, ua = forward(const, d, h)
+    Ub, ub = forward(det, d, h)
+    Uab, uab = solve_forward(realize_driver([(a, const), (b, det)], h), d, h)
+    np.testing.assert_allclose(Uab, a * Ua + b * Ub, atol=1e-10)
+    np.testing.assert_allclose(uab, a * ua + b * ub, atol=1e-10)
 
 
 def test_double_integral_representation_constant():
@@ -341,10 +342,9 @@ def test_double_integral_matches_forward_solve_on_brownian_path():
     h = Horizon.uniform(1.0, 4000)
     d = DeltaParam.from_value(50.0)
     realized = realize_driver(((1.0, BrownianMartingale(0.0, 1.0)),), h, seed=42, path_index=3)
-    path = solve_forward(realized, d, h)
-    assert path.driver is realized.terms
+    U, _ = solve_forward(realized, d, h)
     u33 = double_integral_position(realized, d, h)
-    assert np.max(np.abs(path.U - u33)) < 30.0 / 4000
+    assert np.max(np.abs(U - u33)) < 30.0 / 4000
 
 
 def test_eq33_nested_quadrature_oracle():
@@ -356,7 +356,7 @@ def test_eq33_nested_quadrature_oracle():
     d = DeltaParam.from_value(delta)
     x_fn = lambda s: 1.0 + 0.3 * np.sin(4.0 * s)  # noqa: E731
     proc = Deterministic(tuple(x_fn(h.grid)))
-    path = forward(proc, d, h)
+    U, _ = forward(proc, d, h)
 
     def g_quad(s):
         return simpson(lambda r: eval_k(d, s, r, 1.0) * x_fn(r), s, 1.0, panels=512)
@@ -372,7 +372,7 @@ def test_eq33_nested_quadrature_oracle():
             / delta
         )
         idx = int(round(t * n))
-        assert path.U[idx] == pytest.approx(oracle, abs=3e-4)
+        assert U[idx] == pytest.approx(oracle, abs=3e-4)
 
 
 def test_martingale_driver_state_feedback():
@@ -380,9 +380,10 @@ def test_martingale_driver_state_feedback():
     h = Horizon.uniform(1.0, 256)
     d = DeltaParam.from_value(25.0)
     proc = BrownianMartingale(0.0, 1.0)
-    path = forward(proc, d, h, seed=5)
+    realized = realize_driver(((1.0, proc),), h, seed=5)
+    U, u = solve_forward(realized, d, h)
     F = eval_F(d, h.grid, 1.0)
-    np.testing.assert_allclose(path.u, F * (path.X - path.U), atol=1e-12)
+    np.testing.assert_allclose(u, F * (realized.values() - U), atol=1e-12)
 
 
 def test_solve_forward_multi_path_vectorized():
@@ -395,10 +396,10 @@ def test_solve_forward_multi_path_vectorized():
     from dealerlab.paths import RealizedPath
 
     realized = RealizedDriver(((1.0, proc),), {proc: RealizedPath(z)})
-    block = solve_forward(realized, d, h)
+    block_U, _ = solve_forward(realized, d, h)
     for i in range(4):
-        single = solve_forward(RealizedDriver(((1.0, proc),), {proc: RealizedPath(z[i])}), d, h)
-        np.testing.assert_array_equal(block.U[i], single.U)
+        single = RealizedDriver(((1.0, proc),), {proc: RealizedPath(z[i])})
+        np.testing.assert_array_equal(block_U[i], solve_forward(single, d, h)[0])
 
 
 def test_heun_path_equals_the_array_recursion_bit_for_bit():
@@ -466,8 +467,8 @@ def test_stiff_delta_stable_with_resolved_grid():
     d = DeltaParam.from_value(delta)
     n = int(50 * math.sqrt(delta) * 1.0)
     h = Horizon.uniform(1.0, n)
-    path = forward(Constant(1.0), d, h)
+    U, _ = forward(Constant(1.0), d, h)
     exact = closed_form_position_constant(1.0, delta, h.grid)
-    assert np.all(np.isfinite(path.U))
+    assert np.all(np.isfinite(U))
     # Heun truncation at 50 steps per 1/sqrt(delta) boundary layer
-    assert np.max(np.abs(path.U - exact)) < 1e-4
+    assert np.max(np.abs(U - exact)) < 1e-4

@@ -40,7 +40,7 @@ def delta_identity_residual(params: MarketParams, disc: DiscreteEquilibrium) -> 
     U_bar = sum(a.mass * disc.U[a.name] for a in params.agents)
     exposure = U_bar - noise - xi_bar
     suffix = np.cumsum(exposure[::-1])[::-1] * dt
-    return float(np.max(np.abs(disc.aggregate_rate(params) + ag.delta.delta * suffix)))
+    return float(np.max(np.abs(disc.u_bar + ag.delta.delta * suffix)))
 
 
 def aux_objective(
@@ -373,7 +373,7 @@ def test_aggregate_rate_minimizes_aux_objective():
         demand = Deterministic(tuple(h.grid**2))
         params = dealers_only_market(lam, rho_d, M, demand)
         disc = assemble_and_solve(params, 1.0, n)
-        u_star = disc.aggregate_rate(params)
+        u_star = disc.u_bar
         k_path = (h.grid**2)[:-1]
         dt = 1.0 / n
         base = aux_objective(lam, M, rho_d, k_path, u_star, dt)

@@ -228,8 +228,8 @@ def test_diffusive_tracking_matches_forward_solver():
 
     proc = BrownianMartingale(0.0, 0.5)  # xi_bar = xi_c/2 has half the volatility
     realized = RealizedDriver(((1.0, proc),), {proc: RealizedPath(0.5 * sim.xi_c)})
-    fb = solve_forward(realized, d, h)
-    gap = np.max(np.abs((0.5 * sim.xi_c - fb.U) - sim.xi_minus_U))
+    U, _ = solve_forward(realized, d, h)
+    gap = np.max(np.abs((0.5 * sim.xi_c - U) - sim.xi_minus_U))
     assert gap < 20.0 / s.steps
 
 
@@ -308,7 +308,7 @@ def test_streamed_regression_matches_least_squares_on_the_batch(s, n_paths, t_ma
 def test_streamed_regression_without_volatility_is_the_min_norm_zero():
     reg = price_reversion_regression(DiffusiveScenario(sigma_xi=0.0, steps=100), 3, 0.5)
     got = np.array([reg["mean_reversion"], reg["loading"]])
-    assert got.tobytes() == np.array([-0.0, 0.0]).tobytes()
+    assert got.tobytes() == np.array([0.0, 0.0]).tobytes()  # both sign bits clear
 
 
 def test_regression_window_past_maturity_is_the_whole_grid():
@@ -465,11 +465,11 @@ def test_welfare_quadrature_matches_goal_functional():
         rep = segmentation_welfare(s)
         params_seg = segmented_market(s.impact_cost, s.rho_c, s.rho_d, M, Constant(s.xi_c))
         sol_seg = solve_equilibrium(params_seg, h)
-        j_seg_sim = goal_functional(sol_seg, params_seg, "client0")
+        j_seg_sim = goal_functional(sol_seg, "client0")
         assert j_seg_sim == pytest.approx(rep.J_c_segmented, rel=1e-4)
         params_int = integrated_market(s.impact_cost, s.rho_c, s.rho_d, M, Constant(s.xi_c))
         sol_int = solve_equilibrium(params_int, h)
-        j_int_sim = goal_functional(sol_int, params_int, "client0")
+        j_int_sim = goal_functional(sol_int, "client0")
         assert j_int_sim == pytest.approx(rep.J_c_integrated, rel=1e-4)
 
 

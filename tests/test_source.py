@@ -38,6 +38,28 @@ def uncalled_functions(sources) -> set:
     return defined - named
 
 
+def unread_imports(source: Path) -> set:
+    """Names that a module imports and never reads.
+
+    ``from __future__`` imports bind nothing to read, and an import on a line
+    marked ``noqa: F401`` is kept on purpose.  ``import a.b`` binds ``a``.
+    """
+    text = source.read_text()
+    lines = text.splitlines()
+    tree = ast.parse(text)
+    imported, read = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                if "noqa: F401" not in lines[alias.lineno - 1]:
+                    imported.add(alias.asname or alias.name.split(".")[0])
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+    return imported - read
+
+
 def test_every_function_in_src_is_named_in_src():
     # code that only tests call lives under tests/ (see crosschecks.py)
     sources = sorted(Path(dealerlab.__file__).parent.glob("*.py"))
@@ -59,3 +81,31 @@ def test_the_scan_flags_only_uncalled_functions(tmp_path):
         "    def g(self): return self.other.g()\n"
     )
     assert uncalled_functions([source]) == {"recursive", "unused", "g"}
+
+
+def test_every_import_in_src_is_read():
+    # the package's __init__ imports its public names for others to read
+    sources = sorted(Path(dealerlab.__file__).parent.glob("*.py"))
+    unread = {path.name: unread_imports(path) for path in sources if path.name != "__init__.py"}
+    assert {name: names for name, names in unread.items() if names} == {}
+
+
+def test_the_import_scan_flags_only_unread_names(tmp_path):
+    source = tmp_path / "module.py"
+    source.write_text(
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import sys as system\n"
+        "import xml.dom\n"
+        "from x import (\n"
+        "    read,\n"
+        "    unread,\n"
+        ")\n"
+        "from y import kept  # noqa: F401\n"
+        "from t import Annotation\n"
+        "def f(a: Annotation) -> None:\n"
+        "    from z import local, shadowed\n"
+        "    shadowed = 1\n"
+        "    return read(os.sep), local\n"
+    )
+    assert unread_imports(source) == {"system", "xml", "unread", "shadowed"}
