@@ -59,7 +59,6 @@ class DealerSetting:
 
 STEP_CAP = 1_000_000  # most grid steps a study picks by itself; read at each call
 SLICE_STEPS = 1024  # time steps of normals the sweep draws at once; read at each call
-_TILE_PATHS = 64  # paths per normal draw: a tile's transpose into the slice stays in cache
 
 
 def steps_for(d: DeltaParam, T: float) -> int:
@@ -98,19 +97,17 @@ def _normal_slices(streams, n_steps: int):
     Yields (first step, rows), where rows[j] holds each stream's normal of
     step first + j: a view into one reused step-major buffer of
     ``SLICE_STEPS`` x len(streams) floats, valid until the next slice is
-    taken.  Each slice is drawn in tiles of ``_TILE_PATHS`` streams, and
-    each tile's transpose is copied into the buffer's columns: the rows are
-    exactly those of ``standard_normal_block(streams, n_steps).T``, and no
-    path-major block larger than one tile is ever built.
+    taken.  Each slice is one ``standard_normal_block`` call that fills the
+    buffer's transpose, its streams split over the process's CPUs in tiles:
+    the rows are exactly those of ``standard_normal_block(streams,
+    n_steps).T`` whatever the thread count, and no path-major block larger
+    than one tile is ever built.
     """
-    width, n = SLICE_STEPS, len(streams)
-    rows = np.empty((min(width, n_steps), n))
+    width = SLICE_STEPS
+    rows = np.empty((min(width, n_steps), len(streams)))
     for lo in range(0, n_steps, width):
         w = min(width, n_steps - lo)
-        for p in range(0, n, _TILE_PATHS):
-            rows[:w, p : p + _TILE_PATHS] = standard_normal_block(
-                streams[p : p + _TILE_PATHS], w
-            ).T
+        standard_normal_block(streams, w, out=rows[:w].T)
         yield lo, rows[:w]
 
 
@@ -204,7 +201,11 @@ def simulate_costs(
     one chunk per worker, of at most 2048 paths, swept in order on the
     calling thread.  A chunk draws its normals once, for its longest grid,
     and every impact cost reads them; its sweep holds about chunk x
-    ``SLICE_STEPS`` x 8 bytes of normals.
+    ``SLICE_STEPS`` x 8 bytes of normals.  Only each slice's fill runs on
+    more than one thread: ``standard_normal_block`` splits the chunk's
+    streams over the process's CPUs and joins them before the sweep reads
+    the slice; the values do not depend on the CPU count, and the fill's
+    own buffers hold one tile of ``TILE_PATHS`` streams in all.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")

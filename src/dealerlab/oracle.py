@@ -37,8 +37,9 @@ from .kernel import Horizon
 from .market import MarketParams
 from .paths import realize
 
-#: largest first-order-condition system, (3 * agents + 1) * n_steps unknowns; at
-#: this size the sweep peaked at 151 MB RSS with 2 agents and at 140 MB with 5
+#: largest discrete game solved, in unknowns: K, u and U per agent and mu, each
+#: n_steps long.  At the cap the scalar sweep and its residual check peak at 152 MB
+#: (VmHWM, about 30 MB of it the imports) with 2 agents and 126 MB with 5
 MAX_UNKNOWNS = 2_000_000
 
 
@@ -67,7 +68,8 @@ def assemble_and_solve(params: MarketParams, T: float, n_steps: int) -> Discrete
     n_unknowns = (3 * len(agents) + 1) * n  # K^a, u^a, U^a per agent, then mu
     if n_unknowns > MAX_UNKNOWNS:
         raise ValueError(
-            f"first-order-condition system too large: {n_unknowns} unknowns > {MAX_UNKNOWNS}"
+            f"discrete game too large: {n_unknowns} unknowns (K, u and U per agent and mu, "
+            f"{n} steps each) > {MAX_UNKNOWNS}"
         )
 
     h = Horizon.uniform(T, n)

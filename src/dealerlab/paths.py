@@ -8,10 +8,17 @@ workers.  Streams separate independent processes within one scenario
 normals in consecutive pieces gives the same numbers as one draw, so a
 caller holding the generators of its paths (``path_streams``) may take
 their normals a time slice at a time (``standard_normal_block``).
+
+Philox releases the GIL while it fills, so ``standard_normal_block``'s
+``out`` form splits one block's streams over the process's CPUs.  Each
+stream is drawn whole by one thread, so the numbers do not depend on the
+thread count, and every thread has joined before the call returns.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,16 +41,68 @@ def path_streams(seed: int, first_path: int, n_paths: int) -> list[np.random.Gen
     return [substream(seed, first_path + i) for i in range(n_paths)]
 
 
-def standard_normal_block(streams, n_steps: int) -> np.ndarray:
+TILE_PATHS = 64  # streams per tile of an ``out`` fill: a tile's copy into ``out`` stays in cache
+
+
+def _cpus() -> int:
+    """CPUs this process may run on: the most threads one fill uses."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def standard_normal_block(streams, n_steps: int, out=None) -> np.ndarray:
     """The next ``n_steps`` unit normals of each stream, shape (len(streams), n_steps).
 
     Row ``i`` is drawn from ``streams[i]`` alone and advances it, so neither
     the block decomposition over paths nor a split into consecutive time
     slices has any effect on an individual path's numbers.
+
+    Without ``out`` the rows are drawn in order on the calling thread into a
+    new path-major array.  ``out`` may be any (len(streams), n_steps) float
+    view, such as the transpose of a step-major buffer; it is filled and
+    returned.  Its streams are dealt, ``ceil(TILE_PATHS / k)`` at a time,
+    over k = min(CPUs, tiles of ``TILE_PATHS``) threads: the calling thread
+    and k - 1 helpers, each drawing its streams' rows into its own buffer
+    and copying them into ``out``.  The k buffers hold one tile in all, and
+    the first exception a helper raises is raised here once all have joined.
     """
-    out = np.empty((len(streams), n_steps))
-    for row, stream in zip(out, streams):
-        stream.standard_normal(out=row)
+    if out is None:
+        out = np.empty((len(streams), n_steps))
+        for row, stream in zip(out, streams):
+            stream.standard_normal(out=row)
+        return out
+    n = len(streams)
+    if out.shape != (n, n_steps):
+        raise ValueError(f"out must have shape {(n, n_steps)}, got {out.shape}")
+    k = max(1, min(_cpus(), -(-n // TILE_PATHS)))
+    piece = -(-TILE_PATHS // k)
+    buffers = np.empty((k, piece, n_steps))
+    errors = []
+
+    def fill(t: int) -> None:
+        for lo in range(t * piece, n, k * piece):
+            rows = buffers[t, : min(piece, n - lo)]
+            for row, stream in zip(rows, streams[lo : lo + piece]):
+                stream.standard_normal(out=row)
+            out[lo : lo + len(rows)] = rows
+
+    def helper(t: int) -> None:
+        try:
+            fill(t)
+        except BaseException as exc:  # raised on the calling thread after the join
+            errors.append(exc)
+
+    helpers = [threading.Thread(target=helper, args=(t,)) for t in range(1, k)]
+    for thread in helpers:
+        thread.start()
+    try:
+        fill(0)
+    finally:
+        for thread in helpers:
+            thread.join()
+    if errors:
+        raise errors[0]
     return out
 
 

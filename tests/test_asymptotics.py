@@ -297,10 +297,10 @@ def test_a_chunk_draws_its_normals_once_for_its_longest_grid(monkeypatch):
         chunks.append({"paths": args[-1], "normals": 0, "streams": set()})
         return sweep(*args)
 
-    def counted_draw(streams, n_steps):
+    def counted_draw(streams, n_steps, out=None):
         chunks[-1]["normals"] += len(streams) * n_steps
         chunks[-1]["streams"].update(map(id, streams))
-        return draw(streams, n_steps)
+        return draw(streams, n_steps, out=out)
 
     monkeypatch.setattr(asymptotics, "_chunk_sweep", recording_sweep)
     monkeypatch.setattr(asymptotics, "standard_normal_block", counted_draw)
@@ -340,12 +340,31 @@ def test_one_chunk_across_partial_tiles_matches_small_chunks(width, monkeypatch)
 
 @pytest.mark.parametrize("n_paths, n_steps, width", [(130, 50, 7), (130, 50, 500), (3, 9, 4)])
 def test_normal_rows_are_the_transposed_block(n_paths, n_steps, width, monkeypatch):
+    # the slices, filled on 1 or 3 threads, against the path-major block drawn on the
+    # calling thread
     monkeypatch.setattr(asymptotics, "SLICE_STEPS", width)
-    slices = [(lo, rows.copy()) for lo, rows in
-              asymptotics._normal_slices(path_streams(4, 10, n_paths), n_steps)]
-    assert [lo for lo, _ in slices] == list(range(0, n_steps, width))
     block = standard_normal_block(path_streams(4, 10, n_paths), n_steps)
-    np.testing.assert_array_equal(np.concatenate([rows for _, rows in slices]), block.T)
+    for cpus in (1, 3):
+        monkeypatch.setattr("dealerlab.paths._cpus", lambda k=cpus: k)
+        slices = [(lo, rows.copy()) for lo, rows in
+                  asymptotics._normal_slices(path_streams(4, 10, n_paths), n_steps)]
+        assert [lo for lo, _ in slices] == list(range(0, n_steps, width))
+        np.testing.assert_array_equal(np.concatenate([rows for _, rows in slices]), block.T)
+
+
+@pytest.mark.parametrize("width", [7, 500])
+def test_costs_do_not_depend_on_the_fill_threads(width, monkeypatch):
+    # 130 paths in one chunk (three tiles) or in 7 chunks of 19 (one tile each), on 1 or 3
+    # fill threads
+    monkeypatch.setattr(asymptotics, "SLICE_STEPS", width)
+    setting, demand = DealerSetting(n_dealers=2), OrnsteinUhlenbeck(0.2, 2.0, -0.4, 0.8)
+    runs = []
+    for cpus, workers in ((1, 1), (3, 1), (1, 7), (3, 7)):
+        monkeypatch.setattr("dealerlab.paths._cpus", lambda k=cpus: k)
+        runs.append(simulate_costs(setting, demand, [1e-1, 1e-2], 130, 9, [30, 50], workers))
+    for costs, tracks in runs[1:]:
+        for got, want in zip(costs + tracks, runs[0][0] + runs[0][1]):
+            np.testing.assert_array_equal(got, want)
 
 
 def test_sweep_memory_at_the_default_chunk_is_one_slice_buffer():

@@ -1,9 +1,12 @@
 """Reproducibility and distributional checks for the path generators."""
 
+import threading
+
 import numpy as np
 import pytest
 from scipy import stats
 
+from dealerlab import paths
 from dealerlab.kernel import Horizon, cumulative_trapezoid
 from dealerlab.paths import (
     integrate_against,
@@ -71,6 +74,69 @@ def test_consecutive_draws_continue_each_stream():
     streams = path_streams(8, 3, 4)
     split = [standard_normal_block(streams, 13), standard_normal_block(streams, 37)]
     np.testing.assert_array_equal(np.hstack(split), whole)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("n_paths", [130, 3])
+@pytest.mark.parametrize("width", [7, 500])
+def test_threaded_fill_matches_single_streams(cpus, n_paths, width, monkeypatch):
+    # 130 paths fill two 64-path tiles and a 2-path one; 3 paths fill one tile. Two
+    # consecutive fills of a transposed step-major buffer continue every stream.
+    monkeypatch.setattr(paths, "_cpus", lambda: cpus)
+    streams = path_streams(6, 40, n_paths)
+    rows = np.empty((width, n_paths))
+    slices = []
+    for _ in range(2):
+        block = standard_normal_block(streams, width, out=rows.T)
+        assert block.base is rows
+        slices.append(rows.copy())
+    drawn = np.concatenate(slices)
+    for i in range(n_paths):
+        np.testing.assert_array_equal(drawn[:, i], substream(6, 40 + i).standard_normal(2 * width))
+
+
+class CountedThread(threading.Thread):
+    started = 0
+
+    def start(self):
+        CountedThread.started += 1
+        super().start()
+
+
+@pytest.mark.parametrize("cpus, n_paths, helpers", [(3, 3, 0), (3, 64, 0), (3, 65, 1),
+                                                      (3, 130, 2), (2, 130, 1), (1, 130, 0),
+                                                      (3, 1000, 2)])
+def test_a_fill_starts_one_helper_per_cpu_and_tile_past_the_first(cpus, n_paths, helpers,
+                                                                   monkeypatch):
+    # min(CPUs, tiles) - 1 helpers, and every one of them has joined when the call returns
+    monkeypatch.setattr(paths, "_cpus", lambda: cpus)
+    monkeypatch.setattr(CountedThread, "started", 0)
+    monkeypatch.setattr(paths.threading, "Thread", CountedThread)
+    alive = threading.active_count()
+    standard_normal_block(path_streams(2, 0, n_paths), 9, out=np.empty((9, n_paths)).T)
+    assert CountedThread.started == helpers
+    assert threading.active_count() == alive
+
+
+class BrokenStream:
+    def standard_normal(self, out):
+        raise RuntimeError("broken stream")
+
+
+@pytest.mark.parametrize("broken", [100, 10])  # a helper's stream, the calling thread's
+def test_a_fill_error_reaches_the_caller_after_every_thread_joined(broken, monkeypatch):
+    monkeypatch.setattr(paths, "_cpus", lambda: 2)
+    streams = path_streams(2, 0, 130)
+    streams[broken] = BrokenStream()
+    alive = threading.active_count()
+    with pytest.raises(RuntimeError, match="broken stream"):
+        standard_normal_block(streams, 9, out=np.empty((9, 130)).T)
+    assert threading.active_count() == alive
+
+
+def test_a_fill_refuses_an_out_of_the_wrong_shape():
+    with pytest.raises(ValueError, match=r"out must have shape \(4, 9\)"):
+        standard_normal_block(path_streams(2, 0, 4), 9, out=np.empty((4, 8)))
 
 
 def test_streams_are_distinct():

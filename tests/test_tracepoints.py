@@ -3,6 +3,7 @@
 import importlib
 import importlib.util
 import json
+import math
 import subprocess
 import sys
 import time
@@ -48,8 +49,10 @@ def test_traced_smoke_figures_op_set_runs(tmp_path):
 
 
 def test_traced_smoke_mc_diffusive_op_set_counts_every_normal(tmp_path):
-    # the tile-drawn sweep reports every normal it draws to the tracer: one per path and
-    # step of the longest grid, which every impact cost's sweep reads (256 x 4,083)
+    # the sliced sweep reports every normal it draws to the tracer: one per path and
+    # step of the longest grid, which every impact cost's sweep reads (256 x 4,083),
+    # in one span per 1,024-step slice opened on the calling thread, whatever threads
+    # fill the slice
     root = Path(__file__).resolve().parents[1]
     spans_file = tmp_path / "spans.json"
     proc = subprocess.run(
@@ -65,8 +68,13 @@ def test_traced_smoke_mc_diffusive_op_set_counts_every_normal(tmp_path):
     report = json.loads((tmp_path / "work" / "0-scaling-diffusive" / "scaling_report.json")
                         .read_text())["report"]
     spans = json.loads(spans_file.read_text())["spans"]
-    normals = sum(s["normals"] for s in spans if s["name"] == "paths.standard_normal_block")
+    blocks = [s for s in spans if s["name"] == "paths.standard_normal_block"]
+    assert len(blocks) == math.ceil(4_083 / 1_024) == 4
+    normals = sum(s["normals"] for s in blocks)
     assert normals == report["path_counts"][0] * max(report["steps"]) == 1_045_248
+    block_ids = {s["id"] for s in blocks}
+    assert not [s for s in spans if s["parent"] in block_ids]  # no span nests in a fill
+    assert max(s["block_bytes"] for s in blocks) == 256 * 1_024 * 8  # the slice buffer
 
 
 def test_traced_smoke_figures_op_set_counts_every_diffusive_normal(tmp_path):
