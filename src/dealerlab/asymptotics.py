@@ -99,9 +99,9 @@ def _normal_slices(streams, n_steps: int):
     ``SLICE_STEPS`` x len(streams) floats, valid until the next slice is
     taken.  Each slice is one ``standard_normal_block`` call that fills the
     buffer's transpose, its streams split over the process's CPUs in tiles:
-    the rows are exactly those of ``standard_normal_block(streams,
-    n_steps).T`` whatever the thread count, and no path-major block larger
-    than one tile is ever built.
+    the rows are exactly the transpose of one path-major fill of all
+    ``n_steps`` steps whatever the thread count, and no path-major block
+    larger than one tile is ever built.
     """
     width = SLICE_STEPS
     rows = np.empty((min(width, n_steps), len(streams)))
@@ -119,7 +119,7 @@ def _grid_sweep(demand: DemandProcess, ag: Aggregates, horizon: Horizon, n_paths
     and yields the per-path cost and tracking integral so far.  It holds
     O(paths) state whatever the step count.  The state advance and G come
     from the demand's kind, exactly as in ``realize`` and ``solve_forward``,
-    and the step is ``heun_step``'s U' = a U + b u + c g' on in-place
+    and the step is ``heun_path``'s U' = a U + b u + c g' on in-place
     ufuncs, its scalars converted to Python floats one slice at a time by
     ``heun_coefficients``.  Each node's squared gap (x - U)^2 enters the
     tracking trapezoid once, weighted by (dt_{i-1} + dt_i) / 2.

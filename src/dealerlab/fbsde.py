@@ -136,25 +136,15 @@ def heun_coefficients(F_next: np.ndarray, dt: np.ndarray) -> tuple:
     return F_next.tolist(), a.tolist(), b.tolist(), c.tolist()
 
 
-def heun_step(U, u, g_next, F_next: float, a: float, b: float, c: float):
-    """One Heun step of dU = (G - F U) dt from a node where the rate is u = G - F U.
-
-    ``a``, ``b`` and ``c`` are the step's ``heun_coefficients``.  Returns the
-    position at the next node and the rate there, ``g_next - F_next * U_next``,
-    which is the next step's first slope.
-    """
-    U_next = a * U + b * u + c * g_next
-    return U_next, g_next - F_next * U_next
-
-
 def heun_path(G: np.ndarray, F: np.ndarray, dt: np.ndarray):
     """Heun's method for dU = (G - F U) dt along the last axis of G from U_0 = 0.
 
     Returns the positions U and the node rates u = G - F U (u_0 = G_0).
-    Rows of G step on Python floats, bit for bit the Monte Carlo sweep's array
-    steps.  The inputs and the step coefficients are converted ``_BLOCK_STEPS``
-    steps at a time: the floats held stay O(block) at any step count, and each
-    block carries (U_i, u_i) into the next.
+    Rows of G step on Python floats, U' = a U + b u + c g' and then
+    u' = g' - F' U', bit for bit the Monte Carlo sweep's array steps.  The
+    inputs and the step coefficients are converted ``_BLOCK_STEPS`` steps at
+    a time: the floats held stay O(block) at any step count, and each block
+    carries (U_i, u_i) into the next.
     """
     U = np.zeros(G.shape)
     for row, g in zip(U.reshape(-1, G.shape[-1]), G.reshape(-1, G.shape[-1])):
@@ -164,9 +154,10 @@ def heun_path(G: np.ndarray, F: np.ndarray, dt: np.ndarray):
             coefficients = heun_coefficients(F[nodes], dt[lo : lo + _BLOCK_STEPS])
             values = g[nodes].tolist()  # each G value is replaced by its node's position
             for k, g_next, F_i, a, b, c in zip(range(len(values)), values, *coefficients):
-                U_i, u_i = heun_step(U_i, u_i, g_next, F_i, a, b, c)
+                U_i = a * U_i + b * u_i + c * g_next
+                u_i = g_next - F_i * U_i
                 values[k] = U_i
             row[nodes] = values
             del coefficients, values  # this block's floats go before the next block's are built
     u = F * U
-    return U, np.subtract(G, u, out=u)  # heun_step's rates: the same product and difference
+    return U, np.subtract(G, u, out=u)  # the loop's rates: the same product and difference

@@ -9,8 +9,8 @@ normals in consecutive pieces gives the same numbers as one draw, so a
 caller holding the generators of its paths (``path_streams``) may take
 their normals a time slice at a time (``standard_normal_block``).
 
-Philox releases the GIL while it fills, so ``standard_normal_block``'s
-``out`` form splits one block's streams over the process's CPUs.  Each
+Philox releases the GIL while it fills, so ``standard_normal_block``
+splits one block's streams over the process's CPUs, in tiles.  Each
 stream is drawn whole by one thread, so the numbers do not depend on the
 thread count, and every thread has joined before the call returns.
 """
@@ -41,7 +41,7 @@ def path_streams(seed: int, first_path: int, n_paths: int) -> list[np.random.Gen
     return [substream(seed, first_path + i) for i in range(n_paths)]
 
 
-TILE_PATHS = 64  # streams per tile of an ``out`` fill: a tile's copy into ``out`` stays in cache
+TILE_PATHS = 64  # streams per tile of a fill: a tile's copy into ``out`` stays in cache
 
 
 def _cpus() -> int:
@@ -51,27 +51,20 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def standard_normal_block(streams, n_steps: int, out=None) -> np.ndarray:
-    """The next ``n_steps`` unit normals of each stream, shape (len(streams), n_steps).
+def standard_normal_block(streams, n_steps: int, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with the next ``n_steps`` unit normals of each stream and return it.
 
-    Row ``i`` is drawn from ``streams[i]`` alone and advances it, so neither
-    the block decomposition over paths nor a split into consecutive time
-    slices has any effect on an individual path's numbers.
-
-    Without ``out`` the rows are drawn in order on the calling thread into a
-    new path-major array.  ``out`` may be any (len(streams), n_steps) float
-    view, such as the transpose of a step-major buffer; it is filled and
-    returned.  Its streams are dealt, ``ceil(TILE_PATHS / k)`` at a time,
-    over k = min(CPUs, tiles of ``TILE_PATHS``) threads: the calling thread
-    and k - 1 helpers, each drawing its streams' rows into its own buffer
-    and copying them into ``out``.  The k buffers hold one tile in all, and
-    the first exception a helper raises is raised here once all have joined.
+    ``out`` may be any (len(streams), n_steps) float view: a path-major
+    array, or the transpose of a step-major buffer.  Row ``i`` is drawn from
+    ``streams[i]`` alone and advances it, so neither the block decomposition
+    over paths nor a split into consecutive time slices has any effect on
+    an individual path's numbers.  The streams are dealt, ``ceil(TILE_PATHS
+    / k)`` at a time, over k = min(CPUs, tiles of ``TILE_PATHS``) threads:
+    the calling thread and k - 1 helpers, each drawing its streams' rows
+    into its own buffer and copying them into ``out``.  The k buffers hold
+    one tile in all, and the first exception a helper raises is raised here
+    once all have joined.
     """
-    if out is None:
-        out = np.empty((len(streams), n_steps))
-        for row, stream in zip(out, streams):
-            stream.standard_normal(out=row)
-        return out
     n = len(streams)
     if out.shape != (n, n_steps):
         raise ValueError(f"out must have shape {(n, n_steps)}, got {out.shape}")

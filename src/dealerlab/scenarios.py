@@ -145,11 +145,13 @@ def _diffusive_rows(s: DiffusiveScenario, n_paths: int, horizon: Horizon):
     Yields ``(xi_c, K_c, xi - U, S - D, dxi_c)`` at each node of ``horizon``:
     rows over the (seed, i) substreams, with ``dxi_c`` the shock to the next
     node (None at T).  The normals are drawn ``SLICE_STEPS`` steps at a time,
-    when the rows first reach a slice, and each step's column of the slice is
-    scaled into its time-major shock row; a consumer that keeps no rows works
-    in O(paths x SLICE_STEPS) memory and draws no slice past its last row.  A
-    substream drawn in pieces gives the numbers of one draw, and the scheme
-    is elementwise, so path i's rows depend on (seed, i) alone.
+    when the rows first reach a slice, by one ``standard_normal_block`` fill
+    of the transpose of one reused step-major buffer, and each step's
+    contiguous row of it is scaled into its shock row; a consumer that keeps
+    no rows works in O(paths x SLICE_STEPS) memory and draws no slice past
+    its last row.  A substream drawn in pieces gives the numbers of one
+    draw, whatever the fill's thread count, and the scheme is elementwise,
+    so path i's rows depend on (seed, i) alone.
     """
     if n_paths < 1:
         raise ValueError(f"the diffusive simulation needs at least one path, got {n_paths}")
@@ -163,10 +165,11 @@ def _diffusive_rows(s: DiffusiveScenario, n_paths: int, horizon: Horizon):
 
     def shocks():
         width = SLICE_STEPS
+        rows = np.empty((min(width, s.steps), n_paths))
         for lo in range(0, s.steps, width):
-            z = standard_normal_block(streams, min(width, s.steps - lo))
-            yield from map(np.multiply, shock_sd[lo : lo + width], z.T)
-            del z  # freed before the next slice is drawn
+            w = min(width, s.steps - lo)
+            standard_normal_block(streams, w, out=rows[:w].T)
+            yield from map(np.multiply, shock_sd[lo : lo + w], rows[:w])
 
     share_d = s.rho_d / (s.rho_c + s.rho_d)
     rho_bar = (s.rho_c + s.rho_d) / 2.0

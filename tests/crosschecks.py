@@ -17,7 +17,6 @@ from dealerlab.fbsde import (
     RealizedDriver,
     driver_is_deterministic,
     heun_coefficients,
-    heun_step,
     kernel_expectation_path,
     solve_forward,
 )
@@ -31,7 +30,7 @@ from dealerlab.kernel import (
     stable_sinh_over_cosh,
     trapezoid,
 )
-from dealerlab.paths import RealizedPath
+from dealerlab.paths import RealizedPath, standard_normal_block
 from dealerlab.processes import DemandProcess, OrnsteinUhlenbeck
 from dealerlab.scenarios import LiquidationPaths, LiquidationScenario, scenario_delta
 
@@ -68,6 +67,27 @@ def eval_k(d: DeltaParam, t, s, T: float):
         raise ValueError("kernel requires t <= s")
     b = d.sqrt_delta
     return d.delta * stable_cosh_ratio(b * (T - s), b * (T - t))
+
+
+# ----------------------------------------------------------------------
+# normals and the folded Heun step, one at a time
+# ----------------------------------------------------------------------
+
+def normal_block(streams, n_steps: int) -> np.ndarray:
+    """The streams' next ``n_steps`` normals in a new path-major (len(streams), n_steps) array."""
+    return standard_normal_block(streams, n_steps, np.empty((len(streams), n_steps)))
+
+
+def heun_step(U, u, g_next, F_next: float, a: float, b: float, c: float):
+    """One Heun step of dU = (G - F U) dt from a node where the rate is u = G - F U.
+
+    ``a``, ``b`` and ``c`` are the step's ``heun_coefficients``.  Returns the
+    position at the next node and the rate there, ``g_next - F_next * U_next``,
+    which is the next step's first slope: the step ``heun_path`` takes inline,
+    on floats or on arrays.
+    """
+    U_next = a * U + b * u + c * g_next
+    return U_next, g_next - F_next * U_next
 
 
 # ----------------------------------------------------------------------

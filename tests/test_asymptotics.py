@@ -20,7 +20,7 @@ from dealerlab.asymptotics import (
 )
 from dealerlab.fbsde import RealizedDriver, realize_driver, solve_forward
 from dealerlab.kernel import Horizon
-from dealerlab.paths import path_streams, realize, standard_normal_block
+from dealerlab.paths import path_streams, realize
 from dealerlab.processes import (
     BrownianMartingale,
     Constant,
@@ -29,6 +29,8 @@ from dealerlab.processes import (
     SmoothRate,
     ZERO,
 )
+
+from crosschecks import normal_block
 
 UNIT_RATE = SmoothRate(Constant(1.0))  # K^N_t = t
 
@@ -130,7 +132,7 @@ def test_expected_square_rate_integrals():
     ou = OrnsteinUhlenbeck(x0=1.0, kappa=1.3, theta=0.4, sigma=0.5)
     closed = ou.square_integral(1.0)
     h = Horizon.uniform(1.0, 256)
-    z = standard_normal_block(path_streams(3, 0, 20_000), h.n_steps)
+    z = normal_block(path_streams(3, 0, 20_000), h.n_steps)
     paths = realize(ou, h, z=z).values
     mc = np.mean(
         np.sum(0.5 * (paths[:, :-1] ** 2 + paths[:, 1:] ** 2) * np.diff(h.grid), axis=1)
@@ -232,7 +234,7 @@ def test_sweep_matches_forward_solve_path_by_path(demand):
     (costs,), (tracks,) = simulate_costs(setting, demand, [lam], n_paths, seed)
     ag = setting.aggregates(lam)
     h = Horizon.uniform(setting.T, steps_for(ag.delta, setting.T))
-    z = standard_normal_block(path_streams(seed, 0, n_paths), h.n_steps)
+    z = normal_block(path_streams(seed, 0, n_paths), h.n_steps)
     path = realize(demand, h, z=z)
     realized = RealizedDriver(((1.0, demand),), {demand: path})
     U, u = solve_forward(realized, ag.delta, h)
@@ -340,10 +342,10 @@ def test_one_chunk_across_partial_tiles_matches_small_chunks(width, monkeypatch)
 
 @pytest.mark.parametrize("n_paths, n_steps, width", [(130, 50, 7), (130, 50, 500), (3, 9, 4)])
 def test_normal_rows_are_the_transposed_block(n_paths, n_steps, width, monkeypatch):
-    # the slices, filled on 1 or 3 threads, against the path-major block drawn on the
-    # calling thread
+    # the slices, filled on 1 or 3 threads, against one path-major fill on 1 thread
     monkeypatch.setattr(asymptotics, "SLICE_STEPS", width)
-    block = standard_normal_block(path_streams(4, 10, n_paths), n_steps)
+    monkeypatch.setattr("dealerlab.paths._cpus", lambda: 1)
+    block = normal_block(path_streams(4, 10, n_paths), n_steps)
     for cpus in (1, 3):
         monkeypatch.setattr("dealerlab.paths._cpus", lambda k=cpus: k)
         slices = [(lo, rows.copy()) for lo, rows in

@@ -9,7 +9,6 @@ from dealerlab.fbsde import (
     RealizedDriver,
     heun_coefficients,
     heun_path,
-    heun_step,
     kernel_expectation_path,
     realize_driver,
     solve_forward,
@@ -34,7 +33,7 @@ from dealerlab.processes import (
     combine,
 )
 
-from crosschecks import eval_k, fbsde_residual, simpson
+from crosschecks import eval_k, fbsde_residual, heun_step, simpson
 
 
 def double_integral_position(
@@ -403,7 +402,7 @@ def test_solve_forward_multi_path_vectorized():
 
 
 def test_heun_path_equals_the_array_recursion_bit_for_bit():
-    # the per-path float loop and the Monte Carlo sweep's array heun_step are one arithmetic
+    # heun_path's per-path float loop and heun_step on arrays are one arithmetic
     from dealerlab.paths import RealizedPath
 
     h = Horizon.uniform(1.0, 300)

@@ -24,6 +24,8 @@ from dealerlab.processes import (
     ZERO,
 )
 
+from crosschecks import normal_block
+
 
 def normal_increments(
     horizon: Horizon, seed: int, path_index: int, stream: int = 0
@@ -62,7 +64,8 @@ def test_reproducible_regardless_of_order():
 
 def test_block_rows_match_single_paths():
     h = Horizon.uniform(1.0, 32)
-    block = standard_normal_block(path_streams(seed=4, first_path=10, n_paths=5), h.n_steps)
+    block = np.empty((5, h.n_steps))
+    standard_normal_block(path_streams(seed=4, first_path=10, n_paths=5), h.n_steps, block)
     for i in range(5):
         single = substream(4, 10 + i).standard_normal(32)
         np.testing.assert_array_equal(block[i], single)
@@ -70,9 +73,9 @@ def test_block_rows_match_single_paths():
 
 def test_consecutive_draws_continue_each_stream():
     # two draws from the same streams give the numbers of one draw of the summed length
-    whole = standard_normal_block(path_streams(8, 3, 4), 50)
+    whole = normal_block(path_streams(8, 3, 4), 50)
     streams = path_streams(8, 3, 4)
-    split = [standard_normal_block(streams, 13), standard_normal_block(streams, 37)]
+    split = [normal_block(streams, 13), normal_block(streams, 37)]
     np.testing.assert_array_equal(np.hstack(split), whole)
 
 
@@ -81,18 +84,21 @@ def test_consecutive_draws_continue_each_stream():
 @pytest.mark.parametrize("width", [7, 500])
 def test_threaded_fill_matches_single_streams(cpus, n_paths, width, monkeypatch):
     # 130 paths fill two 64-path tiles and a 2-path one; 3 paths fill one tile. Two
-    # consecutive fills of a transposed step-major buffer continue every stream.
+    # consecutive fills of a transposed step-major buffer, or of a caller's path-major
+    # array, continue every stream.
     monkeypatch.setattr(paths, "_cpus", lambda: cpus)
-    streams = path_streams(6, 40, n_paths)
-    rows = np.empty((width, n_paths))
-    slices = []
-    for _ in range(2):
-        block = standard_normal_block(streams, width, out=rows.T)
-        assert block.base is rows
-        slices.append(rows.copy())
-    drawn = np.concatenate(slices)
-    for i in range(n_paths):
-        np.testing.assert_array_equal(drawn[:, i], substream(6, 40 + i).standard_normal(2 * width))
+    for step_major in (True, False):
+        streams = path_streams(6, 40, n_paths)
+        rows = np.empty((width, n_paths) if step_major else (n_paths, width))
+        out = rows.T if step_major else rows
+        slices = []
+        for _ in range(2):
+            assert standard_normal_block(streams, width, out=out) is out
+            slices.append(out.copy())
+        drawn = np.hstack(slices)
+        for i in range(n_paths):
+            want = substream(6, 40 + i).standard_normal(2 * width)
+            np.testing.assert_array_equal(drawn[i], want)
 
 
 class CountedThread(threading.Thread):
@@ -174,7 +180,7 @@ def test_ou_exact_discretization_moments():
     # X_T moments of the exact recursion match the OU transition law
     h = Horizon.uniform(1.0, 8)
     n = 20_000
-    z = standard_normal_block(path_streams(seed=21, first_path=0, n_paths=n), h.n_steps)
+    z = normal_block(path_streams(seed=21, first_path=0, n_paths=n), h.n_steps)
     x = realize(OrnsteinUhlenbeck(x0=1.0, kappa=2.0, theta=0.5, sigma=0.8), h, z=z).values
     xT = x[:, -1]
     mean_exact = 0.5 + (1.0 - 0.5) * np.exp(-2.0)
@@ -187,7 +193,7 @@ def test_brownian_terminal_mean():
     # sample mean of X_T over 1e5 paths is 0 within 3/sqrt(1e5)
     h = Horizon.uniform(1.0, 4)
     n = 100_000
-    z = standard_normal_block(path_streams(seed=77, first_path=0, n_paths=n), h.n_steps)
+    z = normal_block(path_streams(seed=77, first_path=0, n_paths=n), h.n_steps)
     x = realize(BrownianMartingale(x0=0.0, sigma=1.0), h, z=z).values
     assert abs(x[:, -1].mean()) < 3.0 / np.sqrt(n)
 
@@ -246,8 +252,8 @@ def test_refinement_consistency_ks():
     n_paths = 4000
     h1 = Horizon.uniform(1.0, 32)
     h2 = Horizon.uniform(1.0, 64)
-    z1 = standard_normal_block(path_streams(seed=55, first_path=0, n_paths=n_paths), h1.n_steps)
-    z2 = standard_normal_block(path_streams(seed=56, first_path=0, n_paths=n_paths), h2.n_steps)
+    z1 = normal_block(path_streams(seed=55, first_path=0, n_paths=n_paths), h1.n_steps)
+    z2 = normal_block(path_streams(seed=56, first_path=0, n_paths=n_paths), h2.n_steps)
     x1 = realize(BrownianMartingale(0.0, 1.0), h1, z=z1).values[:, -1]
     x2 = realize(BrownianMartingale(0.0, 1.0), h2, z=z2).values[:, -1]
     assert stats.ks_2samp(x1, x2).pvalue > 0.01

@@ -31,6 +31,7 @@ from dealerlab.scenarios import (
 
 from crosschecks import (
     integrated_liquidation_closed_form,
+    normal_block,
     welfare_integrated_quadrature,
     welfare_segmented_quadrature,
 )
@@ -239,7 +240,7 @@ def _diffusive_reference(s: DiffusiveScenario, n_paths: int) -> dict:
     d = scenario_delta(s)
     F = eval_F(d, horizon.grid, s.T)
     dt = horizon.dt
-    z = standard_normal_block(path_streams(s.seed, 0, n_paths), s.steps)
+    z = normal_block(path_streams(s.seed, 0, n_paths), s.steps)
     dxi = s.sigma_xi * np.sqrt(dt) * z
     xi, K, Z = (np.zeros((n_paths, horizon.grid.size)) for _ in range(3))
     share_d = s.rho_d / (s.rho_c + s.rho_d)
@@ -361,9 +362,9 @@ def test_sliced_regression_holds_less_than_one_normal_block():
 def test_regression_draws_only_the_slices_its_window_reaches(monkeypatch, slice_steps):
     counts = []
 
-    def counted(streams, n_steps):
+    def counted(streams, n_steps, out):
         counts.append(len(streams) * n_steps)
-        return standard_normal_block(streams, n_steps)
+        return standard_normal_block(streams, n_steps, out)
 
     monkeypatch.setattr(scenarios, "standard_normal_block", counted)
     monkeypatch.setattr(scenarios, "SLICE_STEPS", slice_steps)
@@ -378,6 +379,21 @@ def test_regression_draws_only_the_slices_its_window_reaches(monkeypatch, slice_
     want = _diffusive_reference(s, n_paths)
     assert np.ascontiguousarray(sim.d_xi).tobytes() == want["d_xi"].tobytes()
     assert np.ascontiguousarray(sim.K_c).tobytes() == want["K_c"].tobytes()
+
+
+@pytest.mark.parametrize("slice_steps", [7, 500])
+def test_diffusive_runs_do_not_depend_on_the_fill_threads(monkeypatch, slice_steps):
+    # 130 paths fill two 64-path tiles and a 2-path one, on 1 or 3 fill threads
+    monkeypatch.setattr(scenarios, "SLICE_STEPS", slice_steps)
+    s = DiffusiveScenario(seed=9, steps=1000)
+    runs = []
+    for cpus in (1, 3):
+        monkeypatch.setattr("dealerlab.paths._cpus", lambda k=cpus: k)
+        sim = diffusive_simulate(s, 130)
+        runs.append(([np.ascontiguousarray(getattr(sim, f.name)).tobytes()
+                      for f in dataclasses.fields(sim)],
+                     price_reversion_regression(s, 130, 0.5)))
+    assert runs[1] == runs[0]
 
 
 # ----------------------------------------------------------------------

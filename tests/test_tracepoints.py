@@ -99,5 +99,7 @@ def test_traced_smoke_figures_op_set_counts_every_diffusive_normal(tmp_path):
     cut = int(np.searchsorted(Horizon.uniform(T, steps).grid, T / 2))
     drawn = min(steps, (cut // SLICE_STEPS + 1) * SLICE_STEPS)
     spans = json.loads(spans_file.read_text())["spans"]
-    normals = sum(s["normals"] for s in spans if s["name"] == "paths.standard_normal_block")
-    assert normals == paths * drawn + 2 * steps
+    blocks = [s for s in spans if s["name"] == "paths.standard_normal_block"]
+    assert sum(s["normals"] for s in blocks) == paths * drawn + 2 * steps
+    block_ids = {s["id"] for s in blocks}
+    assert not [s for s in spans if s["parent"] in block_ids]  # no span nests in a fill
