@@ -38,8 +38,8 @@ from .market import MarketParams
 from .paths import realize
 
 #: largest discrete game solved, in unknowns: K, u and U per agent and mu, each
-#: n_steps long.  At the cap the scalar sweep and its residual check peak at 152 MB
-#: (VmHWM, about 30 MB of it the imports) with 2 agents and 126 MB with 5
+#: n_steps long.  At the cap the scalar sweep and its residual check peak at 102 MB
+#: (VmHWM, about 29 MB of it the imports) with 2 agents and 76 MB with 5
 MAX_UNKNOWNS = 2_000_000
 
 
@@ -93,15 +93,17 @@ def assemble_and_solve(params: MarketParams, T: float, n_steps: int) -> Discrete
     alpha = dt * dt * sum(a.mass * v[a.name] for a in open_agents) / R
     d = -(noise + sum(a.mass * xi[a.name] for a in agents)) / R
 
-    sweep, a_i, b_i = [], 0.0, 0.0  # S_i = a_i P_i + b_i, from i = n - 1 down to 0
+    A, B, a_i, b_i = [], [], 0.0, 0.0  # S_i = a_i P_i + b_i, from i = n - 1 down to 0
     for d_i in reversed(d.tolist()):
         a_i, b_i = (a_i - alpha) / (1.0 - a_i), (b_i + d_i) / (1.0 - a_i)
-        sweep.append((a_i, b_i))
+        A.append(a_i)
+        B.append(b_i)
     P, S, p = [], [], 0.0
-    for a_i, b_i in reversed(sweep):
+    for a_i, b_i in zip(reversed(A), reversed(B)):
         P.append(p)
         S.append(a_i * p + b_i)
         p += S[-1]
+    del A, B
 
     mu = d - alpha * np.array(P)
     S = np.array(S)
@@ -109,21 +111,24 @@ def assemble_and_solve(params: MarketParams, T: float, n_steps: int) -> Discrete
     U = {name: dt * np.concatenate([[0.0], np.cumsum(rates[:-1])]) for name, rates in u.items()}
     K = {a.name: a.risk_tolerance * mu - U[a.name] + xi[a.name] for a in agents}
 
-    # the undifferenced conditions as lists of terms that sum to zero
-    conditions = [[a.mass * K[a.name] for a in agents] + [noise]]
-    for a in agents:
-        conditions.append([a.risk_tolerance * mu, -K[a.name], -U[a.name], xi[a.name]])
-        if a.has_open_access:
-            weight = dt / a.risk_tolerance
+    def conditions():
+        """The undifferenced conditions, one at a time, as lists of terms that sum to zero."""
+        yield [a.mass * K[a.name] for a in agents] + [noise]
+        for a in agents:
+            yield [a.risk_tolerance * mu, -K[a.name], -U[a.name], xi[a.name]]
+            if not a.has_open_access:
+                yield [u[a.name]]
+                continue
             terms = [lam * o.mass * u[o.name] for o in agents if o is not a]
             terms.append((2 * a.mass * lam + a.open_cost) * u[a.name])
             suffix_sums = (np.cumsum(v[::-1])[::-1] for v in (K[a.name], U[a.name], -xi[a.name]))
-            terms += [weight * v for v in suffix_sums]
-            conditions.append(terms)
-        else:
-            conditions.append([u[a.name]])
-    residual = max(np.max(np.abs(sum(terms))) for terms in conditions)
-    scale = max(np.max(sum(np.abs(t) for t in terms)) for terms in conditions)
+            yield terms + [dt / a.risk_tolerance * v for v in suffix_sums]
+
+    # each condition's residual and scale, reduced before the next condition is built
+    sizes = [(np.max(np.abs(sum(terms))), np.max(sum(np.abs(t) for t in terms)))
+             for terms in conditions()]
+    residual = max(r for r, _ in sizes)
+    scale = max(s for _, s in sizes)
     return DiscreteEquilibrium(
         times=h.grid[:-1],
         mu=mu,
