@@ -241,10 +241,15 @@ class KernelWeight:
         return self.T - self.grid
 
     def constant(self) -> np.ndarray:
-        """integral_t^T w(t, s) ds: F(t), or 1 - sech(sqrt(delta)(T-t)) for the rate weight."""
+        """integral_t^T w(t, s) ds: F(t), or 1 - sech(sqrt(delta)(T-t)) for the rate weight.
+
+        1 - sech(x) is taken as expm1(-x)^2 / (1 + e^{-2x}): no overflow, and
+        no cancellation near T, where the difference loses every digit.
+        """
         if self.sign > 0:
             return eval_F(self.d, self.grid, self.T)
-        return 1.0 - stable_sech(self.d.sqrt_delta * self.tau)
+        x = self.d.sqrt_delta * self.tau
+        return np.expm1(-x) ** 2 / (1.0 + np.exp(-2.0 * x))
 
     def exponential(self, kappa: float) -> np.ndarray:
         """integral_t^T w(t, s) e^{-kappa (s-t)} ds; at kappa = 0 exactly ``constant()``."""
