@@ -103,7 +103,7 @@ def assemble_and_solve(params: MarketParams, T: float, n_steps: int) -> Discrete
         P.append(p)
         S.append(a_i * p + b_i)
         p += S[-1]
-    del A, B
+    del A, B  # the sweep's floats go before the residual check builds its arrays
 
     mu = d - alpha * np.array(P)
     S = np.array(S)
@@ -127,8 +127,7 @@ def assemble_and_solve(params: MarketParams, T: float, n_steps: int) -> Discrete
     # each condition's residual and scale, reduced before the next condition is built
     sizes = [(np.max(np.abs(sum(terms))), np.max(sum(np.abs(t) for t in terms)))
              for terms in conditions()]
-    residual = max(r for r, _ in sizes)
-    scale = max(s for _, s in sizes)
+    residual, scale = map(max, zip(*sizes))
     return DiscreteEquilibrium(
         times=h.grid[:-1],
         mu=mu,

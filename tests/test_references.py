@@ -19,10 +19,7 @@ def weight_reference(d: DeltaParam, kappa: float, tau: float, sign: float):
     with mpmath.workdps(40):
         b, k, tau = mpmath.mpf(d.sqrt_delta), mpmath.mpf(kappa), mpmath.mpf(tau)
         up = mpmath.exp(b * tau) * -mpmath.expm1(-(b + k) * tau) / (b + k)
-        if k == b:
-            down = tau * mpmath.exp(-b * tau)
-        else:
-            down = mpmath.exp(-b * tau) * mpmath.expm1((b - k) * tau) / (b - k)
+        down = mpmath.exp(-b * tau) * mpmath.expm1((b - k) * tau) / (b - k)  # kappa != b
         scale = mpmath.mpf(d.delta) if sign > 0 else b
         return scale * (up + sign * down) / 2 / mpmath.cosh(b * tau)
 
