@@ -11,15 +11,17 @@ N-step, deterministic-demand game is pinned down by
 with U^a accumulated by the left-endpoint rule U^a_i = dt sum_{j<i} u^a_j.
 They reduce exactly to one scalar recursion.  Dealer-market optimality
 turns each open agent's suffix term into dt S_i, S_i = sum_{j>=i} mu_j, so
-u^a = -dt v_a S with v = L^{-1} 1 (L_aa = 2 m(a) lam + open^a, L_ab = lam m(b)
-over the open agents; u^a = 0 for the others) and U^a = -dt^2 v_a P, with
-P_i = sum_{j<i} S_j.  Clearing then gives mu = d - alpha P, where
-d = -(K^N + sum_a m(a) xi^a) / R, alpha = dt^2 sum_open m(a) v_a / R >= 0 and
-R = sum_a m(a) rho^a.  A backward Riccati sweep S_i = a_i P_i + b_i,
-a_i = (a_{i+1} - alpha) / (1 - a_{i+1}), b_i = (b_{i+1} + d_i) / (1 - a_{i+1})
-from a_n = b_n = 0 (so S_n = 0, and every pivot is at least 1), then a
-forward pass P_{i+1} = P_i + S_i from P_0 = 0, give S and P; finally
-K^a = rho^a mu - U^a + xi^a.
+its condition reads (m(a) lam + open^a) u^a + lam ubar = -dt S, with ubar =
+sum_open m(b) u^b.  Weighting it by m(a) e_a, e_a = 1/(m(a) lam + open^a), and
+summing over the open agents gives ubar, hence u^a = -dt v_a S with
+v_a = e_a / (1 + lam sum_open m(b) e_b) (u^a = 0 for the others), and
+U^a = -dt^2 v_a P, with P_i = sum_{j<i} S_j.  Clearing then gives
+mu = d - alpha P, where d = -(K^N + sum_a m(a) xi^a) / R,
+alpha = dt^2 sum_open m(a) v_a / R >= 0 and R = sum_a m(a) rho^a.  A backward
+Riccati sweep S_i = a_i P_i + b_i, a_i = (a_{i+1} - alpha) / (1 - a_{i+1}),
+b_i = (b_{i+1} + d_i) / (1 - a_{i+1}) from a_n = b_n = 0 (so S_n = 0, and
+every pivot is at least 1), then a forward pass P_{i+1} = P_i + S_i from
+P_0 = 0, give S and P; finally K^a = rho^a mu - U^a + xi^a.
 ``residual_rel`` is taken on the undifferenced conditions above, so every
 solve also checks the reduction.  No kernel, feedback function, or mesh
 rate enters anywhere; agreement with the closed form is the test.
@@ -78,19 +80,11 @@ def assemble_and_solve(params: MarketParams, T: float, n_steps: int) -> Discrete
     dt = T / n
     lam = params.impact_cost
 
-    open_agents = [a for a in agents if a.has_open_access]
-    L = [[2 * a.mass * lam + a.open_cost if o is a else lam * o.mass for o in open_agents]
-         for a in open_agents]
-    try:
-        v = np.linalg.solve(np.reshape(L, (len(L), len(L))), np.ones(len(L))).tolist()
-    except np.linalg.LinAlgError:
-        raise RuntimeError(
-            "singular first-order-condition system; "
-            "degenerate parameters such as frictionless open-market trading can cause this"
-        ) from None
-    v = dict(zip((a.name for a in open_agents), v))
+    e = {a.name: 1.0 / (a.mass * lam + a.open_cost) for a in agents if a.has_open_access}
+    scale = 1.0 + lam * sum(a.mass * e[a.name] for a in agents if a.name in e)
+    v = {name: e_a / scale for name, e_a in e.items()}
     R = sum(a.mass * a.risk_tolerance for a in agents)
-    alpha = dt * dt * sum(a.mass * v[a.name] for a in open_agents) / R
+    alpha = dt * dt * sum(a.mass * v[a.name] for a in agents if a.name in v) / R
     d = -(noise + sum(a.mass * xi[a.name] for a in agents)) / R
 
     A, B, a_i, b_i = [], [], 0.0, 0.0  # S_i = a_i P_i + b_i, from i = n - 1 down to 0

@@ -273,15 +273,6 @@ def test_oracle_rejects_oversized_system():
         assemble_and_solve(params, 1.0, 300_000)
 
 
-def test_singular_system_raises_runtime_error():
-    # zero impact and open-market cost leave the last open-market rate undetermined;
-    # MarketParams rejects that market, so its impact cost is zeroed after the checks
-    params = MarketParams(0.1, (AgentSpec("d", 1.0, 0.1, 0.0, target=Constant(-1.0)),))
-    object.__setattr__(params, "impact_cost", 0.0)
-    with pytest.raises(RuntimeError, match="singular"):
-        assemble_and_solve(params, 1.0, 20)
-
-
 def test_clearing_holds_at_solver_tolerance():
     params = liquidation_params()
     disc = assemble_and_solve(params, 1.0, 150)
