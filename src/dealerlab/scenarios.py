@@ -293,35 +293,18 @@ def welfare_brackets(s: LiquidationScenario) -> tuple[float, float]:
     return segmented, integrated
 
 
-def asymptotic_welfare_segmented(s: LiquidationScenario) -> float:
-    m = s.n_dealers
-    return 0.0 - (  # 0 - x, not -x: a zero target writes 0, not -0
-        s.xi_c**2
-        * math.sqrt(2.0 * s.impact_cost)
-        * math.sqrt((m + 1.0) / m)
-        * (3.0 * s.rho_c + 4.0 * s.rho_d)
-        / (8.0 * (s.rho_c + s.rho_d) ** 1.5)
-    )
+def asymptotic_welfare_brackets(s: LiquidationScenario) -> tuple[float, float]:
+    """``welfare_brackets`` as sqrt(delta) T -> inf: tanh -> 1 and sech -> 0.
 
-
-def asymptotic_welfare_integrated(s: LiquidationScenario) -> float:
-    m = s.n_dealers
-    return 0.0 - (
-        s.xi_c**2
-        * math.sqrt(s.impact_cost / (m * (1.0 + 2.0 * m)))
-        * ((2.0 + 6.0 * m) * s.rho_c + (3.0 + 8.0 * m) * s.rho_d)
-        / (8.0 * (s.rho_c + s.rho_d) ** 1.5)
-    )
-
-
-def asymptotic_welfare_ratio(s: LiquidationScenario) -> float:
-    m = s.n_dealers
-    r = s.rho_c / s.rho_d
-    return (
-        math.sqrt(2.0 * (m + 1.0) * (2.0 * m + 1.0))
-        * (3.0 * r + 4.0)
-        / ((2.0 + 6.0 * m) * r + (3.0 + 8.0 * m))
-    )
+    The integrals of C, C^2 and S^2 tend to 1/b, 1/(2b) and 1/(2b); what
+    they drop is exponentially small in b T, and b ~ 1/sqrt(lambda).
+    """
+    rho = s.rho_c + s.rho_d
+    b = scenario_delta(s).sqrt_delta
+    segmented = (4.0 / rho - s.rho_c / rho**2) / b
+    d2 = scenario_delta(s, doubled=True)
+    integrated = (2.0 / rho + s.rho_d / rho**2 + s.impact_cost * d2.delta / 2.0) / d2.sqrt_delta
+    return segmented, integrated
 
 
 def segmentation_welfare(s: LiquidationScenario) -> WelfareReport:
@@ -334,13 +317,9 @@ def segmentation_welfare(s: LiquidationScenario) -> WelfareReport:
     """
     if s.n_dealers == INF_DEALERS:
         raise ValueError("segmentation welfare needs a finite dealer count")
-    segmented, integrated = welfare_brackets(s)
-    loss = s.xi_c**2 / 4.0
-    return WelfareReport(
-        J_c_segmented=0.0 - loss * segmented,
-        J_c_integrated=0.0 - loss * integrated,
-        ratio=segmented / integrated,
-        asymptotic_J_c=asymptotic_welfare_segmented(s),
-        asymptotic_J_c_int=asymptotic_welfare_integrated(s),
-        asymptotic_ratio=asymptotic_welfare_ratio(s),
+    loss = s.xi_c**2 / 4.0  # J = 0 - loss * bracket: a zero target writes 0, not -0
+    exact, asymptotic = (
+        (0.0 - loss * segmented, 0.0 - loss * integrated, segmented / integrated)
+        for segmented, integrated in (welfare_brackets(s), asymptotic_welfare_brackets(s))
     )
+    return WelfareReport(*exact, *asymptotic)

@@ -18,9 +18,6 @@ from dealerlab.scenarios import (
     INF_DEALERS,
     DiffusiveScenario,
     LiquidationScenario,
-    asymptotic_welfare_integrated,
-    asymptotic_welfare_ratio,
-    asymptotic_welfare_segmented,
     diffusive_simulate,
     liquidation_closed_form,
     price_reversion_regression,
@@ -440,9 +437,9 @@ def test_exact_welfare_is_the_asymptotic_welfare_at_small_lambda(lam):
     for m, ratio in WELFARE_GRID:
         s = LiquidationScenario(impact_cost=lam, rho_c=0.1 * ratio, rho_d=0.1, n_dealers=m)
         rep = segmentation_welfare(s)
-        assert rep.J_c_segmented == pytest.approx(asymptotic_welfare_segmented(s), rel=1e-13)
-        assert rep.J_c_integrated == pytest.approx(asymptotic_welfare_integrated(s), rel=1e-13)
-        assert rep.ratio == pytest.approx(asymptotic_welfare_ratio(s), rel=1e-13)
+        assert rep.J_c_segmented == pytest.approx(rep.asymptotic_J_c, rel=1e-13)
+        assert rep.J_c_integrated == pytest.approx(rep.asymptotic_J_c_int, rel=1e-13)
+        assert rep.ratio == pytest.approx(rep.asymptotic_ratio, rel=1e-13)
     symmetric = segmentation_welfare(LiquidationScenario(impact_cost=lam))
     assert symmetric.ratio == pytest.approx(7 * math.sqrt(12) / 19, rel=1e-15)
 
@@ -469,7 +466,7 @@ def test_segmentation_always_hurts_clients():
 
 def test_welfare_ratio_vanishes_in_competitive_limit():
     s = LiquidationScenario(n_dealers=1000)
-    assert asymptotic_welfare_ratio(s) == pytest.approx(1.0, rel=0.01)
+    assert segmentation_welfare(s).asymptotic_ratio == pytest.approx(1.0, rel=0.01)
 
 
 def test_welfare_quadrature_matches_goal_functional():
@@ -510,10 +507,12 @@ def representative_dealer_check(s: LiquidationScenario, steps: int = 2000) -> di
         "delta_many": scenario_delta(many).delta,
         "delta_single_half_cost": scenario_delta(single_half).delta,
         "max_path_gap": gap,
-        "asymptotic_J_c_int_single_half_cost": asymptotic_welfare_integrated(single_half),
-        "asymptotic_J_c_int_m1": asymptotic_welfare_integrated(
-            dataclasses.replace(s, n_dealers=1)
+        "asymptotic_J_c_int_single_half_cost": (
+            segmentation_welfare(single_half).asymptotic_J_c_int
         ),
+        "asymptotic_J_c_int_m1": segmentation_welfare(
+            dataclasses.replace(s, n_dealers=1)
+        ).asymptotic_J_c_int,
     }
 
 
