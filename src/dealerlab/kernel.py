@@ -183,13 +183,44 @@ def _exp_difference(beta: float, kappa: float, tau: np.ndarray) -> np.ndarray:
     return np.exp(-(beta + min(beta, kappa)) * tau) * tau * _phi(-abs(beta - kappa) * tau)
 
 
+def _exp_second_difference(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The divided difference exp[0, p, q] at nodes p, q <= 0, without cancellation.
+
+    Nodes within 1 of 0 sum its Taylor series sum_n h_n / (n + 2)!, with
+    h_n = sum_{i<=n} p^i q^(n-i), to 20 terms; the others take
+    (exp[0, x1] - exp[x1, x2]) / -x2 over the sorted nodes 0 >= x1 >= x2,
+    whose difference keeps at least a third of its first term.
+    """
+    low, high = np.minimum(p, q), np.maximum(p, q)
+    out = np.empty_like(low)
+    near = low > -1.0
+    x1, x2 = high[near], low[near]
+    h, power, total, factorial = np.ones_like(x1), np.ones_like(x1), np.full_like(x1, 0.5), 2.0
+    for n in range(1, 20):
+        power = power * x1
+        h = x2 * h + power
+        factorial *= n + 2
+        total = total + h / factorial
+    out[near] = total
+    x1, x2 = high[~near], low[~near]
+    out[~near] = (_phi(x1) - np.exp(x1) * _phi(x2 - x1)) / -x2
+    return out
+
+
 def _ou_weight(d: DeltaParam, kappa: float, tau: np.ndarray, sign: float) -> np.ndarray:
-    """``KernelWeight.exponential`` at tau = T - t; its kappa -> 0 limit is ``constant()``."""
+    """``KernelWeight.exponential`` at tau = T - t; its kappa -> 0 limit is ``constant()``.
+
+    The rate weight (sign -1) is b e^{-(b+kappa) tau} int_0^tau e^{(b+kappa) r} (1 - e^{-2br}) dr
+    over 1 + e^{-2b tau}, b = sqrt(delta): its integral is 2b tau^2 exp[0, -2b tau, -(b+kappa) tau],
+    so the tau^2 it vanishes with near T is a factor, not a difference.
+    """
     tau = np.asarray(tau, dtype=float)
     b = d.sqrt_delta
+    if sign < 0:
+        x = _exp_second_difference(-2.0 * b * tau, -(b + kappa) * tau)
+        return 2.0 * d.delta * tau**2 * x / (1.0 + np.exp(-2.0 * b * tau))
     head = -np.expm1(-(b + kappa) * tau) / (b + kappa)
-    scale = d.delta if sign > 0 else b
-    return scale * (head + sign * _exp_difference(b, kappa, tau)) / (1.0 + np.exp(-2.0 * b * tau))
+    return d.delta * (head + _exp_difference(b, kappa, tau)) / (1.0 + np.exp(-2.0 * b * tau))
 
 
 def _suffix_product_integral(
