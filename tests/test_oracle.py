@@ -1,6 +1,7 @@
 """Discrete Nash oracle: independence, symmetry, and convergence to the closed form."""
 
 import ast
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 from dealerlab import oracle
 from dealerlab.equilibrium import solve_equilibrium
@@ -22,7 +24,7 @@ from dealerlab.market import (
 )
 from dealerlab.oracle import DiscreteEquilibrium, assemble_and_solve, oracle_gap
 from dealerlab.paths import realize
-from dealerlab.processes import BrownianMartingale, Constant, Deterministic
+from dealerlab.processes import BrownianMartingale, Constant, Deterministic, SmoothRate
 
 
 def delta_identity_residual(params: MarketParams, disc: DiscreteEquilibrium) -> float:
@@ -143,11 +145,14 @@ def test_oracle_imports_stay_independent_of_the_engine():
     assert not [i for i in imports if i[0] in ("", "fbsde", "asymptotics", "scenarios")]
     assert {name for module, name, _ in imports if module == "kernel"} == {"Horizon"}
     assert {func for module, _, func in imports if module == "equilibrium"} == {"oracle_gap"}
-    # and the sweep needs no scipy
+    # and the sweep is scalar: no scipy, and no linear algebra from numpy or elsewhere
     nodes = list(ast.walk(ast.parse(source)))
     modules = [a.name for node in nodes if isinstance(node, ast.Import) for a in node.names]
     modules += [node.module or "" for node in nodes if isinstance(node, ast.ImportFrom)]
     assert not [m for m in modules if m.split(".")[0] == "scipy"]
+    names = [a.name for node in nodes if isinstance(node, ast.ImportFrom) for a in node.names]
+    names += [node.attr for node in nodes if isinstance(node, ast.Attribute)]
+    assert not [n for n in modules + names if "linalg" in n.split(".")]
 
 
 def test_cli_import_loads_no_scipy():
@@ -382,3 +387,40 @@ def test_aggregate_rate_minimizes_aux_objective():
         improvements.append(best_improvement)
         assert best_improvement < 10.0 * dt * 1e-3  # gradient is O(dt)
     assert improvements[1] < improvements[0]  # and vanishes under refinement
+
+
+levels = st.floats(-1.0, 1.0)
+demands = st.tuples(levels, st.sampled_from([Constant, lambda c: SmoothRate(Constant(c))]))
+open_costs = st.one_of(st.sampled_from([0.0, NO_ACCESS]), st.floats(-3.0, 1.0).map(lambda x: 10.0**x))
+agent_fields = st.tuples(st.floats(0.03, 1.0), st.floats(0.03, 3.0), open_costs, demands)
+
+
+@st.composite
+def random_markets(draw):
+    """A deterministic market of 1-4 agents, at least one with open-market access, and
+    whether any of its demands (constant or smooth-constant, each agent's and the noise)
+    is nonzero."""
+    fields = draw(st.lists(agent_fields, min_size=1, max_size=4).filter(
+        lambda fs: any(cost < math.inf for _, _, cost, _ in fs)))
+    noise = draw(demands)
+    agents = tuple(AgentSpec(f"a{i}", mass, rho, cost, target=kind(level))
+                   for i, (mass, rho, cost, (level, kind)) in enumerate(fields))
+    params = MarketParams(10.0 ** draw(st.floats(-3.0, 0.0)), agents, noise_demand=noise[1](noise[0]))
+    return params, any(level for *_, (level, _) in fields) or noise[0] != 0.0
+
+
+# no shrink phase: a failure reports its first market at once, where shrinking ran for minutes
+@settings(max_examples=150, derandomize=True, database=None, deadline=None,
+          phases=[Phase.generate])
+@given(random_markets())
+def test_engine_meets_the_oracle_on_random_markets(market):
+    # several open agents, mixed frictions and access: more than segmented_market builds
+    params, has_demand = market
+    n = max(400, math.ceil(4 * aggregate(params).delta.sqrt_delta))
+    report = oracle_gap(params, 1.0, [n, 2 * n, 4 * n])
+    if has_demand:
+        assert 0.8 <= report.fitted_order <= 1.25, report
+    else:
+        assert report.fitted_order is None
+    for steps in report.steps:
+        assert assemble_and_solve(params, 1.0, steps).residual_rel <= 1e-10
