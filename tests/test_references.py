@@ -1,9 +1,13 @@
-"""Closed forms against 40-digit mpmath references."""
+"""Closed forms against exact references: 40-digit mpmath and sympy."""
+
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
 import pytest
+import sympy as sp
 
+from dealerlab import scenarios
 from dealerlab.kernel import DeltaParam, KernelWeight
 
 T = 1.0
@@ -45,3 +49,31 @@ def test_kernel_weights_match_mpmath(delta, sign):
     for kappa in (0.0, d.sqrt_delta / 2, d.sqrt_delta * (1 + 1e-9), 10 * d.sqrt_delta):
         errors = relative_errors(weight.exponential(kappa), d, kappa, sign)
         assert max(errors) < 1e-13, (kappa, errors)
+
+
+def test_asymptotic_welfare_brackets_are_the_limit_of_the_exact_ones(monkeypatch):
+    # welfare_brackets on symbolic markets, with its integrals of C, C^2 and S^2 replaced by
+    # their limits as T -> oo, derived here from the integrands
+    rho_c, rho_d, lam, M, b, t, T_ = sp.symbols("rho_c rho_d lambda M b t T", positive=True)
+    ch, sh = sp.cosh(b * (T_ - t)), sp.sinh(b * (T_ - t))  # C and S times cosh(b T)
+    limits = [sp.limit(sp.integrate(sp.expand(f.rewrite(sp.exp)), (t, 0, T_))
+                       / sp.cosh(b * T_) ** power, T_, sp.oo)
+              for f, power in ((ch, 1), (ch**2, 2), (sh**2, 2))]
+
+    def delta(s, doubled=False):
+        """compute_delta's eta eta_bar / (rho_bar (eta + eta_bar)), eta = 1/lambda and
+        eta_bar = (M dealers, 2M when doubled, each of mass 1/(2M)) / lambda."""
+        eta, eta_bar = 1 / s.impact_cost, (2 if doubled else 1) * s.n_dealers / s.impact_cost
+        value = eta * eta_bar / ((s.rho_c + s.rho_d) / 2 * (eta + eta_bar))
+        return SimpleNamespace(delta=value, sqrt_delta=sp.sqrt(value))
+
+    monkeypatch.setattr(scenarios, "scenario_delta", delta)
+    monkeypatch.setattr(scenarios, "_hyperbolic_integrals",
+                        lambda b_, T: tuple(limit.subs(b, b_) for limit in limits))
+    s = SimpleNamespace(rho_c=rho_c, rho_d=rho_d, impact_cost=lam, n_dealers=M, T=T_)
+    exact = scenarios.welfare_brackets(s)
+    asymptotic = scenarios.asymptotic_welfare_brackets(s)
+    for e, a in zip(exact, asymptotic):
+        assert sp.simplify(sp.nsimplify(e - a)) == 0
+    ratio = sp.nsimplify(asymptotic[0] / asymptotic[1]).subs({M: 1, rho_c: rho_d})
+    assert sp.simplify(ratio - 7 * sp.sqrt(12) / 19) == 0
