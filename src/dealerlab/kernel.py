@@ -186,21 +186,17 @@ def _exp_difference(beta: float, kappa: float, tau: np.ndarray) -> np.ndarray:
 def _exp_second_difference(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """The divided difference exp[0, p, q] at nodes p, q <= 0, without cancellation.
 
-    Nodes within 1 of 0 sum its Taylor series sum_n h_n / (n + 2)!, with
-    h_n = sum_{i<=n} p^i q^(n-i), to 20 terms; the others take
-    (exp[0, x1] - exp[x1, x2]) / -x2 over the sorted nodes 0 >= x1 >= x2,
-    whose difference keeps at least a third of its first term.
+    Within 1 of 0 it is sum_n h_n / (n + 2)!, h_n = sum_{i<=n} p^i q^(n-i); else, with
+    0 >= x1 >= x2 the sorted nodes, (exp[0, x1] - exp[x1, x2]) / -x2 keeps a third of its lead.
     """
     low, high = np.minimum(p, q), np.maximum(p, q)
-    out = np.empty_like(low)
-    near = low > -1.0
+    out, near = np.empty_like(low), low > -1.0
     x1, x2 = high[near], low[near]
-    h, power, total, factorial = np.ones_like(x1), np.ones_like(x1), np.full_like(x1, 0.5), 2.0
+    h, power, total = np.ones_like(x1), np.ones_like(x1), np.full_like(x1, 0.5)
     for n in range(1, 20):
         power = power * x1
         h = x2 * h + power
-        factorial *= n + 2
-        total = total + h / factorial
+        total = total + h / math.factorial(n + 2)
     out[near] = total
     x1, x2 = high[~near], low[~near]
     out[~near] = (_phi(x1) - np.exp(x1) * _phi(x2 - x1)) / -x2
@@ -210,9 +206,9 @@ def _exp_second_difference(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 def _ou_weight(d: DeltaParam, kappa: float, tau: np.ndarray, sign: float) -> np.ndarray:
     """``KernelWeight.exponential`` at tau = T - t; its kappa -> 0 limit is ``constant()``.
 
-    The rate weight (sign -1) is b e^{-(b+kappa) tau} int_0^tau e^{(b+kappa) r} (1 - e^{-2br}) dr
-    over 1 + e^{-2b tau}, b = sqrt(delta): its integral is 2b tau^2 exp[0, -2b tau, -(b+kappa) tau],
-    so the tau^2 it vanishes with near T is a factor, not a difference.
+    The rate weight (sign -1) is b int_0^tau e^{-(b+kappa) s} (1 - e^{-2b(tau-s)}) ds over
+    1 + e^{-2b tau}, b = sqrt(delta), and the integral is 2b tau^2 exp[0, -2b tau,
+    -(b+kappa) tau]: the tau^2 it vanishes with near T is a factor, not a difference.
     """
     tau = np.asarray(tau, dtype=float)
     b = d.sqrt_delta

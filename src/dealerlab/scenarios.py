@@ -294,11 +294,7 @@ def welfare_brackets(s: LiquidationScenario) -> tuple[float, float]:
 
 
 def asymptotic_welfare_brackets(s: LiquidationScenario) -> tuple[float, float]:
-    """``welfare_brackets`` as sqrt(delta) T -> inf: tanh -> 1 and sech -> 0.
-
-    The integrals of C, C^2 and S^2 tend to 1/b, 1/(2b) and 1/(2b); what
-    they drop is exponentially small in b T, and b ~ 1/sqrt(lambda).
-    """
+    """``welfare_brackets`` as b T -> inf: C, C^2 and S^2 integrate to 1/b, 1/2b and 1/2b."""
     rho = s.rho_c + s.rho_d
     b = scenario_delta(s).sqrt_delta
     segmented = (4.0 / rho - s.rho_c / rho**2) / b
