@@ -177,7 +177,10 @@ def consistency_report(sol: EquilibriumSolution) -> Dict[str, float]:
     price:     price_dev = (1/eta + 1/eta_bar) u_bar
 
     The solution is evaluated ``_CHECK_NODES`` nodes at a time, so the
-    temporaries stay O(block) at any step count.
+    temporaries stay O(block) at any step count.  ``at`` builds all it checks
+    from U_bar and u_bar, so it catches non-finite values and wrong aggregate
+    sums, not a wrong forward solve: ``oracle_gap`` and the drift residual
+    (``tests/crosschecks.fbsde_residual``) check that.
     """
     ag = sol.aggregates
     agents = [(spec, eta_a / ag.eta_bar) for spec, eta_a in zip(sol.params.agents, ag.eta_a)]
