@@ -390,35 +390,29 @@ def test_aggregate_rate_minimizes_aux_objective():
 
 
 levels = st.floats(-1.0, 1.0)
-demands = st.tuples(levels, st.sampled_from([Constant, lambda c: SmoothRate(Constant(c))]))
-open_costs = st.one_of(st.sampled_from([0.0, NO_ACCESS]), st.floats(-3.0, 1.0).map(lambda x: 10.0**x))
+demands = st.one_of(levels.map(Constant), levels.map(lambda c: SmoothRate(Constant(c))))
+open_costs = st.one_of(st.sampled_from([0.0, NO_ACCESS]),
+                       st.floats(-3.0, 1.0).map(lambda x: 10.0**x))
 agent_fields = st.tuples(st.floats(0.03, 1.0), st.floats(0.03, 3.0), open_costs, demands)
-
-
-@st.composite
-def random_markets(draw):
-    """A deterministic market of 1-4 agents, at least one with open-market access, and
-    whether any of its demands (constant or smooth-constant, each agent's and the noise)
-    is nonzero."""
-    fields = draw(st.lists(agent_fields, min_size=1, max_size=4).filter(
-        lambda fs: any(cost < math.inf for _, _, cost, _ in fs)))
-    noise = draw(demands)
-    agents = tuple(AgentSpec(f"a{i}", mass, rho, cost, target=kind(level))
-                   for i, (mass, rho, cost, (level, kind)) in enumerate(fields))
-    params = MarketParams(10.0 ** draw(st.floats(-3.0, 0.0)), agents, noise_demand=noise[1](noise[0]))
-    return params, any(level for *_, (level, _) in fields) or noise[0] != 0.0
+agent_lists = st.lists(agent_fields, min_size=1, max_size=4).filter(
+    lambda fs: any(cost < math.inf for _, _, cost, _ in fs))
+# deterministic markets of 1-4 agents, at least one with open-market access
+random_markets = st.builds(
+    lambda log_lam, fields, noise: MarketParams(10.0**log_lam, tuple(
+        AgentSpec(f"a{i}", *f[:3], target=f[3]) for i, f in enumerate(fields)), noise),
+    st.floats(-3.0, 0.0), agent_lists, demands)
 
 
 # no shrink phase: a failure reports its first market at once, where shrinking ran for minutes
 @settings(max_examples=150, derandomize=True, database=None, deadline=None,
           phases=[Phase.generate])
-@given(random_markets())
-def test_engine_meets_the_oracle_on_random_markets(market):
+@given(random_markets)
+def test_engine_meets_the_oracle_on_random_markets(params):
     # several open agents, mixed frictions and access: more than segmented_market builds
-    params, has_demand = market
     n = max(400, math.ceil(4 * aggregate(params).delta.sqrt_delta))
     report = oracle_gap(params, 1.0, [n, 2 * n, 4 * n])
-    if has_demand:
+    inputs = [params.noise_demand, *(a.target for a in params.agents)]
+    if any(getattr(p, "rate", p).level for p in inputs):  # a constant, or its smooth rate
         assert 0.8 <= report.fitted_order <= 1.25, report
     else:
         assert report.fitted_order is None
