@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import functools
 import math
 import sys
 from dataclasses import asdict
@@ -37,7 +36,7 @@ from .processes import (
     SmoothRate,
     ZERO,
 )
-from .reports import run_metadata, write_csv, write_json
+from .reports import row_blocks, run_metadata, write_csv, write_json
 from .scenarios import (
     INF_DEALERS,
     DiffusiveScenario,
@@ -208,12 +207,12 @@ def cmd_liquidation(args) -> None:
     write_csv(
         out / "fig1_strategies.csv",
         ["t", "K_c_M1", "K_c_Minf"],
-        [grid, one.K_c, many.K_c],
+        row_blocks([grid, one.K_c, many.K_c]),
     )
     write_csv(
         out / "fig1_price.csv",
         ["t", "price_dev_M1", "price_dev_Minf"],
-        [grid, one.price_dev, many.price_dev],
+        row_blocks([grid, one.price_dev, many.price_dev]),
     )
     write_json(
         out / "run_meta.json",
@@ -248,7 +247,7 @@ def cmd_diffusive(args) -> None:
     write_csv(
         out / "fig2_paths.csv",
         ["t", "xi_c", "K_c_M1", "K_c_Minf"],
-        [one.grid, one.xi_c[0], one.K_c[0], many.K_c[0]],
+        row_blocks([one.grid, one.xi_c[0], one.K_c[0], many.K_c[0]]),
     )
     write_json(
         out / "ou_regression.json",
@@ -273,7 +272,7 @@ def cmd_welfare(args) -> None:
     write_csv(
         out / "fig3_welfare.csv",
         ["M", "J_c", "J_c_int"],
-        [counts, [r.J_c_segmented for r in curve], [r.J_c_integrated for r in curve]],
+        row_blocks([counts, [r.J_c_segmented for r in curve], [r.J_c_integrated for r in curve]]),
     )
     write_json(
         out / "welfare_report.json",
@@ -302,10 +301,11 @@ def _scaling_common(args, demand) -> None:
         out / "scaling_report.json",
         {**run_metadata(_scaling_echo(args), args.seed, None), "report": payload},
     )
+    columns = [report.lambdas, report.means, report.stderrs, report.path_counts, report.steps]
     write_csv(
         out / "scaling_report.csv",
         ["lambda", "mean_cost", "stderr", "paths", "steps"],
-        [report.lambdas, report.means, report.stderrs, report.path_counts, report.steps],
+        row_blocks(columns),
     )
 
 
@@ -346,55 +346,27 @@ def cmd_oracle_check(args) -> None:
     )
 
 
-class _Evaluated:
-    """A derived solution column for ``write_csv``: its slice is ``pick(block(lo, hi, step))``.
-
-    ``block`` evaluates the solution at a node slice (``EquilibriumSolution.at``).
-    """
-
-    def __init__(self, block, size: int, pick):
-        self.block, self.size, self.pick = block, size, pick
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __getitem__(self, nodes: slice):
-        return self.pick(self.block(*nodes.indices(self.size)))
-
-
 def cmd_equilibrium(args) -> None:
     if args.steps is not None and args.steps < 1:
         raise ConfigError(f"--steps must be at least 1, got {args.steps}")
     params, horizon, echo = load_market_config(args.config)
     if args.steps is not None:
         horizon = Horizon.uniform(horizon.T, args.steps)
-    header = ["t", "U_bar", "u_bar", "mu", "price_dev", "K_N", "xi_bar"]
-    for a in params.agents:
-        header += [f"K_{a.name}", f"U_{a.name}", f"u_{a.name}"]
+    header = ["t", "U_bar", "u_bar", "mu", "price_dev", "K_N", "xi_bar",
+              *(f"{q}_{a.name}" for a in params.agents for q in ("K", "U", "u"))]
     for i, name in enumerate(header):  # the agent names must give a well-formed CSV header
         if name in header[:i] or "," in name or '"' in name:
             raise ConfigError(f"equilibrium.csv column {name!r} would repeat or hold ',' or '\"'")
     sol = solve_equilibrium(params, horizon, seed=args.seed)
-    # the derived columns are evaluated one row block at a time, once for all of them
-    block = functools.lru_cache(maxsize=1)(lambda lo, hi, step: sol.at(slice(lo, hi, step)))
 
-    def derived(pick):
-        return _Evaluated(block, horizon.grid.size, pick)
+    def rows():  # one row block per node block of the solution
+        for nodes, v in sol.blocks():
+            yield [horizon.grid[nodes], sol.U_bar[nodes], sol.u_bar[nodes], v.mu, v.price_dev,
+                   sol.noise[nodes], sol.xi_bar[nodes],
+                   *(q for a in v.agents.values() for q in (a.K, a.U, a.u))]  # header order
 
-    cols = [
-        horizon.grid,
-        sol.U_bar,
-        sol.u_bar,
-        derived(lambda v: v.mu),
-        derived(lambda v: v.price_dev),
-        sol.noise,
-        sol.xi_bar,
-    ]
-    for a in params.agents:
-        cols += [derived(lambda v, name=a.name, q=q: getattr(v.agents[name], q))
-                 for q in ("K", "U", "u")]
     out = _outdir(args)
-    write_csv(out / "equilibrium.csv", header, cols)
+    write_csv(out / "equilibrium.csv", header, rows())
     write_json(
         out / "run_meta.json",
         {

@@ -14,8 +14,8 @@ and everything else is algebra on top of it:
 
 So a solution keeps its market and what the solve produces, U_bar and
 u_bar, with xi_bar and the realized paths that drove it, and evaluates the
-algebra where it is read: the identity check and the CSV writer evaluate
-one node block at a time, so no full-length column of the algebra is ever
+algebra where it is read: the identity check and the CSV writer read its
+node blocks (``blocks``), so no full-length column of the algebra is ever
 held.
 The fundamental price D is never simulated: every reported quantity is a
 deviation from it, and the welfare integrals are written D-free.
@@ -24,7 +24,7 @@ deviation from it, and the welfare integrals are written D-free.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Iterator, Tuple
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .paths import realize
 from .processes import DemandProcess, combine
 
 
-_CHECK_NODES = 4096  # grid nodes whose identities are checked at once
+_NODE_BLOCK = 4096  # grid nodes evaluated at once by ``EquilibriumSolution.blocks``
 
 
 class ConsistencyError(RuntimeError):
@@ -67,8 +67,8 @@ class NodeValues:
 class EquilibriumSolution:
     """One solved equilibrium: its market, the forward solve, the paths that drove it.
 
-    ``at`` evaluates everything else at a slice of grid nodes; ``mu``,
-    ``price_dev`` and ``agents`` are ``at`` on the whole grid.
+    ``at`` evaluates everything else at a slice of grid nodes, ``blocks`` block
+    by block; ``mu``, ``price_dev`` and ``agents`` are ``at`` on the whole grid.
     """
 
     horizon: Horizon
@@ -102,6 +102,12 @@ class EquilibriumSolution:
         return NodeValues(
             mu=exposure / ag.rho_bar, price_dev=ag.impact_weight * u_bar, agents=agents
         )
+
+    def blocks(self) -> Iterator[Tuple[slice, NodeValues]]:
+        """``(nodes, self.at(nodes))`` for each block of ``_NODE_BLOCK`` grid nodes, in order."""
+        for lo in range(0, self.u_bar.shape[-1], _NODE_BLOCK):
+            nodes = slice(lo, lo + _NODE_BLOCK)
+            yield nodes, self.at(nodes)
 
     @property
     def mu(self) -> np.ndarray:
@@ -176,18 +182,16 @@ def consistency_report(sol: EquilibriumSolution) -> Dict[str, float]:
     share:     U^a = (eta^a/eta_bar) U_bar;  sum_a m(a) u^a = u_bar
     price:     price_dev = (1/eta + 1/eta_bar) u_bar
 
-    The solution is evaluated ``_CHECK_NODES`` nodes at a time, so the
-    temporaries stay O(block) at any step count.  ``at`` builds all it checks
-    from U_bar and u_bar, so it catches non-finite values and wrong aggregate
-    sums, not a wrong forward solve: ``oracle_gap`` and the drift residual
+    The solution is read through ``sol.blocks()``, so the temporaries stay
+    O(block) at any step count.  ``at`` builds all it checks from U_bar and
+    u_bar, so it catches non-finite values and wrong aggregate sums, not a
+    wrong forward solve: ``oracle_gap`` and the drift residual
     (``tests/crosschecks.fbsde_residual``) check that.
     """
     ag = sol.aggregates
     agents = [(spec, eta_a / ag.eta_bar) for spec, eta_a in zip(sol.params.agents, ag.eta_a)]
     worst: Dict[str, list] = {"clearing": [], "foc": [], "share": [], "price": []}
-    for lo in range(0, sol.u_bar.shape[-1], _CHECK_NODES):
-        nodes = slice(lo, lo + _CHECK_NODES)
-        values = sol.at(nodes)
+    for nodes, values in sol.blocks():
         U_bar, u_bar = sol.U_bar[..., nodes], sol.u_bar[..., nodes]
         total_K, total_u = sol.noise[..., nodes], 0.0
         for spec, share in agents:

@@ -5,21 +5,22 @@ determined by the inputs, so a rerun with the same configuration and seed
 reproduces every output byte for byte (worker counts and chunk sizes are
 execution details and never enter a report).  CSV and JSON share one set of
 cell rules (numpy scalars write as their Python counterparts).  The CSV writer
-takes columns and writes their rows in blocks of ``ROW_BLOCK``, so its memory
-does not grow with the table.  In each block a float array column with one
-bit pattern is formatted once, into the block's row format (a solution on its
-plateau holds most columns constant); every other cell is formatted by the
-block's one ``%`` call.
+takes row blocks (``row_blocks`` cuts a column table into ``ROW_BLOCK`` rows
+each), so its memory does not grow with the table.  In each block a float
+array column with one bit pattern is formatted once, into the block's row
+format (a solution on its plateau holds most columns constant); every other
+cell is formatted by the block's one ``%`` call.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import subprocess
 from pathlib import Path
 
-ROW_BLOCK = 4096  # CSV rows formatted and written at once; read at each call
+ROW_BLOCK = 4096  # rows in each block of ``row_blocks``; read at each call
 
 
 def _plain(value):
@@ -69,24 +70,35 @@ def _block_text(columns) -> str:
     return (",".join(row) + "\n") * len(cells) % tuple(cells.ravel().tolist())
 
 
-def write_csv(path: Path, header: list[str], columns) -> None:
-    """Write one column per header name; every column must have the same length.
+def row_blocks(columns):
+    """A column table as ``write_csv`` row blocks of ``ROW_BLOCK`` rows, its lengths checked now."""
+    columns, block = list(columns), ROW_BLOCK
+    lengths = {len(column) for column in columns}
+    if len(lengths) > 1:
+        raise ValueError(f"CSV columns of lengths {sorted(lengths)}")
+    stop = max([*lengths, 1])  # a table with no rows is one block, checked against the header
+    return ([column[lo : lo + block] for column in columns] for lo in range(0, stop, block))
 
-    ``columns`` is iterated once; each column is a sequence that slices (an
-    array, list or tuple).  The lengths are checked before the file is
-    opened, and the rows go out ``ROW_BLOCK`` at a time.
+
+def write_csv(path: Path, header: list[str], blocks) -> None:
+    """Write row blocks, each a list of equal-length columns, one per header name.
+
+    ``blocks`` is iterated once; each block is checked as it comes, the first
+    before the file is opened.
     """
-    columns = list(columns)
-    lengths = [len(column) for column in columns]
-    if len(columns) != len(header) or len(set(lengths)) > 1:
-        raise ValueError(
-            f"CSV {Path(path).name}: {len(header)} header names, columns of lengths {lengths}"
-        )
-    block = ROW_BLOCK
+
+    def fitted(block):
+        lengths = [len(column) for column in block]
+        if len(block) != len(header) or len(set(lengths)) > 1:
+            raise ValueError(f"{Path(path).name}: {len(header)} header names, lengths {lengths}")
+        return block
+
+    blocks = map(fitted, blocks)
+    first = list(itertools.islice(blocks, 1))
     with Path(path).open("w") as f:
         f.write(",".join(header) + "\n")
-        for lo in range(0, lengths[0] if lengths else 0, block):
-            f.write(_block_text([column[lo : lo + block] for column in columns]))
+        filled = (block for block in itertools.chain(first, blocks) if any(map(len, block)))
+        f.writelines(map(_block_text, filled))  # a block with no rows writes none
 
 
 def _round_floats(obj):

@@ -748,7 +748,7 @@ def test_equilibrium_csv_is_the_same_in_any_blocks(tmp_path, monkeypatch):
     argv = ["equilibrium", "--config", str(cfg), "--seed", "3", "--out"]
     assert main(argv + [str(tmp_path / "whole")]) == 0  # 61 nodes: one block
     monkeypatch.setattr(reports, "ROW_BLOCK", 7)
-    monkeypatch.setattr(equilibrium, "_CHECK_NODES", 7)  # 8 blocks of 7 nodes and one of 5
+    monkeypatch.setattr(equilibrium, "_NODE_BLOCK", 7)  # 8 blocks of 7 nodes and one of 5
     assert main(argv + [str(tmp_path / "blocks")]) == 0
     monkeypatch.undo()
     for name in ("equilibrium.csv", "run_meta.json"):
@@ -762,5 +762,5 @@ def test_equilibrium_csv_is_the_same_in_any_blocks(tmp_path, monkeypatch):
     for a in params.agents:
         paths = sol.agents[a.name]
         columns += [paths.K, paths.U, paths.u]
-    reports.write_csv(tmp_path / "full.csv", header, columns)
+    reports.write_csv(tmp_path / "full.csv", header, reports.row_blocks(columns))
     assert (tmp_path / "full.csv").read_bytes() == (tmp_path / "whole" / "equilibrium.csv").read_bytes()

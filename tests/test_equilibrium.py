@@ -110,7 +110,7 @@ def test_identity_check_in_node_blocks(monkeypatch, node):
     sol.targets["client0"][node] += 0.1
     whole = consistency_report(sol)  # 101 nodes: one block
     assert whole["clearing"] > 1e-3
-    monkeypatch.setattr(equilibrium, "_CHECK_NODES", 7)  # 14 blocks of 7 nodes and one of 3
+    monkeypatch.setattr(equilibrium, "_NODE_BLOCK", 7)  # 14 blocks of 7 nodes and one of 3
     assert consistency_report(sol) == whole
     sol.U_bar[node] = math.nan
     report = consistency_report(sol)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dealerlab import reports
-from dealerlab.reports import NonFiniteError, fmt, write_csv, write_json
+from dealerlab.reports import NonFiniteError, fmt, row_blocks, write_csv, write_json
 
 # NaNs with three different bit patterns: the quiet NaN, its negative, and one with a payload
 PAYLOAD_NAN = np.array([0x7FF8000000000123], dtype=np.int64).view(np.float64)[0]
@@ -55,40 +55,56 @@ def expected_csv(header, columns):
 def test_csv_column_matches_the_per_cell_format(tmp_path, kind):
     column = COLUMNS[kind]
     assert len(column) == N
-    write_csv(tmp_path / "col.csv", [kind], [column])
+    write_csv(tmp_path / "col.csv", [kind], row_blocks([column]))
     assert (tmp_path / "col.csv").read_text() == expected_csv([kind], [column])
 
 
 def test_csv_mixed_columns_from_a_one_shot_iterable(tmp_path):
     header = list(COLUMNS)
-    write_csv(tmp_path / "all.csv", header, iter(COLUMNS.values()))
+    write_csv(tmp_path / "all.csv", header, row_blocks(iter(COLUMNS.values())))
     assert (tmp_path / "all.csv").read_text() == expected_csv(header, COLUMNS.values())
 
 
 def test_float_column_keeps_signed_zeros_and_nan_payloads_apart(tmp_path):
-    write_csv(tmp_path / "z.csv", ["x"], [np.array([-0.0, 0.0, -0.0, PAYLOAD_NAN, 0.0])])
+    column = np.array([-0.0, 0.0, -0.0, PAYLOAD_NAN, 0.0])
+    write_csv(tmp_path / "z.csv", ["x"], row_blocks([column]))
     assert (tmp_path / "z.csv").read_text() == "x\n-0\n0\n-0\nnan\n0\n"
 
 
 def test_csv_numeric_cells_render_exactly(tmp_path):
     write_csv(tmp_path / "x.csv", ["a", "b", "c", "d", "e"],
-              [[1e-300], [-0.0], [math.nan], [7], [0.1]])
+              row_blocks([[1e-300], [-0.0], [math.nan], [7], [0.1]]))
     assert (tmp_path / "x.csv").read_text() == "a,b,c,d,e\n1e-300,-0,nan,7,0.1\n"
 
 
 def test_header_with_no_rows(tmp_path):
-    write_csv(tmp_path / "empty.csv", ["a", "b"], [np.array([]), []])
+    write_csv(tmp_path / "empty.csv", ["a", "b"], row_blocks([np.array([]), []]))
     assert (tmp_path / "empty.csv").read_text() == "a,b\n"
 
 
-@pytest.mark.parametrize("columns", [[[1.0, 2.0], [3.0]], [[1.0]], [[1.0]] * 3],
-                         ids=["ragged", "missing", "extra"])
-def test_csv_columns_must_fit_the_header(tmp_path, monkeypatch, columns):
-    # checked before the file is opened: the first one-row block of "ragged" fits
+@pytest.mark.parametrize(
+    "columns, match",
+    [([[1.0, 2.0], [3.0]], r"columns of lengths \[1, 2\]"), ([[1.0]], "header names"),
+     ([[1.0]] * 3, "header names")],
+    ids=["ragged", "missing", "extra"],
+)
+def test_csv_columns_must_fit_the_header(tmp_path, monkeypatch, columns, match):
+    # checked before the file is opened: "ragged" by row_blocks, though its first one-row
+    # block fits; "missing" and "extra" by the writer, on the first block
     monkeypatch.setattr(reports, "ROW_BLOCK", 1)
-    with pytest.raises(ValueError, match="header names"):
-        write_csv(tmp_path / "bad.csv", ["a", "b"], iter(columns))
+    with pytest.raises(ValueError, match=match):
+        write_csv(tmp_path / "bad.csv", ["a", "b"], row_blocks(iter(columns)))
     assert not (tmp_path / "bad.csv").exists()
+
+
+def test_csv_blocks_are_checked_as_they_come(tmp_path):
+    path = tmp_path / "bad.csv"
+    with pytest.raises(ValueError, match="header names, lengths \\[2, 1\\]"):
+        write_csv(path, ["a", "b"], iter([[[1.0, 2.0], [3.0]]]))  # a ragged first block
+    assert not path.exists()
+    with pytest.raises(ValueError, match="header names, lengths \\[1\\]"):
+        write_csv(path, ["a", "b"], iter([[[1.0], [2.0]], [[3.0]]]))  # a later block one short
+    assert path.read_text() == "a,b\n1,2\n"  # the rows before it are written
 
 
 @pytest.mark.parametrize("kind", list(COLUMNS))
@@ -109,7 +125,7 @@ def test_csv_row_count_on_and_off_the_block_edges(tmp_path, monkeypatch, rows, b
     monkeypatch.setattr(reports, "ROW_BLOCK", block)
     header = list(COLUMNS)
     columns = [column[:rows] for column in COLUMNS.values()]
-    write_csv(tmp_path / "all.csv", header, columns)
+    write_csv(tmp_path / "all.csv", header, row_blocks(columns))
     assert (tmp_path / "all.csv").read_text() == expected_csv(header, columns)
 
 
@@ -120,7 +136,7 @@ def test_csv_memory_does_not_grow_with_the_table(tmp_path):
     table = table[:, :200_001]
     tracemalloc.start()
     try:
-        write_csv(tmp_path / "big.csv", [f"c{i}" for i in range(13)], table)
+        write_csv(tmp_path / "big.csv", [f"c{i}" for i in range(13)], row_blocks(table))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -144,8 +160,9 @@ def test_numpy_scalars_format_like_python_in_both_writers(tmp_path, numpy_value,
     assert fmt(numpy_value) == fmt(python_value)
     for name, value in (("numpy", numpy_value), ("python", python_value)):
         write_json(tmp_path / f"{name}.json", {"x": value, "xs": [value, value]})
-    write_csv(tmp_path / "numpy.csv", ["x", "y"], [[numpy_value], np.array([numpy_value])])
-    write_csv(tmp_path / "python.csv", ["x", "y"], [[python_value], [python_value]])
+    numpy_columns = [[numpy_value], np.array([numpy_value])]
+    write_csv(tmp_path / "numpy.csv", ["x", "y"], row_blocks(numpy_columns))
+    write_csv(tmp_path / "python.csv", ["x", "y"], row_blocks([[python_value], [python_value]]))
     for suffix in ("json", "csv"):
         numpy_text = (tmp_path / f"numpy.{suffix}").read_text()
         assert numpy_text == (tmp_path / f"python.{suffix}").read_text()
