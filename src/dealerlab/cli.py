@@ -25,7 +25,7 @@ from pathlib import Path
 from .asymptotics import DealerSetting, scaling_study
 from .equilibrium import solve_equilibrium
 from .kernel import Horizon
-from .market import AgentSpec, MarketParams, aggregate, segmented_market
+from .market import AgentSpec, MarketParams, segmented_market
 from .oracle import oracle_gap
 from .processes import (
     BrownianMartingale,
@@ -328,7 +328,6 @@ def cmd_scaling_diffusive(args) -> None:
 def cmd_oracle_check(args) -> None:
     steps_list = _parse_steps_list(args.steps_list)
     params = segmented_market(args.impact_cost, args.rho_c, args.rho_d, 1, Constant(args.xi_c))
-    aggregate(params)  # refuses a mesh rate that overflows before the oracle solves on it
     report = oracle_gap(params, args.T, steps_list)
     if report.fitted_order is not None and not 0.5 <= report.fitted_order <= 1.5:
         raise NumericalError(

@@ -151,10 +151,13 @@ def oracle_gap(params: MarketParams, T: float, steps_list) -> GapReport:
     Quantities: dealer-market positions (worst agent), the aggregate
     open-market rate, and the risk premium.  The order is the slope of
     log(max gap) against log(dt), or None on a single grid or when a worst
-    gap is 0 (the routes agree exactly and there is no log to fit).
+    gap is 0 (the routes agree exactly and there is no log to fit).  A
+    market whose mesh rate overflows is refused before the first oracle solve.
     """
     from .equilibrium import solve_equilibrium
+    from .market import aggregate
 
+    aggregate(params)  # the engine's mesh rate: an overflow raises here, not as NaN gaps
     steps_list = list(steps_list)
     if len(set(steps_list)) < len(steps_list):
         raise ValueError(f"grid step counts must be distinct, got {steps_list}")

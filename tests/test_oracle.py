@@ -311,6 +311,15 @@ def test_single_grid_has_no_order_and_repeated_grids_fail():
         oracle_gap(params, 1.0, [100, 100])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # refused before any arithmetic overflows
+def test_oracle_gap_refuses_a_mesh_rate_that_overflows_before_solving(monkeypatch):
+    # eta * eta_bar overflows at lambda = 1e-300: the oracle is never asked to solve
+    monkeypatch.setattr(oracle, "assemble_and_solve", lambda *args: pytest.fail("solved"))
+    params = segmented_market(1e-300, 0.1, 0.1, 1, Constant(-1.0))
+    with pytest.raises(ValueError, match="^delta must be positive and finite, got inf$"):
+        oracle_gap(params, 1.0, [100])
+
+
 def test_one_market_solves_on_two_grids_and_feeds_the_oracle():
     # a market holds no grid: the same params solve on 1,000 and on 4,000 steps, no rebuild
     params = liquidation_params()
