@@ -229,7 +229,9 @@ def goal_functional(
     perturbed (K, u) measures this agent's deviation payoff.  Per-path
     values are returned for multi-path solutions.
     """
-    spec = next(a for a in sol.params.agents if a.name == agent)
+    spec = next((a for a in sol.params.agents if a.name == agent), None)
+    if spec is None:
+        raise ValueError(f"no agent named {agent!r} in the market")
     values = sol.at()
     paths = values.agents[agent]
     grid = sol.horizon.grid

@@ -259,6 +259,12 @@ def test_goal_functional_zero_solution():
     assert goal_functional(sol, "d") == 0.0
 
 
+def test_goal_functional_names_an_unknown_agent():
+    sol = solve_equilibrium(liquidation_params(), H1000)
+    with pytest.raises(ValueError, match="no agent named 'nobody'"):
+        goal_functional(sol, "nobody")
+
+
 def test_goal_functional_matches_direct_integral_for_client():
     # locked-out client: J = int [(U_bar - xi_bar) K / rho_bar - (xi - K)^2/(2 rho_c)] dt
     params = liquidation_params(M=1)
