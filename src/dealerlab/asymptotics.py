@@ -325,7 +325,8 @@ def scaling_study(
     warnings, and every grid is checked for a stable step before the first
     sweep runs.  The prefactor is read off at the smallest impact cost as
     mean / lam^order, next to the theory value.  The impact costs must be
-    distinct; with only one there is no slope and no reduction factor.
+    one or more and distinct; with only one there is no slope and no
+    reduction factor.
 
     The same sweeps give the price-convergence proxy E integral
     (K^N - U_bar)^2 dt, which must fall (within two standard errors) as the
@@ -334,8 +335,8 @@ def scaling_study(
     """
     order, _ = demand.scaling_law(setting.T)
     lambdas = sorted(float(x) for x in lambdas)
-    if len(set(lambdas)) < len(lambdas):
-        raise ValueError(f"impact costs must be distinct, got {lambdas}")
+    if not lambdas or len(set(lambdas)) < len(lambdas):
+        raise ValueError(f"impact costs must be one or more and distinct, got {lambdas}")
     capped = [_capped_steps(setting, lam) for lam in lambdas]  # the grids simulate_costs picks
     costs, tracks = simulate_costs(setting, demand, lambdas, n_paths, seed, workers=workers)
     means, stderrs = _means_stderrs(costs)

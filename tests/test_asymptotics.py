@@ -447,6 +447,11 @@ def test_scaling_study_rejects_repeated_impact_costs():
         scaling_study(DealerSetting(2, 0.1), BrownianMartingale(0.0, 1.0), [1e-2, 1e-2], 8)
 
 
+def test_scaling_study_rejects_an_empty_impact_cost_list():
+    with pytest.raises(ValueError, match="one or more"):
+        scaling_study(DealerSetting(2, 0.1), UNIT_RATE, [], 0)
+
+
 @pytest.mark.parametrize(
     "demand", [(-1.0, 0.8, False), (1.0, -0.8, False), (-1.0, 0.8, True), (1.0, -0.8, True)]
 )
