@@ -34,7 +34,7 @@ from .fbsde import kernel_expectation_path  # noqa: F401  kept: the benchmark tr
 from .kernel import Horizon, cumulative_trapezoid, trapezoid
 from .market import Aggregates, MarketParams, aggregate
 from .paths import realize
-from .processes import DemandProcess, combine
+from .processes import combine
 
 
 _NODE_BLOCK = 4096  # grid nodes evaluated at once by ``EquilibriumSolution.blocks``
@@ -149,12 +149,9 @@ def solve_equilibrium(
 
     U_bar, u_bar = solve_forward(realized, ag.delta, horizon)
 
-    def path_of(p: DemandProcess) -> np.ndarray:
-        return realized.paths[p].values
-
     xi_bar = np.zeros(horizon.grid.size)
     for w, p in ag.xi_bar:
-        xi_bar = xi_bar + w * path_of(p)
+        xi_bar = xi_bar + w * realized.paths[p][0]
 
     sol = EquilibriumSolution(
         horizon=horizon,
@@ -162,9 +159,9 @@ def solve_equilibrium(
         aggregates=ag,
         U_bar=U_bar,
         u_bar=u_bar,
-        noise=path_of(params.noise_demand),
+        noise=realized.paths[params.noise_demand][0],
         xi_bar=xi_bar,
-        targets={spec.name: path_of(spec.target) for spec in params.agents},
+        targets={spec.name: realized.paths[spec.target][0] for spec in params.agents},
         realized=realized,
     )
     tol = 1e-10 if driver_is_deterministic(driver) else 1e-8

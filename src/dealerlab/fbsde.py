@@ -39,7 +39,7 @@ def driver_is_deterministic(terms: TermList) -> bool:
 
 @dataclass
 class RealizedDriver:
-    """Realized paths of every distinct process appearing in a driver."""
+    """Every distinct process of a driver mapped to its realized state tuple (``realize``)."""
 
     terms: TermList
     paths: dict
@@ -47,7 +47,7 @@ class RealizedDriver:
     def values(self) -> np.ndarray:
         out = None
         for w, p in self.terms:
-            v = w * self.paths[p].values
+            v = w * self.paths[p][0]
             out = v if out is None else out + v
         return out
 
@@ -83,8 +83,7 @@ def kernel_expectation_path(
     weight = KernelWeight(d, horizon.grid, horizon.T)
     out = np.zeros(horizon.grid.size)
     for w, p in realized.terms:
-        state = realized.paths[p].state()
-        out = out + w * p.g(p.g_coefficients(weight), state, slice(None))
+        out = out + w * p.g(p.g_coefficients(weight), realized.paths[p], slice(None))
     return out
 
 

@@ -75,8 +75,8 @@ def assemble_and_solve(params: MarketParams, T: float, n_steps: int) -> Discrete
         )
 
     h = Horizon.uniform(T, n)
-    xi = {a.name: realize(a.target, h).values[:-1] for a in agents}
-    noise = realize(params.noise_demand, h).values[:-1]
+    xi = {a.name: realize(a.target, h)[0][:-1] for a in agents}
+    noise = realize(params.noise_demand, h)[0][:-1]
     dt = T / n
     lam = params.impact_cost
 

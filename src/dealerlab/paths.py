@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,20 +98,6 @@ def standard_normal_block(streams, n_steps: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
-class RealizedPath:
-    """A driver path on the grid; smooth-rate processes carry their rate too."""
-
-    values: np.ndarray
-    rate_values: np.ndarray | None = None
-
-    def state(self, i=slice(None)) -> tuple:
-        """The process state at node(s) ``i``: ``(value,)`` or ``(value, rate)``."""
-        if self.rate_values is None:
-            return (self.values[..., i],)
-        return self.values[..., i], self.rate_values[..., i]
-
-
 def realize(
     process: DemandProcess,
     horizon: Horizon,
@@ -120,16 +105,16 @@ def realize(
     path_index: int = 0,
     stream: int = 0,
     z: np.ndarray | None = None,
-) -> RealizedPath:
-    """Realize a demand process on the grid.
+) -> tuple:
+    """Realize a demand process on the grid as its kind's state, ``(x,)`` or ``(x, rate)``.
 
-    Deterministic kinds need no randomness.  Stochastic kinds run their
-    per-step advance on unit normals ``z`` (shape (..., n_steps)); when
-    ``z`` is omitted they are drawn from the (seed, path_index, stream)
-    substream.
+    Each part holds one entry per grid node on its last axis.  Deterministic
+    kinds need no randomness.  Stochastic kinds run their per-step advance
+    on unit normals ``z`` (shape (..., n_steps)); when ``z`` is omitted they
+    are drawn from the (seed, path_index, stream) substream.
     """
     if process.deterministic:
-        return RealizedPath(*process.path(horizon.grid))
+        return process.path(horizon.grid)
     if z is None:
         if seed is None:
             raise ValueError(f"{type(process).__name__} needs a seed or explicit normals")
@@ -138,7 +123,7 @@ def realize(
     states = [process.start(z.shape[:-1])]
     for i in range(horizon.n_steps):
         states.append(advance(states[-1], i, z[..., i]))
-    return RealizedPath(*(np.stack(part, axis=-1) for part in zip(*states)))
+    return tuple(np.stack(part, axis=-1) for part in zip(*states))
 
 
 def integrate_against(integrand: np.ndarray, integrator: np.ndarray) -> np.ndarray:

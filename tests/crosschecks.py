@@ -30,7 +30,7 @@ from dealerlab.kernel import (
     stable_sinh_over_cosh,
     trapezoid,
 )
-from dealerlab.paths import RealizedPath, standard_normal_block
+from dealerlab.paths import standard_normal_block
 from dealerlab.processes import DemandProcess, OrnsteinUhlenbeck
 from dealerlab.scenarios import LiquidationPaths, LiquidationScenario, scenario_delta
 
@@ -145,7 +145,7 @@ def integrated_liquidation_closed_form(
 # the conditional-integral price representation
 # ----------------------------------------------------------------------
 
-def _conditional_path(p: DemandProcess, path: RealizedPath, grid: np.ndarray, i: int):
+def _conditional_path(p: DemandProcess, path: tuple, grid: np.ndarray, i: int):
     """The realized path up to node i and E_{t_i}[X_s] from there on.
 
     A deterministic path is its own conditional mean; an OU process (Brownian
@@ -155,9 +155,9 @@ def _conditional_path(p: DemandProcess, path: RealizedPath, grid: np.ndarray, i:
         return path
     if not isinstance(p, OrnsteinUhlenbeck):
         raise ValueError(f"no closed-form conditional mean for {type(p).__name__}")
-    x = path.values[i]
+    x = path[0][i]
     mean = p.theta + (x - p.theta) * np.exp(-p.kappa * (grid[i:] - grid[i]))
-    return RealizedPath(np.concatenate([path.values[:i], mean]))
+    return (np.concatenate([path[0][:i], mean]),)
 
 
 def check_price_representations(sol: EquilibriumSolution, anchors: int = 64) -> float:

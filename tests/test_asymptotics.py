@@ -133,7 +133,7 @@ def test_expected_square_rate_integrals():
     closed = ou.square_integral(1.0)
     h = Horizon.uniform(1.0, 256)
     z = normal_block(path_streams(3, 0, 20_000), h.n_steps)
-    paths = realize(ou, h, z=z).values
+    paths = realize(ou, h, z=z)[0]
     mc = np.mean(
         np.sum(0.5 * (paths[:, :-1] ** 2 + paths[:, 1:] ** 2) * np.diff(h.grid), axis=1)
     )

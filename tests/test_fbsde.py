@@ -86,7 +86,7 @@ def conditional_kernel_integral(process, d, t, horizon, state=None):
     grid = np.union1d(horizon.grid, [t])
     i = int(np.searchsorted(grid, t))
     if process.deterministic:
-        state = realize(process, Horizon(horizon.T, grid)).state(i)
+        state = tuple(part[i] for part in realize(process, Horizon(horizon.T, grid)))
     elif not isinstance(state, tuple):
         state = (state,)
     coef = process.g_coefficients(KernelWeight(d, grid, horizon.T))
@@ -96,6 +96,35 @@ def conditional_kernel_integral(process, d, t, horizon, state=None):
 # ----------------------------------------------------------------------
 # conditional kernel integrals
 # ----------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "process",
+    [
+        Constant(-0.7),
+        Deterministic(tuple(np.sin(np.linspace(0.0, 3.0, 51)))),
+        OrnsteinUhlenbeck(x0=0.4, kappa=2.0, theta=-0.3, sigma=0.8),
+        BrownianMartingale(0.2, 1.1),
+        SmoothRate(Constant(1.5)),
+        SmoothRate(OrnsteinUhlenbeck(x0=0.1, kappa=1.0, theta=0.5, sigma=0.6)),
+    ],
+    ids=["constant", "deterministic", "ou", "brownian", "smooth-constant", "smooth-ou"],
+)
+def test_realize_returns_the_state_tuple_that_g_reads(process):
+    h = Horizon.uniform(1.0, 50)
+    state = realize(process, h, seed=7)
+    if process.deterministic:
+        want = process.path(h.grid)
+        assert len(state) == len(want)
+        for part, want_part in zip(state, want):
+            np.testing.assert_array_equal(part, want_part)
+    else:
+        assert len(state) == len(process.start(()))
+        assert all(part.shape == h.grid.shape for part in state)
+    d = DeltaParam.from_value(30.0)
+    coef = process.g_coefficients(KernelWeight(d, h.grid, h.T))
+    G = kernel_expectation_path(realize_driver(((1.0, process),), h, seed=7), d, h)
+    np.testing.assert_array_equal(G, process.g(coef, state, slice(None)))
+
 
 def test_g_zero_driver():
     h = Horizon.uniform(1.0, 16)
@@ -390,26 +419,22 @@ def test_solve_forward_multi_path_vectorized():
     d = DeltaParam.from_value(25.0)
     proc = BrownianMartingale(0.0, 1.0)
     z = np.stack(
-        [realize(proc, h, seed=9, path_index=i).values for i in range(4)], axis=0
+        [realize(proc, h, seed=9, path_index=i)[0] for i in range(4)], axis=0
     )
-    from dealerlab.paths import RealizedPath
-
-    realized = RealizedDriver(((1.0, proc),), {proc: RealizedPath(z)})
+    realized = RealizedDriver(((1.0, proc),), {proc: (z,)})
     block_U, _ = solve_forward(realized, d, h)
     for i in range(4):
-        single = RealizedDriver(((1.0, proc),), {proc: RealizedPath(z[i])})
+        single = RealizedDriver(((1.0, proc),), {proc: (z[i],)})
         np.testing.assert_array_equal(block_U[i], solve_forward(single, d, h)[0])
 
 
 def test_heun_path_equals_the_array_recursion_bit_for_bit():
     # heun_path's per-path float loop and heun_step on arrays are one arithmetic
-    from dealerlab.paths import RealizedPath
-
     h = Horizon.uniform(1.0, 300)
     d = DeltaParam.from_value(40.0)
     proc = BrownianMartingale(0.2, 1.0)
-    z = np.stack([realize(proc, h, seed=3, path_index=i).values for i in range(5)])
-    G = kernel_expectation_path(RealizedDriver(((1.0, proc),), {proc: RealizedPath(z)}), d, h)
+    z = np.stack([realize(proc, h, seed=3, path_index=i)[0] for i in range(5)])
+    G = kernel_expectation_path(RealizedDriver(((1.0, proc),), {proc: (z,)}), d, h)
     F = eval_F(d, h.grid, h.T)
     U, u = heun_path(G, F, h.dt)
     rec_U, rec_u = [np.zeros(5)], [G[:, 0]]

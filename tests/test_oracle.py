@@ -37,8 +37,8 @@ def delta_identity_residual(params: MarketParams, disc: DiscreteEquilibrium) -> 
     n = disc.times.size
     dt = 1.0 / n
     h = Horizon.uniform(1.0, n)
-    xi_bar = sum(a.mass * realize(a.target, h).values[:-1] for a in params.agents)
-    noise = realize(params.noise_demand, h).values[:-1]
+    xi_bar = sum(a.mass * realize(a.target, h)[0][:-1] for a in params.agents)
+    noise = realize(params.noise_demand, h)[0][:-1]
     U_bar = sum(a.mass * disc.U[a.name] for a in params.agents)
     exposure = U_bar - noise - xi_bar
     suffix = np.cumsum(exposure[::-1])[::-1] * dt
@@ -97,8 +97,8 @@ def dense_reference(params: MarketParams, n: int) -> np.ndarray:
     """
     agents = params.agents
     h = Horizon.uniform(1.0, n)
-    xi = [realize(a.target, h).values[:-1] for a in agents]
-    noise = realize(params.noise_demand, h).values[:-1]
+    xi = [realize(a.target, h)[0][:-1] for a in agents]
+    noise = realize(params.noise_demand, h)[0][:-1]
     dt, lam = 1.0 / n, params.impact_cost
     eye, lag = np.eye(n), np.eye(n, k=-1)
     suffix = np.triu(np.ones((n, n)))  # (suffix @ v)_i = sum_{j>=i} v_j
@@ -221,8 +221,8 @@ def test_market_without_open_access_prices_the_demand_directly():
     params = no_open_access_params(n)
     disc = assemble_and_solve(params, 1.0, n)
     h = Horizon.uniform(1.0, n)
-    demand = realize(params.noise_demand, h).values[:-1] + sum(
-        a.mass * realize(a.target, h).values[:-1] for a in params.agents)
+    demand = realize(params.noise_demand, h)[0][:-1] + sum(
+        a.mass * realize(a.target, h)[0][:-1] for a in params.agents)
     R = sum(a.mass * a.risk_tolerance for a in params.agents)
     np.testing.assert_array_equal(disc.mu, -demand / R)
     for a in params.agents:

@@ -164,15 +164,15 @@ def test_seed_outside_the_philox_key_range_is_a_value_error(seed):
 
 def test_zero_sigma_brownian_is_constant():
     h = Horizon.uniform(1.0, 50)
-    path = realize(BrownianMartingale(x0=2.5, sigma=0.0), h, seed=3).values
+    path = realize(BrownianMartingale(x0=2.5, sigma=0.0), h, seed=3)[0]
     np.testing.assert_allclose(path, 2.5)
 
 
 def test_ou_kappa_zero_reduces_to_brownian():
     h = Horizon.uniform(2.0, 100)
     z = substream(11, 0).standard_normal(100)
-    bm = realize(BrownianMartingale(x0=0.3, sigma=0.7), h, z=z).values
-    ou = realize(OrnsteinUhlenbeck(x0=0.3, kappa=0.0, theta=9.9, sigma=0.7), h, z=z).values
+    bm = realize(BrownianMartingale(x0=0.3, sigma=0.7), h, z=z)[0]
+    ou = realize(OrnsteinUhlenbeck(x0=0.3, kappa=0.0, theta=9.9, sigma=0.7), h, z=z)[0]
     np.testing.assert_array_equal(bm, ou)
 
 
@@ -181,7 +181,7 @@ def test_ou_exact_discretization_moments():
     h = Horizon.uniform(1.0, 8)
     n = 20_000
     z = normal_block(path_streams(seed=21, first_path=0, n_paths=n), h.n_steps)
-    x = realize(OrnsteinUhlenbeck(x0=1.0, kappa=2.0, theta=0.5, sigma=0.8), h, z=z).values
+    x = realize(OrnsteinUhlenbeck(x0=1.0, kappa=2.0, theta=0.5, sigma=0.8), h, z=z)[0]
     xT = x[:, -1]
     mean_exact = 0.5 + (1.0 - 0.5) * np.exp(-2.0)
     var_exact = 0.8**2 * (1 - np.exp(-4.0)) / 4.0
@@ -194,7 +194,7 @@ def test_brownian_terminal_mean():
     h = Horizon.uniform(1.0, 4)
     n = 100_000
     z = normal_block(path_streams(seed=77, first_path=0, n_paths=n), h.n_steps)
-    x = realize(BrownianMartingale(x0=0.0, sigma=1.0), h, z=z).values
+    x = realize(BrownianMartingale(x0=0.0, sigma=1.0), h, z=z)[0]
     assert abs(x[:, -1].mean()) < 3.0 / np.sqrt(n)
 
 
@@ -202,18 +202,18 @@ def test_smooth_rate_is_trapezoid_integral():
     h = Horizon.uniform(1.0, 64)
     z = substream(5, 0).standard_normal(64)
     smooth = realize(SmoothRate(BrownianMartingale(0.0, 1.0)), h, z=z)
-    rate = realize(BrownianMartingale(0.0, 1.0), h, z=z).values
-    np.testing.assert_array_equal(smooth.rate_values, rate)
-    np.testing.assert_allclose(smooth.values, cumulative_trapezoid(rate, h.grid))
-    assert smooth.values[0] == 0.0
+    rate = realize(BrownianMartingale(0.0, 1.0), h, z=z)[0]
+    np.testing.assert_array_equal(smooth[1], rate)
+    np.testing.assert_allclose(smooth[0], cumulative_trapezoid(rate, h.grid))
+    assert smooth[0][0] == 0.0
 
 
 def test_deterministic_and_constant_passthrough():
     h = Horizon.uniform(1.0, 3)
     vals = (0.0, 1.0, 4.0, 9.0)
-    np.testing.assert_array_equal(realize(Deterministic(vals), h).values, vals)
-    np.testing.assert_array_equal(realize(Constant(-1.0), h).values, -1.0)
-    np.testing.assert_array_equal(realize(ZERO, h).values, 0.0)
+    np.testing.assert_array_equal(realize(Deterministic(vals), h)[0], vals)
+    np.testing.assert_array_equal(realize(Constant(-1.0), h)[0], -1.0)
+    np.testing.assert_array_equal(realize(ZERO, h)[0], 0.0)
     with pytest.raises(ValueError):
         realize(Deterministic((1.0, 2.0)), h)
 
@@ -222,7 +222,7 @@ def test_ito_integral_of_w_dw():
     # sum W_i dW_i = (W_T^2 - T)/2 + O(sqrt(dt)); error sd is sqrt(dt/2) at T=1
     n = 100_000
     h = Horizon.uniform(1.0, n)
-    w = realize(BrownianMartingale(0.0, 1.0), h, seed=31).values
+    w = realize(BrownianMartingale(0.0, 1.0), h, seed=31)[0]
     ito = integrate_against(w, w)
     exact = (w[-1] ** 2 - 1.0) / 2.0
     assert abs(ito - exact) < 5 * np.sqrt(0.5 / n)
@@ -231,7 +231,7 @@ def test_ito_integral_of_w_dw():
 def test_quadratic_variation_of_brownian():
     n = 50_000
     h = Horizon.uniform(1.0, n)
-    w = realize(BrownianMartingale(0.0, 1.0), h, seed=13).values
+    w = realize(BrownianMartingale(0.0, 1.0), h, seed=13)[0]
     qv = quadratic_covariation(w, w)
     assert abs(qv - 1.0) < 3 * np.sqrt(2.0 / n)
 
@@ -254,6 +254,6 @@ def test_refinement_consistency_ks():
     h2 = Horizon.uniform(1.0, 64)
     z1 = normal_block(path_streams(seed=55, first_path=0, n_paths=n_paths), h1.n_steps)
     z2 = normal_block(path_streams(seed=56, first_path=0, n_paths=n_paths), h2.n_steps)
-    x1 = realize(BrownianMartingale(0.0, 1.0), h1, z=z1).values[:, -1]
-    x2 = realize(BrownianMartingale(0.0, 1.0), h2, z=z2).values[:, -1]
+    x1 = realize(BrownianMartingale(0.0, 1.0), h1, z=z1)[0][:, -1]
+    x2 = realize(BrownianMartingale(0.0, 1.0), h2, z=z2)[0][:, -1]
     assert stats.ks_2samp(x1, x2).pvalue > 0.01

@@ -12,7 +12,7 @@ from dealerlab.equilibrium import goal_functional, solve_equilibrium
 from dealerlab.fbsde import solve_forward
 from dealerlab.kernel import Horizon, eval_F
 from dealerlab.market import aggregate, integrated_market, segmented_market
-from dealerlab.paths import RealizedPath, path_streams, standard_normal_block
+from dealerlab.paths import path_streams, standard_normal_block
 from dealerlab.processes import BrownianMartingale, Constant
 from dealerlab.scenarios import (
     INF_DEALERS,
@@ -225,7 +225,7 @@ def test_diffusive_tracking_matches_forward_solver():
     from dealerlab.fbsde import RealizedDriver
 
     proc = BrownianMartingale(0.0, 0.5)  # xi_bar = xi_c/2 has half the volatility
-    realized = RealizedDriver(((1.0, proc),), {proc: RealizedPath(0.5 * sim.xi_c)})
+    realized = RealizedDriver(((1.0, proc),), {proc: (0.5 * sim.xi_c,)})
     U, _ = solve_forward(realized, d, h)
     gap = np.max(np.abs((0.5 * sim.xi_c - U) - sim.xi_minus_U))
     assert gap < 20.0 / s.steps
