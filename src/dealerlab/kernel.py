@@ -73,17 +73,13 @@ class DeltaParam:
     """Mesh-rate parameter 0 < delta < inf with its cached square root."""
 
     delta: float
-    sqrt_delta: float
+    sqrt_delta: float = field(init=False)
 
     def __post_init__(self):
         if not 0 < self.delta < math.inf:  # eta*eta_bar overflows below lambda ~ 1e-154
             raise ValueError(f"delta must be positive and finite, got {self.delta}")
-        if not math.isclose(self.sqrt_delta**2, self.delta, rel_tol=1e-12):
-            raise ValueError("sqrt_delta is not the square root of delta")
-
-    @classmethod
-    def from_value(cls, delta: float) -> "DeltaParam":
-        return cls(delta=float(delta), sqrt_delta=math.sqrt(delta))
+        object.__setattr__(self, "delta", float(self.delta))
+        object.__setattr__(self, "sqrt_delta", math.sqrt(self.delta))
 
 
 def compute_delta(rho_bar: float, eta: float, eta_bar: float) -> DeltaParam:
@@ -106,7 +102,7 @@ def compute_delta(rho_bar: float, eta: float, eta_bar: float) -> DeltaParam:
         harmonic = eta
     else:
         harmonic = eta * eta_bar / (eta + eta_bar)
-    return DeltaParam.from_value(harmonic / rho_bar)
+    return DeltaParam(harmonic / rho_bar)
 
 
 # ----------------------------------------------------------------------

@@ -120,7 +120,7 @@ def test_realize_returns_the_state_tuple_that_g_reads(process):
     else:
         assert len(state) == len(process.start(()))
         assert all(part.shape == h.grid.shape for part in state)
-    d = DeltaParam.from_value(30.0)
+    d = DeltaParam(30.0)
     coef = process.g_coefficients(KernelWeight(d, h.grid, h.T))
     G = kernel_expectation_path(realize_driver(((1.0, process),), h, seed=7), d, h)
     np.testing.assert_array_equal(G, process.g(coef, state, slice(None)))
@@ -128,21 +128,21 @@ def test_realize_returns_the_state_tuple_that_g_reads(process):
 
 def test_g_zero_driver():
     h = Horizon.uniform(1.0, 16)
-    d = DeltaParam.from_value(50.0)
+    d = DeltaParam(50.0)
     assert conditional_kernel_integral(ZERO, d, 0.3, h) == 0.0
 
 
 def test_g_constant_direct_value():
     # -0.5 * F(0) for delta=50, T=1
     h = Horizon.uniform(1.0, 16)
-    d = DeltaParam.from_value(50.0)
+    d = DeltaParam(50.0)
     got = conditional_kernel_integral(Constant(-0.5), d, 0.0, h)
     assert got == pytest.approx(-3.5355288051922873, rel=1e-13)
 
 
 def test_g_constant_equals_quadrature():
     h = Horizon.uniform(1.0, 16)
-    d = DeltaParam.from_value(7.0)
+    d = DeltaParam(7.0)
     for t in (0.0, 0.4, 0.9):
         oracle = simpson(lambda s: eval_k(d, t, s, 1.0) * 2.5, t, 1.0, panels=4096)
         assert conditional_kernel_integral(Constant(2.5), d, t, h) == pytest.approx(
@@ -152,7 +152,7 @@ def test_g_constant_equals_quadrature():
 
 def test_g_martingale_freezes_state():
     h = Horizon.uniform(1.0, 16)
-    d = DeltaParam.from_value(50.0)
+    d = DeltaParam(50.0)
     got = conditional_kernel_integral(BrownianMartingale(0.0, 1.0), d, 0.25, h, state=-2.0)
     assert got == pytest.approx(-2.0 * float(eval_F(d, 0.25, 1.0)), rel=1e-13)
 
@@ -160,7 +160,7 @@ def test_g_martingale_freezes_state():
 def test_g_ou_matches_dense_quadrature():
     # E_t[X_s] = theta + (X_t - theta) e^{-kappa (s-t)}; 1e5-panel Simpson oracle
     h = Horizon.uniform(1.0, 16)
-    d = DeltaParam.from_value(50.0)
+    d = DeltaParam(50.0)
     proc = OrnsteinUhlenbeck(x0=1.0, kappa=1.0, theta=0.0, sigma=0.3)
     got = conditional_kernel_integral(proc, d, 0.0, h, state=1.0)
     oracle = simpson(
@@ -171,7 +171,7 @@ def test_g_ou_matches_dense_quadrature():
 
 def test_g_ou_with_theta_quadrature():
     h = Horizon.uniform(2.0, 16)
-    d = DeltaParam.from_value(9.0)
+    d = DeltaParam(9.0)
     proc = OrnsteinUhlenbeck(x0=0.0, kappa=2.5, theta=0.8, sigma=0.1)
     t, x_t = 0.5, -0.4
     got = conditional_kernel_integral(proc, d, t, h, state=x_t)
@@ -185,7 +185,7 @@ def test_g_ou_with_theta_quadrature():
 
 
 def test_ou_weights_degenerate_at_kappa_zero():
-    d = DeltaParam.from_value(50.0)
+    d = DeltaParam(50.0)
     tau = np.linspace(0.0, 1.0, 11)
     np.testing.assert_allclose(
         _ou_weight(d, 0.0, tau, 1.0), d.sqrt_delta * np.tanh(d.sqrt_delta * tau), rtol=1e-12
@@ -197,7 +197,7 @@ def test_ou_weights_degenerate_at_kappa_zero():
 
 def test_ou_weight_continuous_through_resonance():
     # kappa^2 ~ delta is a removable singularity of the closed form
-    d = DeltaParam.from_value(50.0)
+    d = DeltaParam(50.0)
     b = d.sqrt_delta
     tau = np.array([0.7])
     at = float(_ou_weight(d, b, tau, 1.0)[0])
@@ -210,7 +210,7 @@ def test_ou_weight_continuous_through_resonance():
 
 
 def test_ou_weight_huge_delta_finite():
-    d = DeltaParam.from_value(1e8)
+    d = DeltaParam(1e8)
     tau = np.linspace(0.0, 1.0, 5)
     assert np.all(np.isfinite(_ou_weight(d, 3.0, tau, 1.0)))
     assert np.all(np.isfinite(_ou_weight(d, 3.0, tau, -1.0)))
@@ -233,7 +233,7 @@ def test_g_smooth_rate_against_nested_quadrature():
     # original definition: G(t) = int_t^T k(t,s) E_t[X_s] ds with
     # E_t[X_s] = X_t + int_t^s E_t[r_v] dv for the running integral of an OU rate
     h = Horizon.uniform(1.0, 200)
-    d = DeltaParam.from_value(12.0)
+    d = DeltaParam(12.0)
     kappa, theta = 1.5, 0.6
     proc = SmoothRate(OrnsteinUhlenbeck(x0=1.0, kappa=kappa, theta=theta, sigma=0.4))
     t, level, rate_t = h.grid[60], 0.35, 0.9
@@ -255,7 +255,7 @@ def test_g_smooth_rate_against_nested_quadrature():
 def test_g_deterministic_matches_pointwise_quadrature():
     n = 2000
     h = Horizon.uniform(1.0, n)
-    d = DeltaParam.from_value(30.0)
+    d = DeltaParam(30.0)
     x_fn = lambda s: np.sin(3.0 * s) + 0.5 * s  # noqa: E731
     proc = Deterministic(tuple(x_fn(h.grid)))
     realized = realize_driver(((1.0, proc),), h)
@@ -272,7 +272,7 @@ def test_g_deterministic_matches_pointwise_quadrature():
 
 def test_zero_driver_gives_zero_paths():
     h = Horizon.uniform(1.0, 100)
-    d = DeltaParam.from_value(50.0)
+    d = DeltaParam(50.0)
     U, u = forward(ZERO, d, h)
     np.testing.assert_array_equal(u, 0.0)
     np.testing.assert_array_equal(U, 0.0)
@@ -281,7 +281,7 @@ def test_zero_driver_gives_zero_paths():
 def test_constant_driver_matches_closed_form():
     # engine position vs the hyperbolic closed form, 1e-6 at 1e4 steps
     h = Horizon.uniform(1.0, 10_000)
-    d = DeltaParam.from_value(50.0)
+    d = DeltaParam(50.0)
     U, u = forward(Constant(-0.5), d, h)
     exact = closed_form_position_constant(-0.5, 50.0, h.grid)
     assert np.max(np.abs(U - exact)) < 1e-6
@@ -292,7 +292,7 @@ def test_constant_driver_matches_closed_form():
 
 def test_position_increment_is_trapezoid_of_rate():
     h = Horizon.uniform(1.0, 500)
-    d = DeltaParam.from_value(20.0)
+    d = DeltaParam(20.0)
     U, u = forward(Constant(1.0), d, h)
     dU = np.diff(U)
     trap = 0.5 * (u[:-1] + u[1:]) * h.dt
@@ -302,7 +302,7 @@ def test_position_increment_is_trapezoid_of_rate():
 
 def test_residual_zero_driver_exact():
     h = Horizon.uniform(1.0, 64)
-    d = DeltaParam.from_value(5.0)
+    d = DeltaParam(5.0)
     res = fbsde_residual(realize_driver(((1.0, ZERO),), h), d, h)
     assert res.max_drift_residual == 0.0
     assert res.terminal_rate == 0.0
@@ -311,7 +311,7 @@ def test_residual_zero_driver_exact():
 def test_cancelled_driver_is_zero_on_the_grid():
     # terms that cancel leave an empty term list: X must still be a zero path
     h = Horizon.uniform(1.0, 10)
-    d = DeltaParam.from_value(5.0)
+    d = DeltaParam(5.0)
     driver = combine([(1.0, Constant(1.0)), (-1.0, Constant(1.0))])
     realized = realize_driver(driver, h)
     np.testing.assert_array_equal(realized.values(), np.zeros(h.grid.size))
@@ -321,7 +321,7 @@ def test_cancelled_driver_is_zero_on_the_grid():
 
 
 def test_residual_constant_driver_order_one():
-    d = DeltaParam.from_value(50.0)
+    d = DeltaParam(50.0)
     h1 = Horizon.uniform(1.0, 10_000)
     res1 = fbsde_residual(realize_driver(((1.0, Constant(-0.5)),), h1), d, h1)
     assert res1.max_drift_residual <= 10.0 * (1.0 / 10_000)
@@ -335,7 +335,7 @@ def test_residual_constant_driver_order_one():
 
 def test_residual_rejects_stochastic_driver():
     h = Horizon.uniform(1.0, 64)
-    d = DeltaParam.from_value(5.0)
+    d = DeltaParam(5.0)
     realized = realize_driver(((1.0, BrownianMartingale(0.0, 1.0)),), h, seed=1)
     with pytest.raises(ValueError):
         fbsde_residual(realized, d, h)
@@ -345,7 +345,7 @@ def test_residual_rejects_stochastic_driver():
 
 def test_linearity_of_solve_forward():
     h = Horizon.uniform(1.0, 400)
-    d = DeltaParam.from_value(10.0)
+    d = DeltaParam(10.0)
     det = Deterministic(tuple(np.cos(2.0 * h.grid)))
     const = Constant(0.7)
     a, b = 2.0, -1.5
@@ -358,7 +358,7 @@ def test_linearity_of_solve_forward():
 
 def test_double_integral_representation_constant():
     h = Horizon.uniform(1.0, 4000)
-    d = DeltaParam.from_value(50.0)
+    d = DeltaParam(50.0)
     realized = realize_driver(((1.0, Constant(-0.5)),), h)
     u33 = double_integral_position(realized, d, h)
     exact = closed_form_position_constant(-0.5, 50.0, h.grid)
@@ -368,7 +368,7 @@ def test_double_integral_representation_constant():
 def test_double_integral_matches_forward_solve_on_brownian_path():
     # same realized path through two representations, O(dt) agreement
     h = Horizon.uniform(1.0, 4000)
-    d = DeltaParam.from_value(50.0)
+    d = DeltaParam(50.0)
     realized = realize_driver(((1.0, BrownianMartingale(0.0, 1.0)),), h, seed=42, path_index=3)
     U, _ = solve_forward(realized, d, h)
     u33 = double_integral_position(realized, d, h)
@@ -381,7 +381,7 @@ def test_eq33_nested_quadrature_oracle():
     n = 400
     h = Horizon.uniform(1.0, n)
     delta = 3.0
-    d = DeltaParam.from_value(delta)
+    d = DeltaParam(delta)
     x_fn = lambda s: 1.0 + 0.3 * np.sin(4.0 * s)  # noqa: E731
     proc = Deterministic(tuple(x_fn(h.grid)))
     U, _ = forward(proc, d, h)
@@ -406,7 +406,7 @@ def test_eq33_nested_quadrature_oracle():
 def test_martingale_driver_state_feedback():
     # for a Brownian driver the rate is F(t) (X_t - U_t) pathwise
     h = Horizon.uniform(1.0, 256)
-    d = DeltaParam.from_value(25.0)
+    d = DeltaParam(25.0)
     proc = BrownianMartingale(0.0, 1.0)
     realized = realize_driver(((1.0, proc),), h, seed=5)
     U, u = solve_forward(realized, d, h)
@@ -416,7 +416,7 @@ def test_martingale_driver_state_feedback():
 
 def test_solve_forward_multi_path_vectorized():
     h = Horizon.uniform(1.0, 128)
-    d = DeltaParam.from_value(25.0)
+    d = DeltaParam(25.0)
     proc = BrownianMartingale(0.0, 1.0)
     z = np.stack(
         [realize(proc, h, seed=9, path_index=i)[0] for i in range(4)], axis=0
@@ -431,7 +431,7 @@ def test_solve_forward_multi_path_vectorized():
 def test_heun_path_equals_the_array_recursion_bit_for_bit():
     # heun_path's per-path float loop and heun_step on arrays are one arithmetic
     h = Horizon.uniform(1.0, 300)
-    d = DeltaParam.from_value(40.0)
+    d = DeltaParam(40.0)
     proc = BrownianMartingale(0.2, 1.0)
     z = np.stack([realize(proc, h, seed=3, path_index=i)[0] for i in range(5)])
     G = kernel_expectation_path(RealizedDriver(((1.0, proc),), {proc: (z,)}), d, h)
@@ -457,7 +457,7 @@ def test_heun_path_in_blocks_is_the_array_recursion(monkeypatch, block):
 
     monkeypatch.setattr(fbsde, "_BLOCK_STEPS", block)
     h = Horizon.uniform(1.0, 300)
-    F = eval_F(DeltaParam.from_value(40.0), h.grid, h.T)
+    F = eval_F(DeltaParam(40.0), h.grid, h.T)
     G = np.random.default_rng(5).standard_normal((3, h.grid.size)).cumsum(axis=-1)
     U, u = heun_path(G, F, h.dt)
     rec_U, rec_u = [np.zeros(3)], [G[:, 0]]
@@ -473,7 +473,7 @@ def test_heun_path_in_blocks_is_the_array_recursion(monkeypatch, block):
 def test_the_folded_step_is_heuns_scheme():
     # U' = a U + b u + c g' is Heun's k1/k2 step rearranged, checked where F dt nears 2
     h = Horizon.uniform(1.0, 300)
-    F = eval_F(DeltaParam.from_value(597.0**2), h.grid, h.T)
+    F = eval_F(DeltaParam(597.0**2), h.grid, h.T)
     assert 1.9 < np.max(F[:-1] * h.dt) <= 2.0
     G = np.random.default_rng(11).standard_normal(h.grid.size).cumsum()
     U, _ = heun_path(G, F, h.dt)
@@ -488,7 +488,7 @@ def test_the_folded_step_is_heuns_scheme():
 def test_stiff_delta_stable_with_resolved_grid():
     # sqrt(delta)*T = 1000; the 50-steps-per-unit rule keeps Heun stable
     delta = 1e6
-    d = DeltaParam.from_value(delta)
+    d = DeltaParam(delta)
     n = int(50 * math.sqrt(delta) * 1.0)
     h = Horizon.uniform(1.0, n)
     U, _ = forward(Constant(1.0), d, h)

@@ -47,12 +47,10 @@ def test_horizon_validation():
 
 
 def test_delta_param():
-    d = DeltaParam.from_value(50.0)
+    d = DeltaParam(50.0)
     assert d.sqrt_delta**2 == pytest.approx(50.0, rel=1e-15)
     with pytest.raises(ValueError):
-        DeltaParam.from_value(-1.0)
-    with pytest.raises(ValueError):
-        DeltaParam(delta=50.0, sqrt_delta=7.0)
+        DeltaParam(-1.0)
 
 
 def test_a_mesh_rate_that_overflows_is_refused():
@@ -60,30 +58,30 @@ def test_a_mesh_rate_that_overflows_is_refused():
     with pytest.raises(ValueError, match="^delta must be positive and finite, got inf$"):
         compute_delta(0.1, 1e300, 1e300)
     with pytest.raises(ValueError, match="^delta must be positive and finite"):
-        DeltaParam.from_value(math.inf)
+        DeltaParam(math.inf)
     assert compute_delta(0.1, 1e150, 1e150).delta == pytest.approx(5e150, rel=1e-15)
 
 
 def test_F_at_maturity_is_zero():
-    d = DeltaParam.from_value(50.0)
+    d = DeltaParam(50.0)
     assert eval_F(d, 1.0, 1.0) == 0.0
 
 
 def test_F_direct_value():
     # sqrt(50)*tanh(sqrt(50)) evaluated in double precision
-    d = DeltaParam.from_value(50.0)
+    d = DeltaParam(50.0)
     assert eval_F(d, 0.0, 1.0) == pytest.approx(7.071057610384575, rel=1e-14)
 
 
 def test_F_small_delta_taylor():
     # F(t) = delta*(T-t) + O(delta^2) as delta -> 0
-    d = DeltaParam.from_value(1e-8)
+    d = DeltaParam(1e-8)
     t, T = 0.25, 1.0
     assert eval_F(d, t, T) == pytest.approx(1e-8 * (T - t), rel=1e-8)
 
 
 def test_F_monotone_decreasing():
-    d = DeltaParam.from_value(37.0)
+    d = DeltaParam(37.0)
     t = np.linspace(0.0, 2.0, 500)
     vals = eval_F(d, t, 2.0)
     assert np.all(np.diff(vals) < 0)
@@ -91,7 +89,7 @@ def test_F_monotone_decreasing():
 
 
 def test_F_domain_errors():
-    d = DeltaParam.from_value(1.0)
+    d = DeltaParam(1.0)
     with pytest.raises(ValueError):
         eval_F(d, 1.5, 1.0)
     with pytest.raises(ValueError):
@@ -100,19 +98,19 @@ def test_F_domain_errors():
 
 def test_k_diagonal_is_delta_exactly():
     for delta in (0.5, 50.0, 1e4):
-        d = DeltaParam.from_value(delta)
+        d = DeltaParam(delta)
         for t in (0.0, 0.3, 1.0):
             assert eval_k(d, t, t, 1.0) == delta
 
 
 def test_k_direct_value():
     # k(0, 1) = 100/cosh(10)
-    d = DeltaParam.from_value(100.0)
+    d = DeltaParam(100.0)
     assert eval_k(d, 0.0, 1.0, 1.0) == pytest.approx(0.009079985933781723, rel=1e-13)
 
 
 def test_k_positive_and_ordered_domain():
-    d = DeltaParam.from_value(10.0)
+    d = DeltaParam(10.0)
     t = np.linspace(0, 1, 21)
     for ti in t:
         s = np.linspace(ti, 1, 17)
@@ -125,7 +123,7 @@ def test_k_rescaled_agrees_with_cosh_form():
     # for moderate delta both forms must agree to 1e-12 relative
     rng = np.random.default_rng(7)
     for delta in (0.1, 3.7, 50.0, 1e4):
-        d = DeltaParam.from_value(delta)
+        d = DeltaParam(delta)
         for _ in range(20):
             t = rng.uniform(0, 1)
             s = rng.uniform(t, 1)
@@ -136,7 +134,7 @@ def test_k_rescaled_agrees_with_cosh_form():
 
 def test_k_huge_delta_finite():
     # naive cosh overflows at sqrt(delta)*T = 1e4; rescaled form must not
-    d = DeltaParam.from_value(1e8)
+    d = DeltaParam(1e8)
     assert np.isfinite(eval_k(d, 0.0, 0.5, 1.0))  # true value underflows to 0
     v = eval_k(d, 0.0, 1e-3, 1.0)
     assert np.isfinite(v) and v > 0
@@ -149,21 +147,21 @@ def test_kernel_integral_identity_simpson():
     # quadrature oracle: integral_t^T k(t,s) ds == F(t)
     cases = [(3.7, 0.4, 1.0), (50.0, 0.0, 1.0), (50.0, 0.9, 1.0), (0.2, 0.1, 2.0)]
     for delta, t, T in cases:
-        d = DeltaParam.from_value(delta)
+        d = DeltaParam(delta)
         quad = simpson(lambda s: eval_k(d, t, s, T), t, T, panels=4096)
         assert quad == pytest.approx(eval_F(d, t, T), rel=1e-10, abs=1e-14)
 
 
 def test_kernel_integral_sweep():
     # 1e4-panel Simpson agrees with F to 1e-8 relative across the grid
-    d = DeltaParam.from_value(25.0)
+    d = DeltaParam(25.0)
     for t in np.linspace(0.0, 0.95, 11):
         quad = simpson(lambda s: eval_k(d, t, s, 1.0), t, 1.0, panels=10_000)
         assert quad == pytest.approx(eval_F(d, t, 1.0), rel=1e-8)
 
 
 def test_kernel_integral_at_maturity():
-    d = DeltaParam.from_value(3.0)
+    d = DeltaParam(3.0)
     assert eval_F(d, 1.0, 1.0) == 0.0
 
 
@@ -209,10 +207,8 @@ def test_simpson_matches_known_integral():
 
 
 def _builds_delta_param(call: ast.Call) -> bool:
-    """``DeltaParam(...)`` or ``DeltaParam.from_value(...)``, bare or through a module."""
+    """``DeltaParam(...)``, bare or through a module."""
     f = call.func
-    if isinstance(f, ast.Attribute) and f.attr == "from_value":
-        f = f.value
     return (isinstance(f, ast.Name) and f.id == "DeltaParam") or (
         isinstance(f, ast.Attribute) and f.attr == "DeltaParam"
     )

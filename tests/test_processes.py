@@ -106,7 +106,7 @@ def test_brownian_and_kappa_zero_ou_agree_bit_for_bit():
         states.append(state[0])
     np.testing.assert_array_equal(states[0], states[1])
     for sign in (1.0, -1.0):
-        weight = KernelWeight(DeltaParam.from_value(30.0), h.grid, h.T, sign)
+        weight = KernelWeight(DeltaParam(30.0), h.grid, h.T, sign)
         for a, b in zip(bm.g_coefficients(weight), ou.g_coefficients(weight)):
             np.testing.assert_array_equal(a, b)
         A, B = bm.g_coefficients(weight)

@@ -43,7 +43,7 @@ def relative_errors(got: np.ndarray, d: DeltaParam, kappa: float, sign: float) -
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_kernel_weights_match_mpmath(delta, sign):
     # kappa = 0, half, just past and ten times sqrt(delta), the resonance between them
-    d = DeltaParam.from_value(delta)
+    d = DeltaParam(delta)
     weight = KernelWeight(d, NODES, T, sign)
     assert max(relative_errors(weight.constant(), d, 0.0, sign)) < 1e-13
     for kappa in (0.0, d.sqrt_delta / 2, d.sqrt_delta * (1 + 1e-9), 10 * d.sqrt_delta):
