@@ -17,6 +17,7 @@ thread count, and every thread has joined before the call returns.
 
 from __future__ import annotations
 
+import numbers
 import os
 import threading
 
@@ -26,10 +27,16 @@ from .kernel import Horizon
 from .processes import DemandProcess
 
 
+def require_key_word(name: str, value) -> None:
+    """Refuse a seed or path index that is not an integer in [0, 2**64), a Philox key word."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not 0 <= value < 2**64:
+        raise ValueError(f"{name} must lie in [0, 2**64), got {value!r}")
+
+
 def substream(seed: int, path_index: int, stream: int = 0) -> np.random.Generator:
     """Generator for one (seed, path, stream) cell of the Philox counter space."""
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    require_key_word("seed", seed)
+    require_key_word("path index", path_index)
     key = np.array([np.uint64(seed), np.uint64(path_index)], dtype=np.uint64)
     counter = np.array([0, 0, np.uint64(stream), 0], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key, counter=counter))

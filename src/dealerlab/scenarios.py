@@ -28,7 +28,7 @@ from .kernel import (
     stable_sech,
     stable_sinh_over_cosh,
 )
-from .paths import path_streams, standard_normal_block
+from .paths import path_streams, require_key_word, standard_normal_block
 
 INF_DEALERS = math.inf
 SLICE_STEPS = 256  # time steps of diffusive shocks drawn at once; read at each call
@@ -117,12 +117,10 @@ class DiffusiveScenario(LiquidationScenario):
         super().__post_init__()
         if not 0 <= self.sigma_xi < math.inf:
             raise ValueError(f"sigma_xi must be >= 0 and finite, got {self.sigma_xi!r}")
-        steps, seed = self.steps, self.seed
+        steps = self.steps
         if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 1:
             raise ValueError(f"steps must be an integer of at least 1, got {steps!r}")
-        if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
-                or not 0 <= seed < 2**64):
-            raise ValueError(f"seed must lie in [0, 2**64), got {seed!r}")
+        require_key_word("seed", self.seed)
 
 
 @dataclass

@@ -1,5 +1,6 @@
 """Reproducibility and distributional checks for the path generators."""
 
+import re
 import threading
 
 import numpy as np
@@ -160,6 +161,34 @@ def test_seed_outside_the_philox_key_range_is_a_value_error(seed):
     with pytest.raises(ValueError, match="seed"):
         realize(BrownianMartingale(0.0, 1.0), h, seed=seed)
     assert substream(2**64 - 1, 0).standard_normal() == substream(2**64 - 1, 0).standard_normal()
+
+
+@pytest.mark.parametrize("value", [1.5, 0.9, True, np.float64(1.0), -1, 2**64])
+def test_a_seed_or_path_index_that_is_no_key_word_is_a_value_error(value):
+    # a float or a bool was truncated to a key word, and -1 or 2**64 overflowed numpy's uint64
+    rule = re.escape(f" must lie in [0, 2**64), got {value!r}") + "$"
+    with pytest.raises(ValueError, match="^seed" + rule):
+        substream(value, 0)
+    with pytest.raises(ValueError, match="^path index" + rule):
+        substream(1, value)
+    with pytest.raises(ValueError, match="^path index" + rule):
+        realize(BrownianMartingale(0.0, 1.0), Horizon.uniform(1.0, 4), seed=1, path_index=value)
+    assert substream(np.uint64(1), np.int64(2)).standard_normal() == substream(1, 2).standard_normal()
+
+
+@pytest.mark.parametrize("seed", [1.5, True])
+def test_library_runs_refuse_a_seed_that_is_no_integer(seed):
+    from dealerlab.asymptotics import DealerSetting, simulate_costs
+    from dealerlab.equilibrium import solve_equilibrium
+    from dealerlab.market import segmented_market
+
+    bm, h = BrownianMartingale(0.0, 1.0), Horizon.uniform(1.0, 100)
+    with pytest.raises(ValueError, match="^seed must lie in"):
+        solve_equilibrium(segmented_market(0.1, 0.1, 0.1, 1, bm), h, seed=seed)
+    with pytest.raises(ValueError, match="^seed must lie in"):
+        simulate_costs(DealerSetting(), bm, [0.1], 4, seed=seed, steps=[50])
+    with pytest.raises(ValueError, match="^path index must lie in"):
+        solve_equilibrium(segmented_market(0.1, 0.1, 0.1, 1, bm), h, seed=1, path_index=0.9)
 
 
 def test_zero_sigma_brownian_is_constant():
