@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .fbsde import heun_coefficients, realize_driver, require_stable_step, solve_forward
 from .kernel import DeltaParam, Horizon, KernelWeight, eval_F, trapezoid
-from .market import Aggregates, aggregate, dealers_only_market
+from .market import Aggregates, aggregate, dealers_only_market, require_dealer_count
 from .paths import integrate_against, path_streams, standard_normal_block
 from .processes import DemandProcess, ZERO
 
@@ -44,9 +43,7 @@ class DealerSetting:
     T: float = 1.0
 
     def __post_init__(self):
-        m = self.n_dealers
-        if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
-            raise ValueError(f"n_dealers must be an integer of at least 1, got {m!r}")
+        require_dealer_count(self.n_dealers)
         for name in ("rho_d", "T"):
             value = getattr(self, name)
             if not 0 < value < math.inf:

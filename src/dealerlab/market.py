@@ -11,6 +11,7 @@ elasticity is exactly zero, never the result of inf arithmetic.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -127,6 +128,12 @@ def aggregate(params: MarketParams) -> Aggregates:
 # stylized market builders used by the worked scenarios
 # ----------------------------------------------------------------------
 
+def require_dealer_count(n_dealers) -> None:
+    """Refuse a dealer count that is a bool, not an integer, or below 1."""
+    if isinstance(n_dealers, bool) or not isinstance(n_dealers, numbers.Integral) or n_dealers < 1:
+        raise ValueError(f"n_dealers must be an integer of at least 1, got {n_dealers!r}")
+
+
 def segmented_market(
     impact_cost: float,
     rho_c: float,
@@ -136,8 +143,7 @@ def segmented_market(
     noise_demand: DemandProcess = ZERO,
 ) -> MarketParams:
     """M dealers and M clients of mass 1/(2M); clients without open-market access."""
-    if n_dealers < 1:
-        raise ValueError("need at least one dealer")
+    require_dealer_count(n_dealers)
     m = 1.0 / (2 * n_dealers)
     agents = []
     for i in range(n_dealers):
@@ -155,8 +161,7 @@ def integrated_market(
     noise_demand: DemandProcess = ZERO,
 ) -> MarketParams:
     """Same roster as segmented_market but clients trade the open market freely."""
-    if n_dealers < 1:
-        raise ValueError("need at least one dealer")
+    require_dealer_count(n_dealers)
     m = 1.0 / (2 * n_dealers)
     agents = []
     for i in range(n_dealers):
@@ -172,8 +177,7 @@ def dealers_only_market(
     noise_demand: DemandProcess,
 ) -> MarketParams:
     """M dealers of mass 1/M absorbing exogenous noise demand (no targets)."""
-    if n_dealers < 1:
-        raise ValueError("need at least one dealer")
+    require_dealer_count(n_dealers)
     m = 1.0 / n_dealers
     agents = tuple(
         AgentSpec(f"dealer{i}", m, rho_d, open_cost=0.0) for i in range(n_dealers)

@@ -172,3 +172,21 @@ def test_dealers_only_market():
     assert ag.eta_bar == pytest.approx(40.0, rel=1e-13)
     assert ag.delta.delta == pytest.approx(4 / (0.1 * 0.1 * 5), rel=1e-13)
     assert ag.xi_bar == ()
+
+
+@pytest.mark.parametrize("n_dealers", [0, 1.5, 2.0, True])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda m: segmented_market(0.1, 0.1, 0.1, m, Constant(-1.0)),
+        lambda m: integrated_market(0.1, 0.1, 0.1, m, Constant(-1.0)),
+        lambda m: dealers_only_market(0.1, 0.1, m, BrownianMartingale(0.0, 1.0)),
+    ],
+    ids=["segmented", "integrated", "dealers_only"],
+)
+def test_market_builders_refuse_a_dealer_count_that_is_no_integer(build, n_dealers):
+    # a float died in range() with a TypeError, and True built one dealer
+    rule = f"^n_dealers must be an integer of at least 1, got {n_dealers!r}$"
+    with pytest.raises(ValueError, match=rule):
+        build(n_dealers)
+    assert len(build(np.int64(2)).agents) in (2, 4)
