@@ -2,22 +2,20 @@
 
 Numbers are fixed at 12 significant digits and row/key order is fully
 determined by the inputs, so a rerun with the same configuration and seed
-reproduces every output byte for byte (worker counts and chunk sizes are
-execution details and never enter a report).  CSV and JSON share one set of
-cell rules (numpy scalars write as their Python counterparts).  The CSV writer
-takes row blocks (``row_blocks`` cuts a column table into ``ROW_BLOCK`` rows
-each), so its memory does not grow with the table.  In each block a float
-array column with one bit pattern is formatted once, into the block's row
-format (a solution on its plateau holds most columns constant); every other
-cell is formatted by the block's one ``%`` call.
+reproduces every output byte for byte (worker counts, chunk sizes and the
+checkout are execution details and never enter a report).  CSV and JSON share
+one set of cell rules (numpy scalars write as their Python counterparts).  The
+CSV writer takes row blocks (``row_blocks`` cuts a column table into
+``ROW_BLOCK`` rows each), so its memory does not grow with the table.  In each
+block a float array column with one bit pattern is formatted once, into the
+block's row format (a solution on its plateau holds most columns constant);
+every other cell is formatted by the block's one ``%`` call.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
-import subprocess
 from pathlib import Path
 
 ROW_BLOCK = 4096  # rows in each block of ``row_blocks``; read at each call
@@ -125,25 +123,11 @@ def write_json(path: Path, payload: dict) -> None:
     Path(path).write_text(text + "\n")
 
 
-@functools.lru_cache(maxsize=None)
 def version_string() -> str:
-    """Package version plus ``git describe --always --dirty``, computed once per process."""
+    """The installed package's name and version; no part of it depends on the checkout."""
     from . import __version__
 
-    describe = None
-    try:
-        out = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            cwd=Path(__file__).parent,
-            capture_output=True,
-            text=True,
-            timeout=5,
-        )
-        if out.returncode == 0:
-            describe = out.stdout.strip()
-    except (OSError, subprocess.TimeoutExpired):
-        pass
-    return f"dealerlab {__version__}" + (f" ({describe})" if describe else "")
+    return f"dealerlab {__version__}"
 
 
 def run_metadata(config: dict, seed: int | None, grid_steps: int | None) -> dict:

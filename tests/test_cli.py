@@ -70,7 +70,7 @@ def test_liquidation_outputs(tmp_path):
     assert float(rows[0][1]) == pytest.approx(-0.7071057610384575, rel=1e-10)
     assert float(rows[0][2]) == pytest.approx(-0.5, rel=1e-6)
     meta = read_json(tmp_path / "run_meta.json")
-    assert meta["version"].startswith("dealerlab 0.1.0") and meta["grid_steps"] == 100
+    assert meta["version"] == f"dealerlab {dealerlab.__version__}" and meta["grid_steps"] == 100
 
 
 def test_liquidation_deterministic_bytes(tmp_path):
@@ -179,6 +179,43 @@ def test_a_clipped_grid_reaches_stderr(tmp_path):
     note = "step cap at lambda=1e-09: 4082483 steps wanted, 1000000 used"
     assert note in proc.stderr
     assert read_json(tmp_path / "scaling_report.json")["report"]["warnings"] == [note]
+
+
+# the events with which CPython audits a new process: none may fire during a CLI run
+PROCESS_EVENTS = ("subprocess.Popen", "os.posix_spawn", "os.fork", "os.exec", "os.system")
+
+
+def test_no_subcommand_starts_a_process(tmp_path):
+    # a separate interpreter, so the audit hook (which cannot be removed) goes with it;
+    # the hook is in place before dealerlab is imported
+    (tmp_path / "market.ini").write_text(CONFIG)
+    runs = {
+        "liquidation": ["--steps", "200"],
+        "diffusive": ["--steps", "50", "--paths", "20"],
+        "welfare": ["--m-max", "3"],
+        "scaling-smooth": ["--lambda", "1e-1,1e-2"],
+        "scaling-diffusive": ["--lambda", "1e-1,1e-2", "--paths", "20"],
+        "oracle-check": ["--steps-list", "100,200"],
+        "equilibrium": ["--config", str(tmp_path / "market.ini"), "--steps", "200"],
+    }
+    commands = next(a.choices for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    assert set(runs) == set(commands)
+    argvs = [[name, *argv, "--out", str(tmp_path / name)] for name, argv in runs.items()]
+    code = "\n".join([
+        "import sys",
+        "seen = []",
+        f"sys.addaudithook(lambda event, _: event in {PROCESS_EVENTS} and seen.append(event))",
+        "from dealerlab.cli import main",
+        f"print([main(argv) for argv in {argvs!r}], seen)",
+    ])
+    src = Path(dealerlab.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == f"{[0] * len(runs)} []"
 
 
 def test_scaling_diffusive_bytes_and_workers(tmp_path):

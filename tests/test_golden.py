@@ -1,9 +1,9 @@
 """Every CLI output's bytes, pinned: SHA-256 digests of a fixed run list against golden.json.
 
-Each run calls ``cli.main`` in-process and hashes every file it writes, with
-the provenance ``version`` field blanked (it names the checkout, not the
-inputs).  A change that moves output bytes on purpose regenerates the
-manifest with
+Each run calls ``cli.main`` in-process and hashes every file it writes, the
+provenance ``version`` field included: it is the package version, the same
+in every checkout and install.  A change that moves output bytes on purpose
+regenerates the manifest with
 
     PYTHONPATH=src python tests/test_golden.py --regenerate
 
@@ -15,7 +15,6 @@ can tell a library's drift from the program's.
 import hashlib
 import json
 import platform
-import re
 import sys
 from pathlib import Path
 
@@ -90,8 +89,6 @@ RUNS = (
     ("scaling-diffusive-workers-3", SCALING_DIFFUSIVE + ("--workers", "3"), {}),
 )
 
-_VERSION = re.compile(rb'"version": "[^"]*"')
-
 
 def _versions() -> dict:
     return {"numpy": np.__version__, "python": platform.python_version(),
@@ -99,7 +96,7 @@ def _versions() -> dict:
 
 
 def output_digests(root: Path) -> dict:
-    """SHA-256 of every file each run writes, keyed ``run/file``, ``version`` blanked."""
+    """SHA-256 of every file each run writes, keyed ``run/file``."""
     digests = {}
     for name, argv, inputs in RUNS:
         for file_name, text in inputs.items():
@@ -108,8 +105,7 @@ def output_digests(root: Path) -> dict:
         out = root / name
         assert main([str(a) for a in argv] + ["--out", str(out)]) == 0, name
         for path in sorted(out.iterdir()):
-            data = _VERSION.sub(b'"version": ""', path.read_bytes())
-            digests[f"{name}/{path.name}"] = hashlib.sha256(data).hexdigest()
+            digests[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
     return digests
 
 

@@ -157,14 +157,16 @@ def test_oracle_imports_stay_independent_of_the_engine():
 
 def test_cli_import_loads_no_scipy():
     # every subcommand imports the oracle through the CLI; scipy stays off that path, and
-    # so does importlib.metadata (the report version is the package's own __version__)
+    # so do importlib.metadata and subprocess (the report version is the package's own
+    # __version__, and no subcommand starts a process)
     src = Path(oracle.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
 
     def watched_modules(imports):
         code = (f"import sys{imports}; print(sorted(m for m in sys.modules "
-                "if m.split('.')[0] == 'scipy' or m.startswith('importlib.metadata')))")
+                "if m.split('.')[0] in ('scipy', 'subprocess') "
+                "or m.startswith('importlib.metadata')))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr

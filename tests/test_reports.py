@@ -1,11 +1,17 @@
 """Report writers: the CSV column rules and the shared cell rules of CSV and JSON."""
 
 import math
+import os
+import shutil
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dealerlab
 from dealerlab import reports
 from dealerlab.reports import NonFiniteError, fmt, row_blocks, write_csv, write_json
 
@@ -179,3 +185,33 @@ def test_json_refuses_a_non_finite_float_before_opening_the_file(tmp_path, value
     with pytest.raises(NonFiniteError, match="report.json"):
         write_json(path, {"ok": 1.0, "nested": {"xs": [0.5, value]}})
     assert not path.exists()
+
+
+@pytest.mark.skipif(shutil.which("git") is None,
+                    reason="needs git on PATH to build the enclosing repository")
+def test_the_version_names_no_enclosing_repository(tmp_path):
+    # the package copied into another project's work tree, whose tracked file is edited:
+    # the version is the package's alone, not that project's commit and dirty flag
+    env = {k: v for k, v in os.environ.items() if not k.startswith("GIT_")}
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=dealerlab", "-c", "user.email=dealerlab@localhost",
+                        "-c", "commit.gpgsign=false", *args],
+                       cwd=tmp_path, env=env, check=True, capture_output=True, timeout=60)
+
+    git("init", "-q")
+    (tmp_path / "tracked.txt").write_text("committed\n")
+    git("add", "tracked.txt")
+    git("commit", "-q", "-m", "first")
+    (tmp_path / "tracked.txt").write_text("edited\n")
+    site = tmp_path / ".venv" / "lib" / "site-packages"
+    shutil.copytree(Path(dealerlab.__file__).parent, site / "dealerlab",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    env["PYTHONPATH"] = os.pathsep.join([str(site)] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = "import dealerlab.reports as r; print(r.__file__); print(r.version_string())"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    origin, version = proc.stdout.splitlines()
+    assert Path(origin).parent == site / "dealerlab"
+    assert version == f"dealerlab {dealerlab.__version__}"
