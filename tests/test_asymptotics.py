@@ -442,6 +442,25 @@ def test_workers_below_one_are_rejected(workers):
                        workers=workers)
 
 
+@pytest.mark.parametrize(
+    "demand, n_paths, seed, workers, named",
+    [
+        (BrownianMartingale(0.0, 1.0), 2.5, 1, 1, "n_paths"),
+        (UNIT_RATE, True, 0, 1, "n_paths"),
+        (BrownianMartingale(0.0, 1.0), 8, 1, 1.5, "workers"),
+        (BrownianMartingale(0.0, 1.0), 8, 1, True, "workers"),
+        (UNIT_RATE, 0, 1.5, 1, "seed"),
+        (UNIT_RATE, 0, -1, 1, "seed"),
+    ],
+    ids=["paths-float", "paths-bool", "workers-float", "workers-bool",
+         "seed-float-deterministic", "seed-negative-deterministic"],
+)
+def test_count_inputs_are_integers(demand, n_paths, seed, workers, named):
+    # a float path count died in range(); the others ran, a deterministic demand's seed unread
+    with pytest.raises(ValueError, match=rf"^{named} must "):
+        simulate_costs(DealerSetting(n_dealers=2), demand, [1e-2], n_paths, seed, [16], workers)
+
+
 def test_scaling_study_rejects_repeated_impact_costs():
     with pytest.raises(ValueError, match="distinct"):
         scaling_study(DealerSetting(2, 0.1), BrownianMartingale(0.0, 1.0), [1e-2, 1e-2], 8)
