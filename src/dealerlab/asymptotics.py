@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .fbsde import heun_coefficients, realize_driver, require_stable_step, solve_forward
-from .kernel import DeltaParam, Horizon, KernelWeight, eval_F, trapezoid
-from .market import Aggregates, aggregate, dealers_only_market, require_dealer_count
+from .kernel import DeltaParam, Horizon, KernelWeight, eval_F, require_count, trapezoid
+from .market import Aggregates, aggregate, dealers_only_market
 from .paths import integrate_against, path_streams, require_key_word, standard_normal_block
 from .processes import DemandProcess, ZERO
 
@@ -44,7 +43,7 @@ class DealerSetting:
     T: float = 1.0
 
     def __post_init__(self):
-        require_dealer_count(self.n_dealers)
+        require_count("n_dealers", self.n_dealers, 1)
         for name in ("rho_d", "T"):
             value = getattr(self, name)
             if not 0 < value < math.inf:
@@ -177,12 +176,6 @@ def _chunk_sweep(
     return totals
 
 
-def _require_count(name: str, value, least: int) -> None:
-    """Refuse a count that is a bool, not an integer, or below ``least``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
-
-
 def simulate_costs(
     setting: DealerSetting,
     demand: DemandProcess,
@@ -211,8 +204,8 @@ def simulate_costs(
     the slice; the values do not depend on the CPU count, and the fill's
     own buffers hold one tile of ``TILE_PATHS`` streams in all.
     """
-    _require_count("workers", workers, 1)
-    _require_count("n_paths", n_paths, 0)
+    require_count("workers", workers, 1)
+    require_count("n_paths", n_paths, 0)
     require_key_word("seed", seed)  # on both branches, though a deterministic demand draws none
     if steps is None:
         capped = [_capped_steps(setting, lam) for lam in impact_costs]

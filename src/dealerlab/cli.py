@@ -10,6 +10,9 @@ scaling-diffusive  diffusive-demand cost scaling report (JSON + CSV)
 oracle-check       discrete-oracle gap report JSON
 equilibrium        generic equilibrium paths CSV from an INI config file
 
+A call declares only its subcommand's flags (``build_parser(command)``); its
+usage, help and error text are those of the full parser.
+
 Exit codes: 0 success, 1 configuration/validation error, 2 numerical failure.
 """
 
@@ -397,12 +400,26 @@ def _scaling_echo(args) -> dict:
 # parser
 # ----------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+#: the subcommands in the order they are declared, which sets the usage line
+SUBCOMMANDS = ("liquidation", "diffusive", "welfare", "scaling-smooth", "scaling-diffusive",
+               "oracle-check", "equilibrium")
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The CLI parser: every subcommand, or with ``command`` only that one's flags.
+
+    Both read an argv that starts with ``command`` to the same namespace and text.
+    """
     parser = argparse.ArgumentParser(
         prog="dealerlab",
         description="equilibrium liquidity laboratory for competitive dealer markets",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # one subparser alone would shorten the usage line: spell every name as argparse does
+    names = None if command is None else "{" + ",".join(SUBCOMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=names)
+
+    def add(name, help):  # the subparser of `name`, or None when another one is invoked
+        return sub.add_parser(name, help=help) if command in (None, name) else None
 
     def add_common(p, seed=False):
         p.add_argument("--out", default="out", help="output directory")
@@ -418,30 +435,31 @@ def build_parser() -> argparse.ArgumentParser:
         if xi:
             p.add_argument("--xi-c", type=_finite_float, default=-1.0, help="client target level")
 
-    p = sub.add_parser("liquidation", help="optimal-liquidation figure data")
-    add_common(p)
-    add_scenario(p)
-    p.add_argument("--steps", type=int, default=1000)
-    p.set_defaults(func=cmd_liquidation)
+    if p := add("liquidation", "optimal-liquidation figure data"):
+        add_common(p)
+        add_scenario(p)
+        p.add_argument("--steps", type=int, default=1000)
+        p.set_defaults(func=cmd_liquidation)
 
-    p = sub.add_parser("diffusive", help="diffusive-target figure data")
-    add_common(p, seed=True)
-    add_scenario(p, xi=False)
-    p.add_argument("--sigma-xi", type=_finite_float, default=1.0, help="target volatility")
-    p.add_argument("--steps", type=int, default=1000)
-    p.add_argument("--paths", type=int, default=4000, help="paths for the OU regression")
-    p.set_defaults(func=cmd_diffusive)
+    if p := add("diffusive", "diffusive-target figure data"):
+        add_common(p, seed=True)
+        add_scenario(p, xi=False)
+        p.add_argument("--sigma-xi", type=_finite_float, default=1.0, help="target volatility")
+        p.add_argument("--steps", type=int, default=1000)
+        p.add_argument("--paths", type=int, default=4000, help="paths for the OU regression")
+        p.set_defaults(func=cmd_diffusive)
 
-    p = sub.add_parser("welfare", help="segmentation welfare study")
-    add_common(p)
-    add_scenario(p)
-    p.add_argument("--m-max", type=int, default=20, help="dealer counts 1..m_max for the CSV")
-    p.add_argument("--m", type=int, default=1, help="dealer count for the JSON report")
-    p.set_defaults(func=cmd_welfare)
+    if p := add("welfare", "segmentation welfare study"):
+        add_common(p)
+        add_scenario(p)
+        p.add_argument("--m-max", type=int, default=20, help="dealer counts 1..m_max for the CSV")
+        p.add_argument("--m", type=int, default=1, help="dealer count for the JSON report")
+        p.set_defaults(func=cmd_welfare)
 
     for name, fn in (("scaling-smooth", cmd_scaling_smooth),
                      ("scaling-diffusive", cmd_scaling_diffusive)):
-        p = sub.add_parser(name, help=f"{name.split('-')[1]}-demand cost scaling study")
+        if not (p := add(name, f"{name.split('-')[1]}-demand cost scaling study")):
+            continue
         add_common(p, seed=True)
         p.add_argument("--lambda", dest="impact_cost",
                        default="1e-1,1e-2,1e-3,1e-4,1e-5",
@@ -456,23 +474,24 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--demand", choices=["brownian", "ou"], default="brownian")
         p.set_defaults(func=fn)
 
-    p = sub.add_parser("oracle-check", help="discrete-oracle gap report")
-    add_common(p)
-    add_scenario(p)
-    p.add_argument("--steps-list", default="250,500,1000,2000")
-    p.set_defaults(func=cmd_oracle_check)
+    if p := add("oracle-check", "discrete-oracle gap report"):
+        add_common(p)
+        add_scenario(p)
+        p.add_argument("--steps-list", default="250,500,1000,2000")
+        p.set_defaults(func=cmd_oracle_check)
 
-    p = sub.add_parser("equilibrium", help="solve a market from a config file")
-    add_common(p, seed=True)
-    p.add_argument("--config", required=True, help="INI market description")
-    p.add_argument("--steps", type=int, default=None, help="override the config grid")
-    p.set_defaults(func=cmd_equilibrium)
+    if p := add("equilibrium", "solve a market from a config file"):
+        add_common(p, seed=True)
+        p.add_argument("--config", required=True, help="INI market description")
+        p.add_argument("--steps", type=int, default=None, help="override the config grid")
+        p.set_defaults(func=cmd_equilibrium)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -25,6 +25,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+def require_count(name: str, value, least: int) -> None:
+    """Refuse a count that is a bool, not an integer, or below ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class Horizon:
     """Trading horizon [0, T] with a strictly increasing time grid."""
@@ -52,8 +58,7 @@ class Horizon:
     @classmethod
     def uniform(cls, T: float, steps: int) -> "Horizon":
         cls._check_length(T)  # before linspace, which would warn on an infinite T
-        if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 1:
-            raise ValueError(f"steps must be an integer of at least 1, got {steps!r}")
+        require_count("steps", steps, 1)
         grid = np.linspace(0.0, T, steps + 1)
         grid[-1] = T
         return cls(T=float(T), grid=grid)

@@ -13,7 +13,6 @@ integrated market (clients trade the open market too) runs at delta_{2M}.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +23,7 @@ from .kernel import (
     Horizon,
     compute_delta,
     eval_F,
+    require_count,
     stable_cosh_ratio,
     stable_sech,
     stable_sinh_over_cosh,
@@ -117,9 +117,7 @@ class DiffusiveScenario(LiquidationScenario):
         super().__post_init__()
         if not 0 <= self.sigma_xi < math.inf:
             raise ValueError(f"sigma_xi must be >= 0 and finite, got {self.sigma_xi!r}")
-        steps = self.steps
-        if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 1:
-            raise ValueError(f"steps must be an integer of at least 1, got {steps!r}")
+        require_count("steps", self.steps, 1)
         require_key_word("seed", self.seed)
 
 

@@ -13,7 +13,14 @@ from pathlib import Path
 import pytest
 
 import dealerlab
-from dealerlab.cli import ConfigError, build_parser, load_market_config, main, parse_process
+from dealerlab.cli import (
+    SUBCOMMANDS,
+    ConfigError,
+    build_parser,
+    load_market_config,
+    main,
+    parse_process,
+)
 from dealerlab.equilibrium import solve_equilibrium
 from dealerlab.processes import (
     BrownianMartingale,
@@ -185,23 +192,28 @@ def test_a_clipped_grid_reaches_stderr(tmp_path):
 PROCESS_EVENTS = ("subprocess.Popen", "os.posix_spawn", "os.fork", "os.exec", "os.system")
 
 
+# a small run of every subcommand; the config path is read from the working directory
+RUNS = {
+    "liquidation": ["--steps", "200"],
+    "diffusive": ["--steps", "50", "--paths", "20"],
+    "welfare": ["--m-max", "3"],
+    "scaling-smooth": ["--lambda", "1e-1,1e-2"],
+    "scaling-diffusive": ["--lambda", "1e-1,1e-2", "--paths", "20"],
+    "oracle-check": ["--steps-list", "100,200"],
+    "equilibrium": ["--config", "market.ini", "--steps", "200"],
+}
+
+
+def subparsers(parser) -> argparse._SubParsersAction:
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
 def test_no_subcommand_starts_a_process(tmp_path):
     # a separate interpreter, so the audit hook (which cannot be removed) goes with it;
     # the hook is in place before dealerlab is imported
     (tmp_path / "market.ini").write_text(CONFIG)
-    runs = {
-        "liquidation": ["--steps", "200"],
-        "diffusive": ["--steps", "50", "--paths", "20"],
-        "welfare": ["--m-max", "3"],
-        "scaling-smooth": ["--lambda", "1e-1,1e-2"],
-        "scaling-diffusive": ["--lambda", "1e-1,1e-2", "--paths", "20"],
-        "oracle-check": ["--steps-list", "100,200"],
-        "equilibrium": ["--config", str(tmp_path / "market.ini"), "--steps", "200"],
-    }
-    commands = next(a.choices for a in build_parser()._actions
-                    if isinstance(a, argparse._SubParsersAction))
-    assert set(runs) == set(commands)
-    argvs = [[name, *argv, "--out", str(tmp_path / name)] for name, argv in runs.items()]
+    assert set(RUNS) == set(subparsers(build_parser()).choices)
+    argvs = [[name, *argv, "--out", str(tmp_path / name)] for name, argv in RUNS.items()]
     code = "\n".join([
         "import sys",
         "seen = []",
@@ -213,9 +225,65 @@ def test_no_subcommand_starts_a_process(tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=300)
+                          env=env, cwd=tmp_path, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == f"{[0] * len(runs)} []"
+    assert proc.stdout.strip() == f"{[0] * len(RUNS)} []"
+
+
+@pytest.mark.parametrize("name", RUNS)
+def test_one_subcommands_parser_reads_its_argv_as_the_full_parser(name):
+    argv = [name, *RUNS[name], "--out", "out"]
+    alone, full = build_parser(name), build_parser()
+    assert set(subparsers(alone).choices) == {name}
+    assert vars(alone.parse_args(argv)) == vars(full.parse_args(argv))  # func included
+    assert alone.format_usage() == full.format_usage()  # SUBCOMMANDS in the declared order
+
+
+def full_parser_exit(capsys, argv) -> tuple:
+    """(exit code, stdout, stderr) with which the full parser leaves on ``argv``."""
+    with pytest.raises(SystemExit) as exit_:
+        build_parser().parse_args(argv)
+    return (exit_.value.code, *capsys.readouterr())
+
+
+def test_help_lists_every_subcommand_with_its_help(capsys):
+    code, expected, _ = full_parser_exit(capsys, ["--help"])
+    assert main(["--help"]) == 0 == code
+    out = capsys.readouterr().out
+    assert out == expected
+    for name in SUBCOMMANDS:
+        assert re.search(rf"^    {name} +\w", out, re.MULTILINE), name
+
+
+def test_subcommand_help_shows_its_flags(capsys):
+    argv = ["oracle-check", "--help"]
+    code, expected, _ = full_parser_exit(capsys, argv)
+    assert main(argv) == 0 == code
+    out = capsys.readouterr().out
+    assert out == expected and "--steps-list" in out
+
+
+def test_another_subcommands_flag_exits_one_as_the_full_parser(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["oracle-check", "--paths", "3", "--out", str(out)]
+    code, _, expected = full_parser_exit(capsys, argv)
+    assert main(argv) == 1 and code == 2
+    assert capsys.readouterr().err == expected
+    assert "unrecognized arguments: --paths 3" in expected
+    assert not out.exists()
+
+
+def test_a_call_builds_two_parsers(tmp_path, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert main(["oracle-check", "--steps-list", "50,100", "--out", str(tmp_path / "d")]) == 0
+    assert built == ["dealerlab", "dealerlab oracle-check"]  # the full parser builds 8
 
 
 def test_scaling_diffusive_bytes_and_workers(tmp_path):
@@ -607,6 +675,7 @@ def test_bad_steps_list_names_the_flag(tmp_path, capsys):
 
 def test_unknown_subcommand_exits_one():
     assert main(["frobnicate"]) == 1
+    assert main([]) == 1  # nor none at all
 
 
 def test_numerical_failure_maps_to_exit_two(tmp_path, monkeypatch, capsys):
