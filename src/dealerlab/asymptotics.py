@@ -113,37 +113,46 @@ def _grid_sweep(demand: DemandProcess, ag: Aggregates, horizon: Horizon, n_paths
 
     Send it each slice (first step, rows) of the block's normals in turn: it
     takes its steps among them, step i on rows[i - first], up to its last,
-    and yields the per-path cost and tracking integral so far.  It holds
-    O(paths) state whatever the step count.  The state advance and G come
-    from the demand's kind, exactly as in ``realize`` and ``solve_forward``,
-    and the step is ``heun_path``'s U' = a U + b u + c g' on in-place
-    ufuncs, its scalars converted to Python floats one slice at a time by
-    ``heun_coefficients``.  Each node's squared gap (x - U)^2 enters the
-    tracking trapezoid once, weighted by (dt_{i-1} + dt_i) / 2.
+    and yields the per-path cost and tracking integral so far; a slice past
+    its last step changes nothing.  Each slice's arrays are built from that
+    slice's nodes alone and indexed from its first step: F, the Heun
+    coefficients, the tracking weights, the G coefficients and the demand's
+    stepper.  Every one of them is elementwise in the nodes, so they are the
+    whole grid's values bit for bit, and the sweep holds O(paths + slice)
+    floats whatever the step count.  The state advance and G come from the
+    demand's kind, exactly as in ``realize`` and ``solve_forward``, and the
+    step is ``heun_path``'s U' = a U + b u + c g' on in-place ufuncs, its
+    scalars converted to Python floats by ``heun_coefficients``.  Each
+    node's squared gap (x - U)^2 enters the tracking trapezoid once,
+    weighted by (dt_{i-1} + dt_i) / 2.
     """
-    d, dt = ag.delta, horizon.dt
-    F = eval_F(d, horizon.grid, horizon.T)
-    half_dt = np.append(0.5 * dt, 0.0)  # h_i, and h_n = 0 past the last node
-    coef = demand.g_coefficients(KernelWeight(d, horizon.grid, horizon.T))
-    advance = demand.stepper(dt)
+    d, grid, T = ag.delta, horizon.grid, horizon.T
     state = demand.start(n_paths)
     x, U = state[0], np.zeros(n_paths)
-    u = demand.g(coef, state, 0)
-    cost, track = np.zeros(n_paths), np.square(x - U) * half_dt[0]
+    u = demand.g(demand.g_coefficients(KernelWeight(d, grid[:1], T)), state, 0)  # G at node 0
+    cost, track = np.zeros(n_paths), np.square(x - U) * (0.5 * (grid[1] - grid[0]))
     gap, work = np.empty(n_paths), np.empty(n_paths)
     totals = None
     while True:
         lo, rows = yield totals
         hi = min(lo + len(rows), horizon.n_steps)
-        steps = heun_coefficients(F[lo + 1 : hi + 1], dt[lo:hi])
-        weights = (half_dt[lo:hi] + half_dt[lo + 1 : hi + 1]).tolist()
-        for i, z_i, F_i, a, b, c, w in zip(range(lo, hi), rows, *steps, weights):
-            state = advance(state, i, z_i)
-            g = demand.g(coef, state, i + 1)
+        if hi <= lo:
+            continue  # the grid ended before this slice
+        nodes = grid[lo : hi + 1]
+        dt = np.diff(nodes)
+        steps = heun_coefficients(eval_F(d, nodes[1:], T), dt)
+        # h_i = dt_i / 2 for the slice's steps and the one after it, and h_n = 0 past the end
+        half_dt = np.append(0.5 * np.diff(grid[lo : hi + 2]), 0.0)
+        weights = (half_dt[: hi - lo] + half_dt[1 : hi - lo + 1]).tolist()
+        coef = demand.g_coefficients(KernelWeight(d, nodes, T))
+        advance = demand.stepper(dt)
+        for j, z_j, F_j, a, b, c, w in zip(range(hi - lo), rows, *steps, weights):
+            state = advance(state, j, z_j)
+            g = demand.g(coef, state, j + 1)
             U *= a
             U += np.multiply(u, b, out=work)
             U += np.multiply(g, c, out=work)
-            np.subtract(g, np.multiply(U, F_i, out=work), out=work)  # the next node's rate
+            np.subtract(g, np.multiply(U, F_j, out=work), out=work)  # the next node's rate
             np.subtract(work, u, out=u)
             u *= x
             cost += u
@@ -152,7 +161,8 @@ def _grid_sweep(demand: DemandProcess, ag: Aggregates, horizon: Horizon, n_paths
             np.square(np.subtract(x, U, out=gap), out=gap)
             gap *= w
             track += gap
-        del steps, weights  # this slice's floats go before the next slice's are built
+        # this slice's arrays and floats go before the next slice's are built
+        del dt, steps, half_dt, weights, coef, advance
         totals = -ag.impact_weight * cost, track
 
 
@@ -163,9 +173,12 @@ def _chunk_sweep(
 
     The block's path streams are built once and its normals drawn once,
     for the longest grid, in slices of O(n_paths * SLICE_STEPS) floats;
-    every grid's sweep takes its steps from each slice in turn.  Step i of
-    every grid reads normal i of each path, so a grid's arrays are the ones
-    a sweep of that grid alone gives.
+    every grid's sweep takes its steps from each slice in turn, building
+    its per-step arrays from that slice's nodes.  Step i of every grid reads
+    normal i of each path, so a grid's arrays are the ones a sweep of that
+    grid alone gives.  It holds one slice of normals, one fill tile and
+    O(paths + slice) floats per grid; only the grids' nodes, which the
+    caller builds, grow with the step count.
     """
     sweeps = [_grid_sweep(demand, ag, horizon, n_paths) for ag, horizon in grids]
     for sweep in sweeps:
@@ -198,7 +211,10 @@ def simulate_costs(
     one chunk per worker, of at most 2048 paths, swept in order on the
     calling thread.  A chunk draws its normals once, for its longest grid,
     and every impact cost reads them; its sweep holds about chunk x
-    ``SLICE_STEPS`` x 8 bytes of normals.  Only each slice's fill runs on
+    ``SLICE_STEPS`` x 8 bytes of normals, and each grid's sweep builds its
+    per-step arrays one slice at a time.  The only arrays as long as a grid
+    are its nodes, held to the end, and the stability check's, built once
+    per grid before any sweep and dropped.  Only each slice's fill runs on
     more than one thread: ``standard_normal_block`` splits the chunk's
     streams over the process's CPUs and joins them before the sweep reads
     the slice; the values do not depend on the CPU count, and the fill's

@@ -143,40 +143,43 @@ def _diffusive_rows(s: DiffusiveScenario, n_paths: int, horizon: Horizon):
     node (None at T).  The normals are drawn ``SLICE_STEPS`` steps at a time,
     when the rows first reach a slice, by one ``standard_normal_block`` fill
     of the transpose of one reused step-major buffer, and each step's
-    contiguous row of it is scaled into its shock row; a consumer that keeps
-    no rows works in O(paths x SLICE_STEPS) memory and draws no slice past
-    its last row.  A substream drawn in pieces gives the numbers of one
-    draw, whatever the fill's thread count, and the scheme is elementwise,
-    so path i's rows depend on (seed, i) alone.
+    contiguous row of it is scaled into its shock row.  The slice's F, step
+    lengths and shock scales are built with it, from its own nodes (each is
+    elementwise, so they are the whole grid's values), so a consumer that
+    keeps no rows works in O(paths x SLICE_STEPS) memory beyond the grid's
+    nodes and the one-off stability check, and draws no slice past its last
+    row.  A substream drawn in pieces gives the numbers of one draw,
+    whatever the fill's thread count, and the scheme is elementwise, so
+    path i's rows depend on (seed, i) alone.
     """
     if n_paths < 1:
         raise ValueError(f"the diffusive simulation needs at least one path, got {n_paths}")
     d = scenario_delta(s)
     # an Euler step multiplies an error by 1 - F dt, past -1 where Heun's passes 1: F dt = 2
     require_stable_step(d, horizon, f"lambda={s.impact_cost:g}")
-    F = eval_F(d, horizon.grid, s.T).tolist()
-    dt = horizon.dt
     streams = path_streams(s.seed, 0, n_paths)
-    shock_sd = (s.sigma_xi * np.sqrt(dt)).tolist()
 
-    def shocks():
+    def steps():
         width = SLICE_STEPS
         rows = np.empty((min(width, s.steps), n_paths))
         for lo in range(0, s.steps, width):
             w = min(width, s.steps - lo)
+            nodes = horizon.grid[lo : lo + w + 1]
+            dt = np.diff(nodes)
             standard_normal_block(streams, w, out=rows[:w].T)
-            yield from map(np.multiply, shock_sd[lo : lo + w], rows[:w])
+            shocks = map(np.multiply, (s.sigma_xi * np.sqrt(dt)).tolist(), rows[:w])
+            yield from zip(eval_F(d, nodes[:-1], s.T).tolist(), dt.tolist(), shocks)
 
     share_d = s.rho_d / (s.rho_c + s.rho_d)
     rho_bar = (s.rho_c + s.rho_d) / 2.0
     scale = d.delta * rho_bar
     xi = K = Z = np.zeros(n_paths)
-    for F_i, dt_i, dxi_i in zip(F, dt.tolist(), shocks()):
+    for F_i, dt_i, dxi_i in steps():
         yield xi, K, Z, F_i * Z / scale, dxi_i
         xi, K, Z = (xi + dxi_i,
                     K + F_i * (xi - K) * dt_i + share_d * dxi_i,
                     Z - F_i * Z * dt_i + 0.5 * dxi_i)
-    yield xi, K, Z, F[-1] * Z / scale, None
+    yield xi, K, Z, float(eval_F(d, horizon.grid[-1], s.T)) * Z / scale, None
 
 
 def diffusive_simulate(s: DiffusiveScenario, n_paths: int) -> DiffusivePaths:
@@ -226,7 +229,7 @@ def price_reversion_regression(
     rows = _diffusive_rows(s, n_paths, horizon)
     xi, _, _, price_dev, _ = next(rows)
     terms = []
-    for dt_i in horizon.dt[:cut].tolist():
+    for dt_i in np.diff(horizon.grid[: cut + 1]).tolist():
         xi_next, _, _, price_dev_next, _ = next(rows)
         x1 = price_dev * dt_i
         x2 = xi_next - xi

@@ -4,7 +4,6 @@ import hashlib
 import logging
 import math
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +30,7 @@ from dealerlab.processes import (
 )
 
 from crosschecks import normal_block
+from memory import traced_peak
 
 UNIT_RATE = SmoothRate(Constant(1.0))  # K^N_t = t
 
@@ -319,14 +319,8 @@ def test_a_chunk_draws_its_normals_once_for_its_longest_grid(monkeypatch):
 def test_sweep_memory_is_bounded_by_the_slice():
     # the (paths x steps) normal block is never built: peak well under a quarter of it
     n_paths, steps = 256, 20_000
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        simulate_costs(DealerSetting(n_dealers=2), BrownianMartingale(0.0, 1.0), [1e-5], n_paths,
-                       3, [steps])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(simulate_costs, DealerSetting(n_dealers=2), BrownianMartingale(0.0, 1.0),
+                          [1e-5], n_paths, 3, [steps])
     assert peak < n_paths * steps * 8 / 4
 
 
@@ -373,16 +367,29 @@ def test_costs_do_not_depend_on_the_fill_threads(width, monkeypatch):
 def test_sweep_memory_at_the_default_chunk_is_one_slice_buffer():
     # the step-major buffer, chunk x SLICE_STEPS floats, plus one tile and O(chunk) state
     n_paths, steps = 2048, 3000
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        simulate_costs(DealerSetting(n_dealers=2), BrownianMartingale(0.0, 1.0), [1e-3], n_paths,
-                       3, [steps])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(simulate_costs, DealerSetting(n_dealers=2), BrownianMartingale(0.0, 1.0),
+                          [1e-3], n_paths, 3, [steps])
     assert peak < 1.25 * n_paths * asymptotics.SLICE_STEPS * 8
 
+
+
+@pytest.mark.parametrize(
+    "demand",
+    [BrownianMartingale(0.0, 1.0), SmoothRate(OrnsteinUhlenbeck(x0=1.0, kappa=1.0, theta=1.0,
+                                                                sigma=0.3))],
+    ids=["brownian", "smooth-ou"],
+)
+def test_sweep_memory_does_not_grow_with_the_step_count(demand):
+    # each slice builds its own F, Heun coefficients, tracking weights, G coefficients and
+    # stepper: 8 paths on one market peak alike on 10,000 and 40,000 steps, the grids' nodes
+    # built before tracing starts (whole-grid arrays grew 48 and 143 B a step)
+    ag = DealerSetting(n_dealers=2).aggregates(1e-5)
+    asymptotics._chunk_sweep(demand, [(ag, Horizon.uniform(1.0, 10))], 3, 0, 8)  # first calls
+    peaks = []
+    for steps in (10_000, 40_000):
+        grids = [(ag, Horizon.uniform(1.0, steps))]
+        peaks.append(traced_peak(asymptotics._chunk_sweep, demand, grids, 3, 0, 8)[1])
+    assert peaks[1] - peaks[0] < 1 * (40_000 - 10_000)
 
 def test_chunks_follow_the_worker_count(monkeypatch):
     # one chunk per worker, capped at 2048 paths: no worker idles while another sweeps

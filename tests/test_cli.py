@@ -7,7 +7,6 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -29,6 +28,8 @@ from dealerlab.processes import (
     SmoothRate,
     ZERO,
 )
+
+from memory import traced_peak
 
 
 def read_rows(path):
@@ -390,13 +391,8 @@ def test_oracle_check_order_out_of_range_exits_two_leaving_no_directory(tmp_path
 def test_oracle_check_rejects_an_oversized_grid_before_building_it(tmp_path, capsys):
     # the market is built on one step: a 2*10^7-step grid is never allocated
     out = tmp_path / "out"
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        rc = main(["oracle-check", "--out", str(out), "--steps-list", "100,20000000"])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    rc, peak = traced_peak(main, ["oracle-check", "--out", str(out),
+                                  "--steps-list", "100,20000000"])
     assert rc == 1 and "too large" in capsys.readouterr().err
     assert peak < 8e6
     assert not out.exists()
@@ -810,12 +806,9 @@ def test_equilibrium_op_memory_is_a_few_node_columns(tmp_path):
     n = 50_000
     cfg = tmp_path / "market.ini"
     cfg.write_text(SEGMENTED_CONFIG.replace("steps = 400", f"steps = {n}"))
-    tracemalloc.start()
-    try:
-        assert main(["equilibrium", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    rc, peak = traced_peak(main, ["equilibrium", "--config", str(cfg),
+                                  "--out", str(tmp_path / "out")])
+    assert rc == 0
     assert peak < 16 * (n + 1) * 8
 
 

@@ -1,7 +1,6 @@
 """Equilibrium identities, price representations, and welfare optimality."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +28,7 @@ from dealerlab.processes import (
 )
 
 from crosschecks import check_price_representations
+from memory import traced_peak
 
 H1000 = Horizon.uniform(1.0, 1000)
 
@@ -148,12 +148,8 @@ def test_solve_holds_little_beyond_its_solution():
         (AgentSpec("dealer", 0.5, 0.1, 0.0),
          AgentSpec("client", 0.5, 0.1, NO_ACCESS, target=Constant(-1.0))),
     )
-    tracemalloc.start()
-    try:
-        solve_equilibrium(params, Horizon.uniform(1.0, n))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    # the grid is built inside the traced call, so its nodes count toward the peak
+    _, peak = traced_peak(lambda: solve_equilibrium(params, Horizon.uniform(1.0, n)))
     assert peak < 20 * (n + 1) * 8
 
 

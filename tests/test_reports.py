@@ -5,7 +5,6 @@ import os
 import shutil
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +13,8 @@ import pytest
 import dealerlab
 from dealerlab import reports
 from dealerlab.reports import NonFiniteError, fmt, row_blocks, write_csv, write_json
+
+from memory import traced_peak
 
 # NaNs with three different bit patterns: the quiet NaN, its negative, and one with a payload
 PAYLOAD_NAN = np.array([0x7FF8000000000123], dtype=np.int64).view(np.float64)[0]
@@ -140,12 +141,8 @@ def test_csv_memory_does_not_grow_with_the_table(tmp_path):
     # path's few distinct values are; the table itself is 20.8 MB
     table = np.repeat(np.random.default_rng(3).standard_normal((13, 2001)), 100, axis=1)
     table = table[:, :200_001]
-    tracemalloc.start()
-    try:
-        write_csv(tmp_path / "big.csv", [f"c{i}" for i in range(13)], row_blocks(table))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(write_csv, tmp_path / "big.csv", [f"c{i}" for i in range(13)],
+                          row_blocks(table))
     assert peak < 16 * 2**20
     with open(tmp_path / "big.csv") as f:
         assert sum(1 for _ in f) == 1 + 200_001

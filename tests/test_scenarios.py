@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +31,7 @@ from crosschecks import (
     welfare_integrated_quadrature,
     welfare_segmented_quadrature,
 )
+from memory import traced_peak
 
 FIG1 = LiquidationScenario()  # lambda=0.1, rho_c=rho_d=0.1, T=1, xi_c=-1, M=1
 
@@ -335,24 +335,24 @@ def test_regression_rejects_nan_window_and_windows_of_under_two_steps():
 def test_streamed_regression_never_holds_the_trajectories():
     # the batch fit held about 7.5 paths x steps float arrays; the shocks alone are 1
     n_paths, steps = 4000, 1000
-    tracemalloc.start()
-    try:
-        price_reversion_regression(DiffusiveScenario(steps=steps), n_paths, 0.5)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(price_reversion_regression, DiffusiveScenario(steps=steps), n_paths, 0.5)
     assert peak < 3 * n_paths * steps * 8
 
 
 def test_sliced_regression_holds_less_than_one_normal_block():
     n_paths, steps = 4000, 1000
-    tracemalloc.start()
-    try:
-        price_reversion_regression(DiffusiveScenario(steps=steps), n_paths, 0.5)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(price_reversion_regression, DiffusiveScenario(steps=steps), n_paths, 0.5)
     assert peak < n_paths * steps * 8
+
+
+def test_regression_memory_grows_only_with_the_grid():
+    # a fixed window of 8 paths on a grid 4x longer: the grid's nodes and the one-off
+    # stability check grow with the steps (24 B a step), the per-step terms are built per
+    # slice (whole-grid lists grew 120 B a step)
+    price_reversion_regression(DiffusiveScenario(steps=10), 8)  # first calls
+    peaks = [traced_peak(price_reversion_regression, DiffusiveScenario(steps=steps), 8, 0.01)[1]
+             for steps in (50_000, 200_000)]
+    assert peaks[1] - peaks[0] < 32 * (200_000 - 50_000)
 
 
 @pytest.mark.parametrize("slice_steps", [7, 64, 256, 1000, 4096])
