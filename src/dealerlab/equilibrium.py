@@ -67,8 +67,8 @@ class NodeValues:
 class EquilibriumSolution:
     """One solved equilibrium: its market, the forward solve, the paths that drove it.
 
-    ``at`` evaluates everything else at a slice of grid nodes, ``blocks`` block
-    by block; ``mu``, ``price_dev`` and ``agents`` are ``at`` on the whole grid.
+    ``at`` evaluates everything else at a slice of grid nodes (the whole
+    grid by default), ``blocks`` block by block.
     """
 
     horizon: Horizon
@@ -108,18 +108,6 @@ class EquilibriumSolution:
         for lo in range(0, self.u_bar.shape[-1], _NODE_BLOCK):
             nodes = slice(lo, lo + _NODE_BLOCK)
             yield nodes, self.at(nodes)
-
-    @property
-    def mu(self) -> np.ndarray:
-        return self.at().mu
-
-    @property
-    def price_dev(self) -> np.ndarray:
-        return self.at().price_dev
-
-    @property
-    def agents(self) -> Dict[str, AgentPaths]:
-        return self.at().agents
 
 
 def solve_equilibrium(

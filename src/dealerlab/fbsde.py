@@ -97,10 +97,13 @@ def require_stable_step(d: DeltaParam, horizon: Horizon, context: str) -> None:
     A step from t_i starts on the slope of F(t_i), F's largest value on the
     step.  On a uniform grid F dt is at most sqrt(delta) T / steps, so
     ceil(sqrt(delta) T / 2) steps always suffice; the error names them,
-    after ``context`` (the impact cost, a step cap).
+    after ``context`` (the impact cost, a step cap).  F dt is taken
+    ``_BLOCK_STEPS`` steps at a time, so the temporaries stay O(block).
     """
-    F = eval_F(d, horizon.grid, horizon.T)
-    z = float(np.max(F[:-1] * horizon.dt))
+    grid = horizon.grid
+    nodes = [grid[lo : lo + _BLOCK_STEPS + 1] for lo in range(0, horizon.n_steps, _BLOCK_STEPS)]
+    # np.max, unlike max, carries a NaN through
+    z = float(np.max([np.max(eval_F(d, t[:-1], horizon.T) * np.diff(t)) for t in nodes]))
     if z > HEUN_STABLE_STEP:
         needed = math.ceil(d.sqrt_delta * horizon.T / HEUN_STABLE_STEP)
         raise ValueError(

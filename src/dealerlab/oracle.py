@@ -159,8 +159,8 @@ def oracle_gap(params: MarketParams, T: float, steps_list) -> GapReport:
 
     aggregate(params)  # the engine's mesh rate: an overflow raises here, not as NaN gaps
     steps_list = list(steps_list)
-    if len(set(steps_list)) < len(steps_list):
-        raise ValueError(f"grid step counts must be distinct, got {steps_list}")
+    if not steps_list or len(set(steps_list)) < len(steps_list):
+        raise ValueError(f"grid step counts must be one or more and distinct, got {steps_list}")
     max_gaps = {"K": [], "u_bar": [], "mu": []}
     l2_gaps = {"K": [], "u_bar": [], "mu": []}
     for n in steps_list:

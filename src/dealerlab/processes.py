@@ -4,7 +4,7 @@ The supported family is deliberately small so that every conditional
 expectation the equilibrium needs stays closed form:
 
 * ``Constant`` -- a deterministic level; ``ZERO`` is ``Constant(0.0)``,
-* ``Deterministic`` -- an arbitrary path sampled on the scenario grid,
+* ``Deterministic`` -- the piecewise-linear path through evenly spread samples,
 * ``OrnsteinUhlenbeck`` -- the one diffusion: mean reversion kappa towards theta,
 * ``BrownianMartingale`` -- x0 + sigma * W, its kappa = 0, theta = 0 case,
 * ``SmoothRate`` -- the running integral of one of the above (depth 1).
@@ -78,23 +78,27 @@ class Constant(DemandProcess):
 
 @dataclass(frozen=True)
 class Deterministic(DemandProcess):
-    """A path sampled on the scenario grid (one value per grid node)."""
+    """The piecewise-linear path through samples spread evenly over [0, T].
+
+    ``path`` reads T as ``grid[-1]``, as ``KernelWeight.sampled`` does, so
+    one market runs on any grid; on a uniform grid of ``len(values) - 1``
+    steps it is the samples bit for bit (``np.interp`` returns a sample at
+    its own node).  The Monte Carlo sweep never receives a deterministic kind.
+    """
 
     values: Tuple[float, ...]
 
     def __post_init__(self):
         values = tuple(float(v) for v in self.values)
+        if len(values) < 2:
+            raise ValueError(f"a deterministic path needs at least two samples, got {len(values)}")
         bad = [v for v in values if not math.isfinite(v)]
         if bad:
             raise ValueError(f"deterministic samples must be finite, got {bad[0]}")
         object.__setattr__(self, "values", values)
 
     def path(self, grid: np.ndarray) -> tuple:
-        if len(self.values) != grid.size:
-            raise ValueError(
-                f"deterministic path has {len(self.values)} samples, grid has {grid.size} nodes"
-            )
-        return (np.asarray(self.values, dtype=float),)
+        return (np.interp(grid, np.linspace(0.0, grid[-1], len(self.values)), self.values),)
 
     def g_coefficients(self, weight: KernelWeight) -> tuple:
         return weight.sampled(self.path(weight.grid)[0]), np.zeros(weight.grid.size)

@@ -71,7 +71,6 @@ def scenario_delta(s: LiquidationScenario, doubled: bool = False) -> DeltaParam:
 
 @dataclass
 class LiquidationPaths:
-    grid: np.ndarray
     U_bar: np.ndarray
     K_c: np.ndarray
     price_dev: np.ndarray
@@ -92,7 +91,7 @@ def liquidation_closed_form(s: LiquidationScenario, grid: np.ndarray) -> Liquida
     U_bar = (1.0 - C) * s.xi_c / 2.0
     K_c = s.xi_c * (1.0 - share_c * C)
     price_dev = s.xi_c / (s.rho_c + s.rho_d) * stable_sinh_over_cosh(b * (T - grid), b * T) / b
-    return LiquidationPaths(grid=grid, U_bar=U_bar, K_c=K_c, price_dev=price_dev)
+    return LiquidationPaths(U_bar=U_bar, K_c=K_c, price_dev=price_dev)
 
 
 # ----------------------------------------------------------------------

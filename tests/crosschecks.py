@@ -138,7 +138,7 @@ def integrated_liquidation_closed_form(
     U_bar = (1.0 - C) * s.xi_c / 2.0
     K_total = s.xi_c / 2.0 + (s.rho_d - s.rho_c) / (2.0 * rho_sum) * C * s.xi_c
     price_dev = s.xi_c / rho_sum * stable_sinh_over_cosh(b * (T - grid), b * T) / b
-    return LiquidationPaths(grid=grid, U_bar=U_bar, K_c=K_total, price_dev=price_dev)
+    return LiquidationPaths(U_bar=U_bar, K_c=K_total, price_dev=price_dev)
 
 
 # ----------------------------------------------------------------------
@@ -173,8 +173,8 @@ def check_price_representations(sol: EquilibriumSolution, anchors: int = 64) -> 
     grid = sol.horizon.grid
     ag = sol.aggregates
     if driver_is_deterministic(sol.realized.terms):
-        running = cumulative_trapezoid(sol.mu, grid)
-        return float(np.max(np.abs(running - running[..., -1:] - sol.price_dev)))
+        running = cumulative_trapezoid(sol.at().mu, grid)
+        return float(np.max(np.abs(running - running[..., -1:] - sol.at().price_dev)))
 
     F = eval_F(ag.delta, grid, sol.horizon.T)
     steps = heun_coefficients(F[1:], sol.horizon.dt)
@@ -192,7 +192,7 @@ def check_price_representations(sol: EquilibriumSolution, anchors: int = 64) -> 
             U_j, u_j = heun_step(U_j, u_j, g_next, *step)
             m_u.append(U_j)
         integral = trapezoid((np.array(m_u) - mean_x) / ag.rho_bar, grid[i:])
-        worst = max(worst, abs(-integral - sol.price_dev[i]))
+        worst = max(worst, abs(-integral - sol.at().price_dev[i]))
     return worst
 
 

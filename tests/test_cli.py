@@ -520,8 +520,8 @@ def test_readme_library_example_runs():
     namespace = {}
     exec(compile(example, "README.md", "exec"), namespace)
     sol = namespace["sol"]
-    assert sol.agents["client0"].K[0] == pytest.approx(-0.5, abs=1e-12)
-    assert sol.price_dev[0] == pytest.approx(-0.7071, abs=1e-4)
+    assert sol.at().agents["client0"].K[0] == pytest.approx(-0.5, abs=1e-12)
+    assert sol.at().price_dev[0] == pytest.approx(-0.7071, abs=1e-4)
 
 
 def test_steps_flag_writes_the_csv_of_the_config_grid(tmp_path):
@@ -535,6 +535,16 @@ def test_steps_flag_writes_the_csv_of_the_config_grid(tmp_path):
     csv = (flag / "equilibrium.csv").read_bytes()
     assert csv == (ini / "equilibrium.csv").read_bytes()
     assert csv.count(b"\n") == 5002  # the header and 5,001 nodes
+
+
+def test_deterministic_ini_target_runs_on_any_steps(tmp_path):
+    # three samples joined linearly over [0, T]: one market on a 50-step grid
+    cfg = tmp_path / "market.ini"
+    cfg.write_text(CONFIG.replace("constant:-1", "deterministic:0,1,2"))
+    out = tmp_path / "out"
+    assert main(["equilibrium", "--config", str(cfg), "--steps", "50", "--out", str(out)]) == 0
+    _, rows = read_rows(out / "equilibrium.csv")
+    assert len(rows) == 51
 
 
 SEED_RANGE = "seed must lie in [0, 2**64)"
@@ -579,8 +589,8 @@ SEED_RANGE = "seed must lie in [0, 2**64)"
          "'smooth:ou:0,1,0,nan'"),
         (["equilibrium"], CONFIG.replace("constant:-1", "deterministic:0,nan,1"),
          "'deterministic:0,nan,1': deterministic samples must be finite"),
-        (["equilibrium", "--steps", "50"], CONFIG.replace("constant:-1", "deterministic:0,1,2"),
-         "deterministic path has 3 samples, grid has 51 nodes"),
+        (["equilibrium"], CONFIG.replace("constant:-1", "deterministic:1"),
+         "'deterministic:1': a deterministic path needs at least two samples, got 1"),
         (["equilibrium"], CONFIG.replace("T = 1.0", "T = nan"), "got T=nan"),
         (["equilibrium"], CONFIG.replace("T = 1.0", "T = inf"), "got T=inf"),
         (["equilibrium", "--steps", "0"], CONFIG, "--steps must be at least 1, got 0"),
@@ -612,7 +622,7 @@ SEED_RANGE = "seed must lie in [0, 2**64)"
          "ini-impact-cost-nan", "ini-open-cost-nan",
          "oracle-frictionless", "oracle-negative-lambda", "ini-mass-inf",
          "ini-risk-tolerance-inf", "ini-constant-nan", "ini-brownian-nan",
-         "ini-ou-inf", "ini-smooth-nan", "ini-deterministic-nan", "ini-deterministic-grid",
+         "ini-ou-inf", "ini-smooth-nan", "ini-deterministic-nan", "ini-deterministic-one",
          "ini-T-nan", "ini-T-inf", "equilibrium-zero-steps", "equilibrium-negative-steps",
          "ini-key-open-cots", "ini-key-targt", "ini-key-market", "ini-section-agnet",
          "ini-section-default", "ini-header-comma", "ini-header-quote", "ini-header-U_bar",
@@ -856,10 +866,11 @@ def test_equilibrium_csv_is_the_same_in_any_blocks(tmp_path, monkeypatch):
     params, horizon, _ = load_market_config(str(cfg))
     sol = solve_equilibrium(params, horizon, seed=3)
     header, _ = read_rows(tmp_path / "whole" / "equilibrium.csv")
-    columns = [sol.horizon.grid, sol.U_bar, sol.u_bar, sol.mu, sol.price_dev, sol.noise,
+    values = sol.at()
+    columns = [sol.horizon.grid, sol.U_bar, sol.u_bar, values.mu, values.price_dev, sol.noise,
                sol.xi_bar]
     for a in params.agents:
-        paths = sol.agents[a.name]
+        paths = values.agents[a.name]
         columns += [paths.K, paths.U, paths.u]
     reports.write_csv(tmp_path / "full.csv", header, reports.row_blocks(columns))
     assert (tmp_path / "full.csv").read_bytes() == (tmp_path / "whole" / "equilibrium.csv").read_bytes()

@@ -41,21 +41,21 @@ def test_no_trading_motive_gives_zero_everything():
     params = MarketParams(0.1, (AgentSpec("d", 1.0, 0.1, 0.0),))
     sol = solve_equilibrium(params, H1000)
     np.testing.assert_array_equal(sol.U_bar, 0.0)
-    np.testing.assert_array_equal(sol.mu, 0.0)
-    np.testing.assert_array_equal(sol.price_dev, 0.0)
-    np.testing.assert_array_equal(sol.agents["d"].K, 0.0)
+    np.testing.assert_array_equal(sol.at().mu, 0.0)
+    np.testing.assert_array_equal(sol.at().price_dev, 0.0)
+    np.testing.assert_array_equal(sol.at().agents["d"].K, 0.0)
 
 
 def test_liquidation_initial_bulk_trade():
     # symmetric risk tolerances: the client sells half at t=0
     sol = solve_equilibrium(liquidation_params(M=1), H1000)
-    assert sol.agents["client0"].K[0] == pytest.approx(-0.5, abs=1e-12)
+    assert sol.at().agents["client0"].K[0] == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_liquidation_initial_price_deviation():
     # xi_c * tanh(sqrt(delta) T)/((rho_c+rho_d) sqrt(delta)); M=1 -> delta=50
     sol = solve_equilibrium(liquidation_params(M=1), Horizon.uniform(1.0, 10_000))
-    assert sol.price_dev[0] == pytest.approx(-0.7071057610384575, abs=1e-6)
+    assert sol.at().price_dev[0] == pytest.approx(-0.7071057610384575, abs=1e-6)
 
 
 def test_identities_hold_on_mixed_market():
@@ -120,11 +120,11 @@ def test_identity_check_in_node_blocks(monkeypatch, node):
 def test_writing_into_evaluated_paths_changes_nothing():
     params = liquidation_params(M=2)
     sol = solve_equilibrium(params, Horizon.uniform(1.0, 100))
-    mu, K = sol.mu.copy(), sol.agents["client0"].K.copy()
-    sol.mu[:] = 0.0
-    sol.agents["client0"].K[:] = 0.0
-    np.testing.assert_array_equal(sol.mu, mu)
-    np.testing.assert_array_equal(sol.agents["client0"].K, K)
+    mu, K = sol.at().mu.copy(), sol.at().agents["client0"].K.copy()
+    sol.at().mu[:] = 0.0
+    sol.at().agents["client0"].K[:] = 0.0
+    np.testing.assert_array_equal(sol.at().mu, mu)
+    np.testing.assert_array_equal(sol.at().agents["client0"].K, K)
     assert consistency_report(sol) == sol.residuals
 
 
@@ -265,7 +265,7 @@ def test_goal_functional_matches_direct_integral_for_client():
     # locked-out client: J = int [(U_bar - xi_bar) K / rho_bar - (xi - K)^2/(2 rho_c)] dt
     params = liquidation_params(M=1)
     sol = solve_equilibrium(params, Horizon.uniform(1.0, 4000))
-    c = sol.agents["client0"]
+    c = sol.at().agents["client0"]
     grid = sol.horizon.grid
     integrand = (sol.U_bar - sol.xi_bar) / aggregate(params).rho_bar * c.K - (
         c.target - c.K
@@ -286,10 +286,10 @@ def test_perturbations_decrease_welfare(agent):
     eps = 1e-2
     for phi in bumps:
         for sgn in (+1.0, -1.0):
-            K_pert = sol.agents[agent].K + sgn * eps * phi
+            K_pert = sol.at().agents[agent].K + sgn * eps * phi
             assert goal_functional(sol, agent, K=K_pert) < base
             if agent == "dealer0":
-                u_pert = sol.agents[agent].u + sgn * eps * phi
+                u_pert = sol.at().agents[agent].u + sgn * eps * phi
                 assert goal_functional(sol, agent, u=u_pert) < base
 
 

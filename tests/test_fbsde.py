@@ -11,6 +11,7 @@ from dealerlab.fbsde import (
     heun_path,
     kernel_expectation_path,
     realize_driver,
+    require_stable_step,
     solve_forward,
 )
 from dealerlab.kernel import (
@@ -34,6 +35,7 @@ from dealerlab.processes import (
 )
 
 from crosschecks import eval_k, fbsde_residual, heun_step, simpson
+from memory import traced_peak
 
 
 def double_integral_position(
@@ -483,6 +485,24 @@ def test_the_folded_step_is_heuns_scheme():
         k2 = G[i + 1] - F[i + 1] * (textbook[-1] + dt * k1)
         textbook.append(textbook[-1] + 0.5 * dt * (k1 + k2))
     np.testing.assert_allclose(U, textbook, rtol=0, atol=1e-12 * np.max(np.abs(U)))
+
+
+@pytest.mark.parametrize("block", [1, 3, 4096])
+def test_the_stability_check_reads_every_block(monkeypatch, block):
+    # the largest F dt is on the last step, the only one past the bound
+    from dealerlab import fbsde
+
+    monkeypatch.setattr(fbsde, "_BLOCK_STEPS", block)
+    h = Horizon(1.0, np.array([0.0, 0.01, 0.02, 0.03, 1.0]))
+    with pytest.raises(ValueError, match=r"x: .*max F\*dt = 9.7 > 2 on 4 steps"):
+        require_stable_step(DeltaParam(100.0), h, "x")
+
+
+def test_the_stability_check_holds_no_whole_grid_temporaries():
+    # F dt is taken a block at a time: at 10^6 steps the whole-grid F and F dt took 16 MB
+    h = Horizon.uniform(1.0, 10**6)  # the grid's own 8 MB is built before tracing
+    _, peak = traced_peak(require_stable_step, DeltaParam(1.0), h, "x")
+    assert peak < 1e6
 
 
 def test_stiff_delta_stable_with_resolved_grid():

@@ -313,6 +313,11 @@ def test_single_grid_has_no_order_and_repeated_grids_fail():
         oracle_gap(params, 1.0, [100, 100])
 
 
+def test_an_empty_step_list_is_refused():
+    with pytest.raises(ValueError, match="one or more"):
+        oracle_gap(liquidation_params(), 1.0, [])
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # refused before any arithmetic overflows
 def test_oracle_gap_refuses_a_mesh_rate_that_overflows_before_solving(monkeypatch):
     # eta * eta_bar overflows at lambda = 1e-300: the oracle is never asked to solve
@@ -358,8 +363,25 @@ def test_oracle_with_time_varying_deterministic_target():
     )
     disc = assemble_and_solve(params, 1.0, n)
     engine = solve_equilibrium(params, h)
-    assert np.max(np.abs(disc.K["client"] - engine.agents["client"].K[:-1])) < 0.02
-    assert np.max(np.abs(disc.mu - engine.mu[:-1])) < 0.05
+    assert np.max(np.abs(disc.K["client"] - engine.at().agents["client"].K[:-1])) < 0.02
+    assert np.max(np.abs(disc.mu - engine.at().mu[:-1])) < 0.05
+
+
+def test_one_deterministic_market_is_checked_on_every_grid():
+    # target and noise sampled at 400 steps, joined linearly, solved on four other grids
+    grid = Horizon.uniform(1.0, 400).grid
+    target = Deterministic(tuple(-np.sin(2.0 * grid)))
+    params = MarketParams(
+        0.08,
+        (
+            AgentSpec("dealer", 0.5, 0.12, 0.0),
+            AgentSpec("client", 0.5, 0.08, NO_ACCESS, target=target),
+        ),
+        noise_demand=Deterministic(tuple(0.2 * grid)),
+    )
+    report = oracle_gap(params, 1.0, [250, 500, 1000, 2000])
+    assert report.fitted_order == pytest.approx(1.0, abs=0.1)
+    assert max(gaps[-1] for gaps in report.max_gaps.values()) < 5e-3
 
 
 def test_delta_identity():

@@ -243,8 +243,6 @@ def test_deterministic_and_constant_passthrough():
     np.testing.assert_array_equal(realize(Deterministic(vals), h)[0], vals)
     np.testing.assert_array_equal(realize(Constant(-1.0), h)[0], -1.0)
     np.testing.assert_array_equal(realize(ZERO, h)[0], 0.0)
-    with pytest.raises(ValueError):
-        realize(Deterministic((1.0, 2.0)), h)
 
 
 def test_ito_integral_of_w_dw():

@@ -29,6 +29,8 @@ def test_validation_flags_bad_parameters():
         (lambda: OrnsteinUhlenbeck(0.0, 0.5, 0.0, -1.0), "sigma must be >= 0"),
         (lambda: Constant(float("nan")), "level must be finite"),
         (lambda: Deterministic((1.0, float("inf"))), "samples must be finite, got inf"),
+        (lambda: Deterministic(()), "at least two samples, got 0"),
+        (lambda: Deterministic((1.0,)), "at least two samples, got 1"),
     ]:
         with pytest.raises(ValueError, match=field):
             build()
@@ -36,11 +38,15 @@ def test_validation_flags_bad_parameters():
     OrnsteinUhlenbeck(0.0, 0.0, 0.0, 0.0)
 
 
-def test_deterministic_path_must_fit_the_grid():
+def test_deterministic_path_interpolates_its_samples():
+    # the samples spread evenly over [0, T] and joined linearly, on any grid
+    grid = Horizon.uniform(1.0, 6).grid
+    np.testing.assert_allclose(
+        Deterministic((0, 1, 4, 9)).path(grid)[0], (0, 0.5, 1, 2.5, 4, 6.5, 9), rtol=1e-15
+    )
+    # on the samples' own grid, the samples bit for bit
     grid = Horizon.uniform(1.0, 5).grid
-    assert Deterministic(tuple(range(6))).path(grid)[0].tolist() == list(range(6))
-    with pytest.raises(ValueError, match="has 3 samples, grid has 6 nodes"):
-        Deterministic((1.0, 2.0, 3.0)).path(grid)
+    np.testing.assert_array_equal(Deterministic(tuple(range(6))).path(grid)[0], range(6))
 
 
 def test_smooth_rate_nesting_depth_one():

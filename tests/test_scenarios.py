@@ -156,8 +156,8 @@ def test_closed_form_agrees_with_equilibrium_engine():
         params = segmented_market(s.impact_cost, rho_c, rho_d, M, Constant(s.xi_c))
         sol = solve_equilibrium(params, Horizon.uniform(1.0, steps))
         assert np.max(np.abs(sol.U_bar - cf.U_bar)) < 1e-6
-        assert np.max(np.abs(sol.agents["client0"].K - cf.K_c)) < 1e-6
-        assert np.max(np.abs(sol.price_dev - cf.price_dev)) < 1e-6
+        assert np.max(np.abs(sol.at().agents["client0"].K - cf.K_c)) < 1e-6
+        assert np.max(np.abs(sol.at().price_dev - cf.price_dev)) < 1e-6
 
 
 def test_integrated_closed_form_agrees_with_engine():
@@ -168,7 +168,7 @@ def test_integrated_closed_form_agrees_with_engine():
     params = integrated_market(s.impact_cost, s.rho_c, s.rho_d, 2, Constant(s.xi_c))
     sol = solve_equilibrium(params, h)
     assert np.max(np.abs(sol.U_bar - cf.U_bar)) < 1e-6
-    assert np.max(np.abs(sol.agents["client0"].K - cf.K_c)) < 1e-6
+    assert np.max(np.abs(sol.at().agents["client0"].K - cf.K_c)) < 1e-6
     # initial block trade unchanged by integration
     seg = liquidation_closed_form(s, h.grid)
     assert cf.K_c[0] == pytest.approx(seg.K_c[0], rel=1e-13)
