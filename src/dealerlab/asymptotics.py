@@ -26,7 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fbsde import heun_coefficients, realize_driver, require_stable_step, solve_forward
-from .kernel import DeltaParam, Horizon, KernelWeight, eval_F, require_count, trapezoid
+from .kernel import (
+    DeltaParam, Horizon, KernelWeight, eval_F, require_count, require_positive, trapezoid
+)
 from .market import Aggregates, aggregate, dealers_only_market
 from .paths import integrate_against, path_streams, require_key_word, standard_normal_block
 from .processes import DemandProcess, ZERO
@@ -44,10 +46,8 @@ class DealerSetting:
 
     def __post_init__(self):
         require_count("n_dealers", self.n_dealers, 1)
-        for name in ("rho_d", "T"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        require_positive("rho_d", self.rho_d)
+        require_positive("T", self.T)
 
     def aggregates(self, impact_cost: float) -> Aggregates:
         """The dealers-only market's aggregates: its mesh rate and impact weight."""
@@ -213,12 +213,13 @@ def simulate_costs(
     and every impact cost reads them; its sweep holds about chunk x
     ``SLICE_STEPS`` x 8 bytes of normals, and each grid's sweep builds its
     per-step arrays one slice at a time.  The only arrays as long as a grid
-    are its nodes, held to the end, and the stability check's, built once
-    per grid before any sweep and dropped.  Only each slice's fill runs on
-    more than one thread: ``standard_normal_block`` splits the chunk's
-    streams over the process's CPUs and joins them before the sweep reads
-    the slice; the values do not depend on the CPU count, and the fill's
-    own buffers hold one tile of ``TILE_PATHS`` streams in all.
+    are its nodes, held to the end, and the step lengths ``Horizon`` checks
+    them with, built once and dropped (the stability check goes a block at
+    a time).  Only each slice's fill runs on more than one thread:
+    ``standard_normal_block`` splits the chunk's streams over the process's
+    CPUs and joins them before the sweep reads the slice; the values do not
+    depend on the CPU count, and the fill's own buffers hold one tile of
+    ``TILE_PATHS`` streams in all.
     """
     require_count("workers", workers, 1)
     require_count("n_paths", n_paths, 0)

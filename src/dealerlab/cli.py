@@ -27,7 +27,7 @@ from pathlib import Path
 
 from .asymptotics import DealerSetting, scaling_study
 from .equilibrium import solve_equilibrium
-from .kernel import Horizon
+from .kernel import Horizon, require_count
 from .market import AgentSpec, MarketParams, segmented_market
 from .oracle import oracle_gap
 from .processes import (
@@ -236,8 +236,7 @@ def cmd_diffusive(args) -> None:
         seed=args.seed,
         steps=args.steps,
     )
-    if args.paths < 1:
-        raise ConfigError(f"--paths must be at least 1, got {args.paths}")
+    require_count("--paths", args.paths, 1)
     one_dealer = DiffusiveScenario(n_dealers=1, **base)
     try:
         reg = price_reversion_regression(one_dealer, args.paths, t_max=args.T / 2)
@@ -259,9 +258,8 @@ def cmd_diffusive(args) -> None:
 
 
 def cmd_welfare(args) -> None:
-    for flag, value in (("--m-max", args.m_max), ("--m", args.m)):
-        if value < 1:
-            raise ConfigError(f"{flag} must be at least 1, got {value}")
+    require_count("--m-max", args.m_max, 1)
+    require_count("--m", args.m, 1)
 
     def welfare(m):
         return segmentation_welfare(
@@ -284,10 +282,8 @@ def cmd_welfare(args) -> None:
 
 
 def _scaling_common(args, demand) -> None:
-    if args.workers < 1:
-        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
-    if args.paths < 0:
-        raise ConfigError(f"--paths must not be negative, got {args.paths}")
+    require_count("--workers", args.workers, 1)
+    require_count("--paths", args.paths, 0)
     setting = DealerSetting(n_dealers=args.m, rho_d=args.rho_d, T=args.T)
     report = scaling_study(
         setting,
@@ -349,8 +345,8 @@ def cmd_oracle_check(args) -> None:
 
 
 def cmd_equilibrium(args) -> None:
-    if args.steps is not None and args.steps < 1:
-        raise ConfigError(f"--steps must be at least 1, got {args.steps}")
+    if args.steps is not None:
+        require_count("--steps", args.steps, 1)
     params, horizon, echo = load_market_config(args.config)
     if args.steps is not None:
         horizon = Horizon.uniform(horizon.T, args.steps)

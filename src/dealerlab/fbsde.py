@@ -102,9 +102,9 @@ def require_stable_step(d: DeltaParam, horizon: Horizon, context: str) -> None:
     """
     grid = horizon.grid
     nodes = [grid[lo : lo + _BLOCK_STEPS + 1] for lo in range(0, horizon.n_steps, _BLOCK_STEPS)]
-    # np.max, unlike max, carries a NaN through
+    # np.max, unlike max, carries a NaN through, and the test below refuses it
     z = float(np.max([np.max(eval_F(d, t[:-1], horizon.T) * np.diff(t)) for t in nodes]))
-    if z > HEUN_STABLE_STEP:
+    if not z <= HEUN_STABLE_STEP:
         needed = math.ceil(d.sqrt_delta * horizon.T / HEUN_STABLE_STEP)
         raise ValueError(
             f"{context}: the time step is unstable, max F*dt = {z:.3g} > "

@@ -31,6 +31,12 @@ def require_count(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
+def require_positive(name: str, value) -> None:
+    """Refuse a value that is not positive and finite (NaN included)."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class Horizon:
     """Trading horizon [0, T] with a strictly increasing time grid."""
@@ -45,7 +51,7 @@ class Horizon:
             raise ValueError("grid must be a 1-d array with at least two points")
         if grid[0] != 0.0 or grid[-1] != self.T:
             raise ValueError("grid must start at 0 and end at T")
-        if np.any(np.diff(grid) <= 0):
+        if not np.all(np.diff(grid) > 0):
             raise ValueError("grid must be strictly increasing")
         object.__setattr__(self, "grid", grid)
         grid.flags.writeable = False
@@ -81,8 +87,7 @@ class DeltaParam:
     sqrt_delta: float = field(init=False)
 
     def __post_init__(self):
-        if not 0 < self.delta < math.inf:  # eta*eta_bar overflows below lambda ~ 1e-154
-            raise ValueError(f"delta must be positive and finite, got {self.delta}")
+        require_positive("delta", self.delta)  # eta*eta_bar overflows below lambda ~ 1e-154
         object.__setattr__(self, "delta", float(self.delta))
         object.__setattr__(self, "sqrt_delta", math.sqrt(self.delta))
 
@@ -113,12 +118,6 @@ def compute_delta(rho_bar: float, eta: float, eta_bar: float) -> DeltaParam:
 # ----------------------------------------------------------------------
 # stable hyperbolic ratios (arguments are the already scaled x = sqrt_delta*tau)
 # ----------------------------------------------------------------------
-
-def stable_sech(x):
-    """sech(x) = 2 e^{-x} / (1 + e^{-2x}) for x >= 0, no overflow."""
-    x = np.asarray(x, dtype=float)
-    return 2.0 * np.exp(-x) / (1.0 + np.exp(-2.0 * x))
-
 
 def stable_cosh_ratio(x, y):
     """cosh(x)/cosh(y) for x, y >= 0, evaluated without overflow."""

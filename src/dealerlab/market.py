@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
-from .kernel import DeltaParam, compute_delta, require_count
+from .kernel import DeltaParam, compute_delta, require_count, require_positive
 from .processes import DemandProcess, TermList, ZERO, combine
 
 #: idiosyncratic open-market cost of an agent with no open-market access
@@ -34,15 +34,8 @@ class AgentSpec:
     def __post_init__(self):
         if not self.name.strip():
             raise ValueError(f"agent name must not be empty or blank, got {self.name!r}")
-        if not 0 < self.mass < math.inf:
-            raise ValueError(
-                f"agent {self.name}: mass must be positive and finite, got {self.mass}"
-            )
-        if not 0 < self.risk_tolerance < math.inf:
-            raise ValueError(
-                f"agent {self.name}: risk tolerance must be positive and finite, "
-                f"got {self.risk_tolerance}"
-            )
+        require_positive(f"agent {self.name}: mass", self.mass)
+        require_positive(f"agent {self.name}: risk tolerance", self.risk_tolerance)
         if not self.open_cost >= 0:
             raise ValueError(f"agent {self.name}: open-market cost must be >= 0 or inf")
 

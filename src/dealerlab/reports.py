@@ -62,10 +62,11 @@ def _block_text(columns) -> str:
             continue
         row.append("%s")
         varying.append(list(map(fmt, column)))
-    cells = np.empty((len(columns[0]), len(varying)), dtype=object)
+    rows, k = len(columns[0]), len(varying)
+    cells = [None] * (rows * k)
     for j, values in enumerate(varying):
-        cells[:, j] = values
-    return (",".join(row) + "\n") * len(cells) % tuple(cells.ravel().tolist())
+        cells[j::k] = values
+    return (",".join(row) + "\n") * rows % tuple(cells)
 
 
 def row_blocks(columns):

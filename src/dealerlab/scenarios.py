@@ -24,8 +24,8 @@ from .kernel import (
     compute_delta,
     eval_F,
     require_count,
+    require_positive,
     stable_cosh_ratio,
-    stable_sech,
     stable_sinh_over_cosh,
 )
 from .paths import path_streams, require_key_word, standard_normal_block
@@ -47,9 +47,7 @@ class LiquidationScenario:
 
     def __post_init__(self):
         for name in ("impact_cost", "rho_c", "rho_d", "T"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+            require_positive(name, getattr(self, name))
         if not math.isfinite(self.xi_c):
             raise ValueError(f"xi_c must be finite, got {self.xi_c!r}")
         m = self.n_dealers
@@ -146,10 +144,10 @@ def _diffusive_rows(s: DiffusiveScenario, n_paths: int, horizon: Horizon):
     lengths and shock scales are built with it, from its own nodes (each is
     elementwise, so they are the whole grid's values), so a consumer that
     keeps no rows works in O(paths x SLICE_STEPS) memory beyond the grid's
-    nodes and the one-off stability check, and draws no slice past its last
-    row.  A substream drawn in pieces gives the numbers of one draw,
-    whatever the fill's thread count, and the scheme is elementwise, so
-    path i's rows depend on (seed, i) alone.
+    nodes (the stability check takes F dt a block at a time), and draws no
+    slice past its last row.  A substream drawn in pieces gives the numbers
+    of one draw, whatever the fill's thread count, and the scheme is
+    elementwise, so path i's rows depend on (seed, i) alone.
     """
     if n_paths < 1:
         raise ValueError(f"the diffusive simulation needs at least one path, got {n_paths}")
@@ -211,10 +209,11 @@ def price_reversion_regression(
     deviation is approximately an OU process with mean-reversion rate
     sqrt(delta) and shock loading 1/(2 sqrt(delta) rho_bar).  The paths are
     stepped, not stored: each step in the window (the whole grid when
-    ``t_max`` is None or at least T) adds its dot products to the 2x2 normal
-    equations, summed over the steps by ``fsum``, which ``lstsq`` solves (to
-    the min-norm (0, 0) when sigma_xi = 0).  The first step's regressor is 0,
-    since S - D starts at 0, so the window needs at least two steps.
+    ``t_max`` is None or at least T) writes its five terms of the 2x2 normal
+    equations into a row of one float array, and ``fsum`` sums each column
+    for ``lstsq`` to solve (to the min-norm (0, 0) when sigma_xi = 0).  The
+    first step's regressor is 0, since S - D starts at 0, so the window
+    needs at least two steps.
     """
     if t_max is not None and math.isnan(t_max):
         raise ValueError(f"t_max must be a number, got {t_max!r}")
@@ -225,17 +224,17 @@ def price_reversion_regression(
             f"the regression needs at least two steps before t_max={t_max!r}, "
             f"got {cut} of the {s.steps}-step grid"
         )
-    rows = _diffusive_rows(s, n_paths, horizon)
+    rows, grid = _diffusive_rows(s, n_paths, horizon), horizon.grid
     xi, _, _, price_dev, _ = next(rows)
-    terms = []
-    for dt_i in np.diff(horizon.grid[: cut + 1]).tolist():
+    terms = np.empty((cut, 5))
+    for i in range(cut):
         xi_next, _, _, price_dev_next, _ = next(rows)
-        x1 = price_dev * dt_i
+        x1 = price_dev * float(grid[i + 1] - grid[i])  # np.diff's subtraction
         x2 = xi_next - xi
         y = price_dev_next - price_dev
-        terms.append((x1 @ x1, x1 @ x2, x2 @ x2, x1 @ y, x2 @ y))
+        terms[i] = x1 @ x1, x1 @ x2, x2 @ x2, x1 @ y, x2 @ y
         xi, price_dev = xi_next, price_dev_next
-    s11, s12, s22, s1y, s2y = (math.fsum(column) for column in zip(*terms))
+    s11, s12, s22, s1y, s2y = map(math.fsum, terms.T)
     coef, *_ = np.linalg.lstsq(np.array([[s11, s12], [s12, s22]]), np.array([s1y, s2y]),
                                rcond=None)
     d = scenario_delta(s)
@@ -267,11 +266,11 @@ def _hyperbolic_integrals(b: float, T: float) -> tuple[float, float, float]:
     """The integrals over [0, T] of C, C^2 and S^2, exactly.
 
     C = cosh(b(T-t))/cosh(bT) and S = sinh(b(T-t))/cosh(bT) integrate to
-    tanh(bT)/b and (tanh(bT)/b +- T sech^2(bT))/2; ``stable_sech`` keeps a
-    large bT from overflowing.
+    tanh(bT)/b and (tanh(bT)/b +- T sech^2(bT))/2; sech(bT), as
+    ``stable_cosh_ratio(0, bT)``, keeps a large bT from overflowing.
     """
     tanh_term = math.tanh(b * T) / b
-    sech_term = T * float(stable_sech(b * T)) ** 2
+    sech_term = T * float(stable_cosh_ratio(0.0, b * T)) ** 2
     return tanh_term, (tanh_term + sech_term) / 2.0, (tanh_term - sech_term) / 2.0
 
 

@@ -593,8 +593,10 @@ SEED_RANGE = "seed must lie in [0, 2**64)"
          "'deterministic:1': a deterministic path needs at least two samples, got 1"),
         (["equilibrium"], CONFIG.replace("T = 1.0", "T = nan"), "got T=nan"),
         (["equilibrium"], CONFIG.replace("T = 1.0", "T = inf"), "got T=inf"),
-        (["equilibrium", "--steps", "0"], CONFIG, "--steps must be at least 1, got 0"),
-        (["equilibrium", "--steps", "-3"], CONFIG, "--steps must be at least 1, got -3"),
+        (["equilibrium", "--steps", "0"], CONFIG,
+         "--steps must be an integer of at least 1, got 0"),
+        (["equilibrium", "--steps", "-3"], CONFIG,
+         "--steps must be an integer of at least 1, got -3"),
         (["equilibrium"], CONFIG.replace("open_cost = inf", "open_cots = inf"),
          "unknown key 'open_cots' in config section [agent client]"),
         (["equilibrium"], CONFIG.replace("target = constant:-1", "targt = constant:-1"),

@@ -21,7 +21,7 @@ from dealerlab.kernel import (
     _exp_difference,
     _ou_weight,
     eval_F,
-    stable_sech,
+    stable_cosh_ratio,
 )
 from dealerlab.paths import realize
 from dealerlab.processes import (
@@ -193,7 +193,8 @@ def test_ou_weights_degenerate_at_kappa_zero():
         _ou_weight(d, 0.0, tau, 1.0), d.sqrt_delta * np.tanh(d.sqrt_delta * tau), rtol=1e-12
     )
     np.testing.assert_allclose(
-        _ou_weight(d, 0.0, tau, -1.0), 1.0 - stable_sech(d.sqrt_delta * tau), rtol=1e-12, atol=1e-15
+        _ou_weight(d, 0.0, tau, -1.0), 1.0 - stable_cosh_ratio(0.0, d.sqrt_delta * tau),
+        rtol=1e-12, atol=1e-15,
     )
 
 
@@ -496,6 +497,15 @@ def test_the_stability_check_reads_every_block(monkeypatch, block):
     h = Horizon(1.0, np.array([0.0, 0.01, 0.02, 0.03, 1.0]))
     with pytest.raises(ValueError, match=r"x: .*max F\*dt = 9.7 > 2 on 4 steps"):
         require_stable_step(DeltaParam(100.0), h, "x")
+
+
+def test_the_stability_check_refuses_a_nan_step(monkeypatch):
+    # a NaN F dt is no stable step: it would end the solve in all-NaN residuals
+    from dealerlab import fbsde
+
+    monkeypatch.setattr(fbsde, "eval_F", lambda d, t, T: np.full(np.shape(t), np.nan))
+    with pytest.raises(ValueError, match=r"x: .*max F\*dt = nan > 2 on 10 steps"):
+        require_stable_step(DeltaParam(1.0), Horizon.uniform(1.0, 10), "x")
 
 
 def test_the_stability_check_holds_no_whole_grid_temporaries():

@@ -34,6 +34,8 @@ def test_horizon_validation():
         Horizon(T=-1.0, grid=np.array([0.0, -1.0]))
     with pytest.raises(ValueError):
         Horizon(T=1.0, grid=np.array([0.0, 0.5, 0.5, 1.0]))
+    with pytest.raises(ValueError, match="^grid must be strictly increasing$"):
+        Horizon(T=1.0, grid=np.array([0.0, math.nan, 1.0]))  # NaN steps compare False
     with pytest.raises(ValueError):
         Horizon(T=1.0, grid=np.array([0.1, 1.0]))
     for T in (math.nan, math.inf):
@@ -44,6 +46,12 @@ def test_horizon_validation():
     for steps in (2.5, True, 0):
         with pytest.raises(ValueError, match=f"^steps .* got {steps!r}$"):
             Horizon.uniform(1.0, steps)
+
+
+@pytest.mark.parametrize("value", [0, -1.0, math.nan, math.inf])
+def test_require_positive_names_the_value(value):
+    with pytest.raises(ValueError, match=rf"^rho must be positive and finite, got {value!r}$"):
+        kernel.require_positive("rho", value)
 
 
 def test_delta_param():

@@ -355,6 +355,15 @@ def test_regression_memory_grows_only_with_the_grid():
     assert peaks[1] - peaks[0] < 32 * (200_000 - 50_000)
 
 
+def test_regression_window_memory_is_a_float_row_a_step():
+    # over the whole grid each step keeps its five dot products, 40 B, beside the grid's
+    # nodes; a list of numpy-scalar tuples and the window's diff list took 278 B a step
+    price_reversion_regression(DiffusiveScenario(steps=10), 8)  # first calls
+    peaks = [traced_peak(price_reversion_regression, DiffusiveScenario(steps=steps), 8)[1]
+             for steps in (5_000, 20_000)]
+    assert peaks[1] - peaks[0] < 96 * (20_000 - 5_000)
+
+
 @pytest.mark.parametrize("slice_steps", [7, 64, 256, 1000, 4096])
 def test_regression_draws_only_the_slices_its_window_reaches(monkeypatch, slice_steps):
     counts = []
