@@ -6,7 +6,6 @@ liquidity-cost scaling studies, and the segmentation-welfare comparison.
 """
 
 from .asymptotics import (
-    DealerSetting,
     LiquidityCostReport,
     scaling_study,
     simulate_costs,

@@ -1,9 +1,9 @@
 """Liquidity costs of noise-trader demand and their small-impact-cost scaling laws.
 
-Setting: M identical dealers of mass 1/M and risk tolerance rho_d absorb
-an exogenous demand K^N.  The mesh rate delta = M/(lam rho_d (M+1)) and the
-impact weight 1/eta + 1/eta_bar = lam (M+1)/M are read from the
-aggregates of that dealers-only market, exactly as the equilibrium reads
+A study reads any dealers-only market: agents without trading targets
+absorb its noise demand K^N.  At each impact cost lam the mesh rate delta
+and the impact weight 1/eta + 1/eta_bar are read from the aggregates of
+``replace(market, impact_cost=lam)``, exactly as the equilibrium reads
 them.  The noise traders' cost of trading through the dealers rather than
 at the fundamental price is computed D-free through the
 integration-by-parts identity
@@ -11,17 +11,19 @@ integration-by-parts identity
     cost = -(1/eta + 1/eta_bar) * integral K^N du_bar,
 
 discretized with left-endpoint sums.  Two laws are verified numerically:
-smooth demand costs lam (M+1)/M * integral (mu^N)^2 dt + o(lam), while
-diffusive demand costs sqrt(lam (M+1)/(M rho_d)) * integral (sigma^N)^2 dt
-+ o(sqrt(lam)) -- one order of lam cheaper to hedge, and sensitive to the
-dealers' inventory cost through rho_d^{-1/2}.
+smooth demand costs (1/eta + 1/eta_bar) * integral (mu^N)^2 dt + o(lam),
+diffusive demand (1/eta + 1/eta_bar) sqrt(delta) * integral (sigma^N)^2 dt
++ o(sqrt(lam)).  For M dealers of mass 1/M and risk tolerance rho_d the
+weights are lam (M+1)/M and sqrt(lam (M+1)/(M rho_d)): diffusive demand is
+one order of lam cheaper to hedge, and sensitive to the dealers' inventory
+cost through rho_d^{-1/2}.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -29,29 +31,11 @@ from .fbsde import heun_coefficients, realize_driver, require_stable_step, solve
 from .kernel import (
     DeltaParam, Horizon, KernelWeight, eval_F, require_count, require_positive, trapezoid
 )
-from .market import Aggregates, aggregate, dealers_only_market
+from .market import Aggregates, MarketParams, aggregate
 from .paths import integrate_against, path_streams, require_key_word, standard_normal_block
-from .processes import DemandProcess, ZERO
+from .processes import DemandProcess
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class DealerSetting:
-    """M identical dealers of mass 1/M facing noise demand; no trading targets."""
-
-    n_dealers: int = 1
-    rho_d: float = 0.1
-    T: float = 1.0
-
-    def __post_init__(self):
-        require_count("n_dealers", self.n_dealers, 1)
-        require_positive("rho_d", self.rho_d)
-        require_positive("T", self.T)
-
-    def aggregates(self, impact_cost: float) -> Aggregates:
-        """The dealers-only market's aggregates: its mesh rate and impact weight."""
-        return aggregate(dealers_only_market(impact_cost, self.rho_d, self.n_dealers, ZERO))
 
 
 STEP_CAP = 1_000_000  # most grid steps a study picks by itself; read at each call
@@ -63,9 +47,17 @@ def steps_for(d: DeltaParam, T: float) -> int:
     return max(400, math.ceil(50 * d.sqrt_delta * T))
 
 
-def _capped_steps(setting: DealerSetting, impact_cost: float):
+def _require_study(market: MarketParams, T: float) -> None:
+    """Refuse a T that is not positive and finite, or a market with a trading target."""
+    require_positive("T", T)
+    if aggregate(market).xi_bar:
+        raise ValueError("a cost study takes a market without trading targets, "
+                         "driven by its noise demand alone")
+
+
+def _capped_steps(market: MarketParams, T: float, impact_cost: float):
     """``steps_for`` clipped at ``STEP_CAP``, and the note of a clip (None without one)."""
-    wanted = steps_for(setting.aggregates(impact_cost).delta, setting.T)
+    wanted = steps_for(aggregate(replace(market, impact_cost=impact_cost)).delta, T)
     steps = min(wanted, STEP_CAP)
     if steps == wanted:
         return steps, None
@@ -190,8 +182,8 @@ def _chunk_sweep(
 
 
 def simulate_costs(
-    setting: DealerSetting,
-    demand: DemandProcess,
+    market: MarketParams,
+    T: float,
     impact_costs,
     n_paths: int,
     seed: int,
@@ -200,39 +192,41 @@ def simulate_costs(
 ) -> tuple[list, list]:
     """Per-path cost and tracking-integral arrays, path index order, for each impact cost.
 
-    Returns (costs, tracks), one array per impact cost in each list.  Each
-    impact cost's grid has ``steps`` steps (a sequence as long as
-    ``impact_costs``), by default ``steps_for``'s clipped at ``STEP_CAP``,
-    each clip logged.  Every grid too coarse for a stable step is refused
-    before any sweep (``require_stable_step``).  A deterministic demand
-    gives one exact row per impact cost.  A stochastic one needs two or
-    more paths, each a pure function of (seed, path index): the worker
-    count sets the chunking only, never values.  The paths are split into
-    one chunk per worker, of at most 2048 paths, swept in order on the
-    calling thread.  A chunk draws its normals once, for its longest grid,
-    and every impact cost reads them; its sweep holds about chunk x
-    ``SLICE_STEPS`` x 8 bytes of normals, and each grid's sweep builds its
-    per-step arrays one slice at a time.  The only arrays as long as a grid
-    are its nodes, held to the end, and the step lengths ``Horizon`` checks
-    them with, built once and dropped (the stability check goes a block at
-    a time).  Only each slice's fill runs on more than one thread:
-    ``standard_normal_block`` splits the chunk's streams over the process's
-    CPUs and joins them before the sweep reads the slice; the values do not
-    depend on the CPU count, and the fill's own buffers hold one tile of
-    ``TILE_PATHS`` streams in all.
+    Returns (costs, tracks), one array per impact cost in each list: the
+    market's noise demand on [0, T], the market taking each impact cost in
+    place of its own; it must hold no trading target.  Each impact cost's
+    grid has ``steps`` steps (a sequence as long as ``impact_costs``), by
+    default ``steps_for``'s clipped at ``STEP_CAP``, each clip logged.
+    Every grid too coarse for a stable step is refused before any sweep
+    (``require_stable_step``).  A deterministic demand gives one exact row
+    per impact cost.  A stochastic one needs two or more paths, each a pure
+    function of (seed, path index): the worker count sets the chunking only,
+    never values.  The paths are split into one chunk per worker, of at most
+    2048 paths, swept in order on the calling thread.  A chunk draws its
+    normals once, for its longest grid, and every impact cost reads them;
+    its sweep holds about chunk x ``SLICE_STEPS`` x 8 bytes of normals, and
+    each grid's sweep builds its per-step arrays one slice at a time.  The
+    only arrays as long as a grid are its nodes, held to the end (the
+    stability check goes a block at a time).  Only each slice's fill runs on
+    more than one thread: ``standard_normal_block`` splits the chunk's
+    streams over the process's CPUs and joins them before the sweep reads
+    the slice; the values do not depend on the CPU count, and the fill's own
+    buffers hold one tile of ``TILE_PATHS`` streams in all.
     """
+    _require_study(market, T)
     require_count("workers", workers, 1)
     require_count("n_paths", n_paths, 0)
     require_key_word("seed", seed)  # on both branches, though a deterministic demand draws none
+    demand = market.noise_demand
     if steps is None:
-        capped = [_capped_steps(setting, lam) for lam in impact_costs]
+        capped = [_capped_steps(market, T, lam) for lam in impact_costs]
     else:
         capped = [(n, None) for n in steps]
     grids = []
     for lam, (n, clipped) in zip(impact_costs, capped, strict=True):
         if clipped:
             logger.warning(clipped)
-        ag, horizon = setting.aggregates(lam), Horizon.uniform(setting.T, n)
+        ag, horizon = aggregate(replace(market, impact_cost=lam)), Horizon.uniform(T, n)
         require_stable_step(ag.delta, horizon, _step_context(lam, clipped))
         grids.append((ag, horizon))
     if demand.deterministic:
@@ -266,17 +260,19 @@ def _means_stderrs(samples: list) -> tuple[list, list]:
 # theory prefactors
 # ----------------------------------------------------------------------
 
-def theoretical_prefactor(setting: DealerSetting, demand: DemandProcess) -> float:
-    """Leading-order cost prefactor of the demand family.
+def theoretical_prefactor(market: MarketParams, T: float) -> float:
+    """Leading-order cost prefactor of the market's noise demand on [0, T], at its impact cost.
 
-    Smooth demand: (M+1)/M * E int (mu^N)^2 dt multiplying lam.
-    Diffusive demand: sqrt((M+1)/(M rho_d)) * E int (sigma^N)^2 dt multiplying sqrt(lam).
+    With w = 1/eta + 1/eta_bar the impact weight and delta the mesh rate:
+    smooth demand, w/lam * E int (mu^N)^2 dt multiplying lam ((M+1)/M for M
+    dealers of mass 1/M); diffusive demand, w sqrt(delta)/sqrt(lam) *
+    E int (sigma^N)^2 dt multiplying sqrt(lam) (sqrt((M+1)/(M rho_d))).
     """
-    m = setting.n_dealers
-    order, intensity = demand.scaling_law(setting.T)
+    ag, lam = aggregate(market), market.impact_cost
+    order, intensity = market.noise_demand.scaling_law(T)
     if order == 1.0:
-        return (m + 1) / m * intensity
-    return math.sqrt((m + 1) / (m * setting.rho_d)) * intensity
+        return ag.impact_weight / lam * intensity
+    return ag.impact_weight * ag.delta.sqrt_delta / math.sqrt(lam) * intensity
 
 
 # ----------------------------------------------------------------------
@@ -286,8 +282,6 @@ def theoretical_prefactor(setting: DealerSetting, demand: DemandProcess) -> floa
 @dataclass
 class LiquidityCostReport:
     family: str
-    n_dealers: int
-    rho_d: float
     lambdas: list
     means: list
     stderrs: list
@@ -325,8 +319,8 @@ def _slope_fit(lambdas, means) -> tuple[float | None, tuple[float, float] | None
 
 
 def scaling_study(
-    setting: DealerSetting,
-    demand: DemandProcess,
+    market: MarketParams,
+    T: float,
     lambdas,
     n_paths: int,
     seed: int = 0,
@@ -334,26 +328,27 @@ def scaling_study(
 ) -> LiquidityCostReport:
     """Mean cost per impact cost, log-log slope, the leading-order prefactor, and tracking.
 
-    One ``simulate_costs`` call sweeps every impact cost over one draw of
-    normals (a deterministic demand is one exact row per impact cost, with
+    One ``simulate_costs`` call sweeps the market's noise demand on [0, T]
+    at every impact cost over one draw of normals (a deterministic demand is one exact row per impact cost, with
     standard error 0); grids clipped at ``STEP_CAP`` are listed in the
     warnings, and every grid is checked for a stable step before the first
     sweep runs.  The prefactor is read off at the smallest impact cost as
-    mean / lam^order, next to the theory value.  The impact costs must be
-    one or more and distinct; with only one there is no slope and no
-    reduction factor.
+    mean / lam^order, next to the theory value of the market at that impact
+    cost.  The impact costs must be one or more, distinct and positive;
+    with only one there is no slope and no reduction factor.
 
     The same sweeps give the price-convergence proxy E integral
     (K^N - U_bar)^2 dt, which must fall (within two standard errors) as the
     open market becomes more liquid; its reduction factor is the mean at the
     largest impact cost over the mean at the smallest.
     """
-    order, _ = demand.scaling_law(setting.T)
+    _require_study(market, T)
+    order, _ = market.noise_demand.scaling_law(T)
     lambdas = sorted(float(x) for x in lambdas)
-    if not lambdas or len(set(lambdas)) < len(lambdas):
-        raise ValueError(f"impact costs must be one or more and distinct, got {lambdas}")
-    capped = [_capped_steps(setting, lam) for lam in lambdas]  # the grids simulate_costs picks
-    costs, tracks = simulate_costs(setting, demand, lambdas, n_paths, seed, workers=workers)
+    if not lambdas or len(set(lambdas)) < len(lambdas) or not lambdas[0] > 0:
+        raise ValueError(f"impact costs must be one or more, distinct and positive, got {lambdas}")
+    capped = [_capped_steps(market, T, lam) for lam in lambdas]  # the grids simulate_costs picks
+    costs, tracks = simulate_costs(market, T, lambdas, n_paths, seed, workers=workers)
     means, stderrs = _means_stderrs(costs)
     track_means, track_stderrs = _means_stderrs(tracks)
     slope, ci = _slope_fit(lambdas, means)
@@ -362,8 +357,6 @@ def scaling_study(
     prefactor_se = stderrs[0] / lam_min**order
     report = LiquidityCostReport(
         family="smooth" if order == 1.0 else "diffusive",
-        n_dealers=setting.n_dealers,
-        rho_d=setting.rho_d,
         lambdas=list(lambdas),
         means=means,
         stderrs=stderrs,
@@ -373,7 +366,7 @@ def scaling_study(
         slope_ci=ci,
         prefactor=float(prefactor),
         prefactor_stderr=float(prefactor_se),
-        prefactor_theory=theoretical_prefactor(setting, demand),
+        prefactor_theory=theoretical_prefactor(replace(market, impact_cost=lam_min), T),
         order_theory=order,
         track_means=track_means,
         track_stderrs=track_stderrs,

@@ -25,10 +25,10 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .asymptotics import DealerSetting, scaling_study
+from .asymptotics import scaling_study
 from .equilibrium import solve_equilibrium
 from .kernel import Horizon, require_count
-from .market import AgentSpec, MarketParams, segmented_market
+from .market import AgentSpec, MarketParams, dealers_only_market, segmented_market
 from .oracle import oracle_gap
 from .processes import (
     BrownianMartingale,
@@ -284,17 +284,16 @@ def cmd_welfare(args) -> None:
 def _scaling_common(args, demand) -> None:
     require_count("--workers", args.workers, 1)
     require_count("--paths", args.paths, 0)
-    setting = DealerSetting(n_dealers=args.m, rho_d=args.rho_d, T=args.T)
+    lambdas = _parse_lambdas(args.impact_cost)
     report = scaling_study(
-        setting,
-        demand,
-        _parse_lambdas(args.impact_cost),
+        dealers_only_market(lambdas[0], args.rho_d, args.m, demand),
+        args.T,
+        lambdas,
         n_paths=args.paths,
         seed=args.seed,
         workers=args.workers,
     )
-    payload = asdict(report)
-    payload["M"] = payload.pop("n_dealers")
+    payload = {**asdict(report), "M": args.m, "rho_d": args.rho_d}
     out = _outdir(args)
     write_json(
         out / "scaling_report.json",

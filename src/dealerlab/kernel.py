@@ -51,7 +51,7 @@ class Horizon:
             raise ValueError("grid must be a 1-d array with at least two points")
         if grid[0] != 0.0 or grid[-1] != self.T:
             raise ValueError("grid must start at 0 and end at T")
-        if not np.all(np.diff(grid) > 0):
+        if not np.all(grid[1:] > grid[:-1]):  # one bool a step; a NaN node compares False
             raise ValueError("grid must be strictly increasing")
         object.__setattr__(self, "grid", grid)
         grid.flags.writeable = False

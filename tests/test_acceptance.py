@@ -11,11 +11,7 @@ import numpy as np
 import pytest
 
 from dealerlab import asymptotics
-from dealerlab.asymptotics import (
-    DealerSetting,
-    scaling_study,
-    simulate_costs,
-)
+from dealerlab.asymptotics import scaling_study, simulate_costs
 from dealerlab.cli import main
 from dealerlab.equilibrium import consistency_report, goal_functional, solve_equilibrium
 from dealerlab.kernel import Horizon, eval_F
@@ -23,6 +19,7 @@ from dealerlab.market import (
     AgentSpec,
     MarketParams,
     NO_ACCESS,
+    dealers_only_market,
     integrated_market,
     segmented_market,
 )
@@ -116,8 +113,8 @@ def test_criterion_3_smooth_demand_law(monkeypatch):
     lambdas = [1e-1, 1e-2, 1e-3, 1e-4, 1e-5]
     # deterministic smooth family, exact evaluation, all three dealer counts
     for m in (1, 2, 10):
-        setting = DealerSetting(n_dealers=m, rho_d=0.1)
-        rep = scaling_study(setting, SmoothRate(Constant(1.0)), lambdas, n_paths=0)
+        market = dealers_only_market(lambdas[-1], 0.1, m, SmoothRate(Constant(1.0)))
+        rep = scaling_study(market, 1.0, lambdas, n_paths=0)
         assert abs(rep.slope - 1.0) <= 0.05, (m, rep.slope)
         assert abs(rep.prefactor - rep.prefactor_theory) <= 0.05 * rep.prefactor_theory
         assert abs(rep.prefactor - rep.prefactor_theory) <= 0.02 * rep.prefactor_theory
@@ -125,17 +122,17 @@ def test_criterion_3_smooth_demand_law(monkeypatch):
     n = 40_000
     grid = Horizon.uniform(1.0, n).grid
     varying = SmoothRate(Deterministic(tuple(1.0 + np.sin(2 * np.pi * grid))))
-    set2 = DealerSetting(n_dealers=2, rho_d=0.1)
     with monkeypatch.context() as patch:  # the grid wants 40,825 steps: the cap bites
         patch.setattr(asymptotics, "STEP_CAP", n)
-        rep_var = scaling_study(set2, varying, [1e-5], n_paths=0)
+        rep_var = scaling_study(dealers_only_market(1e-5, 0.1, 2, varying), 1.0, [1e-5], n_paths=0)
     assert rep_var.steps == [n]
     assert abs(rep_var.prefactor - rep_var.prefactor_theory) <= 0.02 * rep_var.prefactor_theory
     # stochastic smooth demand (OU rate), 1e4 paths per impact cost
     from dealerlab.processes import OrnsteinUhlenbeck
 
     stoch = SmoothRate(OrnsteinUhlenbeck(x0=1.0, kappa=1.0, theta=1.0, sigma=0.3))
-    rep_s = scaling_study(set2, stoch, [1e-1, 1e-2, 1e-3, 1e-4], n_paths=10_000, seed=3)
+    rep_s = scaling_study(dealers_only_market(1e-4, 0.1, 2, stoch), 1.0,
+                          [1e-1, 1e-2, 1e-3, 1e-4], n_paths=10_000, seed=3)
     assert abs(rep_s.slope - 1.0) <= 0.05, rep_s.slope
     tol = 0.05 * rep_s.prefactor_theory + 2 * rep_s.prefactor_stderr
     assert abs(rep_s.prefactor - rep_s.prefactor_theory) <= tol
@@ -151,8 +148,8 @@ def test_criterion_4_diffusive_demand_law():
     start = time.time()
     lambdas = [1e-1, 1e-2, 1e-3, 1e-4, 1e-5]
     demand = BrownianMartingale(0.0, 1.0)
-    setting = DealerSetting(n_dealers=2, rho_d=0.1)
-    rep = scaling_study(setting, demand, lambdas, n_paths=10_000, seed=17)
+    market = dealers_only_market(lambdas[-1], 0.1, 2, demand)
+    rep = scaling_study(market, 1.0, lambdas, n_paths=10_000, seed=17)
     assert abs(rep.slope - 0.5) <= 0.05, rep.slope
     tol = 0.05 * rep.prefactor_theory + 2 * rep.prefactor_stderr
     assert abs(rep.prefactor - rep.prefactor_theory) <= tol
@@ -160,7 +157,7 @@ def test_criterion_4_diffusive_demand_law():
     prefs = {0.1: rep.prefactor}
     for rho in (0.05, 0.2):
         (costs,), _ = simulate_costs(
-            DealerSetting(n_dealers=2, rho_d=rho), demand, [1e-5], 10_000, seed=17
+            dealers_only_market(1e-5, rho, 2, demand), 1.0, [1e-5], 10_000, seed=17
         )
         prefs[rho] = float(np.mean(costs)) / math.sqrt(1e-5)
     for rho in (0.05, 0.2):
@@ -176,10 +173,9 @@ def test_criterion_4_diffusive_demand_law():
 
 
 def test_criterion_5_price_convergence_proxy():
-    setting = DealerSetting(n_dealers=1, rho_d=0.1)
     rep = scaling_study(
-        setting,
-        BrownianMartingale(0.0, 1.0),
+        dealers_only_market(1e-4, 0.1, 1, BrownianMartingale(0.0, 1.0)),
+        1.0,
         [1e-1, 1e-2, 1e-3, 1e-4],
         n_paths=2000,
         seed=9,

@@ -10,7 +10,6 @@ import pytest
 
 from dealerlab import asymptotics
 from dealerlab.asymptotics import (
-    DealerSetting,
     liquidity_cost_from_paths,
     scaling_study,
     simulate_costs,
@@ -19,6 +18,7 @@ from dealerlab.asymptotics import (
 )
 from dealerlab.fbsde import RealizedDriver, realize_driver, solve_forward
 from dealerlab.kernel import Horizon
+from dealerlab.market import AgentSpec, MarketParams, aggregate, dealers_only_market
 from dealerlab.paths import path_streams, realize
 from dealerlab.processes import (
     BrownianMartingale,
@@ -47,6 +47,10 @@ def liquidity_cost_direct(
     return impact_weight * np.sum(rate_path[..., 1:] * du, axis=-1)
 
 
+# the dealer count and risk tolerance are the market builder's to refuse, T the study's
+REFUSED_BY = {"n_dealers": "n_dealers", "rho_d": "agent dealer0: risk tolerance", "T": "T"}
+
+
 @pytest.mark.parametrize(
     "kwargs, field",
     [({"n_dealers": 0}, "n_dealers"), ({"n_dealers": 2.0}, "n_dealers"),
@@ -55,28 +59,65 @@ def liquidity_cost_direct(
      ({"T": math.inf}, "T"), ({"T": math.nan}, "T")],
 )
 def test_dealer_setting_validates_itself(kwargs, field):
-    with pytest.raises(ValueError, match=f"^{field} "):
-        DealerSetting(**kwargs)
+    setting = {"n_dealers": 2, "rho_d": 0.1, "T": 1.0, **kwargs}
+    with pytest.raises(ValueError, match=f"^{REFUSED_BY[field]} "):
+        market = dealers_only_market(1e-2, setting["rho_d"], setting["n_dealers"], UNIT_RATE)
+        scaling_study(market, setting["T"], [1e-2], n_paths=0)
+
+
+@pytest.mark.parametrize("T", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("entry", ["simulate_costs", "scaling_study"])
+def test_study_entry_points_refuse_a_bad_horizon_before_any_grid(T, entry, monkeypatch):
+    # a NaN T reached math.ceil in steps_for; no grid is picked before the check
+    def no_grid(*args):
+        raise AssertionError("a grid was picked")
+
+    monkeypatch.setattr(asymptotics, "steps_for", no_grid)
+    study = {"simulate_costs": simulate_costs, "scaling_study": scaling_study}[entry]
+    with pytest.raises(ValueError, match=rf"^T must be positive and finite, got {T!r}$"):
+        study(dealers_only_market(1e-2, 0.1, 1, UNIT_RATE), T, [1e-2], 0, 0)
+
+
+@pytest.mark.parametrize("entry", ["simulate_costs", "scaling_study"])
+def test_study_entry_points_refuse_a_market_with_a_target(entry, monkeypatch):
+    # the cost identity is for a market driven by its noise demand alone
+    def no_grid(*args):
+        raise AssertionError("a grid was picked")
+
+    monkeypatch.setattr(asymptotics, "steps_for", no_grid)
+    market = MarketParams(1e-2, (AgentSpec("dealer0", 1.0, 0.1, target=Constant(-1.0)),),
+                          UNIT_RATE)
+    study = {"simulate_costs": simulate_costs, "scaling_study": scaling_study}[entry]
+    with pytest.raises(ValueError, match="without trading targets"):
+        study(market, 1.0, [1e-2], 0, 0)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 10])
 @pytest.mark.parametrize("rho_d", [0.05, 0.4])
 @pytest.mark.parametrize("lam", [1e-1, 1e-5])
 def test_dealer_setting_reads_the_dealers_only_market(m, rho_d, lam):
-    # the mesh rate and the cost multiplier of the paper, from the market's own aggregates
-    ag = DealerSetting(m, rho_d).aggregates(lam)
+    # the mesh rate, the cost multiplier and both prefactors of the paper, from the market's
+    # own aggregates
+    market = dealers_only_market(lam, rho_d, m, ZERO)
+    ag = aggregate(market)
     assert ag.delta.delta == pytest.approx(m / (lam * rho_d * (m + 1)), rel=1e-13)
     assert ag.impact_weight == pytest.approx(lam * (m + 1) / m, rel=1e-13)
+    smooth = theoretical_prefactor(dealers_only_market(lam, rho_d, m, UNIT_RATE), 1.0)
+    diffusive = theoretical_prefactor(
+        dealers_only_market(lam, rho_d, m, BrownianMartingale(0.0, 1.0)), 1.0
+    )
+    assert smooth == pytest.approx((m + 1) / m, rel=1e-14)
+    assert diffusive == pytest.approx(math.sqrt((m + 1) / (m * rho_d)), rel=1e-14)
 
 
 def test_zero_demand_costs_nothing():
-    setting = DealerSetting()
-    assert simulate_costs(setting, ZERO, [0.01], 0, 0)[0][0][0] == 0.0
+    market = dealers_only_market(0.01, 0.1, 1, ZERO)
+    assert simulate_costs(market, 1.0, [0.01], 0, 0)[0][0][0] == 0.0
 
 
 def test_cost_routes_are_summation_by_parts_twins():
     # -sum K du vs +sum u dK agree to rounding (K_0 = 0, u_T = 0)
-    ag = DealerSetting(n_dealers=3).aggregates(1e-3)
+    ag = aggregate(dealers_only_market(1e-3, 0.1, 3, ZERO))
     h = Horizon.uniform(1.0, steps_for(ag.delta, 1.0))
     realized = realize_driver(((1.0, UNIT_RATE),), h)
     _, u = solve_forward(realized, ag.delta, h)
@@ -88,16 +129,15 @@ def test_cost_routes_are_summation_by_parts_twins():
 def test_unit_smooth_demand_limit():
     # K^N_t = t: cost/lam -> (M+1)/M * T as lam -> 0
     for m in (1, 3):
-        setting = DealerSetting(n_dealers=m)
-        c = simulate_costs(setting, UNIT_RATE, [1e-5], 0, 0)[0][0][0]
+        c = simulate_costs(dealers_only_market(1e-5, 0.1, m, UNIT_RATE), 1.0, [1e-5], 0, 0)[0][0][0]
         assert c / 1e-5 == pytest.approx((m + 1) / m, rel=2e-2)
         # finite-lam value sits below the limit by ~1/(sqrt(delta) T)
         assert c / 1e-5 < (m + 1) / m
 
 
 def test_deterministic_smooth_scaling_study():
-    setting = DealerSetting(n_dealers=2)
-    rep = scaling_study(setting, UNIT_RATE, [1e-1, 1e-2, 1e-3, 1e-4, 1e-5], n_paths=0)
+    market = dealers_only_market(1e-5, 0.1, 2, UNIT_RATE)
+    rep = scaling_study(market, 1.0, [1e-1, 1e-2, 1e-3, 1e-4, 1e-5], n_paths=0)
     assert rep.family == "smooth"
     assert rep.stderrs == [0.0] * 5
     assert 0.95 <= rep.slope <= 1.05
@@ -109,8 +149,7 @@ def test_smooth_prefactor_independent_of_dealer_inventory_cost():
     # the smooth-demand law has no rho_d in its leading term
     prefs = []
     for rho in (0.05, 0.1, 0.2):
-        setting = DealerSetting(n_dealers=2, rho_d=rho)
-        c = simulate_costs(setting, UNIT_RATE, [1e-5], 0, 0)[0][0][0]
+        c = simulate_costs(dealers_only_market(1e-5, rho, 2, UNIT_RATE), 1.0, [1e-5], 0, 0)[0][0][0]
         prefs.append(c / 1e-5)
     assert max(prefs) / min(prefs) < 1.005
 
@@ -120,8 +159,8 @@ def test_deterministic_varying_rate_demand():
     n = 40_000
     h = Horizon.uniform(1.0, n)
     rate = Deterministic(tuple(1.0 + np.sin(2 * np.pi * h.grid)))
-    setting = DealerSetting(n_dealers=2)
-    c = simulate_costs(setting, SmoothRate(rate), [1e-5], 0, 0, steps=[n])[0][0][0]
+    market = dealers_only_market(1e-5, 0.1, 2, SmoothRate(rate))
+    c = simulate_costs(market, 1.0, [1e-5], 0, 0, steps=[n])[0][0][0]
     assert c / 1e-5 == pytest.approx(1.5 * 1.5, rel=0.02)
 
 
@@ -141,20 +180,17 @@ def test_expected_square_rate_integrals():
 
 
 def test_diffusive_prefactor_small_lambda():
-    setting = DealerSetting(n_dealers=2, rho_d=0.1)
-    dem = BrownianMartingale(0.0, 1.0)
-    (costs,), _ = simulate_costs(setting, dem, [1e-4], 3000, seed=11)
+    market = dealers_only_market(1e-4, 0.1, 2, BrownianMartingale(0.0, 1.0))
+    (costs,), _ = simulate_costs(market, 1.0, [1e-4], 3000, seed=11)
     pref = costs.mean() / np.sqrt(1e-4)
-    theory = theoretical_prefactor(setting, dem)
+    theory = theoretical_prefactor(market, 1.0)
     se = costs.std(ddof=1) / np.sqrt(3000) / np.sqrt(1e-4)
     assert abs(pref - theory) < 0.05 * theory + 2 * se
 
 
 def test_diffusive_slope_window():
-    setting = DealerSetting(n_dealers=2, rho_d=0.1)
-    rep = scaling_study(
-        setting, BrownianMartingale(0.0, 1.0), [1e-1, 1e-2, 1e-3], n_paths=1500, seed=4
-    )
+    market = dealers_only_market(1e-3, 0.1, 2, BrownianMartingale(0.0, 1.0))
+    rep = scaling_study(market, 1.0, [1e-1, 1e-2, 1e-3], n_paths=1500, seed=4)
     assert rep.family == "diffusive"
     assert 0.45 <= rep.slope <= 0.55
 
@@ -165,31 +201,31 @@ def test_diffusive_prefactor_scales_with_inventory_cost():
     lam = 1e-4
     prefs = {}
     for rho in (0.05, 0.2):
-        (costs,), _ = simulate_costs(DealerSetting(2, rho), dem, [lam], 2500, seed=9)
+        market = dealers_only_market(lam, rho, 2, dem)
+        (costs,), _ = simulate_costs(market, 1.0, [lam], 2500, seed=9)
         prefs[rho] = costs.mean() / np.sqrt(lam)
     assert prefs[0.05] / prefs[0.2] == pytest.approx(np.sqrt(0.2 / 0.05), rel=0.05)
 
 
 def test_ou_demand_family_prefactor():
     # second diffusive family: OU demand with constant diffusion coefficient
-    setting = DealerSetting(n_dealers=1, rho_d=0.1)
     dem = OrnsteinUhlenbeck(x0=0.0, kappa=2.0, theta=0.0, sigma=0.8)
-    (costs,), _ = simulate_costs(setting, dem, [1e-4], 2500, seed=13)
-    theory = theoretical_prefactor(setting, dem)
+    market = dealers_only_market(1e-4, 0.1, 1, dem)
+    (costs,), _ = simulate_costs(market, 1.0, [1e-4], 2500, seed=13)
+    theory = theoretical_prefactor(market, 1.0)
     assert theory == pytest.approx(np.sqrt(2 / 0.1) * 0.64, rel=1e-12)
     assert costs.mean() / np.sqrt(1e-4) == pytest.approx(theory, rel=0.05)
 
 
 def test_monte_carlo_reproducibility_and_worker_invariance():
-    setting = DealerSetting(n_dealers=1)
-    dem = BrownianMartingale(0.0, 1.0)
-    (a,), (ta,) = simulate_costs(setting, dem, [1e-2], 600, seed=21)
-    (b,), (tb,) = simulate_costs(setting, dem, [1e-2], 600, seed=21)
+    market = dealers_only_market(1e-2, 0.1, 1, BrownianMartingale(0.0, 1.0))
+    (a,), (ta,) = simulate_costs(market, 1.0, [1e-2], 600, seed=21)
+    (b,), (tb,) = simulate_costs(market, 1.0, [1e-2], 600, seed=21)
     np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(ta, tb)
     # one chunk per worker: 600 paths as 120-path and 86-path chunks
     for workers in (5, 7):
-        (c,), (tc,) = simulate_costs(setting, dem, [1e-2], 600, seed=21, workers=workers)
+        (c,), (tc,) = simulate_costs(market, 1.0, [1e-2], 600, seed=21, workers=workers)
         np.testing.assert_array_equal(a, c)
         np.testing.assert_array_equal(ta, tc)
 
@@ -214,7 +250,8 @@ def test_brownian_sweep_bytes_are_pinned(demand, cost_sha256, track_sha256):
     # recorded when the sweep took Heun's step as U' = a U + b u + c g' and weighted each
     # node of the tracking trapezoid once; smooth-brownian's since the rate weight's
     # 1 - sech(x) is taken without cancellation
-    (costs,), (tracks,) = simulate_costs(DealerSetting(n_dealers=2), demand, [1e-2], 64, 7)
+    market = dealers_only_market(1e-2, 0.1, 2, demand)
+    (costs,), (tracks,) = simulate_costs(market, 1.0, [1e-2], 64, 7)
     assert hashlib.sha256(costs.tobytes()).hexdigest() == cost_sha256
     assert hashlib.sha256(tracks.tobytes()).hexdigest() == track_sha256
 
@@ -231,10 +268,11 @@ def test_brownian_sweep_bytes_are_pinned(demand, cost_sha256, track_sha256):
 )
 def test_sweep_matches_forward_solve_path_by_path(demand):
     # the fused sweep and realize + solve_forward on the same normals
-    setting, lam, n_paths, seed = DealerSetting(n_dealers=2), 1e-3, 64, 7
-    (costs,), (tracks,) = simulate_costs(setting, demand, [lam], n_paths, seed)
-    ag = setting.aggregates(lam)
-    h = Horizon.uniform(setting.T, steps_for(ag.delta, setting.T))
+    lam, n_paths, seed = 1e-3, 64, 7
+    market = dealers_only_market(lam, 0.1, 2, demand)
+    (costs,), (tracks,) = simulate_costs(market, 1.0, [lam], n_paths, seed)
+    ag = aggregate(market)
+    h = Horizon.uniform(1.0, steps_for(ag.delta, 1.0))
     z = normal_block(path_streams(seed, 0, n_paths), h.n_steps)
     path = realize(demand, h, z=z)
     realized = RealizedDriver(((1.0, demand),), {demand: path})
@@ -257,11 +295,12 @@ def test_sweep_matches_forward_solve_path_by_path(demand):
 )
 def test_time_slices_change_no_path(demand, monkeypatch):
     # slice widths that do not divide the steps, or cover them all, across worker splits
-    setting, lam, n_paths, steps = DealerSetting(n_dealers=2), 1e-2, 20, 50
+    lam, n_paths, steps = 1e-2, 20, 50
+    market = dealers_only_market(lam, 0.1, 2, demand)
     runs = []
     for width, workers in ((steps, 1), (7, 4), (7, 1), (500, 3)):
         monkeypatch.setattr(asymptotics, "SLICE_STEPS", width)
-        runs.append(simulate_costs(setting, demand, [lam], n_paths, 5, [steps], workers))
+        runs.append(simulate_costs(market, 1.0, [lam], n_paths, 5, [steps], workers))
     for costs, tracks in runs[1:]:
         np.testing.assert_array_equal(costs, runs[0][0])
         np.testing.assert_array_equal(tracks, runs[0][1])
@@ -282,10 +321,11 @@ def test_one_call_over_impact_costs_is_one_call_per_impact_cost(demand, workers,
     # 30-, 40- and 60-step grids share the 60-step draw: at width 7 every grid ends inside
     # a slice, at 10 every grid ends on a slice edge, at 20 the 30-step grid ends mid-slice
     monkeypatch.setattr(asymptotics, "SLICE_STEPS", width)
-    setting, lambdas, steps = DealerSetting(n_dealers=2), [1e-1, 1e-2, 1e-3], [30, 40, 60]
-    costs, tracks = simulate_costs(setting, demand, lambdas, 20, 5, steps, workers)
+    lambdas, steps = [1e-1, 1e-2, 1e-3], [30, 40, 60]
+    market = dealers_only_market(lambdas[0], 0.1, 2, demand)
+    costs, tracks = simulate_costs(market, 1.0, lambdas, 20, 5, steps, workers)
     for lam, n, cost, track in zip(lambdas, steps, costs, tracks):
-        (one_cost,), (one_track,) = simulate_costs(setting, demand, [lam], 20, 5, [n], workers)
+        (one_cost,), (one_track,) = simulate_costs(market, 1.0, [lam], 20, 5, [n], workers)
         np.testing.assert_array_equal(cost, one_cost)
         np.testing.assert_array_equal(track, one_track)
 
@@ -308,7 +348,7 @@ def test_a_chunk_draws_its_normals_once_for_its_longest_grid(monkeypatch):
     monkeypatch.setattr(asymptotics, "_chunk_sweep", recording_sweep)
     monkeypatch.setattr(asymptotics, "standard_normal_block", counted_draw)
     monkeypatch.setattr(asymptotics, "SLICE_STEPS", 16)
-    simulate_costs(DealerSetting(n_dealers=2), BrownianMartingale(0.0, 1.0),
+    simulate_costs(dealers_only_market(1e-1, 0.1, 2, BrownianMartingale(0.0, 1.0)), 1.0,
                    [1e-1, 1e-2, 1e-3], 200, 5, [30, 40, 60], 3)
     assert [c["paths"] for c in chunks] == [67, 67, 66]
     for c in chunks:
@@ -319,8 +359,8 @@ def test_a_chunk_draws_its_normals_once_for_its_longest_grid(monkeypatch):
 def test_sweep_memory_is_bounded_by_the_slice():
     # the (paths x steps) normal block is never built: peak well under a quarter of it
     n_paths, steps = 256, 20_000
-    _, peak = traced_peak(simulate_costs, DealerSetting(n_dealers=2), BrownianMartingale(0.0, 1.0),
-                          [1e-5], n_paths, 3, [steps])
+    market = dealers_only_market(1e-5, 0.1, 2, BrownianMartingale(0.0, 1.0))
+    _, peak = traced_peak(simulate_costs, market, 1.0, [1e-5], n_paths, 3, [steps])
     assert peak < n_paths * steps * 8 / 4
 
 
@@ -328,9 +368,9 @@ def test_sweep_memory_is_bounded_by_the_slice():
 def test_one_chunk_across_partial_tiles_matches_small_chunks(width, monkeypatch):
     # 130 paths fill two 64-path tiles and a 2-path one; 7 workers' 19-path chunks fill none
     monkeypatch.setattr(asymptotics, "SLICE_STEPS", width)
-    setting, demand, steps = DealerSetting(n_dealers=2), BrownianMartingale(0.3, 1.0), 50
-    whole = simulate_costs(setting, demand, [1e-2], 130, 9, [steps], 1)
-    split = simulate_costs(setting, demand, [1e-2], 130, 9, [steps], 7)
+    market, steps = dealers_only_market(1e-2, 0.1, 2, BrownianMartingale(0.3, 1.0)), 50
+    whole = simulate_costs(market, 1.0, [1e-2], 130, 9, [steps], 1)
+    split = simulate_costs(market, 1.0, [1e-2], 130, 9, [steps], 7)
     for a, b in zip(whole, split):
         np.testing.assert_array_equal(a, b)
 
@@ -354,11 +394,11 @@ def test_costs_do_not_depend_on_the_fill_threads(width, monkeypatch):
     # 130 paths in one chunk (three tiles) or in 7 chunks of 19 (one tile each), on 1 or 3
     # fill threads
     monkeypatch.setattr(asymptotics, "SLICE_STEPS", width)
-    setting, demand = DealerSetting(n_dealers=2), OrnsteinUhlenbeck(0.2, 2.0, -0.4, 0.8)
+    market = dealers_only_market(1e-1, 0.1, 2, OrnsteinUhlenbeck(0.2, 2.0, -0.4, 0.8))
     runs = []
     for cpus, workers in ((1, 1), (3, 1), (1, 7), (3, 7)):
         monkeypatch.setattr("dealerlab.paths._cpus", lambda k=cpus: k)
-        runs.append(simulate_costs(setting, demand, [1e-1, 1e-2], 130, 9, [30, 50], workers))
+        runs.append(simulate_costs(market, 1.0, [1e-1, 1e-2], 130, 9, [30, 50], workers))
     for costs, tracks in runs[1:]:
         for got, want in zip(costs + tracks, runs[0][0] + runs[0][1]):
             np.testing.assert_array_equal(got, want)
@@ -367,8 +407,8 @@ def test_costs_do_not_depend_on_the_fill_threads(width, monkeypatch):
 def test_sweep_memory_at_the_default_chunk_is_one_slice_buffer():
     # the step-major buffer, chunk x SLICE_STEPS floats, plus one tile and O(chunk) state
     n_paths, steps = 2048, 3000
-    _, peak = traced_peak(simulate_costs, DealerSetting(n_dealers=2), BrownianMartingale(0.0, 1.0),
-                          [1e-3], n_paths, 3, [steps])
+    market = dealers_only_market(1e-3, 0.1, 2, BrownianMartingale(0.0, 1.0))
+    _, peak = traced_peak(simulate_costs, market, 1.0, [1e-3], n_paths, 3, [steps])
     assert peak < 1.25 * n_paths * asymptotics.SLICE_STEPS * 8
 
 
@@ -383,7 +423,7 @@ def test_sweep_memory_does_not_grow_with_the_step_count(demand):
     # each slice builds its own F, Heun coefficients, tracking weights, G coefficients and
     # stepper: 8 paths on one market peak alike on 10,000 and 40,000 steps, the grids' nodes
     # built before tracing starts (whole-grid arrays grew 48 and 143 B a step)
-    ag = DealerSetting(n_dealers=2).aggregates(1e-5)
+    ag = aggregate(dealers_only_market(1e-5, 0.1, 2, demand))
     asymptotics._chunk_sweep(demand, [(ag, Horizon.uniform(1.0, 10))], 3, 0, 8)  # first calls
     peaks = []
     for steps in (10_000, 40_000):
@@ -406,7 +446,8 @@ def test_chunks_follow_the_worker_count(monkeypatch):
                                    (5000, 1, [2048, 2048, 904]), (5000, 2, [2048, 2048, 904]),
                                    (8, 1000, [1] * 8)):
         counts.clear()
-        simulate_costs(DealerSetting(n_dealers=2), demand, [1e-2], n_paths, 1, [16], workers)
+        simulate_costs(dealers_only_market(1e-2, 0.1, 2, demand), 1.0, [1e-2], n_paths, 1, [16],
+                       workers)
         assert sorted(counts, reverse=True) == want, (n_paths, workers)
 
 
@@ -421,11 +462,11 @@ def test_chunks_run_on_the_calling_thread(monkeypatch):
         return sweep(*args)
 
     monkeypatch.setattr(asymptotics, "_chunk_sweep", recording_sweep)
-    setting, demand = DealerSetting(n_dealers=2), BrownianMartingale(0.0, 1.0)
-    serial = simulate_costs(setting, demand, [1e-2], 16, seed=3, steps=[40])
+    market = dealers_only_market(1e-2, 0.1, 2, BrownianMartingale(0.0, 1.0))
+    serial = simulate_costs(market, 1.0, [1e-2], 16, seed=3, steps=[40])
     threads.clear()
     starts.clear()
-    chunked = simulate_costs(setting, demand, [1e-2], 16, seed=3, steps=[40], workers=8)
+    chunked = simulate_costs(market, 1.0, [1e-2], 16, seed=3, steps=[40], workers=8)
     assert threads == [threading.get_ident()] * 8
     assert starts == list(range(0, 16, 2))
     for a, b in zip(serial, chunked):
@@ -439,14 +480,15 @@ def test_an_unstable_step_is_refused_before_the_sweep(monkeypatch):
 
     monkeypatch.setattr(asymptotics, "_chunk_sweep", no_sweep)
     with pytest.raises(ValueError, match=r"lambda=0.01: .*max F\*dt = 6.45 > 2 on 4 steps"):
-        simulate_costs(DealerSetting(n_dealers=2), BrownianMartingale(0.0, 1.0), [1e-2], 8, 1, [4])
+        simulate_costs(dealers_only_market(1e-2, 0.1, 2, BrownianMartingale(0.0, 1.0)), 1.0,
+                       [1e-2], 8, 1, [4])
 
 
 @pytest.mark.parametrize("workers", [0, -4])
 def test_workers_below_one_are_rejected(workers):
     with pytest.raises(ValueError, match="workers"):
-        simulate_costs(DealerSetting(n_dealers=2), BrownianMartingale(0.0, 1.0), [1e-2], 8, 1,
-                       workers=workers)
+        simulate_costs(dealers_only_market(1e-2, 0.1, 2, BrownianMartingale(0.0, 1.0)), 1.0,
+                       [1e-2], 8, 1, workers=workers)
 
 
 @pytest.mark.parametrize(
@@ -465,17 +507,27 @@ def test_workers_below_one_are_rejected(workers):
 def test_count_inputs_are_integers(demand, n_paths, seed, workers, named):
     # a float path count died in range(); the others ran, a deterministic demand's seed unread
     with pytest.raises(ValueError, match=rf"^{named} must "):
-        simulate_costs(DealerSetting(n_dealers=2), demand, [1e-2], n_paths, seed, [16], workers)
+        simulate_costs(dealers_only_market(1e-2, 0.1, 2, demand), 1.0, [1e-2], n_paths, seed,
+                       [16], workers)
 
 
 def test_scaling_study_rejects_repeated_impact_costs():
     with pytest.raises(ValueError, match="distinct"):
-        scaling_study(DealerSetting(2, 0.1), BrownianMartingale(0.0, 1.0), [1e-2, 1e-2], 8)
+        scaling_study(dealers_only_market(1e-2, 0.1, 2, BrownianMartingale(0.0, 1.0)), 1.0,
+                      [1e-2, 1e-2], 8)
 
 
 def test_scaling_study_rejects_an_empty_impact_cost_list():
     with pytest.raises(ValueError, match="one or more"):
-        scaling_study(DealerSetting(2, 0.1), UNIT_RATE, [], 0)
+        scaling_study(dealers_only_market(1e-2, 0.1, 2, UNIT_RATE), 1.0, [], 0)
+
+
+def test_scaling_study_refuses_a_zero_impact_cost():
+    # a dealer with a costly own route makes lambda = 0 a market, but not a point of the law
+    market = MarketParams(0.0, (AgentSpec("dealer0", 1.0, 0.1, open_cost=1e-3),),
+                          BrownianMartingale(0.0, 1.0))
+    with pytest.raises(ValueError, match="positive"):
+        scaling_study(market, 1.0, [0.0, 1e-2], 8)
 
 
 @pytest.mark.parametrize(
@@ -492,26 +544,25 @@ def test_study_entry_points_reject_invalid_demand(demand):
 
 def test_smooth_stochastic_matches_theory():
     # OU-rate smooth demand: E cost / lam -> (M+1)/M E int mu^2 dt
-    setting = DealerSetting(n_dealers=2)
     dem = SmoothRate(OrnsteinUhlenbeck(x0=1.0, kappa=1.0, theta=1.0, sigma=0.3))
-    (costs,), _ = simulate_costs(setting, dem, [1e-4], 2000, seed=6)
-    theory = theoretical_prefactor(setting, dem)
+    market = dealers_only_market(1e-4, 0.1, 2, dem)
+    (costs,), _ = simulate_costs(market, 1.0, [1e-4], 2000, seed=6)
+    theory = theoretical_prefactor(market, 1.0)
     se = costs.std(ddof=1) / np.sqrt(2000) / 1e-4
     assert costs.mean() / 1e-4 == pytest.approx(theory, abs=0.03 * theory + 2 * se)
 
 
 def test_convergence_proxy_decreases():
-    setting = DealerSetting(n_dealers=1, rho_d=0.1)
-    rep = scaling_study(
-        setting, BrownianMartingale(0.0, 1.0), [1e-1, 1e-2, 1e-3, 1e-4], n_paths=2000, seed=2
-    )
+    market = dealers_only_market(1e-4, 0.1, 1, BrownianMartingale(0.0, 1.0))
+    rep = scaling_study(market, 1.0, [1e-1, 1e-2, 1e-3, 1e-4], n_paths=2000, seed=2)
     assert rep.track_monotone_within_2se
     assert rep.track_reduction_factor >= 10.0
 
 
 def test_convergence_proxy_zero_demand():
     # no demand, nothing to track: the reduction factor and the slope are null, never NaN
-    rep = scaling_study(DealerSetting(), SmoothRate(Constant(0.0)), [1e-1, 1e-3], n_paths=0)
+    market = dealers_only_market(1e-3, 0.1, 1, SmoothRate(Constant(0.0)))
+    rep = scaling_study(market, 1.0, [1e-1, 1e-3], n_paths=0)
     assert rep.track_means == [0.0, 0.0]
     assert rep.track_reduction_factor is None
     assert rep.slope is None
@@ -522,66 +573,66 @@ def test_tracking_improves_with_harsher_inventory_penalty():
     dem = BrownianMartingale(0.0, 1.0)
     tracks = {}
     for rho in (0.05, 0.4):
-        _, (t,) = simulate_costs(DealerSetting(1, rho), dem, [1e-2], 1500, seed=5)
+        _, (t,) = simulate_costs(dealers_only_market(1e-2, rho, 1, dem), 1.0, [1e-2], 1500, seed=5)
         tracks[rho] = t.mean()
     assert tracks[0.05] < tracks[0.4]
 
 
 def test_step_cap_is_reported(monkeypatch, caplog):
-    setting = DealerSetting(n_dealers=2)
-    wanted = steps_for(setting.aggregates(1e-3).delta, setting.T)
+    market = dealers_only_market(1e-3, 0.1, 2, UNIT_RATE)
+    wanted = steps_for(aggregate(market).delta, 1.0)
     with monkeypatch.context() as patch, caplog.at_level(
         logging.WARNING, logger="dealerlab.asymptotics"
     ):
         patch.setattr(asymptotics, "STEP_CAP", 1000)
-        rep = scaling_study(setting, UNIT_RATE, [1e-3], n_paths=0)
+        rep = scaling_study(market, 1.0, [1e-3], n_paths=0)
     assert rep.steps == [1000]
     assert len(rep.warnings) == 1
     for part in ("lambda=0.001", f"{wanted} steps wanted", "1000 used"):
         assert part in rep.warnings[0]
     assert rep.warnings[0] in caplog.text
-    assert scaling_study(setting, UNIT_RATE, [1e-3], n_paths=0).warnings == []
+    assert scaling_study(market, 1.0, [1e-3], n_paths=0).warnings == []
 
 
 def test_stderr_warning_on_thin_sampling():
     # two paths at this seed leave the smallest-lambda stderr above 10%
-    setting = DealerSetting(n_dealers=1)
-    rep = scaling_study(
-        setting, BrownianMartingale(0.0, 1.0), [1e-1, 1e-2], n_paths=2, seed=1
-    )
+    market = dealers_only_market(1e-2, 0.1, 1, BrownianMartingale(0.0, 1.0))
+    rep = scaling_study(market, 1.0, [1e-1, 1e-2], n_paths=2, seed=1)
     assert rep.warnings
 
 
 def test_deterministic_demand_is_one_exact_row_on_every_route():
-    setting, lam = DealerSetting(n_dealers=2), 1e-3
-    (costs,), (tracks,) = simulate_costs(setting, UNIT_RATE, [lam], 0, 0)
+    lam = 1e-3
+    market = dealers_only_market(lam, 0.1, 2, UNIT_RATE)
+    (costs,), (tracks,) = simulate_costs(market, 1.0, [lam], 0, 0)
     assert costs.shape == tracks.shape == (1,)
-    assert simulate_costs(setting, UNIT_RATE, [lam], 500, 3)[0][0][0] == costs[0]
-    rep = scaling_study(setting, UNIT_RATE, [lam], n_paths=0)
+    assert simulate_costs(market, 1.0, [lam], 500, 3)[0][0][0] == costs[0]
+    rep = scaling_study(market, 1.0, [lam], n_paths=0)
     assert (rep.means, rep.stderrs, rep.path_counts) == ([costs[0]], [0.0], [1])
     assert (rep.track_means, rep.track_stderrs) == ([tracks[0]], [0.0])
 
 
 @pytest.mark.parametrize("n_paths", [0, 1])
 def test_monte_carlo_needs_two_paths(n_paths):
-    setting, demand = DealerSetting(n_dealers=2), BrownianMartingale(0.0, 1.0)
+    market = dealers_only_market(1e-2, 0.1, 2, BrownianMartingale(0.0, 1.0))
     for study in (
-        lambda: simulate_costs(setting, demand, [1e-2], n_paths, seed=1),
-        lambda: scaling_study(setting, demand, [1e-1, 1e-2], n_paths=n_paths, seed=1),
+        lambda: simulate_costs(market, 1.0, [1e-2], n_paths, seed=1),
+        lambda: scaling_study(market, 1.0, [1e-1, 1e-2], n_paths=n_paths, seed=1),
     ):
         with pytest.raises(ValueError, match="at least 2 paths"):
             study()
 
 
 def test_step_cap_is_logged_by_every_entry_point(monkeypatch, caplog):
-    setting = DealerSetting(n_dealers=2)
-    note = f"{steps_for(setting.aggregates(1e-3).delta, setting.T)} steps wanted, 1000 used"
+    smooth = dealers_only_market(1e-3, 0.1, 2, UNIT_RATE)
+    diffusive = dealers_only_market(1e-3, 0.1, 2, BrownianMartingale(0.0, 1.0))
+    note = f"{steps_for(aggregate(smooth).delta, 1.0)} steps wanted, 1000 used"
     monkeypatch.setattr(asymptotics, "STEP_CAP", 1000)
     for study in (
-        lambda: simulate_costs(setting, UNIT_RATE, [1e-3], 0, 0),
-        lambda: simulate_costs(setting, BrownianMartingale(0.0, 1.0), [1e-3], 8, 1),
-        lambda: scaling_study(setting, BrownianMartingale(0.0, 1.0), [1e-3], 8, 1),
-        lambda: scaling_study(setting, UNIT_RATE, [1e-3], n_paths=0),
+        lambda: simulate_costs(smooth, 1.0, [1e-3], 0, 0),
+        lambda: simulate_costs(diffusive, 1.0, [1e-3], 8, 1),
+        lambda: scaling_study(diffusive, 1.0, [1e-3], 8, 1),
+        lambda: scaling_study(smooth, 1.0, [1e-3], n_paths=0),
     ):
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="dealerlab.asymptotics"):
@@ -589,5 +640,5 @@ def test_step_cap_is_logged_by_every_entry_point(monkeypatch, caplog):
         assert caplog.text.count(note) == 1
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="dealerlab.asymptotics"):
-        simulate_costs(setting, UNIT_RATE, [1e-1], 0, 0)
+        simulate_costs(smooth, 1.0, [1e-1], 0, 0)
     assert "step cap" not in caplog.text

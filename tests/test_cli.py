@@ -341,7 +341,8 @@ def test_repeated_impact_cost_exits_one(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "flag, value, field",
-    [("--rho-d", "0", "rho_d"), ("--rho-d", "-1", "rho_d"), ("--m", "0", "n_dealers"),
+    [("--rho-d", "0", "agent dealer0: risk tolerance"),
+     ("--rho-d", "-1", "agent dealer0: risk tolerance"), ("--m", "0", "n_dealers"),
      ("--T", "0", "T")],
 )
 def test_scaling_rejects_a_bad_dealer_setting(tmp_path, capsys, flag, value, field):

@@ -16,6 +16,7 @@ from dealerlab.kernel import (
 )
 
 from crosschecks import eval_k, simpson
+from memory import traced_peak
 
 SQRT50 = 7.0710678118654755
 
@@ -34,8 +35,10 @@ def test_horizon_validation():
         Horizon(T=-1.0, grid=np.array([0.0, -1.0]))
     with pytest.raises(ValueError):
         Horizon(T=1.0, grid=np.array([0.0, 0.5, 0.5, 1.0]))
-    with pytest.raises(ValueError, match="^grid must be strictly increasing$"):
-        Horizon(T=1.0, grid=np.array([0.0, math.nan, 1.0]))  # NaN steps compare False
+    for nodes in ([0.0, math.nan, 1.0], [0.0, 0.5, 0.5, 1.0], [0.0, 0.7, 0.3, 1.0],
+                  [0.0, math.inf, 1.0]):  # a NaN node compares False either way
+        with pytest.raises(ValueError, match="^grid must be strictly increasing$"):
+            Horizon(T=1.0, grid=np.array(nodes))
     with pytest.raises(ValueError):
         Horizon(T=1.0, grid=np.array([0.1, 1.0]))
     for T in (math.nan, math.inf):
@@ -46,6 +49,13 @@ def test_horizon_validation():
     for steps in (2.5, True, 0):
         with pytest.raises(ValueError, match=f"^steps .* got {steps!r}$"):
             Horizon.uniform(1.0, steps)
+
+
+def test_horizon_memory_is_the_grid_and_one_bool_a_step():
+    # linspace's 8 B a step and the check's one bool; np.diff's steps made it 17 B a step
+    Horizon.uniform(1.0, 10)  # first calls
+    peaks = [traced_peak(Horizon.uniform, 1.0, n)[1] for n in (50_000, 200_000)]
+    assert (peaks[1] - peaks[0]) / 150_000 < 10
 
 
 @pytest.mark.parametrize("value", [0, -1.0, math.nan, math.inf])

@@ -178,15 +178,15 @@ def test_a_seed_or_path_index_that_is_no_key_word_is_a_value_error(value):
 
 @pytest.mark.parametrize("seed", [1.5, True])
 def test_library_runs_refuse_a_seed_that_is_no_integer(seed):
-    from dealerlab.asymptotics import DealerSetting, simulate_costs
+    from dealerlab.asymptotics import simulate_costs
     from dealerlab.equilibrium import solve_equilibrium
-    from dealerlab.market import segmented_market
+    from dealerlab.market import dealers_only_market, segmented_market
 
     bm, h = BrownianMartingale(0.0, 1.0), Horizon.uniform(1.0, 100)
     with pytest.raises(ValueError, match="^seed must lie in"):
         solve_equilibrium(segmented_market(0.1, 0.1, 0.1, 1, bm), h, seed=seed)
     with pytest.raises(ValueError, match="^seed must lie in"):
-        simulate_costs(DealerSetting(), bm, [0.1], 4, seed=seed, steps=[50])
+        simulate_costs(dealers_only_market(0.1, 0.1, 1, bm), 1.0, [0.1], 4, seed=seed, steps=[50])
     with pytest.raises(ValueError, match="^path index must lie in"):
         solve_equilibrium(segmented_market(0.1, 0.1, 0.1, 1, bm), h, seed=1, path_index=0.9)
 
