@@ -329,13 +329,14 @@ def scaling_study(
     """Mean cost per impact cost, log-log slope, the leading-order prefactor, and tracking.
 
     One ``simulate_costs`` call sweeps the market's noise demand on [0, T]
-    at every impact cost over one draw of normals (a deterministic demand is one exact row per impact cost, with
-    standard error 0); grids clipped at ``STEP_CAP`` are listed in the
-    warnings, and every grid is checked for a stable step before the first
-    sweep runs.  The prefactor is read off at the smallest impact cost as
-    mean / lam^order, next to the theory value of the market at that impact
-    cost.  The impact costs must be one or more, distinct and positive;
-    with only one there is no slope and no reduction factor.
+    at every impact cost over one draw of normals (a deterministic demand is
+    one exact row per impact cost, with standard error 0); grids clipped at
+    ``STEP_CAP`` are listed in the warnings, and every grid is checked for a
+    stable step before the first sweep runs.  The prefactor is read off at
+    the smallest impact cost as mean / lam^order, next to the theory value
+    of the market at that impact cost.  The impact costs must be one or
+    more, distinct and positive; with only one there is no slope and no
+    reduction factor.
 
     The same sweeps give the price-convergence proxy E integral
     (K^N - U_bar)^2 dt, which must fall (within two standard errors) as the

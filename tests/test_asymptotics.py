@@ -65,31 +65,25 @@ def test_dealer_setting_validates_itself(kwargs, field):
         scaling_study(market, setting["T"], [1e-2], n_paths=0)
 
 
-@pytest.mark.parametrize("T", [0.0, -1.0, math.nan, math.inf])
-@pytest.mark.parametrize("entry", ["simulate_costs", "scaling_study"])
-def test_study_entry_points_refuse_a_bad_horizon_before_any_grid(T, entry, monkeypatch):
-    # a NaN T reached math.ceil in steps_for; no grid is picked before the check
+@pytest.mark.parametrize(
+    "market, T, message",
+    [(dealers_only_market(1e-2, 0.1, 1, UNIT_RATE), T,
+      rf"^T must be positive and finite, got {T!r}$") for T in (0.0, -1.0, math.nan, math.inf)]
+    + [(MarketParams(1e-2, (AgentSpec("dealer0", 1.0, 0.1, target=Constant(-1.0)),), UNIT_RATE),
+        1.0, "^a cost study takes a market without trading targets")],
+    ids=["T=0", "T=-1", "T=nan", "T=inf", "target"],
+)
+@pytest.mark.parametrize("study", [simulate_costs, scaling_study],
+                         ids=["simulate_costs", "scaling_study"])
+def test_study_entry_points_refuse_before_any_grid(study, market, T, message, monkeypatch):
+    # a NaN T reached math.ceil in steps_for; the cost identity is for a market driven by
+    # its noise demand alone
     def no_grid(*args):
         raise AssertionError("a grid was picked")
 
     monkeypatch.setattr(asymptotics, "steps_for", no_grid)
-    study = {"simulate_costs": simulate_costs, "scaling_study": scaling_study}[entry]
-    with pytest.raises(ValueError, match=rf"^T must be positive and finite, got {T!r}$"):
-        study(dealers_only_market(1e-2, 0.1, 1, UNIT_RATE), T, [1e-2], 0, 0)
-
-
-@pytest.mark.parametrize("entry", ["simulate_costs", "scaling_study"])
-def test_study_entry_points_refuse_a_market_with_a_target(entry, monkeypatch):
-    # the cost identity is for a market driven by its noise demand alone
-    def no_grid(*args):
-        raise AssertionError("a grid was picked")
-
-    monkeypatch.setattr(asymptotics, "steps_for", no_grid)
-    market = MarketParams(1e-2, (AgentSpec("dealer0", 1.0, 0.1, target=Constant(-1.0)),),
-                          UNIT_RATE)
-    study = {"simulate_costs": simulate_costs, "scaling_study": scaling_study}[entry]
-    with pytest.raises(ValueError, match="without trading targets"):
-        study(market, 1.0, [1e-2], 0, 0)
+    with pytest.raises(ValueError, match=message):
+        study(market, T, [1e-2], 0, 0)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 10])
