@@ -1,12 +1,11 @@
 """Liquidity costs of noise-trader demand and their small-impact-cost scaling laws.
 
-A study reads any dealers-only market: agents without trading targets
-absorb its noise demand K^N.  At each impact cost lam the mesh rate delta
-and the impact weight 1/eta + 1/eta_bar are read from the aggregates of
-``replace(market, impact_cost=lam)``, exactly as the equilibrium reads
-them.  The noise traders' cost of trading through the dealers rather than
-at the fundamental price is computed D-free through the
-integration-by-parts identity
+A study sweeps a list of dealers-only markets of one noise demand K^N,
+absorbed by agents without trading targets.  Each market's mesh rate delta
+and impact weight 1/eta + 1/eta_bar are read from its own aggregates,
+exactly as the equilibrium reads them.  The noise traders' cost of trading
+through the dealers rather than at the fundamental price is computed D-free
+through the integration-by-parts identity
 
     cost = -(1/eta + 1/eta_bar) * integral K^N du_bar,
 
@@ -47,21 +46,23 @@ def steps_for(d: DeltaParam, T: float) -> int:
     return max(400, math.ceil(50 * d.sqrt_delta * T))
 
 
-def _require_study(market: MarketParams, T: float) -> None:
-    """Refuse a T that is not positive and finite, or a market with a trading target."""
+def _require_study(markets: list, T: float) -> None:
+    """Refuse no markets, two noise demands, a T that is not positive and finite, or a target."""
+    if not markets or any(m.noise_demand != markets[0].noise_demand for m in markets):
+        raise ValueError("a cost study takes one or more markets of one noise demand")
     require_positive("T", T)
-    if aggregate(market).xi_bar:
+    if any(aggregate(market).xi_bar for market in markets):
         raise ValueError("a cost study takes a market without trading targets, "
                          "driven by its noise demand alone")
 
 
-def _capped_steps(market: MarketParams, T: float, impact_cost: float):
+def _capped_steps(market: MarketParams, T: float):
     """``steps_for`` clipped at ``STEP_CAP``, and the note of a clip (None without one)."""
-    wanted = steps_for(aggregate(replace(market, impact_cost=impact_cost)).delta, T)
+    wanted = steps_for(aggregate(market).delta, T)
     steps = min(wanted, STEP_CAP)
     if steps == wanted:
         return steps, None
-    return steps, f"step cap at lambda={impact_cost:g}: {wanted} steps wanted, {steps} used"
+    return steps, f"step cap at lambda={market.impact_cost:g}: {wanted} steps wanted, {steps} used"
 
 
 def _step_context(impact_cost: float, clipped: str | None) -> str:
@@ -182,28 +183,27 @@ def _chunk_sweep(
 
 
 def simulate_costs(
-    market: MarketParams,
+    markets: list,
     T: float,
-    impact_costs,
     n_paths: int,
     seed: int,
     steps=None,
     workers: int = 1,
 ) -> tuple[list, list]:
-    """Per-path cost and tracking-integral arrays, path index order, for each impact cost.
+    """Per-path cost and tracking-integral arrays, path index order, for each market.
 
-    Returns (costs, tracks), one array per impact cost in each list: the
-    market's noise demand on [0, T], the market taking each impact cost in
-    place of its own; it must hold no trading target.  Each impact cost's
-    grid has ``steps`` steps (a sequence as long as ``impact_costs``), by
+    Returns (costs, tracks), one array per market in each list: the noise
+    demand on [0, T], which the markets must share, each market at its own
+    impact cost and agents; none may hold a trading target.  Each market's
+    grid has ``steps`` steps (a sequence as long as ``markets``), by
     default ``steps_for``'s clipped at ``STEP_CAP``, each clip logged.
     Every grid too coarse for a stable step is refused before any sweep
     (``require_stable_step``).  A deterministic demand gives one exact row
-    per impact cost.  A stochastic one needs two or more paths, each a pure
+    per market.  A stochastic one needs two or more paths, each a pure
     function of (seed, path index): the worker count sets the chunking only,
     never values.  The paths are split into one chunk per worker, of at most
     2048 paths, swept in order on the calling thread.  A chunk draws its
-    normals once, for its longest grid, and every impact cost reads them;
+    normals once, for its longest grid, and every market's grid reads them;
     its sweep holds about chunk x ``SLICE_STEPS`` x 8 bytes of normals, and
     each grid's sweep builds its per-step arrays one slice at a time.  The
     only arrays as long as a grid are its nodes, held to the end (the
@@ -213,21 +213,21 @@ def simulate_costs(
     the slice; the values do not depend on the CPU count, and the fill's own
     buffers hold one tile of ``TILE_PATHS`` streams in all.
     """
-    _require_study(market, T)
+    _require_study(markets, T)
     require_count("workers", workers, 1)
     require_count("n_paths", n_paths, 0)
     require_key_word("seed", seed)  # on both branches, though a deterministic demand draws none
-    demand = market.noise_demand
+    demand = markets[0].noise_demand
     if steps is None:
-        capped = [_capped_steps(market, T, lam) for lam in impact_costs]
+        capped = [_capped_steps(market, T) for market in markets]
     else:
         capped = [(n, None) for n in steps]
     grids = []
-    for lam, (n, clipped) in zip(impact_costs, capped, strict=True):
+    for market, (n, clipped) in zip(markets, capped, strict=True):
         if clipped:
             logger.warning(clipped)
-        ag, horizon = aggregate(replace(market, impact_cost=lam)), Horizon.uniform(T, n)
-        require_stable_step(ag.delta, horizon, _step_context(lam, clipped))
+        ag, horizon = aggregate(market), Horizon.uniform(T, n)
+        require_stable_step(ag.delta, horizon, _step_context(market.impact_cost, clipped))
         grids.append((ag, horizon))
     if demand.deterministic:
         pairs = []
@@ -328,28 +328,28 @@ def scaling_study(
 ) -> LiquidityCostReport:
     """Mean cost per impact cost, log-log slope, the leading-order prefactor, and tracking.
 
-    One ``simulate_costs`` call sweeps the market's noise demand on [0, T]
-    at every impact cost over one draw of normals (a deterministic demand is
-    one exact row per impact cost, with standard error 0); grids clipped at
-    ``STEP_CAP`` are listed in the warnings, and every grid is checked for a
-    stable step before the first sweep runs.  The prefactor is read off at
-    the smallest impact cost as mean / lam^order, next to the theory value
-    of the market at that impact cost.  The impact costs must be one or
-    more, distinct and positive; with only one there is no slope and no
-    reduction factor.
+    One ``simulate_costs`` call sweeps the market, taking each impact cost in
+    place of its own, over one draw of normals of its noise demand on [0, T]
+    (a deterministic demand is one exact row per impact cost, with standard
+    error 0); grids clipped at ``STEP_CAP`` are listed in the warnings, and
+    every grid is checked for a stable step before the first sweep runs.
+    The prefactor is read off at the smallest impact cost as mean /
+    lam^order, next to the theory value of the market at that impact cost.
+    The impact costs must be one or more, distinct and positive; with only
+    one there is no slope and no reduction factor.
 
     The same sweeps give the price-convergence proxy E integral
     (K^N - U_bar)^2 dt, which must fall (within two standard errors) as the
     open market becomes more liquid; its reduction factor is the mean at the
     largest impact cost over the mean at the smallest.
     """
-    _require_study(market, T)
-    order, _ = market.noise_demand.scaling_law(T)
     lambdas = sorted(float(x) for x in lambdas)
     if not lambdas or len(set(lambdas)) < len(lambdas) or not lambdas[0] > 0:
         raise ValueError(f"impact costs must be one or more, distinct and positive, got {lambdas}")
-    capped = [_capped_steps(market, T, lam) for lam in lambdas]  # the grids simulate_costs picks
-    costs, tracks = simulate_costs(market, T, lambdas, n_paths, seed, workers=workers)
+    markets = [replace(market, impact_cost=lam) for lam in lambdas]
+    costs, tracks = simulate_costs(markets, T, n_paths, seed, workers=workers)
+    capped = [_capped_steps(m, T) for m in markets]  # the grids simulate_costs picked
+    order, _ = market.noise_demand.scaling_law(T)
     means, stderrs = _means_stderrs(costs)
     track_means, track_stderrs = _means_stderrs(tracks)
     slope, ci = _slope_fit(lambdas, means)
@@ -367,7 +367,7 @@ def scaling_study(
         slope_ci=ci,
         prefactor=float(prefactor),
         prefactor_stderr=float(prefactor_se),
-        prefactor_theory=theoretical_prefactor(replace(market, impact_cost=lam_min), T),
+        prefactor_theory=theoretical_prefactor(markets[0], T),
         order_theory=order,
         track_means=track_means,
         track_stderrs=track_stderrs,

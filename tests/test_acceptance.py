@@ -153,13 +153,14 @@ def test_criterion_4_diffusive_demand_law():
     assert abs(rep.slope - 0.5) <= 0.05, rep.slope
     tol = 0.05 * rep.prefactor_theory + 2 * rep.prefactor_stderr
     assert abs(rep.prefactor - rep.prefactor_theory) <= tol
-    # rho_d sweep at the smallest impact cost: prefactor ~ rho_d^{-1/2}
+    # rho_d sweep at the smallest impact cost, one call over both markets: prefactor ~
+    # rho_d^{-1/2}
     prefs = {0.1: rep.prefactor}
-    for rho in (0.05, 0.2):
-        (costs,), _ = simulate_costs(
-            dealers_only_market(1e-5, rho, 2, demand), 1.0, [1e-5], 10_000, seed=17
-        )
-        prefs[rho] = float(np.mean(costs)) / math.sqrt(1e-5)
+    rhos = (0.05, 0.2)
+    costs, _ = simulate_costs([dealers_only_market(1e-5, rho, 2, demand) for rho in rhos], 1.0,
+                              10_000, seed=17)
+    for rho, rho_costs in zip(rhos, costs, strict=True):
+        prefs[rho] = float(np.mean(rho_costs)) / math.sqrt(1e-5)
     for rho in (0.05, 0.2):
         expected = prefs[0.1] * math.sqrt(0.1 / rho)
         assert abs(prefs[rho] - expected) <= 0.10 * expected, (rho, prefs)

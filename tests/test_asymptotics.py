@@ -4,6 +4,7 @@ import hashlib
 import logging
 import math
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -65,6 +66,10 @@ def test_dealer_setting_validates_itself(kwargs, field):
         scaling_study(market, setting["T"], [1e-2], n_paths=0)
 
 
+def no_grid(*args):
+    raise AssertionError("a grid was picked")
+
+
 @pytest.mark.parametrize(
     "market, T, message",
     [(dealers_only_market(1e-2, 0.1, 1, UNIT_RATE), T,
@@ -73,17 +78,45 @@ def test_dealer_setting_validates_itself(kwargs, field):
         1.0, "^a cost study takes a market without trading targets")],
     ids=["T=0", "T=-1", "T=nan", "T=inf", "target"],
 )
-@pytest.mark.parametrize("study", [simulate_costs, scaling_study],
+@pytest.mark.parametrize("study", [lambda market, T: simulate_costs([market], T, 0, 0),
+                                   lambda market, T: scaling_study(market, T, [1e-2], 0, 0)],
                          ids=["simulate_costs", "scaling_study"])
 def test_study_entry_points_refuse_before_any_grid(study, market, T, message, monkeypatch):
     # a NaN T reached math.ceil in steps_for; the cost identity is for a market driven by
     # its noise demand alone
-    def no_grid(*args):
-        raise AssertionError("a grid was picked")
-
     monkeypatch.setattr(asymptotics, "steps_for", no_grid)
     with pytest.raises(ValueError, match=message):
-        study(market, T, [1e-2], 0, 0)
+        study(market, T)
+
+
+@pytest.mark.parametrize(
+    "markets, n_paths",
+    [([], 8), ([], 0),
+     ([dealers_only_market(1e-2, 0.1, 2, BrownianMartingale(0.0, 1.0)),
+       dealers_only_market(1e-2, 0.1, 2, BrownianMartingale(0.0, 2.0))], 8),
+     ([dealers_only_market(1e-2, 0.1, 2, UNIT_RATE),
+       dealers_only_market(1e-2, 0.1, 2, SmoothRate(Constant(2.0)))], 0)],
+    ids=["none-monte-carlo", "none-exact", "two-brownians", "two-rates"],
+)
+def test_a_study_takes_one_or_more_markets_of_one_noise_demand(markets, n_paths, monkeypatch):
+    # an empty list died in _chunk_sweep's max() on the Monte Carlo branch (a Brownian
+    # demand, 8 paths) and came back as ([], []) on the exact one (a unit rate, 0 paths)
+    monkeypatch.setattr(asymptotics, "steps_for", no_grid)
+    with pytest.raises(ValueError, match="^a cost study takes one or more markets of one noise "
+                                         "demand$"):
+        simulate_costs(markets, 1.0, n_paths, 1)
+
+
+def test_a_market_is_swept_at_its_own_impact_cost():
+    # a 1e-2 market swept at 1e-3 when a second impact-cost list overrode its own
+    market = dealers_only_market(1e-2, 0.1, 2, UNIT_RATE)
+    (cost,), _ = simulate_costs([market], 1.0, 0, 0)
+    ag = aggregate(market)
+    h = Horizon.uniform(1.0, steps_for(ag.delta, 1.0))
+    realized = realize_driver(((1.0, UNIT_RATE),), h)
+    _, u = solve_forward(realized, ag.delta, h)
+    assert cost[0] == liquidity_cost_from_paths(realized.values(), u, ag.impact_weight)
+    assert cost[0] / 1e-2 == pytest.approx(1.5, rel=0.05)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 10])
@@ -106,7 +139,7 @@ def test_dealer_setting_reads_the_dealers_only_market(m, rho_d, lam):
 
 def test_zero_demand_costs_nothing():
     market = dealers_only_market(0.01, 0.1, 1, ZERO)
-    assert simulate_costs(market, 1.0, [0.01], 0, 0)[0][0][0] == 0.0
+    assert simulate_costs([market], 1.0, 0, 0)[0][0][0] == 0.0
 
 
 def test_cost_routes_are_summation_by_parts_twins():
@@ -123,7 +156,7 @@ def test_cost_routes_are_summation_by_parts_twins():
 def test_unit_smooth_demand_limit():
     # K^N_t = t: cost/lam -> (M+1)/M * T as lam -> 0
     for m in (1, 3):
-        c = simulate_costs(dealers_only_market(1e-5, 0.1, m, UNIT_RATE), 1.0, [1e-5], 0, 0)[0][0][0]
+        c = simulate_costs([dealers_only_market(1e-5, 0.1, m, UNIT_RATE)], 1.0, 0, 0)[0][0][0]
         assert c / 1e-5 == pytest.approx((m + 1) / m, rel=2e-2)
         # finite-lam value sits below the limit by ~1/(sqrt(delta) T)
         assert c / 1e-5 < (m + 1) / m
@@ -143,7 +176,7 @@ def test_smooth_prefactor_independent_of_dealer_inventory_cost():
     # the smooth-demand law has no rho_d in its leading term
     prefs = []
     for rho in (0.05, 0.1, 0.2):
-        c = simulate_costs(dealers_only_market(1e-5, rho, 2, UNIT_RATE), 1.0, [1e-5], 0, 0)[0][0][0]
+        c = simulate_costs([dealers_only_market(1e-5, rho, 2, UNIT_RATE)], 1.0, 0, 0)[0][0][0]
         prefs.append(c / 1e-5)
     assert max(prefs) / min(prefs) < 1.005
 
@@ -154,7 +187,7 @@ def test_deterministic_varying_rate_demand():
     h = Horizon.uniform(1.0, n)
     rate = Deterministic(tuple(1.0 + np.sin(2 * np.pi * h.grid)))
     market = dealers_only_market(1e-5, 0.1, 2, SmoothRate(rate))
-    c = simulate_costs(market, 1.0, [1e-5], 0, 0, steps=[n])[0][0][0]
+    c = simulate_costs([market], 1.0, 0, 0, steps=[n])[0][0][0]
     assert c / 1e-5 == pytest.approx(1.5 * 1.5, rel=0.02)
 
 
@@ -175,7 +208,7 @@ def test_expected_square_rate_integrals():
 
 def test_diffusive_prefactor_small_lambda():
     market = dealers_only_market(1e-4, 0.1, 2, BrownianMartingale(0.0, 1.0))
-    (costs,), _ = simulate_costs(market, 1.0, [1e-4], 3000, seed=11)
+    (costs,), _ = simulate_costs([market], 1.0, 3000, seed=11)
     pref = costs.mean() / np.sqrt(1e-4)
     theory = theoretical_prefactor(market, 1.0)
     se = costs.std(ddof=1) / np.sqrt(3000) / np.sqrt(1e-4)
@@ -196,7 +229,7 @@ def test_diffusive_prefactor_scales_with_inventory_cost():
     prefs = {}
     for rho in (0.05, 0.2):
         market = dealers_only_market(lam, rho, 2, dem)
-        (costs,), _ = simulate_costs(market, 1.0, [lam], 2500, seed=9)
+        (costs,), _ = simulate_costs([market], 1.0, 2500, seed=9)
         prefs[rho] = costs.mean() / np.sqrt(lam)
     assert prefs[0.05] / prefs[0.2] == pytest.approx(np.sqrt(0.2 / 0.05), rel=0.05)
 
@@ -205,7 +238,7 @@ def test_ou_demand_family_prefactor():
     # second diffusive family: OU demand with constant diffusion coefficient
     dem = OrnsteinUhlenbeck(x0=0.0, kappa=2.0, theta=0.0, sigma=0.8)
     market = dealers_only_market(1e-4, 0.1, 1, dem)
-    (costs,), _ = simulate_costs(market, 1.0, [1e-4], 2500, seed=13)
+    (costs,), _ = simulate_costs([market], 1.0, 2500, seed=13)
     theory = theoretical_prefactor(market, 1.0)
     assert theory == pytest.approx(np.sqrt(2 / 0.1) * 0.64, rel=1e-12)
     assert costs.mean() / np.sqrt(1e-4) == pytest.approx(theory, rel=0.05)
@@ -213,13 +246,13 @@ def test_ou_demand_family_prefactor():
 
 def test_monte_carlo_reproducibility_and_worker_invariance():
     market = dealers_only_market(1e-2, 0.1, 1, BrownianMartingale(0.0, 1.0))
-    (a,), (ta,) = simulate_costs(market, 1.0, [1e-2], 600, seed=21)
-    (b,), (tb,) = simulate_costs(market, 1.0, [1e-2], 600, seed=21)
+    (a,), (ta,) = simulate_costs([market], 1.0, 600, seed=21)
+    (b,), (tb,) = simulate_costs([market], 1.0, 600, seed=21)
     np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(ta, tb)
     # one chunk per worker: 600 paths as 120-path and 86-path chunks
     for workers in (5, 7):
-        (c,), (tc,) = simulate_costs(market, 1.0, [1e-2], 600, seed=21, workers=workers)
+        (c,), (tc,) = simulate_costs([market], 1.0, 600, seed=21, workers=workers)
         np.testing.assert_array_equal(a, c)
         np.testing.assert_array_equal(ta, tc)
 
@@ -245,7 +278,7 @@ def test_brownian_sweep_bytes_are_pinned(demand, cost_sha256, track_sha256):
     # node of the tracking trapezoid once; smooth-brownian's since the rate weight's
     # 1 - sech(x) is taken without cancellation
     market = dealers_only_market(1e-2, 0.1, 2, demand)
-    (costs,), (tracks,) = simulate_costs(market, 1.0, [1e-2], 64, 7)
+    (costs,), (tracks,) = simulate_costs([market], 1.0, 64, 7)
     assert hashlib.sha256(costs.tobytes()).hexdigest() == cost_sha256
     assert hashlib.sha256(tracks.tobytes()).hexdigest() == track_sha256
 
@@ -264,7 +297,7 @@ def test_sweep_matches_forward_solve_path_by_path(demand):
     # the fused sweep and realize + solve_forward on the same normals
     lam, n_paths, seed = 1e-3, 64, 7
     market = dealers_only_market(lam, 0.1, 2, demand)
-    (costs,), (tracks,) = simulate_costs(market, 1.0, [lam], n_paths, seed)
+    (costs,), (tracks,) = simulate_costs([market], 1.0, n_paths, seed)
     ag = aggregate(market)
     h = Horizon.uniform(1.0, steps_for(ag.delta, 1.0))
     z = normal_block(path_streams(seed, 0, n_paths), h.n_steps)
@@ -294,7 +327,7 @@ def test_time_slices_change_no_path(demand, monkeypatch):
     runs = []
     for width, workers in ((steps, 1), (7, 4), (7, 1), (500, 3)):
         monkeypatch.setattr(asymptotics, "SLICE_STEPS", width)
-        runs.append(simulate_costs(market, 1.0, [lam], n_paths, 5, [steps], workers))
+        runs.append(simulate_costs([market], 1.0, n_paths, 5, [steps], workers))
     for costs, tracks in runs[1:]:
         np.testing.assert_array_equal(costs, runs[0][0])
         np.testing.assert_array_equal(tracks, runs[0][1])
@@ -313,15 +346,18 @@ SHARED_DRAW_DEMANDS = [
 def test_one_call_over_impact_costs_is_one_call_per_impact_cost(demand, workers, width,
                                                                  monkeypatch):
     # 30-, 40- and 60-step grids share the 60-step draw: at width 7 every grid ends inside
-    # a slice, at 10 every grid ends on a slice edge, at 20 the 30-step grid ends mid-slice
+    # a slice, at 10 every grid ends on a slice edge, at 20 the 30-step grid ends mid-slice;
+    # the markets differ in their impact cost, in rho_d or in M
     monkeypatch.setattr(asymptotics, "SLICE_STEPS", width)
-    lambdas, steps = [1e-1, 1e-2, 1e-3], [30, 40, 60]
-    market = dealers_only_market(lambdas[0], 0.1, 2, demand)
-    costs, tracks = simulate_costs(market, 1.0, lambdas, 20, 5, steps, workers)
-    for lam, n, cost, track in zip(lambdas, steps, costs, tracks):
-        (one_cost,), (one_track,) = simulate_costs(market, 1.0, [lam], 20, 5, [n], workers)
-        np.testing.assert_array_equal(cost, one_cost)
-        np.testing.assert_array_equal(track, one_track)
+    steps = [30, 40, 60]
+    for markets in ([dealers_only_market(lam, 0.1, 2, demand) for lam in (1e-1, 1e-2, 1e-3)],
+                    [dealers_only_market(1e-2, rho, 2, demand) for rho in (0.4, 0.1, 0.025)],
+                    [dealers_only_market(1e-2, 0.1, m, demand) for m in (1, 2, 10)]):
+        costs, tracks = simulate_costs(markets, 1.0, 20, 5, steps, workers)
+        for market, n, cost, track in zip(markets, steps, costs, tracks, strict=True):
+            (one_cost,), (one_track,) = simulate_costs([market], 1.0, 20, 5, [n], workers)
+            np.testing.assert_array_equal(cost, one_cost)
+            np.testing.assert_array_equal(track, one_track)
 
 
 def test_a_chunk_draws_its_normals_once_for_its_longest_grid(monkeypatch):
@@ -342,8 +378,9 @@ def test_a_chunk_draws_its_normals_once_for_its_longest_grid(monkeypatch):
     monkeypatch.setattr(asymptotics, "_chunk_sweep", recording_sweep)
     monkeypatch.setattr(asymptotics, "standard_normal_block", counted_draw)
     monkeypatch.setattr(asymptotics, "SLICE_STEPS", 16)
-    simulate_costs(dealers_only_market(1e-1, 0.1, 2, BrownianMartingale(0.0, 1.0)), 1.0,
-                   [1e-1, 1e-2, 1e-3], 200, 5, [30, 40, 60], 3)
+    markets = [dealers_only_market(lam, 0.1, 2, BrownianMartingale(0.0, 1.0))
+               for lam in (1e-1, 1e-2, 1e-3)]
+    simulate_costs(markets, 1.0, 200, 5, [30, 40, 60], 3)
     assert [c["paths"] for c in chunks] == [67, 67, 66]
     for c in chunks:
         assert c["normals"] == c["paths"] * 60
@@ -354,7 +391,7 @@ def test_sweep_memory_is_bounded_by_the_slice():
     # the (paths x steps) normal block is never built: peak well under a quarter of it
     n_paths, steps = 256, 20_000
     market = dealers_only_market(1e-5, 0.1, 2, BrownianMartingale(0.0, 1.0))
-    _, peak = traced_peak(simulate_costs, market, 1.0, [1e-5], n_paths, 3, [steps])
+    _, peak = traced_peak(simulate_costs, [market], 1.0, n_paths, 3, [steps])
     assert peak < n_paths * steps * 8 / 4
 
 
@@ -363,8 +400,8 @@ def test_one_chunk_across_partial_tiles_matches_small_chunks(width, monkeypatch)
     # 130 paths fill two 64-path tiles and a 2-path one; 7 workers' 19-path chunks fill none
     monkeypatch.setattr(asymptotics, "SLICE_STEPS", width)
     market, steps = dealers_only_market(1e-2, 0.1, 2, BrownianMartingale(0.3, 1.0)), 50
-    whole = simulate_costs(market, 1.0, [1e-2], 130, 9, [steps], 1)
-    split = simulate_costs(market, 1.0, [1e-2], 130, 9, [steps], 7)
+    whole = simulate_costs([market], 1.0, 130, 9, [steps], 1)
+    split = simulate_costs([market], 1.0, 130, 9, [steps], 7)
     for a, b in zip(whole, split):
         np.testing.assert_array_equal(a, b)
 
@@ -389,10 +426,11 @@ def test_costs_do_not_depend_on_the_fill_threads(width, monkeypatch):
     # fill threads
     monkeypatch.setattr(asymptotics, "SLICE_STEPS", width)
     market = dealers_only_market(1e-1, 0.1, 2, OrnsteinUhlenbeck(0.2, 2.0, -0.4, 0.8))
+    markets = [market, replace(market, impact_cost=1e-2)]
     runs = []
     for cpus, workers in ((1, 1), (3, 1), (1, 7), (3, 7)):
         monkeypatch.setattr("dealerlab.paths._cpus", lambda k=cpus: k)
-        runs.append(simulate_costs(market, 1.0, [1e-1, 1e-2], 130, 9, [30, 50], workers))
+        runs.append(simulate_costs(markets, 1.0, 130, 9, [30, 50], workers))
     for costs, tracks in runs[1:]:
         for got, want in zip(costs + tracks, runs[0][0] + runs[0][1]):
             np.testing.assert_array_equal(got, want)
@@ -402,7 +440,7 @@ def test_sweep_memory_at_the_default_chunk_is_one_slice_buffer():
     # the step-major buffer, chunk x SLICE_STEPS floats, plus one tile and O(chunk) state
     n_paths, steps = 2048, 3000
     market = dealers_only_market(1e-3, 0.1, 2, BrownianMartingale(0.0, 1.0))
-    _, peak = traced_peak(simulate_costs, market, 1.0, [1e-3], n_paths, 3, [steps])
+    _, peak = traced_peak(simulate_costs, [market], 1.0, n_paths, 3, [steps])
     assert peak < 1.25 * n_paths * asymptotics.SLICE_STEPS * 8
 
 
@@ -440,8 +478,7 @@ def test_chunks_follow_the_worker_count(monkeypatch):
                                    (5000, 1, [2048, 2048, 904]), (5000, 2, [2048, 2048, 904]),
                                    (8, 1000, [1] * 8)):
         counts.clear()
-        simulate_costs(dealers_only_market(1e-2, 0.1, 2, demand), 1.0, [1e-2], n_paths, 1, [16],
-                       workers)
+        simulate_costs([dealers_only_market(1e-2, 0.1, 2, demand)], 1.0, n_paths, 1, [16], workers)
         assert sorted(counts, reverse=True) == want, (n_paths, workers)
 
 
@@ -457,10 +494,10 @@ def test_chunks_run_on_the_calling_thread(monkeypatch):
 
     monkeypatch.setattr(asymptotics, "_chunk_sweep", recording_sweep)
     market = dealers_only_market(1e-2, 0.1, 2, BrownianMartingale(0.0, 1.0))
-    serial = simulate_costs(market, 1.0, [1e-2], 16, seed=3, steps=[40])
+    serial = simulate_costs([market], 1.0, 16, seed=3, steps=[40])
     threads.clear()
     starts.clear()
-    chunked = simulate_costs(market, 1.0, [1e-2], 16, seed=3, steps=[40], workers=8)
+    chunked = simulate_costs([market], 1.0, 16, seed=3, steps=[40], workers=8)
     assert threads == [threading.get_ident()] * 8
     assert starts == list(range(0, 16, 2))
     for a, b in zip(serial, chunked):
@@ -474,15 +511,15 @@ def test_an_unstable_step_is_refused_before_the_sweep(monkeypatch):
 
     monkeypatch.setattr(asymptotics, "_chunk_sweep", no_sweep)
     with pytest.raises(ValueError, match=r"lambda=0.01: .*max F\*dt = 6.45 > 2 on 4 steps"):
-        simulate_costs(dealers_only_market(1e-2, 0.1, 2, BrownianMartingale(0.0, 1.0)), 1.0,
-                       [1e-2], 8, 1, [4])
+        simulate_costs([dealers_only_market(1e-2, 0.1, 2, BrownianMartingale(0.0, 1.0))], 1.0,
+                       8, 1, [4])
 
 
 @pytest.mark.parametrize("workers", [0, -4])
 def test_workers_below_one_are_rejected(workers):
     with pytest.raises(ValueError, match="workers"):
-        simulate_costs(dealers_only_market(1e-2, 0.1, 2, BrownianMartingale(0.0, 1.0)), 1.0,
-                       [1e-2], 8, 1, workers=workers)
+        simulate_costs([dealers_only_market(1e-2, 0.1, 2, BrownianMartingale(0.0, 1.0))], 1.0,
+                       8, 1, workers=workers)
 
 
 @pytest.mark.parametrize(
@@ -501,8 +538,8 @@ def test_workers_below_one_are_rejected(workers):
 def test_count_inputs_are_integers(demand, n_paths, seed, workers, named):
     # a float path count died in range(); the others ran, a deterministic demand's seed unread
     with pytest.raises(ValueError, match=rf"^{named} must "):
-        simulate_costs(dealers_only_market(1e-2, 0.1, 2, demand), 1.0, [1e-2], n_paths, seed,
-                       [16], workers)
+        simulate_costs([dealers_only_market(1e-2, 0.1, 2, demand)], 1.0, n_paths, seed, [16],
+                       workers)
 
 
 def test_scaling_study_rejects_repeated_impact_costs():
@@ -540,7 +577,7 @@ def test_smooth_stochastic_matches_theory():
     # OU-rate smooth demand: E cost / lam -> (M+1)/M E int mu^2 dt
     dem = SmoothRate(OrnsteinUhlenbeck(x0=1.0, kappa=1.0, theta=1.0, sigma=0.3))
     market = dealers_only_market(1e-4, 0.1, 2, dem)
-    (costs,), _ = simulate_costs(market, 1.0, [1e-4], 2000, seed=6)
+    (costs,), _ = simulate_costs([market], 1.0, 2000, seed=6)
     theory = theoretical_prefactor(market, 1.0)
     se = costs.std(ddof=1) / np.sqrt(2000) / 1e-4
     assert costs.mean() / 1e-4 == pytest.approx(theory, abs=0.03 * theory + 2 * se)
@@ -567,7 +604,7 @@ def test_tracking_improves_with_harsher_inventory_penalty():
     dem = BrownianMartingale(0.0, 1.0)
     tracks = {}
     for rho in (0.05, 0.4):
-        _, (t,) = simulate_costs(dealers_only_market(1e-2, rho, 1, dem), 1.0, [1e-2], 1500, seed=5)
+        _, (t,) = simulate_costs([dealers_only_market(1e-2, rho, 1, dem)], 1.0, 1500, seed=5)
         tracks[rho] = t.mean()
     assert tracks[0.05] < tracks[0.4]
 
@@ -598,9 +635,9 @@ def test_stderr_warning_on_thin_sampling():
 def test_deterministic_demand_is_one_exact_row_on_every_route():
     lam = 1e-3
     market = dealers_only_market(lam, 0.1, 2, UNIT_RATE)
-    (costs,), (tracks,) = simulate_costs(market, 1.0, [lam], 0, 0)
+    (costs,), (tracks,) = simulate_costs([market], 1.0, 0, 0)
     assert costs.shape == tracks.shape == (1,)
-    assert simulate_costs(market, 1.0, [lam], 500, 3)[0][0][0] == costs[0]
+    assert simulate_costs([market], 1.0, 500, 3)[0][0][0] == costs[0]
     rep = scaling_study(market, 1.0, [lam], n_paths=0)
     assert (rep.means, rep.stderrs, rep.path_counts) == ([costs[0]], [0.0], [1])
     assert (rep.track_means, rep.track_stderrs) == ([tracks[0]], [0.0])
@@ -610,7 +647,7 @@ def test_deterministic_demand_is_one_exact_row_on_every_route():
 def test_monte_carlo_needs_two_paths(n_paths):
     market = dealers_only_market(1e-2, 0.1, 2, BrownianMartingale(0.0, 1.0))
     for study in (
-        lambda: simulate_costs(market, 1.0, [1e-2], n_paths, seed=1),
+        lambda: simulate_costs([market], 1.0, n_paths, seed=1),
         lambda: scaling_study(market, 1.0, [1e-1, 1e-2], n_paths=n_paths, seed=1),
     ):
         with pytest.raises(ValueError, match="at least 2 paths"):
@@ -623,8 +660,8 @@ def test_step_cap_is_logged_by_every_entry_point(monkeypatch, caplog):
     note = f"{steps_for(aggregate(smooth).delta, 1.0)} steps wanted, 1000 used"
     monkeypatch.setattr(asymptotics, "STEP_CAP", 1000)
     for study in (
-        lambda: simulate_costs(smooth, 1.0, [1e-3], 0, 0),
-        lambda: simulate_costs(diffusive, 1.0, [1e-3], 8, 1),
+        lambda: simulate_costs([smooth], 1.0, 0, 0),
+        lambda: simulate_costs([diffusive], 1.0, 8, 1),
         lambda: scaling_study(diffusive, 1.0, [1e-3], 8, 1),
         lambda: scaling_study(smooth, 1.0, [1e-3], n_paths=0),
     ):
@@ -634,5 +671,5 @@ def test_step_cap_is_logged_by_every_entry_point(monkeypatch, caplog):
         assert caplog.text.count(note) == 1
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="dealerlab.asymptotics"):
-        simulate_costs(smooth, 1.0, [1e-1], 0, 0)
+        simulate_costs([replace(smooth, impact_cost=1e-1)], 1.0, 0, 0)
     assert "step cap" not in caplog.text

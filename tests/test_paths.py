@@ -186,7 +186,7 @@ def test_library_runs_refuse_a_seed_that_is_no_integer(seed):
     with pytest.raises(ValueError, match="^seed must lie in"):
         solve_equilibrium(segmented_market(0.1, 0.1, 0.1, 1, bm), h, seed=seed)
     with pytest.raises(ValueError, match="^seed must lie in"):
-        simulate_costs(dealers_only_market(0.1, 0.1, 1, bm), 1.0, [0.1], 4, seed=seed, steps=[50])
+        simulate_costs([dealers_only_market(0.1, 0.1, 1, bm)], 1.0, 4, seed=seed, steps=[50])
     with pytest.raises(ValueError, match="^path index must lie in"):
         solve_equilibrium(segmented_market(0.1, 0.1, 0.1, 1, bm), h, seed=1, path_index=0.9)
 
