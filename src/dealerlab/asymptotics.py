@@ -56,13 +56,17 @@ def _require_study(markets: list, T: float) -> None:
                          "driven by its noise demand alone")
 
 
-def _capped_steps(market: MarketParams, T: float):
-    """``steps_for`` clipped at ``STEP_CAP``, and the note of a clip (None without one)."""
-    wanted = steps_for(aggregate(market).delta, T)
-    steps = min(wanted, STEP_CAP)
-    if steps == wanted:
-        return steps, None
-    return steps, f"step cap at lambda={market.impact_cost:g}: {wanted} steps wanted, {steps} used"
+def _capped_steps(markets: list, T: float) -> list:
+    """Each market's ``steps_for`` clipped at ``STEP_CAP``, with the note of a clip (None
+    without one), which names the market by its index in ``markets`` and its impact cost."""
+    capped = []
+    for i, market in enumerate(markets):
+        wanted = steps_for(aggregate(market).delta, T)
+        steps = min(wanted, STEP_CAP)
+        note = (f"step cap on market {i} at lambda={market.impact_cost:g}: "
+                f"{wanted} steps wanted, {steps} used")
+        capped.append((steps, note if steps < wanted else None))
+    return capped
 
 
 def _step_context(impact_cost: float, clipped: str | None) -> str:
@@ -218,10 +222,7 @@ def simulate_costs(
     require_count("n_paths", n_paths, 0)
     require_key_word("seed", seed)  # on both branches, though a deterministic demand draws none
     demand = markets[0].noise_demand
-    if steps is None:
-        capped = [_capped_steps(market, T) for market in markets]
-    else:
-        capped = [(n, None) for n in steps]
+    capped = _capped_steps(markets, T) if steps is None else [(n, None) for n in steps]
     grids = []
     for market, (n, clipped) in zip(markets, capped, strict=True):
         if clipped:
@@ -348,7 +349,7 @@ def scaling_study(
         raise ValueError(f"impact costs must be one or more, distinct and positive, got {lambdas}")
     markets = [replace(market, impact_cost=lam) for lam in lambdas]
     costs, tracks = simulate_costs(markets, T, n_paths, seed, workers=workers)
-    capped = [_capped_steps(m, T) for m in markets]  # the grids simulate_costs picked
+    capped = _capped_steps(markets, T)  # the grids simulate_costs picked
     order, _ = market.noise_demand.scaling_law(T)
     means, stderrs = _means_stderrs(costs)
     track_means, track_stderrs = _means_stderrs(tracks)

@@ -22,7 +22,7 @@ import argparse
 import configparser
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .asymptotics import scaling_study
@@ -197,15 +197,9 @@ def _outdir(args) -> Path:
 
 def cmd_liquidation(args) -> None:
     grid = Horizon.uniform(args.T, args.steps).grid
-    one = liquidation_closed_form(
-        LiquidationScenario(args.impact_cost, args.rho_c, args.rho_d, args.T, args.xi_c, 1), grid
-    )
-    many = liquidation_closed_form(
-        LiquidationScenario(
-            args.impact_cost, args.rho_c, args.rho_d, args.T, args.xi_c, INF_DEALERS
-        ),
-        grid,
-    )
+    s = LiquidationScenario(args.impact_cost, args.rho_c, args.rho_d, args.T, args.xi_c, 1)
+    one = liquidation_closed_form(s, grid)
+    many = liquidation_closed_form(replace(s, n_dealers=INF_DEALERS), grid)
     out = _outdir(args)
     write_csv(
         out / "fig1_strategies.csv",
@@ -227,24 +221,16 @@ def cmd_liquidation(args) -> None:
 
 
 def cmd_diffusive(args) -> None:
-    base = dict(
-        impact_cost=args.impact_cost,
-        rho_c=args.rho_c,
-        rho_d=args.rho_d,
-        T=args.T,
-        sigma_xi=args.sigma_xi,
-        seed=args.seed,
-        steps=args.steps,
-    )
     require_count("--paths", args.paths, 1)
-    one_dealer = DiffusiveScenario(n_dealers=1, **base)
+    one_dealer = DiffusiveScenario(args.impact_cost, args.rho_c, args.rho_d, args.T, n_dealers=1,
+                                   sigma_xi=args.sigma_xi, seed=args.seed, steps=args.steps)
     try:
         reg = price_reversion_regression(one_dealer, args.paths, t_max=args.T / 2)
     except ValueError as exc:  # the only input left to fault is a window too short
         raise ConfigError(f"--steps {args.steps} is too coarse: {exc}") from None
     # path 0 depends on (seed, 0) alone: the same path as in the regression's batch
     one = diffusive_simulate(one_dealer, 1)
-    many = diffusive_simulate(DiffusiveScenario(n_dealers=INF_DEALERS, **base), 1)
+    many = diffusive_simulate(replace(one_dealer, n_dealers=INF_DEALERS), 1)
     out = _outdir(args)
     write_csv(
         out / "fig2_paths.csv",
@@ -260,15 +246,10 @@ def cmd_diffusive(args) -> None:
 def cmd_welfare(args) -> None:
     require_count("--m-max", args.m_max, 1)
     require_count("--m", args.m, 1)
-
-    def welfare(m):
-        return segmentation_welfare(
-            LiquidationScenario(args.impact_cost, args.rho_c, args.rho_d, args.T, args.xi_c, m)
-        )
-
+    s = LiquidationScenario(args.impact_cost, args.rho_c, args.rho_d, args.T, args.xi_c, args.m)
     counts = list(range(1, args.m_max + 1))
-    curve = [welfare(m) for m in counts]
-    report = welfare(args.m)
+    curve = [segmentation_welfare(replace(s, n_dealers=m)) for m in counts]
+    report = segmentation_welfare(s)
     out = _outdir(args)
     write_csv(
         out / "fig3_welfare.csv",
@@ -297,7 +278,7 @@ def _scaling_common(args, demand) -> None:
     out = _outdir(args)
     write_json(
         out / "scaling_report.json",
-        {**run_metadata(_scaling_echo(args), args.seed, None), "report": payload},
+        {**run_metadata(_scenario_echo(args), args.seed, None), "report": payload},
     )
     columns = [report.lambdas, report.means, report.stderrs, report.path_counts, report.steps]
     write_csv(
@@ -376,19 +357,8 @@ def cmd_equilibrium(args) -> None:
 
 def _scenario_echo(args) -> dict:
     keys = ["impact_cost", "rho_c", "rho_d", "T", "xi_c", "sigma_xi", "steps", "m", "m_max",
-            "paths", "steps_list"]
+            "paths", "steps_list", "demand"]
     return {k: getattr(args, k) for k in keys if hasattr(args, k)}
-
-
-def _scaling_echo(args) -> dict:
-    return {
-        "impact_cost": args.impact_cost,
-        "m": args.m,
-        "rho_d": args.rho_d,
-        "T": args.T,
-        "paths": args.paths,
-        "demand": getattr(args, "demand", None),
-    }
 
 
 # ----------------------------------------------------------------------
@@ -467,6 +437,8 @@ def build_parser(command=None) -> argparse.ArgumentParser:
         p.add_argument("--workers", type=int, default=1)
         if name == "scaling-diffusive":
             p.add_argument("--demand", choices=["brownian", "ou"], default="brownian")
+        else:  # the smooth study's echo holds its demand as null
+            p.set_defaults(demand=None)
         p.set_defaults(func=fn)
 
     if p := add("oracle-check", "discrete-oracle gap report"):

@@ -13,7 +13,7 @@ integrated market (clients trade the open market too) runs at delta_{2M}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -56,15 +56,15 @@ class LiquidationScenario:
         scenario_delta(self)  # its DeltaParam refuses a mesh rate that overflows
 
 
-def scenario_delta(s: LiquidationScenario, doubled: bool = False) -> DeltaParam:
-    """delta_M for the scenario; ``doubled`` gives the integrated market's delta_{2M}.
+def scenario_delta(s: LiquidationScenario) -> DeltaParam:
+    """delta_M for the scenario; ``replace(s, n_dealers=2 * s.n_dealers)`` gives delta_{2M}.
 
-    The m agents with open-market access (the M dealers, joined by the M
-    clients when doubled), each of mass 1/(2M), give eta_bar = m/lambda; at
-    M = inf that is inf, and ``compute_delta`` gives the competitive limit.
+    The M agents with open-market access (the dealers), each of mass 1/(2M),
+    give eta_bar = M/lambda; at M = inf that is inf, and ``compute_delta``
+    gives the competitive limit.
     """
-    m = 2 * s.n_dealers if doubled else s.n_dealers
-    return compute_delta((s.rho_c + s.rho_d) / 2.0, 1.0 / s.impact_cost, m / s.impact_cost)
+    lam = s.impact_cost
+    return compute_delta((s.rho_c + s.rho_d) / 2.0, 1.0 / lam, s.n_dealers / lam)
 
 
 @dataclass
@@ -274,30 +274,34 @@ def _hyperbolic_integrals(b: float, T: float) -> tuple[float, float, float]:
     return tanh_term, (tanh_term + sech_term) / 2.0, (tanh_term - sech_term) / 2.0
 
 
-def welfare_brackets(s: LiquidationScenario) -> tuple[float, float]:
-    """The xi_c-free brackets of J_c = -xi_c^2/4 * bracket, segmented and integrated.
+def _limit_integrals(b: float, T: float) -> tuple[float, float, float]:
+    """``_hyperbolic_integrals`` as b T -> inf: 1/b, 1/2b and 1/2b."""
+    return 1 / b, 1 / (2 * b), 1 / (2 * b)
 
-    With rho = rho_c + rho_d, the client's welfare integrands reduce to
-    (4/rho) C - (2 rho_c/rho^2) C^2 at mesh delta_M, and to
-    (2/rho) C + (2 rho_d/rho^2) C^2 + lambda delta_{2M} S^2 at delta_{2M}.
+
+def _welfare_bracket(s: LiquidationScenario, a: int, integrals) -> float:
+    """The xi_c-free bracket of J_c = -xi_c^2/4 * bracket, the clients holding a share a of
+    the open market: a = 0 segmented (at delta_M), a = 1 integrated (at delta_{2M}).
+
+    With rho = rho_c + rho_d, the client's welfare integrand reduces to
+    2(2 - a)/rho C + 2(a rho_d - (1 - a) rho_c)/rho^2 C^2 + a lambda delta S^2,
+    whose integrals over [0, T] ``integrals(sqrt(delta), T)`` gives.
     """
     rho = s.rho_c + s.rho_d
-    c, c2, _ = _hyperbolic_integrals(scenario_delta(s).sqrt_delta, s.T)
-    segmented = 4.0 / rho * c - 2.0 * s.rho_c / rho**2 * c2
-    d2 = scenario_delta(s, doubled=True)
-    c, c2, s2 = _hyperbolic_integrals(d2.sqrt_delta, s.T)
-    integrated = 2.0 / rho * c + 2.0 * s.rho_d / rho**2 * c2 + s.impact_cost * d2.delta * s2
-    return segmented, integrated
+    d = scenario_delta(replace(s, n_dealers=(1 + a) * s.n_dealers))
+    c, c2, s2 = integrals(d.sqrt_delta, s.T)
+    return (2.0 * (2 - a) / rho * c + 2.0 * (a * s.rho_d - (1 - a) * s.rho_c) / rho**2 * c2
+            + a * s.impact_cost * d.delta * s2)
+
+
+def welfare_brackets(s: LiquidationScenario) -> tuple[float, float]:
+    """The segmented and integrated brackets on the exact integrals of C, C^2 and S^2."""
+    return tuple(_welfare_bracket(s, a, _hyperbolic_integrals) for a in (0, 1))
 
 
 def asymptotic_welfare_brackets(s: LiquidationScenario) -> tuple[float, float]:
-    """``welfare_brackets`` as b T -> inf: C, C^2 and S^2 integrate to 1/b, 1/2b and 1/2b."""
-    rho = s.rho_c + s.rho_d
-    b = scenario_delta(s).sqrt_delta
-    segmented = (4.0 / rho - s.rho_c / rho**2) / b
-    d2 = scenario_delta(s, doubled=True)
-    integrated = (2.0 / rho + s.rho_d / rho**2 + s.impact_cost * d2.delta / 2.0) / d2.sqrt_delta
-    return segmented, integrated
+    """``welfare_brackets`` as b T -> inf, on the limits of the integrals."""
+    return tuple(_welfare_bracket(s, a, _limit_integrals) for a in (0, 1))
 
 
 def segmentation_welfare(s: LiquidationScenario) -> WelfareReport:

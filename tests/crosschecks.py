@@ -8,7 +8,7 @@ it.  The module is not collected as tests; tests import it with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -131,7 +131,7 @@ def integrated_liquidation_closed_form(
     bulk trade but unwinds at the faster rate delta_{2M}.
     """
     grid = np.asarray(grid, dtype=float)
-    b = scenario_delta(s, doubled=True).sqrt_delta
+    b = scenario_delta(replace(s, n_dealers=2 * s.n_dealers)).sqrt_delta
     T = s.T
     C = stable_cosh_ratio(b * (T - grid), b * T)
     rho_sum = s.rho_c + s.rho_d
@@ -225,7 +225,7 @@ def welfare_segmented_quadrature(s: LiquidationScenario) -> float:
 
 def welfare_integrated_quadrature(s: LiquidationScenario) -> float:
     """J_c_int by Simpson quadrature of the integrated-market integrand (mesh delta_{2M})."""
-    d2 = scenario_delta(s, doubled=True)
+    d2 = scenario_delta(replace(s, n_dealers=2 * s.n_dealers))
     b = d2.sqrt_delta
     rho_sum = s.rho_c + s.rho_d
     rho_bar = rho_sum / 2.0

@@ -673,3 +673,15 @@ def test_step_cap_is_logged_by_every_entry_point(monkeypatch, caplog):
     with caplog.at_level(logging.WARNING, logger="dealerlab.asymptotics"):
         simulate_costs([replace(smooth, impact_cost=1e-1)], 1.0, 0, 0)
     assert "step cap" not in caplog.text
+
+
+def test_step_cap_note_names_the_clipped_market(monkeypatch, caplog):
+    # two rosters at one impact cost: the notes tell them apart by their index in the list
+    markets = [dealers_only_market(1e-3, rho_d, 2, UNIT_RATE) for rho_d in (0.05, 0.2)]
+    wanted = [steps_for(aggregate(m).delta, 1.0) for m in markets]
+    monkeypatch.setattr(asymptotics, "STEP_CAP", 1000)
+    with caplog.at_level(logging.WARNING, logger="dealerlab.asymptotics"):
+        simulate_costs(markets, 1.0, 0, 0)
+    notes = [r.getMessage() for r in caplog.records]
+    assert notes == [f"step cap on market {i} at lambda=0.001: {n} steps wanted, 1000 used"
+                     for i, n in enumerate(wanted)]

@@ -184,7 +184,7 @@ def test_a_clipped_grid_reaches_stderr(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "dealerlab.cli", *argv], capture_output=True,
                           text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    note = "step cap at lambda=1e-09: 4082483 steps wanted, 1000000 used"
+    note = "step cap on market 0 at lambda=1e-09: 4082483 steps wanted, 1000000 used"
     assert note in proc.stderr
     assert read_json(tmp_path / "scaling_report.json")["report"]["warnings"] == [note]
 

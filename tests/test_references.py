@@ -1,5 +1,6 @@
 """Closed forms against exact references: 40-digit mpmath and sympy."""
 
+import dataclasses
 from types import SimpleNamespace
 
 import mpmath
@@ -60,17 +61,19 @@ def test_asymptotic_welfare_brackets_are_the_limit_of_the_exact_ones(monkeypatch
                        / sp.cosh(b * T_) ** power, T_, sp.oo)
               for f, power in ((ch, 1), (ch**2, 2), (sh**2, 2))]
 
-    def delta(s, doubled=False):
+    def delta(s):
         """compute_delta's eta eta_bar / (rho_bar (eta + eta_bar)), eta = 1/lambda and
-        eta_bar = (M dealers, 2M when doubled, each of mass 1/(2M)) / lambda."""
-        eta, eta_bar = 1 / s.impact_cost, (2 if doubled else 1) * s.n_dealers / s.impact_cost
+        eta_bar = n_dealers / lambda (M for the segmented market, 2M for the integrated)."""
+        eta, eta_bar = 1 / s.impact_cost, s.n_dealers / s.impact_cost
         value = eta * eta_bar / ((s.rho_c + s.rho_d) / 2 * (eta + eta_bar))
         return SimpleNamespace(delta=value, sqrt_delta=sp.sqrt(value))
 
     monkeypatch.setattr(scenarios, "scenario_delta", delta)
     monkeypatch.setattr(scenarios, "_hyperbolic_integrals",
                         lambda b_, T: tuple(limit.subs(b, b_) for limit in limits))
-    s = SimpleNamespace(rho_c=rho_c, rho_d=rho_d, impact_cost=lam, n_dealers=M, T=T_)
+    # a dataclass, so that the brackets can take it to 2M dealers with dataclasses.replace
+    fields = ("rho_c", "rho_d", "impact_cost", "n_dealers", "T")
+    s = dataclasses.make_dataclass("Scenario", fields)(rho_c, rho_d, lam, M, T_)
     exact = scenarios.welfare_brackets(s)
     asymptotic = scenarios.asymptotic_welfare_brackets(s)
     for e, a in zip(exact, asymptotic):

@@ -40,7 +40,7 @@ def test_scenario_delta_values():
     assert scenario_delta(FIG1).delta == pytest.approx(50.0, rel=1e-14)
     inf_case = LiquidationScenario(n_dealers=INF_DEALERS)
     assert scenario_delta(inf_case).delta == pytest.approx(100.0, rel=1e-14)
-    assert scenario_delta(FIG1, doubled=True).delta == pytest.approx(
+    assert scenario_delta(dataclasses.replace(FIG1, n_dealers=2)).delta == pytest.approx(
         2 / (0.2 * 0.1) * (2 / 3), rel=1e-14
     )
 
@@ -49,17 +49,20 @@ def test_scenario_delta_values():
 @pytest.mark.parametrize("rho_d", [0.05, 0.3])
 @pytest.mark.parametrize("lam", [1e-1, 1e-5])
 def test_scenario_delta_is_the_market_delta(m, rho_d, lam):
-    # finite M: the segmented and integrated rosters' own aggregates; M = inf: the limit
+    # finite M: the segmented and integrated rosters' own aggregates, the integrated one at
+    # the scenario's 2M dealers; M = inf: the limit
     s = LiquidationScenario(impact_cost=lam, rho_c=0.1, rho_d=rho_d, n_dealers=m)
     if m == INF_DEALERS:
-        for doubled in (False, True):
-            assert scenario_delta(s, doubled).delta == pytest.approx(
+        for k in (1, 2):
+            assert scenario_delta(dataclasses.replace(s, n_dealers=k * m)).delta == pytest.approx(
                 2.0 / ((0.1 + rho_d) * lam), rel=1e-14
             )
         return
-    for build, doubled in ((segmented_market, False), (integrated_market, True)):
+    for build, k in ((segmented_market, 1), (integrated_market, 2)):
         market = aggregate(build(lam, 0.1, rho_d, m, Constant(-1.0))).delta.delta
-        assert scenario_delta(s, doubled).delta == pytest.approx(market, rel=1e-14)
+        assert scenario_delta(dataclasses.replace(s, n_dealers=k * m)).delta == pytest.approx(
+            market, rel=1e-14
+        )
 
 
 @pytest.mark.parametrize(
